@@ -12,7 +12,7 @@ FAULT_SWEEP_FLAGS ?=
 # local fallback) agree to within about a point; see tools/linecov.py.
 COV_FLOOR ?= 90
 
-.PHONY: install test test-fast coverage bench bench-smoke bench-report fault-sweep examples monitor-demo verify clean
+.PHONY: install test test-fast coverage bench bench-smoke bench-report bench-pairs fault-sweep examples monitor-demo verify clean
 
 install:
 	$(PY) setup.py develop
@@ -41,6 +41,12 @@ bench-smoke:
 
 bench-report:
 	$(PY) tools/bench_report.py
+
+# Ten interleaved parent/change pairs of one bench/ workload, judged by
+# bench/README.md's claim rule: make bench-pairs W=cdc_join_agg BASE=<sha>
+N ?= 10
+bench-pairs:
+	$(PY) tools/bench_pairs.py --workload $(W) --base $(BASE) --pairs $(N)
 
 fault-sweep:
 	$(PY) -m pytest tests/test_fault_sweep.py tests/test_fault_injection.py -q $(FAULT_SWEEP_FLAGS)

@@ -211,29 +211,32 @@ def read_jsonl(path: str) -> list:
     return rows
 
 
-def repair_torn_tail(directory: str, suffix: str = ".json") -> list:
-    """Remove the newest file in ``directory`` if it is unreadable JSON.
+def repair_torn_tail(directory: str, suffix=".json", check=read_json) -> list:
+    """Remove the newest file in ``directory`` if it is unreadable.
 
     Under the atomic-write protocol only the file in flight at a crash
     can be torn, and it is always the newest entry of its log; a torn
     *older* entry is real corruption, so only the tail is quarantined —
-    recovery then treats the write as never having happened.  Returns
-    the paths removed (0 or 1).
+    recovery then treats the write as never having happened.  ``check``
+    raises ``ValueError``/``OSError`` on a torn file (JSON documents by
+    default; state directories pass their codec's frame check, with a
+    tuple of suffixes).  Returns the paths removed (0 or 1).
     """
     names = list_files(directory, suffix)
     if not names:
         return []
     path = os.path.join(directory, names[-1])
     try:
-        read_json(path)
+        check(path)
     except (ValueError, OSError):
         os.unlink(path)
         return [path]
     return []
 
 
-def list_files(directory: str, suffix: str = "") -> list:
-    """Sorted non-hidden files in a directory (empty if missing)."""
+def list_files(directory: str, suffix="") -> list:
+    """Sorted non-hidden files in a directory (empty if missing) whose
+    names end with ``suffix`` (a string, or a tuple of alternatives)."""
     if not os.path.isdir(directory):
         return []
     names = [

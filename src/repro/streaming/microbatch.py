@@ -352,7 +352,6 @@ class MicrobatchEngine:
     def __init__(self, plan, sink, output_mode: str, checkpoint_dir: str,
                  max_records_per_epoch: int = None,
                  state_checkpoint_interval: int = 1,
-                 snapshot_interval: int = 10,
                  scheduler=None,
                  retain_epochs: int = None,
                  num_shards: int = None,
@@ -400,19 +399,17 @@ class MicrobatchEngine:
         self.flightrec.adopt_prior_dumps()
         try:
             self._init_engine(plan, sink, output_mode, checkpoint_dir,
-                              snapshot_interval, state_backend,
-                              state_memtable_bytes)
+                              state_backend, state_memtable_bytes)
         except Exception as exc:
             self._dump_crash("init-crash", exc)
             raise
 
     def _init_engine(self, plan, sink, output_mode, checkpoint_dir,
-                     snapshot_interval, state_backend,
-                     state_memtable_bytes) -> None:
+                     state_backend, state_memtable_bytes) -> None:
         """The crash-recorded part of construction: plan compilation, WAL
         attachment and recovery — where injected faults (and real restart
         bugs) can fire before the first epoch ever runs."""
-        self.state_store = StateStore(checkpoint_dir, snapshot_interval,
+        self.state_store = StateStore(checkpoint_dir,
                                       num_shards=self.num_shards,
                                       backend=state_backend,
                                       memtable_bytes=state_memtable_bytes)
@@ -838,6 +835,7 @@ class MicrobatchEngine:
             # prefetcher (ideally ~0 — the read fully overlapped).
             timings["prefetch-wait"] = prefetch_wait
         state_keys = self.state_store.total_keys()
+        state_rows = self.state_store.total_rows()
         event_lag = None
         if timings is not None and ingest_floor is not None:
             event_lag = max(0.0, self.clock() - ingest_floor)
@@ -852,6 +850,7 @@ class MicrobatchEngine:
             output_rows=result.num_rows,
             backlog_rows=backlog,
             state_keys=state_keys,
+            state_rows=state_rows,
             late_rows_dropped=ctx.metrics["late_rows_dropped"],
             watermarks={
                 c: self.watermarks.current(c)
@@ -879,6 +878,7 @@ class MicrobatchEngine:
                       ctx.metrics["late_rows_dropped"])
         metrics.set_gauge("engine.backlog_rows", backlog)
         metrics.set_gauge("engine.state_keys", state_keys)
+        metrics.set_gauge("state.rows", state_rows)
         metrics.observe("engine.epoch_seconds", duration)
         if event_lag is not None:
             metrics.set_gauge("engine.event_time_lag", event_lag)

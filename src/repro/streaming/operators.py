@@ -33,7 +33,7 @@ from repro.sql.batch import (
 from repro.sql.grouping import encode_groups
 from repro.sql.joins import assemble_join_output, join_indices
 from repro.sql.physical import aggregate_result_batch, execute
-from repro.sql.types import StructType
+from repro.sql.types import StructType, hashable_value
 from repro.streaming.state import encode_key
 from repro.streaming.stateful import GroupState, normalize_func_output
 from repro.streaming.zset import (
@@ -1065,6 +1065,50 @@ class StreamingDedupOp(IncrementalOp):
         return puts, np.asarray(keep_positions, dtype=np.int64), late_rows
 
 
+def _consolidate(entries: list, weight_idx) -> list:
+    """A join side's entry list as the integral of its input Z-set.
+
+    Entries are ``[row_values, matched]``; two entries are the same row
+    when their values agree everywhere but the weight slot.  Weights
+    add, a row netting to zero disappears, survivors keep first-seen
+    order (a negative net multiplicity is legal and kept: the insert it
+    cancels may arrive in a later epoch).  Stored value lists are never
+    mutated — a merged row is a fresh list.  An unweighted side
+    (``weight_idx is None``) is returned as is.
+    """
+    if weight_idx is None or len(entries) < 2:
+        return entries
+    net = {}
+    for entry in entries:
+        values = entry[0]
+        identity = tuple(values[:weight_idx] + values[weight_idx + 1:])
+        try:
+            slot = net.get(identity)
+        except TypeError:  # a cell holding a list: fold it to a tuple
+            identity = tuple(map(hashable_value, identity))
+            slot = net.get(identity)
+        if slot is None:
+            net[identity] = [entry, values[weight_idx], entry[1]]
+        else:
+            slot[1] += values[weight_idx]
+            slot[2] = slot[2] or entry[1]
+    if len(net) == len(entries):
+        return entries
+    out = []
+    for entry, weight, matched in net.values():
+        if weight == 0:
+            continue
+        values = entry[0]
+        if values[weight_idx] != weight:
+            values = list(values)
+            values[weight_idx] = weight
+            entry = [values, matched]
+        elif entry[1] != matched:
+            entry = [values, matched]
+        out.append(entry)
+    return out
+
+
 class StreamStreamJoinOp(IncrementalOp):
     """Join between two streams (§5.2, §8.1's TCP ⋈ DHCP pattern).
 
@@ -1080,6 +1124,12 @@ class StreamStreamJoinOp(IncrementalOp):
     is provably unmatchable, so outer joins can emit it null-padded.
     Without a bound (inner joins only), no state is ever evicted, as in
     Spark.
+
+    Over a weighted (retraction) side the buffered state is the
+    *integral* of that side's input Z-set (DBSP): entries are
+    consolidated by row identity as they are written back, weights add,
+    and a row whose weights sum to zero no longer exists — so state
+    tracks the live rows, not the change history.
     """
 
     stateful = True
@@ -1104,12 +1154,32 @@ class StreamStreamJoinOp(IncrementalOp):
         #: weighted the two weight columns fold into one output column.
         left_names = left.output_schema.names
         right_names = right.output_schema.names
-        self._weight_fold = None
-        if WEIGHT_COLUMN in left_names and WEIGHT_COLUMN in right_names:
-            self._weight_fold = (
-                left_names.index(WEIGHT_COLUMN),
-                right_names.index(WEIGHT_COLUMN),
-            )
+        self._left_weight = (left_names.index(WEIGHT_COLUMN)
+                             if WEIGHT_COLUMN in left_names else None)
+        self._right_weight = (right_names.index(WEIGHT_COLUMN)
+                              if WEIGHT_COLUMN in right_names else None)
+        fold = self._left_weight is not None and self._right_weight is not None
+        #: Right-side columns appended to a matched left row.
+        self._rest_idx = [
+            i for i, n in enumerate(right_names)
+            if n not in node.on and not (fold and n == WEIGHT_COLUMN)
+        ]
+        #: ``(left_weight_idx, right_weight_idx, output_slot)`` — either
+        #: index None for an unweighted side — or None for append-only.
+        self._pair_weight = None
+        if self._left_weight is not None:
+            self._pair_weight = (self._left_weight, self._right_weight,
+                                 self._left_weight)
+        elif self._right_weight is not None:
+            self._pair_weight = (
+                None, self._right_weight,
+                len(left_names) + self._rest_idx.index(self._right_weight))
+        #: Matched flags only decide which evicted rows an *outer* join
+        #: null-pads; an inner join never reads them, so it never flips
+        #: (or re-checkpoints) them.
+        self._track_matched = node.how != "inner"
+        for state in (left_state, right_state):
+            state.set_row_count(len)
         if self.within is not None:
             left_col, right_col, skew = self.within
             lt = self.left.output_schema.names.index(left_col)
@@ -1198,10 +1268,16 @@ class StreamStreamJoinOp(IncrementalOp):
             if result is None:
                 continue
             left_puts, right_puts, shard_chunks = result
-            for key, entries in left_puts.items():
-                self._left_state.put(key, entries)
-            for key, entries in right_puts.items():
-                self._right_state.put(key, entries)
+            for state, puts in ((self._left_state, left_puts),
+                                (self._right_state, right_puts)):
+                for key, entries in puts.items():
+                    if entries:
+                        state.put(key, entries)
+                    else:
+                        # Every buffered row of the key cancelled: the
+                        # key leaves state (and the checkpoint records a
+                        # tombstone, not an empty list).
+                        state.remove(key)
             chunks.extend(shard_chunks)
         # Global probe order: left keys by first delta row, then
         # right-only keys — independent of shard count and worker timing.
@@ -1226,22 +1302,20 @@ class StreamStreamJoinOp(IncrementalOp):
 
         Probes the state store only for the distinct keys present in the
         deltas (per-epoch cost is O(delta + matches), not O(buffered
-        state)), reading pre-epoch entry lists and *cloning* them before
+        state)), reading pre-epoch entry lists and *copying* them before
         appending rows or flipping matched flags — every write is
         deferred into the returned put dicts, so a speculative copy of
-        the task races safely against the same immutable state.  Returns
-        ``(left_puts, right_puts, chunks)`` where each chunk is
+        the task races safely against the same immutable state.  A side
+        is written back only if it changed: it received rows, or (outer
+        joins) one of its matched flags flipped.  Returns
+        ``(left_puts, right_puts, chunks)`` where an empty entry list
+        means "remove the key" and each chunk is
         ``((side, first_row_index), out_rows)`` for deterministic
         merging.
         """
         left_by_key = self._rows_by_key(new_left, left_offsets)
         right_by_key = self._rows_by_key(new_right, right_offsets)
-        right_names = self.right.output_schema.names
-        rest_idx = [
-            i for i, n in enumerate(right_names)
-            if n not in self._node.on
-            and not (self._weight_fold is not None and n == WEIGHT_COLUMN)
-        ]
+        track = self._track_matched
         left_puts, right_puts, chunks = {}, {}, []
         probe = [(key, (0, first)) for key, (first, _rows)
                  in left_by_key.items()]
@@ -1252,10 +1326,16 @@ class StreamStreamJoinOp(IncrementalOp):
         for key, token in probe:
             nl = left_by_key.get(key)
             nr = right_by_key.get(key)
-            stored_l = self._left_state.get(key)
-            stored_r = self._right_state.get(key)
-            l_entries = [[e[0], e[1]] for e in stored_l] if stored_l else []
-            r_entries = [[e[0], e[1]] for e in stored_r] if stored_r else []
+            stored_l = self._left_state.get(key) or []
+            stored_r = self._right_state.get(key) or []
+            if track:
+                l_entries = [[e[0], e[1]] for e in stored_l]
+                r_entries = [[e[0], e[1]] for e in stored_r]
+                flags_before = (sum(e[1] for e in l_entries),
+                                sum(e[1] for e in r_entries))
+            else:
+                l_entries = list(stored_l)
+                r_entries = list(stored_r)
             # Add new rows first so matched flags land on them.
             bl = len(l_entries)
             br = len(r_entries)
@@ -1263,36 +1343,41 @@ class StreamStreamJoinOp(IncrementalOp):
                 l_entries.extend([row, False] for row in nl[1])
             if nr:
                 r_entries.extend([row, False] for row in nr[1])
-            matched = False
             out_rows = []
             if l_entries and r_entries:
                 # new-left x (buffered + new right), then buffered-left x
                 # new-right: together every pair exactly once.
-                matched = self._join_pairs(
-                    l_entries[bl:], r_entries, out_rows,
-                    lt_idx, rt_idx, skew, rest_idx, self._weight_fold)
-                matched |= self._join_pairs(
-                    l_entries[:bl], r_entries[br:], out_rows,
-                    lt_idx, rt_idx, skew, rest_idx, self._weight_fold)
-            # A side is (re)written exactly when the old in-place code
-            # dirtied it: new rows arrived, or a matched flag flipped.
-            if nl or matched:
+                self._join_pairs(
+                    l_entries[bl:], r_entries, out_rows, lt_idx, rt_idx,
+                    skew, self._rest_idx, self._pair_weight, track)
+                self._join_pairs(
+                    l_entries[:bl], r_entries[br:], out_rows, lt_idx, rt_idx,
+                    skew, self._rest_idx, self._pair_weight, track)
+            if nl:
+                l_entries = _consolidate(l_entries, self._left_weight)
+                if l_entries != stored_l:  # an update may change nothing
+                    left_puts[key] = l_entries
+            elif track and sum(e[1] for e in l_entries) != flags_before[0]:
                 left_puts[key] = l_entries
-            if nr or matched:
+            if nr:
+                r_entries = _consolidate(r_entries, self._right_weight)
+                if r_entries != stored_r:
+                    right_puts[key] = r_entries
+            elif track and sum(e[1] for e in r_entries) != flags_before[1]:
                 right_puts[key] = r_entries
             if out_rows:
                 chunks.append((token, out_rows))
         return left_puts, right_puts, chunks
 
     @staticmethod
-    def _join_pairs(l_entries, r_entries, out_rows,
-                    lt_idx, rt_idx, skew, rest_idx, weight_fold=None) -> bool:
+    def _join_pairs(l_entries, r_entries, out_rows, lt_idx, rt_idx, skew,
+                    rest_idx, pair_weight=None, track=True) -> None:
         """Emit the cross product of two entry lists (within the time
-        bound), flipping matched flags by entry identity; True if any
-        pair matched.  With ``weight_fold = (left_idx, right_idx)`` the
-        output row's single weight slot holds the product of the two
-        sides' multiplicities."""
-        matched = False
+        bound), flipping matched flags by entry identity when ``track``.
+        With ``pair_weight = (left_idx, right_idx, slot)`` a pair's
+        weight is the product of the two sides' multiplicities, emitted
+        as that many unit rows: weights stay in {-1, +1} downstream even
+        though consolidated state may hold a row of multiplicity 2."""
         for l_entry in l_entries:
             l_values = l_entry[0]
             for r_entry in r_entries:
@@ -1301,14 +1386,18 @@ class StreamStreamJoinOp(IncrementalOp):
                         abs(l_values[lt_idx] - r_values[rt_idx]) > skew:
                     continue
                 row = l_values + [r_values[j] for j in rest_idx]
-                if weight_fold is not None:
-                    lw_idx, rw_idx = weight_fold
-                    row[lw_idx] = int(l_values[lw_idx]) * int(r_values[rw_idx])
                 out_rows.append(row)
-                l_entry[1] = True
-                r_entry[1] = True
-                matched = True
-        return matched
+                if pair_weight is not None:
+                    lw_idx, rw_idx, slot = pair_weight
+                    weight = (
+                        (1 if lw_idx is None else int(l_values[lw_idx]))
+                        * (1 if rw_idx is None else int(r_values[rw_idx])))
+                    row[slot] = 1 if weight > 0 else -1
+                    for _ in range(abs(weight) - 1):
+                        out_rows.append(list(row))
+                if track:
+                    l_entry[1] = True
+                    r_entry[1] = True
 
     def _matched_batch(self, out_rows: list) -> RecordBatch:
         """Build the matched-pair batch (inner schema) from value lists."""

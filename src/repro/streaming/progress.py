@@ -28,6 +28,11 @@ class EpochProgress:
     backlog_rows: int
     state_keys: int
     late_rows_dropped: int
+    #: Rows buffered in operator state.  ``state_keys`` counts join
+    #: *keys*, which stay put while a key's buffered rows grow or
+    #: consolidate; this counts the rows themselves (== keys for
+    #: operators that hold one value per key).
+    state_rows: int = 0
     watermarks: dict = field(default_factory=dict)
     sources: dict = field(default_factory=dict)
     #: Per-task summary of the epoch's last scheduler stage (wall times,
@@ -79,6 +84,7 @@ class EpochProgress:
             "numOutputRows": self.output_rows,
             "backlogRows": self.backlog_rows,
             "stateKeys": self.state_keys,
+            "stateRows": self.state_rows,
             "lateRowsDropped": self.late_rows_dropped,
             "inputRowsPerSecond": self.input_rows_per_second,
         }

@@ -1,28 +1,33 @@
 """Versioned state store with incremental (delta) checkpoints (§6.1).
 
 The store holds each stateful operator's keyed state and persists it
-under ``<checkpoint>/state/<operator>/``:
+under ``<checkpoint>/state/<operator>/`` as a chain of record-framed
+files (:mod:`repro.streaming.statefile`):
 
-* ``<version>.delta.json`` — the keys written/removed since the previous
-  version (incremental checkpoint);
-* ``<version>.snapshot.json`` — a full snapshot, written every
-  ``snapshot_interval`` versions to bound recovery replay.
+* ``<version>.delta.jsonl`` — the keys written/removed since the
+  previous version (incremental checkpoint);
+* ``<version>.base.jsonl`` — the full state, written when the deltas
+  since the newest base weigh as much as that base (see
+  :meth:`OperatorStateHandle.commit`), which bounds both recovery
+  replay and write amplification by 2× without a tuning knob.
 
-``restore(version)`` loads the nearest snapshot at or below the target
-and replays deltas — this is what enables both crash recovery and manual
+``restore(version)`` loads the nearest base at or below the target and
+replays deltas — this is what enables both crash recovery and manual
 rollback to *any* retained epoch (§7.2).  Keys are JSON-encoded tuples,
-values any JSON-serializable object, keeping the on-disk format as
-human-readable as the paper's WAL.
+values any JSON-serializable object, one line per key, keeping the
+on-disk format as human-readable as the paper's WAL.  Chains written
+before this format (``*.snapshot.json`` / ``*.delta.json``) restore
+unchanged.
 
 In-memory the handle is **hash-partitioned** into ``num_shards``
 shared-nothing shards (dict + expiry heap each), routed by the stable
 key hash from :mod:`repro.sql.batch` — the same hash the partitioned
 epoch executor uses to split input deltas, so a shard task only ever
 touches one shard's structures.  The on-disk format stays *merged* and
-canonically sorted (``atomic_write_json`` sorts keys), which makes
-checkpoint bytes independent of the shard count; ``restore`` re-routes
-every key through the current shard function, so recovering an N-shard
-checkpoint into an M-shard handle is exact rescaling (§6.2).
+sorted by encoded key, which makes checkpoint bytes independent of the
+shard count; ``restore`` re-routes every key through the current shard
+function, so recovering an N-shard checkpoint into an M-shard handle is
+exact rescaling (§6.2).
 """
 
 from __future__ import annotations
@@ -30,24 +35,51 @@ from __future__ import annotations
 import heapq
 import json
 import os
+from operator import itemgetter
 
 from repro.observability import metrics
 from repro.sql.batch import shard_of_key
 from repro.storage import (
-    atomic_write_json,
-    group_write_text,
+    atomic_write_stream,
+    deferred_fsync,
     list_files,
-    read_json,
     repair_torn_tail,
 )
+from repro.streaming import statefile
+from repro.streaming.statefile import TOMBSTONE, StateFileWriter
 from repro.testing.faults import fault_point
+
+#: A checkpoint file weighs at least this much in the rebase rule, so a
+#: long chain of tiny deltas is bounded in file count too.
+MIN_FILE_WEIGHT = 4096
+
+
+def _write_chain_file(directory: str, version: int, kind: str, chunks) -> None:
+    """Atomically write ``<version>.<kind>``, first dropping any other
+    chain file of the same version.
+
+    Which kind a version gets depends on the bytes before it, so a
+    re-run after a rollback (§7.2) may decide differently than the run
+    that left the newer files behind — and a stale base must never
+    anchor a later restore.  Dropping before writing is the safe order:
+    a crash in between leaves the version absent, and recovery replays
+    it from the WAL.
+    """
+    prefix = os.path.join(directory, f"{version:010d}.")
+    for other in statefile.BASE_KINDS + statefile.DELTA_KINDS:
+        if other != kind:
+            try:
+                os.unlink(prefix + other)
+            except FileNotFoundError:
+                pass
+    atomic_write_stream(prefix + kind, chunks)
 
 
 class PendingStateWrite:
     """A state checkpoint captured now, to be written by the flusher.
 
     The pipelined engine calls :meth:`OperatorStateHandle.prepare_commit`
-    on the epoch thread — the payload is *serialized* there, so writes
+    on the epoch thread — the file is *serialized* there, so writes
     from later epochs cannot leak into it — and hands this job to the
     background flusher, which performs the file write under the shared
     :class:`~repro.storage.SyncGroup`.  The bytes written are identical
@@ -55,27 +87,32 @@ class PendingStateWrite:
 
     Backends that persist at prepare time (the tiered/LSM handle writes
     its runs and manifest on the epoch thread with fsyncs deferred into
-    the group) return a job with ``path=None``: executing it is a no-op
-    and only the group sync remains for the flusher.
+    the group) return a job with ``directory=None``: executing it is a
+    no-op and only the group sync remains for the flusher.
     """
 
-    __slots__ = ("report", "path", "text", "operator", "version")
+    __slots__ = ("report", "directory", "kind", "chunks", "operator",
+                 "version")
 
-    def __init__(self, report, path=None, text=None, operator="", version=0):
+    def __init__(self, report, directory=None, kind=None, chunks=None,
+                 operator="", version=0):
         self.report = report
-        self.path = path
-        self.text = text
+        self.directory = directory
+        self.kind = kind
+        self.chunks = chunks
         self.operator = operator
         self.version = version
 
     def execute(self, group) -> None:
         """Perform the deferred write (flusher thread)."""
-        if self.path is None:
+        if self.directory is None:
             return
         fault_point("state.commit", version=self.version,
                     operator=self.operator)
-        group_write_text(self.path, self.text, group)
-        self.text = None  # free the serialized payload
+        with deferred_fsync(group):
+            _write_chain_file(self.directory, self.version, self.kind,
+                              self.chunks)
+        self.chunks = None  # free the serialized payload
 
 
 def encode_key(key) -> str:
@@ -99,6 +136,9 @@ def decode_key(text: str):
     if isinstance(value, list):
         return tuple(value)
     return value
+
+
+_MISSING = object()
 
 
 class _StateShard:
@@ -150,27 +190,36 @@ class OperatorStateHandle:
     """
 
     #: Checkpoint kinds this backend can restore from.  The tiered
-    #: backend overrides this to add ``manifest``; keeping the base
+    #: backend overrides this to add its manifests; keeping the base
     #: restore blind to unknown kinds is what makes a checkpoint
     #: directory written by one backend readable by the other.
-    _RESTORE_KINDS = frozenset({"snapshot", "delta"})
+    _RESTORE_KINDS = frozenset(statefile.BASE_KINDS + statefile.DELTA_KINDS)
 
-    def __init__(self, directory: str, snapshot_interval: int = 10,
-                 num_shards: int = 1):
+    def __init__(self, directory: str, num_shards: int = 1):
         self._directory = directory
-        self._snapshot_interval = max(1, snapshot_interval)
         self.num_shards = max(1, num_shards)
         self._shards = _make_shards(self.num_shards)
         self._key_cache = {}
         self._expiry_fn = None
+        self._row_fn = None
+        #: Running totals, so neither ``len()`` nor ``rows`` ever scans:
+        #: live keys, and buffered rows as sized by ``set_row_count``.
+        self._num_keys = 0
+        self._num_rows = 0
+        #: The rebase rule's two inputs: the weight of the newest base
+        #: on disk and of the deltas since it — a pure function of the
+        #: files ``restore`` replayed plus the commits made since.
+        self._base_weight = 0
+        self._delta_weight = 0
         self.last_committed_version = None
         os.makedirs(directory, exist_ok=True)
         #: A crash mid-commit can leave the newest checkpoint file torn
         #: (visible but truncated); quarantining it on open makes
         #: restore fall back to the previous version, which recovery
         #: then replays forward from the WAL — instead of the restart
-        #: dying on unreadable JSON every time.
-        self.repaired = repair_torn_tail(directory)
+        #: dying on an unreadable file every time.
+        self.repaired = repair_torn_tail(
+            directory, statefile.SUFFIXES, statefile.verify)
 
     # ------------------------------------------------------------------
     # Keyed access (in-memory working state)
@@ -188,7 +237,7 @@ class OperatorStateHandle:
         cache_key = _cache_key(key)
         located = self._key_cache.get(cache_key)
         if located is None:
-            if len(self._key_cache) > max(4096, 4 * len(self)):
+            if len(self._key_cache) > max(4096, 4 * self._num_keys):
                 self._key_cache.clear()
             located = (self._shards[self.shard_index(key)], encode_key(key))
             self._key_cache[cache_key] = located
@@ -215,6 +264,12 @@ class OperatorStateHandle:
         shard, encoded = self._locate(key)
         if metrics._registry is not None:
             metrics._registry.counter(shard.puts_metric).inc()
+        old = shard.data.get(encoded, _MISSING)
+        if old is _MISSING:
+            self._num_keys += 1
+        if self._row_fn is not None:
+            self._num_rows += self._row_fn(value) - (
+                0 if old is _MISSING else self._row_fn(old))
         shard.data[encoded] = value
         shard.dirty.add(encoded)
         shard.removed.discard(encoded)
@@ -226,14 +281,40 @@ class OperatorStateHandle:
     def remove(self, key) -> None:
         """Delete a key's state."""
         shard, encoded = self._locate(key)
-        if encoded in shard.data:
-            del shard.data[encoded]
+        old = shard.data.pop(encoded, _MISSING)
+        if old is not _MISSING:
+            self._num_keys -= 1
+            if self._row_fn is not None:
+                self._num_rows -= self._row_fn(old)
             shard.dirty.discard(encoded)
             shard.removed.add(encoded)
             if shard.pending is not None:
                 shard.pending.add(encoded)
             shard.expiry.pop(encoded, None)
             metrics.count("state.removes")
+
+    # ------------------------------------------------------------------
+    # Buffered-row accounting (monitoring, §7.4)
+    # ------------------------------------------------------------------
+    def set_row_count(self, fn) -> None:
+        """Register ``fn(value) -> rows`` for operators whose values
+        buffer several rows per key (a join side's entry list).  ``rows``
+        then follows every put/remove incrementally; without it a key
+        counts as one row."""
+        self._row_fn = fn
+        self._recount_rows()
+
+    def _recount_rows(self) -> None:
+        """Re-derive the row total from the working state (restore)."""
+        fn = self._row_fn
+        self._num_rows = 0 if fn is None else sum(
+            fn(value) for shard in self._shards
+            for value in shard.data.values())
+
+    @property
+    def rows(self) -> int:
+        """Rows buffered in this handle (== keys unless sized)."""
+        return self._num_keys if self._row_fn is None else self._num_rows
 
     # ------------------------------------------------------------------
     # State-sync journal (process executor, §6.2)
@@ -305,11 +386,12 @@ class OperatorStateHandle:
         ``contains`` — eviction (``pop_expired``) runs on the driver.
         Dirty tracking is untouched too; worker replicas never commit.
         """
-        shard = self._shards[shard_index]
-        for encoded, value in puts.items():
-            shard.data[encoded] = value
+        data = self._shards[shard_index].data
+        before = len(data)
+        data.update(puts)
         for encoded in removes:
-            shard.data.pop(encoded, None)
+            data.pop(encoded, None)
+        self._num_keys += len(data) - before
 
     # ------------------------------------------------------------------
     # Expiry index (watermark eviction without full scans)
@@ -409,80 +491,105 @@ class OperatorStateHandle:
                 yield decode_key(encoded)
 
     def __len__(self) -> int:
-        return sum(len(shard.data) for shard in self._shards)
+        return self._num_keys
 
     # ------------------------------------------------------------------
     # Versioned persistence
     # ------------------------------------------------------------------
     def _path(self, version: int, kind: str) -> str:
-        return os.path.join(self._directory, f"{version:010d}.{kind}.json")
+        return os.path.join(self._directory, f"{version:010d}.{kind}")
 
     def commit(self, version: int) -> dict:
         """Checkpoint the working state as ``version``.
 
-        Writes a delta of dirty/removed keys; every ``snapshot_interval``
-        versions writes a full snapshot instead.  Shards are merged into
-        one canonically-sorted document, so the bytes written do not
-        depend on the shard count.  Returns checkpoint metrics (sizes)
-        for monitoring (§7.4).
+        Writes a delta of dirty/removed keys — unless the delta files
+        since the newest base already weigh at least as much as that
+        base (each file counting ``max(bytes, MIN_FILE_WEIGHT)``), in
+        which case this version is a fresh base.  The first commit of
+        an empty chain is a base.  A chain's deltas therefore never
+        outweigh its base by more than one delta: restore reads ≤ 2× the
+        live state, everything ever written is ≤ 2× the delta bytes plus
+        one copy of the live state (a commit costs O(delta) amortised),
+        and the chain's file count is bounded.  The rule reads only what
+        the directory holds, so a crash-replay repeats the same
+        decisions byte for byte.
+
+        Shards are merged into one stream sorted by encoded key, so the
+        bytes written do not depend on the shard count.  Returns
+        checkpoint metrics (sizes) for monitoring (§7.4).
         """
         fault_point("state.commit", version=version,
                     operator=os.path.basename(self._directory))
-        kind, payload, written = self._commit_payload(version)
-        atomic_write_json(self._path(version, kind), payload)
-        return self._finish_commit(version, written)
+        kind, writer, chunks, written = self._serialize(version)
+        _write_chain_file(self._directory, version, kind, chunks)
+        return self._finish_commit(version, kind, writer.bytes, written)
 
-    def _commit_payload(self, version: int):
-        """Build version's checkpoint document: (kind, payload, keys)."""
-        if version % self._snapshot_interval == 0:
-            data = {}
-            for shard in self._shards:
-                data.update(shard.data)
-            return "snapshot", {"kind": "snapshot", "data": data}, len(data)
-        puts = {}
-        removes = set()
-        for shard in self._shards:
-            for encoded in shard.dirty:
-                puts[encoded] = shard.data[encoded]
-            removes.update(shard.removed)
-        payload = {
-            "kind": "delta",
-            "puts": puts,
-            "removes": sorted(removes),
-        }
-        return "delta", payload, len(puts) + len(removes)
+    def _wants_base(self) -> bool:
+        """The rebase rule (see :meth:`commit`)."""
+        return self._delta_weight >= self._base_weight
 
-    def _finish_commit(self, version: int, written: int) -> dict:
+    def _serialize(self, version: int):
+        """Version's checkpoint as ``(kind, writer, chunk stream, keys
+        written)``.
+
+        The chunk stream reads live values lazily: it must be consumed
+        before the next mutation of this handle, after which ``writer``
+        knows the file's size.
+        """
+        kind, records, written = self._commit_records()
+        writer = StateFileWriter(kind.partition(".")[0], version)
+        return kind, writer, writer.chunks(records), written
+
+    def _commit_records(self):
+        """``(kind, records sorted by encoded key, keys written)``."""
+        if self._wants_base():
+            kind, pick, written = statefile.BASE, _sorted_items, self._num_keys
+        else:
+            kind, pick = statefile.DELTA, _sorted_changes
+            written = sum(len(shard.dirty) + len(shard.removed)
+                          for shard in self._shards)
+        streams = [pick(shard) for shard in self._shards]
+        records = (streams[0] if len(streams) == 1
+                   else heapq.merge(*streams, key=itemgetter(0)))
+        return kind, records, written
+
+    def _finish_commit(self, version: int, kind: str, size: int,
+                       written: int) -> dict:
+        weight = max(size, MIN_FILE_WEIGHT)
+        if kind == statefile.BASE:
+            self._base_weight, self._delta_weight = weight, 0
+        else:
+            self._delta_weight += weight
         for shard in self._shards:
             shard.dirty.clear()
             shard.removed.clear()
         self.last_committed_version = version
         return {"version": version, "keys_written": written,
-                "num_keys": len(self)}
+                "num_keys": self._num_keys, "kind": kind, "bytes": size}
 
     def prepare_commit(self, version: int, group) -> PendingStateWrite:
         """Capture version's checkpoint now; the write happens later.
 
-        Serializes the same bytes :meth:`commit` would write (payloads
+        Serializes the same bytes :meth:`commit` would write (records
         hold references to live values, so serialization cannot be
-        deferred past the next epoch's mutations) and advances the
-        dirty/removed journals exactly as a synchronous commit does.
-        The returned job writes the file under ``group`` on the
-        pipelined engine's flusher thread.
+        deferred past the next epoch's mutations), applies the rebase
+        rule to those same bytes, and advances the dirty/removed
+        journals exactly as a synchronous commit does.  The returned job
+        writes the file under ``group`` on the pipelined engine's
+        flusher thread.
         """
-        kind, payload, written = self._commit_payload(version)
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        report = self._finish_commit(version, written)
+        kind, writer, chunks, written = self._serialize(version)
+        chunks = list(chunks)
+        report = self._finish_commit(version, kind, writer.bytes, written)
         return PendingStateWrite(
-            report, path=self._path(version, kind), text=text,
+            report, directory=self._directory, kind=kind, chunks=chunks,
             operator=os.path.basename(self._directory), version=version)
 
     def _available_versions(self) -> dict:
-        """Map version -> kind for all checkpoint files on disk."""
+        """Map version -> kinds for all checkpoint files on disk."""
         versions = {}
-        for name in list_files(self._directory, ".json"):
-            stem = name[: -len(".json")]
-            version_text, _, kind = stem.partition(".")
+        for name in list_files(self._directory, statefile.SUFFIXES):
+            version_text, _, kind = name.partition(".")
             versions.setdefault(int(version_text), set()).add(kind)
         return versions
 
@@ -500,45 +607,68 @@ class OperatorStateHandle:
         return max(versions) if versions else None
 
     def oldest_restorable_version(self):
-        """Oldest version restore() can rebuild: the oldest snapshot on
-        disk (deltas older than every snapshot cannot anchor a restore),
+        """Oldest version restore() can rebuild: the oldest base on
+        disk (deltas older than every base cannot anchor a restore),
         or the oldest delta when the chain starts from empty state."""
-        versions = self._available_versions()
+        versions = {v: kinds for v, kinds in self._available_versions().items()
+                    if kinds & OperatorStateHandle._RESTORE_KINDS}
         if not versions:
             return None
-        snapshots = [v for v, kinds in versions.items() if "snapshot" in kinds]
-        if min(versions) < min(snapshots, default=float("inf")):
+        bases = [v for v, kinds in versions.items() if _is_base(kinds)]
+        if min(versions) < min(bases, default=float("inf")):
             # The chain still starts from empty state: everything works.
             return min(versions)
-        return min(snapshots) if snapshots else None
+        return min(bases) if bases else None
 
     def prune(self, keep_from_version: int) -> int:
         """Garbage-collect checkpoints no longer needed to restore any
         version >= ``keep_from_version``.
 
-        Keeps the newest snapshot at or below the horizon plus everything
-        after it (deltas replay from that snapshot).  Returns the number
-        of files deleted.  Without pruning, a long-running query's state
+        Keeps the newest base at or below the horizon plus everything
+        after it (deltas replay from that base).  Returns the number of
+        files deleted.  Without pruning, a long-running query's state
         directory grows forever (§6.1's checkpoints are periodic for
         exactly this reason).
         """
+        return self._prune_below(keep_from_version, statefile.BASE_KINDS)
+
+    def _prune_below(self, keep_from_version: int, anchor_kinds) -> int:
         versions = self._available_versions()
-        snapshots = sorted(
-            v for v, kinds in versions.items()
-            if "snapshot" in kinds and v <= keep_from_version
-        )
-        if not snapshots:
+        anchors = [v for v, kinds in versions.items()
+                   if v <= keep_from_version and kinds.intersection(anchor_kinds)]
+        if not anchors:
             return 0
-        base = snapshots[-1]
+        base = max(anchors)
         removed = 0
         for v, kinds in versions.items():
             for kind in kinds:
-                if v < base or (v == base and kind == "delta"):
-                    path = self._path(v, kind)
-                    if os.path.exists(path):
-                        os.unlink(path)
-                        removed += 1
+                if v < base or (v == base and kind in statefile.DELTA_KINDS):
+                    os.unlink(self._path(v, kind))
+                    removed += 1
         return removed
+
+    def _load_chain(self, usable: list) -> dict:
+        """Replay the base+delta chain over ``usable`` (sorted versions)
+        into one ``encoded key -> value`` dict, and take the rebase
+        rule's weights from the very files replayed."""
+        versions = self._available_versions()
+        usable = [v for v in usable
+                  if versions[v] & OperatorStateHandle._RESTORE_KINDS]
+        base = max((v for v in usable if _is_base(versions[v])), default=None)
+        merged = {}
+        self._base_weight = self._delta_weight = 0
+        for v in usable:
+            if base is not None and v < base:
+                continue
+            kinds = statefile.BASE_KINDS if v == base else statefile.DELTA_KINDS
+            path = self._path(v, next(k for k in kinds if k in versions[v]))
+            statefile.apply_file(path, merged)
+            weight = max(os.path.getsize(path), MIN_FILE_WEIGHT)
+            if v == base:
+                self._base_weight = weight
+            else:
+                self._delta_weight += weight
+        return merged
 
     def restore(self, version):
         """Reset the working state to the newest checkpoint <= ``version``.
@@ -556,37 +686,45 @@ class OperatorStateHandle:
         """
         self._shards = _make_shards(self.num_shards)
         self._key_cache.clear()
+        self._num_keys = 0
+        self._base_weight = self._delta_weight = 0
         self.last_committed_version = None
-        if version is None:
-            self._rebuild_expiry_index()
-            return None
-        versions = self._available_versions()
-        usable = self._usable_versions(version)
-        if not usable:
-            self._rebuild_expiry_index()
-            return None
-        # Newest snapshot at or below the target is the replay base.
-        base = None
-        for v in reversed(usable):
-            if "snapshot" in versions[v]:
-                base = v
-                break
-        merged = {}
-        if base is not None:
-            merged = dict(read_json(self._path(base, "snapshot"))["data"])
-        for v in usable:
-            if base is not None and v <= base:
-                continue
-            delta = read_json(self._path(v, "delta"))
-            merged.update(delta["puts"])
-            for key in delta["removes"]:
-                merged.pop(key, None)
-        for encoded, value in merged.items():
-            shard = self._shards[self.shard_index(decode_key(encoded))]
-            shard.data[encoded] = value
-        self.last_committed_version = usable[-1]
+        usable = self._usable_versions(version) if version is not None else []
+        if usable:
+            with statefile.paused_gc():
+                merged = self._load_chain(usable)
+            self._num_keys = len(merged)
+            if self.num_shards == 1:
+                self._shards[0].data = merged
+            else:
+                for encoded, value in merged.items():
+                    shard = self._shards[self.shard_index(decode_key(encoded))]
+                    shard.data[encoded] = value
+            self.last_committed_version = usable[-1]
+        self._recount_rows()
         self._rebuild_expiry_index()
-        return usable[-1]
+        return self.last_committed_version
+
+
+def _sorted_items(shard):
+    """A shard's ``(key, value)`` pairs in key order, values read lazily
+    (only the sorted key list is materialised beside the dict)."""
+    data = shard.data
+    for encoded in sorted(data):
+        yield encoded, data[encoded]
+
+
+def _sorted_changes(shard):
+    """A shard's changes since the last commit in key order: written
+    keys with their value, removed keys as tombstones."""
+    data = shard.data
+    for encoded in sorted(shard.dirty | shard.removed):
+        yield encoded, data.get(encoded, TOMBSTONE)
+
+
+def _is_base(kinds) -> bool:
+    """True if a version's file kinds include one holding full state."""
+    return not kinds.isdisjoint(statefile.BASE_KINDS)
 
 
 class StateStore:
@@ -599,11 +737,9 @@ class StateStore:
     each other's checkpoints, so the choice can change across restarts.
     """
 
-    def __init__(self, checkpoint_dir: str, snapshot_interval: int = 10,
-                 num_shards: int = 1, backend: str = None,
-                 memtable_bytes: int = None):
+    def __init__(self, checkpoint_dir: str, num_shards: int = 1,
+                 backend: str = None, memtable_bytes: int = None):
         self._directory = os.path.join(checkpoint_dir, "state")
-        self._snapshot_interval = snapshot_interval
         self._num_shards = max(1, num_shards)
         if backend is None:
             backend = os.environ.get("REPRO_STATE_BACKEND") or "dict"
@@ -625,12 +761,12 @@ class StateStore:
                 from repro.streaming.state_lsm import TieredOperatorStateHandle
 
                 self._handles[operator_id] = TieredOperatorStateHandle(
-                    directory, self._snapshot_interval, self._num_shards,
+                    directory, self._num_shards,
                     memtable_bytes=self._memtable_bytes,
                 )
             else:
                 self._handles[operator_id] = OperatorStateHandle(
-                    directory, self._snapshot_interval, self._num_shards,
+                    directory, self._num_shards,
                 )
         return self._handles[operator_id]
 
@@ -715,3 +851,8 @@ class StateStore:
     def total_keys(self) -> int:
         """Total keys across operators (a monitoring metric, §2.3)."""
         return sum(len(h) for h in self._handles.values())
+
+    def total_rows(self) -> int:
+        """Total buffered rows across operators: unlike the key count,
+        this moves when a join side's entry lists grow or consolidate."""
+        return sum(h.rows for h in self._handles.values())

@@ -4,8 +4,9 @@
 :class:`~repro.streaming.state.OperatorStateHandle` as a **memtable**
 capped by a byte budget; when the budget is exceeded the memtable is
 sealed into an immutable **sorted run** on disk
-(``<operator>/runs/<seq>.run``, JSON-lines sorted by encoded key, one
-sidecar ``.meta`` file).  Point lookups probe the memtable, then each
+(``<operator>/runs/<seq>.run`` — the same record-framed file the dict
+backend's bases and deltas are, see :mod:`repro.streaming.statefile` —
+plus one sidecar ``.meta`` file).  Point lookups probe the memtable, then each
 run newest-first — a per-run **bloom filter**, **key-range fences** and
 a **sparse block index** mean a probe touches at most one ~:data:`INDEX_EVERY`-line
 block per run, so join/dedup lookups stay O(delta), never O(state).
@@ -14,10 +15,10 @@ Checkpoints become delta-based: ``commit(version)`` seals the memtable
 as one more run and writes a **manifest** (``<version>.manifest.json``)
 listing the live run files with their SHA-256 content hashes.  The
 manifest reuses the atomic-write/torn-tail machinery of
-:mod:`repro.storage`, parses under the same ``<version>.<kind>.json``
+:mod:`repro.storage`, parses under the same ``<version>.<kind>``
 naming as dict-backend checkpoints, and — because it embeds every run's
 hash — keeps ``checkpoint_fingerprint`` honest even though run files
-live outside the fingerprinted ``*.json`` set.  Snapshot cost is
+live outside the fingerprinted version log.  Snapshot cost is
 O(epoch delta): unchanged runs are listed, not rewritten.
 
 **Compaction** is size-tiered and runs *inline at commit time* (never a
@@ -66,17 +67,27 @@ from repro.observability import metrics
 from repro.storage import (
     atomic_write_json,
     atomic_write_stream,
+    atomic_write_text,
+    deferred_fsync,
     list_files,
     read_json,
 )
+from repro.streaming import statefile
 from repro.streaming.state import (
     OperatorStateHandle,
+    PendingStateWrite,
     _cache_key,
     _make_shards,
     decode_key,
     encode_key,
 )
+from repro.streaming.statefile import TOMBSTONE, StateFileWriter
 from repro.testing.faults import fault_point
+
+#: This backend's checkpoint kind: a manifest of live runs (kept as a
+#: small pretty-printed JSON document, like the WAL: §7.2 wants the
+#: control files readable).
+MANIFEST = "manifest.json"
 
 #: Default memtable budget (bytes) when neither the option nor
 #: REPRO_STATE_MEMTABLE_BYTES is set.
@@ -103,17 +114,6 @@ KEY_CACHE_MAX = 65536
 
 _MASK64 = (1 << 64) - 1
 
-
-class _Tombstone:
-    """Sentinel marking a removed key in the memtable and in runs."""
-
-    __slots__ = ()
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return "<tombstone>"
-
-
-TOMBSTONE = _Tombstone()
 
 _MISS = object()
 
@@ -169,10 +169,13 @@ def _tier(count: int) -> int:
 class SortedRun:
     """One immutable sorted run on disk, with its probe structures.
 
-    File format: one JSON array per line, sorted by encoded key —
-    ``[encoded_key, value]`` for a live entry, ``[encoded_key]`` for a
-    tombstone.  The sidecar ``.meta`` JSON carries the bloom filter,
-    fences, sparse index and the run's SHA-256 (the hash manifests pin).
+    The run is a :mod:`~repro.streaming.statefile` record stream (kind
+    ``run``, version = sequence number): one line per key, sorted by
+    encoded key, ``[encoded_key, value]`` for a live entry and
+    ``[encoded_key]`` for a tombstone.  The sidecar ``.meta`` JSON
+    carries the bloom filter, fences, sparse index and the run's SHA-256
+    (the hash manifests pin).  Runs written before the framed format —
+    bare sorted JSONL, their sidecar lacking ``format`` — stay readable.
 
     Reads go through ``os.pread`` on a descriptor held open for the
     run's lifetime: thread-safe without seek state, and — because forked
@@ -182,12 +185,13 @@ class SortedRun:
 
     __slots__ = ("seq", "path", "count", "bytes", "sha256", "min_key",
                  "max_key", "_fd", "_bloom", "_bloom_m", "_index_keys",
-                 "_index_offsets")
+                 "_index_offsets", "_framed")
 
     def __init__(self, seq, path, meta):
         self.seq = seq
         self.path = path
         self.count = meta["count"]
+        #: Offset at which the record lines end (the trailer's start).
         self.bytes = meta["bytes"]
         self.sha256 = meta["sha256"]
         self.min_key = meta["min_key"]
@@ -196,6 +200,7 @@ class SortedRun:
         self._bloom_m = meta["bloom_m"]
         self._index_keys = meta["index_keys"]
         self._index_offsets = meta["index_offsets"]
+        self._framed = meta.get("format") == statefile.FORMAT
         self._fd = os.open(path, os.O_RDONLY)
 
     @staticmethod
@@ -220,12 +225,11 @@ class SortedRun:
         """
         path = cls.run_path(directory, seq)
         bloom_m = _bloom_bits(count_hint) if count_hint is not None else None
-        state = {"count": 0, "offset": 0, "min": None, "max": None,
+        state = {"count": 0, "min": None, "max": None,
                  "bits": (np.zeros(bloom_m // 8, dtype=np.uint8)
                           if bloom_m is not None else None)}
         index_keys, index_offsets = [], []
         hashes_lo, hashes_hi = array("Q"), array("Q")
-        sha = hashlib.sha256()
 
         def apply_hashes(m):
             if not hashes_lo:
@@ -243,40 +247,33 @@ class SortedRun:
                 )
             del hashes_lo[:], hashes_hi[:]
 
-        def chunks():
-            for encoded, value in items:
-                if state["count"] % INDEX_EVERY == 0:
-                    index_keys.append(encoded)
-                    index_offsets.append(state["offset"])
-                lo, hi = _bloom_hash(encoded)
-                hashes_lo.append(lo)
-                hashes_hi.append(hi)
-                if bloom_m is not None and len(hashes_lo) >= 65536:
-                    apply_hashes(bloom_m)
-                if value is TOMBSTONE:
-                    line = json.dumps([encoded]) + "\n"
-                else:
-                    line = json.dumps([encoded, value], sort_keys=True) + "\n"
-                data = line.encode("utf-8")
-                sha.update(data)
-                state["offset"] += len(data)
-                state["count"] += 1
-                if state["min"] is None:
-                    state["min"] = encoded
-                state["max"] = encoded
-                yield line
+        def observe(encoded, offset):
+            if state["count"] % INDEX_EVERY == 0:
+                index_keys.append(encoded)
+                index_offsets.append(offset)
+            lo, hi = _bloom_hash(encoded)
+            hashes_lo.append(lo)
+            hashes_hi.append(hi)
+            if bloom_m is not None and len(hashes_lo) >= 65536:
+                apply_hashes(bloom_m)
+            state["count"] += 1
+            if state["min"] is None:
+                state["min"] = encoded
+            state["max"] = encoded
 
-        atomic_write_stream(path, chunks())
-        count = state["count"]
+        writer = StateFileWriter("run", seq)
+        atomic_write_stream(path, writer.chunks(items, observe))
+        count = writer.count
         final_m = bloom_m if bloom_m is not None else _bloom_bits(count)
         if state["bits"] is None:
             state["bits"] = np.zeros(final_m // 8, dtype=np.uint8)
         apply_hashes(final_m)
         bits = state["bits"]
         meta = {
+            "format": statefile.FORMAT,
             "count": count,
-            "bytes": state["offset"],
-            "sha256": sha.hexdigest(),
+            "bytes": writer.records_end,
+            "sha256": writer.sha256,
             "min_key": state["min"],
             "max_key": state["max"],
             "bloom": bytes(bits).hex(),
@@ -285,7 +282,8 @@ class SortedRun:
             "index_keys": index_keys,
             "index_offsets": index_offsets,
         }
-        atomic_write_json(cls.meta_path(directory, seq), meta)
+        atomic_write_text(cls.meta_path(directory, seq),
+                          statefile.encode(meta))
         return cls(seq, path, meta)
 
     @classmethod
@@ -339,22 +337,18 @@ class SortedRun:
                 return json.loads(line)[1]
         return _MISS
 
-    def scan(self):
-        """Stream ``(encoded_key, value_or_TOMBSTONE)`` in key order."""
+    def _chunks(self):
         offset = 0
-        leftover = b""
         while True:
             chunk = os.pread(self._fd, SCAN_CHUNK, offset)
             if not chunk:
-                break
+                return
             offset += len(chunk)
-            lines = (leftover + chunk).split(b"\n")
-            leftover = lines.pop()
-            for line in lines:
-                if not line:
-                    continue
-                doc = json.loads(line)
-                yield doc[0], (doc[1] if len(doc) > 1 else TOMBSTONE)
+            yield chunk
+
+    def scan(self):
+        """Stream ``(encoded_key, value_or_TOMBSTONE)`` in key order."""
+        return statefile.read_records(self._chunks(), self._framed)
 
 
 class TieredOperatorStateHandle(OperatorStateHandle):
@@ -369,11 +363,11 @@ class TieredOperatorStateHandle(OperatorStateHandle):
     """
 
     backend = "tiered"
-    _RESTORE_KINDS = frozenset({"snapshot", "delta", "manifest"})
+    _RESTORE_KINDS = OperatorStateHandle._RESTORE_KINDS | {MANIFEST}
 
-    def __init__(self, directory: str, snapshot_interval: int = 10,
-                 num_shards: int = 1, memtable_bytes: int = None):
-        super().__init__(directory, snapshot_interval, num_shards)
+    def __init__(self, directory: str, num_shards: int = 1,
+                 memtable_bytes: int = None):
+        super().__init__(directory, num_shards)
         if memtable_bytes is None:
             memtable_bytes = int(
                 os.environ.get("REPRO_STATE_MEMTABLE_BYTES")
@@ -384,7 +378,6 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         self._runs = []          # newest first
         self._next_seq = 0
         self._mem_bytes = 0
-        self._live_count = 0
         # Construction happens on a fresh engine (never inside a forked
         # worker), so this is the safe moment to drop runs no durable
         # manifest references: wild runs flushed after the last commit,
@@ -444,18 +437,20 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         shard, encoded = self._locate(key)
         if metrics._registry is not None:
             metrics._registry.counter(shard.puts_metric).inc()
-        old = shard.data.get(encoded, _MISS)
-        if old is _MISS:
+        prior = shard.data.get(encoded, _MISS)
+        if prior is _MISS:
             prior = self._probe_runs(encoded)
-            was_live = prior is not _MISS and prior is not TOMBSTONE
             self._mem_bytes += _entry_bytes(encoded, value)
         else:
-            was_live = old is not TOMBSTONE
             self._mem_bytes += (
-                _approx_value_bytes(value) - _approx_value_bytes(old))
+                _approx_value_bytes(value) - _approx_value_bytes(prior))
+        was_live = prior is not _MISS and prior is not TOMBSTONE
         shard.data[encoded] = value
         if not was_live:
-            self._live_count += 1
+            self._num_keys += 1
+        if self._row_fn is not None:
+            self._num_rows += self._row_fn(value) - (
+                self._row_fn(prior) if was_live else 0)
         shard.dirty.add(encoded)
         shard.removed.discard(encoded)
         if shard.pending is not None:
@@ -467,21 +462,23 @@ class TieredOperatorStateHandle(OperatorStateHandle):
 
     def remove(self, key) -> None:
         shard, encoded = self._locate(key)
-        old = shard.data.get(encoded, _MISS)
-        if old is _MISS:
+        prior = shard.data.get(encoded, _MISS)
+        if prior is _MISS:
             prior = self._probe_runs(encoded)
             if prior is _MISS or prior is TOMBSTONE:
                 return
             self._mem_bytes += _entry_bytes(encoded, TOMBSTONE)
         else:
-            if old is TOMBSTONE:
+            if prior is TOMBSTONE:
                 return
             self._mem_bytes += (
-                _approx_value_bytes(TOMBSTONE) - _approx_value_bytes(old))
+                _approx_value_bytes(TOMBSTONE) - _approx_value_bytes(prior))
         # A tombstone (not a dict pop): it must mask any older value
         # still sitting in a run, and flush with the next seal.
         shard.data[encoded] = TOMBSTONE
-        self._live_count -= 1
+        self._num_keys -= 1
+        if self._row_fn is not None:
+            self._num_rows -= self._row_fn(prior)
         shard.dirty.discard(encoded)
         shard.removed.add(encoded)
         if shard.pending is not None:
@@ -544,8 +541,10 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         for encoded, _value in self._iter_merged():
             yield decode_key(encoded)
 
-    def __len__(self) -> int:
-        return self._live_count
+    def _recount_rows(self) -> None:
+        fn = self._row_fn
+        self._num_rows = 0 if fn is None else sum(
+            fn(value) for _encoded, value in self._iter_merged())
 
     def _rebuild_expiry_index(self) -> None:
         for shard in self._shards:
@@ -734,20 +733,21 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         self._flush()
         manifest = {
             "kind": "manifest",
-            "live_keys": self._live_count,
+            "live_keys": self._num_keys,
+            "live_rows": self.rows,
             "next_seq": self._next_seq,
             "runs": [
                 {"seq": run.seq, "count": run.count, "sha256": run.sha256}
                 for run in reversed(self._runs)
             ],
         }
-        atomic_write_json(self._path(version, "manifest"), manifest)
+        atomic_write_json(self._path(version, MANIFEST), manifest)
         for shard in self._shards:
             shard.dirty.clear()
             shard.removed.clear()
         self.last_committed_version = version
         return {"version": version, "keys_written": written,
-                "num_keys": self._live_count, "backend": "tiered",
+                "num_keys": self._num_keys, "backend": "tiered",
                 "runs": len(self._runs)}
 
     def prepare_commit(self, version: int, group):
@@ -760,24 +760,18 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         moves off the critical path onto the flusher's group sync.  The
         returned job carries only the report; executing it is a no-op.
         """
-        from repro.storage import deferred_fsync
-        from repro.streaming.state import PendingStateWrite
-
         with deferred_fsync(group):
             report = self.commit(version)
         return PendingStateWrite(
             report, operator=os.path.basename(self._directory),
             version=version)
 
-    def _manifest_versions(self, versions: dict) -> list:
-        return sorted(v for v, kinds in versions.items() if "manifest" in kinds)
-
     def restore(self, version):
         """Reset to the newest manifest <= ``version``.
 
-        Also accepts dict-backend checkpoints (``snapshot``/``delta``
-        chains) for the version range before a backend switch: the
-        merged legacy state loads into the memtable and spills on the
+        Also accepts dict-backend checkpoints (base+delta chains, either
+        format) for the version range before a backend switch: the
+        merged chain state loads into the memtable and spills on the
         next over-budget write.  Shards are rebuilt empty and the runs
         are shard-agnostic, so restoring at any shard count is exact
         rescaling, same as the dict backend.
@@ -788,55 +782,38 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         self._shards = _make_shards(self.num_shards)
         self._key_cache.clear()
         self._mem_bytes = 0
-        self._live_count = 0
+        self._num_keys = 0
         self.last_committed_version = None
-        if version is None:
-            self._rebuild_expiry_index()
-            return None
-        versions = self._available_versions()
-        manifests = [v for v in self._manifest_versions(versions)
-                     if v <= version]
-        legacy = [v for v in sorted(versions)
-                  if v <= version and versions[v] & {"snapshot", "delta"}]
-        if manifests and (not legacy or manifests[-1] >= legacy[-1]):
-            target = manifests[-1]
-            manifest = read_json(self._path(target, "manifest"))
+        usable = self._usable_versions(version) if version is not None else []
+        live_rows = None
+        if usable and MANIFEST in self._available_versions()[usable[-1]]:
+            manifest = read_json(self._path(usable[-1], MANIFEST))
             self._next_seq = manifest["next_seq"]
             self._runs = [
                 SortedRun.open(self._runs_dir, entry["seq"])
                 for entry in reversed(manifest["runs"])
             ]
-            self._live_count = manifest["live_keys"]
-            self.last_committed_version = target
-            self._rebuild_expiry_index()
-            return target
-        if legacy:
-            return self._restore_legacy(versions, legacy)
+            self._num_keys = manifest["live_keys"]
+            live_rows = manifest.get("live_rows")
+            self.last_committed_version = usable[-1]
+        elif usable:
+            self._restore_chain(usable)
+        if live_rows is None:  # a chain, or a manifest predating the count
+            self._recount_rows()
+        else:
+            self._num_rows = live_rows
         self._rebuild_expiry_index()
-        return None
+        return self.last_committed_version
 
-    def _restore_legacy(self, versions: dict, usable: list):
-        """Load a dict-backend snapshot+delta chain into the memtable."""
-        base = None
-        for v in reversed(usable):
-            if "snapshot" in versions[v]:
-                base = v
-                break
-        merged = {}
-        if base is not None:
-            merged = dict(read_json(self._path(base, "snapshot"))["data"])
-        for v in usable:
-            if base is not None and v <= base:
-                continue
-            delta = read_json(self._path(v, "delta"))
-            merged.update(delta["puts"])
-            for key in delta["removes"]:
-                merged.pop(key, None)
+    def _restore_chain(self, usable: list) -> None:
+        """Load a dict-backend base+delta chain into the memtable."""
+        with statefile.paused_gc():
+            merged = self._load_chain(usable)
         for encoded, value in merged.items():
             shard = self._shards[self.shard_index(decode_key(encoded))]
             shard.data[encoded] = value
             self._mem_bytes += _entry_bytes(encoded, value)
-        self._live_count = len(merged)
+        self._num_keys = len(merged)
         # Never reuse a sequence a later (tiered) manifest references.
         self._next_seq = 1 + max(
             (int(name.split(".")[0])
@@ -844,44 +821,20 @@ class TieredOperatorStateHandle(OperatorStateHandle):
             default=-1,
         )
         self.last_committed_version = usable[-1]
-        self._rebuild_expiry_index()
-        return usable[-1]
 
     def oldest_restorable_version(self):
-        versions = self._available_versions()
-        if not versions:
-            return None
-        legacy = {v: kinds for v, kinds in versions.items()
-                  if kinds & {"snapshot", "delta"}}
-        if legacy:
-            snapshots = [v for v, kinds in legacy.items()
-                         if "snapshot" in kinds]
-            if min(legacy) < min(snapshots, default=float("inf")):
-                return min(legacy)
-            if snapshots:
-                return min(snapshots)
-        manifests = self._manifest_versions(versions)
-        return manifests[0] if manifests else None
+        oldest = super().oldest_restorable_version()
+        if oldest is not None:
+            return oldest
+        manifests = [v for v, kinds in self._available_versions().items()
+                     if MANIFEST in kinds]
+        return min(manifests, default=None)
 
     def prune(self, keep_from_version: int) -> int:
         """Drop checkpoints below the newest restore anchor <= horizon,
         then delete run files no remaining manifest references."""
-        versions = self._available_versions()
-        anchors = sorted(
-            v for v, kinds in versions.items()
-            if v <= keep_from_version and kinds & {"snapshot", "manifest"}
-        )
-        if not anchors:
-            return 0
-        base = anchors[-1]
-        removed = 0
-        for v, kinds in versions.items():
-            for kind in kinds:
-                if v < base or (v == base and kind == "delta"):
-                    path = self._path(v, kind)
-                    if os.path.exists(path):
-                        os.unlink(path)
-                        removed += 1
+        removed = self._prune_below(
+            keep_from_version, statefile.BASE_KINDS + (MANIFEST,))
         return removed + self._gc_runs()
 
     def _gc_runs(self) -> int:
@@ -889,9 +842,7 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         disk nor held open by this handle.  Driver-only by construction:
         called from ``__init__`` and ``prune``, never ``restore``."""
         referenced = {run.seq for run in self._runs}
-        for name in list_files(self._directory, ".json"):
-            if ".manifest." not in name:
-                continue
+        for name in list_files(self._directory, "." + MANIFEST):
             try:
                 doc = read_json(os.path.join(self._directory, name))
             except (ValueError, OSError):

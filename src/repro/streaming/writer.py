@@ -224,7 +224,6 @@ class DataStreamWriter:
             self._df.plan, sink, self._mode, checkpoint_dir,
             max_records_per_epoch=self._options.get("max_records_per_epoch"),
             state_checkpoint_interval=self._options.get("state_checkpoint_interval", 1),
-            snapshot_interval=self._options.get("snapshot_interval", 10),
             scheduler=scheduler,
             retain_epochs=self._options.get("retain_epochs"),
             num_shards=num_shards,

@@ -20,6 +20,7 @@ import json
 import os
 
 from repro.storage import list_files, read_json
+from repro.streaming import statefile
 from repro.testing.faults import CrashPoint, FaultInjector
 
 
@@ -232,16 +233,17 @@ class ExactlyOnceChecker:
 # ----------------------------------------------------------------------
 # Checkpoint-directory invariants
 # ----------------------------------------------------------------------
-def _read_dir(directory: str, strict: bool, problems: list, label: str) -> dict:
-    """Parse every JSON log entry; a torn *newest* entry is tolerated
+def _read_dir(directory: str, strict: bool, problems: list, label: str,
+              suffix=".json", read=read_json) -> dict:
+    """Parse every log entry; a torn *newest* entry is tolerated
     unless strict (it is the legitimate artifact of a crash and will be
     quarantined on the next restart)."""
     entries = {}
-    names = list_files(directory, ".json")
+    names = list_files(directory, suffix)
     for i, name in enumerate(names):
         path = os.path.join(directory, name)
         try:
-            entries[int(name.split(".")[0])] = read_json(path)
+            entries[int(name.split(".")[0])] = read(path)
         except (ValueError, OSError):
             if strict or i != len(names) - 1:
                 problems.append(f"{label}: unreadable entry {name}")
@@ -287,7 +289,8 @@ def check_checkpoint_invariants(checkpoint_dir: str, strict: bool = True,
     if os.path.isdir(state_dir):
         for operator in sorted(os.listdir(state_dir)):
             versions = _read_dir(os.path.join(state_dir, operator),
-                                 strict, problems, f"state/{operator}")
+                                 strict, problems, f"state/{operator}",
+                                 statefile.SUFFIXES, statefile.verify)
             if versions and epochs and max(versions) > epochs[-1]:
                 problems.append(
                     f"state/{operator} version {max(versions)} is newer "
@@ -318,7 +321,7 @@ def checkpoint_fingerprint(checkpoint_dir: str) -> dict:
     if os.path.isdir(state_dir):
         for operator in sorted(os.listdir(state_dir)):
             op_dir = os.path.join(state_dir, operator)
-            for name in list_files(op_dir, ".json"):
+            for name in list_files(op_dir, statefile.SUFFIXES):
                 with open(os.path.join(op_dir, name), "rb") as f:
                     fingerprint[f"state/{operator}/{name}"] = f.read()
     return fingerprint

@@ -23,6 +23,7 @@ import os
 import sys
 
 from repro.storage import list_files, read_json
+from repro.streaming import statefile
 from repro.streaming.wal import WriteAheadLog
 
 
@@ -50,16 +51,21 @@ def describe_checkpoint(checkpoint_dir: str) -> dict:
             op_dir = os.path.join(state_dir, operator)
             if not os.path.isdir(op_dir):
                 continue
-            checkpoints = list_files(op_dir, ".json")
+            checkpoints = list_files(op_dir, statefile.SUFFIXES)
             versions = sorted({
                 int(name.split(".")[0]) for name in checkpoints
             })
-            snapshots = [n for n in checkpoints if ".snapshot." in n]
+            # Newest full copy of the state: a base of the current
+            # format (count in its trailer) or a legacy snapshot.
+            bases = [n for n in checkpoints
+                     if n.partition(".")[2] in statefile.BASE_KINDS]
             latest_keys = None
-            if snapshots:
-                latest_keys = len(
-                    read_json(os.path.join(op_dir, snapshots[-1]))["data"]
-                )
+            if bases:
+                path = os.path.join(op_dir, bases[-1])
+                latest_keys = (
+                    statefile.record_count(path)
+                    if bases[-1].endswith(statefile.BASE)
+                    else len(read_json(path)["data"]))
             state[operator] = {
                 "versions": versions,
                 "num_checkpoints": len(checkpoints),
@@ -84,7 +90,8 @@ def rollback_checkpoint(checkpoint_dir: str, epoch: int) -> dict:
     All log entries after ``epoch`` are discarded; the next query started
     on this checkpoint recomputes from that prefix.  Returns a summary of
     what was removed.  State checkpoints are left in place — restore
-    picks the right version, and newer ones are simply unused.
+    picks the right version, newer ones are unused, and the re-run
+    replaces them version by version.
     """
     wal = WriteAheadLog(checkpoint_dir)
     logged = wal.logged_epochs()

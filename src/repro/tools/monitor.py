@@ -158,7 +158,8 @@ def render(events: list, window: int = 20) -> str:
     )
     lines.append(
         f"  backlog       {_fmt_count(last.get('backlogRows')):>10}   "
-        f"state keys {_fmt_count(last.get('stateKeys'))}   "
+        f"state keys {_fmt_count(last.get('stateKeys'))}"
+        f" rows {_fmt_count(last.get('stateRows'))}   "
         f"late dropped {_fmt_count(sum(e.get('lateRowsDropped', 0) for e in recent))}"
     )
 
@@ -326,6 +327,8 @@ def registry_from_events(events: list, window: int = 20):
             registry.gauge("engine.event_time_lag").set(lag)
         registry.gauge("engine.backlog_rows").set(event.get("backlogRows"))
         registry.gauge("engine.state_keys").set(event.get("stateKeys"))
+        if "stateRows" in event:
+            registry.gauge("state.rows").set(event["stateRows"])
         trigger_time = event.get("triggerTime")
         watermarks = event.get("watermarks") or {}
         if isinstance(watermarks, dict) and watermarks.get("watermarks"):

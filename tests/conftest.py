@@ -80,3 +80,15 @@ def start_memory_query(df, mode: str, name: str, checkpoint_dir: str = None, **o
     for key, value in options.items():
         writer = writer.option(key, value)
     return writer.start(checkpoint_dir)
+
+
+def framed(kind: str, version: int, *records: str) -> str:
+    """The state file the codec writes for these record lines: golden
+    tests pin the header and record bytes literally; the trailer's
+    digest follows from them."""
+    import hashlib
+
+    body = (f'{{"format":"repro-state/1","kind":"{kind}",'
+            f'"version":{version}}}\n' + "".join(r + "\n" for r in records))
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    return body + f'{{"count":{len(records)},"sha256":"{digest}"}}\n'

@@ -1,73 +1,55 @@
 """Golden tests pinning the on-disk state-checkpoint format byte-for-byte.
 
 The expiry-indexed eviction, probe-based join, and interned-key cache are
-pure in-memory structures: the JSON delta/snapshot files they produce must
-stay byte-identical to the pre-index format so old checkpoints restore and
-mixed old/new restarts agree.  The expected strings below were captured
-from the full-scan implementation; any drift here is a recovery break, not
-a formatting nit.
+pure in-memory structures: the base/delta files they produce must stay
+byte-identical so old checkpoints restore and mixed old/new restarts
+agree.  Any drift here is a recovery break, not a formatting nit.
+
+The pins moved once, deliberately, with the record-framed codec
+(``repro.streaming.statefile``): compact one-line-per-key files with a
+header and a count+digest trailer replaced the pretty-printed
+``snapshot``/``delta`` documents, bases are placed by the size-triggered
+rebase rule instead of every tenth version (files this small all weigh
+the 4 KiB floor, so bases and deltas alternate), and an inner join no
+longer flips — or re-checkpoints — matched flags it never reads.
+``tests/test_state_durability.py`` pins that the old documents still
+restore.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 
 from repro.sql import functions as F
 
-from tests.conftest import make_stream, start_memory_query
+from tests.conftest import framed, make_stream, start_memory_query
+
 
 AGG_GOLDEN = {
-    "agg-0/0000000000.snapshot.json": (
-        '{\n  "data": {\n    "[\\"a\\", 0.0]": [\n      1\n    ],\n'
-        '    "[\\"b\\", 0.0]": [\n      1\n    ]\n  },\n'
-        '  "kind": "snapshot"\n}'
-    ),
-    "agg-0/0000000002.delta.json": (
-        '{\n  "kind": "delta",\n  "puts": {\n'
-        '    "[\\"a\\", 0.0]": [\n      2\n    ],\n'
-        '    "[\\"c\\", 200.0]": [\n      1\n    ]\n  },\n'
-        '  "removes": []\n}'
-    ),
-    "agg-0/0000000004.delta.json": (
-        '{\n  "kind": "delta",\n  "puts": {\n'
-        '    "[\\"d\\", 210.0]": [\n      2\n    ]\n  },\n'
-        '  "removes": [\n    "[\\"a\\", 0.0]",\n    "[\\"b\\", 0.0]"\n  ]\n}'
-    ),
+    "agg-0/0000000000.base.jsonl": framed(
+        "base", 0, '["[\\"a\\", 0.0]",[1]]', '["[\\"b\\", 0.0]",[1]]'),
+    "agg-0/0000000002.delta.jsonl": framed(
+        "delta", 2, '["[\\"a\\", 0.0]",[2]]', '["[\\"c\\", 200.0]",[1]]'),
+    # Epoch 3 evicted a/b; version 4 is a base, so they are simply absent.
+    "agg-0/0000000004.base.jsonl": framed(
+        "base", 4, '["[\\"c\\", 200.0]",[1]]', '["[\\"d\\", 210.0]",[2]]'),
 }
 
 JOIN_GOLDEN = {
-    "join-left-0/0000000000.snapshot.json": (
-        '{\n  "data": {\n    "[1]": [\n      [\n        [\n          1,\n'
-        '          1.0,\n          "x"\n        ],\n        false\n'
-        '      ]\n    ]\n  },\n  "kind": "snapshot"\n}'
-    ),
-    # The matched flag flips in place: same entry, same key encoding.
-    "join-left-0/0000000001.delta.json": (
-        '{\n  "kind": "delta",\n  "puts": {\n    "[1]": [\n      [\n'
-        '        [\n          1,\n          1.0,\n          "x"\n'
-        '        ],\n        true\n      ]\n    ]\n  },\n'
-        '  "removes": []\n}'
-    ),
-    "join-left-0/0000000002.delta.json": (
-        '{\n  "kind": "delta",\n  "puts": {\n    "[2]": [\n      [\n'
-        '        [\n          2,\n          3.0,\n          "z"\n'
-        '        ],\n        false\n      ]\n    ]\n  },\n'
-        '  "removes": []\n}'
-    ),
-    "join-right-1/0000000000.snapshot.json": (
-        '{\n  "data": {},\n  "kind": "snapshot"\n}'
-    ),
-    "join-right-1/0000000001.delta.json": (
-        '{\n  "kind": "delta",\n  "puts": {\n    "[1]": [\n      [\n'
-        '        [\n          1,\n          2.0,\n          "y"\n'
-        '        ],\n        true\n      ]\n    ]\n  },\n'
-        '  "removes": []\n}'
-    ),
-    "join-right-1/0000000002.delta.json": (
-        '{\n  "kind": "delta",\n  "puts": {},\n  "removes": []\n}'
-    ),
+    "join-left-0/0000000000.base.jsonl": framed(
+        "base", 0, '["[1]",[[[1,1.0,"x"],false]]]'),
+    # The right row matched, but an inner join keeps no matched flags:
+    # the left side did not change, its delta is empty.
+    "join-left-0/0000000001.delta.jsonl": framed("delta", 1),
+    "join-left-0/0000000002.base.jsonl": framed(
+        "base", 2, '["[1]",[[[1,1.0,"x"],false]]]',
+        '["[2]",[[[2,3.0,"z"],false]]]'),
+    "join-right-1/0000000000.base.jsonl": framed("base", 0),
+    "join-right-1/0000000001.delta.jsonl": framed(
+        "delta", 1, '["[1]",[[[1,2.0,"y"],false]]]'),
+    "join-right-1/0000000002.base.jsonl": framed(
+        "base", 2, '["[1]",[[[1,2.0,"y"],false]]]'),
 }
 
 
@@ -117,73 +99,44 @@ def test_windowed_agg_checkpoint_bytes(session, checkpoint):
 # ---------------------------------------------------------------------------
 # Weighted aggregate state is ``[live_count, buffers]`` and weighted
 # dedup state is ``[total, [[count, row], ...]]``: both are pinned here
-# in the dict backend's delta/snapshot files and in the tiered backend's
+# in the dict backend's base/delta files and in the tiered backend's
 # sorted runs, so a retraction query's checkpoint restores across
 # engine versions and backends.
 
 ZSET_AGG_GOLDEN = {
-    "agg-0/0000000000.snapshot.json": (
-        '{\n  "data": {\n    "[\\"a\\"]": [\n      1,\n      [\n        [\n'
-        '          5,\n          1\n        ],\n        1\n      ]\n    ],\n'
-        '    "[\\"b\\"]": [\n      1,\n      [\n        [\n          3,\n'
-        '          1\n        ],\n        1\n      ]\n    ]\n  },\n'
-        '  "kind": "snapshot"\n}'
-    ),
-    # Epoch 1's delete of b lands as a state remove; a's live count and
-    # [sum, count] buffers advance additively.
-    "agg-0/0000000002.delta.json": (
-        '{\n  "kind": "delta",\n  "puts": {\n    "[\\"a\\"]": [\n      2,\n'
-        '      [\n        [\n          7,\n          2\n        ],\n'
-        '        2\n      ]\n    ],\n    "[\\"c\\"]": [\n      1,\n'
-        '      [\n        [\n          7,\n          1\n        ],\n'
-        '        1\n      ]\n    ]\n  },\n  "removes": [\n    "[\\"b\\"]"\n  ]\n}'
-    ),
-    "agg-0/0000000004.delta.json": (
-        '{\n  "kind": "delta",\n  "puts": {\n    "[\\"a\\"]": [\n      1,\n'
-        '      [\n        [\n          2,\n          1\n        ],\n'
-        '        1\n      ]\n    ],\n    "[\\"c\\"]": [\n      2,\n'
-        '      [\n        [\n          8,\n          2\n        ],\n'
-        '        2\n      ]\n    ]\n  },\n  "removes": []\n}'
-    ),
+    "agg-0/0000000000.base.jsonl": framed(
+        "base", 0, '["[\\"a\\"]",[1,[[5,1],1]]]', '["[\\"b\\"]",[1,[[3,1],1]]]'),
+    # Epoch 1's delete of b lands as a tombstone line; a's live count
+    # and [sum, count] buffers advance additively.
+    "agg-0/0000000002.delta.jsonl": framed(
+        "delta", 2, '["[\\"a\\"]",[2,[[7,2],2]]]', '["[\\"b\\"]"]',
+        '["[\\"c\\"]",[1,[[7,1],1]]]'),
+    "agg-0/0000000004.base.jsonl": framed(
+        "base", 4, '["[\\"a\\"]",[1,[[2,1],1]]]', '["[\\"c\\"]",[2,[[8,2],2]]]'),
 }
 
 ZSET_DEDUP_GOLDEN = {
     # Key "a" holds two distinct live rows (the stored row keeps its
     # weight slot, canonically 1); "b" one.
-    "dedup-0/0000000000.snapshot.json": (
-        '{\n  "data": {\n    "[\\"a\\"]": [\n      2,\n      [\n        [\n'
-        '          1,\n          [\n            "a",\n            1,\n'
-        '            1\n          ]\n        ],\n        [\n          1,\n'
-        '          [\n            "a",\n            2,\n            1\n'
-        '          ]\n        ]\n      ]\n    ],\n    "[\\"b\\"]": [\n'
-        '      1,\n      [\n        [\n          1,\n          [\n'
-        '            "b",\n            9,\n            1\n          ]\n'
-        '        ]\n      ]\n    ]\n  },\n  "kind": "snapshot"\n}'
-    ),
+    "dedup-0/0000000000.base.jsonl": framed(
+        "base", 0, '["[\\"a\\"]",[2,[[1,["a",1,1]],[1,["a",2,1]]]]]',
+        '["[\\"b\\"]",[1,[[1,["b",9,1]]]]]'),
     # Deleting a's representative promotes the survivor; b disappears.
-    "dedup-0/0000000002.delta.json": (
-        '{\n  "kind": "delta",\n  "puts": {\n    "[\\"a\\"]": [\n      1,\n'
-        '      [\n        [\n          1,\n          [\n            "a",\n'
-        '            2,\n            1\n          ]\n        ]\n      ]\n'
-        '    ]\n  },\n  "removes": [\n    "[\\"b\\"]"\n  ]\n}'
-    ),
-    "dedup-0/0000000004.delta.json": (
-        '{\n  "kind": "delta",\n  "puts": {\n    "[\\"a\\"]": [\n      1,\n'
-        '      [\n        [\n          1,\n          [\n            "a",\n'
-        '            2,\n            1\n          ]\n        ]\n      ]\n'
-        '    ]\n  },\n  "removes": []\n}'
-    ),
+    "dedup-0/0000000002.delta.jsonl": framed(
+        "delta", 2, '["[\\"a\\"]",[1,[[1,["a",2,1]]]]]', '["[\\"b\\"]"]'),
+    "dedup-0/0000000004.base.jsonl": framed(
+        "base", 4, '["[\\"a\\"]",[1,[[1,["a",2,1]]]]]'),
 }
 
 ZSET_TIERED_RUNS_GOLDEN = {
-    "agg-0/runs/00000000.run":
-        '["[\\"a\\"]", [1, [[5, 1], 1]]]\n["[\\"b\\"]", [1, [[3, 1], 1]]]\n',
+    "agg-0/runs/00000000.run": framed(
+        "run", 0, '["[\\"a\\"]",[1,[[5,1],1]]]', '["[\\"b\\"]",[1,[[3,1],1]]]'),
     # b's delete becomes a tombstone line in the next sorted run.
-    "agg-0/runs/00000001.run":
-        '["[\\"a\\"]", [2, [[7, 2], 2]]]\n["[\\"b\\"]"]\n'
-        '["[\\"c\\"]", [1, [[7, 1], 1]]]\n',
-    "agg-0/runs/00000002.run":
-        '["[\\"a\\"]", [1, [[2, 1], 1]]]\n["[\\"c\\"]", [2, [[8, 2], 2]]]\n',
+    "agg-0/runs/00000001.run": framed(
+        "run", 1, '["[\\"a\\"]",[2,[[7,2],2]]]', '["[\\"b\\"]"]',
+        '["[\\"c\\"]",[1,[[7,1],1]]]'),
+    "agg-0/runs/00000002.run": framed(
+        "run", 2, '["[\\"a\\"]",[1,[[2,1],1]]]', '["[\\"c\\"]",[2,[[8,2],2]]]'),
 }
 
 
@@ -270,10 +223,10 @@ def test_weighted_agg_tiered_checkpoint_bytes(checkpoint):
     with open(os.path.join(state_dir, "agg-0", "0000000004.manifest.json"),
               encoding="utf-8") as f:
         manifest = json.load(f)
+    # The manifest pins each run by the digest in the run's own trailer.
     hashes = [
-        hashlib.sha256(
-            ZSET_TIERED_RUNS_GOLDEN[f"agg-0/runs/{seq:08d}.run"].encode()
-        ).hexdigest()
+        json.loads(ZSET_TIERED_RUNS_GOLDEN[f"agg-0/runs/{seq:08d}.run"]
+                   .splitlines()[-1])["sha256"]
         for seq in range(3)
     ]
     assert [run["sha256"] for run in manifest["runs"]] == hashes

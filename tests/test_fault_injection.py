@@ -183,7 +183,7 @@ class TestTornTailRepair:
             reopened.read_offsets(0)
 
     def test_state_handle_quarantines_torn_newest_version(self, tmp_path):
-        handle = OperatorStateHandle(str(tmp_path / "op"), snapshot_interval=3)
+        handle = OperatorStateHandle(str(tmp_path / "op"))
         handle.put("a", 1)
         handle.commit(0)
         handle.put("b", 2)
@@ -191,7 +191,7 @@ class TestTornTailRepair:
         (torn,) = [n for n in os.listdir(str(tmp_path / "op"))
                    if n.startswith("0000000001.")]
         _truncate_half(os.path.join(str(tmp_path / "op"), torn))
-        fresh = OperatorStateHandle(str(tmp_path / "op"), snapshot_interval=3)
+        fresh = OperatorStateHandle(str(tmp_path / "op"))
         assert len(fresh.repaired) == 1
         assert fresh.restore(1) == 0  # falls back to the intact version
         assert fresh.get("a") == 1 and fresh.get("b") is None

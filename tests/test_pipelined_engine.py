@@ -244,7 +244,7 @@ class TestDrainSemantics:
         versions = set()
         for op_dir in os.listdir(state_root):
             for name in os.listdir(os.path.join(state_root, op_dir)):
-                if name.endswith(".json"):
+                if name.endswith((".json", ".jsonl")):
                     versions.add(int(name.split(".")[0]))
         assert last in versions, (last, sorted(versions))
 

@@ -371,10 +371,10 @@ state_ops = st.lists(
 )
 
 
-@given(ops=state_ops, snapshot_interval=st.integers(1, 5))
-def test_state_store_restore_matches_model(tmp_path_factory, ops, snapshot_interval):
+@given(ops=state_ops)
+def test_state_store_restore_matches_model(tmp_path_factory, ops):
     directory = str(tmp_path_factory.mktemp("state"))
-    handle = OperatorStateHandle(directory, snapshot_interval=snapshot_interval)
+    handle = OperatorStateHandle(directory)
     model = {}
     committed = {}  # version -> model snapshot
     version = 0
@@ -390,7 +390,7 @@ def test_state_store_restore_matches_model(tmp_path_factory, ops, snapshot_inter
             committed[version] = dict(model)
             version += 1
     for v, expected in committed.items():
-        fresh = OperatorStateHandle(directory, snapshot_interval=snapshot_interval)
+        fresh = OperatorStateHandle(directory)
         fresh.restore(v)
         assert dict(fresh.items()) == expected
 

@@ -16,6 +16,7 @@ from repro.sql.physical import execute
 from repro.sql.session import Session, _InMemoryProvider
 from repro.sql.types import StructType
 from repro.streaming.sessions import session_windows
+from repro.streaming import statefile
 from repro.streaming.state import decode_key, encode_key
 
 from tests.conftest import make_stream, rows_set, start_memory_query
@@ -136,12 +137,12 @@ def test_stream_stream_join_equals_batch(left, right, seed):
 # ---------------------------------------------------------------------------
 
 def assert_canonical_state_files(checkpoint: str):
-    """Every state file must be in the pre-index on-disk format: canonical
-    sorted-key indent-2 JSON with string-encoded state keys that survive a
-    decode/encode roundtrip.  The expiry index and key cache are memory-only;
-    nothing about them may leak to disk.
+    """Every state file must be a well-formed record-framed file: intact
+    frame, one canonical compact line per key, sorted by string-encoded
+    state keys that survive a decode/encode roundtrip.  The expiry index
+    and key cache are memory-only; nothing about them may leak to disk.
 
-    This reads the *dict* backend's delta/snapshot layout, so callers pin
+    This reads the *dict* backend's base/delta layout, so callers pin
     ``state_backend="dict"`` (the tiered manifest/run format has its own
     golden in tests/test_state_tiered.py)."""
     state_dir = os.path.join(checkpoint, "state")
@@ -150,16 +151,22 @@ def assert_canonical_state_files(checkpoint: str):
     for op in os.listdir(state_dir):
         for name in os.listdir(os.path.join(state_dir, op)):
             path = os.path.join(state_dir, op, name)
+            assert name.endswith((".base.jsonl", ".delta.jsonl"))
+            statefile.verify(path)
             with open(path, encoding="utf-8") as f:
-                text = f.read()
-            payload = json.loads(text)
-            assert text == json.dumps(payload, indent=2, sort_keys=True)
-            if payload["kind"] == "snapshot":
-                assert set(payload) == {"kind", "data"}
-                state_keys = list(payload["data"])
-            else:
-                assert set(payload) == {"kind", "puts", "removes"}
-                state_keys = list(payload["puts"]) + payload["removes"]
+                lines = f.read().splitlines()
+            header = json.loads(lines[0])
+            assert header == {"format": statefile.FORMAT,
+                              "kind": name.split(".")[1],
+                              "version": int(name.split(".")[0])}
+            records = [json.loads(line) for line in lines[1:-1]]
+            assert lines[1:-1] == [
+                json.dumps(r, sort_keys=True, separators=(",", ":"))
+                for r in records]
+            state_keys = [r[0] for r in records]
+            assert state_keys == sorted(set(state_keys))
+            if header["kind"] == "base":
+                assert all(len(r) == 2 for r in records)
             for state_key in state_keys:
                 assert encode_key(decode_key(state_key)) == state_key
 

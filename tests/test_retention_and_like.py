@@ -14,7 +14,7 @@ from tests.conftest import make_stream, start_memory_query
 class TestStatePruning:
     @pytest.fixture
     def handle(self, tmp_path):
-        handle = OperatorStateHandle(str(tmp_path / "op"), snapshot_interval=3)
+        handle = OperatorStateHandle(str(tmp_path / "op"))
         for version in range(10):
             handle.put(f"k{version}", version)
             handle.commit(version)
@@ -29,7 +29,7 @@ class TestStatePruning:
 
     def test_restore_still_works_at_and_after_horizon(self, handle, tmp_path):
         handle.prune(keep_from_version=7)
-        fresh = OperatorStateHandle(str(tmp_path / "op"), snapshot_interval=3)
+        fresh = OperatorStateHandle(str(tmp_path / "op"))
         for version in (7, 9):
             restored = fresh.restore(version)
             assert restored == version
@@ -37,20 +37,22 @@ class TestStatePruning:
 
     def test_restore_before_horizon_may_fail_softly(self, handle, tmp_path):
         handle.prune(keep_from_version=7)
-        fresh = OperatorStateHandle(str(tmp_path / "op"), snapshot_interval=3)
-        # Version 2 is gone: restore floors to what remains (snapshot 6).
+        fresh = OperatorStateHandle(str(tmp_path / "op"))
+        # Version 2 is gone: restore floors to what remains (the base at 6;
+        # tiny files alternate base/delta under the rebase rule).
         assert fresh.restore(6) == 6
 
     def test_oldest_restorable_version(self, handle):
         assert handle.oldest_restorable_version() == 0
         handle.prune(keep_from_version=7)
-        assert handle.oldest_restorable_version() == 6  # snapshot at 6
+        assert handle.oldest_restorable_version() == 6  # base at 6
 
     def test_prune_with_no_snapshot_is_noop(self, tmp_path):
-        handle = OperatorStateHandle(str(tmp_path / "x"), snapshot_interval=100)
+        handle = OperatorStateHandle(str(tmp_path / "x"))
         handle.put("a", 1)
-        handle.commit(1)  # delta only (no version-0 snapshot)
-        assert handle.prune(keep_from_version=1) == 0
+        handle.commit(3)  # the chain's only base is above the horizon
+        assert handle.prune(keep_from_version=2) == 0
+        assert handle.restore(3) == 3
 
 
 class TestEngineRetention:
@@ -59,7 +61,6 @@ class TestEngineRetention:
         df = session.read_stream.memory(stream).group_by("k").count()
         query = (df.write_stream.format("memory").query_name("r")
                  .option("retain_epochs", 5)
-                 .option("snapshot_interval", 2)
                  .output_mode("complete").start(checkpoint))
         for i in range(20):
             stream.add_data([{"k": "a"}])
@@ -73,7 +74,6 @@ class TestEngineRetention:
         df = session.read_stream.memory(stream).group_by("k").count()
         q1 = (df.write_stream.format("memory").query_name("r2")
               .option("retain_epochs", 4)
-              .option("snapshot_interval", 2)
               .output_mode("complete").start(checkpoint))
         for _ in range(15):
             stream.add_data([{"k": "a"}])

@@ -105,7 +105,6 @@ class TestManyKeysManyEpochs:
         stream = make_stream((("k", "long"),))
         df = session.read_stream.memory(stream).group_by("k").count()
         query = (df.write_stream.format("memory").query_name("big")
-                 .option("snapshot_interval", 5)
                  .output_mode("update").start(checkpoint))
         for epoch in range(8):
             stream.add_data([{"k": epoch * 1_000 + i} for i in range(1_000)])
@@ -114,6 +113,5 @@ class TestManyKeysManyEpochs:
 
         # A fresh engine restores all 8k keys from snapshot + deltas.
         q2 = (df.write_stream.sink(query.engine.sink)
-              .option("snapshot_interval", 5)
               .output_mode("update").start(checkpoint))
         assert q2.engine.state_store.total_keys() == 8_000

@@ -33,17 +33,16 @@ from repro.streaming.state_lsm import (
 )
 from repro.testing.faults import CrashPoint, Fault, FaultInjector, injected
 
-from tests.conftest import make_stream, rows_set, start_memory_query
+from tests.conftest import framed, make_stream, rows_set, start_memory_query
 
 
 def canon(value):
     return json.loads(json.dumps(value, sort_keys=True))
 
 
-def tiered(directory, shards=1, budget=256, interval=10):
+def tiered(directory, shards=1, budget=256):
     return TieredOperatorStateHandle(
-        str(directory), snapshot_interval=interval, num_shards=shards,
-        memtable_bytes=budget)
+        str(directory), num_shards=shards, memtable_bytes=budget)
 
 
 # ----------------------------------------------------------------------
@@ -191,6 +190,15 @@ def test_restore_rescales_and_prune_keeps_referenced_runs(tmp_path):
     assert h6.restore(2) == 2 and len(h6) == 40
 
 
+def _content_digest(path) -> str:
+    """SHA-256 of a run's header and records (everything its trailer
+    line vouches for), which must equal the digest in that trailer."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    digest = hashlib.sha256(b"".join(lines[:-1])).hexdigest()
+    assert json.loads(lines[-1])["sha256"] == digest
+    return digest
+
+
 def test_manifest_sha_matches_run_file_contents(tmp_path):
     h = tiered(tmp_path / "op", budget=200)
     for i in range(50):
@@ -200,13 +208,11 @@ def test_manifest_sha_matches_run_file_contents(tmp_path):
     assert manifest["runs"], "commit produced no runs"
     for entry in manifest["runs"]:
         path = tmp_path / "op" / "runs" / f"{entry['seq']:08d}.run"
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == entry["sha256"]
+        assert _content_digest(path) == entry["sha256"]
 
 
 def test_tiered_reads_dict_checkpoints_and_vice_versa(tmp_path):
-    hd = OperatorStateHandle(str(tmp_path / "op"), snapshot_interval=2,
-                             num_shards=2)
+    hd = OperatorStateHandle(str(tmp_path / "op"), num_shards=2)
     for i in range(30):
         hd.put(i, i * 2)
     hd.commit(2)            # snapshot
@@ -296,30 +302,31 @@ def test_compaction_crash_recovers_byte_identical(tmp_path):
 # ----------------------------------------------------------------------
 # On-disk format golden (any drift here is a recovery break)
 # ----------------------------------------------------------------------
-TIERED_GOLDEN = {
-    "0000000001.manifest.json": (
-        '{\n  "kind": "manifest",\n  "live_keys": 3,\n  "next_seq": 2,\n'
-        '  "runs": [\n    {\n      "count": 2,\n      "seq": 0,\n'
-        '      "sha256": "a8c0bbb12f36e9ce56be51fe41bb978d03699fcd388'
-        '9dddee7ab52b7307b3f89"\n    },\n    {\n      "count": 1,\n'
-        '      "seq": 1,\n      "sha256": "f4a03fbe41a150905a5a8765d62'
-        'ec9d6bdb277ddcf9a87a635f549c252234d01"\n    }\n  ]\n}'
-    ),
-    "0000000002.manifest.json": (
-        '{\n  "kind": "manifest",\n  "live_keys": 2,\n  "next_seq": 3,\n'
-        '  "runs": [\n    {\n      "count": 2,\n      "seq": 0,\n'
-        '      "sha256": "a8c0bbb12f36e9ce56be51fe41bb978d03699fcd388'
-        '9dddee7ab52b7307b3f89"\n    },\n    {\n      "count": 1,\n'
-        '      "seq": 1,\n      "sha256": "f4a03fbe41a150905a5a8765d62'
-        'ec9d6bdb277ddcf9a87a635f549c252234d01"\n    },\n    {\n'
-        '      "count": 2,\n      "seq": 2,\n      "sha256": "9ca87cc0'
-        '7591525919a429157a95c3b8b57d41718fde1b1a14a86aee7b7d7407"\n'
-        '    }\n  ]\n}'
-    ),
-    "runs/00000000.run": '["\\"a\\"", [1]]\n["\\"b\\"", [2]]\n',
-    "runs/00000001.run": '["\\"c\\"", [3]]\n',
+TIERED_RUNS_GOLDEN = {
+    "runs/00000000.run": framed("run", 0, '["\\"a\\"",[1]]', '["\\"b\\"",[2]]'),
+    "runs/00000001.run": framed("run", 1, '["\\"c\\"",[3]]'),
     # commit 2's run: one overwrite plus one tombstone line for "b"
-    "runs/00000002.run": '["\\"a\\"", [9]]\n["\\"b\\""]\n',
+    "runs/00000002.run": framed("run", 2, '["\\"a\\"",[9]]', '["\\"b\\""]'),
+}
+
+
+def _manifest(live: int, next_seq: int, *runs) -> str:
+    """A manifest pinning ``(seq, count)`` runs by their trailer digest."""
+    return json.dumps({
+        "kind": "manifest", "live_keys": live, "live_rows": live,
+        "next_seq": next_seq,
+        "runs": [
+            {"seq": seq, "count": count, "sha256": json.loads(
+                TIERED_RUNS_GOLDEN[f"runs/{seq:08d}.run"]
+                .splitlines()[-1])["sha256"]}
+            for seq, count in runs],
+    }, indent=2, sort_keys=True)
+
+
+TIERED_GOLDEN = {
+    "0000000001.manifest.json": _manifest(3, 2, (0, 2), (1, 1)),
+    "0000000002.manifest.json": _manifest(2, 3, (0, 2), (1, 1), (2, 2)),
+    **TIERED_RUNS_GOLDEN,
 }
 
 
@@ -344,8 +351,8 @@ def test_tiered_checkpoint_format_golden(tmp_path):
     meta = read_json(str(tmp_path / "op" / "runs" / "00000000.meta"))
     assert meta["count"] == 2 and meta["index_keys"] == ['"a"']
     assert meta["min_key"] == '"a"' and meta["max_key"] == '"b"'
-    assert meta["sha256"] == hashlib.sha256(
-        (tmp_path / "op" / "runs" / "00000000.run").read_bytes()).hexdigest()
+    assert meta["sha256"] == _content_digest(
+        tmp_path / "op" / "runs" / "00000000.run")
 
 
 # ----------------------------------------------------------------------
@@ -378,9 +385,8 @@ def _expiry(_key, value):
 def test_dict_and_tiered_observationally_identical(ops, budget, shards,
                                                    tmp_path_factory):
     root = tmp_path_factory.mktemp("equiv")
-    dict_h = OperatorStateHandle(str(root / "dict"), snapshot_interval=3,
-                                 num_shards=shards)
-    tier_h = tiered(root / "tier", shards=shards, budget=budget, interval=3)
+    dict_h = OperatorStateHandle(str(root / "dict"), num_shards=shards)
+    tier_h = tiered(root / "tier", shards=shards, budget=budget)
     dict_h.set_expiry(_expiry)
     tier_h.set_expiry(_expiry)
     version = 0
@@ -399,10 +405,8 @@ def test_dict_and_tiered_observationally_identical(ops, budget, shards,
             dict_h.commit(version)
             tier_h.commit(version)
             dict_h = OperatorStateHandle(str(root / "dict"),
-                                         snapshot_interval=3,
                                          num_shards=op[1])
-            tier_h = tiered(root / "tier", shards=op[2], budget=budget,
-                            interval=3)
+            tier_h = tiered(root / "tier", shards=op[2], budget=budget)
             dict_h.set_expiry(_expiry)
             tier_h.set_expiry(_expiry)
             assert dict_h.restore(version) == tier_h.restore(version)

@@ -1,6 +1,7 @@
 """Tests for the checkpoint administration tooling (§7.2)."""
 
 import json
+import os
 
 import pytest
 
@@ -167,3 +168,38 @@ class TestMonitorNetRates:
         text = render(events)
         assert "rows in/out 10/10 " in text
         assert "delivered" not in text
+
+
+class TestBenchPairsVerdict:
+    """``tools/bench_pairs.py`` applies bench/README.md's claim rule:
+    win nine decided pairs in ten AND medians apart by more than the
+    parent's own inter-quartile range."""
+
+    @pytest.fixture(scope="class")
+    def judge(self):
+        import importlib.util
+
+        path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                            "tools", "bench_pairs.py")
+        spec = importlib.util.spec_from_file_location("bench_pairs", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.judge
+
+    def test_clear_gain(self, judge):
+        parent = [100, 101, 99, 102, 98, 100, 101, 99, 100, 102]
+        change = [v * 0.7 for v in parent]
+        verdict = judge(parent, change, "lower")
+        assert (verdict["wins"], verdict["verdict"]) == (10, "better")
+        assert judge(parent, change, "higher")["verdict"] == "WORSE"
+
+    def test_eight_of_ten_is_unresolved(self, judge):
+        parent = [100.0] * 10
+        change = [90.0] * 8 + [110.0] * 2
+        assert judge(parent, change, "lower")["verdict"] == "unresolved"
+
+    def test_wins_inside_the_parents_spread_are_unresolved(self, judge):
+        parent = [80, 90, 100, 110, 120, 80, 90, 100, 110, 120]
+        change = [v - 1 for v in parent]        # wins all ten, by noise
+        verdict = judge(parent, change, "lower")
+        assert (verdict["wins"], verdict["verdict"]) == (10, "unresolved")

@@ -81,7 +81,7 @@ class TestKeyEncoding:
 class TestOperatorStateHandle:
     @pytest.fixture
     def handle(self, tmp_path):
-        return OperatorStateHandle(str(tmp_path / "op"), snapshot_interval=3)
+        return OperatorStateHandle(str(tmp_path / "op"))
 
     def test_put_get_remove(self, handle):
         handle.put("k", {"n": 1})
@@ -104,7 +104,7 @@ class TestOperatorStateHandle:
         handle.commit(0)
         handle.put("b", 2)
         handle.commit(1)
-        fresh = OperatorStateHandle(str(tmp_path / "op"), snapshot_interval=3)
+        fresh = OperatorStateHandle(str(tmp_path / "op"))
         fresh.restore(1)
         assert fresh.get("a") == 1 and fresh.get("b") == 2
 
@@ -113,7 +113,7 @@ class TestOperatorStateHandle:
         handle.commit(0)
         handle.put("a", 2)
         handle.commit(1)
-        fresh = OperatorStateHandle(str(tmp_path / "op"), snapshot_interval=3)
+        fresh = OperatorStateHandle(str(tmp_path / "op"))
         fresh.restore(0)
         assert fresh.get("a") == 1
 
@@ -123,25 +123,25 @@ class TestOperatorStateHandle:
         handle.commit(0)
         handle.remove("a")
         handle.commit(1)
-        fresh = OperatorStateHandle(str(tmp_path / "op"), snapshot_interval=3)
+        fresh = OperatorStateHandle(str(tmp_path / "op"))
         fresh.restore(1)
         assert fresh.get("a") is None and fresh.get("b") == 2
 
-    def test_snapshot_interval_produces_snapshots(self, handle, tmp_path):
+    def test_rebase_rule_produces_bases(self, handle, tmp_path):
+        # Tiny files all weigh MIN_FILE_WEIGHT, so one delta already
+        # outweighs its base: bases and deltas alternate.
         for version in range(7):
             handle.put(f"k{version}", version)
             handle.commit(version)
-        names = os.listdir(str(tmp_path / "op"))
-        snapshots = [n for n in names if ".snapshot." in n]
-        deltas = [n for n in names if ".delta." in n]
-        assert len(snapshots) == 3  # versions 0, 3, 6
-        assert len(deltas) == 4
+        names = sorted(os.listdir(str(tmp_path / "op")))
+        assert [n.split(".")[1] for n in names] == [
+            "base", "delta", "base", "delta", "base", "delta", "base"]
 
     def test_restore_uses_nearest_snapshot_plus_deltas(self, handle, tmp_path):
         for version in range(7):
             handle.put(f"k{version}", version)
             handle.commit(version)
-        fresh = OperatorStateHandle(str(tmp_path / "op"), snapshot_interval=3)
+        fresh = OperatorStateHandle(str(tmp_path / "op"))
         restored = fresh.restore(5)
         assert restored == 5
         assert fresh.get("k5") == 5
@@ -155,7 +155,7 @@ class TestOperatorStateHandle:
     def test_restore_returns_floor_version(self, handle, tmp_path):
         handle.put("a", 1)
         handle.commit(2)
-        fresh = OperatorStateHandle(str(tmp_path / "op"), snapshot_interval=3)
+        fresh = OperatorStateHandle(str(tmp_path / "op"))
         assert fresh.restore(7) == 2  # newest checkpoint <= 7
 
     def test_sparse_versions_replay_correctly(self, handle, tmp_path):
@@ -166,7 +166,7 @@ class TestOperatorStateHandle:
         handle.put("b", 2)
         handle.put("c", 3)
         handle.commit(4)  # gap: versions 1-3 never committed
-        fresh = OperatorStateHandle(str(tmp_path / "op"), snapshot_interval=100)
+        fresh = OperatorStateHandle(str(tmp_path / "op"))
         assert fresh.restore(4) == 4
         assert fresh.get("c") == 3
 
@@ -182,7 +182,7 @@ class TestExpiryIndex:
 
     @pytest.fixture
     def handle(self, tmp_path):
-        handle = OperatorStateHandle(str(tmp_path / "op"), snapshot_interval=3)
+        handle = OperatorStateHandle(str(tmp_path / "op"))
         handle.set_expiry(lambda _key, value: value)
         return handle
 
@@ -228,7 +228,7 @@ class TestExpiryIndex:
         handle.put("a", 1.0)
         handle.put("b", 7.0)
         handle.commit(0)
-        fresh = OperatorStateHandle(str(tmp_path / "op"), snapshot_interval=3)
+        fresh = OperatorStateHandle(str(tmp_path / "op"))
         fresh.set_expiry(lambda _key, value: value)
         fresh.restore(0)
         assert fresh.next_expiry() == 1.0
