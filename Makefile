@@ -12,7 +12,7 @@ FAULT_SWEEP_FLAGS ?=
 # local fallback) agree to within about a point; see tools/linecov.py.
 COV_FLOOR ?= 90
 
-.PHONY: install test test-fast coverage bench bench-smoke bench-report bench-pairs fault-sweep examples monitor-demo verify clean
+.PHONY: install test test-fast coverage bench bench-smoke bench-pairs fault-sweep examples monitor-demo verify clean
 
 install:
 	$(PY) setup.py develop
@@ -37,10 +37,6 @@ bench:
 bench-smoke:
 	STATE_SCALING_SMOKE=1 FIG6B_SMOKE=1 $(PY) -m pytest benchmarks/test_state_scaling.py "benchmarks/test_fig6b_scaling.py::test_worker_sweep_process_executor" "benchmarks/test_run_once_cost.py::test_pipelined_epoch_throughput" benchmarks/test_fig7_continuous_latency.py --benchmark-only -q $(BENCH_SMOKE_FLAGS)
 	@echo "consolidated results: benchmarks/results/bench_latest.json"
-	$(PY) tools/bench_report.py --append
-
-bench-report:
-	$(PY) tools/bench_report.py
 
 # Ten interleaved parent/change pairs of one bench/ workload, judged by
 # bench/README.md's claim rule: make bench-pairs W=cdc_join_agg BASE=<sha>

@@ -127,15 +127,13 @@ def _max_throughput_microbatch(n: int = 300_000) -> float:
     return n / (time.monotonic() - started)
 
 
-def _microbatch_latency(trigger_interval: float = 0.1,
-                        pipeline: str = "off") -> float:
+def _microbatch_latency(trigger_interval: float = 0.1) -> float:
     broker = Broker()
     topic = broker.create_topic("stream", 1)
     session = Session()
     sink = LatencyProbeSink()
     query = (_map_query(session, broker).write_stream.sink(sink)
              .output_mode("append")
-             .option("pipeline", pipeline)
              .trigger(interval=trigger_interval).start())
     try:
         publish_at_rate(topic, 500, 1.0)
@@ -162,7 +160,6 @@ def test_continuous_latency_vs_input_rate(benchmark):
     continuous_max = _max_throughput_continuous()
     microbatch_max = _max_throughput_microbatch()
     microbatch_lat = _microbatch_latency()
-    microbatch_lat_pipelined = _microbatch_latency(pipeline="on")
 
     lines = [
         "Figure 7 — continuous processing latency vs input rate",
@@ -175,18 +172,13 @@ def test_continuous_latency_vs_input_rate(benchmark):
         f"microbatch max throughput (dashed line): {microbatch_max:,.0f} rec/s",
         f"microbatch end-to-end latency (100ms trigger): "
         f"{microbatch_lat * 1000:,.1f} ms",
-        f"microbatch end-to-end latency (100ms trigger, pipelined): "
-        f"{microbatch_lat_pipelined * 1000:,.1f} ms",
         "(paper: continuous <10 ms at half max rate; microbatch 100-1000 ms)",
     ]
     emit("fig7_continuous_latency", lines, data={
         "continuous_latency_ms": {str(r): latencies[r] * 1000 for r in RATES},
         "continuous_max_records_per_second": continuous_max,
         "microbatch_max_records_per_second": microbatch_max,
-        "microbatch_latency_ms": {
-            "sequential": microbatch_lat * 1000,
-            "pipelined": microbatch_lat_pipelined * 1000,
-        },
+        "microbatch_latency_ms": microbatch_lat * 1000,
     })
 
     # Shape: low flat latency across the sweep...
@@ -199,5 +191,4 @@ def test_continuous_latency_vs_input_rate(benchmark):
         "continuous_max": continuous_max,
         "microbatch_max": microbatch_max,
         "microbatch_latency_ms": microbatch_lat * 1000,
-        "microbatch_latency_pipelined_ms": microbatch_lat_pipelined * 1000,
     })

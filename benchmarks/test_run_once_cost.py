@@ -122,9 +122,9 @@ def _epoch_pipeline_arm(pipeline: str, epochs: int = PIPELINE_EPOCHS):
 
 @pytest.mark.benchmark(group="runonce")
 def test_pipelined_epoch_throughput(benchmark):
-    """Pipelined mode (async state flusher + group-commit WAL + source
-    prefetch) must beat the sequential Figure-4 loop by >=1.3x on
-    small stateful epochs, where the three per-epoch fsyncs dominate."""
+    """Pipelined mode (async state flusher + group-commit WAL) must
+    beat the sequential Figure-4 loop by >=1.3x on small stateful
+    epochs, where the three per-epoch fsyncs dominate."""
     measured = {}
 
     def sweep():

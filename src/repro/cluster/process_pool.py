@@ -264,13 +264,6 @@ class ProcessPool:
         self._handles = []        # journaled state handles (fork-shared order)
         self._handle_tokens = {}  # id(handle) -> index into _handles
         self._seq = 0
-        #: Pre-encoded SharedBatch descriptors keyed by ``id(batch)``,
-        #: populated by the pipelined engine's prefetcher (see
-        #: :meth:`preship`).  Values keep a strong reference to the
-        #: source batch so a recycled ``id`` can never alias a stale
-        #: entry (the identity check below compares the object itself).
-        self._preshipped = {}
-        self._preship_lock = threading.Lock()
         self.worker_deaths = 0
         self.respawns = 0
 
@@ -311,44 +304,9 @@ class ProcessPool:
         token = self._op_tokens.get(id(op))
         return token is not None and self._ops.get(token) is op
 
-    def preship(self, batches) -> None:
-        """Pre-encode batches as shared memory, off the engine thread.
-
-        Called by the pipelined engine's prefetcher while the previous
-        epoch computes; when :meth:`run_op_stage`'s ship phase later sees
-        the same batch object, the segment is already populated and the
-        copy cost has left the critical path.  Entries are consumed at
-        most once; stale ones (a claim miss, a rewound epoch) are
-        released when the next preship replaces them.
-        """
-        encoded = {}
-        for batch in batches:
-            if isinstance(batch, RecordBatch) and batch.num_rows:
-                encoded[id(batch)] = (batch, SharedBatch.encode(batch))
-        with self._preship_lock:
-            stale, self._preshipped = self._preshipped, encoded
-        for _, shared in stale.values():
-            shared.release()
-        if encoded:
-            metrics.count("pipeline.preshipped_batches", len(encoded))
-
-    def _take_preshipped(self, arg):
-        """The pre-encoded descriptor for ``arg``, if preshipped."""
-        with self._preship_lock:
-            cached = self._preshipped.pop(id(arg), None)
-        if cached is not None and cached[0] is arg:
-            return cached[1]
-        if cached is not None:
-            cached[1].release()
-        return None
-
     def shutdown(self) -> None:
         """Stop all workers (idempotent)."""
         self._stop_workers()
-        with self._preship_lock:
-            stale, self._preshipped = self._preshipped, {}
-        for _, shared in stale.values():
-            shared.release()
 
     def _stop_workers(self) -> None:
         exit_msg = pickle.dumps(("exit",), protocol=_PROTO)
@@ -481,9 +439,7 @@ class ProcessPool:
             encoded = []
             for arg in args:
                 if isinstance(arg, RecordBatch):
-                    batch = self._take_preshipped(arg)
-                    if batch is None:
-                        batch = SharedBatch.encode(arg)
+                    batch = SharedBatch.encode(arg)
                     shared.append(batch)
                     encoded.append(batch)
                 else:

@@ -7,8 +7,7 @@ folds those raw timings into a small attribution model so the answer to
 "why was that epoch slow" is one name with a share, not a table the
 operator has to eyeball:
 
-* ``source-read``        — reading the epoch's input ranges, plus any
-  time the pipelined engine stalled waiting on the prefetcher;
+* ``source-read``        — reading the epoch's input ranges;
 * ``stage:<Op>``         — one incremental operator's compute (the
   ``process`` phase is split by per-operator seconds; plan overhead
   outside any operator reports as ``stage:plan``);
@@ -34,7 +33,6 @@ from __future__ import annotations
 #: Engine phase -> attribution category.
 CATEGORY_FOR_PHASE = {
     "read-inputs": "source-read",
-    "prefetch-wait": "source-read",
     "wal-offsets": "wal-sync",
     "wal-commit": "wal-sync",
     "group-sync": "wal-sync",

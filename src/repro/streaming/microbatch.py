@@ -22,11 +22,13 @@ backlogged query automatically runs larger epochs until it catches up.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
 import weakref
 from collections import deque
+from dataclasses import asdict
 
 from repro import observability
 from repro.observability import bottleneck as bottleneck_model
@@ -35,6 +37,7 @@ from repro.observability.flightrec import FlightRecorder
 from repro.sql.batch import RecordBatch
 from repro.sql.types import WEIGHT_COLUMN
 from repro.storage import SyncGroup, deferred_fsync
+from repro.streaming.config import EngineConfig
 from repro.streaming.incrementalizer import incrementalize
 from repro.streaming.operators import EpochContext
 from repro.streaming.progress import EpochProgress, ProgressReporter
@@ -45,10 +48,10 @@ from repro.testing.faults import fault_point
 
 # ----------------------------------------------------------------------
 # Fork gate: the process executor forks workers (initially and on
-# respawn) from the engine thread.  A background flusher or prefetcher
-# caught mid-write at fork time could leave a metrics/storage lock
-# permanently held in the child, so every fork first parks the pipeline
-# threads between work items via their gate locks.
+# respawn) from the engine thread.  A background flusher caught
+# mid-write at fork time could leave a metrics/storage lock permanently
+# held in the child, so every fork first parks the pipeline threads
+# between work items via their gate locks.
 # ----------------------------------------------------------------------
 _PIPELINE_WORKERS = weakref.WeakSet()
 _fork_hook_installed = False
@@ -191,120 +194,6 @@ class _AsyncStateFlusher:
                 return
 
 
-class _SourcePrefetcher:
-    """Reads epoch N+1's source ranges while epoch N computes (§7.3).
-
-    The engine requests a prefetch as soon as it holds epoch N's inputs;
-    this thread snapshots the next available end offsets, reads the
-    ranges directly from the (replayable, thread-safe) sources, and —
-    under the process executor — pre-encodes the batches as shared-memory
-    descriptors so the ship phase finds them ready.  ``claim`` hands the
-    data to the next epoch when its start offsets match; any mismatch
-    (recovery rewound, nothing was available yet) is a miss and the
-    engine falls back to the inline read.  Reads never go through the
-    scheduler: ``run_stage`` is busy executing epoch N's compute tasks.
-    """
-
-    def __init__(self, engine):
-        self._engine_ref = weakref.ref(engine)
-        self._cv = threading.Condition()
-        self._request = None
-        self._ready = None
-        self._stopping = False
-        self._thread = None
-        self._error = None
-        self._fork_gate = threading.Lock()
-
-    @property
-    def error(self):
-        return self._error
-
-    def request(self, ends: dict) -> None:
-        """Ask for the ranges following ``ends`` (engine thread)."""
-        starts = {name: dict(offsets) for name, offsets in ends.items()}
-        with self._cv:
-            if self._error is not None or self._stopping:
-                return
-            if self._thread is None:
-                _register_pipeline_worker(self)
-                self._thread = threading.Thread(
-                    target=self._loop, name="source-prefetcher", daemon=True)
-                self._thread.start()
-            self._request = starts
-            self._ready = None
-            self._cv.notify_all()
-
-    def claim(self, starts: dict):
-        """Return ``(ends, inputs)`` for a completed prefetch matching
-        ``starts``, or None (miss / empty prefetch / error)."""
-        with self._cv:
-            while self._request is not None and self._error is None:
-                self._cv.wait(timeout=1.0)
-            ready, self._ready = self._ready, None
-        if ready is None:
-            return None
-        got_starts, ends, inputs = ready
-        if ends is None or got_starts != starts:
-            return None
-        return ends, inputs
-
-    def stop(self) -> None:
-        with self._cv:
-            self._stopping = True
-            self._cv.notify_all()
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-            self._thread = None
-
-    def _loop(self) -> None:
-        while True:
-            with self._cv:
-                while self._request is None and not self._stopping:
-                    self._cv.wait(timeout=5.0)
-                    if self._engine_ref() is None:
-                        return
-                if self._stopping:
-                    return
-                starts = self._request
-            try:
-                with self._fork_gate:
-                    result = self._read(starts)
-                with self._cv:
-                    if self._request is starts:
-                        self._request = None
-                        self._ready = result
-                        self._cv.notify_all()
-            except BaseException as exc:
-                with self._cv:
-                    self._error = exc
-                    self._request = None
-                    self._cv.notify_all()
-                return
-
-    def _read(self, starts: dict):
-        # Fires on every attempt — including empty ones — so the fault
-        # point is reachable even in drain-style workloads where the
-        # prefetcher rarely finds a backlog.
-        fault_point("prefetch.crash")
-        engine = self._engine_ref()
-        if engine is None:
-            return (starts, None, None)
-        ends = engine._available_end_offsets(starts=starts)
-        if not engine._has_new_data(ends, starts=starts):
-            return (starts, None, None)
-        with tracing.trace_span("prefetch:read"):
-            inputs = {
-                name: source.get_batch(starts[name], ends[name])
-                for name, source in engine.sources.items()
-            }
-            scheduler = engine.scheduler
-            pool = getattr(scheduler, "process_pool", None) \
-                if scheduler is not None else None
-            if pool is not None:
-                pool.preship(inputs.values())
-        return (starts, ends, inputs)
-
-
 class _Phase:
     """Span + stage-timing bracket around one epoch phase (§7.4).
 
@@ -350,69 +239,57 @@ class MicrobatchEngine:
     WAL_SYNC_EVERY = 4
 
     def __init__(self, plan, sink, output_mode: str, checkpoint_dir: str,
-                 max_records_per_epoch: int = None,
-                 state_checkpoint_interval: int = 1,
-                 scheduler=None,
-                 retain_epochs: int = None,
-                 num_shards: int = None,
-                 state_backend: str = None,
-                 state_memtable_bytes: int = None,
-                 pipeline=None,
-                 clock=time.time):
+                 config: EngineConfig, scheduler=None, clock=time.time):
         self.sink = sink
         self.output_mode = output_mode
         self.clock = clock
-        #: Pipelined epoch execution (async state flusher, group-commit
-        #: WAL, source prefetch).  ``None`` defers to REPRO_PIPELINE=1;
-        #: writer option strings ("on"/"off") are accepted as-is.  The
-        #: sequential path is the golden reference: both modes produce
-        #: byte-identical checkpoints and sink output.
-        if pipeline is None:
-            pipeline = os.environ.get("REPRO_PIPELINE", "") == "1"
-        elif isinstance(pipeline, str):
-            pipeline = pipeline.strip().lower() in ("on", "1", "true", "yes")
-        self.pipelined = bool(pipeline)
-        self._max_records = max_records_per_epoch
-        self._state_checkpoint_interval = max(1, state_checkpoint_interval)
+        #: The resolved knobs this engine runs with (see
+        #: :mod:`repro.streaming.config`).
+        self.config = config
+        #: Pipelined durability: async state flusher + group-commit WAL.
+        #: The sequential path is the golden reference: both modes
+        #: produce byte-identical checkpoints and sink output.
+        self.pipelined = config.pipeline
+        self.num_shards = config.num_shards
         #: Optional cluster TaskScheduler: per-partition reads and the
         #: stateful operators' per-shard work run as independent tasks
         #: ("map tasks", §6.2), giving the engine fine-grained retry and
-        #: straggler mitigation for the whole epoch.
+        #: straggler mitigation for the whole epoch.  A caller-supplied
+        #: one outlives the engine; with ``executor="process"`` and none
+        #: supplied the engine builds its own and stop() shuts it down.
         self.scheduler = scheduler
-        #: Keep at least this many recent epochs of WAL + state for
-        #: manual rollback (§7.2); None = retain everything.
-        self._retain_epochs = retain_epochs
-        #: Hash-partition count for operator state and epoch tasks
-        #: (§6.2).  Checkpoints are shard-count independent, so a query
-        #: may restart at a different count (rescaling): restore simply
-        #: re-hashes every key.  REPRO_NUM_SHARDS supplies an env-driven
-        #: default so CI can exercise the partitioned path everywhere.
-        if num_shards is None:
-            num_shards = int(os.environ.get("REPRO_NUM_SHARDS", "1"))
-        self.num_shards = max(1, num_shards)
+        self._owns_scheduler = False
+        self._event_log = None
 
         #: Always-on flight recorder (§7.4): ring buffer of recent epoch
         #: progress and engine events, dumped as ``postmortem.json`` on
         #: any crash.  Created first so even an init/recovery failure
-        #: leaves a postmortem behind.
+        #: leaves a postmortem behind — one that names the configuration.
         self.flightrec = FlightRecorder(checkpoint_dir, engine="microbatch")
         self.flightrec.adopt_prior_dumps()
+        self.flightrec.note("engine-start", config=asdict(config))
         try:
-            self._init_engine(plan, sink, output_mode, checkpoint_dir,
-                              state_backend, state_memtable_bytes)
+            self._init_engine(plan, sink, output_mode, checkpoint_dir)
         except Exception as exc:
             self._dump_crash("init-crash", exc)
+            self._release()
             raise
 
-    def _init_engine(self, plan, sink, output_mode, checkpoint_dir,
-                     state_backend, state_memtable_bytes) -> None:
+    def _init_engine(self, plan, sink, output_mode, checkpoint_dir) -> None:
         """The crash-recorded part of construction: plan compilation, WAL
         attachment and recovery — where injected faults (and real restart
         bugs) can fire before the first epoch ever runs."""
-        self.state_store = StateStore(checkpoint_dir,
-                                      num_shards=self.num_shards,
-                                      backend=state_backend,
-                                      memtable_bytes=state_memtable_bytes)
+        config = self.config
+        if self.scheduler is None and config.executor == "process":
+            from repro.cluster.scheduler import TaskScheduler
+
+            self.scheduler = TaskScheduler(
+                config.num_workers, executor="process", speculation=False)
+            self._owns_scheduler = True
+        self.state_store = StateStore(
+            checkpoint_dir, num_shards=self.num_shards,
+            backend=config.state_backend,
+            memtable_bytes=config.state_memtable_bytes)
         with tracing.trace_span("plan-compile"):
             self.plan = incrementalize(plan, output_mode, self.state_store,
                                        num_shards=self.num_shards)
@@ -443,21 +320,18 @@ class MicrobatchEngine:
             name: source.initial_offsets() for name, source in self.sources.items()
         }
         self.next_epoch = 0
-        #: True when the writer built the scheduler for this engine (via
-        #: the ``executor`` option); stop() then owns its shutdown.
-        self._owns_scheduler = False
-        self._wal_group = SyncGroup() if self.pipelined else None
+        #: What ``write_offsets`` / ``write_commit`` / ``deferred_fsync``
+        #: take: None makes every write fsync itself (sequential).
+        self._wal_group = self._flusher = None
+        if self.pipelined:
+            self._wal_group = SyncGroup()
+            self._flusher = _AsyncStateFlusher(self)
         self._wal_unsynced = 0
-        self._flusher = _AsyncStateFlusher(self) if self.pipelined else None
-        self._prefetcher = _SourcePrefetcher(self) if self.pipelined else None
         self._async_error_raised = False
         # Recovery stays fully synchronous even in pipelined mode: it
         # runs once, off the hot path, and the engine must not observe a
         # half-flushed checkpoint of its own making.
         self._recover()
-        self.flightrec.note("engine-start", pipelined=self.pipelined,
-                            num_shards=self.num_shards,
-                            next_epoch=self.next_epoch)
         # A process-backed scheduler forks its workers from this fully
         # recovered engine: compiled plans and restored state are
         # inherited, not rebuilt per worker.
@@ -472,9 +346,6 @@ class MicrobatchEngine:
         One append handle is held for the engine's lifetime (flushed per
         epoch so readers see completed lines) instead of reopening the
         file every epoch; :meth:`stop` closes it."""
-        import json
-        import os
-
         path = os.path.join(checkpoint_dir, "events.jsonl")
         self._event_log = open(path, "a", encoding="utf-8")
 
@@ -486,29 +357,32 @@ class MicrobatchEngine:
 
         self.progress.listeners.append(log_event)
 
+    def _release(self) -> None:
+        """Close what the engine itself opened: the event-log handle and
+        a scheduler it built (idempotent; also the init-failure path)."""
+        if self._event_log is not None and not self._event_log.closed:
+            self._event_log.close()
+        if self._owns_scheduler:
+            self.scheduler.shutdown()
+
     def stop(self) -> None:
         """Release engine resources (idempotent); called by query.stop.
 
-        In pipelined mode this is the restart barrier: the prefetcher is
-        parked, the flusher drains every queued state write, and the WAL
-        sync group gets its final directory fsync — after which the
-        checkpoint on disk is indistinguishable from a sequential run's.
-        A failure captured by a background thread that was never seen at
-        an epoch boundary is re-raised here (once), so it still reaches
+        In pipelined mode this is the restart barrier: the flusher
+        drains every queued state write and the WAL sync group gets its
+        final directory fsync — after which the checkpoint on disk is
+        indistinguishable from a sequential run's.  A failure captured
+        by the flusher that was never seen at an epoch boundary is
+        re-raised here (once), so it still reaches
         ``StreamingQuery.exception``.
         """
-        event_log = getattr(self, "_event_log", None)
-        if event_log is not None and not event_log.closed:
-            event_log.close()
         async_error = None
         if self.pipelined:
-            self._prefetcher.stop()
             self._flusher.stop()
-            async_error = self._flusher.error or self._prefetcher.error
+            async_error = self._flusher.error
             if async_error is None:
                 self._wal_group.sync()
-        if getattr(self, "_owns_scheduler", False) and self.scheduler is not None:
-            self.scheduler.shutdown()
+        self._release()
         if async_error is not None and not self._async_error_raised:
             self._async_error_raised = True
             self._dump_crash("async-crash", async_error)
@@ -585,18 +459,17 @@ class MicrobatchEngine:
     # ------------------------------------------------------------------
     # Normal epoch execution
     # ------------------------------------------------------------------
-    def _available_end_offsets(self, starts: dict = None) -> dict:
-        """End offsets for the next epoch; ``starts`` overrides the
-        engine's own start offsets (used by the prefetcher, which plans
-        epoch N+1 while the engine is still mutating epoch N's)."""
-        base = self._start_offsets if starts is None else starts
+    def _available_end_offsets(self) -> dict:
+        """End offsets for the next epoch: everything available, or the
+        first ``max_records_per_epoch`` records of it."""
+        max_records = self.config.max_records_per_epoch
         ends = {}
         for name, source in self.sources.items():
             latest = source.latest_offsets()
-            start = base[name]
-            if self._max_records is not None:
+            start = self._start_offsets[name]
+            if max_records is not None:
                 capped = {}
-                budget = self._max_records
+                budget = max_records
                 for partition in sorted(latest):
                     lo = start.get(partition, 0)
                     hi = latest[partition]
@@ -623,10 +496,9 @@ class MicrobatchEngine:
                 floor = ts
         return floor
 
-    def _has_new_data(self, ends: dict, starts: dict = None) -> bool:
-        base = self._start_offsets if starts is None else starts
+    def _has_new_data(self, ends: dict) -> bool:
         for name, end in ends.items():
-            start = base[name]
+            start = self._start_offsets[name]
             if any(end[p] > start.get(p, 0) for p in end):
                 return True
         return False
@@ -636,27 +508,24 @@ class MicrobatchEngine:
         return any(op.has_pending_timeout(now) for op in self.plan.stateful_ops)
 
     def _raise_async_error(self) -> None:
-        """Re-raise the first background-thread failure on the engine
-        thread, from where it reaches ``StreamingQuery.exception``."""
-        for worker in (self._flusher, self._prefetcher):
-            if worker is not None and worker.error is not None:
-                self._async_error_raised = True
-                raise worker.error
+        """Re-raise the flusher's first failure on the engine thread,
+        from where it reaches ``StreamingQuery.exception``."""
+        if self._flusher is not None and self._flusher.error is not None:
+            self._async_error_raised = True
+            raise self._flusher.error
 
     def _dump_crash(self, reason: str, error) -> None:
         """Leave a postmortem behind for a failure; never raises."""
-        rec = getattr(self, "flightrec", None)
-        if rec is not None:
-            rec.dump(reason, error=error,
-                     epoch=getattr(self, "next_epoch", None))
+        self.flightrec.dump(reason, error=error,
+                            epoch=getattr(self, "next_epoch", None))
 
     def run_epoch(self):
         """Run one epoch if there is work; returns EpochProgress or None.
 
         "Work" is new input data or an expired processing-time timeout in
-        a stateful operator.  Any failure — the epoch's own, or a
-        pipelined background thread's surfacing at this boundary — dumps
-        the flight recorder as ``postmortem.json`` before propagating.
+        a stateful operator.  Any failure — the epoch's own, or the
+        background flusher's surfacing at this boundary — dumps the
+        flight recorder as ``postmortem.json`` before propagating.
         """
         try:
             progress = self._run_epoch()
@@ -668,49 +537,36 @@ class MicrobatchEngine:
         return progress
 
     def _run_epoch(self):
-        if not self.pipelined:
-            ends = self._available_end_offsets()
-            if not self._has_new_data(ends) and not self._has_pending_timeouts():
-                return None
-
-            epoch = self.next_epoch
-            with tracing.trace_span("epoch", epoch=epoch):
-                progress = self._execute_epoch(epoch, ends)
-            self.progress.record(progress)
-            return progress
-
-        # Pipelined path: background failures surface here, at the epoch
-        # boundary — the harness treats that like a crash at this point.
+        # A background failure surfaces here, at the epoch boundary —
+        # the harness treats that like a crash at this point.
         self._raise_async_error()
-        waited = time.perf_counter()
-        claimed = self._prefetcher.claim(self._start_offsets)
-        prefetch_wait = time.perf_counter() - waited
-        self._raise_async_error()
-        if claimed is not None:
-            ends, prefetched = claimed
-        else:
-            ends, prefetched = self._available_end_offsets(), None
+        ends = self._available_end_offsets()
         if not self._has_new_data(ends) and not self._has_pending_timeouts():
-            # Idle drain: queued state writes complete and the WAL tail
-            # (the previous epoch's commit entry) becomes durable now
-            # instead of riding the next epoch's group sync, so
-            # process_all_available() leaves a fully materialized
-            # checkpoint — identical to the sequential engine's.
-            self._flusher.drain()
-            self._raise_async_error()
-            self._wal_group.sync()
+            if self.pipelined:
+                # Idle drain: queued state writes complete and the WAL
+                # tail (the previous epoch's commit entry) becomes
+                # durable now instead of riding the next epoch's group
+                # sync, so process_all_available() leaves a fully
+                # materialized checkpoint — identical to a sequential
+                # engine's.
+                self._flusher.drain()
+                self._raise_async_error()
+                self._wal_group.sync()
             return None
 
         epoch = self.next_epoch
         with tracing.trace_span("epoch", epoch=epoch):
-            progress = self._execute_epoch(epoch, ends, prefetched=prefetched,
-                                           prefetch_wait=prefetch_wait)
+            progress = self._execute_epoch(epoch, ends)
         self.progress.record(progress)
         return progress
 
-    def _execute_epoch(self, epoch: int, ends: dict, prefetched: dict = None,
-                       prefetch_wait: float = 0.0) -> EpochProgress:
-        """One epoch's Figure-4 protocol, with per-phase instrumentation."""
+    def _execute_epoch(self, epoch: int, ends: dict) -> EpochProgress:
+        """One epoch's Figure-4 protocol, with per-phase instrumentation.
+
+        Pipelined and sequential epochs run the same steps in the same
+        rename order; ``self._wal_group`` decides whether each write
+        fsyncs itself or defers to the group's next sync.
+        """
         trigger_time = self.clock()
         started = time.perf_counter()
         # Stage timings (and per-operator metrics) are only collected
@@ -719,35 +575,22 @@ class MicrobatchEngine:
         timings = {} if observability.active() else None
         fault_point("epoch.begin", epoch=epoch)
 
-        # (1) Durably log the epoch's offsets before touching any data.
-        # Pipelined, the entry is *visible* immediately but its fsync is
-        # deferred to the pre-sink group sync below — rename order (and
-        # with it every Figure-4 invariant) is unchanged.
+        # (1) Log the epoch's offsets before touching any data.
+        ranges = {
+            name: {"start": self._start_offsets[name], "end": ends[name]}
+            for name in self.sources
+        }
         with _Phase("wal-offsets", timings):
             self.wal.write_offsets(epoch, {
-                "sources": {
-                    name: {"start": self._start_offsets[name], "end": ends[name]}
-                    for name in self.sources
-                },
+                "sources": ranges,
                 "watermarks": self.watermarks.to_json(),
                 "trigger_time": trigger_time,
             }, group=self._wal_group)
-
         fault_point("epoch.after_offsets", epoch=epoch)
 
         # (2) Read the epoch's new data and run the incremental plan.
         with _Phase("read-inputs", timings):
-            if prefetched is not None:
-                inputs = prefetched
-                metrics.count("pipeline.prefetch_hits")
-            else:
-                inputs = self._fetch_inputs(ends)
-                if self.pipelined:
-                    metrics.count("pipeline.prefetch_misses")
-        if self.pipelined:
-            # Kick off epoch N+1's read while this epoch computes.
-            self._prefetcher.request(ends)
-        input_rows = sum(batch.num_rows for batch in inputs.values())
+            inputs = self._fetch_inputs(ends)
         ctx = EpochContext(
             epoch_id=epoch,
             inputs=inputs,
@@ -786,21 +629,19 @@ class MicrobatchEngine:
             note_ingest(epoch, ingest_floor if ingest_floor is not None
                         else trigger_time)
 
-        # (3) Idempotent sink write, then (4) commit + state checkpoint.
-        with _Phase("sink-write", timings):
-            if self.pipelined:
-                with deferred_fsync(self._wal_group):
-                    self.sink.add_batch(epoch, result, self.output_mode)
-            else:
-                self.sink.add_batch(epoch, result, self.output_mode)
+        # (3) Idempotent sink write.
+        with _Phase("sink-write", timings), deferred_fsync(self._wal_group):
+            self.sink.add_batch(epoch, result, self.output_mode)
         fault_point("epoch.after_sink", epoch=epoch)
         self.watermarks.advance()
+
+        # (4) Commit entry, then the state checkpoint.
         with _Phase("wal-commit", timings):
             self.wal.write_commit(
                 epoch, {"watermarks": self.watermarks.to_json()},
                 group=self._wal_group)
         fault_point("epoch.after_commit", epoch=epoch)
-        if epoch % self._state_checkpoint_interval == 0:
+        if epoch % self.config.state_checkpoint_interval == 0:
             with _Phase("state-commit", timings):
                 if self.pipelined:
                     # Capture the checkpoint synchronously (cheap), hand
@@ -810,7 +651,7 @@ class MicrobatchEngine:
                     self._flusher.submit(epoch, jobs)
                 else:
                     self.state_store.commit_all(epoch)
-        if self.pipelined and self._retain_epochs is not None:
+        if self.pipelined and self.config.retain_epochs is not None:
             # Retention scans the on-disk state directory; wait for
             # queued writes so the horizon computation is deterministic.
             with _Phase("flusher-wait", timings):
@@ -822,18 +663,20 @@ class MicrobatchEngine:
             source.commit(ends[name])
             self._start_offsets[name] = ends[name]
         self.next_epoch = epoch + 1
+        return self._report_epoch(ctx, result, ranges, timings, ingest_floor,
+                                  time.perf_counter() - started)
 
+    def _report_epoch(self, ctx, result, ranges, timings, ingest_floor,
+                      duration) -> EpochProgress:
+        """Describe a finished epoch: its EpochProgress and the engine's
+        gauges/counters (§7.4).  Nothing here is part of the protocol."""
+        trigger_time = ctx.processing_time
+        input_rows = sum(batch.num_rows for batch in ctx.inputs.values())
         backlog = 0
         for name, source in self.sources.items():
             latest = source.latest_offsets()
-            backlog += sum(
-                max(latest[p] - ends[name].get(p, 0), 0) for p in latest
-            )
-        duration = time.perf_counter() - started
-        if timings is not None and self.pipelined:
-            # Pipeline occupancy: time this epoch spent waiting on the
-            # prefetcher (ideally ~0 — the read fully overlapped).
-            timings["prefetch-wait"] = prefetch_wait
+            end = ranges[name]["end"]
+            backlog += sum(max(latest[p] - end.get(p, 0), 0) for p in latest)
         state_keys = self.state_store.total_keys()
         state_rows = self.state_store.total_rows()
         event_lag = None
@@ -842,8 +685,9 @@ class MicrobatchEngine:
         output_net = None
         if WEIGHT_COLUMN in result.columns:
             output_net = int(result.columns[WEIGHT_COLUMN].sum())
+        late_rows = ctx.metrics["late_rows_dropped"]
         progress = EpochProgress(
-            epoch_id=epoch,
+            epoch_id=ctx.epoch_id,
             trigger_time=trigger_time,
             duration_seconds=duration,
             input_rows=input_rows,
@@ -851,15 +695,12 @@ class MicrobatchEngine:
             backlog_rows=backlog,
             state_keys=state_keys,
             state_rows=state_rows,
-            late_rows_dropped=ctx.metrics["late_rows_dropped"],
+            late_rows_dropped=late_rows,
             watermarks={
                 c: self.watermarks.current(c)
                 for c in self.watermarks.columns
             },
-            sources={
-                name: {"start": self._start_offsets[name], "end": ends[name]}
-                for name in self.sources
-            },
+            sources=ranges,
             task_metrics=(
                 self.scheduler.last_stage_report or {}
                 if self.scheduler is not None else {}
@@ -874,8 +715,7 @@ class MicrobatchEngine:
         metrics.count("engine.epochs")
         metrics.count("engine.rows_in", input_rows)
         metrics.count("engine.rows_out", result.num_rows)
-        metrics.count("engine.late_rows_dropped",
-                      ctx.metrics["late_rows_dropped"])
+        metrics.count("engine.late_rows_dropped", late_rows)
         metrics.set_gauge("engine.backlog_rows", backlog)
         metrics.set_gauge("engine.state_keys", state_keys)
         metrics.set_gauge("state.rows", state_rows)
@@ -933,9 +773,9 @@ class MicrobatchEngine:
         horizon.  Kept conservative: WAL entries are only purged below
         the oldest version the state store can still restore, so
         recovery and rollback to any retained epoch keep working."""
-        if self._retain_epochs is None:
+        if self.config.retain_epochs is None:
             return
-        horizon = epoch - self._retain_epochs
+        horizon = epoch - self.config.retain_epochs
         if horizon <= 0:
             return
         self.state_store.prune_all(horizon)

@@ -52,6 +52,10 @@ from repro.testing.faults import fault_point
 #: A checkpoint file weighs at least this much in the rebase rule, so a
 #: long chain of tiny deltas is bounded in file count too.
 MIN_FILE_WEIGHT = 4096
+#: Storage engines a :class:`StateStore` can build handles on.
+BACKENDS = ("dict", "tiered")
+#: Tiered backend: memtable budget (bytes) before a spill to a sorted run.
+DEFAULT_MEMTABLE_BYTES = 64 * 1024 * 1024
 
 
 def _write_chain_file(directory: str, version: int, kind: str, chunks) -> None:
@@ -732,20 +736,19 @@ class StateStore:
 
     ``backend`` selects the storage engine per handle: ``"dict"`` (the
     in-memory default) or ``"tiered"`` (LSM memtable + sorted runs, see
-    :mod:`repro.streaming.state_lsm`), defaulting from the
-    ``REPRO_STATE_BACKEND`` environment variable.  Both backends read
-    each other's checkpoints, so the choice can change across restarts.
+    :mod:`repro.streaming.state_lsm`).  Both backends read each other's
+    checkpoints, so the choice can change across restarts.
+    ``memtable_bytes`` is the tiered backend's spill budget.
     """
 
     def __init__(self, checkpoint_dir: str, num_shards: int = 1,
-                 backend: str = None, memtable_bytes: int = None):
+                 backend: str = "dict",
+                 memtable_bytes: int = DEFAULT_MEMTABLE_BYTES):
         self._directory = os.path.join(checkpoint_dir, "state")
         self._num_shards = max(1, num_shards)
-        if backend is None:
-            backend = os.environ.get("REPRO_STATE_BACKEND") or "dict"
-        if backend not in ("dict", "tiered"):
+        if backend not in BACKENDS:
             raise ValueError(
-                f"unknown state backend {backend!r}; expected 'dict' or 'tiered'"
+                f"unknown state backend {backend!r}; expected one of {BACKENDS}"
             )
         self.backend = backend
         self._memtable_bytes = memtable_bytes

@@ -74,6 +74,7 @@ from repro.storage import (
 )
 from repro.streaming import statefile
 from repro.streaming.state import (
+    DEFAULT_MEMTABLE_BYTES,
     OperatorStateHandle,
     PendingStateWrite,
     _cache_key,
@@ -89,9 +90,6 @@ from repro.testing.faults import fault_point
 #: control files readable).
 MANIFEST = "manifest.json"
 
-#: Default memtable budget (bytes) when neither the option nor
-#: REPRO_STATE_MEMTABLE_BYTES is set.
-DEFAULT_MEMTABLE_BYTES = 64 * 1024 * 1024
 #: Sparse-index granularity: one (key, offset) entry per this many run
 #: lines; a probe reads at most one such block per run.
 INDEX_EVERY = 64
@@ -366,12 +364,8 @@ class TieredOperatorStateHandle(OperatorStateHandle):
     _RESTORE_KINDS = OperatorStateHandle._RESTORE_KINDS | {MANIFEST}
 
     def __init__(self, directory: str, num_shards: int = 1,
-                 memtable_bytes: int = None):
+                 memtable_bytes: int = DEFAULT_MEMTABLE_BYTES):
         super().__init__(directory, num_shards)
-        if memtable_bytes is None:
-            memtable_bytes = int(
-                os.environ.get("REPRO_STATE_MEMTABLE_BYTES")
-                or DEFAULT_MEMTABLE_BYTES)
         self.memtable_bytes = max(1, int(memtable_bytes))
         self._runs_dir = os.path.join(directory, "runs")
         os.makedirs(self._runs_dir, exist_ok=True)

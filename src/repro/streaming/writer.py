@@ -15,10 +15,10 @@ view under ``query_name``), ``file`` (transactional file table),
 
 from __future__ import annotations
 
-import os
 import tempfile
 
 from repro.sql.expressions import AnalysisError
+from repro.streaming.config import EngineConfig
 from repro.streaming.query import StreamingQuery
 from repro.streaming.triggers import (
     AvailableNowTrigger,
@@ -55,8 +55,8 @@ class DataStreamWriter:
         return self
 
     def option(self, key: str, value) -> "DataStreamWriter":
-        """Set a sink/engine option (``path``, ``broker``, ``topic``,
-        ``max_records_per_epoch``, ``state_checkpoint_interval``...)."""
+        """Set a sink option (``path``, ``broker``, ``topic``...) or an
+        engine knob (a field of :class:`~repro.streaming.config.EngineConfig`)."""
         self._options[key] = value
         return self
 
@@ -198,45 +198,14 @@ class DataStreamWriter:
 
         from repro.streaming.microbatch import MicrobatchEngine
 
-        scheduler = self._options.get("scheduler")
-        num_shards = self._options.get("num_shards")
-        # ``.option("executor", "process")`` / REPRO_EXECUTOR=process:
-        # build a process-backed scheduler owned by the engine (stop()
-        # shuts it down).  Continuous mode (above) never takes this
-        # path — it stays pinned to the single-partition fast path.
-        executor = self._options.get("executor") or os.environ.get("REPRO_EXECUTOR")
-        owns_scheduler = False
-        if scheduler is None and executor == "process":
-            from repro.cluster.scheduler import TaskScheduler
-
-            workers = int(
-                self._options.get("num_workers")
-                or os.environ.get("REPRO_NUM_WORKERS")
-                or min(4, os.cpu_count() or 1)
-            )
-            scheduler = TaskScheduler(
-                workers, executor="process", speculation=False)
-            owns_scheduler = True
-            if num_shards is None and "REPRO_NUM_SHARDS" not in os.environ:
-                # Default one shard per worker so the pool has work.
-                num_shards = workers
+        # Every engine knob is resolved here, once: option > REPRO_* >
+        # default.  Continuous mode (above) takes none of them — it
+        # stays pinned to its single-partition fast path.
+        config = EngineConfig.resolve(self._options)
         engine = MicrobatchEngine(
-            self._df.plan, sink, self._mode, checkpoint_dir,
-            max_records_per_epoch=self._options.get("max_records_per_epoch"),
-            state_checkpoint_interval=self._options.get("state_checkpoint_interval", 1),
-            scheduler=scheduler,
-            retain_epochs=self._options.get("retain_epochs"),
-            num_shards=num_shards,
-            state_backend=self._options.get("state_backend"),
-            state_memtable_bytes=(
-                None if self._options.get("state_memtable_bytes") is None
-                else int(self._options["state_memtable_bytes"])
-            ),
-            # ``.option("pipeline", "on"/"off")``; unset defers to
-            # REPRO_PIPELINE=1 inside the engine.
-            pipeline=self._options.get("pipeline"),
+            self._df.plan, sink, self._mode, checkpoint_dir, config,
+            scheduler=self._options.get("scheduler"),
         )
-        engine._owns_scheduler = owns_scheduler
         from repro.streaming.stream_table import StreamTable
 
         if isinstance(sink, StreamTable):

@@ -70,7 +70,6 @@ REGISTRY = {
     "cascade.between_stages": "upstream epochs committed, downstream not driven",
     # streaming/microbatch.py -- epoch boundaries (Figure 4 steps)
     "epoch.begin": "epoch chosen, nothing durable yet",
-    "prefetch.crash": "pipelined: prefetcher about to read the next ranges",
     "epoch.after_offsets": "offsets durable, before reading input",
     "epoch.after_process": "plan executed, before the sink write",
     "epoch.after_sink": "sink accepted the epoch, before the commit entry",

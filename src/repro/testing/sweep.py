@@ -84,13 +84,11 @@ PROCESS_POINTS = (
 TIERED_POINTS = ("state.flush_crash", "state.compaction_crash")
 TIERED_MEMTABLE_BYTES = 256
 #: Points that only fire in pipelined mode; their cells force
-#: ``pipeline=on`` so the async flusher, group-commit WAL window, and
-#: prefetcher actually exist.  (Under REPRO_PIPELINE=1 every microbatch
-#: cell runs pipelined anyway; these cells keep the coverage on the
-#: default sequential CI legs too.)
-PIPELINE_POINTS = (
-    "state.async_flush_crash", "wal.group_commit_crash", "prefetch.crash",
-)
+#: ``pipeline=on`` so the async flusher and the group-commit WAL window
+#: actually exist.  (Under REPRO_PIPELINE=1 every microbatch cell runs
+#: pipelined anyway; these cells keep the coverage on the default
+#: sequential CI legs too.)
+PIPELINE_POINTS = ("state.async_flush_crash", "wal.group_commit_crash")
 #: Cells run on the two-stage cascade workload (CDC retractions through
 #: a stream table into a downstream aggregation): the dedicated
 #: between-stages point plus the commit/delivery points where a crash

@@ -1,0 +1,133 @@
+"""EngineConfig: every engine knob is resolved once, at one site, with
+precedence ``.option()`` > ``REPRO_*`` > default."""
+
+from __future__ import annotations
+
+import os
+import re
+from dataclasses import fields
+
+import pytest
+
+import repro
+from repro.sinks.memory import MemorySink
+from repro.sql import functions as F
+from repro.sql.session import Session
+from repro.streaming.config import ENV_VARS, EngineConfig
+from repro.streaming.state import DEFAULT_MEMTABLE_BYTES
+from repro.streaming.state_lsm import TieredOperatorStateHandle
+
+from tests.conftest import make_stream
+
+#: field -> (default, value set by option, env text, value the env yields)
+CASES = {
+    "max_records_per_epoch": (None, 7, None, None),
+    "state_checkpoint_interval": (1, 3, None, None),
+    "retain_epochs": (None, 5, None, None),
+    "num_shards": (1, 3, "6", 6),
+    "state_backend": ("dict", "tiered", "tiered", "tiered"),
+    "state_memtable_bytes": (DEFAULT_MEMTABLE_BYTES, 123, "2048", 2048),
+    "pipeline": (False, "on", "1", True),
+    "executor": ("inline", "process", "process", "process"),
+    "num_workers": (min(4, os.cpu_count() or 1), 3, "2", 2),
+}
+OPTION_RESULT = {"pipeline": True}  # "on" -> True; the rest come back as set
+
+
+def test_cases_cover_every_field():
+    assert set(CASES) == {f.name for f in fields(EngineConfig)}
+    assert {name for name, case in CASES.items() if case[2] is not None} \
+        == set(ENV_VARS)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_option_beats_env_beats_default(name):
+    default, option, env_text, env_value = CASES[name]
+    assert getattr(EngineConfig.resolve({}, {}), name) == default
+    # CI passes empty variables on legs that do not use them.
+    empty = {var: "" for var in ENV_VARS.values()}
+    assert getattr(EngineConfig.resolve({name: None}, empty), name) == default
+    environ = {}
+    if env_text is not None:
+        environ = {ENV_VARS[name]: env_text}
+        # Pin the knob the shards-follow-workers rule would otherwise move.
+        pinned = {} if name == "num_shards" else {"num_shards": 1}
+        assert getattr(EngineConfig.resolve(pinned, environ), name) == env_value
+    resolved = EngineConfig.resolve({name: option}, environ)
+    assert getattr(resolved, name) == OPTION_RESULT.get(name, option)
+
+
+def test_resolve_reads_the_process_environment(monkeypatch):
+    monkeypatch.setenv("REPRO_NUM_SHARDS", "5")
+    monkeypatch.setenv("REPRO_PIPELINE", "0")
+    config = EngineConfig.resolve({})
+    assert config.num_shards == 5 and config.pipeline is False
+
+
+def test_shards_follow_workers_unless_given():
+    process = {"executor": "process", "num_workers": 3}
+    assert EngineConfig.resolve(process, {}).num_shards == 3
+    assert EngineConfig.resolve(dict(process, num_shards=2), {}).num_shards == 2
+    assert EngineConfig.resolve(
+        process, {"REPRO_NUM_SHARDS": "8"}).num_shards == 8
+    assert EngineConfig.resolve(
+        {}, {"REPRO_EXECUTOR": "process", "REPRO_NUM_WORKERS": "2"}
+    ).num_shards == 2
+    # Inline: workers are irrelevant, one shard.
+    assert EngineConfig.resolve({"num_workers": 3}, {}).num_shards == 1
+
+
+def test_unknown_values_rejected_at_resolution():
+    with pytest.raises(ValueError, match="state backend"):
+        EngineConfig.resolve({"state_backend": "rocksdb"}, {})
+    with pytest.raises(ValueError, match="state backend"):
+        EngineConfig.resolve({}, {"REPRO_STATE_BACKEND": "rocksdb"})
+    with pytest.raises(ValueError, match="executor"):
+        EngineConfig.resolve({"executor": "gpu"}, {})
+    with pytest.raises(ValueError, match="executor"):
+        EngineConfig.resolve({}, {"REPRO_EXECUTOR": "thread"})
+
+
+def test_config_is_frozen():
+    config = EngineConfig()
+    with pytest.raises(AttributeError):
+        config.num_shards = 2
+
+
+def test_writer_hands_the_engine_one_resolved_config(tmp_path, monkeypatch):
+    """End to end: env picks the backend, an option overrides the env
+    budget, and the engine's state store is built from those values."""
+    monkeypatch.setenv("REPRO_STATE_BACKEND", "tiered")
+    monkeypatch.setenv("REPRO_STATE_MEMTABLE_BYTES", "2048")
+    session = Session()
+    stream = make_stream((("k", "string"), ("v", "long")))
+    df = (session.read_stream.memory(stream)
+          .group_by("k").agg(F.sum("v").alias("total")))
+    query = (df.write_stream.sink(MemorySink()).output_mode("update")
+             .option("state_memtable_bytes", 512)
+             .start(str(tmp_path / "cp")))
+    try:
+        config = query.engine.config
+        assert config.state_backend == "tiered"
+        assert config.state_memtable_bytes == 512
+        assert query.engine.state_store.backend == "tiered"
+        handle = next(iter(query.engine.state_store._handles.values()))
+        assert isinstance(handle, TieredOperatorStateHandle)
+        assert handle.memtable_bytes == 512
+    finally:
+        query.stop()
+
+
+def test_only_the_config_module_reads_the_environment():
+    root = os.path.dirname(repro.__file__)
+    offenders = []
+    for package in ("streaming", "cluster"):
+        for dirpath, _dirs, files in os.walk(os.path.join(root, package)):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8") as f:
+                    if re.search(r"os\.(environ|getenv)", f.read()):
+                        offenders.append(os.path.relpath(path, root))
+    assert offenders == [os.path.join("streaming", "config.py")]

@@ -15,6 +15,7 @@ import os
 import re
 import time
 import urllib.request
+from dataclasses import asdict
 
 import pytest
 
@@ -155,6 +156,9 @@ class TestCrashPostmortem:
         assert doc["crash"]["epoch"] == 2
         # The ring holds the completed epochs leading up to the crash.
         assert [e["epoch"] for e in doc["epochs"]] == [0, 1]
+        # ...and the postmortem names the configuration that ran.
+        starts = [e for e in doc["events"] if e["kind"] == "engine-start"]
+        assert [e["config"] for e in starts] == [asdict(query.engine.config)]
         query.stop()
 
     def test_restart_adopts_and_rotates_prior_dump(self, tmp_path):

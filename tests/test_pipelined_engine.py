@@ -1,5 +1,4 @@
-"""Pipelined epoch execution: async state flusher, group-commit WAL,
-source prefetch.
+"""Pipelined epoch execution: async state flusher, group-commit WAL.
 
 The sequential engine is the golden reference — pipelined mode must
 produce byte-identical checkpoints and sink output across backends and
@@ -44,17 +43,27 @@ def _drive(query, stream, epochs, rows_per_epoch=3):
         query.process_all_available()
 
 
-def _run_agg(tmp_path, pipeline, tag, epochs=10, **options):
+def _run_agg(tmp_path, pipeline, tag, epochs=10, backlog=0, **options):
+    """``backlog`` > 0 publishes that many rows up front and drains them
+    one record per epoch, so epochs run back to back with no idle drain
+    between them; otherwise each epoch is one add-then-drain."""
     session = Session()
     stream = make_stream(SCHEMA)
     cp = str(tmp_path / f"cp-{tag}")
     writer = (_agg_df(session, stream).write_stream.format("memory")
               .query_name(f"q-{tag}").output_mode("update")
               .option("pipeline", pipeline))
+    if backlog:
+        options["max_records_per_epoch"] = 1
     for key, value in options.items():
         writer = writer.option(key, value)
     query = writer.start(cp)
-    _drive(query, stream, epochs)
+    if backlog:
+        stream.add_data([{"k": f"k{i % 4}", "v": i} for i in range(backlog)])
+        query.process_all_available()
+        assert query.engine.next_epoch == backlog
+    else:
+        _drive(query, stream, epochs)
     query.stop()
     return checkpoint_fingerprint(cp), rows_set(query.engine.sink.rows())
 
@@ -63,10 +72,13 @@ class TestByteIdentity:
     """Sink rows and every checkpoint byte match the sequential run."""
 
     def test_dict_backend(self, tmp_path):
-        fp_off, rows_off = _run_agg(tmp_path, "off", "seq")
-        fp_on, rows_on = _run_agg(tmp_path, "on", "pipe")
-        assert rows_on == rows_off
-        assert fp_on == fp_off
+        for backlog in (0, 30):
+            fp_off, rows_off = _run_agg(tmp_path, "off", f"seq{backlog}",
+                                        backlog=backlog)
+            fp_on, rows_on = _run_agg(tmp_path, "on", f"pipe{backlog}",
+                                      backlog=backlog)
+            assert rows_on == rows_off
+            assert fp_on == fp_off
 
     def test_tiered_backend(self, tmp_path):
         opts = {"state_backend": "tiered", "state_memtable_bytes": 256}
@@ -188,22 +200,6 @@ class TestAsyncErrorSurfacing:
         restarted.stop()
         totals = {r["k"]: r["total"] for r in restarted.engine.sink.rows()}
         assert totals == {"a": 3}
-
-    def test_prefetcher_crash_reaches_engine(self, tmp_path):
-        session = Session()
-        stream = make_stream(SCHEMA)
-        cp = str(tmp_path / "cp")
-        query = (_agg_df(session, stream).write_stream.format("memory")
-                 .query_name("prefetch-err").output_mode("update")
-                 .option("pipeline", "on").start(cp))
-        injector = FaultInjector([Fault("prefetch.crash")])
-        with injected(injector):
-            with pytest.raises(CrashPoint):
-                for i in range(4):
-                    stream.add_data([{"k": "a", "v": i}])
-                    query.process_all_available()
-        assert injector.fired
-        query.stop()
 
     def test_flusher_crash_sets_threaded_query_exception(self, tmp_path):
         """Under an interval trigger the error lands on the driver
@@ -342,26 +338,6 @@ class TestTornGroupCommit:
         wal = WriteAheadLog(cp)
         assert len(wal.repaired) == 1
         assert wal.logged_epochs() == []
-
-
-class TestPrefetch:
-    def test_prefetch_hits_on_backlog(self, tmp_path):
-        """With a backlog capped into many epochs, epoch N+1's read is
-        served by the prefetcher, not the inline path."""
-        with metrics.enabled():
-            session = Session()
-            stream = make_stream(SCHEMA)
-            cp = str(tmp_path / "cp")
-            stream.add_data([{"k": f"k{i % 4}", "v": i} for i in range(30)])
-            query = (_agg_df(session, stream).write_stream.format("memory")
-                     .query_name("hits").output_mode("update")
-                     .option("pipeline", "on")
-                     .option("max_records_per_epoch", 1).start(cp))
-            query.process_all_available()
-            query.stop()
-            snap = metrics.snapshot()
-        assert snap.get("pipeline.prefetch_hits", 0) > 0
-        assert query.engine.next_epoch == 30
 
 
 class TestListenerContainment:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -22,7 +23,7 @@ from repro.cluster.scheduler import TaskScheduler
 from repro.sinks.memory import MemorySink
 from repro.sql import functions as F
 from repro.sql.session import Session
-from repro.testing.faults import Fault, FaultInjector, injected
+from repro.testing.faults import CrashPoint, Fault, FaultInjector, injected
 from repro.testing.harness import checkpoint_fingerprint
 
 from tests.conftest import make_stream
@@ -303,6 +304,45 @@ def test_executor_env_variable_plumbing(tmp_path, monkeypatch):
         assert sink.rows() is not None
     finally:
         query.stop()
+
+
+def test_failed_start_releases_scheduler_and_event_log(tmp_path):
+    """A start() that dies in recovery must not leak the scheduler the
+    engine built (worker threads) nor the events.jsonl handle."""
+    session = Session()
+    stream = make_stream((("k", "string"), ("v", "long"), ("t", "timestamp")))
+    df = (session.read_stream.memory(stream)
+          .with_watermark("t", "5s")
+          .group_by(F.window("t", "10s"), F.col("k")).count())
+    sink = MemorySink()
+    cp = str(tmp_path / "cp")
+    # Leave epoch 0 logged but uncommitted: every restart re-runs it and
+    # writes its commit entry, which is where the restarts below die.
+    # (The dict backend is pinned: tiered handles keep their run files
+    # open for the engine's lifetime, a separate matter from what a
+    # failed start must release.)
+    query = (df.write_stream.sink(sink).output_mode("append")
+             .option("state_backend", "dict").start(cp))
+    stream.add_data(_AGG_CHUNKS[0])
+    with injected(FaultInjector([Fault("epoch.after_sink")])):
+        with pytest.raises(CrashPoint):
+            query.process_all_available()
+    query.stop()
+
+    threads = set(threading.enumerate())
+    fds = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        with injected(FaultInjector([Fault("wal.commit")])):
+            with pytest.raises(CrashPoint):
+                (df.write_stream.sink(sink).output_mode("append")
+                 .option("executor", "process").option("num_workers", 4)
+                 .option("state_backend", "dict").start(cp))
+    # Scheduler threads notice the shutdown at their next 50 ms poll.
+    deadline = time.monotonic() + 5.0
+    while set(threading.enumerate()) - threads and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not set(threading.enumerate()) - threads
+    assert len(os.listdir("/proc/self/fd")) <= fds
 
 
 def test_unknown_executor_rejected():

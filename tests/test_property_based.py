@@ -9,7 +9,7 @@ sequences against model implementations.
 
 import math
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.sql import expressions as E
 from repro.sql.batch import RecordBatch
@@ -19,9 +19,9 @@ from repro.sql.types import StructType
 from repro.streaming.state import OperatorStateHandle
 from repro.streaming.watermark import WatermarkTracker
 
-from repro.testing.oracle import check_differential
+from repro.testing.oracle import canonical_rows, check_differential
 
-from tests.conftest import make_stream, rows_set, start_memory_query
+from tests.conftest import make_stream, start_memory_query
 
 import numpy as np
 
@@ -67,15 +67,20 @@ SCHEMA = (("k", "string"), ("v", "double"))
 # ---------------------------------------------------------------------------
 
 @given(data=row_lists, seed=st.integers(0, 2**16))
+# Float addition is not associative: this chunking streams 32.000000001
+# where the batch sum is 32.000000001000004, so float sums are compared
+# up to rounding (docs/retractions.md); counts stay exact.
+@example(data=[{"k": "a", "v": v}
+               for v in (0.0, 9.999999717180685e-10, 1.0, 31.0)], seed=1)
 def test_streaming_aggregate_equals_batch_under_any_chunking(data, seed):
     from repro.sql import functions as F
 
     rng = np.random.default_rng(seed)
     session = Session()
-    batch_result = rows_set(
+    batch_result = canonical_rows(
         session.create_dataframe(data, SCHEMA).group_by("k").agg(
             F.count().alias("n"), F.sum("v").alias("s")).collect()
-    ) if data else set()
+    ) if data else canonical_rows([])
 
     stream = make_stream(SCHEMA)
     df = (session.read_stream.memory(stream)
@@ -87,7 +92,7 @@ def test_streaming_aggregate_equals_batch_under_any_chunking(data, seed):
         stream.add_data(remaining[:take])
         remaining = remaining[take:]
         query.process_all_available()
-    assert rows_set(query.engine.sink.rows()) == batch_result
+    assert canonical_rows(query.engine.sink.rows()) == batch_result
 
 
 @given(data=row_lists, seed=st.integers(0, 2**16))

@@ -229,16 +229,12 @@ def test_tiered_reads_dict_checkpoints_and_vice_versa(tmp_path):
     assert hd2.restore(3) == 3 and hd2.get(1) == -1 and len(hd2) == 29
 
 
-def test_store_backend_selection(tmp_path, monkeypatch):
+def test_store_backend_selection(tmp_path):
     store = StateStore(str(tmp_path / "a"), backend="tiered",
                        memtable_bytes=123)
     handle = store.handle("op")
     assert isinstance(handle, TieredOperatorStateHandle)
     assert handle.memtable_bytes == 123
-    monkeypatch.setenv("REPRO_STATE_BACKEND", "tiered")
-    assert isinstance(StateStore(str(tmp_path / "b")).handle("op"),
-                      TieredOperatorStateHandle)
-    monkeypatch.delenv("REPRO_STATE_BACKEND")
     assert not isinstance(StateStore(str(tmp_path / "c")).handle("op"),
                           TieredOperatorStateHandle)
     with pytest.raises(ValueError):
