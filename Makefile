@@ -12,7 +12,7 @@ FAULT_SWEEP_FLAGS ?=
 # local fallback) agree to within about a point; see tools/linecov.py.
 COV_FLOOR ?= 90
 
-.PHONY: install test test-fast coverage bench bench-smoke bench-pairs fault-sweep examples monitor-demo verify clean
+.PHONY: install test test-fast coverage bench bench-smoke bench-pairs fault-sweep oracle examples monitor-demo verify clean
 
 install:
 	$(PY) setup.py develop
@@ -46,6 +46,12 @@ bench-pairs:
 
 fault-sweep:
 	$(PY) -m pytest tests/test_fault_sweep.py tests/test_fault_injection.py -q $(FAULT_SWEEP_FLAGS)
+
+# The differential-oracle and durability property suites on their own;
+# HYPOTHESIS_PROFILE=dev|ci|nightly (tests/conftest.py) sets how hard
+# they search — CI's scheduled oracle-nightly job runs `nightly`.
+oracle:
+	$(PY) -m pytest tests/test_property_based.py tests/test_property_based_extra.py tests/test_state_durability.py tests/test_engine_equivalence.py -q
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; $(PY) $$f > /dev/null || exit 1; done

@@ -260,6 +260,7 @@ class MicrobatchEngine:
         self.scheduler = scheduler
         self._owns_scheduler = False
         self._event_log = None
+        self.state_store = None
 
         #: Always-on flight recorder (§7.4): ring buffer of recent epoch
         #: progress and engine events, dumped as ``postmortem.json`` on
@@ -358,12 +359,15 @@ class MicrobatchEngine:
         self.progress.listeners.append(log_event)
 
     def _release(self) -> None:
-        """Close what the engine itself opened: the event-log handle and
-        a scheduler it built (idempotent; also the init-failure path)."""
+        """Close what the engine itself opened: the event-log handle, a
+        scheduler it built and the state handles' run files (idempotent;
+        also the init-failure path)."""
         if self._event_log is not None and not self._event_log.closed:
             self._event_log.close()
         if self._owns_scheduler:
             self.scheduler.shutdown()
+        if self.state_store is not None:
+            self.state_store.close()
 
     def stop(self) -> None:
         """Release engine resources (idempotent); called by query.stop.

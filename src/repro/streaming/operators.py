@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import time
+from operator import itemgetter
 
 import numpy as np
 
@@ -143,6 +144,54 @@ def run_op_shard_tasks(ctx: EpochContext, label, op, method: str,
         for args in payloads
     ]
     return run_shard_tasks(ctx, label, fns)
+
+
+def run_keyed_shard_tasks(ctx: EpochContext, label, op, method: str,
+                          payloads, states) -> list:
+    """Run a keyed shard task per payload, then commit its deferred writes.
+
+    A keyed shard task is *pure*: it reads pre-epoch state only and
+    returns ``(writes, out, late_rows)``, ``writes`` holding one
+    ``(puts, removes)`` pair per handle in ``states`` and ``out`` a list.
+    The writes are applied here, in shard order, after every task
+    finished; returns the ``out`` lists concatenated in shard order.  A
+    single payload is the unpartitioned epoch and runs as a plain call.
+    """
+    if len(payloads) == 1:
+        results = [getattr(op, method)(*payloads[0])]
+    else:
+        results = run_op_shard_tasks(ctx, label, op, method, payloads)
+    outs = []
+    for result in results:
+        if result is None:
+            continue
+        writes, out, late_rows = result
+        for state, (puts, removes) in zip(states, writes):
+            for key, value in puts.items():
+                state.put(key, value)
+            for key in removes:
+                state.remove(key)
+        outs.extend(out)
+        ctx.metrics["late_rows_dropped"] += late_rows
+    return outs
+
+
+def run_row_slice_tasks(ctx: EpochContext, label, op, method: str,
+                        batch: RecordBatch) -> RecordBatch:
+    """Run ``op.<method>(slice)`` over ``op.num_shards`` contiguous row
+    slices of ``batch`` (zero-copy column views) and concatenate the
+    results back in slice order — for row-wise work, where no key
+    partitioning is needed and the output row order must match the
+    single-call path exactly."""
+    bounds = np.linspace(
+        0, batch.num_rows, op.num_shards + 1).astype(np.int64)
+    slices = [batch.slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    outs = run_op_shard_tasks(ctx, label, op, method, [
+        (s,) if s.num_rows else None for s in slices
+    ])
+    return RecordBatch.concat(
+        [o for o in outs if o is not None], op.output_schema
+    )
 
 
 def _instrumented_process(fn, label: str):
@@ -347,26 +396,8 @@ class StatelessOp(IncrementalOp):
             return self._empty()
         if (ctx.scheduler is not None and self.num_shards > 1
                 and batch.num_rows >= self.MIN_PARALLEL_ROWS):
-            # Row-wise operators need no key partitioning: contiguous
-            # row slices (zero-copy column views) run the compiled
-            # pipeline in parallel and concatenate back in slice order,
-            # so output row order matches the single-slice path exactly.
-            bounds = np.linspace(
-                0, batch.num_rows, self.num_shards + 1).astype(np.int64)
-            slices = [
-                RecordBatch(
-                    {n: batch.columns[n][lo:hi] for n in batch.schema.names},
-                    batch.schema,
-                )
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            outs = run_op_shard_tasks(ctx, ("stateless", id(self)),
-                                      self, "apply", [
-                (s,) if s.num_rows else None for s in slices
-            ])
-            return RecordBatch.concat(
-                [o for o in outs if o is not None], self.output_schema
-            )
+            return run_row_slice_tasks(
+                ctx, ("stateless", id(self)), self, "apply", batch)
         return self.apply(batch)
 
 
@@ -454,23 +485,19 @@ class StreamStaticJoinOp(IncrementalOp):
             # output.  (Outer joins append unmatched rows after all
             # matches, which slicing would interleave — those and
             # static-left joins keep the single-call path.)
-            bounds = np.linspace(
-                0, delta.num_rows, self.num_shards + 1).astype(np.int64)
-            slices = [
-                RecordBatch(
-                    {n: delta.columns[n][lo:hi] for n in delta.schema.names},
-                    delta.schema,
-                )
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            outs = run_op_shard_tasks(ctx, ("static-join", id(self)),
-                                      self, "join_delta", [
-                (s,) if s.num_rows else None for s in slices
-            ])
-            return RecordBatch.concat(
-                [o for o in outs if o is not None], self.output_schema
-            )
+            return run_row_slice_tasks(
+                ctx, ("static-join", id(self)), self, "join_delta", delta)
         return self.join_delta(delta)
+
+
+def _by_group_key(items: list) -> list:
+    """``(group_key, ...)`` tuples in key value order, nulls last per
+    column.  A raw tuple sort raises on ``None`` vs a value, so it only
+    serves (several times faster) when no key holds a null."""
+    if any(None in item[0] for item in items):
+        return sorted(
+            items, key=lambda item: tuple((v is None, v) for v in item[0]))
+    return sorted(items, key=itemgetter(0))
 
 
 class StatefulAggregateOp(IncrementalOp):
@@ -483,10 +510,21 @@ class StatefulAggregateOp(IncrementalOp):
     * ``complete`` — the whole result table;
     * ``update`` — only keys whose buffers changed this epoch;
     * ``append`` — nothing until the watermark passes a key's event-time
-      bound, at which point the key is emitted once and evicted.
+      bound, at which point the key is emitted once and evicted;
+    * ``retract`` (weighted input) — the change as a Z-set: a changed
+      group's previous result row with weight -1 and its new one with
+      weight +1, either half absent at group birth/death.
 
     With a watermark, rows later than the bound are dropped and finalized
     keys evicted in update mode too, keeping state bounded (§4.3.1).
+
+    One fold serves both delta models (§4.2 generalized, DBSP): +1 rows
+    *merge* their partials into a group's buffers, -1 rows *retract*
+    theirs, and append-only input is the all-ones Z-set — a single +1
+    part, no weight column read.  Only the stored value differs:
+    append-only groups never lose rows and store bare ``buffers``;
+    weighted groups store ``[live, buffers]``, the live-row count telling
+    an empty group (removed) from one whose buffers sum to zero.
     """
 
     stateful = True
@@ -497,17 +535,17 @@ class StatefulAggregateOp(IncrementalOp):
         self._node = node
         self.child = child
         self.state = state_handle
-        #: Weighted (Z-set) input: state holds ``[live_count, buffers]``
-        #: per group, -1 rows are retracted from the buffers, and retract
-        #: mode emits -1 old-row / +1 new-row pairs per changed group.
+        #: Weighted (Z-set) input carries explicit +1/-1 row weights.
         self.weighted = WEIGHT_COLUMN in child.output_schema
-        self._emit_weighted = self.weighted and output_mode == "retract"
         self.output_schema = (
-            weighted_schema(node.schema) if self._emit_weighted else node.schema
+            weighted_schema(node.schema)
+            if self.weighted and output_mode == "retract" else node.schema
         )
         #: Which watermark gates emission/eviction for this aggregate:
         #: the window's time column, or a directly watermarked group key.
-        self.watermark_column = watermark_column
+        #: None over weighted input: a retraction may arrive arbitrarily
+        #: late, so nothing is dropped as late and nothing is evicted.
+        self.watermark_column = None if self.weighted else watermark_column
         self._window = node.window
         self.num_shards = max(1, num_shards)
         #: Compiled per-row partition keys (None -> not shardable).  Any
@@ -532,16 +570,14 @@ class StatefulAggregateOp(IncrementalOp):
         self._grouping = plancompiler.compile_grouping(node)
         #: Index of the watermarked plain grouping key (non-window case).
         self._key_time_index = None
-        if watermark_column is not None and self._window is None:
+        if self.watermark_column is not None and self._window is None:
             for i, g in enumerate(node.plain_grouping):
                 if g.references() == {watermark_column}:
                     self._key_time_index = i
                     break
-        if watermark_column is not None and not self.weighted:
+        if self.watermark_column is not None:
             # Expiry-indexed state: advancing the watermark pops only
             # finalized keys instead of scanning the whole store.
-            # Weighted aggregates never evict (a retraction may arrive
-            # arbitrarily late), so they skip the index.
             self.state.set_expiry(lambda key, _value: self._key_expiry(key))
 
     def state_handles(self) -> list:
@@ -556,15 +592,20 @@ class StatefulAggregateOp(IncrementalOp):
             return key_tuple[self._key_time_index]
         return None
 
+    def _unpack(self, value) -> tuple:
+        """``(live_rows, buffers)`` of a stored value (``live_rows`` is
+        None for append-only input, which stores bare buffers)."""
+        if value is None:
+            return 0, None
+        return value if self.weighted else (None, value)
+
     def process(self, ctx: EpochContext) -> RecordBatch:
         batch = self.child.process(ctx)
-        if self.weighted:
-            return self._process_weighted(batch, ctx)
         watermark = (
             ctx.watermarks.current(self.watermark_column)
             if self.watermark_column is not None else None
         )
-        changed = self._merge_new_data(batch, watermark, ctx)
+        changes = self._fold(batch, watermark, ctx)
         if ctx.output_mode == "complete":
             # Canonical (encoded-key) order: state iteration order varies
             # with the shard count, the emitted table must not.
@@ -572,21 +613,39 @@ class StatefulAggregateOp(IncrementalOp):
             for key, value in sorted(
                     self.state.items(), key=lambda kv: encode_key(kv[0])):
                 keys.append(key)
-                buffers.append(value)
+                buffers.append(self._unpack(value)[1])
             return aggregate_result_batch(self._node, keys, buffers)
-        if ctx.output_mode == "update":
-            self._evict_finalized(watermark)
-            keys = sorted(changed)
-            buffers = [self.state.get(k) for k in keys]
-            live = [(k, b) for k, b in zip(keys, buffers) if b is not None]
-            return aggregate_result_batch(
-                self._node, [k for k, _ in live], [b for _, b in live]
-            )
+        if self.weighted:
+            return self._retract_delta(changes)
         # append: emit exactly the keys the watermark has finalized.
-        finalized = self._evict_finalized(watermark)
+        emit = self._evict_finalized(watermark)
+        if ctx.output_mode == "update":
+            # Changed keys still in state after that eviction.
+            emit = [
+                (key, buffers) for key, _old, _new in _by_group_key(changes)
+                if (buffers := self.state.get(key)) is not None
+            ]
         return aggregate_result_batch(
-            self._node, [k for k, _ in finalized], [b for _, b in finalized]
+            self._node, [k for k, _ in emit], [b for _, b in emit]
         )
+
+    def _retract_delta(self, changes: list) -> RecordBatch:
+        """The epoch's changes as a Z-set: canonical key order, -1 old
+        row before +1 new row, unchanged result rows suppressed."""
+        changes.sort(key=lambda c: encode_key(c[0]))
+        keys, buffers, weights = [], [], []
+        for key, old_buffers, new_buffers in changes:
+            if old_buffers is not None and old_buffers == new_buffers:
+                continue  # result row unchanged: no visible delta
+            for sign, side in ((-1, old_buffers), (1, new_buffers)):
+                if side is not None:
+                    keys.append(key)
+                    buffers.append(side)
+                    weights.append(sign)
+        if not keys:
+            return self._empty()
+        result = aggregate_result_batch(self._node, keys, buffers)
+        return attach_weights(result, weights)
 
     def _partition_arrays(self, batch: RecordBatch):
         """Per-row partition-key arrays, or None when not shardable."""
@@ -601,204 +660,97 @@ class StatefulAggregateOp(IncrementalOp):
             return [np.floor(times / window.slide) * window.slide]
         return None
 
-    def _merge_new_data(self, batch: RecordBatch, watermark, ctx: EpochContext) -> set:
-        """Fold the epoch's partial aggregates into state; returns the set
-        of changed keys.
+    def _fold(self, batch: RecordBatch, watermark, ctx: EpochContext) -> list:
+        """Fold the epoch's delta into state; returns the per-key changes
+        ``(key, old_buffers_or_None, new_buffers_or_None)``.
 
         With ``num_shards > 1`` the delta is hash-partitioned by group
-        key and each shard's grouping + partials run as an independent
-        task against read-only pre-epoch state; the returned per-shard
-        writes are applied here, in shard order, after every task
-        finished.  A group's rows always share a shard, so the folded
-        buffers are bit-identical to the single-shard fold.
+        key and each shard folds as an independent task: a group's rows
+        share a shard, so the buffers equal the single-shard fold's.
         """
-        if batch.num_rows == 0:
-            return set()
-        parts = None
-        if self.num_shards > 1 and batch.num_rows > 1:
-            arrays = self._partition_arrays(batch)
-            if arrays is not None:
-                assign = shard_assignments(arrays, self.num_shards)
-                parts, _ = partition_by_assignment(
-                    batch, assign, self.num_shards)
-        if parts is None:
-            results = [self._merge_shard(batch, watermark)]
-        else:
-            results = run_op_shard_tasks(ctx, ("agg", id(self)),
-                                         self, "_merge_shard", [
-                (p, watermark) if p.num_rows else None for p in parts
-            ])
-        changed = set()
-        for result in results:
-            if result is None:
-                continue
-            puts, shard_changed, late_rows = result
-            for key, buffers in puts.items():
-                self.state.put(key, buffers)
-            changed |= shard_changed
-            ctx.metrics["late_rows_dropped"] += late_rows
-        return changed
-
-    def _merge_shard(self, batch: RecordBatch, watermark) -> tuple:
-        """Pure shard task: group one sub-batch and fold its partials.
-
-        Reads pre-epoch state only; returns ``(puts, changed, late)``
-        with all writes deferred, so speculative or retried attempts are
-        idempotent.
-        """
-        expanded, codes, uniques = self._grouping(batch)
-        late_rows = 0
-        if watermark is not None and len(uniques):
-            expanded, codes, uniques, late_rows = self._drop_late(
-                expanded, codes, uniques, watermark
-            )
-        if not len(uniques):
-            return {}, set(), late_rows
-        aggs = self._node.aggregates
-        partials_per_agg = [
-            fn.batch_partials(expanded, codes, len(uniques)) for fn, _ in aggs
-        ]
-        puts = {}
-        for g, key in enumerate(uniques):
-            buffers = self.state.get(key)
-            if buffers is None:
-                buffers = [fn.init() for fn, _ in aggs]
-            buffers = [
-                fn.merge(buffers[j], partials_per_agg[j][g])
-                for j, (fn, _) in enumerate(aggs)
-            ]
-            puts[key] = buffers
-        return puts, set(puts), late_rows
-
-    # -- weighted (Z-set) path -----------------------------------------
-    def _process_weighted(self, batch: RecordBatch, ctx: EpochContext) -> RecordBatch:
-        """Maintain the aggregate under retraction (§4.2 generalized).
-
-        +1 rows merge into the per-group buffers exactly as the append
-        path does; -1 rows *retract* their partials back out.  A group's
-        live-row count rides along in state, so the group disappears
-        when its last row is retracted.  Retract mode emits the change
-        as a Z-set: the group's previous result row with weight -1 and
-        its new result row with weight +1 (either half absent at group
-        birth/death); complete mode emits the whole live table.
-        """
-        emits = self._merge_weighted(batch, ctx)
-        if ctx.output_mode == "complete":
-            keys, buffers = [], []
-            for key, value in sorted(
-                    self.state.items(), key=lambda kv: encode_key(kv[0])):
-                keys.append(key)
-                buffers.append(value[1])
-            return aggregate_result_batch(self._node, keys, buffers)
-        # retract: canonical key order, -1 old row before +1 new row.
-        emits.sort(key=lambda e: encode_key(e[0]))
-        keys_out, buffers_out, weights = [], [], []
-        for key, old_buffers, new_buffers in emits:
-            if old_buffers is not None and old_buffers == new_buffers:
-                continue  # result row unchanged: no visible delta
-            if old_buffers is not None:
-                keys_out.append(key)
-                buffers_out.append(old_buffers)
-                weights.append(-1)
-            if new_buffers is not None:
-                keys_out.append(key)
-                buffers_out.append(new_buffers)
-                weights.append(1)
-        if not keys_out:
-            return self._empty()
-        result = aggregate_result_batch(self._node, keys_out, buffers_out)
-        return attach_weights(result, weights)
-
-    def _merge_weighted(self, batch: RecordBatch, ctx: EpochContext) -> list:
-        """Fold a weighted delta into state; returns per-key emissions
-        ``(key, old_buffers_or_None, new_buffers_or_None)``."""
         if batch.num_rows == 0:
             return []
-        parts = None
+        payloads = [(batch, watermark)]
         if self.num_shards > 1 and batch.num_rows > 1:
             arrays = self._partition_arrays(batch)
             if arrays is not None:
                 assign = shard_assignments(arrays, self.num_shards)
                 parts, _ = partition_by_assignment(
                     batch, assign, self.num_shards)
-        if parts is None:
-            results = [self._merge_shard_weighted(batch)]
-        else:
-            results = run_op_shard_tasks(ctx, ("agg", id(self)),
-                                         self, "_merge_shard_weighted", [
-                (p,) if p.num_rows else None for p in parts
-            ])
-        emits = []
-        for result in results:
-            if result is None:
-                continue
-            puts, removes, shard_emits = result
-            for key, value in puts.items():
-                self.state.put(key, value)
-            for key in removes:
-                self.state.remove(key)
-            emits.extend(shard_emits)
-        return emits
+                payloads = [
+                    (p, watermark) if p.num_rows else None for p in parts
+                ]
+        return run_keyed_shard_tasks(
+            ctx, ("agg", id(self)), self, "_fold_shard", payloads,
+            [self.state])
 
-    def _merge_shard_weighted(self, batch: RecordBatch) -> tuple:
-        """Pure shard task: fold one weighted sub-batch into state.
+    def _fold_shard(self, batch: RecordBatch, watermark) -> tuple:
+        """Pure keyed shard task: fold one sub-batch's Z-set into state.
 
-        Reads pre-epoch state only; returns ``(puts, removes, emits)``
-        with all writes deferred.  State values are ``[live, buffers]``
-        where ``live`` is the group's surviving row count (the Z-set
-        multiplicity of the group's input rows).
+        Each signed part is grouped, late-dropped and reduced to per-group
+        partials; per key the +1 partials merge into the pre-epoch buffers
+        and the -1 partials retract.  Returns ``(writes, changes, late)``.
         """
-        additions, retractions = split_by_sign(batch)
+        parts = (zip((1, -1), split_by_sign(batch)) if self.weighted
+                 else ((1, batch),))
         aggs = self._node.aggregates
-        deltas = {}  # key -> [live_delta, add_partials, retract_partials]
-        for sign, part in ((1, additions), (-1, retractions)):
+        # Per non-empty part: (key -> group, signed rows per group, per-agg
+        # (combine, partials) with combine = merge for +1, retract for -1).
+        folds = []
+        late_rows = 0
+        for sign, part in parts:
             if part.num_rows == 0:
                 continue
             expanded, codes, uniques = self._grouping(part)
-            counts = np.bincount(codes, minlength=len(uniques))
-            partials_per_agg = [
-                fn.batch_partials(expanded, codes, len(uniques))
-                for fn, _ in aggs
-            ]
-            for g, key in enumerate(uniques):
-                entry = deltas.setdefault(key, [0, None, None])
-                entry[0] += sign * int(counts[g])
-                entry[1 if sign > 0 else 2] = [
-                    partials_per_agg[j][g] for j in range(len(aggs))
-                ]
-        puts, removes, emits = {}, [], []
-        for key, (live_delta, add_p, retract_p) in deltas.items():
-            value = self.state.get(key)
-            old_live, old_buffers = value if value is not None else (0, None)
+            if watermark is not None and len(uniques):
+                expanded, codes, uniques, late = self._drop_late(
+                    expanded, codes, uniques, watermark
+                )
+                late_rows += late
+            if not len(uniques):
+                continue
+            folds.append((
+                dict(zip(uniques, range(len(uniques)))),
+                (sign * np.bincount(codes, minlength=len(uniques))).tolist()
+                if self.weighted else None,
+                [(fn.merge if sign > 0 else fn.retract,
+                  fn.batch_partials(expanded, codes, len(uniques)))
+                 for fn, _ in aggs],
+            ))
+        puts, removes, changes = {}, [], []
+        keys = {}  # first-seen order: the +1 part's groups, then -1-only
+        for groups, _counts, _reducers in folds:
+            keys.update(groups)
+        for key in keys:
+            stored = self.state.get(key)
+            live, old_buffers = self._unpack(stored)
             buffers = old_buffers if old_buffers is not None \
                 else [fn.init() for fn, _ in aggs]
-            if add_p is not None:
+            for groups, counts, reducers in folds:
+                g = groups.get(key)
+                if g is None:
+                    continue
                 buffers = [
-                    fn.merge(buffers[j], add_p[j])
-                    for j, (fn, _) in enumerate(aggs)
+                    combine(buffer, partials[g])
+                    for buffer, (combine, partials) in zip(buffers, reducers)
                 ]
-            if retract_p is not None:
-                buffers = [
-                    fn.retract(buffers[j], retract_p[j])
-                    for j, (fn, _) in enumerate(aggs)
-                ]
-            new_live = old_live + live_delta
-            if new_live < 0:
-                raise ValueError(
-                    f"retraction of a row never added: group {key!r} "
-                    f"multiplicity would become {new_live}"
-                )
-            if new_live == 0:
-                if value is not None:
-                    removes.append(key)
-            else:
-                puts[key] = [new_live, buffers]
-            emits.append((
-                key,
-                old_buffers if old_live > 0 else None,
-                buffers if new_live > 0 else None,
-            ))
-        return puts, removes, emits
+                if counts is not None:
+                    live += counts[g]
+            value = buffers
+            if self.weighted:
+                if live < 0:
+                    raise ValueError(
+                        f"retraction of a row never added: group {key!r} "
+                        f"multiplicity would become {live}"
+                    )
+                value = [live, buffers] if live else None
+            if value is not None:
+                puts[key] = value
+            elif stored is not None:
+                removes.append(key)
+            changes.append(
+                (key, old_buffers, buffers if value is not None else None))
+        return [(puts, removes)], changes, late_rows
 
     def _drop_late(self, expanded, codes, uniques, watermark):
         """Remove group memberships whose key is already finalized."""
@@ -835,8 +787,7 @@ class StatefulAggregateOp(IncrementalOp):
         finalized = self.state.pop_expired(watermark)
         for key, _buffers in finalized:
             self.state.remove(key)
-        finalized.sort(key=lambda kv: kv[0])
-        return finalized
+        return _by_group_key(finalized)
 
 
 class StreamingDedupOp(IncrementalOp):
@@ -845,6 +796,20 @@ class StreamingDedupOp(IncrementalOp):
     State holds every seen key; when the dedup subset contains a
     watermarked event-time column, keys older than the watermark are
     evicted (late duplicates would be dropped anyway).
+
+    Over weighted (Z-set) input the op maintains the distinct table
+    under retraction: state per key is ``[total, [[count, row], ...]]``
+    — the multiset of live rows sharing the key, in first-insertion
+    order — and whenever a delta row changes the key's *representative*
+    (what batch ``drop_duplicates`` would keep: the earliest surviving
+    occurrence) the op emits ``-1`` old representative / ``+1`` new one.
+
+    ``process`` is one body; the two shard kernels behind it share a
+    signature and result shape but stay separate on purpose.  Append-only
+    input needs only a seen-marker per key and is vectorised
+    (``encode_groups`` + ``np.unique``); weighted input needs the key's
+    live-row multiset and walks rows.  One merged kernel would branch on
+    its caller at every step and put the append dedup on a per-row path.
     """
 
     stateful = True
@@ -858,21 +823,19 @@ class StreamingDedupOp(IncrementalOp):
         self.state = state_handle
         self.output_schema = node.schema
         self.num_shards = max(1, num_shards)
+        self.weighted = WEIGHT_COLUMN in child.output_schema
+        #: Weighted dedup never drops late rows or evicts: a late
+        #: retraction must still find the key's multiplicity.
         self.watermark_column = (
-            watermark_column if watermark_column in node.subset else None
+            watermark_column
+            if watermark_column in node.subset and not self.weighted else None
         )
         self._time_index = (
             node.subset.index(self.watermark_column)
             if self.watermark_column is not None else None
         )
-        #: Weighted (Z-set) input: state holds the key's live-row
-        #: multiset and the op emits the representative (earliest
-        #: surviving row) as it appears, changes, or disappears.
-        self.weighted = WEIGHT_COLUMN in child.output_schema
-        if self.watermark_column is not None and not self.weighted:
+        if self.watermark_column is not None:
             # State values are the key's event time: expiry == value.
-            # (Weighted dedup never evicts: a late retraction must still
-            # find the key's multiplicity.)
             self.state.set_expiry(lambda _key, value: value)
 
     def state_handles(self) -> list:
@@ -882,8 +845,6 @@ class StreamingDedupOp(IncrementalOp):
         batch = self.child.process(ctx)
         if batch.num_rows == 0:
             return self._empty()
-        if self.weighted:
-            return self._process_weighted(batch, ctx)
         watermark = (
             ctx.watermarks.current(self.watermark_column)
             if self.watermark_column is not None else None
@@ -894,77 +855,37 @@ class StreamingDedupOp(IncrementalOp):
             # are globally correct.
             parts, indices = hash_partition(
                 batch, self._node.subset, self.num_shards)
-            results = run_op_shard_tasks(ctx, ("dedup", id(self)),
-                                         self, "_dedup_shard", [
-                (p, watermark) if p.num_rows else None for p in parts
-            ])
-            keep_rows = []
-            for shard, result in enumerate(results):
-                if result is None:
-                    continue
-                puts, keep_local, late_rows = result
-                for key, value in puts.items():
-                    self.state.put(key, value)
-                keep_rows.extend(indices[shard][keep_local].tolist())
-                ctx.metrics["late_rows_dropped"] += late_rows
+            payloads = [
+                (p, idx, watermark) if p.num_rows else None
+                for p, idx in zip(parts, indices)
+            ]
         else:
-            puts, keep_local, late_rows = self._dedup_shard(batch, watermark)
-            for key, value in puts.items():
-                self.state.put(key, value)
-            keep_rows = list(keep_local)
-            ctx.metrics["late_rows_dropped"] += late_rows
+            payloads = [
+                (batch, np.arange(batch.num_rows, dtype=np.int64), watermark)]
+        emits = run_keyed_shard_tasks(
+            ctx, ("dedup", id(self)), self,
+            "_dedup_shard_weighted" if self.weighted else "_dedup_shard",
+            payloads, [self.state])
         if watermark is not None:
             for key, _value in self.state.pop_expired(watermark):
                 self.state.remove(key)
-        if not keep_rows:
-            return self._empty()
-        keep_rows.sort()
-        return batch.take(np.asarray(keep_rows, dtype=np.int64))
-
-    # -- weighted (Z-set) path -----------------------------------------
-    def _process_weighted(self, batch: RecordBatch, ctx: EpochContext) -> RecordBatch:
-        """Maintain the distinct table under retraction.
-
-        State per key is ``[total, [[count, row], ...]]`` — the multiset
-        of live rows sharing the dedup key, in first-insertion order.
-        The *representative* (what batch ``drop_duplicates`` would keep:
-        the earliest surviving occurrence) is the first entry; whenever a
-        delta row changes the representative the op emits ``-1`` old
-        representative / ``+1`` new one.  Emission order follows the
-        input delta's row order regardless of the shard count.
-        """
-        if self.num_shards > 1 and batch.num_rows > 1:
-            parts, indices = hash_partition(
-                batch, self._node.subset, self.num_shards)
-            results = run_op_shard_tasks(ctx, ("dedup", id(self)),
-                                         self, "_dedup_shard_weighted", [
-                (p, idx) if p.num_rows else None
-                for p, idx in zip(parts, indices)
-            ])
-        else:
-            results = [self._dedup_shard_weighted(
-                batch, np.arange(batch.num_rows, dtype=np.int64))]
-        emits = []
-        for result in results:
-            if result is None:
-                continue
-            puts, removes, shard_emits = result
-            for key, value in puts.items():
-                self.state.put(key, value)
-            for key in removes:
-                self.state.remove(key)
-            emits.extend(shard_emits)
+        # Emission follows the input delta's row order regardless of the
+        # shard count.
+        emits.sort(key=itemgetter(0))
         if not emits:
             return self._empty()
-        emits.sort(key=lambda e: e[0])
+        if not self.weighted:
+            return batch.take(np.asarray([pos for pos, _ in emits],
+                                         dtype=np.int64))
         names = self.output_schema.names
         rows = [dict(zip(names, values)) for _pos, values in emits]
         return RecordBatch.from_rows(rows, self.output_schema)
 
-    def _dedup_shard_weighted(self, batch: RecordBatch, positions) -> tuple:
-        """Pure shard task: weighted dedup of one sub-batch.
+    def _dedup_shard_weighted(self, batch: RecordBatch, positions,
+                              _watermark) -> tuple:
+        """Pure keyed shard task: weighted dedup of one sub-batch.
 
-        Returns ``(puts, removes, emits)`` with emits as
+        Returns ``(writes, emits, 0)`` with emits as
         ``(global_position, row_values)`` — row values in output-schema
         order with the weight slot set to the emitted sign.
         """
@@ -1025,13 +946,13 @@ class StreamingDedupOp(IncrementalOp):
                     removes.append(key)
             else:
                 puts[key] = [sum(e[0] for e in entries), entries]
-        return puts, removes, emits
+        return [(puts, removes)], emits, 0
 
-    def _dedup_shard(self, batch: RecordBatch, watermark) -> tuple:
-        """Pure shard task: first-seen rows of one sub-batch.
+    def _dedup_shard(self, batch: RecordBatch, positions, watermark) -> tuple:
+        """Pure keyed shard task: first-seen rows of one sub-batch.
 
-        Returns ``(puts, keep_positions, late_rows)`` with positions
-        local to the sub-batch and state writes deferred.
+        Returns ``(writes, emits, late_rows)`` with emits as
+        ``(global_position, None)`` — the kept rows are the delta's own.
         """
         codes, uniques = encode_groups(
             [batch.columns[n] for n in self._node.subset]
@@ -1054,15 +975,15 @@ class StreamingDedupOp(IncrementalOp):
                 late_rows = int(counts[late].sum())
                 live_codes = live_codes[~late]
         puts = {}
-        keep_positions = []
+        emits = []
         for g in live_codes.tolist():
             key = uniques[g]
             if not self.state.contains(key):
                 puts[key] = (
                     key[self._time_index] if self._time_index is not None else 1
                 )
-                keep_positions.append(first_pos[g])
-        return puts, np.asarray(keep_positions, dtype=np.int64), late_rows
+                emits.append((int(positions[first_pos[g]]), None))
+        return [(puts, ())], emits, late_rows
 
 
 def _consolidate(entries: list, weight_idx) -> list:
@@ -1253,32 +1174,17 @@ class StreamStreamJoinOp(IncrementalOp):
                 new_left, self._node.on, self.num_shards)
             r_parts, r_idx = hash_partition(
                 new_right, self._node.on, self.num_shards)
-            results = run_op_shard_tasks(ctx, ("join", id(self)),
-                                         self, "_probe_shard", [
+            payloads = [
                 (lp, li, rp, ri, lt_idx, rt_idx, skew)
                 if lp.num_rows or rp.num_rows else None
                 for lp, li, rp, ri in zip(l_parts, l_idx, r_parts, r_idx)
-            ])
+            ]
         else:
-            results = [self._probe_shard(
-                new_left, None, new_right, None, lt_idx, rt_idx, skew)]
-
-        chunks = []
-        for result in results:
-            if result is None:
-                continue
-            left_puts, right_puts, shard_chunks = result
-            for state, puts in ((self._left_state, left_puts),
-                                (self._right_state, right_puts)):
-                for key, entries in puts.items():
-                    if entries:
-                        state.put(key, entries)
-                    else:
-                        # Every buffered row of the key cancelled: the
-                        # key leaves state (and the checkpoint records a
-                        # tombstone, not an empty list).
-                        state.remove(key)
-            chunks.extend(shard_chunks)
+            payloads = [
+                (new_left, None, new_right, None, lt_idx, rt_idx, skew)]
+        chunks = run_keyed_shard_tasks(
+            ctx, ("join", id(self)), self, "_probe_shard", payloads,
+            [self._left_state, self._right_state])
         # Global probe order: left keys by first delta row, then
         # right-only keys — independent of shard count and worker timing.
         chunks.sort(key=lambda c: c[0])
@@ -1304,19 +1210,27 @@ class StreamStreamJoinOp(IncrementalOp):
         deltas (per-epoch cost is O(delta + matches), not O(buffered
         state)), reading pre-epoch entry lists and *copying* them before
         appending rows or flipping matched flags — every write is
-        deferred into the returned put dicts, so a speculative copy of
-        the task races safely against the same immutable state.  A side
-        is written back only if it changed: it received rows, or (outer
-        joins) one of its matched flags flipped.  Returns
-        ``(left_puts, right_puts, chunks)`` where an empty entry list
-        means "remove the key" and each chunk is
+        deferred into the returned writes, so a speculative copy of the
+        task races safely against the same immutable state.  A side is
+        written back only if it changed: it received rows, or (outer
+        joins) one of its matched flags flipped; a key whose every
+        buffered row cancelled is removed (the checkpoint records a
+        tombstone, not an empty list).  Returns ``(writes, chunks, 0)``
+        — writes for the left then the right handle, each chunk
         ``((side, first_row_index), out_rows)`` for deterministic
         merging.
         """
         left_by_key = self._rows_by_key(new_left, left_offsets)
         right_by_key = self._rows_by_key(new_right, right_offsets)
         track = self._track_matched
-        left_puts, right_puts, chunks = {}, {}, []
+        left, right, chunks = ({}, []), ({}, []), []
+
+        def write_back(side, key, entries):
+            if entries:
+                side[0][key] = entries
+            else:
+                side[1].append(key)
+
         probe = [(key, (0, first)) for key, (first, _rows)
                  in left_by_key.items()]
         probe.extend(
@@ -1356,18 +1270,18 @@ class StreamStreamJoinOp(IncrementalOp):
             if nl:
                 l_entries = _consolidate(l_entries, self._left_weight)
                 if l_entries != stored_l:  # an update may change nothing
-                    left_puts[key] = l_entries
+                    write_back(left, key, l_entries)
             elif track and sum(e[1] for e in l_entries) != flags_before[0]:
-                left_puts[key] = l_entries
+                left[0][key] = l_entries
             if nr:
                 r_entries = _consolidate(r_entries, self._right_weight)
                 if r_entries != stored_r:
-                    right_puts[key] = r_entries
+                    write_back(right, key, r_entries)
             elif track and sum(e[1] for e in r_entries) != flags_before[1]:
-                right_puts[key] = r_entries
+                right[0][key] = r_entries
             if out_rows:
                 chunks.append((token, out_rows))
-        return left_puts, right_puts, chunks
+        return [left, right], chunks, 0
 
     @staticmethod
     def _join_pairs(l_entries, r_entries, out_rows, lt_idx, rt_idx, skew,

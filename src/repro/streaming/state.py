@@ -399,6 +399,9 @@ class OperatorStateHandle:
 
     # ------------------------------------------------------------------
     # Expiry index (watermark eviction without full scans)
+    def close(self) -> None:
+        """Release OS resources held for reads (none: state is in memory)."""
+
     # ------------------------------------------------------------------
     def set_expiry(self, fn) -> None:
         """Register ``fn(decoded_key, value) -> expiry | None`` and index
@@ -772,6 +775,12 @@ class StateStore:
                     directory, self._num_shards,
                 )
         return self._handles[operator_id]
+
+    def close(self) -> None:
+        """Release what the handles hold open (idempotent): nothing for
+        dict handles, the live runs' descriptors for tiered ones."""
+        for handle in self._handles.values():
+            handle.close()
 
     def commit_all(self, version: int) -> list:
         """Checkpoint every operator at ``version``; returns metrics.

@@ -482,6 +482,13 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         if self._mem_bytes >= self.memtable_bytes:
             self._flush()
 
+    def close(self) -> None:
+        """Close the live runs' descriptors (idempotent).  Forked workers
+        keep their inherited copies; a closed handle serves no more
+        reads until ``restore`` reopens its runs."""
+        for run in self._runs:
+            run.close()
+
     def pop_expired(self, bound) -> list:
         popped = []
         for shard in self._shards:
@@ -770,8 +777,7 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         are shard-agnostic, so restoring at any shard count is exact
         rescaling, same as the dict backend.
         """
-        for run in self._runs:
-            run.close()
+        self.close()
         self._runs = []
         self._shards = _make_shards(self.num_shards)
         self._key_cache.clear()

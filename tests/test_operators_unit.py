@@ -130,6 +130,47 @@ class TestStatefulAggregateBranches:
         assert op._key_expiry((5.0,)) == 5.0
 
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_fold_shard_is_pure(self, tmp_path, weighted):
+        """The one shard task reads pre-epoch state only: two calls return
+        equal results and write nothing (retry/speculation idempotence)."""
+        from repro.streaming.zset import attach_weights, weighted_schema
+
+        schema = weighted_schema(SCHEMA) if weighted else SCHEMA
+        node = L.Aggregate(
+            [E.ColumnRef("k")],
+            [(E.Count(None), "n"), (E.Sum(E.ColumnRef("v")), "s")],
+            L.Scan(schema, None, True, name="s"))
+        handle = OperatorStateHandle(str(tmp_path / "agg"))
+        op = ops.StatefulAggregateOp(
+            node, ops.StreamScanOp("source-0", schema), handle)
+
+        def delta(rows, weights):
+            data = batch([{"k": k, "t": 0.0, "v": v} for k, v in rows])
+            return attach_weights(data, weights) if weighted else data
+
+        op.process(ctx({"source-0": delta([("a", 1.0), ("b", 2.0)], [1, 1])},
+                       mode="complete"))
+        handle.commit(0)
+        before = dict(handle.items())
+        # 'a' gains a row; under weighted input 'b' loses its only row.
+        second = delta([("a", 5.0), ("b", 2.0)], [1, -1])
+        first_call = op._fold_shard(second, None)
+        assert op._fold_shard(second, None) == first_call
+        assert dict(handle.items()) == before
+        assert handle.commit(1)["keys_written"] == 0
+        [(puts, removes)], changes, late_rows = first_call
+        assert late_rows == 0
+        assert [c[0] for c in changes] == [("a",), ("b",)]
+        if weighted:
+            # [live, buffers]; 'b' went empty and leaves state.
+            assert puts == {("a",): [2, [2, [6.0, 2]]]}
+            assert removes == [("b",)]
+        else:
+            assert puts == {("a",): [2, [6.0, 2]], ("b",): [2, [4.0, 2]]}
+            assert not removes
+
+
 class TestDedupBranches:
     def _dedup_op(self, tmp_path, subset, watermark_column=None):
         node = L.Deduplicate(subset, L.Scan(SCHEMA, None, True, name="s"))

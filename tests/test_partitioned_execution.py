@@ -160,6 +160,42 @@ class TestShardCountInvariance:
         assert out == ref_out
         assert read_state_files(shard_dir) == ref_files
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_agg_checkpoint_fingerprint_at_1_and_4_shards(
+            self, tmp_path, weighted):
+        """The whole durable checkpoint (WAL entries + state files), not
+        only the state files, is shard-count-invariant for append input
+        and for weighted (retraction) input alike."""
+        from repro.sources import ChangeStream
+        from repro.sql.session import Session
+        from repro.testing.harness import checkpoint_fingerprint
+
+        def run_weighted(checkpoint, num_shards):
+            cdc = ChangeStream(StructType((("k", "string"), ("v", "long"))))
+            df = (Session().read_stream.cdc(cdc).group_by("k")
+                  .agg(F.count().alias("n"), F.sum("v").alias("s")))
+            query = (df.write_stream.format("memory").query_name("fp")
+                     .output_mode("retract")
+                     .option("num_shards", num_shards)
+                     .option("state_backend", "dict").start(checkpoint))
+            rows = [{"k": f"k{i % 9}", "v": i} for i in range(30)]
+            cdc.insert(rows)
+            query.process_all_available()
+            cdc.delete(rows[::2])         # k0's rows all go: a tombstone
+            cdc.delete([r for r in rows[1::2] if r["k"] == "k0"])
+            cdc.insert([{"k": "k9", "v": 1}])
+            query.process_all_available()
+            out = list(query.engine.sink.rows())
+            query.stop()
+            return out
+
+        run = (run_weighted if weighted else
+               lambda checkpoint, n: run_windowed_agg(Session, checkpoint, n))
+        outs = {n: run(str(tmp_path / f"fp{n}"), n) for n in (1, 4)}
+        assert outs[1] == outs[4] and outs[1]
+        assert (checkpoint_fingerprint(str(tmp_path / "fp1"))
+                == checkpoint_fingerprint(str(tmp_path / "fp4")))
+
     def test_agg_with_scheduler_matches_serial(self, tmp_path):
         """Parallel task execution (4 shards × 4 workers, speculation on)
         produces exactly the serial single-shard bytes."""

@@ -306,9 +306,11 @@ def test_executor_env_variable_plumbing(tmp_path, monkeypatch):
         query.stop()
 
 
-def test_failed_start_releases_scheduler_and_event_log(tmp_path):
+@pytest.mark.parametrize("backend", ["dict", "tiered"])
+def test_failed_start_releases_scheduler_and_event_log(tmp_path, backend):
     """A start() that dies in recovery must not leak the scheduler the
-    engine built (worker threads) nor the events.jsonl handle."""
+    engine built (worker threads), the events.jsonl handle, nor a tiered
+    handle's run descriptors."""
     session = Session()
     stream = make_stream((("k", "string"), ("v", "long"), ("t", "timestamp")))
     df = (session.read_stream.memory(stream)
@@ -318,11 +320,10 @@ def test_failed_start_releases_scheduler_and_event_log(tmp_path):
     cp = str(tmp_path / "cp")
     # Leave epoch 0 logged but uncommitted: every restart re-runs it and
     # writes its commit entry, which is where the restarts below die.
-    # (The dict backend is pinned: tiered handles keep their run files
-    # open for the engine's lifetime, a separate matter from what a
-    # failed start must release.)
+    # (The tiny memtable makes the tiered backend spill to run files.)
     query = (df.write_stream.sink(sink).output_mode("append")
-             .option("state_backend", "dict").start(cp))
+             .option("state_backend", backend)
+             .option("state_memtable_bytes", 64).start(cp))
     stream.add_data(_AGG_CHUNKS[0])
     with injected(FaultInjector([Fault("epoch.after_sink")])):
         with pytest.raises(CrashPoint):
@@ -336,7 +337,8 @@ def test_failed_start_releases_scheduler_and_event_log(tmp_path):
             with pytest.raises(CrashPoint):
                 (df.write_stream.sink(sink).output_mode("append")
                  .option("executor", "process").option("num_workers", 4)
-                 .option("state_backend", "dict").start(cp))
+                 .option("state_backend", backend)
+                 .option("state_memtable_bytes", 64).start(cp))
     # Scheduler threads notice the shutdown at their next 50 ms poll.
     deadline = time.monotonic() + 5.0
     while set(threading.enumerate()) - threads and time.monotonic() < deadline:

@@ -9,9 +9,11 @@ sequences against model implementations.
 
 import math
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.sql import expressions as E
+from repro.sql import functions as F
 from repro.sql.batch import RecordBatch
 from repro.sql.grouping import encode_groups
 from repro.sql.session import Session
@@ -73,8 +75,6 @@ SCHEMA = (("k", "string"), ("v", "double"))
 @example(data=[{"k": "a", "v": v}
                for v in (0.0, 9.999999717180685e-10, 1.0, 31.0)], seed=1)
 def test_streaming_aggregate_equals_batch_under_any_chunking(data, seed):
-    from repro.sql import functions as F
-
     rng = np.random.default_rng(seed)
     session = Session()
     batch_result = canonical_rows(
@@ -99,8 +99,6 @@ def test_streaming_aggregate_equals_batch_under_any_chunking(data, seed):
 def test_map_query_append_equals_batch_filter(data, seed):
     rng = np.random.default_rng(seed)
     session = Session()
-    from repro.sql import functions as F
-
     expected = [r for r in data if r["v"] > 0]
 
     stream = make_stream(SCHEMA)
@@ -150,8 +148,6 @@ def test_exactly_once_under_random_restarts(tmp_path_factory, data, crash_mask, 
     rng = np.random.default_rng(seed)
     checkpoint = str(tmp_path_factory.mktemp("ckpt"))
     session = Session()
-    from repro.sql import functions as F
-
     stream = make_stream(SCHEMA)
     df = session.read_stream.memory(stream).select("k", (F.col("v") * 2).alias("v2"))
     query = start_memory_query(df, "append", "out", checkpoint)
@@ -184,8 +180,6 @@ def test_stateful_aggregate_exactly_once_under_restarts(
     rng = np.random.default_rng(seed)
     checkpoint = str(tmp_path_factory.mktemp("ckpt"))
     session = Session()
-    from repro.sql import functions as F
-
     stream = make_stream(SCHEMA)
     df = (session.read_stream.memory(stream)
           .group_by("k").agg(F.count().alias("n"), F.sum("v").alias("s")))
@@ -258,40 +252,43 @@ def cdc_chunks(draw, max_ops=24):
     return chunks or [[]]
 
 
-@given(chunks=cdc_chunks(), restarts=st.sets(st.integers(0, 9), max_size=3))
-def test_weighted_aggregate_differential(tmp_path_factory, chunks, restarts):
-    """Random insert/delete streams through a grouped aggregate — with
-    crash/restarts between epochs — equal the batch recompute over the
-    netted input (retraction deltas preserve prefix consistency)."""
-    from repro.sql import functions as F
-
-    check_differential(
+#: Operator under test -> (query builder or cascade of builders, output
+#: mode of the append arm).  The CDC arm always runs in ``retract`` mode.
+DIFFERENTIAL_PLANS = {
+    "count_sum": (
         lambda df: df.group_by("k").agg(
             F.count().alias("n"), F.sum("v").alias("s")),
-        CDC_SCHEMA, chunks, tmp_path_factory.mktemp("oracle"),
-        restart_after=restarts)
-
-
-@given(chunks=cdc_chunks(), restarts=st.sets(st.integers(0, 9), max_size=3))
-def test_weighted_dedup_differential(tmp_path_factory, chunks, restarts):
-    """Weighted DISTINCT tracks batch drop_duplicates under deletes,
-    including promotion of the next surviving representative."""
-    check_differential(
-        lambda df: df.drop_duplicates(["k"]),
-        CDC_SCHEMA, chunks, tmp_path_factory.mktemp("oracle"),
-        restart_after=restarts)
-
-
-@given(chunks=cdc_chunks(), restarts=st.sets(st.integers(0, 9), max_size=3))
-def test_weighted_cascade_differential(tmp_path_factory, chunks, restarts):
-    """A two-stage cascade (stateless stage feeding a grouped sum through
-    a stream table) equals the composed batch query."""
-    from repro.sql import functions as F
-
-    check_differential(
+        "complete"),
+    "avg": (
+        lambda df: df.group_by("k").agg(F.avg("v").alias("m")),
+        "complete"),
+    # Weighted DISTINCT must promote the next surviving representative.
+    "drop_duplicates": (lambda df: df.drop_duplicates(["k"]), "append"),
+    # A stateless stage feeding a grouped sum through a stream table.
+    "cascade": (
         [lambda df: df.filter(F.col("v") > -20).select("k", "v"),
          lambda df: df.group_by("k").agg(F.sum("v").alias("s"))],
-        CDC_SCHEMA, chunks, tmp_path_factory.mktemp("oracle"),
+        "complete"),
+}
+
+
+@pytest.mark.parametrize("delta", ["cdc", "append"])
+@pytest.mark.parametrize("plan", list(DIFFERENTIAL_PLANS))
+@given(chunks=cdc_chunks(), restarts=st.sets(st.integers(0, 9), max_size=3))
+def test_operator_differential(tmp_path_factory, plan, delta, chunks, restarts):
+    """Every keyed operator x delta model under one oracle: a random
+    insert/delete history — with crash/restarts between epochs — equals
+    the batch recompute over the netted input.  The append arm feeds the
+    same history with its -1 ops dropped through a weight-free source:
+    the all-ones Z-set must take the same fold."""
+    builders, append_mode = DIFFERENTIAL_PLANS[plan]
+    weighted = delta == "cdc"
+    if not weighted:
+        chunks = [[r for r in chunk if "__weight__" not in r]
+                  for chunk in chunks]
+    check_differential(
+        builders, CDC_SCHEMA, chunks, tmp_path_factory.mktemp("oracle"),
+        weighted=weighted, output_mode=None if weighted else append_mode,
         restart_after=restarts)
 
 
@@ -299,8 +296,6 @@ def test_weighted_cascade_differential(tmp_path_factory, chunks, restarts):
        restarts=st.sets(st.integers(0, 9), max_size=2))
 def test_append_only_differential(tmp_path_factory, data, seed, restarts):
     """The oracle also covers plain append-only plans (weight-free)."""
-    from repro.sql import functions as F
-
     rng = np.random.default_rng(seed)
     chunks, remaining = [], list(data)
     while remaining:
@@ -319,7 +314,6 @@ def test_weighted_join_differential(tmp_path_factory, history):
     """Stream-stream inner join of two CDC streams equals the batch join
     of the netted sides (bilinearity of Z-set joins)."""
     from repro.sources import ChangeStream
-    from repro.sql import functions as F
     from repro.sql.session import Session
     from repro.streaming.zset import apply_zset
     from repro.testing.oracle import canonical_rows

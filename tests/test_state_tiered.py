@@ -448,3 +448,27 @@ def test_engine_sink_output_identical_across_backends(tmp_path):
         query.stop()
     assert sinks["dict"] == sinks["tiered"]
     assert sinks["dict"], "workload emitted nothing; test is vacuous"
+
+
+def _fds_under(directory) -> list:
+    """Open descriptors of this process that point below ``directory``."""
+    found = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue  # the listing's own descriptor, already closed
+        if target.startswith(str(directory)):
+            found.append(target)
+    return found
+
+
+def test_stop_closes_spilled_run_descriptors(tmp_path):
+    checkpoint = tmp_path / "cp"
+    query = _drive_agg("tiered", str(checkpoint), 2048)
+    handles = query.engine.state_store._handles.values()
+    assert any(h._runs for h in handles), "budget never forced a spill"
+    assert _fds_under(checkpoint), "no run descriptor held; test is vacuous"
+    query.stop()
+    assert _fds_under(checkpoint) == []
+    query.stop()  # close is idempotent

@@ -225,3 +225,39 @@ class TestCompositeKeys:
         got = {(r["k"], r["window_start"]): r["count"]
                for r in query.engine.sink.rows()}
         assert got == {("a", 0.0): 1, ("b", 0.0): 1, ("a", 10.0): 1}
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+class TestNullGroupKeys:
+    """A null group key sorts last in update/append emission instead of
+    crashing the raw-tuple sort; non-null keys keep their value order."""
+
+    def test_update_mode_orders_null_key_last(self, session, shards):
+        stream = make_stream(EVENT)
+        df = (session.read_stream.memory(stream)
+              .group_by("k").agg(F.count().alias("n")))
+        query = start_memory_query(df, "update", "out", num_shards=shards)
+        stream.add_data([{"t": 1.0, "k": k, "v": 1.0} for k in ("a", None, "b")])
+        query.process_all_available()
+        assert query.engine.sink.rows() == [
+            {"k": "a", "n": 1}, {"k": "b", "n": 1}, {"k": None, "n": 1}]
+
+    def test_append_mode_finalizes_window_with_null_plain_key(
+            self, session, shards):
+        stream = make_stream(EVENT)
+        df = (session.read_stream.memory(stream)
+              .with_watermark("t", "10s")
+              .group_by(F.col("k"), F.window("t", "10s"))
+              .count())
+        query = start_memory_query(df, "append", "out", num_shards=shards)
+        stream.add_data([{"t": 1.0, "k": "b", "v": 1.0},
+                         {"t": 2.0, "k": None, "v": 1.0},
+                         {"t": 3.0, "k": "a", "v": 1.0}])
+        query.process_all_available()
+        stream.add_data([{"t": 25.0, "k": "a", "v": 1.0}])
+        query.process_all_available()  # watermark 15, effective next epoch
+        stream.add_data([{"t": 26.0, "k": "a", "v": 1.0}])
+        query.process_all_available()  # [0,10) finalized for all three keys
+        assert query.engine.sink.rows() == [
+            {"k": k, "window_start": 0.0, "window_end": 10.0, "count": 1}
+            for k in ("a", "b", None)]
