@@ -6,13 +6,14 @@ This package implements the pieces of Spark SQL that Structured Streaming
 * a type system and schemas (:mod:`repro.sql.types`),
 * row and columnar batch representations (:mod:`repro.sql.row`,
   :mod:`repro.sql.batch`),
-* an expression AST with both an interpreted row-at-a-time evaluator and a
-  compiled vectorized evaluator standing in for Tungsten code generation
-  (:mod:`repro.sql.expressions`, :mod:`repro.sql.codegen`),
+* an expression AST with one vectorized evaluator standing in for
+  Tungsten execution and a row-at-a-time reference the tests compare it
+  against (:mod:`repro.sql.expressions`),
 * logical plans, an analyzer and a Catalyst-style rule optimizer
   (:mod:`repro.sql.logical`, :mod:`repro.sql.analysis`,
   :mod:`repro.sql.optimizer`),
-* physical batch execution (:mod:`repro.sql.physical`),
+* whole-plan compilation into fused stages over the physical kernels
+  (:mod:`repro.sql.plancompiler`, :mod:`repro.sql.physical`),
 * the user-facing DataFrame API and session entry point
   (:mod:`repro.sql.dataframe`, :mod:`repro.sql.session`), and
 * a small SQL SELECT parser (:mod:`repro.sql.parser`).

@@ -1,14 +1,15 @@
 """Expression AST for the relational engine.
 
-Every expression supports two evaluation strategies:
+Every expression has one production evaluator and one reference:
 
 * ``eval_batch(batch)`` — vectorized evaluation over a columnar
-  :class:`~repro.sql.batch.RecordBatch`.  Combined with the closure
-  compiler in :mod:`repro.sql.codegen`, this is the reproduction's
-  stand-in for Spark SQL's Tungsten code generation (§5.3 of the paper).
-* ``eval_row(row)`` — interpreted evaluation on a single dict row.  Used
-  by the per-record baseline engines and by the vectorized-vs-interpreted
-  ablation benchmark.
+  :class:`~repro.sql.batch.RecordBatch`: numpy kernels, the
+  reproduction's stand-in for Spark SQL's Tungsten execution (§5.3 of
+  the paper).  Plans reach it through :func:`bind`, once, at plan time.
+* ``eval_row(row)`` — interpreted evaluation on a single dict row.  No
+  engine code calls it; it is the independent oracle the tests and the
+  vectorized-vs-interpreted ablation benchmark compare ``eval_batch``
+  against.
 
 Aggregate functions additionally implement an *incremental buffer*
 protocol (init / update / merge / finish plus vectorized per-group
@@ -187,6 +188,17 @@ class Expression:
         return In(self, list(values))
 
 
+def bind(expr: Expression, schema: StructType):
+    """Type-check ``expr`` under ``schema`` and return ``fn(batch) -> array``.
+
+    The one plan-time entry point to vectorized evaluation: unresolved
+    columns and type errors raise :class:`AnalysisError` here, not at the
+    first batch, and the returned callable does no type resolution.
+    """
+    expr.data_type(schema)
+    return expr.eval_batch
+
+
 def _to_expr(value) -> Expression:
     """Coerce Python literals (and Column wrappers) into expressions."""
     if isinstance(value, Expression):
@@ -292,9 +304,21 @@ _ARITH_BATCH = {
     "+": np.add, "-": np.subtract, "*": np.multiply,
     "/": np.true_divide, "%": np.mod,
 }
+
+
+def _divide_row(a, b):
+    """``a / b`` with the vectorized kernel's IEEE result for ``b == 0``."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a == 0 or a != a:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
 _ARITH_ROW = {
     "+": lambda a, b: a + b, "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b, "/": lambda a, b: a / b,
+    "*": lambda a, b: a * b, "/": _divide_row,
     "%": lambda a, b: a % b,
 }
 
@@ -345,14 +369,26 @@ _CMP_ROW = {
 }
 
 
+def _is_non_null_literal(expr: Expression) -> bool:
+    return isinstance(expr, Literal) and expr.value is not None
+
+
 class Comparison(Expression):
-    """Binary comparison producing a boolean column."""
+    """Binary comparison producing a boolean column.
+
+    A null (``None``) on either side compares as *not true* under all six
+    operators — what SQL's three-valued logic filters on.
+    """
 
     def __init__(self, left: Expression, right: Expression, op: str):
         if op not in _CMP_BATCH:
             raise ValueError(f"unknown comparison operator {op!r}")
         self.left, self.right, self.op = left, right, op
         self.children = (left, right)
+        # ``None == x`` is already False for any non-null x, so equality
+        # against a non-null literal needs no null pass over the column.
+        self._needs_null_pass = not (op == "==" and (
+            _is_non_null_literal(left) or _is_non_null_literal(right)))
 
     def data_type(self, schema: StructType) -> DataType:
         lt = self.left.data_type(schema)
@@ -363,10 +399,18 @@ class Comparison(Expression):
         return T.BOOLEAN
 
     def eval_batch(self, batch) -> np.ndarray:
-        result = _CMP_BATCH[self.op](
-            self.left.eval_batch(batch), self.right.eval_batch(batch)
-        )
-        return np.asarray(result, dtype=bool)
+        left = self.left.eval_batch(batch)
+        right = self.right.eval_batch(batch)
+        compare = _CMP_BATCH[self.op]
+        if self._needs_null_pass and (
+                left.dtype == object or right.dtype == object):
+            # Only object arrays hold None; a numeric side is all valid.
+            valid = np.not_equal(left, None) & np.not_equal(right, None)
+            if not valid.all():
+                result = np.zeros(len(valid), dtype=bool)
+                result[valid] = compare(left[valid], right[valid])
+                return result
+        return np.asarray(compare(left, right), dtype=bool)
 
     def eval_row(self, row):
         left = self.left.eval_row(row)

@@ -14,6 +14,8 @@ bottom-up without a session; resolution errors surface as
 
 from __future__ import annotations
 
+import functools
+
 from repro.sql import expressions as E
 from repro.sql.batch import promote_nullable
 from repro.sql.expressions import AnalysisError
@@ -165,7 +167,9 @@ class Aggregate(LogicalPlan):
         self.window = windows[0] if windows else None
         self.plain_grouping = [g for g in self.grouping if not isinstance(g, E.WindowExpr)]
 
-    @property
+    # Resolved once per node: the stateful aggregate builds an output
+    # batch under this schema every epoch.
+    @functools.cached_property
     def schema(self) -> StructType:
         child_schema = self.child.schema
         fields = []

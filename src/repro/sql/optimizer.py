@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from repro.sql import expressions as E
 from repro.sql import logical as L
+from repro.sql.batch import RecordBatch
+from repro.sql.types import StructType
 
 MAX_ITERATIONS = 20
 
@@ -88,12 +90,17 @@ def _is_foldable(expr: E.Expression) -> bool:
     )
 
 
+#: A literal-only subtree reads no column, so it folds to what the
+#: production evaluator computes for any one row.
+_ONE_ROW = RecordBatch.from_rows([{"_": 0}], StructType((("_", "long"),)))
+
+
 def fold_constants(expr: E.Expression) -> E.Expression:
     """Evaluate literal-only subtrees at plan time."""
 
     def fold(node):
         if not isinstance(node, E.Literal) and _is_foldable(node):
-            value = node.eval_row({})
+            value = node.eval_batch(_ONE_ROW).tolist()[0]
             if value is None or isinstance(value, (bool, int, float, str)):
                 return E.Literal(value) if value is not None else node
         return node

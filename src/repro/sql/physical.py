@@ -10,26 +10,21 @@ counterpart.
 data for specific scan nodes — the streaming engine uses it to run the
 epoch's new input through the plan.
 
-Since the whole-plan compiler (:mod:`repro.sql.plancompiler`, §5.3),
-``execute`` compiles each plan once (memoized by plan identity) and runs
+``execute`` compiles each plan once with the whole-plan compiler
+(:mod:`repro.sql.plancompiler`, §5.3; memoized by plan identity) and runs
 the compiled pipeline; repeated executions of the same plan object pay no
-plan-walk or expression-compilation cost.  The pre-compiler recursive
-interpreter survives as :func:`execute_interpreted` — it is the
-per-batch-compilation baseline arm in the ablation benchmark and the
-reference implementation the compiled path is equivalence-tested against.
-The shared operator kernels (:func:`join_batches`, :func:`sort_batch`,
-:func:`dedup_batch`, :func:`run_aggregate`, :func:`map_groups_batch`) are
-used by both paths, so the two differ only in *when* dispatch happens.
+plan-walk or expression-binding cost.  The rest of this module is the
+operator kernels the compiler resolves into its closures:
+:func:`join_batches`, :func:`sort_batch`, :func:`dedup_batch`,
+:func:`run_aggregate`, :func:`map_groups_batch`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sql import expressions as E
 from repro.sql import logical as L
 from repro.sql.batch import RecordBatch
-from repro.sql.codegen import compile_expression
 from repro.sql.grouping import encode_groups
 from repro.sql.joins import assemble_join_output, join_indices
 
@@ -48,70 +43,6 @@ def execute(plan: L.LogicalPlan, overrides: dict = None) -> RecordBatch:
     return compiled_for(plan)(overrides or {})
 
 
-def execute_interpreted(plan: L.LogicalPlan, overrides: dict = None) -> RecordBatch:
-    """Evaluate a plan by recursive descent, compiling expressions per batch.
-
-    This is the pre-whole-plan-compilation execution strategy, retained as
-    the baseline for the codegen ablation and as the independent reference
-    for compiled-vs-interpreted equivalence tests.
-    """
-    overrides = overrides or {}
-    return _execute(plan, overrides)
-
-
-def _execute(plan: L.LogicalPlan, overrides: dict) -> RecordBatch:
-    if isinstance(plan, L.Scan):
-        return _execute_scan(plan, overrides)
-    if isinstance(plan, L.Project):
-        return _execute_project(plan, overrides)
-    if isinstance(plan, L.Filter):
-        return _execute_filter(plan, overrides)
-    if isinstance(plan, L.Aggregate):
-        return _execute_aggregate(plan, overrides)
-    if isinstance(plan, L.Join):
-        left = _execute(plan.left, overrides)
-        right = _execute(plan.right, overrides)
-        return join_batches(left, right, plan)
-    if isinstance(plan, L.Sort):
-        return sort_batch(_execute(plan.child, overrides), plan.orders)
-    if isinstance(plan, L.Limit):
-        return _execute(plan.child, overrides).slice(0, plan.n)
-    if isinstance(plan, L.Deduplicate):
-        return dedup_batch(_execute(plan.child, overrides), plan.subset)
-    if isinstance(plan, L.Union):
-        left = _execute(plan.left, overrides)
-        right = _execute(plan.right, overrides)
-        return RecordBatch.concat([left, right.select(left.schema.names)], plan.schema)
-    if isinstance(plan, L.WithWatermark):
-        # Watermarks only affect streaming state management; in batch
-        # execution they are a no-op passthrough (§4.3.1).
-        return _execute(plan.child, overrides)
-    if isinstance(plan, L.MapGroupsWithState):
-        return map_groups_batch(plan, _execute(plan.child, overrides))
-    raise NotImplementedError(f"no batch executor for {type(plan).__name__}")
-
-
-def _execute_scan(plan: L.Scan, overrides: dict) -> RecordBatch:
-    if plan in overrides or id(plan) in overrides:
-        return overrides.get(plan, overrides.get(id(plan)))
-    provider = plan.provider
-    if provider is None:
-        raise RuntimeError(f"scan {plan.name!r} has no data (missing override?)")
-    batches = provider.read_batches()
-    return RecordBatch.concat(list(batches), plan.schema)
-
-
-def _execute_project(plan: L.Project, overrides: dict) -> RecordBatch:
-    child = _execute(plan.child, overrides)
-    child_schema = plan.child.schema
-    out_schema = plan.schema
-    columns = {}
-    for expr, field in zip(plan.exprs, out_schema):
-        fn = compile_expression(expr, child_schema)
-        columns[field.name] = _coerce(fn(child), field.data_type)
-    return RecordBatch(columns, out_schema)
-
-
 def _coerce(array: np.ndarray, data_type) -> np.ndarray:
     target = data_type.numpy_dtype
     if target is object or array.dtype == object:
@@ -119,12 +50,6 @@ def _coerce(array: np.ndarray, data_type) -> np.ndarray:
     if array.dtype != target:
         return array.astype(target)
     return array
-
-
-def _execute_filter(plan: L.Filter, overrides: dict) -> RecordBatch:
-    child = _execute(plan.child, overrides)
-    mask = compile_expression(plan.condition, plan.child.schema)(child)
-    return child.filter(mask)
 
 
 def join_batches(left: RecordBatch, right: RecordBatch, plan: L.Join) -> RecordBatch:
@@ -178,28 +103,6 @@ def dedup_batch(batch: RecordBatch, subset) -> RecordBatch:
     return batch.take(np.sort(first_idx))
 
 
-def group_rows_expanded(plan: L.Aggregate, batch: RecordBatch):
-    """Window-expand a batch and encode group codes.
-
-    Returns ``(expanded_batch_or_None, codes, unique_keys)`` where unique
-    keys are tuples ordered (plain grouping values..., window_start).
-    Shared with the streaming stateful aggregate.
-    """
-    child_schema = plan.child.schema
-    key_arrays = []
-    if plan.window is not None:
-        row_idx, starts = plan.window.assign_batch(batch)
-        batch = batch.take(row_idx)
-        for g in plan.plain_grouping:
-            key_arrays.append(compile_expression(g, child_schema)(batch))
-        key_arrays.append(starts)
-    else:
-        for g in plan.plain_grouping:
-            key_arrays.append(compile_expression(g, child_schema)(batch))
-    codes, uniques = encode_groups(key_arrays)
-    return batch, codes, uniques
-
-
 def aggregate_result_batch(plan: L.Aggregate, keys, buffers) -> RecordBatch:
     """Build the aggregate output batch from final (key, buffers) pairs.
 
@@ -241,7 +144,7 @@ def run_aggregate(plan: L.Aggregate, expanded: RecordBatch, codes, uniques) -> R
     """Finish a batch aggregate from pre-encoded groups.
 
     ``expanded``/``codes``/``uniques`` come from
-    :func:`group_rows_expanded` (or its compiled counterpart).
+    :func:`repro.sql.plancompiler.compile_grouping`.
     """
     buffers = []
     num_groups = len(uniques)
@@ -258,12 +161,6 @@ def run_aggregate(plan: L.Aggregate, expanded: RecordBatch, codes, uniques) -> R
             for (fn, _name), partial in zip(plan.aggregates, buf)
         ])
     return aggregate_result_batch(plan, uniques, merged)
-
-
-def _execute_aggregate(plan: L.Aggregate, overrides: dict) -> RecordBatch:
-    child = _execute(plan.child, overrides)
-    expanded, codes, uniques = group_rows_expanded(plan, child)
-    return run_aggregate(plan, expanded, codes, uniques)
 
 
 def map_groups_batch(plan: L.MapGroupsWithState, child: RecordBatch) -> RecordBatch:

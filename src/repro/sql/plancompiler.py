@@ -8,8 +8,9 @@ for Structured Streaming's Yahoo!-benchmark margin).  The closest faithful
 analogue in pure Python is to compile the *logical plan* once into a tree
 of closures over numpy kernels:
 
-* every expression is pre-compiled (:func:`repro.sql.codegen
-  .compile_expression`) at plan time, never per batch;
+* every expression is type-checked and bound to its vectorized
+  evaluator (:func:`repro.sql.expressions.bind`) at plan time, never
+  per batch;
 * every operator's kernel (join probe, group encoding, sort keys, dedup)
   is pre-resolved into the closure, so no ``isinstance`` plan walk happens
   per batch;
@@ -43,7 +44,6 @@ import weakref
 
 import numpy as np
 
-from repro.sql import codegen
 from repro.sql import expressions as E
 from repro.sql import logical as L
 from repro.sql.batch import RecordBatch
@@ -64,10 +64,11 @@ from repro.sql.physical import (
 PLAN_COMPILATIONS = 0
 
 # Expression nodes that are *total*: evaluation cannot raise for any row
-# (numpy kernels with errstate suppressed, null-tolerant membership and
-# null checks).  Only these may be hoisted across a filter boundary when
-# fusing stages; everything else (Udf, Cast from object columns,
-# ScalarFunction, CaseWhen over unsafe children) is a fusion barrier.
+# (numpy kernels with errstate suppressed, comparisons that treat a null
+# operand as not true, null-tolerant membership and null checks).  Only
+# these may be hoisted across a filter boundary when fusing stages;
+# everything else (Udf, Cast from object columns, ScalarFunction,
+# CaseWhen over unsafe children) is a fusion barrier.
 _TOTAL_NODES = (
     E.ColumnRef, E.Literal, E.Alias, E.Arithmetic, E.Comparison,
     E.BooleanOp, E.Not, E.In, E.IsNull, E.Like,
@@ -216,10 +217,7 @@ def compile_grouping(plan: L.Aggregate):
     every epoch with zero expression-compilation cost.
     """
     child_schema = plan.child.schema
-    key_fns = [
-        codegen.compile_expression(g, child_schema)
-        for g in plan.plain_grouping
-    ]
+    key_fns = [E.bind(g, child_schema) for g in plan.plain_grouping]
     window = plan.window
 
     def grouping(batch):
@@ -319,9 +317,7 @@ def _compile_stateless_segment(top: L.LogicalPlan):
 
 def _compile_stage(mask_exprs, proj, in_schema, out_schema):
     """Compile one fused stage into ``fn(batch) -> RecordBatch``."""
-    mask_fns = [
-        codegen.compile_expression(m, in_schema) for m in mask_exprs
-    ]
+    mask_fns = [E.bind(m, in_schema) for m in mask_exprs]
     if proj is None:
         def run_filter(batch):
             mask = np.asarray(mask_fns[0](batch), dtype=bool)
@@ -332,9 +328,7 @@ def _compile_stage(mask_exprs, proj, in_schema, out_schema):
         return run_filter
 
     proj_fns = [
-        (field.name,
-         codegen.compile_expression(expr, in_schema),
-         field.data_type)
+        (field.name, E.bind(expr, in_schema), field.data_type)
         for field, (_name, expr) in zip(out_schema, proj)
     ]
     # Only the columns the projection reads survive the combined mask:

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro import observability
 from repro.observability import metrics, tracing
-from repro.sql import codegen
+from repro.sql import expressions as E
 from repro.sql import logical as L
 from repro.sql import plancompiler
 from repro.sql.batch import (
@@ -557,8 +557,7 @@ class StatefulAggregateOp(IncrementalOp):
         self._partition_key_fns = None
         if node.plain_grouping:
             self._partition_key_fns = [
-                codegen.compile_expression(g, node.child.schema)
-                for g in node.plain_grouping
+                E.bind(g, node.child.schema) for g in node.plain_grouping
             ]
         #: Tasks partition by the plain grouping values; without a
         #: window those ARE the state key, so task ownership matches

@@ -118,16 +118,32 @@ def test_writer_hands_the_engine_one_resolved_config(tmp_path, monkeypatch):
         query.stop()
 
 
-def test_only_the_config_module_reads_the_environment():
+def _sources_matching(pattern, packages=("",)):
+    """Files under ``repro/<package>`` whose text matches ``pattern``."""
     root = os.path.dirname(repro.__file__)
-    offenders = []
-    for package in ("streaming", "cluster"):
+    matches = []
+    for package in packages:
         for dirpath, _dirs, files in os.walk(os.path.join(root, package)):
             for name in files:
                 if not name.endswith(".py"):
                     continue
                 path = os.path.join(dirpath, name)
                 with open(path, encoding="utf-8") as f:
-                    if re.search(r"os\.(environ|getenv)", f.read()):
-                        offenders.append(os.path.relpath(path, root))
-    assert offenders == [os.path.join("streaming", "config.py")]
+                    if re.search(pattern, f.read()):
+                        matches.append(os.path.relpath(path, root))
+    return sorted(matches)
+
+
+def test_only_the_config_module_reads_the_environment():
+    assert _sources_matching(
+        r"os\.(environ|getenv)", ("streaming", "cluster")
+    ) == [os.path.join("streaming", "config.py")]
+
+
+def test_one_vectorized_evaluator_and_eval_row_is_the_oracle_only():
+    """``eval_batch`` is the only evaluator the engine runs: the closure
+    compiler is gone and nothing outside the expression AST itself
+    (where the oracle is defined) touches ``eval_row``."""
+    assert _sources_matching(r"sql\.codegen|import codegen") == []
+    assert _sources_matching(r"eval_row") == [
+        os.path.join("sql", "expressions.py")]

@@ -1,16 +1,20 @@
-"""Unit tests for the expression AST: both evaluation strategies.
+"""Unit tests for the expression AST: the evaluator and its oracle.
 
-Every expression must agree between its vectorized batch path (used by
-the engine) and its interpreted row path (used by the baselines) — that
-equivalence is itself a key invariant, checked by ``assert_both_paths``.
+Every expression must agree between its vectorized batch path (the only
+one the engine runs, bound once per plan by ``E.bind``) and its
+interpreted row path (the reference) — that equivalence is itself a key
+invariant, checked by ``assert_both_paths``.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.sql import expressions as E
+from repro.sql import logical as L
+from repro.sql import plancompiler
 from repro.sql import types as T
 from repro.sql.batch import RecordBatch
 from repro.sql.expressions import AnalysisError, parse_duration
@@ -132,6 +136,16 @@ class TestArithmetic:
         assert add.eval_row({}) is None
         del expr
 
+    def test_divide_by_zero_is_ieee_on_both_paths(self):
+        i, x = E.ColumnRef("i"), E.ColumnRef("x")
+        assert_both_paths(x / (i - 1), [math.inf, -2.0, 0.0])
+        assert_both_paths(x / (1 - i), [math.inf, 2.0, -0.0])
+        assert_both_paths((0 - x) / (i - 1), [-math.inf, 2.0, -0.0])
+        zero_over_zero = (i - 3) / x
+        assert math.isnan(zero_over_zero.eval_row(ROWS[2]))
+        assert math.isnan(zero_over_zero.eval_batch(BATCH)[2])
+        assert (E.Literal(1) / E.Literal(-0.0)).eval_row({}) == -math.inf
+
 
 class TestComparison:
     def test_gt(self):
@@ -146,6 +160,27 @@ class TestComparison:
 
     def test_ne(self):
         assert_both_paths(E.ColumnRef("i") != 2, [True, False, True])
+
+    @pytest.mark.parametrize("op,expected", [
+        ("==", [False, True, False]), ("!=", [True, False, False]),
+        ("<", [True, False, False]), ("<=", [True, True, False]),
+        (">", [False, False, False]), (">=", [False, True, False]),
+    ])
+    def test_null_string_is_not_true_under_every_operator(self, op, expected):
+        assert_both_paths(
+            E.Comparison(E.ColumnRef("s"), E.Literal("bb"), op), expected)
+
+    def test_null_on_the_right_is_not_true_either(self):
+        assert_both_paths(E.Literal("bb") > E.ColumnRef("s"),
+                          [True, False, False])
+        assert_both_paths(E.Literal("bb") != E.ColumnRef("s"),
+                          [True, False, False])
+
+    def test_null_equals_null_is_not_true(self):
+        s = E.ColumnRef("s")
+        assert_both_paths(E.Comparison(s, s, "=="), [True, True, False])
+        assert_both_paths(E.Comparison(s, E.Literal(None), "=="),
+                          [False, False, False])
 
     def test_cross_numeric_allowed(self):
         (E.ColumnRef("i") < E.ColumnRef("x")).data_type(SCHEMA)
@@ -303,6 +338,71 @@ class TestWindowExpr:
         w = E.WindowExpr(E.ColumnRef("s"), 10.0)
         with pytest.raises(AnalysisError):
             w.data_type(SCHEMA)
+
+
+class TestBind:
+    """The plan-time entry point: type-check once, then pure kernels."""
+
+    def test_alias_is_transparent(self):
+        fn = E.bind((E.ColumnRef("i") + 1).alias("j"), SCHEMA)
+        assert fn(BATCH).tolist() == [2, 3, 4]
+
+    def test_unresolved_column_fails_at_bind_time(self):
+        with pytest.raises(AnalysisError, match="cannot resolve"):
+            E.bind(E.ColumnRef("zzz") + 1, SCHEMA)
+
+    def test_type_error_fails_at_bind_time(self):
+        with pytest.raises(AnalysisError, match="numeric"):
+            E.bind(E.ColumnRef("s") + 1, SCHEMA)
+
+    def test_non_boolean_filter_condition_rejected_at_plan_compile(self):
+        scan = L.Scan(SCHEMA, None, False, name="input")
+        with pytest.raises(AnalysisError, match="boolean"):
+            plancompiler.compile_plan(L.Filter(E.ColumnRef("i") + 1, scan))
+
+    def test_bound_callable_reusable_across_batches(self):
+        fn = E.bind(E.ColumnRef("i") * 10, SCHEMA)
+        other = RecordBatch.from_rows(
+            [{"i": 9, "x": 0.0, "s": "z", "flag": False}], SCHEMA)
+        assert fn(BATCH).tolist() == [10, 20, 30]
+        assert fn(other).tolist() == [90]
+
+    def test_division_emits_no_numpy_warning(self):
+        fn = E.bind(E.ColumnRef("i") / E.ColumnRef("x"), SCHEMA)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fn(BATCH).tolist()[:2] == [pytest.approx(2 / 3), -1.0]
+
+    @pytest.mark.parametrize("expr,expected", [
+        (E.ColumnRef("i"), [1, 2, 3]),
+        (E.Literal(7), [7, 7, 7]),
+        (E.Literal("k"), ["k", "k", "k"]),
+        (E.ColumnRef("i") + E.ColumnRef("x"), [2.5, 0.0, 3.0]),
+        (E.ColumnRef("i") * 2 - 1, [1, 3, 5]),
+        (E.ColumnRef("i") > 1, [False, True, True]),
+        ((E.ColumnRef("i") > 1) & E.ColumnRef("flag"), [False, False, True]),
+        ((E.ColumnRef("i") > 2) | E.ColumnRef("flag"), [True, False, True]),
+        (~E.ColumnRef("flag"), [False, True, False]),
+        (E.ColumnRef("i").isin([1, 3]), [True, False, True]),
+        (E.ColumnRef("s").isin(["aa"]), [True, False, False]),
+    ])
+    def test_bound_matches_expected_and_row_oracle(self, expr, expected):
+        assert E.bind(expr, SCHEMA)(BATCH).tolist() == expected
+        assert [expr.eval_row(r) for r in ROWS] == expected
+
+    def test_null_check_and_cast_bind_like_any_other_node(self):
+        # The closure compiler covered 7 node types and fell back for the
+        # rest; there is no second tier now.
+        assert E.bind(E.IsNull(E.ColumnRef("s")), SCHEMA)(BATCH).tolist() \
+            == [False, False, True]
+        assert E.bind(E.Cast(E.ColumnRef("i"), T.DOUBLE), SCHEMA)(
+            BATCH).dtype == np.float64
+
+    def test_compound_expression_equals_row_oracle(self):
+        expr = ((E.ColumnRef("i") * 3 + E.ColumnRef("x")) > 4) & \
+            ~E.ColumnRef("s").is_null()
+        assert E.bind(expr, SCHEMA)(BATCH).tolist() == \
+            [bool(expr.eval_row(r)) for r in ROWS]
 
 
 class TestExpressionMisc:
