@@ -12,7 +12,7 @@ FAULT_SWEEP_FLAGS ?=
 # local fallback) agree to within about a point; see tools/linecov.py.
 COV_FLOOR ?= 90
 
-.PHONY: install test test-fast coverage bench bench-smoke bench-pairs fault-sweep oracle examples monitor-demo verify clean
+.PHONY: install test test-fast coverage bench bench-smoke bench-pairs heap fault-sweep oracle examples monitor-demo verify clean
 
 install:
 	$(PY) setup.py develop
@@ -43,6 +43,13 @@ bench-smoke:
 N ?= 10
 bench-pairs:
 	$(PY) tools/bench_pairs.py --workload $(W) --base $(BASE) --pairs $(N)
+
+# Live heap of one bench/ workload by src/repro module, at the end of
+# set-up and of the window (tracemalloc): make heap W=cdc_join_agg
+# [ROOT=<another checkout, e.g. a copy of the parent>]
+ROOT ?= .
+heap:
+	$(PY) tools/heap_by_layer.py --workload $(W) --root $(ROOT)
 
 fault-sweep:
 	$(PY) -m pytest tests/test_fault_sweep.py tests/test_fault_injection.py -q $(FAULT_SWEEP_FLAGS)

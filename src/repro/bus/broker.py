@@ -28,25 +28,23 @@ broker.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
+from operator import attrgetter
+
+_END_OFFSET = attrgetter("end_offset")
 
 
 class _Chunk:
     """One appended batch: row dicts or a columnar segment."""
 
-    __slots__ = ("base_offset", "rows", "batch")
+    __slots__ = ("base_offset", "end_offset", "rows", "batch")
 
     def __init__(self, base_offset: int, rows=None, batch=None):
         self.base_offset = base_offset
+        self.end_offset = base_offset + (
+            len(rows) if rows is not None else batch.num_rows)
         self.rows = rows
         self.batch = batch
-
-    @property
-    def length(self) -> int:
-        return len(self.rows) if self.rows is not None else self.batch.num_rows
-
-    @property
-    def end_offset(self) -> int:
-        return self.base_offset + self.length
 
     def slice_rows(self, lo: int, hi: int) -> list:
         """Records at chunk-relative positions [lo, hi) as dicts.
@@ -68,7 +66,7 @@ class _Chunk:
         from repro.sql.batch import RecordBatch
 
         if self.batch is not None:
-            batch = self.batch if (lo == 0 and hi == self.length) \
+            batch = self.batch if (lo == 0 and hi == self.batch.num_rows) \
                 else self.batch.slice(lo, hi)
             if schema is not None and batch.schema.names != schema.names:
                 batch = batch.select(schema.names)
@@ -133,15 +131,18 @@ class TopicPartition:
     # Consume
     # ------------------------------------------------------------------
     def _chunk_ranges(self, start: int, end: int):
-        """Yield (chunk, lo, hi) covering offsets [start, end)."""
+        """Yield (chunk, lo, hi) covering offsets [start, end); the first
+        chunk is bisected to, so a read costs its own chunks however
+        many the log retains before them."""
         if start < self._base_offset:
             raise LookupError(
                 f"offsets [{start}, {end}) of {self.topic}/{self.index} "
                 f"trimmed (oldest retained: {self._base_offset})"
             )
-        for chunk in self._chunks:
-            if chunk.end_offset <= start:
-                continue
+        chunks = self._chunks
+        for i in range(bisect_right(chunks, start, key=_END_OFFSET),
+                       len(chunks)):
+            chunk = chunks[i]
             if chunk.base_offset >= end:
                 break
             lo = max(start, chunk.base_offset) - chunk.base_offset

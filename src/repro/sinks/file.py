@@ -52,6 +52,9 @@ class TransactionalFileSink(Sink):
         #: leaves that version's data files orphaned and invisible,
         #: which is the manifest protocol's definition of "uncommitted".
         self.repaired = repair_torn_tail(self._log_dir)
+        #: This writer's epoch -> version (see ``_index_new_manifests``).
+        self._epoch_versions = {}
+        self._indexed_upto = -1
 
     # ------------------------------------------------------------------
     # Manifest log access
@@ -66,17 +69,40 @@ class TransactionalFileSink(Sink):
             for name in list_files(self._log_dir, ".json")
         ]
 
-    def _latest_version(self):
-        manifests = list_files(self._log_dir, ".json")
-        if not manifests:
-            return None
-        return int(os.path.splitext(manifests[-1])[0])
+    def _index_new_manifests(self) -> None:
+        """List the log and index what is new in it; ``_indexed_upto``
+        ends at the latest table version (-1: empty log).  A manifest
+        is parsed once per instance, this writer's own never, so an
+        epoch reads none however long the log.  A log ending before
+        the last indexed version was rolled back: rebuild the index."""
+        names = list_files(self._log_dir, ".json")
+        versions = [int(os.path.splitext(name)[0]) for name in names]
+        if not versions or versions[-1] < self._indexed_upto:
+            self._epoch_versions.clear()
+            self._indexed_upto = -1
+        for version, name in zip(versions, names):
+            if version > self._indexed_upto:
+                manifest = read_json(os.path.join(self._log_dir, name))
+                if manifest.get("writer") == self.writer_id:
+                    self._epoch_versions.setdefault(manifest["epoch"], version)
+                self._indexed_upto = version
 
     def _manifest_for_epoch(self, epoch_id: int):
-        for manifest in self.committed_manifests():
-            if manifest.get("writer") == self.writer_id and \
-                    manifest["epoch"] == epoch_id:
-                return manifest
+        """This writer's manifest for an epoch, or None.  An index hit
+        is confirmed by reading that one manifest, so an epoch another
+        instance rolled back does not pass for committed."""
+        self._index_new_manifests()
+        version = self._epoch_versions.get(epoch_id)
+        if version is None:
+            return None
+        try:
+            manifest = read_json(self._manifest_path(version))
+        except FileNotFoundError:
+            manifest = {}
+        if manifest.get("writer") == self.writer_id and \
+                manifest.get("epoch") == epoch_id:
+            return manifest
+        del self._epoch_versions[epoch_id]
         return None
 
     # ------------------------------------------------------------------
@@ -86,8 +112,7 @@ class TransactionalFileSink(Sink):
         fault_point("sink.add_batch", epoch=epoch_id, sink="file")
         if self._manifest_for_epoch(epoch_id) is not None:
             return  # this writer already committed this epoch: idempotent
-        latest = self._latest_version()
-        version = (latest + 1) if latest is not None else 0
+        version = self._indexed_upto + 1  # one past the latest listed
         rows = batch.to_rows()
         files = []
         for i, start in enumerate(range(0, max(len(rows), 1), self._rows_per_file)):
@@ -105,15 +130,17 @@ class TransactionalFileSink(Sink):
             "files": files,
             "num_rows": len(rows),
         })
+        self._epoch_versions[epoch_id] = version
+        self._indexed_upto = version
         self._count_commit(len(rows))
 
     def last_committed_epoch(self):
         """Highest epoch this *writer* committed, or None."""
-        epochs = [
-            m["epoch"] for m in self.committed_manifests()
-            if m.get("writer") == self.writer_id
-        ]
-        return max(epochs) if epochs else None
+        self._index_new_manifests()
+        for epoch_id in sorted(self._epoch_versions, reverse=True):
+            if self._manifest_for_epoch(epoch_id) is not None:
+                return epoch_id
+        return None
 
     # ------------------------------------------------------------------
     # Read path

@@ -16,8 +16,16 @@ into the human-readable JSON write-ahead log (§1, §6.1).
 
 from __future__ import annotations
 
+import threading
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+
+from repro.bus.broker import TopicPartition
 from repro.sql.batch import RecordBatch
 from repro.sql.types import StructType
+
+PARTITION = "0"
+_UPTO = itemgetter(0)
 
 
 def ingest_floor_from_segments(segments, start: int, end: int):
@@ -27,20 +35,14 @@ def ingest_floor_from_segments(segments, start: int, end: int):
     keep: ``[(row_count_after_append, ingest_timestamp), ...]`` — one
     entry per producer append, so segment ``i`` covers offsets
     ``[segments[i-1][0], segments[i][0])``.  Returns None when the range
-    is empty or predates segment tracking.
+    is empty or predates segment tracking.  Bisected: O(log history).
     """
     if end <= start:
         return None
-    floor = None
-    previous = 0
-    for upto, ingest_time in segments:
-        if previous < end and upto > start and ingest_time is not None:
-            if floor is None or ingest_time < floor:
-                floor = ingest_time
-        previous = upto
-        if previous >= end:
-            break
-    return floor
+    first = bisect_right(segments, start, key=_UPTO)
+    last = bisect_left(segments, end, key=_UPTO)
+    return min((ingest_time for _, ingest_time in segments[first:last + 1]
+                if ingest_time is not None), default=None)
 
 
 class Source:
@@ -99,3 +101,58 @@ class SourceDescriptor:
     def create(self) -> Source:
         """Instantiate (or re-attach to) the source."""
         raise NotImplementedError
+
+
+class RetainedLogSource(Source, SourceDescriptor):
+    """A single-partition, fully retained in-memory source: the one log
+    behind ``MemoryStream``, ``ChangeStream`` and ``StreamTable``.
+
+    Appends are columnar chunks of an in-process ``TopicPartition`` (rows
+    become columns once, when appended); an epoch's range is read back
+    as slices of them, and a stamped append records its ingest timestamp
+    (``ingest_floor``).  Nothing is trimmed, so any epoch can be
+    replayed, and the object is its own descriptor: shared by producer
+    and engine, it survives engine restarts as an external bus would.
+    """
+
+    def __init__(self):
+        self._log = TopicPartition(self.name, 0)
+        #: [(end offset after the append, ingest timestamp)], ascending.
+        self._ingest = []
+        #: Re-entrant: ``StreamTable.add_batch`` appends while holding it.
+        self._lock = threading.RLock()
+
+    def _append(self, batch: RecordBatch, ingest_time) -> None:
+        """Append one chunk; ``ingest_time`` None leaves it unstamped."""
+        if batch.num_rows == 0:
+            return
+        with self._lock:
+            end = self._log.append_batch(batch)
+            if ingest_time is not None:
+                self._ingest.append((end, float(ingest_time)))
+
+    def ingest_floor(self, start: dict, end: dict):
+        """Oldest ingest timestamp in ``[start, end)``, or None."""
+        with self._lock:
+            return ingest_floor_from_segments(
+                self._ingest, start.get(PARTITION, 0), end.get(PARTITION, 0))
+
+    def create(self):
+        return self
+
+    def partitions(self) -> list:
+        return [PARTITION]
+
+    def initial_offsets(self) -> dict:
+        return {PARTITION: 0}
+
+    def latest_offsets(self) -> dict:
+        with self._lock:
+            return {PARTITION: self._log.end_offset}
+
+    def get_partition_batch(self, partition: str, start: int, end: int) -> RecordBatch:
+        return self._log.read_columnar(start, end, self.schema)
+
+    def get_batch(self, start: dict, end: dict) -> RecordBatch:
+        return self._log.read_columnar(
+            start.get(PARTITION, 0), end[PARTITION], self.schema)

@@ -7,29 +7,29 @@ incrementalizer treats any plan fed by such a stream as a Z-set
 pipeline (see :mod:`repro.streaming.zset`), maintaining aggregates,
 distinct tables and joins under retraction.
 
-Like MemoryStream, the object is its own descriptor, is fully retained
-(any epoch can be replayed after a crash) and is single-partition.
+Like MemoryStream, the object is its own descriptor, fully retained
+(any epoch can be replayed after a crash), single-partition and columnar.
 """
 
 from __future__ import annotations
 
-import threading
 import time
+
+import numpy as np
 
 from repro.sql.batch import RecordBatch
 from repro.sql.types import StructType
-from repro.sources.base import Source, SourceDescriptor, ingest_floor_from_segments
+from repro.sources.base import RetainedLogSource
 from repro.streaming.zset import WEIGHT_COLUMN, weighted_schema
 
-PARTITION = "0"
 
-
-class ChangeStream(Source, SourceDescriptor):
+class ChangeStream(RetainedLogSource):
     """A single-partition, fully retained stream of weighted changes."""
 
     name = "cdc"
 
     def __init__(self, schema):
+        super().__init__()
         #: Schema of the user's rows, without the weight column.
         self.data_schema = (
             schema if isinstance(schema, StructType) else StructType(tuple(schema))
@@ -41,77 +41,34 @@ class ChangeStream(Source, SourceDescriptor):
             )
         #: Schema the engine sees: user columns + ``__weight__``.
         self.schema = weighted_schema(self.data_schema)
-        self._rows = []
-        #: [(row count after append, ingest timestamp)] per producer call
-        #: (an update's -1/+1 pairs share one segment, like one commit).
-        self._ingest = []
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Producer API
     # ------------------------------------------------------------------
-    def _stamp(self, rows, weight: int) -> list:
-        stamped = []
-        for row in rows:
-            if WEIGHT_COLUMN in row:
-                raise ValueError(
-                    f"rows must not carry {WEIGHT_COLUMN!r} explicitly"
-                )
-            stamped.append({**row, WEIGHT_COLUMN: weight})
-        return stamped
+    def _stamp(self, rows, weight: int) -> RecordBatch:
+        """The rows' data columns plus a constant weight column."""
+        rows = list(rows)
+        if any(WEIGHT_COLUMN in row for row in rows):
+            raise ValueError(
+                f"rows must not carry {WEIGHT_COLUMN!r} explicitly")
+        columns = RecordBatch.from_rows(rows, self.data_schema).columns
+        columns[WEIGHT_COLUMN] = np.full(len(rows), weight, dtype=np.int64)
+        return RecordBatch(columns, self.schema)
 
-    def _append(self, stamped: list, ingest_time) -> None:
-        with self._lock:
-            self._rows.extend(stamped)
-            if stamped:
-                self._ingest.append((
-                    len(self._rows),
-                    time.time() if ingest_time is None else float(ingest_time),
-                ))
+    def _publish(self, batch: RecordBatch, ingest_time) -> None:
+        self._append(batch, time.time() if ingest_time is None else ingest_time)
 
     def insert(self, rows, ingest_time: float = None) -> None:
         """Append rows (list of dicts) with weight +1."""
-        self._append(self._stamp(rows, 1), ingest_time)
+        self._publish(self._stamp(rows, 1), ingest_time)
 
     def delete(self, rows, ingest_time: float = None) -> None:
         """Retract rows previously inserted (matched by value), weight -1."""
-        self._append(self._stamp(rows, -1), ingest_time)
+        self._publish(self._stamp(rows, -1), ingest_time)
 
     def update(self, old_rows, new_rows, ingest_time: float = None) -> None:
         """Replace ``old_rows`` with ``new_rows`` atomically: the -1/+1
-        pairs land in one offset range, so no epoch ever observes the
-        delete without its replacement."""
-        self._append(
-            self._stamp(old_rows, -1) + self._stamp(new_rows, 1), ingest_time)
-
-    def ingest_floor(self, start: dict, end: dict):
-        """Oldest ingest timestamp in ``[start, end)``, or None."""
-        with self._lock:
-            return ingest_floor_from_segments(
-                self._ingest, start.get(PARTITION, 0), end.get(PARTITION, 0))
-
-    # ------------------------------------------------------------------
-    # Source / descriptor contract
-    # ------------------------------------------------------------------
-    def create(self) -> "ChangeStream":
-        return self
-
-    def partitions(self) -> list:
-        return [PARTITION]
-
-    def initial_offsets(self) -> dict:
-        return {PARTITION: 0}
-
-    def latest_offsets(self) -> dict:
-        with self._lock:
-            return {PARTITION: len(self._rows)}
-
-    def get_partition_batch(self, partition: str, start: int, end: int) -> RecordBatch:
-        with self._lock:
-            rows = self._rows[start:end]
-        return RecordBatch.from_rows(rows, self.schema)
-
-    def get_batch(self, start: dict, end: dict) -> RecordBatch:
-        return self.get_partition_batch(
-            PARTITION, start.get(PARTITION, 0), end[PARTITION]
-        )
+        halves are one chunk with one ingest stamp, so no epoch ever
+        observes the delete without its replacement."""
+        halves = [self._stamp(old_rows, -1), self._stamp(new_rows, 1)]
+        self._publish(RecordBatch.concat(halves), ingest_time)

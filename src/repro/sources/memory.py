@@ -7,71 +7,32 @@ epoch can be replayed — convenient for crash-recovery tests.
 
 from __future__ import annotations
 
-import threading
 import time
 
 from repro.sql.batch import RecordBatch
 from repro.sql.types import StructType
-from repro.sources.base import Source, SourceDescriptor, ingest_floor_from_segments
-
-PARTITION = "0"
+from repro.sources.base import RetainedLogSource
 
 
-class MemoryStream(Source, SourceDescriptor):
+class MemoryStream(RetainedLogSource):
     """A single-partition, fully retained in-memory stream.
 
     Acts as its own descriptor: the object is shared between the test
     (producer) and the engine (consumer), surviving engine restarts the
-    way an external message bus would.  Each append records its ingest
-    timestamp, so the engine can report end-to-end event-time lag
-    (``ingest_floor``); tests may pin ``ingest_time`` explicitly.
+    way an external message bus would.  Rows become the schema's columns
+    when appended: a row that does not fit raises there, and later
+    changes to the caller's dicts do not reach the stream.  Each append
+    records its ingest timestamp; tests may pin ``ingest_time``.
     """
 
     name = "memory"
 
     def __init__(self, schema):
+        super().__init__()
         self.schema = schema if isinstance(schema, StructType) else StructType(tuple(schema))
-        self._rows = []
-        #: [(row count after append, ingest timestamp)] per add_data.
-        self._ingest = []
-        self._lock = threading.Lock()
 
     def add_data(self, rows, ingest_time: float = None) -> None:
         """Append rows (list of dicts) to the stream."""
-        rows = list(rows)
-        with self._lock:
-            self._rows.extend(rows)
-            if rows:
-                self._ingest.append((
-                    len(self._rows),
-                    time.time() if ingest_time is None else float(ingest_time),
-                ))
-
-    def ingest_floor(self, start: dict, end: dict):
-        """Oldest ingest timestamp in ``[start, end)``, or None."""
-        with self._lock:
-            return ingest_floor_from_segments(
-                self._ingest, start.get(PARTITION, 0), end.get(PARTITION, 0))
-
-    def create(self) -> "MemoryStream":
-        return self
-
-    def partitions(self) -> list:
-        return [PARTITION]
-
-    def initial_offsets(self) -> dict:
-        return {PARTITION: 0}
-
-    def latest_offsets(self) -> dict:
-        with self._lock:
-            return {PARTITION: len(self._rows)}
-
-    def get_partition_batch(self, partition: str, start: int, end: int) -> RecordBatch:
-        with self._lock:
-            rows = self._rows[start:end]
-        return RecordBatch.from_rows(rows, self.schema)
-
-    def get_batch(self, start: dict, end: dict) -> RecordBatch:
-        return self.get_partition_batch(
-            PARTITION, start.get(PARTITION, 0), end[PARTITION]
-        )
+        self._append(
+            RecordBatch.from_rows(rows, self.schema),
+            time.time() if ingest_time is None else ingest_time)

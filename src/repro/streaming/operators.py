@@ -156,21 +156,26 @@ def run_keyed_shard_tasks(ctx: EpochContext, label, op, method: str,
     The writes are applied here, in shard order, after every task
     finished; returns the ``out`` lists concatenated in shard order.  A
     single payload is the unpartitioned epoch and runs as a plain call.
+
+    The partitioned tasks of a ``state_aligned`` operator also get, as
+    their last argument, the index of the state shard their keys live
+    in — their own — and their writes are applied under it; otherwise
+    the handles route each key by its hash.
     """
+    aligned = len(payloads) > 1 and op.state_aligned
+    if aligned:
+        payloads = [args and (*args, i) for i, args in enumerate(payloads)]
     if len(payloads) == 1:
         results = [getattr(op, method)(*payloads[0])]
     else:
         results = run_op_shard_tasks(ctx, label, op, method, payloads)
     outs = []
-    for result in results:
+    for i, result in enumerate(results):
         if result is None:
             continue
         writes, out, late_rows = result
         for state, (puts, removes) in zip(states, writes):
-            for key, value in puts.items():
-                state.put(key, value)
-            for key in removes:
-                state.remove(key)
+            state.apply(puts, removes, i if aligned else None)
         outs.extend(out)
         ctx.metrics["late_rows_dropped"] += late_rows
     return outs
@@ -683,7 +688,8 @@ class StatefulAggregateOp(IncrementalOp):
             ctx, ("agg", id(self)), self, "_fold_shard", payloads,
             [self.state])
 
-    def _fold_shard(self, batch: RecordBatch, watermark) -> tuple:
+    def _fold_shard(self, batch: RecordBatch, watermark,
+                    shard=None) -> tuple:
         """Pure keyed shard task: fold one sub-batch's Z-set into state.
 
         Each signed part is grouped, late-dropped and reduced to per-group
@@ -720,8 +726,7 @@ class StatefulAggregateOp(IncrementalOp):
         keys = {}  # first-seen order: the +1 part's groups, then -1-only
         for groups, _counts, _reducers in folds:
             keys.update(groups)
-        for key in keys:
-            stored = self.state.get(key)
+        for key, stored in zip(keys, self.state.get_many(keys, shard)):
             live, old_buffers = self._unpack(stored)
             buffers = old_buffers if old_buffers is not None \
                 else [fn.init() for fn, _ in aggs]
@@ -881,7 +886,7 @@ class StreamingDedupOp(IncrementalOp):
         return RecordBatch.from_rows(rows, self.output_schema)
 
     def _dedup_shard_weighted(self, batch: RecordBatch, positions,
-                              _watermark) -> tuple:
+                              _watermark, shard=None) -> tuple:
         """Pure keyed shard task: weighted dedup of one sub-batch.
 
         Returns ``(writes, emits, 0)`` with emits as
@@ -892,18 +897,20 @@ class StreamingDedupOp(IncrementalOp):
         subset_idx = [names.index(n) for n in self._node.subset]
         weight_idx = names.index(WEIGHT_COLUMN)
         data_idx = [i for i in range(len(names)) if i != weight_idx]
-        local = {}
         emits = []
         rows = list(zip(*(batch.columns[n].tolist() for n in names)))
-        for pos, row in zip(np.asarray(positions).tolist(), rows):
+        row_keys = [tuple(row[i] for i in subset_idx) for row in rows]
+        # Pre-epoch state by distinct key; ``local``: a private copy.
+        keys = list(dict.fromkeys(row_keys))
+        stored = dict(zip(keys, self.state.get_many(keys, shard)))
+        local = {
+            key: ([[int(c), list(v)] for c, v in value[1]]
+                  if value is not None else [])
+            for key, value in stored.items()
+        }
+        for pos, row, key in zip(np.asarray(positions).tolist(), rows, row_keys):
             weight = int(row[weight_idx])
-            key = tuple(row[i] for i in subset_idx)
-            entries = local.get(key)
-            if entries is None:
-                stored = self.state.get(key)
-                entries = ([[int(c), list(v)] for c, v in stored[1]]
-                           if stored is not None else [])
-                local[key] = entries
+            entries = local[key]
             old_rep = entries[0][1] if entries else None
             if weight > 0:
                 for e in entries:
@@ -941,13 +948,14 @@ class StreamingDedupOp(IncrementalOp):
         puts, removes = {}, []
         for key, entries in local.items():
             if not entries:
-                if self.state.contains(key):
+                if stored[key] is not None:
                     removes.append(key)
             else:
                 puts[key] = [sum(e[0] for e in entries), entries]
         return [(puts, removes)], emits, 0
 
-    def _dedup_shard(self, batch: RecordBatch, positions, watermark) -> tuple:
+    def _dedup_shard(self, batch: RecordBatch, positions, watermark,
+                     shard=None) -> tuple:
         """Pure keyed shard task: first-seen rows of one sub-batch.
 
         Returns ``(writes, emits, late_rows)`` with emits as
@@ -975,9 +983,11 @@ class StreamingDedupOp(IncrementalOp):
                 live_codes = live_codes[~late]
         puts = {}
         emits = []
-        for g in live_codes.tolist():
+        live_codes = live_codes.tolist()
+        seen = self.state.get_many([uniques[g] for g in live_codes], shard)
+        for g, marker in zip(live_codes, seen):
             key = uniques[g]
-            if not self.state.contains(key):
+            if marker is None:
                 puts[key] = (
                     key[self._time_index] if self._time_index is not None else 1
                 )
@@ -1120,22 +1130,30 @@ class StreamStreamJoinOp(IncrementalOp):
     def _rows_by_key(self, batch: RecordBatch, row_offsets=None) -> dict:
         """Group the delta's rows (as value lists) by join key, in row
         order — the only materialization this epoch performs.  Returns
-        ``key -> (first_row_index, [row_values, ...])``; indices come
-        from ``row_offsets`` (global positions of this sub-batch's rows)
-        so sharded probes can be merged back into global delta order."""
-        by_key = {}
+        ``key -> (first_row_index, [row_values, ...])``, keys in order of
+        their first row; indices come from ``row_offsets`` (global
+        positions of this sub-batch's rows) so sharded probes can be
+        merged back into global delta order.  Columnar: group codes, a
+        stable sort of row positions by code, rows materialized once in
+        that order — a key's rows are a slice."""
         if batch.num_rows == 0:
-            return by_key
-        names = batch.schema.names
-        key_idx = [names.index(k) for k in self._node.on]
-        for pos, row in enumerate(zip(*(batch.columns[n].tolist() for n in names))):
-            key = tuple(row[i] for i in key_idx)
-            entry = by_key.get(key)
-            if entry is None:
-                first = int(row_offsets[pos]) if row_offsets is not None else pos
-                entry = by_key[key] = (first, [])
-            entry[1].append(list(row))
-        return by_key
+            return {}
+        codes, keys = encode_groups(
+            [batch.columns[k] for k in self._node.on])
+        order = np.argsort(codes, kind="stable")
+        rows = [list(row) for row in zip(
+            *(batch.columns[n][order].tolist() for n in batch.schema.names))]
+        ends = np.cumsum(np.bincount(codes, minlength=len(keys)))
+        starts = np.concatenate(([0], ends[:-1]))
+        # The sort is stable: a group's first sorted row is its first row.
+        firsts = order[starts]
+        by_first = np.argsort(firsts, kind="stable").tolist()
+        if row_offsets is not None:
+            firsts = np.asarray(row_offsets)[firsts]
+        firsts, starts, ends = firsts.tolist(), starts.tolist(), ends.tolist()
+        return {
+            keys[g]: (firsts[g], rows[starts[g]:ends[g]]) for g in by_first
+        }
 
     def _drop_late_input(self, batch: RecordBatch, time_col: str,
                          watermark, ctx: EpochContext) -> RecordBatch:
@@ -1202,7 +1220,7 @@ class StreamStreamJoinOp(IncrementalOp):
 
     def _probe_shard(self, new_left: RecordBatch, left_offsets,
                      new_right: RecordBatch, right_offsets,
-                     lt_idx, rt_idx, skew) -> tuple:
+                     lt_idx, rt_idx, skew, shard=None) -> tuple:
         """Pure shard task: probe one shard's delta keys against state.
 
         Probes the state store only for the distinct keys present in the
@@ -1236,11 +1254,13 @@ class StreamStreamJoinOp(IncrementalOp):
             (key, (1, first)) for key, (first, _rows)
             in right_by_key.items() if key not in left_by_key
         )
-        for key, token in probe:
+        keys = [key for key, _token in probe]
+        for (key, token), stored_l, stored_r in zip(
+                probe, self._left_state.get_many(keys, shard),
+                self._right_state.get_many(keys, shard)):
             nl = left_by_key.get(key)
             nr = right_by_key.get(key)
-            stored_l = self._left_state.get(key) or []
-            stored_r = self._right_state.get(key) or []
+            stored_l, stored_r = stored_l or [], stored_r or []
             if track:
                 l_entries = [[e[0], e[1]] for e in stored_l]
                 r_entries = [[e[0], e[1]] for e in stored_r]

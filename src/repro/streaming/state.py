@@ -35,6 +35,8 @@ from __future__ import annotations
 import heapq
 import json
 import os
+from json.encoder import encode_basestring_ascii as _encode_str
+from math import isfinite
 from operator import itemgetter
 
 from repro.observability import metrics
@@ -120,18 +122,27 @@ class PendingStateWrite:
 
 
 def encode_key(key) -> str:
-    """Encode a key (scalar or tuple) as a canonical JSON string."""
-    if isinstance(key, tuple):
-        return json.dumps(list(key))
-    return json.dumps(key)
+    """Encode a key (scalar or tuple) as a canonical JSON string.
 
-
-def _cache_key(key):
-    """A hashable cache key that distinguishes types JSON encodes
-    differently but Python hashes identically (1 vs 1.0 vs True)."""
-    if isinstance(key, tuple):
-        return (key, tuple(type(v) for v in key))
-    return (key, type(key))
+    Byte-identical to ``json.dumps(list(key))`` (``json.dumps(key)`` for
+    a scalar), the on-disk key format, but written by hand for the three
+    types keys are made of — under a microsecond, so handles cache
+    nothing per key.  Anything else (bool, None, nan/inf, a nested list,
+    a subclass) sends the whole key through ``json.dumps``.
+    """
+    values = key if isinstance(key, tuple) else (key,)
+    parts = []
+    for value in values:
+        kind = type(value)
+        if kind is int:
+            parts.append(str(value))
+        elif kind is str:
+            parts.append(_encode_str(value))
+        elif kind is float and isfinite(value):
+            parts.append(repr(value))
+        else:
+            return json.dumps(list(key) if values is key else key)
+    return "[" + ", ".join(parts) + "]" if values is key else parts[0]
 
 
 def decode_key(text: str):
@@ -179,18 +190,19 @@ def _make_shards(num_shards: int) -> list:
 class OperatorStateHandle:
     """One operator's keyed state, with dirty tracking for delta commits.
 
-    Hot-path structures keep per-access cost independent of total state
-    size (the delta-proportionality the paper claims in §5.2/§6.1):
+    Per-access cost is independent of total state size (the
+    delta-proportionality the paper claims in §5.2/§6.1), and nothing is
+    kept per key beside the key's entry in its shard:
 
-    * an **interned-key cache** so ``encode_key``'s ``json.dumps`` and
-      the shard hash run once per distinct key, not once per access;
+    * a key is encoded on each access by :func:`encode_key` (no cache),
+      and a shard task names the shard it owns — ``get_many(keys,
+      shard)`` / ``apply(puts, removes, shard)`` — so a sharded handle
+      hashes a key when it first enters a shard, not on every access;
     * per-shard **expiry indexes** (min-heaps with lazy invalidation,
-      maintained on ``put``/``remove``) so watermark-gated operators pop
-      only finalized keys instead of scanning the full store.
-
-    None of these structures is persisted: the on-disk checkpoint format
-    is unchanged (and shard-count independent), and the indexes are
-    rebuilt from data on ``restore``.
+      maintained on ``put``/``remove``) let watermark-gated operators
+      pop only finalized keys instead of scanning the full store; they
+      are not persisted (the checkpoint format is shard-count
+      independent) but rebuilt from data on ``restore``.
     """
 
     #: Checkpoint kinds this backend can restore from.  The tiered
@@ -203,7 +215,6 @@ class OperatorStateHandle:
         self._directory = directory
         self.num_shards = max(1, num_shards)
         self._shards = _make_shards(self.num_shards)
-        self._key_cache = {}
         self._expiry_fn = None
         self._row_fn = None
         #: Running totals, so neither ``len()`` nor ``rows`` ever scans:
@@ -230,42 +241,77 @@ class OperatorStateHandle:
     # ------------------------------------------------------------------
     def shard_index(self, key) -> int:
         """The shard a key routes to (0 when unsharded)."""
-        if self.num_shards == 1:
-            return 0
-        return shard_of_key(
-            key if isinstance(key, tuple) else (key,), self.num_shards
-        )
+        return shard_of_key(key, self.num_shards)
 
     def _locate(self, key):
-        """Resolve a key to its ``(shard, encoded)`` once, then cache."""
-        cache_key = _cache_key(key)
-        located = self._key_cache.get(cache_key)
-        if located is None:
-            if len(self._key_cache) > max(4096, 4 * self._num_keys):
-                self._key_cache.clear()
-            located = (self._shards[self.shard_index(key)], encode_key(key))
-            self._key_cache[cache_key] = located
-        return located
+        """A key's ``(shard, encoded key)``."""
+        return self._shards[self.shard_index(key)], encode_key(key)
 
-    def encoded(self, key) -> str:
-        """The canonical encoded form of a key (cached)."""
-        return self._locate(key)[1]
+    def _read(self, shard, encoded: str, default=None):
+        """A located key's value."""
+        return shard.data.get(encoded, default)
 
     def get(self, key, default=None):
         """Value for a key, or default."""
         shard, encoded = self._locate(key)
         if metrics._registry is not None:
             metrics._registry.counter(shard.gets_metric).inc()
-        return shard.data.get(encoded, default)
+        return self._read(shard, encoded, default)
+
+    def get_many(self, keys, shard: int = None) -> list:
+        """Values for ``keys`` in order, None where a key has no state.
+        ``shard``: the index of the shard a task of a ``state_aligned``
+        operator knows all its keys live in; naming it saves the hashes
+        (a key of another shard reads as absent)."""
+        if shard is None and self.num_shards > 1:
+            return [self.get(key) for key in keys]
+        owned, read = self._shards[shard or 0], self._read
+        if metrics._registry is not None:
+            metrics._registry.counter(owned.gets_metric).inc(len(keys))
+        return [read(owned, encode_key(key)) for key in keys]
 
     def contains(self, key) -> bool:
         """True if the key has state."""
-        shard, encoded = self._locate(key)
-        return encoded in shard.data
+        return self._read(*self._locate(key), _MISSING) is not _MISSING
 
     def put(self, key, value) -> None:
         """Set a key's state (JSON-serializable value)."""
-        shard, encoded = self._locate(key)
+        self._put(*self._locate(key), key, value)
+
+    def remove(self, key) -> None:
+        """Delete a key's state."""
+        self._remove(*self._locate(key))
+
+    def apply(self, puts: dict, removes, shard: int = None) -> None:
+        """Apply one shard task's deferred writes: puts, then removes.
+        Under ``shard`` (see :meth:`get_many`) only a key new to that
+        shard is hashed, and one that routes elsewhere raises rather
+        than start a second life where no restore would look for it."""
+        if shard is None and self.num_shards > 1:
+            for key, value in puts.items():
+                self.put(key, value)
+            for key in removes:
+                self.remove(key)
+            return
+        owned, check = self._shards[shard or 0], self.num_shards > 1
+        for key, value in puts.items():
+            encoded = encode_key(key)
+            if check and encoded not in owned.data:
+                self._check_owner(key, shard)
+            self._put(owned, encoded, key, value)
+        for key in removes:
+            encoded = encode_key(key)
+            if check and encoded not in owned.data:
+                self._check_owner(key, shard)
+            self._remove(owned, encoded)
+
+    def _check_owner(self, key, shard: int) -> None:
+        if self.shard_index(key) != shard:
+            raise ValueError(
+                f"state key {key!r} belongs to shard {self.shard_index(key)}"
+                f" of {self.num_shards}, not to shard {shard}")
+
+    def _put(self, shard, encoded: str, key, value) -> None:
         if metrics._registry is not None:
             metrics._registry.counter(shard.puts_metric).inc()
         old = shard.data.get(encoded, _MISSING)
@@ -282,9 +328,7 @@ class OperatorStateHandle:
         if self._expiry_fn is not None:
             self._index_put(shard, encoded, key, value)
 
-    def remove(self, key) -> None:
-        """Delete a key's state."""
-        shard, encoded = self._locate(key)
+    def _remove(self, shard, encoded: str) -> None:
         old = shard.data.pop(encoded, _MISSING)
         if old is not _MISSING:
             self._num_keys -= 1
@@ -692,7 +736,6 @@ class OperatorStateHandle:
         exactly into a handle with any other (rescaling, §6.2).
         """
         self._shards = _make_shards(self.num_shards)
-        self._key_cache.clear()
         self._num_keys = 0
         self._base_weight = self._delta_weight = 0
         self.last_committed_version = None

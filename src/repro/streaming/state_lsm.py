@@ -77,10 +77,8 @@ from repro.streaming.state import (
     DEFAULT_MEMTABLE_BYTES,
     OperatorStateHandle,
     PendingStateWrite,
-    _cache_key,
     _make_shards,
     decode_key,
-    encode_key,
 )
 from repro.streaming.statefile import TOMBSTONE, StateFileWriter
 from repro.testing.faults import fault_point
@@ -106,9 +104,6 @@ COMPACT_FANIN = 4
 MAX_RUNS = 10
 #: Streaming-scan read size (bounds merge/iteration memory).
 SCAN_CHUNK = 1 << 20
-#: Bound on the interned-key cache: the dict backend scales its cache
-#: with ``len(self)``, which would itself be O(total keys) here.
-KEY_CACHE_MAX = 65536
 
 _MASK64 = (1 << 64) - 1
 
@@ -382,19 +377,6 @@ class TieredOperatorStateHandle(OperatorStateHandle):
     # ------------------------------------------------------------------
     # Keyed access
     # ------------------------------------------------------------------
-    def _locate(self, key):
-        # Same interning cache as the base class, but with a fixed bound:
-        # the dict backend's ``4 * len(self)`` bound is itself O(total
-        # keys), which is exactly what this backend must not hold in RAM.
-        cache_key = _cache_key(key)
-        located = self._key_cache.get(cache_key)
-        if located is None:
-            if len(self._key_cache) >= KEY_CACHE_MAX:
-                self._key_cache.clear()
-            located = (self._shards[self.shard_index(key)], encode_key(key))
-            self._key_cache[cache_key] = located
-        return located
-
     def _probe_runs(self, encoded: str):
         """Look a key up in the runs, newest first."""
         if not self._runs:
@@ -413,22 +395,11 @@ class TieredOperatorStateHandle(OperatorStateHandle):
             value = self._probe_runs(encoded)
         return value
 
-    def get(self, key, default=None):
-        shard, encoded = self._locate(key)
-        if metrics._registry is not None:
-            metrics._registry.counter(shard.gets_metric).inc()
+    def _read(self, shard, encoded: str, default=None):
         value = self._lookup(shard, encoded)
-        if value is _MISS or value is TOMBSTONE:
-            return default
-        return value
+        return default if value is _MISS or value is TOMBSTONE else value
 
-    def contains(self, key) -> bool:
-        shard, encoded = self._locate(key)
-        value = self._lookup(shard, encoded)
-        return value is not _MISS and value is not TOMBSTONE
-
-    def put(self, key, value) -> None:
-        shard, encoded = self._locate(key)
+    def _put(self, shard, encoded: str, key, value) -> None:
         if metrics._registry is not None:
             metrics._registry.counter(shard.puts_metric).inc()
         prior = shard.data.get(encoded, _MISS)
@@ -454,8 +425,7 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         if self._mem_bytes >= self.memtable_bytes:
             self._flush()
 
-    def remove(self, key) -> None:
-        shard, encoded = self._locate(key)
+    def _remove(self, shard, encoded: str) -> None:
         prior = shard.data.get(encoded, _MISS)
         if prior is _MISS:
             prior = self._probe_runs(encoded)
@@ -780,7 +750,6 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         self.close()
         self._runs = []
         self._shards = _make_shards(self.num_shards)
-        self._key_cache.clear()
         self._mem_bytes = 0
         self._num_keys = 0
         self.last_committed_version = None

@@ -17,18 +17,14 @@ downstream recovery depends on.
 
 from __future__ import annotations
 
-import threading
-
 from repro.sinks.base import Sink
 from repro.sql.batch import RecordBatch
 from repro.sql.types import StructType
-from repro.sources.base import Source, SourceDescriptor, ingest_floor_from_segments
+from repro.sources.base import RetainedLogSource
 from repro.testing.faults import fault_point
 
-PARTITION = "0"
 
-
-class StreamTable(Sink, Source, SourceDescriptor):
+class StreamTable(Sink, RetainedLogSource):
     """A named changelog bridging two streaming queries.
 
     One instance is shared by the writing query (as its sink) and any
@@ -42,11 +38,10 @@ class StreamTable(Sink, Source, SourceDescriptor):
     supported_modes = ("append", "retract")
 
     def __init__(self, table_name: str):
+        super().__init__()
         self.table_name = table_name
         self.schema = None  # bound by the writing query's start()
-        self._rows = []
         self._epochs = set()
-        self._lock = threading.Lock()
         self.key_names = []
         #: Ingest-floor propagation (end-to-end event-time lag, §7.4):
         #: the writing engine announces each epoch's oldest source-ingest
@@ -54,7 +49,6 @@ class StreamTable(Sink, Source, SourceDescriptor):
         #: batch; the appended row range inherits it, so a downstream
         #: query's ``ingest_floor`` sees the *original* bronze ingest
         #: time, not this stage's write time.
-        self._ingest = []
         self._pending_ingest = {}
 
     # -- sink side ------------------------------------------------------
@@ -83,42 +77,11 @@ class StreamTable(Sink, Source, SourceDescriptor):
             pending = self._pending_ingest.pop(epoch_id, None)
             if epoch_id in self._epochs:
                 return  # idempotent re-delivery after recovery
-            self._rows.extend(batch.to_rows())
-            if pending is not None and batch.num_rows:
-                self._ingest.append((len(self._rows), pending))
+            # The epoch's columns become one chunk of the log as they are.
+            self._append(batch, pending)
             self._epochs.add(epoch_id)
             self._count_commit(batch.num_rows)
-
-    def ingest_floor(self, start: dict, end: dict):
-        """Oldest propagated ingest timestamp in ``[start, end)``."""
-        with self._lock:
-            return ingest_floor_from_segments(
-                self._ingest, start.get(PARTITION, 0), end.get(PARTITION, 0))
 
     def last_committed_epoch(self):
         with self._lock:
             return max(self._epochs) if self._epochs else None
-
-    # -- source side ----------------------------------------------------
-    def create(self) -> "StreamTable":
-        return self
-
-    def partitions(self) -> list:
-        return [PARTITION]
-
-    def initial_offsets(self) -> dict:
-        return {PARTITION: 0}
-
-    def latest_offsets(self) -> dict:
-        with self._lock:
-            return {PARTITION: len(self._rows)}
-
-    def get_partition_batch(self, partition: str, start: int, end: int) -> RecordBatch:
-        with self._lock:
-            rows = self._rows[start:end]
-        return RecordBatch.from_rows(rows, self.schema)
-
-    def get_batch(self, start: dict, end: dict) -> RecordBatch:
-        return self.get_partition_batch(
-            PARTITION, start.get(PARTITION, 0), end[PARTITION]
-        )

@@ -397,3 +397,63 @@ def test_run_shard_tasks_orders_and_skips_none():
         assert run_shard_tasks(inline, ("t", 1), fns) == results
     finally:
         scheduler.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# Shard tasks name their shard: get_many / apply under a shard index
+# ---------------------------------------------------------------------------
+
+class TestShardOwnedAccess:
+    @pytest.mark.parametrize("tiered", [False, True])
+    def test_wrong_shard_raises_instead_of_forking_the_key(self, tmp_path, tiered):
+        from repro.streaming.state_lsm import TieredOperatorStateHandle
+
+        make = TieredOperatorStateHandle if tiered else OperatorStateHandle
+        handle = make(str(tmp_path / "h"), num_shards=4)
+        key = ("k7", 1)
+        own = handle.shard_index(key)
+        other = (own + 1) % 4
+        handle.apply({key: "v1"}, [], shard=own)
+        for attempt in ({key: "v2"}, []), ({}, [key]):
+            with pytest.raises(ValueError, match="belongs to shard"):
+                handle.apply(*attempt, shard=other)
+        # One life, in the shard its hash routes to — where a restore
+        # (which re-routes every key) will look for it.
+        assert len(handle) == 1 and handle.get(key) == "v1"
+        assert handle.get_many([key], shard=own) == ["v1"]
+        assert handle.get_many([key], shard=other) == [None]
+        assert handle.get_many([key]) == ["v1"]
+        # An update of a key the shard already holds is not re-hashed.
+        handle.shard_index = None
+        handle.apply({key: "v3"}, [], shard=own)
+        assert handle.get_many([key], shard=own) == ["v3"]
+        handle.close()
+
+    def test_aligned_operator_applies_under_the_task_shard(self, tmp_path):
+        """An aligned operator's shard tasks write under their own index
+        (dedup: state key == partition key), and every key they write
+        does route there."""
+        from repro.sql.session import Session
+        from repro.streaming.state import OperatorStateHandle as Handle
+
+        seen = []
+        real_apply = Handle.apply
+
+        def apply(self, puts, removes, shard=None):
+            seen.append((shard, [self.shard_index(k) for k in puts]))
+            real_apply(self, puts, removes, shard)
+
+        stream = make_stream((("k", "string"), ("t", "double")))
+        df = Session().read_stream.memory(stream).drop_duplicates(["k"])
+        query = start_memory_query(
+            df, "append", "owned", str(tmp_path / "ckpt"), num_shards=4)
+        Handle.apply = apply
+        try:
+            stream.add_data([{"k": f"k{i}", "t": float(i)} for i in range(40)])
+            query.process_all_available()
+        finally:
+            Handle.apply = real_apply
+            query.stop()
+        assert len(seen) > 1
+        assert all(shard is not None and set(routed) <= {shard}
+                   for shard, routed in seen)

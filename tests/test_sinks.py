@@ -118,6 +118,55 @@ class TestTransactionalFileSink:
         assert sink.read_rows() == [{"k": "0", "n": 0}]
         assert sink.last_committed_epoch() == 0
 
+    def test_add_batch_reads_no_old_manifest(self, tmp_path, monkeypatch):
+        """Epoch N must not parse N manifests to learn it is new: each
+        manifest is read at most once per sink instance, and the
+        writer's own not at all."""
+        from repro.sinks import file as file_sink
+
+        reads = []
+        real_read = file_sink.read_json
+        monkeypatch.setattr(
+            file_sink, "read_json", lambda path: reads.append(path) or real_read(path))
+        directory = str(tmp_path / "out")
+        first = TransactionalFileSink(directory, writer_id="a")
+        for epoch in range(30):
+            first.add_batch(epoch, batch([{"k": "a", "n": epoch}]), "append")
+        assert reads == []
+        # A second instance (a restart) indexes the log once...
+        second = TransactionalFileSink(directory, writer_id="a")
+        assert second.last_committed_epoch() == 29
+        indexed = len(reads)
+        assert 30 <= indexed <= 31
+        # ...then new epochs cost nothing, a redelivery one confirming read.
+        for epoch in range(30, 40):
+            second.add_batch(epoch, batch([{"k": "a", "n": epoch}]), "append")
+        assert len(reads) == indexed
+        second.add_batch(35, batch([{"k": "a", "n": 999}]), "append")
+        assert len(reads) == indexed + 1
+        assert len(second.read_rows()) == 40
+
+    def test_index_honours_other_instances(self, tmp_path):
+        """Another writer's commits, the same writer's commits through
+        another instance, and its rollback are all seen by an instance
+        that already indexed the log."""
+        directory = str(tmp_path / "out")
+        mine = TransactionalFileSink(directory, writer_id="a")
+        mine.add_batch(0, batch([{"k": "a", "n": 0}]), "append")
+        TransactionalFileSink(directory, writer_id="b").add_batch(
+            0, batch([{"k": "b", "n": 0}]), "append")
+        twin = TransactionalFileSink(directory, writer_id="a")
+        twin.add_batch(1, batch([{"k": "a", "n": 1}]), "append")
+        mine.add_batch(1, batch([{"k": "a", "n": 999}]), "append")  # twin's
+        mine.add_batch(2, batch([{"k": "a", "n": 2}]), "append")
+        assert [m["version"] for m in mine.committed_manifests()] == [0, 1, 2, 3]
+        assert twin.remove_epochs_after(0) == 2
+        assert mine.last_committed_epoch() == 0
+        assert mine.rows_for_epoch(2) == []
+        mine.add_batch(1, batch([{"k": "a", "n": 11}]), "append")
+        assert mine.read_rows() == [
+            {"k": "a", "n": 0}, {"k": "b", "n": 0}, {"k": "a", "n": 11}]
+
     def test_read_batch(self, tmp_path):
         sink = TransactionalFileSink(str(tmp_path / "out"))
         sink.add_batch(0, batch([{"k": "a", "n": 1}]), "append")

@@ -1,11 +1,30 @@
 """Tests for the write-ahead log and versioned state store (§6.1)."""
 
+import json
+import math
 import os
+import tracemalloc
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.streaming.state import OperatorStateHandle, StateStore, decode_key, encode_key
+from repro.streaming.state_lsm import TieredOperatorStateHandle
 from repro.streaming.wal import WriteAheadLog
+
+#: Everything a state key is made of, and what it is not supposed to be
+#: made of but must still encode as ``json.dumps`` does.
+KEY_VALUES = st.one_of(
+    st.integers(-2**70, 2**70),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+    st.sampled_from(['quo"te', "back\\slash", "\x00\x1f\x7f", "é☃\U0001f600",
+                     "\ud800", "a\udfffb"]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308]),
+)
 
 
 class TestWriteAheadLog:
@@ -76,6 +95,23 @@ class TestKeyEncoding:
 
     def test_tuples_become_canonical(self):
         assert encode_key(("a", 1)) == '["a", 1]'
+
+    @given(key=st.one_of(KEY_VALUES, st.lists(KEY_VALUES, max_size=4).map(tuple)))
+    @example(key=(2**63, -2**63 - 1))
+    @example(key=(float("inf"), float("-inf"), float("nan")))
+    @example(key=("\ud800", 'a"b\\c\n'))
+    @example(key=(1, [2, "x"]))  # nested: not a key any operator builds
+    @example(key=())
+    def test_hand_encoder_is_json_dumps(self, key):
+        """The on-disk key format is ``json.dumps``; the hand-written
+        encoder must produce it byte for byte."""
+        want = json.dumps(list(key)) if isinstance(key, tuple) else json.dumps(key)
+        assert encode_key(key) == want
+        # Round trip: wherever it held with json.dumps (nan never equals
+        # itself; a nested list comes back as a list inside a tuple too).
+        flat = key if isinstance(key, tuple) else (key,)
+        if not any(isinstance(v, float) and math.isnan(v) for v in flat):
+            assert decode_key(encode_key(key)) == key
 
 
 class TestOperatorStateHandle:
@@ -234,21 +270,32 @@ class TestExpiryIndex:
         assert fresh.next_expiry() == 1.0
         assert fresh.pop_expired(2.0) == [("a", 1.0)]
 
-    def test_key_cache_distinguishes_equal_hash_types(self, tmp_path):
-        # 1, 1.0 and True hash identically but encode differently; the
-        # interned-key cache must not alias them.
-        handle = OperatorStateHandle(str(tmp_path / "op"))
-        handle.put(1, "int")
-        handle.put(1.0, "float")
-        handle.put(True, "bool")
-        handle.put((1,), "int-tuple")
-        handle.put((1.0,), "float-tuple")
-        assert handle.get(1) == "int"
-        assert handle.get(1.0) == "float"
-        assert handle.get(True) == "bool"
-        assert handle.get((1,)) == "int-tuple"
-        assert handle.get((1.0,)) == "float-tuple"
-        assert len(handle) == 5
+    def test_equal_hash_types_are_distinct_keys(self, tmp_path):
+        # 1, 1.0 and True hash and compare equal in Python but encode
+        # differently: they are three keys (five with the tuples), in
+        # memory and through commit + restore, on both backends.
+        for make in (OperatorStateHandle, TieredOperatorStateHandle):
+            directory = str(tmp_path / make.__name__)
+            handle = make(directory, 2)
+            handle.put(1, "int")
+            handle.put(1.0, "float")
+            handle.apply({True: "bool", (1,): "int-tuple"}, [])
+            handle.put((1.0,), "float-tuple")
+            restored = make(directory, 2)
+            handle.commit(0)
+            restored.restore(0)
+            for view in (handle, restored):
+                assert view.get(1) == "int"
+                assert view.get(1.0) == "float"
+                assert view.get(True) == "bool"
+                assert view.get_many([(1,), (1.0,), (True,)]) == [
+                    "int-tuple", "float-tuple", None]
+                assert len(view) == 5
+                assert {type(k): v for k, v in view.items()
+                        if not isinstance(k, tuple)} == {
+                    int: "int", float: "float", bool: "bool"}
+            handle.close()
+            restored.close()
 
 
 class TestStateStore:
@@ -288,3 +335,45 @@ class TestStateStore:
         store.handle("a").put("x", 2)
         store.commit_all(1)
         assert store.latest_complete_version() == 1
+
+
+class TestKeyMemory:
+    """The handle keeps nothing per key beside the key's shard entry: a
+    per-key side structure (say, a cache of encoded keys, ~250 B a key)
+    would show here."""
+
+    KEYS = 20_000
+
+    def _committed(self, make) -> tuple:
+        """``(handle, bytes it holds per key)`` after put + commit."""
+        keys = [(i,) for i in range(100_000, 100_000 + self.KEYS)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            handle = make()
+            for key in keys:
+                handle.put(key, 1)  # a shared small int: no value cost
+            handle.commit(0)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        return handle, held / self.KEYS
+
+    def test_dict_handle_holds_an_encoded_key_and_a_slot(self, tmp_path):
+        # Measured 78 B/key (a 7-digit JSON string + its dict slot).
+        handle, per_key = self._committed(
+            lambda: OperatorStateHandle(str(tmp_path / "op")))
+        assert len(handle) == self.KEYS
+        assert per_key <= 200
+
+    def test_tiered_handle_holds_nothing_outside_its_memtable(self, tmp_path):
+        # Committed keys live in a run: what stays in memory is the
+        # run's bloom bits and sparse index, measured 9 B/key.
+        handle, per_key = self._committed(
+            lambda: TieredOperatorStateHandle(str(tmp_path / "op")))
+        assert len(handle) == self.KEYS
+        assert not any(shard.data or shard.dirty or shard.expiry
+                       for shard in handle._shards)
+        assert per_key <= 32
+        assert handle.get_many([(100_000,), (5,)]) == [1, None]
+        handle.close()

@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Live heap of one bench workload, by engine module.
+
+    python3 tools/heap_by_layer.py --workload W [--seed N] [--blocks B]
+                                   [--root <checkout>] [--lines K]
+    make heap W=<workload>
+
+Runs a ``bench/drivers.py`` workload under ``tracemalloc`` and prints
+the bytes still live at the end of set-up and at the end of the timed
+window, charged to the innermost ``src/repro`` module on each
+allocation's stack (``bench/`` frames count as the harness, the rest as
+``other``), then the ``--lines`` largest ``src/repro`` lines at the end
+of the window.  ``--root`` points at another checkout — a copy of the
+parent commit — so a memory claim is two runs of this one instrument.
+
+``bench/`` is imported, never edited.  ``tracemalloc`` slows the run
+several times over and adds its own bookkeeping to the process: read
+the table for *who holds what*, and ``peak_rss_mb`` of ``bench/run.py``
+for how much.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import sys
+import tempfile
+import tracemalloc
+from collections import defaultdict
+
+#: Stack depth kept per allocation: deep enough to reach the engine
+#: frame under numpy's and json's own.
+FRAMES = 12
+
+
+def charge(snapshot, root: str):
+    """``(bytes by layer, bytes by src/repro line)`` of one snapshot."""
+    package = os.path.join(root, "src", "repro") + os.sep
+    harness = os.path.join(root, "bench") + os.sep
+    layers, lines = defaultdict(int), defaultdict(int)
+    for stat in snapshot.statistics("traceback"):
+        layer = "other"
+        for frame in reversed(stat.traceback):  # innermost first
+            if frame.filename.startswith(package):
+                module = frame.filename[len(package):]
+                layer = module
+                lines[f"{module}:{frame.lineno}"] += stat.size
+                break
+            if frame.filename.startswith(harness):
+                layer = "bench/ (harness)"
+                break
+        layers[layer] += stat.size
+    return layers, lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--blocks", type=int, default=3,
+                        help="timed blocks to run (bench/run.py --quick "
+                             "runs 3; its default for cdc_join_agg is 14)")
+    parser.add_argument("--root", default=os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))),
+        help="the checkout whose bench/ and src/ to run")
+    parser.add_argument("--lines", type=int, default=8)
+    args = parser.parse_args(argv)
+    root = os.path.abspath(args.root)
+
+    for name in [n for n in os.environ if n.startswith("REPRO_")]:
+        del os.environ[name]
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
+    import drivers
+
+    # Where the harness keeps its own scratch: git-ignored, same disk.
+    results = os.path.join(root, "bench", "results")
+    os.makedirs(results, exist_ok=True)
+    workdir = tempfile.mkdtemp(prefix="heap-", dir=results)
+    workload = drivers.WORKLOADS[args.workload](
+        args.seed, args.blocks, os.path.join(workdir, "run"))
+    os.makedirs(workload.workdir)
+    tracemalloc.start(FRAMES)
+    try:
+        workload.setup()
+        after_setup, _ = charge(tracemalloc.take_snapshot(), root)
+        workload.measure()
+        after_window, lines = charge(tracemalloc.take_snapshot(), root)
+    finally:
+        tracemalloc.stop()
+        workload.teardown()
+        shutil.rmtree(workdir, ignore_errors=True)
+
+    mb = 1 / (1 << 20)
+    print(f"{args.workload} seed {args.seed}, {args.blocks} blocks, {root}")
+    print(f"{'live MB by layer':40s}{'end of set-up':>15s}{'end of window':>15s}")
+    for layer in sorted(after_window, key=after_window.get, reverse=True):
+        if after_window[layer] * mb < 0.05 and after_setup[layer] * mb < 0.05:
+            continue
+        print(f"{layer:40s}{after_setup[layer] * mb:>15.1f}"
+              f"{after_window[layer] * mb:>15.1f}")
+    print(f"{'total':40s}{sum(after_setup.values()) * mb:>15.1f}"
+          f"{sum(after_window.values()) * mb:>15.1f}")
+    print("\nlargest src/repro lines at end of window")
+    for line in sorted(lines, key=lines.get, reverse=True)[:args.lines]:
+        print(f"{line:40s}{lines[line] * mb:>30.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
