@@ -21,7 +21,6 @@ import time
 
 import pytest
 
-from repro.cluster import TaskScheduler
 from repro.cluster.perfmodel import ClusterPerformanceModel
 from repro.sql.session import Session
 from repro.workloads.yahoo import structured_streaming_query
@@ -87,19 +86,24 @@ def test_scaling_series(benchmark, columnar_events, workload):
 # Measured process-worker sweep over the hash-partitioned epoch (§6.1-§6.2)
 # ---------------------------------------------------------------------------
 
-def _drain_partitioned(broker, workload, scheduler) -> float:
-    """One full run of the Yahoo pipeline through the partitioned engine;
-    returns the epoch wall time."""
+def _drain_partitioned(broker, workload, workers) -> tuple:
+    """One full run of the Yahoo pipeline on a ``workers``-process pool;
+    returns the epoch wall time and the pool's stage reports."""
     session = Session()
     query = structured_streaming_query(session, broker, "events", workload)
     handle = (query.write_stream.format("memory").query_name("fig6b-sweep")
               .output_mode("update")
-              .option("scheduler", scheduler)
+              .option("executor", "process")
+              .option("num_workers", workers)
               .option("num_shards", SWEEP_SHARDS)
               .start())
-    started = time.perf_counter()
-    handle.process_all_available()
-    return time.perf_counter() - started
+    try:
+        started = time.perf_counter()
+        handle.process_all_available()
+        wall = time.perf_counter() - started
+        return wall, handle.engine.pool.stage_reports
+    finally:
+        handle.stop()
 
 
 @pytest.mark.benchmark(group="fig6b")
@@ -123,21 +127,10 @@ def test_worker_sweep_process_executor(benchmark, columnar_events, workload):
 
     def sweep():
         for workers in worker_counts:
-            scheduler = TaskScheduler(workers, executor="process",
-                                      speculation=False)
-            try:
-                best_wall, best_reports = None, None
-                for _ in range(rounds):
-                    before = len(scheduler.stage_reports)
-                    wall = _drain_partitioned(
-                        columnar_events, workload, scheduler)
-                    if best_wall is None or wall < best_wall:
-                        best_wall = wall
-                        best_reports = scheduler.stage_reports[before:]
-                measured[workers] = best_wall
-                reports[workers] = best_reports
-            finally:
-                scheduler.shutdown()
+            measured[workers], reports[workers] = min(
+                (_drain_partitioned(columnar_events, workload, workers)
+                 for _ in range(rounds)),
+                key=lambda run: run[0])
         return len(measured)
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)

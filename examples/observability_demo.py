@@ -58,7 +58,7 @@ def main():
     print("== metrics snapshot (selected) " + "=" * 36)
     snapshot = query.metrics_snapshot()
     for name in sorted(snapshot):
-        if name.split(".")[0] in ("engine", "wal", "sink", "scheduler") \
+        if name.split(".")[0] in ("engine", "wal", "sink") \
                 or name.startswith("state.puts"):
             value = snapshot[name]
             if isinstance(value, dict):

@@ -1,12 +1,14 @@
-"""Simulated cluster runtime: the "Spark execution layer" substrate.
+"""Cluster runtime: the "Spark execution layer" substrate.
 
 The paper's microbatch mode inherits Spark's fine-grained task execution
-(§6.2): dynamic load balancing, straggler mitigation via speculative
-backup tasks, retry-based fault recovery and trivially rescalable
-workers.  This package provides those mechanisms in-process:
+(§6.2).  What this package runs as real code is the process executor —
+per-task retry, worker-death respawn, deadline kill of a straggling
+worker, N→M rescale by restart; backup copies of straggling tasks and
+dynamic load balancing over a shared queue are not reproduced
+(DESIGN.md §3).
 
-* :mod:`repro.cluster.scheduler` — a task scheduler over worker threads
-  with speculation, retries and rescaling, plus fault injection hooks;
+* :mod:`repro.cluster.process_pool` — forked workers running an epoch's
+  per-shard operator tasks over shared-memory batches;
 * :mod:`repro.cluster.perfmodel` — the calibrated analytical model used
   for multi-node scaling numbers (Figure 6b), since a laptop cannot host
   20 × 8-core nodes;
@@ -14,17 +16,13 @@ workers.  This package provides those mechanisms in-process:
   run-once trigger savings analysis (§7.3).
 """
 
-from repro.cluster.scheduler import Task, TaskFailure, TaskScheduler
-from repro.cluster.failures import FailureInjector, SlowdownInjector
-from repro.cluster.perfmodel import ClusterPerformanceModel
 from repro.cluster.costmodel import DeploymentCostModel
+from repro.cluster.perfmodel import ClusterPerformanceModel
+from repro.cluster.process_pool import ProcessPool, TaskFailure
 
 __all__ = [
     "ClusterPerformanceModel",
     "DeploymentCostModel",
-    "FailureInjector",
-    "SlowdownInjector",
-    "Task",
+    "ProcessPool",
     "TaskFailure",
-    "TaskScheduler",
 ]

@@ -1,9 +1,8 @@
 """Persistent process workers for true multicore epoch execution (§6.2).
 
-The thread scheduler's per-shard tasks serialize on the GIL, so the
-fig. 6b worker sweep never actually sped up — it only *projected* a
-speedup from per-shard task times.  This pool runs the same pure shard
-tasks in forked worker processes:
+The engine's inline executor runs an epoch's per-shard tasks one after
+another on its own thread.  This pool runs the same pure shard tasks in
+forked worker processes:
 
 * **Zero-copy input shipping** — per-shard ``RecordBatch`` arguments are
   encoded as :class:`~repro.sql.batch.SharedBatch` descriptors; numeric
@@ -13,7 +12,7 @@ tasks in forked worker processes:
   always runs a given shard's tasks, and every worker keeps a full
   synchronized state replica across epochs.  The driver stays
   authoritative (it applies every deferred write itself, so checkpoint
-  and sink bytes are identical to the thread executor); workers receive
+  and sink bytes are identical to the inline executor); workers receive
   only the *state-sync deltas* journaled since the op's last stage
   (:meth:`~repro.streaming.state.OperatorStateHandle.collect_sync_delta`),
   broadcast because operators may partition tasks by a coarser key than
@@ -27,10 +26,15 @@ tasks in forked worker processes:
   checkpoint plus the driver's uncommitted residual, and the stage's
   undelivered tasks are re-sent.  Sync deltas are idempotent snapshots,
   so replay after respawn is safe by construction.
+* **Per-task retry** — a task that raises in a live worker reports
+  failure for that shard alone; the driver re-sends only it, up to
+  ``max_retries`` times, then raises :class:`TaskFailure`.
 
-Fault-state synchronization: the ``worker.crash_mid_task`` and
-``worker.hang`` fault points fire *inside* worker processes, whose
-injector is a fork-time copy of the driver's.  Workers report their
+The pool starts no thread: the driver multiplexes its workers' pipes
+with ``connection.wait`` from the engine thread.
+
+Fault-state synchronization: the ``worker.*`` fault points fire *inside*
+worker processes, whose injector is a fork-time copy of the driver's.  Workers report their
 fault counters to the driver (eagerly, before executing a fatal action),
 and the driver merges them into its own injector — the single source of
 truth that respawned workers re-inherit at fork.  Without the merge, a
@@ -43,17 +47,24 @@ import os
 import pickle
 import threading
 import time
+from collections import deque
 from multiprocessing import connection, get_context
 
-from repro.cluster.scheduler import TaskFailure
 from repro.observability import metrics, tracing
 from repro.sql.batch import RecordBatch, SharedBatch
 from repro.testing import faults
 
-#: Fault points that fire inside worker processes (see module docstring).
-WORKER_POINTS = ("worker.crash_mid_task", "worker.hang")
+#: Fault points that fire inside worker processes (see module docstring),
+#: in firing order before each shard task.
+WORKER_POINTS = ("worker.task", "worker.hang", "worker.crash_mid_task")
+#: Stage reports kept in :attr:`ProcessPool.stage_reports`.
+STAGE_HISTORY = 256
 
 _PROTO = pickle.HIGHEST_PROTOCOL
+
+
+class TaskFailure(Exception):
+    """A task or its worker exhausted the stage's retry budget."""
 
 
 def _collect_fault_state(injector) -> dict | None:
@@ -100,14 +111,17 @@ def _merge_fault_state(state: dict | None) -> None:
 # Worker process
 # ----------------------------------------------------------------------
 def _fire_worker_point(conn, point: str, shard: int) -> None:
-    """Worker-side twin of ``fault_point`` for process-death faults.
+    """Worker-side twin of ``fault_point``, fired before each shard task.
 
-    Replicates :meth:`FaultInjector.fire` bookkeeping but reports the
-    updated fault state to the driver *before* executing a fatal action:
-    a crashed or hung-then-killed worker must not take the knowledge
-    that its fault triggered to the grave, or the respawned worker
-    (which re-inherits the driver's injector) would fire it again in an
-    endless kill loop.
+    Replicates :meth:`FaultInjector.fire` bookkeeping.  A ``fail`` action
+    raises :class:`~repro.testing.faults.InjectedTaskError` into the
+    caller's per-task ``try`` — that one task reports failure and the
+    worker lives on.  Any other action is process death, and the updated
+    fault state is reported to the driver *before* it executes: a crashed
+    or hung-then-killed worker must not take the knowledge that its
+    fault triggered to the grave, or the respawned worker (which
+    re-inherits the driver's injector) would fire it again in an endless
+    kill loop.
     """
     injector = faults.active_injector()
     if injector is None:
@@ -126,14 +140,14 @@ def _fire_worker_point(conn, point: str, shard: int) -> None:
             injector.fired.append((point, count, chosen.action))
     if chosen is None:
         return
+    if chosen.action == "fail":
+        raise faults.InjectedTaskError(
+            f"injected fail at {point}#{count}")
     try:
         conn.send_bytes(pickle.dumps(
             ("fault", _collect_fault_state(injector)), protocol=_PROTO))
     except OSError:
         pass
-    if chosen.action == "fail":
-        raise faults.InjectedTaskError(
-            f"injected fail at {point}#{count}")
     if chosen.action == "hang":
         time.sleep(chosen.seconds)
     # Process death (never sys.exit: a normal interpreter exit would run
@@ -189,14 +203,15 @@ def _worker_main(conn, slot: int, ops: dict, handles: list) -> None:
             fn = getattr(ops[token], method)
             results = []
             for shard_i, args in tasks:
-                _fire_worker_point(conn, "worker.hang", shard_i)
-                _fire_worker_point(conn, "worker.crash_mid_task", shard_i)
-                decoded = tuple(
-                    a.decode() if isinstance(a, SharedBatch) else a
-                    for a in args
-                )
                 started = time.monotonic()
                 try:
+                    for point in WORKER_POINTS:
+                        _fire_worker_point(conn, point, shard_i)
+                    decoded = tuple(
+                        a.decode() if isinstance(a, SharedBatch) else a
+                        for a in args
+                    )
+                    started = time.monotonic()
                     value = fn(*decoded)
                 except Exception as exc:  # transient: driver retries
                     results.append((
@@ -249,12 +264,16 @@ class ProcessPool:
     stage so they inherit fully-recovered state and compiled plans.
     """
 
-    def __init__(self, num_workers: int, max_retries: int = 3,
-                 task_timeout: float = 60.0, scheduler=None):
+    def __init__(self, num_workers: int, max_retries: int = 3):
         self.num_workers = max(1, num_workers)
-        self._max_retries = max_retries
-        self._task_timeout = task_timeout
-        self._scheduler = scheduler
+        #: Re-sends allowed per task, and respawns per worker, in a stage.
+        self.max_retries = max_retries
+        #: Seconds a worker may hold a stage message (or a restore)
+        #: before the driver kills and respawns it.
+        self.task_timeout = 60.0
+        #: Report of the most recent completed stage (see _record_stage).
+        self.last_stage_report = None
+        self._stage_records = deque(maxlen=STAGE_HISTORY)
         self._ctx = get_context("fork")
         self._workers = [None] * self.num_workers
         self._generation = 0
@@ -265,7 +284,11 @@ class ProcessPool:
         self._handle_tokens = {}  # id(handle) -> index into _handles
         self._seq = 0
         self.worker_deaths = 0
-        self.respawns = 0
+
+    @property
+    def stage_reports(self) -> list:
+        """Recorded per-stage reports, oldest first (bounded history)."""
+        return list(self._stage_records)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -371,9 +394,7 @@ class ProcessPool:
                 pass
             self._workers[slot] = None
         self.worker_deaths += 1
-        self.respawns += 1
         metrics.count("executor.worker_deaths")
-        metrics.count("executor.respawns")
         handle = self._spawn(slot)
         instructions = [
             (idx, h.last_committed_version, h.sync_residual())
@@ -381,13 +402,13 @@ class ProcessPool:
         ]
         handle.conn.send_bytes(pickle.dumps(
             ("restore", instructions), protocol=_PROTO))
-        deadline = time.monotonic() + self._task_timeout
+        deadline = time.monotonic() + self.task_timeout
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not handle.conn.poll(remaining):
                 raise TaskFailure(
                     f"respawned worker {slot} did not acknowledge restore "
-                    f"within {self._task_timeout}s"
+                    f"within {self.task_timeout}s"
                 )
             msg = pickle.loads(handle.conn.recv_bytes())
             if msg[0] == "restored":
@@ -401,7 +422,7 @@ class ProcessPool:
     def run_op_stage(self, ctx, label, op, method: str, payloads) -> list:
         """Run ``op.<method>(*payloads[shard])`` for every non-None shard
         on the owning workers; results in shard order (None for skipped
-        shards), exactly like ``run_shard_tasks``."""
+        shards), exactly like the inline arm of ``run_op_shard_tasks``."""
         token = self._op_tokens[id(op)]
         self._seq += 1
         seq = self._seq
@@ -472,27 +493,36 @@ class ProcessPool:
             # Retained first so fail_worker can resend it even when this
             # very send is what discovers the worker died.
             pending[slot] = message
-            deadlines[slot] = time.monotonic() + self._task_timeout
+            deadlines[slot] = time.monotonic() + self.task_timeout
             try:
                 self._workers[slot].conn.send_bytes(message)
             except (OSError, ValueError) as exc:
                 raise _WorkerDied(f"send to worker {slot}: {exc}") from exc
 
         def fail_worker(slot, reason):
+            # Respawn and re-send until it sticks: a replacement that
+            # dies during its restore handshake, or before the re-send
+            # lands, spends the same per-worker budget.
             nonlocal retries
-            worker_failures[slot] += 1
-            retries += 1
-            if worker_failures[slot] > self._max_retries:
-                raise TaskFailure(
-                    f"process worker {slot} failed {worker_failures[slot]} "
-                    f"times during stage {label!r}: {reason}"
-                )
-            for shard_i, _ in _stage_tasks(pending[slot]):
-                if shard_i not in results:
-                    attempts[shard_i] = attempts.get(shard_i, 0) + 1
             message = pending[slot]
-            self._respawn(slot)
-            dispatch(slot, message)
+            while True:
+                worker_failures[slot] += 1
+                retries += 1
+                if worker_failures[slot] > self.max_retries:
+                    raise TaskFailure(
+                        f"process worker {slot} failed "
+                        f"{worker_failures[slot]} times during stage "
+                        f"{label!r}: {reason}"
+                    )
+                for shard_i, _ in _stage_tasks(message):
+                    if shard_i not in results:
+                        attempts[shard_i] = attempts.get(shard_i, 0) + 1
+                try:
+                    self._respawn(slot)
+                    dispatch(slot, message)
+                    return
+                except (_WorkerDied, EOFError, OSError) as exc:
+                    reason = f"respawned worker died: {exc}"
 
         try:
             with tracing.trace_span(f"executor:stage:{method}",
@@ -539,23 +569,26 @@ class ProcessPool:
                                 _record_task_span(
                                     label, ctx, shard_i, seconds, handle)
                             else:
-                                attempts[shard_i] = attempts.get(shard_i, 0) + 1
-                                retries += 1
-                                if attempts[shard_i] > self._max_retries + 1:
+                                if attempts[shard_i] > self.max_retries:
                                     raise TaskFailure(
                                         f"task {(label, ctx.epoch_id, shard_i)} "
                                         f"failed {attempts[shard_i]} times: "
                                         f"{value}"
                                     )
+                                attempts[shard_i] += 1
+                                retries += 1
                                 retry_tasks.append(
                                     (shard_i, _stage_task_args(
                                         pending[w], shard_i)))
                         pending.pop(w, None)
                         deadlines.pop(w, None)
                         if retry_tasks:
-                            dispatch(w, pickle.dumps(
-                                ("stage", seq, token, method, [], retry_tasks),
-                                protocol=_PROTO))
+                            try:
+                                dispatch(w, pickle.dumps(
+                                    ("stage", seq, token, method, [],
+                                     retry_tasks), protocol=_PROTO))
+                            except _WorkerDied as died:
+                                fail_worker(w, died)
                     if not ready:
                         expired = [
                             w for w, d in deadlines.items()
@@ -564,7 +597,7 @@ class ProcessPool:
                         for w in expired:
                             self._drain_fault_reports(w)
                             fail_worker(
-                                w, f"no reply within {self._task_timeout}s")
+                                w, f"no reply within {self.task_timeout}s")
         finally:
             for batch in shared:
                 batch.release()
@@ -610,14 +643,11 @@ class ProcessPool:
                 {
                     "seconds": task_seconds[shard_i],
                     "attempts": attempts.get(shard_i, 1),
-                    "speculative_won": False,
                     "task_id": str((label, ctx.epoch_id, shard_i)),
                 }
                 for shard_i in sorted(task_seconds)
             ],
             "retries": retries,
-            "speculative_launched": 0,
-            "speculative_won": 0,
             "executor": {
                 "type": "process",
                 "num_workers": self.num_workers,
@@ -628,8 +658,8 @@ class ProcessPool:
                 "workers": worker_stats,
             },
         }
-        if self._scheduler is not None:
-            self._scheduler.record_stage_report(report)
+        self.last_stage_report = report
+        self._stage_records.append(report)
         metrics.count("executor.ipc_bytes", ipc_bytes)
         metrics.observe("executor.ship_seconds", ship_seconds)
         metrics.observe("executor.merge_seconds", merge_seconds)

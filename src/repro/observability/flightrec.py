@@ -7,7 +7,7 @@ postmortem design of Spark's own event logging).  Every engine carries a
 :class:`FlightRecorder`: an always-on, always-cheap ring buffer of the
 last N epochs' progress snapshots (including watermark positions, stage
 timings, and bottleneck attribution), per-epoch metric deltas when the
-registry is live, and noteworthy one-off events (recovery, scheduler
+registry is live, and noteworthy one-off events (recovery, task
 retries, worker deaths, prior crashes).
 
 When a query dies — ``StreamingQuery.exception`` fires, a fault-sweep
@@ -47,7 +47,7 @@ from repro.observability.metrics import Counter, Gauge
 SCHEMA_VERSION = 1
 #: Epochs retained in the ring.
 DEFAULT_CAPACITY = 64
-#: One-off events retained (recovery notes, scheduler incidents, ...).
+#: One-off events retained (recovery notes, task retries, ...).
 EVENT_CAPACITY = 128
 #: Rotated prior dumps kept next to ``postmortem.json``.
 MAX_ROTATED = 3
@@ -108,7 +108,7 @@ class FlightRecorder:
                       retries=retries, worker_deaths=deaths)
 
     def note(self, kind: str, **info) -> None:
-        """Record a one-off scheduler/worker/lifecycle event."""
+        """Record a one-off retry/worker/lifecycle event."""
         event = {"ts": self.clock(), "kind": kind}
         event.update(info)
         with self._lock:

@@ -343,7 +343,7 @@ def _compile_stage(mask_exprs, proj, in_schema, out_schema):
         in_schema.fields) else in_schema
     sub_names = [f.name for f in sub_fields]
 
-    def run_stage(batch):
+    def stage(batch):
         if mask_fns:
             mask = np.asarray(mask_fns[0](batch), dtype=bool)
             for fn in mask_fns[1:]:
@@ -362,4 +362,4 @@ def _compile_stage(mask_exprs, proj, in_schema, out_schema):
         }
         return RecordBatch(columns, out_schema)
 
-    return run_stage
+    return stage

@@ -3,7 +3,7 @@
 :meth:`EngineConfig.resolve` is the only place under ``repro.streaming``
 and ``repro.cluster`` that reads the environment: each knob is taken
 from the writer's ``.option()``, else from its ``REPRO_*`` variable,
-else from the default.  The engine, the state store and the scheduler
+else from the default.  The engine, the state store and the worker pool
 receive plain values and never look again, so the configuration a query
 ran with is one object — the one its flight recorder notes at
 ``engine-start``.
@@ -75,8 +75,7 @@ class EngineConfig:
     #: Pipelined durability: async state flush + group-commit WAL.
     pipeline: bool = False
     #: ``"inline"`` (shard tasks on the engine thread) or ``"process"``
-    #: (the engine builds and owns a forked worker pool).  A caller's
-    #: own ``TaskScheduler`` is passed to the engine directly instead.
+    #: (the engine builds and owns a forked worker pool).
     executor: str = "inline"
     #: Process executor: worker count.
     num_workers: int = field(default_factory=_default_workers)
@@ -89,8 +88,7 @@ class EngineConfig:
         if self.executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {self.executor!r}; expected one of "
-                f"{EXECUTORS} (the thread executor is selected by passing "
-                "a TaskScheduler as the 'scheduler' option)")
+                f"{EXECUTORS}")
 
     @classmethod
     def resolve(cls, options: dict, environ=None) -> "EngineConfig":

@@ -239,7 +239,7 @@ class MicrobatchEngine:
     WAL_SYNC_EVERY = 4
 
     def __init__(self, plan, sink, output_mode: str, checkpoint_dir: str,
-                 config: EngineConfig, scheduler=None, clock=time.time):
+                 config: EngineConfig, clock=time.time):
         self.sink = sink
         self.output_mode = output_mode
         self.clock = clock
@@ -251,14 +251,11 @@ class MicrobatchEngine:
         #: produce byte-identical checkpoints and sink output.
         self.pipelined = config.pipeline
         self.num_shards = config.num_shards
-        #: Optional cluster TaskScheduler: per-partition reads and the
-        #: stateful operators' per-shard work run as independent tasks
-        #: ("map tasks", §6.2), giving the engine fine-grained retry and
-        #: straggler mitigation for the whole epoch.  A caller-supplied
-        #: one outlives the engine; with ``executor="process"`` and none
-        #: supplied the engine builds its own and stop() shuts it down.
-        self.scheduler = scheduler
-        self._owns_scheduler = False
+        #: ``executor="process"``: the forked worker pool the operators'
+        #: per-shard tasks run on (§6.2), with per-task retry and
+        #: worker respawn.  Built here, bound after recovery, shut down
+        #: by stop(); None runs every shard task on this thread.
+        self.pool = None
         self._event_log = None
         self.state_store = None
 
@@ -281,12 +278,10 @@ class MicrobatchEngine:
         attachment and recovery — where injected faults (and real restart
         bugs) can fire before the first epoch ever runs."""
         config = self.config
-        if self.scheduler is None and config.executor == "process":
-            from repro.cluster.scheduler import TaskScheduler
+        if config.executor == "process":
+            from repro.cluster.process_pool import ProcessPool
 
-            self.scheduler = TaskScheduler(
-                config.num_workers, executor="process", speculation=False)
-            self._owns_scheduler = True
+            self.pool = ProcessPool(config.num_workers)
         self.state_store = StateStore(
             checkpoint_dir, num_shards=self.num_shards,
             backend=config.state_backend,
@@ -333,12 +328,12 @@ class MicrobatchEngine:
         # runs once, off the hot path, and the engine must not observe a
         # half-flushed checkpoint of its own making.
         self._recover()
-        # A process-backed scheduler forks its workers from this fully
-        # recovered engine: compiled plans and restored state are
-        # inherited, not rebuilt per worker.
-        bind = getattr(self.scheduler, "bind_engine", None)
-        if bind is not None:
-            bind(self)
+        # The pool forks its workers from this fully recovered engine:
+        # compiled plans and restored state are inherited, not rebuilt
+        # per worker.  (The replay above ran inline: an unbound pool
+        # knows no operator.)
+        if self.pool is not None:
+            self.pool.bind(self)
 
     def _attach_event_log(self, checkpoint_dir: str) -> None:
         """Append each epoch's progress as a JSON line to the structured
@@ -359,13 +354,13 @@ class MicrobatchEngine:
         self.progress.listeners.append(log_event)
 
     def _release(self) -> None:
-        """Close what the engine itself opened: the event-log handle, a
-        scheduler it built and the state handles' run files (idempotent;
-        also the init-failure path)."""
+        """Close what the engine itself opened: the event-log handle, the
+        worker pool and the state handles' run files (idempotent; also
+        the init-failure path)."""
         if self._event_log is not None and not self._event_log.closed:
             self._event_log.close()
-        if self._owns_scheduler:
-            self.scheduler.shutdown()
+        if self.pool is not None:
+            self.pool.shutdown()
         if self.state_store is not None:
             self.state_store.close()
 
@@ -446,7 +441,7 @@ class MicrobatchEngine:
             output_mode=self.output_mode,
             output_enabled=output_enabled,
             is_first_epoch=epoch == 0,
-            scheduler=self.scheduler,
+            pool=self.pool,
         )
         result = self.plan.root.process(ctx)
         if output_enabled:
@@ -594,7 +589,10 @@ class MicrobatchEngine:
 
         # (2) Read the epoch's new data and run the incremental plan.
         with _Phase("read-inputs", timings):
-            inputs = self._fetch_inputs(ends)
+            inputs = {
+                name: source.get_batch(self._start_offsets[name], ends[name])
+                for name, source in self.sources.items()
+            }
         ctx = EpochContext(
             epoch_id=epoch,
             inputs=inputs,
@@ -603,7 +601,7 @@ class MicrobatchEngine:
             output_mode=self.output_mode,
             output_enabled=True,
             is_first_epoch=epoch == 0,
-            scheduler=self.scheduler,
+            pool=self.pool,
         )
         with _Phase("process", timings):
             result = self.plan.root.process(ctx)
@@ -706,8 +704,8 @@ class MicrobatchEngine:
             },
             sources=ranges,
             task_metrics=(
-                self.scheduler.last_stage_report or {}
-                if self.scheduler is not None else {}
+                self.pool.last_stage_report or {}
+                if self.pool is not None else {}
             ),
             stage_timings=timings or {},
             operator_metrics=ctx.op_metrics,
@@ -734,43 +732,6 @@ class MicrobatchEngine:
                     metrics.set_gauge(f"engine.watermark_lag.{column}",
                                       max(0.0, trigger_time - wm))
         return progress
-
-    def _fetch_inputs(self, ends: dict) -> dict:
-        """Read each source's new range, optionally as scheduler tasks.
-
-        With a scheduler, one task per (source, partition) reads and
-        decodes its range — tasks are idempotent (sources are replayable)
-        so failed or speculated attempts are safe, giving the ingestion
-        stage the §6.2 recovery properties.
-        """
-        if self.scheduler is None:
-            return {
-                name: source.get_batch(self._start_offsets[name], ends[name])
-                for name, source in self.sources.items()
-            }
-        from repro.cluster.scheduler import Task
-        from repro.sql.batch import RecordBatch
-
-        tasks = []
-        for name, source in self.sources.items():
-            start = self._start_offsets[name]
-            for partition in sorted(ends[name]):
-                lo = start.get(partition, 0)
-                hi = ends[name][partition]
-                if hi > lo:
-                    tasks.append(Task(
-                        (name, partition),
-                        source.get_partition_batch, (partition, lo, hi),
-                    ))
-        results = self.scheduler.run_stage(tasks)
-        inputs = {}
-        for name, source in self.sources.items():
-            parts = [
-                results[key] for key in sorted(results)
-                if key[0] == name
-            ]
-            inputs[name] = RecordBatch.concat(parts, source.schema)
-        return inputs
 
     def _enforce_retention(self, epoch: int) -> None:
         """GC state checkpoints and WAL entries beyond the rollback

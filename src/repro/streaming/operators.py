@@ -51,7 +51,7 @@ class EpochContext:
 
     def __init__(self, epoch_id: int, inputs: dict, watermarks, processing_time: float,
                  output_mode: str, output_enabled: bool = True, is_first_epoch: bool = False,
-                 scheduler=None):
+                 pool=None):
         self.epoch_id = epoch_id
         #: source name -> RecordBatch of this epoch's new records.
         self.inputs = inputs
@@ -62,9 +62,10 @@ class EpochContext:
         #: False while replaying epochs purely to rebuild state (§6.1).
         self.output_enabled = output_enabled
         self.is_first_epoch = is_first_epoch
-        #: Optional cluster TaskScheduler: sharded operators submit one
-        #: task per (operator, shard) to it (§6.2); None runs them inline.
-        self.scheduler = scheduler
+        #: The engine's ProcessPool under ``executor="process"``: sharded
+        #: operators ship one task per (operator, shard) to it (§6.2);
+        #: None runs them inline.
+        self.pool = pool
         #: Filled by operators for progress reporting (§7.4).
         self.metrics = {"rows_processed": 0, "late_rows_dropped": 0}
         #: Operator label -> {"rows_out", "seconds", "calls"}, filled by
@@ -72,78 +73,35 @@ class EpochContext:
         self.op_metrics = {}
 
 
-def _traced_shard_fn(label, epoch: int, shard: int, fn):
-    """Wrap one shard task so its execution (inline or on a scheduler
-    worker thread) records a ``task:<op>:shard<i>`` span."""
-    op = label[0] if isinstance(label, tuple) else label
-    name = f"task:{op}:shard{shard}"
-
-    def run():
-        with tracing.trace_span(name, epoch=epoch, shard=shard):
-            return fn()
-
-    return run
-
-
-def run_shard_tasks(ctx: EpochContext, label, fns) -> list:
-    """Run one zero-arg callable per shard; results in shard order.
-
-    With a scheduler on the context, each non-empty shard becomes one
-    scheduler task — the partitioned epoch execution of §6.2, with the
-    scheduler's retry and speculation applying per shard.  Tasks must be
-    *pure*: they read immutable pre-epoch state and return deferred
-    writes, so a retried or speculated attempt reproduces the same
-    result.  ``fns[i] is None`` marks an empty shard (skipped).  Without
-    a scheduler (or with one runnable shard) the callables run inline,
-    which keeps output bit-identical between the two paths.
-    """
-    if tracing.active() is not None:
-        fns = [
-            _traced_shard_fn(label, ctx.epoch_id, i, fn)
-            if fn is not None else None
-            for i, fn in enumerate(fns)
-        ]
-    runnable = [(i, fn) for i, fn in enumerate(fns) if fn is not None]
-    if ctx.scheduler is None or len(runnable) <= 1:
-        return [fn() if fn is not None else None for fn in fns]
-    from repro.cluster.scheduler import Task
-
-    tasks = [
-        Task((label, ctx.epoch_id, i), fn) for i, fn in runnable
-    ]
-    results = ctx.scheduler.run_stage(tasks)
-    out = [None] * len(fns)
-    for i, _fn in runnable:
-        out[i] = results[(label, ctx.epoch_id, i)]
-    return out
-
-
 def run_op_shard_tasks(ctx: EpochContext, label, op, method: str,
                        payloads) -> list:
     """Run ``op.<method>(*payloads[i])`` per shard; results in shard order.
 
-    The picklable twin of :func:`run_shard_tasks`: shard work is named by
-    ``(operator, method, args)`` instead of a closure, so a
-    process-backed scheduler can ship it to a worker that already holds
-    the operator (forked plan) and the shard's state replica.  With a
-    process pool on the scheduler, tasks route stickily to each shard's
-    owning worker; otherwise (thread executor, or a single runnable
-    shard) the calls run through ``run_shard_tasks`` unchanged — output
-    is bit-identical either way.  ``payloads[i] is None`` marks an empty
-    shard.
+    The one place that decides where a shard task runs.  Shard work is
+    named by ``(operator, method, args)`` rather than a closure, so the
+    process pool can ship it to the worker that already holds the
+    operator (forked plan) and the shard's state replica — which it does
+    when the pool knows ``op`` and more than one shard is runnable.
+    Otherwise the bound method is called per shard on this thread, under
+    the same ``task:<op>:shard<i>`` span; output is bit-identical either
+    way.  Tasks must be *pure*: they read immutable pre-epoch state and
+    return deferred writes, so a retried attempt reproduces the same
+    result.  ``payloads[i] is None`` marks an empty shard (skipped).
     """
-    scheduler = ctx.scheduler
-    pool = getattr(scheduler, "process_pool", None) if scheduler else None
-    if pool is not None and pool.knows(op):
-        runnable = sum(1 for p in payloads if p is not None)
-        if runnable > 1:
-            return pool.run_op_stage(ctx, label, op, method, payloads)
+    pool = ctx.pool
+    if (pool is not None and pool.knows(op)
+            and sum(args is not None for args in payloads) > 1):
+        return pool.run_op_stage(ctx, label, op, method, payloads)
     bound = getattr(op, method)
-    fns = [
-        (lambda args=args: bound(*args)) if args is not None else None
-        for args in payloads
-    ]
-    return run_shard_tasks(ctx, label, fns)
+    name = f"task:{label[0] if isinstance(label, tuple) else label}:shard"
+    results = []
+    for i, args in enumerate(payloads):
+        if args is None:
+            results.append(None)
+            continue
+        with tracing.trace_span(f"{name}{i}", epoch=ctx.epoch_id, shard=i):
+            results.append(bound(*args))
+    return results
 
 
 def run_keyed_shard_tasks(ctx: EpochContext, label, op, method: str,
@@ -399,7 +357,7 @@ class StatelessOp(IncrementalOp):
         batch = self.child.process(ctx)
         if batch.num_rows == 0:
             return self._empty()
-        if (ctx.scheduler is not None and self.num_shards > 1
+        if (ctx.pool is not None and self.num_shards > 1
                 and batch.num_rows >= self.MIN_PARALLEL_ROWS):
             return run_row_slice_tasks(
                 ctx, ("stateless", id(self)), self, "apply", batch)
@@ -481,7 +439,7 @@ class StreamStaticJoinOp(IncrementalOp):
 
     def process(self, ctx: EpochContext) -> RecordBatch:
         delta = self.stream.process(ctx)
-        if (ctx.scheduler is not None and self.num_shards > 1
+        if (ctx.pool is not None and self.num_shards > 1
                 and self.stream_is_left and self._node.how == "inner"
                 and delta.num_rows >= StatelessOp.MIN_PARALLEL_ROWS):
             # Inner join with the stream on the left emits matched pairs
@@ -1227,8 +1185,8 @@ class StreamStreamJoinOp(IncrementalOp):
         deltas (per-epoch cost is O(delta + matches), not O(buffered
         state)), reading pre-epoch entry lists and *copying* them before
         appending rows or flipping matched flags — every write is
-        deferred into the returned writes, so a speculative copy of the
-        task races safely against the same immutable state.  A side is
+        deferred into the returned writes, so a retried attempt of the
+        task reads the same immutable state.  A side is
         written back only if it changed: it received rows, or (outer
         joins) one of its matched flags flipped; a key whose every
         buffered row cancelled is removed (the checkpoint records a

@@ -201,11 +201,15 @@ class DataStreamWriter:
         # Every engine knob is resolved here, once: option > REPRO_* >
         # default.  Continuous mode (above) takes none of them — it
         # stays pinned to its single-partition fast path.
+        if "scheduler" in self._options:
+            raise ValueError(
+                "the 'scheduler' option (a caller-built thread pool) was "
+                "removed; select the process executor with "
+                ".option(\"executor\", \"process\") and size it with "
+                ".option(\"num_workers\", n)")
         config = EngineConfig.resolve(self._options)
         engine = MicrobatchEngine(
-            self._df.plan, sink, self._mode, checkpoint_dir, config,
-            scheduler=self._options.get("scheduler"),
-        )
+            self._df.plan, sink, self._mode, checkpoint_dir, config)
         from repro.streaming.stream_table import StreamTable
 
         if isinstance(sink, StreamTable):

@@ -1,7 +1,7 @@
 """Deterministic fault injection for crash-consistency testing.
 
 The durability and execution hot paths (storage, WAL, state store,
-engines, sinks, scheduler) call :func:`fault_point` at *named* crash
+engines, sinks, pool workers) call :func:`fault_point` at *named* crash
 sites.  With no injector installed the call is a single ``is None``
 check, so production overhead is negligible.  Tests install a
 :class:`FaultInjector` whose *schedule* decides, per named point and
@@ -17,10 +17,10 @@ firing occurrence, whether to
 * **drop** — delete the in-flight temp file and crash, so the write
   never becomes visible;
 * **fail** — raise a transient :class:`InjectedTaskError` (a normal
-  exception, not a crash): used at ``scheduler.task`` to model a task
-  attempt failing and being retried;
-* **hang** — sleep, then fail: a straggler that eventually dies, which
-  should lose the race against a speculative clone.
+  exception, not a crash): used at ``worker.task`` to model one shard
+  task failing in a live pool worker and being re-sent;
+* **hang** — sleep, then fail; in a pool worker, a straggler that
+  outlives the driver's task deadline and is killed and respawned.
 
 Schedules are either explicit lists of :class:`Fault` entries or drawn
 from a seed (:meth:`FaultInjector.from_seed`), so every failure run is
@@ -77,21 +77,21 @@ REGISTRY = {
     # streaming/continuous.py -- epoch-marker handling on the master
     "continuous.commit_epoch": "master about to log an epoch's offsets",
     "continuous.after_offsets": "offsets logged, before the commit entry",
-    # cluster/scheduler.py -- per-attempt task execution
-    "scheduler.task": "a task attempt is about to run on a worker",
     # cluster/process_pool.py -- inside a forked worker, per shard task.
-    # These fire in the *worker process*: "crash" kills the worker (not
-    # the driver), "hang" stalls it past the driver's task timeout.
+    # These fire in the *worker process*: "fail" makes that one task
+    # report failure (the driver re-sends only it), "crash" kills the
+    # worker (not the driver), "hang" stalls it past the task timeout.
+    "worker.task": "process worker about to run a shard task",
     "worker.crash_mid_task": "process worker dies before running a shard task",
     "worker.hang": "process worker stalls before running a shard task",
 }
 
 #: Points where a crash models *driver* process death.  Excluded: the
-#: per-attempt scheduler point (a raise there is a retryable task
-#: failure) and the worker-process points (they kill a pool worker,
-#: which the driver detects and respawns — the query keeps running).
+#: worker-process points — a ``fail`` there is a retryable task failure,
+#: anything else kills a pool worker, which the driver detects and
+#: respawns; the query keeps running either way.
 CRASHABLE_POINTS = tuple(sorted(
-    set(REGISTRY) - {"scheduler.task", "worker.crash_mid_task", "worker.hang"}
+    set(REGISTRY) - {"worker.task", "worker.crash_mid_task", "worker.hang"}
 ))
 
 _ACTIONS = ("crash", "torn", "drop", "fail", "hang")
@@ -157,9 +157,9 @@ class Fault:
 class FaultInjector:
     """Executes a fault schedule against the named points.
 
-    Thread-safe: fault points fire from the engine thread, continuous
-    workers/master, and scheduler workers.  ``counts`` (firings per
-    point) and ``fired`` (faults actually triggered) persist across
+    Thread-safe: fault points fire from the engine thread and the
+    continuous workers/master (pool workers fire a fork-time copy whose
+    progress the driver merges back).  ``counts`` (firings per point) and ``fired`` (faults actually triggered) persist across
     engine restarts, which is what lets one schedule place crashes in
     *recovery* code paths too.
     """
@@ -180,7 +180,7 @@ class FaultInjector:
         faults = []
         for _ in range(rng.randint(1, max_faults)):
             point = rng.choice(list(points))
-            if point == "scheduler.task":
+            if point == "worker.task":
                 action = "fail"
             elif point in ("storage.fsync", "storage.write"):
                 action = rng.choice(["crash", "torn", "drop"])

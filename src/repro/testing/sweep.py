@@ -15,11 +15,10 @@ Workloads are chosen per point so the point actually fires:
 * ``join`` — stream-stream join with two state operators into a memory
   sink (microbatch; multi-operator ``commit_all`` and the memory sink's
   idempotence);
-* ``sched`` — the aggregation driven through the cluster TaskScheduler
-  (transient task faults, retries);
 * ``process`` cells — the aggregation (spread over several windows so
-  multiple shards fill per epoch) on the process executor: worker-death
-  and worker-hang points plus driver crashes with a live worker pool;
+  multiple shards fill per epoch) on the process executor: the
+  transient task-failure, worker-death and worker-hang points plus
+  driver crashes with a live worker pool;
 * ``map``  — stateless filter/project on the continuous engine
   (at-least-once within the last epoch, §6.3);
 * ``cascade`` — a two-stage materialized-view chain: a CDC change
@@ -60,7 +59,7 @@ from repro.testing.harness import (
 #: point only fires in the two-stage cascade drive wrapper).
 MICROBATCH_POINTS = tuple(sorted(set(REGISTRY) - {
     "continuous.commit_epoch", "continuous.after_offsets",
-    "worker.crash_mid_task", "worker.hang",
+    "worker.task", "worker.crash_mid_task", "worker.hang",
     "cascade.between_stages",
 }))
 CONTINUOUS_POINTS = (
@@ -72,7 +71,7 @@ CONTINUOUS_POINTS = (
 #: a few driver points, so driver crashes are also probed while a pool
 #: holds live state replicas.
 PROCESS_POINTS = (
-    "worker.crash_mid_task", "worker.hang",
+    "worker.task", "worker.crash_mid_task", "worker.hang",
     "epoch.after_process", "wal.commit", "state.commit",
     # One tiered-backend cell: a driver crash mid-flush while a live
     # worker pool holds fork-inherited run file descriptors.
@@ -106,13 +105,14 @@ CASCADE_RETRACTION_EPOCH = 2
 _ACTIONS_FOR_POINT = {
     "storage.fsync": ("torn", "torn"),
     "storage.write": ("crash", "drop"),
-    "scheduler.task": ("fail", "fail"),
     # Tear the WAL entry inside the deferred-fsync window: the batched
     # path's torn newest entry must quarantine exactly like the
     # sequential path's (repair_torn_tail on reopen).
     "wal.group_commit_crash": ("torn", "crash"),
-    # In a worker, "crash" kills the worker process and "hang" stalls it
-    # past the driver's task timeout; both exercise respawn + re-restore.
+    # In a worker, "fail" fails one task (the driver re-sends only it);
+    # "crash" kills the worker process and "hang" stalls it past the
+    # driver's task timeout, both exercising respawn + re-restore.
+    "worker.task": ("fail", "fail"),
     "worker.hang": ("hang", "hang"),
 }
 #: The later occurrence probed in each cell (the first is always 0).
@@ -180,15 +180,13 @@ class WorkloadInstance:
     """
 
     def __init__(self, build, steps, read_sink, checkpoint_dir,
-                 ordered=True, at_least_once=False, cleanup=None,
-                 extra_checkpoints=()):
+                 ordered=True, at_least_once=False, extra_checkpoints=()):
         self.build = build
         self.steps = steps
         self.read_sink = read_sink
         self.checkpoint_dir = checkpoint_dir
         self.ordered = ordered
         self.at_least_once = at_least_once
-        self.cleanup = cleanup or (lambda: None)
         self.extra_checkpoints = list(extra_checkpoints)
 
 
@@ -231,15 +229,17 @@ class _CascadeQuery:
             self.downstream.stop()
 
 
-def _agg_workload(root: str, shards: int, scheduler=None,
-                  wide: bool = False, tiered: bool = False,
-                  pipelined: bool = False) -> WorkloadInstance:
-    """``wide=True`` spreads each chunk across several 10s windows so
-    multiple shards are non-empty per epoch — required for process-pool
-    cells, where single-shard epochs take the driver-inline fast path
-    and worker fault points would never fire.  ``tiered=True`` runs the
-    LSM state backend with a tiny memtable budget, so flush and
-    compaction windows open on every epoch."""
+def agg_workload(root: str, shards: int, executor: str = None,
+                 tiered: bool = False,
+                 pipelined: bool = False) -> WorkloadInstance:
+    """``executor`` (``"process"``, or ``"inline"`` as its reference run)
+    selects the process-cell shape: a memory sink, two pool workers with
+    a short task timeout, and chunks spread across several 10s windows
+    so multiple shards are non-empty per epoch — single-shard epochs
+    take the driver-inline path and worker fault points would never
+    fire.  ``tiered=True`` runs the LSM state backend with a tiny
+    memtable budget, so flush and compaction windows open on every
+    epoch."""
     session = Session()
     stream = MemoryStream(StructType((("k", "string"), ("v", "long"),
                                       ("t", "timestamp"))))
@@ -257,28 +257,37 @@ def _agg_workload(root: str, shards: int, scheduler=None,
             writer = writer.option("pipeline", "on")
         return writer
 
-    if scheduler is None:
-        sink = None  # fresh file sink per restart (reads manifests anew)
-
-        def build():
+    if executor is None:
+        def build():  # fresh file sink per restart (reads manifests anew)
             writer = (df.write_stream.format("file").option("path", out_dir)
                       .option("num_shards", shards))
             return _backend_options(writer).output_mode("append").start(checkpoint)
 
         def read_sink():
             return TransactionalFileSink(out_dir).read_rows()
+
+        chunks = [
+            [{"k": "a", "v": i, "t": float(t)} for i, t in enumerate((1, 2, 3))],
+            [{"k": "b", "v": i, "t": float(t)} for i, t in enumerate((12, 14))],
+            [{"k": "c", "v": i, "t": float(t)} for i, t in enumerate((23, 24, 25, 26))],
+            [{"k": "d", "v": 0, "t": 50.0}],
+            [{"k": "e", "v": 0, "t": 90.0}],
+        ]
     else:
         sink = MemorySink()
 
         def build():
             writer = (df.write_stream.sink(sink)
                       .option("num_shards", shards)
-                      .option("scheduler", scheduler))
-            return _backend_options(writer).output_mode("append").start(checkpoint)
+                      .option("executor", executor)
+                      .option("num_workers", 2))
+            query = _backend_options(writer).output_mode("append").start(checkpoint)
+            if query.engine.pool is not None:
+                # Workers fork on the first stage, so this is in time.
+                query.engine.pool.task_timeout = PROCESS_TASK_TIMEOUT
+            return query
 
         read_sink = sink.rows
-
-    if wide:
         chunks = [
             [{"k": "a", "v": i, "t": float(t)}
              for i, t in enumerate((1, 11, 21, 31))],
@@ -289,14 +298,6 @@ def _agg_workload(root: str, shards: int, scheduler=None,
             [{"k": "d", "v": i, "t": float(t)}
              for i, t in enumerate((54, 64, 74))],
             [{"k": "e", "v": 0, "t": 90.0}, {"k": "e", "v": 1, "t": 95.0}],
-        ]
-    else:
-        chunks = [
-            [{"k": "a", "v": i, "t": float(t)} for i, t in enumerate((1, 2, 3))],
-            [{"k": "b", "v": i, "t": float(t)} for i, t in enumerate((12, 14))],
-            [{"k": "c", "v": i, "t": float(t)} for i, t in enumerate((23, 24, 25, 26))],
-            [{"k": "d", "v": 0, "t": 50.0}],
-            [{"k": "e", "v": 0, "t": 90.0}],
         ]
     steps = [lambda rows=rows: stream.add_data(rows) for rows in chunks]
     return WorkloadInstance(build, steps, read_sink, checkpoint)
@@ -404,33 +405,19 @@ def make_workload(point: str, mode: str, shards: int, root: str) -> WorkloadInst
     if mode == "cascade":
         return _cascade_workload(root, shards)
     if mode == "process":
-        from repro.cluster.scheduler import TaskScheduler
-
-        scheduler = TaskScheduler(
-            num_workers=2, speculation=False, executor="process",
-            task_timeout=PROCESS_TASK_TIMEOUT)
-        instance = _agg_workload(root, shards, scheduler=scheduler, wide=True,
-                                 tiered=point in TIERED_POINTS)
-        instance.cleanup = scheduler.shutdown
-        return instance
+        return agg_workload(root, shards, executor="process",
+                            tiered=point in TIERED_POINTS)
     if point in TIERED_POINTS:
-        return _agg_workload(root, shards, tiered=True)
-    if point == "scheduler.task":
-        from repro.cluster.scheduler import TaskScheduler
-
-        scheduler = TaskScheduler(num_workers=2, speculation=False)
-        instance = _agg_workload(root, shards, scheduler=scheduler)
-        instance.cleanup = scheduler.shutdown
-        return instance
+        return agg_workload(root, shards, tiered=True)
     if point == "state.async_flush_crash":
         # Two stateful operators, so one flusher batch holds multiple
         # jobs and a crash can land between them.
         return _join_workload(root, shards, pipelined=True)
     if point in PIPELINE_POINTS:
-        return _agg_workload(root, shards, pipelined=True)
+        return agg_workload(root, shards, pipelined=True)
     if point.startswith(("state.", "sink.")):
         return _join_workload(root, shards)
-    return _agg_workload(root, shards)
+    return agg_workload(root, shards)
 
 
 def _golden_key(point: str, mode: str, shards: int):
@@ -444,8 +431,6 @@ def _golden_key(point: str, mode: str, shards: int):
         return ("agg-wide", mode, shards)
     if point in TIERED_POINTS:
         return ("agg-tiered", mode, shards)
-    if point == "scheduler.task":
-        return ("sched", mode, shards)
     if point == "state.async_flush_crash":
         return ("join-pipelined", mode, shards)
     if point in PIPELINE_POINTS:
@@ -501,42 +486,36 @@ def run_sweep_cell(point: str, mode: str, shards: int, root: str,
     if key not in golden_cache:
         golden_instance = make_workload(point, mode, shards,
                                         os.path.join(root, "golden"))
-        try:
-            golden_cache[key] = run_golden(
-                golden_instance.build, golden_instance.steps,
-                golden_instance.read_sink)
-        finally:
-            golden_instance.cleanup()
+        golden_cache[key] = run_golden(
+            golden_instance.build, golden_instance.steps,
+            golden_instance.read_sink)
 
     instance = make_workload(point, mode, shards, os.path.join(root, "run"))
     injector = FaultInjector(schedule_for(point, mode))
     checker = ExactlyOnceChecker(
         golden_cache[key], ordered=instance.ordered,
         at_least_once=instance.at_least_once)
-    try:
-        with injected(injector):
-            report = run_with_crashes(
-                instance.build, instance.steps,
-                injector=injector,
-                read_sink=instance.read_sink,
-                checker=checker,
-                checkpoint_dir=instance.checkpoint_dir,
-            )
-        checker.check_final(
-            instance.read_sink(),
-            context=f"in sweep cell ({point}, {mode}, shards={shards})")
-        for directory in [instance.checkpoint_dir, *instance.extra_checkpoints]:
-            check_checkpoint_invariants(
-                directory, strict=True,
-                context=f"after completed cell ({point}, {mode}, shards={shards})")
-        if report.num_crashes:
-            # Every genuine crash must have left a flight-recorder dump
-            # (torn/drop/fail actions that the query absorbed need not).
-            check_postmortems(
-                [instance.checkpoint_dir, *instance.extra_checkpoints],
-                context=f"({point}, {mode}, shards={shards})")
-    finally:
-        instance.cleanup()
+    with injected(injector):
+        report = run_with_crashes(
+            instance.build, instance.steps,
+            injector=injector,
+            read_sink=instance.read_sink,
+            checker=checker,
+            checkpoint_dir=instance.checkpoint_dir,
+        )
+    checker.check_final(
+        instance.read_sink(),
+        context=f"in sweep cell ({point}, {mode}, shards={shards})")
+    for directory in [instance.checkpoint_dir, *instance.extra_checkpoints]:
+        check_checkpoint_invariants(
+            directory, strict=True,
+            context=f"after completed cell ({point}, {mode}, shards={shards})")
+    if report.num_crashes:
+        # Every genuine crash must have left a flight-recorder dump
+        # (torn/drop/fail actions that the query absorbed need not).
+        check_postmortems(
+            [instance.checkpoint_dir, *instance.extra_checkpoints],
+            context=f"({point}, {mode}, shards={shards})")
     return {
         "point": point,
         "mode": mode,

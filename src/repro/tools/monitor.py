@@ -5,7 +5,7 @@ Every epoch appends one JSON line to ``<checkpoint>/events.jsonl``
 the monitoring view the paper says operators need (§2.3): processing
 rate, backlog, state size, watermarks and their lag, plus — when the
 observability layer was enabled — the engine's per-phase time
-breakdown, per-operator row counts, scheduler task stats and
+breakdown, per-operator row counts, worker-pool task stats and
 continuous-mode latency percentiles.
 
 Usable as a CLI::
@@ -249,9 +249,7 @@ def render(events: list, window: int = 20) -> str:
         lines.append(
             f"  tasks         {tasks.get('num_tasks', len(seconds))} per stage   "
             f"slowest {_fmt_seconds(seconds[-1])}   "
-            f"retries {tasks.get('retries', 0)}   "
-            f"speculated {tasks.get('speculative_launched', 0)}"
-            f" (won {tasks.get('speculative_won', 0)})"
+            f"retries {tasks.get('retries', 0)}"
         )
 
     # Process-executor stats (taskMetrics carry an "executor" section

@@ -1,268 +1,133 @@
-"""Tests for the simulated cluster runtime (§6.2): load balancing,
-fault recovery, straggler speculation, rescaling."""
+"""Tests for the process pool as a stage executor (§6.2): results in
+shard order, sticky routing, per-task retry, the retry budget and the
+per-stage reports — driven directly, without an engine, over a
+stand-in operator (``tests/conftest.py::ShardTaskOp``)."""
 
-import threading
-import time
+import json
+from types import SimpleNamespace
 
 import pytest
 
-from repro.cluster import (
-    FailureInjector,
-    SlowdownInjector,
-    Task,
-    TaskFailure,
-    TaskScheduler,
-)
+from repro.cluster import TaskFailure, process_pool
+from repro.testing.faults import injected
+
+from tests.conftest import bound_pool, fail_shard
+
+LABEL = ("op", 1)
 
 
-@pytest.fixture
-def scheduler():
-    sched = TaskScheduler(num_workers=4, speculation=False)
-    yield sched
-    sched.shutdown()
+def run_stage(pool, op, method, payloads, epoch=0):
+    return pool.run_op_stage(
+        SimpleNamespace(epoch_id=epoch), LABEL, op, method, payloads)
 
 
 class TestStageExecution:
-    def test_all_tasks_run_and_results_collected(self, scheduler):
-        tasks = [Task(i, lambda i=i: i * i) for i in range(10)]
-        results = scheduler.run_stage(tasks)
-        assert results == {i: i * i for i in range(10)}
+    def test_all_tasks_run_and_results_collected(self, op_pool):
+        pool, op = op_pool
+        results = run_stage(pool, op, "square", [(i,) for i in range(6)])
+        assert results == [i * i for i in range(6)]
 
-    def test_empty_stage(self, scheduler):
-        assert scheduler.run_stage([]) == {}
+    def test_empty_stage(self, op_pool):
+        pool, op = op_pool
+        assert run_stage(pool, op, "square", [None] * 4) == [None] * 4
 
-    def test_tasks_run_in_parallel(self, scheduler):
-        barrier = threading.Barrier(4, timeout=5)
+    def test_tasks_run_in_parallel(self, op_pool):
+        """Two shards on two workers: distinct processes, overlapping
+        execution intervals."""
+        pool, op = op_pool
+        (pid_a, start_a, end_a), (pid_b, start_b, end_b) = run_stage(
+            pool, op, "stamp", [(0.2,), (0.2,)])
+        assert pid_a != pid_b
+        assert start_a < end_b and start_b < end_a
 
-        def wait_at_barrier(i):
-            barrier.wait()
-            return i
+    def test_sequential_stages(self, op_pool):
+        pool, op = op_pool
+        first = run_stage(pool, op, "nap", [(0, "a"), (0, "b")])
+        second = run_stage(pool, op, "nap", [(0, "c"), (0, "d")], epoch=1)
+        assert (first, second) == (["a", "b"], ["c", "d"])
 
-        tasks = [Task(i, wait_at_barrier, (i,)) for i in range(4)]
-        results = scheduler.run_stage(tasks, timeout=10)
-        assert len(results) == 4
+    def test_results_ordered_by_submission_not_completion(self, op_pool):
+        """Worker 1 (shards 1, 3) replies long before worker 0 (shards 0,
+        4); the result list is still in shard order, gaps included, so
+        epoch merges are deterministic."""
+        pool, op = op_pool
+        payloads = [(0.15, 0), (0.0, 10), None, (0.0, 30), (0.15, 40)]
+        assert run_stage(pool, op, "nap", payloads) == [0, 10, None, 30, 40]
 
-    def test_dynamic_load_balancing(self, scheduler):
-        """More tasks than workers: every task still completes (workers
-        pull from a shared queue)."""
-        tasks = [Task(i, lambda i=i: i) for i in range(50)]
-        assert len(scheduler.run_stage(tasks)) == 50
-
-    def test_sequential_stages(self, scheduler):
-        first = scheduler.run_stage([Task(0, lambda: "a")])
-        second = scheduler.run_stage([Task(0, lambda: "b")])
-        assert (first[0], second[0]) == ("a", "b")
-
-    def test_results_ordered_by_submission_not_completion(self, scheduler):
-        """Tasks finish in scrambled order (early tasks sleep longest);
-        the result dict must still iterate in submission order so epoch
-        merges are deterministic."""
-        delays = {i: (8 - i) * 0.02 for i in range(8)}
-
-        def work(i):
-            time.sleep(delays[i])
-            return i
-
-        tasks = [Task(i, work, (i,)) for i in range(8)]
-        results = scheduler.run_stage(tasks, timeout=20)
-        assert list(results) == list(range(8))  # not completion order
-
-    def test_results_ordered_under_injected_delays(self):
-        """Same, with worker-scoped slowdowns scrambling completions."""
-        slow = SlowdownInjector(slow_workers={0, 1}, delay=0.05)
-        sched = TaskScheduler(4, speculation=False, injectors=[slow])
-        try:
-            tasks = [Task(i, lambda i=i: i) for i in range(12)]
-            results = sched.run_stage(tasks, timeout=20)
-            assert list(results) == list(range(12))
-        finally:
-            sched.shutdown()
+    def test_shards_route_stickily(self, op_pool):
+        """Shard ``i`` always runs on worker ``i % num_workers`` — the
+        worker holding its state replica — across stages."""
+        pool, op = op_pool
+        pids = [[pid for pid, _, _ in run_stage(
+            pool, op, "stamp", [(0.0,)] * 4, epoch=epoch)]
+            for epoch in range(2)]
+        assert pids[0] == pids[1]
+        assert pids[0][0] == pids[0][2] != pids[0][1] == pids[0][3]
 
 
 class TestFaultRecovery:
-    def test_failed_task_retried_not_whole_stage(self):
-        injector = FailureInjector({3: 1})  # task 3 fails once
-        sched = TaskScheduler(4, speculation=False, injectors=[injector])
+    def test_failed_task_retried_not_whole_stage(self, op_pool):
+        """Shard 3's task fails once in a live worker: only it is re-sent
+        — two attempts for it, one for every sibling, nobody died."""
+        pool, op = op_pool
+        injector = fail_shard(3)
+        with injected(injector):
+            results = run_stage(pool, op, "square", [(i,) for i in range(6)])
+        assert results == [i * i for i in range(6)]
+        assert injector.fired == [("worker.task", 1, "fail")]
+        report = pool.last_stage_report
+        assert [t["attempts"] for t in report["tasks"]] == [1, 1, 1, 2, 1, 1]
+        assert report["retries"] == 1
+        assert report["executor"]["worker_deaths"] == 0
+        # Six tasks plus the one failed attempt ran; no sibling re-ran.
+        assert sum(w["tasks"] for w in report["executor"]["workers"]) == 7
+
+    def test_retry_budget_exhaustion_fails_stage(self, shm_guard):
+        pool, op = bound_pool(max_retries=2)
         try:
-            results = sched.run_stage([Task(i, lambda i=i: i) for i in range(6)])
-            assert results == {i: i for i in range(6)}
-            assert injector.injected[0][0] == 3
+            with injected(fail_shard(0, times=None)):
+                with pytest.raises(TaskFailure, match="failed 3 times"):
+                    run_stage(pool, op, "square", [(i,) for i in range(4)])
+            assert pool.worker_deaths == 0
+            # The pool outlives the failed stage.  (Its workers keep the
+            # injector they forked with, so shard 0 sits this one out.)
+            assert run_stage(pool, op, "square", [None, (2,), (3,)],
+                             epoch=1) == [None, 4, 9]
         finally:
-            sched.shutdown()
-
-    def test_retry_budget_exhaustion_fails_stage(self):
-        injector = FailureInjector({0: 100})
-        sched = TaskScheduler(2, max_retries=2, speculation=False,
-                              injectors=[injector])
-        try:
-            with pytest.raises(TaskFailure, match="task 0"):
-                sched.run_stage([Task(0, lambda: 1)])
-        finally:
-            sched.shutdown()
-
-    def test_worker_scoped_failures(self):
-        """A task failing on one worker succeeds when retried elsewhere."""
-        injector = FailureInjector({0: 1}, on_workers={0})
-        sched = TaskScheduler(3, speculation=False, injectors=[injector])
-        try:
-            results = sched.run_stage([Task(i, lambda i=i: i) for i in range(3)])
-            assert results[0] == 0
-        finally:
-            sched.shutdown()
-
-
-class TestSpeculation:
-    def test_straggler_mitigated_by_backup_copy(self):
-        """A slow worker's task gets a speculative copy; the stage
-        finishes long before the straggler would have (§6.2)."""
-        slow = SlowdownInjector(slow_workers={0}, delay=5.0)
-        sched = TaskScheduler(
-            4, speculation=True, speculation_multiplier=2.0,
-            speculation_min_seconds=0.05, injectors=[slow],
-        )
-        try:
-            tasks = [Task(i, lambda i=i: (time.sleep(0.01), i)[1]) for i in range(8)]
-            started = time.monotonic()
-            results = sched.run_stage(tasks, timeout=20)
-            elapsed = time.monotonic() - started
-            assert len(results) == 8
-            assert elapsed < 4.0  # did not wait out the 5s straggler
-            assert slow.slowed  # the straggler injection did fire
-        finally:
-            sched.shutdown()
-
-    def test_task_results_not_duplicated_under_speculation(self):
-        slow = SlowdownInjector(slow_workers={0}, delay=0.3)
-        sched = TaskScheduler(4, speculation=True,
-                              speculation_min_seconds=0.02, injectors=[slow])
-        try:
-            counter = {"n": 0}
-            lock = threading.Lock()
-
-            def work(i):
-                with lock:
-                    counter["n"] += 1
-                return i
-
-            results = sched.run_stage(
-                [Task(i, work, (i,)) for i in range(6)], timeout=20)
-            assert results == {i: i for i in range(6)}
-            # Attempts may exceed tasks (speculation), results may not.
-            assert counter["n"] >= 6
-        finally:
-            sched.shutdown()
-
-    def test_speculative_clone_wins_exactly_one_result(self):
-        """A deliberately slow first attempt loses to its backup copy:
-        the stage keeps exactly one result for the task, and the report
-        records the speculation launch and win."""
-        ran = []
-
-        def first_attempt_stalls(task_id, worker_id, attempt):
-            if task_id == "slow" and attempt == 0:
-                time.sleep(2.0)  # the original; the clone runs clean
-
-        sched = TaskScheduler(
-            4, speculation=True, speculation_multiplier=2.0,
-            speculation_min_seconds=0.02, injectors=[first_attempt_stalls],
-        )
-        try:
-            def work(i):
-                ran.append(i)
-                return i
-
-            tasks = [Task(i, work, (i,)) for i in range(5)]
-            tasks.append(Task("slow", work, ("slow-result",)))
-            started = time.monotonic()
-            results = sched.run_stage(tasks, timeout=20)
-            assert time.monotonic() - started < 1.8  # clone won the race
-            assert results["slow"] == "slow-result"
-            assert len(results) == 6  # exactly one result per task
-            report = sched.last_stage_report
-            assert report["speculative_launched"] >= 1
-            assert report["speculative_won"] >= 1
-            slow_stats = [s for s in report["tasks"] if s["task_id"] == "slow"]
-            assert slow_stats[0]["attempts"] >= 2
-            assert slow_stats[0]["speculative_won"]
-        finally:
-            sched.shutdown()
+            pool.shutdown()
 
 
 class TestStageMetrics:
-    def test_per_task_wall_time_and_attempts_recorded(self):
-        sched = TaskScheduler(2, speculation=False)
+    def test_per_task_wall_time_and_attempts_recorded(self, op_pool):
+        pool, op = op_pool
+        run_stage(pool, op, "square", [(i,) for i in range(4)], epoch=7)
+        report = pool.last_stage_report
+        assert report["num_tasks"] == 4
+        assert [s["task_id"] for s in report["tasks"]] == [
+            str((LABEL, 7, shard)) for shard in range(4)]
+        for stats in report["tasks"]:
+            assert stats["seconds"] >= 0.0
+            assert stats["attempts"] == 1
+        assert report["wall_seconds"] >= max(
+            s["seconds"] for s in report["tasks"])
+
+    def test_stage_reports_history_is_bounded(self, shm_guard, monkeypatch):
+        monkeypatch.setattr(process_pool, "STAGE_HISTORY", 3)
+        pool, op = bound_pool()
         try:
-            sched.run_stage([Task(i, lambda i=i: i) for i in range(4)])
-            report = sched.last_stage_report
-            assert report["num_tasks"] == 4
-            assert [s["task_id"] for s in report["tasks"]] == [
-                "0", "1", "2", "3"]
-            for stats in report["tasks"]:
-                assert stats["seconds"] >= 0.0
-                assert stats["attempts"] == 1
-                assert stats["speculative_won"] is False
+            for epoch in range(5):
+                run_stage(pool, op, "square", [(epoch,), (epoch,)], epoch=epoch)
+            reports = pool.stage_reports
+            assert len(reports) == 3
+            assert reports[-1] is pool.last_stage_report
+            assert [r["tasks"][0]["task_id"] for r in reports] == [
+                str((LABEL, epoch, 0)) for epoch in (2, 3, 4)]
         finally:
-            sched.shutdown()
+            pool.shutdown()
 
-    def test_stage_metrics_summarizes_history(self):
-        injector = FailureInjector({1: 1})
-        sched = TaskScheduler(2, speculation=False, injectors=[injector])
-        try:
-            for _ in range(3):
-                sched.run_stage([Task(i, lambda i=i: i) for i in range(4)])
-            metrics = sched.stage_metrics()
-            assert metrics["num_stages"] == 3
-            assert metrics["num_tasks"] == 12
-            assert metrics["retries"] == 1    # task 1 failed once, stage 1
-            assert metrics["attempts"] == 13  # 12 + the retry
-            assert metrics["task_seconds_p50"] is not None
-            assert (metrics["task_seconds_max"]
-                    >= metrics["task_seconds_p95"]
-                    >= metrics["task_seconds_p50"])
-        finally:
-            sched.shutdown()
-
-    def test_stage_report_is_json_serializable(self):
-        import json
-
-        sched = TaskScheduler(2, speculation=False)
-        try:
-            sched.run_stage([Task(("tuple", "id", i), lambda i=i: i)
-                             for i in range(3)])
-            json.dumps(sched.last_stage_report)
-            json.dumps(sched.stage_metrics())
-        finally:
-            sched.shutdown()
-
-
-class TestRescaling:
-    def test_add_workers(self):
-        sched = TaskScheduler(2, speculation=False)
-        try:
-            assert sched.num_workers == 2
-            sched.add_workers(3)
-            assert sched.num_workers == 5
-            results = sched.run_stage([Task(i, lambda i=i: i) for i in range(20)])
-            assert len(results) == 20
-        finally:
-            sched.shutdown()
-
-    def test_remove_workers(self):
-        sched = TaskScheduler(4, speculation=False)
-        try:
-            sched.remove_workers(2)
-            time.sleep(0.1)
-            assert sched.num_workers == 2
-            results = sched.run_stage([Task(i, lambda i=i: i) for i in range(10)])
-            assert len(results) == 10
-        finally:
-            sched.shutdown()
-
-    def test_shrink_to_one_worker_still_progresses(self):
-        sched = TaskScheduler(3, speculation=False)
-        try:
-            sched.remove_workers(2)
-            results = sched.run_stage([Task(i, lambda i=i: i) for i in range(5)])
-            assert len(results) == 5
-        finally:
-            sched.shutdown()
+    def test_stage_report_is_json_serializable(self, op_pool):
+        pool, op = op_pool
+        run_stage(pool, op, "square", [(i,) for i in range(3)])
+        report = json.loads(json.dumps(pool.last_stage_report))
+        assert report["executor"]["type"] == "process"
+        assert not [key for key in report if key.startswith("specul")]

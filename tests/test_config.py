@@ -13,7 +13,7 @@ import repro
 from repro.sinks.memory import MemorySink
 from repro.sql import functions as F
 from repro.sql.session import Session
-from repro.streaming.config import ENV_VARS, EngineConfig
+from repro.streaming.config import ENV_VARS, EXECUTORS, EngineConfig
 from repro.streaming.state import DEFAULT_MEMTABLE_BYTES
 from repro.streaming.state_lsm import TieredOperatorStateHandle
 
@@ -88,6 +88,26 @@ def test_unknown_values_rejected_at_resolution():
         EngineConfig.resolve({}, {"REPRO_EXECUTOR": "thread"})
 
 
+def test_unknown_executor_message_names_only_what_exists():
+    with pytest.raises(ValueError) as error:
+        EngineConfig.resolve({"executor": "thread"}, {})
+    assert str(EXECUTORS) in str(error.value)
+    assert "scheduler" not in str(error.value).lower()
+
+
+def test_scheduler_option_is_rejected_not_ignored(tmp_path):
+    """The removed object-valued option would otherwise be dropped like
+    any unknown key and the caller silently get the inline executor."""
+    stream = make_stream((("k", "string"), ("v", "long")))
+    writer = (Session().read_stream.memory(stream)
+              .write_stream.sink(MemorySink()).option("scheduler", object()))
+    with pytest.raises(ValueError) as error:
+        writer.start(str(tmp_path / "cp"))
+    assert '.option("executor", "process")' in str(error.value)
+    assert "num_workers" in str(error.value)
+    assert not os.path.exists(str(tmp_path / "cp"))
+
+
 def test_config_is_frozen():
     config = EngineConfig()
     with pytest.raises(AttributeError):
@@ -147,3 +167,15 @@ def test_one_vectorized_evaluator_and_eval_row_is_the_oracle_only():
     assert _sources_matching(r"sql\.codegen|import codegen") == []
     assert _sources_matching(r"eval_row") == [
         os.path.join("sql", "expressions.py")]
+
+
+def test_two_executors_and_no_thread_pool():
+    """Shard tasks run inline or on the process pool; the thread executor
+    and its scheduler are gone, not fenced — no name of theirs survives
+    under ``src/`` and the cluster package starts no thread."""
+    assert EXECUTORS == ("inline", "process")
+    assert _sources_matching(r"threading\.Thread\(", ("cluster",)) == []
+    assert _sources_matching(r"TaskScheduler|run_stage") == []
+    root = os.path.dirname(repro.__file__)
+    for gone in ("scheduler.py", "failures.py"):
+        assert not os.path.exists(os.path.join(root, "cluster", gone))

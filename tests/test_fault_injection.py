@@ -11,19 +11,23 @@ Four concerns:
   prove it fails on sinks that silently duplicate or drop rows, and on
   malformed checkpoint directories — a checker that cannot fail proves
   nothing;
-* scheduler failure paths and ``stop``/run-once behavior under faults.
+* task failure paths on the process pool and ``stop``/run-once
+  behavior under faults.
 """
 
+import glob
+import json
 import os
-import time
 
 import pytest
 
-from repro.cluster.scheduler import Task, TaskFailure, TaskScheduler
+from repro.cluster import TaskFailure
 from repro.sinks.file import TransactionalFileSink
 from repro.sinks.memory import MemorySink
 from repro.storage import atomic_write_json
+from repro.streaming.query import StreamingQuery
 from repro.streaming.state import OperatorStateHandle
+from repro.streaming.triggers import ProcessingTimeTrigger
 from repro.streaming.wal import WriteAheadLog
 from repro.testing.faults import (
     CrashPoint,
@@ -42,9 +46,9 @@ from repro.testing.harness import (
     check_checkpoint_invariants,
     checkpoint_fingerprint,
 )
-from repro.testing.sweep import make_workload
+from repro.testing.sweep import agg_workload
 
-from tests.conftest import make_stream, start_memory_query
+from tests.conftest import fail_shard, make_stream, start_memory_query
 
 SCHEMA = (("k", "string"), ("v", "long"))
 
@@ -95,10 +99,10 @@ class TestFaultScheduling:
                 fault_point("storage.write", path="/a/target.json", tmp_path="/t")
 
     def test_fail_action_is_transient_not_a_crash(self):
-        injector = FaultInjector([Fault("scheduler.task", action="fail")])
+        injector = FaultInjector([Fault("worker.task", action="fail")])
         with injected(injector):
             with pytest.raises(InjectedTaskError):
-                fault_point("scheduler.task", task_id="t", worker_id=0, attempt=0)
+                fault_point("worker.task", shard=0, pid=os.getpid())
 
     def test_counts_persist_across_engine_restarts(self, session, checkpoint):
         # One schedule, two query generations: the second fault lands in
@@ -388,101 +392,86 @@ class TestCheckpointInvariantMutations:
 
 
 # ======================================================================
-# Scheduler failure paths (§6.2) through named fault points
+# Task failure paths (§6.2) on the process pool, through ``worker.task``
 # ======================================================================
-def _drive(instance):
+def _drive(instance, steps=None):
     query = instance.build()
-    query.process_all_available()
-    for step in instance.steps:
-        step()
+    try:
         query.process_all_available()
-    query.stop()
+        for step in instance.steps if steps is None else steps:
+            step()
+            query.process_all_available()
+    finally:
+        query.stop()
+    return query
 
 
+@pytest.mark.usefixtures("shm_guard")
 class TestSchedulerFailurePaths:
     def test_transient_task_failure_is_invisible(self, tmp_path):
-        """A task attempt that fails once and is retried must leave the
-        sink AND the checkpoint byte-identical to a fault-free run."""
-        clean = make_workload("scheduler.task", "microbatch", 2,
-                              str(tmp_path / "clean"))
-        try:
-            _drive(clean)
-        finally:
-            clean.cleanup()
+        """A shard task that fails once in its worker and is re-sent must
+        leave the sink AND the checkpoint byte-identical to a fault-free
+        inline run — and only that task is retried."""
+        clean = agg_workload(str(tmp_path / "clean"), 4, executor="inline")
+        _drive(clean)
 
-        faulted = make_workload("scheduler.task", "microbatch", 2,
-                                str(tmp_path / "faulted"))
-        injector = FaultInjector([Fault("scheduler.task", occurrence=0,
-                                        action="fail")])
-        try:
-            with injected(injector):
-                _drive(faulted)
-        finally:
-            faulted.cleanup()
+        faulted = agg_workload(str(tmp_path / "faulted"), 4,
+                               executor="process")
+        injector = fail_shard(1)
+        with injected(injector):
+            pool = _drive(faulted).engine.pool
         assert injector.fired  # the first attempt really did fail
+        retried = [report for report in pool.stage_reports
+                   if report["retries"]]
+        assert len(retried) == 1
+        assert sorted(t["attempts"] for t in retried[0]["tasks"])[-2:] == [1, 2]
+        assert pool.worker_deaths == 0
         assert faulted.read_sink() == clean.read_sink()
         assert checkpoint_fingerprint(faulted.checkpoint_dir) == \
             checkpoint_fingerprint(clean.checkpoint_dir)
 
-    def test_speculative_clone_beats_hung_attempt(self):
-        """A straggling attempt hangs (then dies); the speculative clone
-        launched in the meantime must win and the stage still succeed."""
-        scheduler = TaskScheduler(num_workers=3, speculation=True,
-                                  speculation_min_seconds=0.02,
-                                  speculation_multiplier=2.0)
-        injector = FaultInjector([
-            Fault("scheduler.task", occurrence=None, times=1, action="hang",
-                  seconds=0.8, match=lambda ctx: ctx["task_id"] == ("t", 0)),
-        ])
-        tasks = [Task(("t", i), lambda i=i: (time.sleep(0.02), i * 10)[1])
-                 for i in range(6)]
-        try:
-            with injected(injector):
-                results = scheduler.run_stage(tasks, timeout=10)
-            report = scheduler.last_stage_report
-        finally:
-            scheduler.shutdown()
-        assert results == {("t", i): i * 10 for i in range(6)}
-        assert report["speculative_launched"] >= 1
-        assert report["speculative_won"] >= 1
-
     def test_retry_exhaustion_is_a_clean_error(self, tmp_path):
-        """A task that fails every attempt surfaces TaskFailure without
-        committing anything; once the cause clears, a plain restart
-        completes the work."""
-        instance = make_workload("scheduler.task", "microbatch", 2,
-                                 str(tmp_path / "run"))
-        injector = FaultInjector([
-            Fault("scheduler.task", occurrence=None, times=None, action="fail",
-                  match=lambda ctx: ctx["task_id"] == ("source-0", "0")),
-        ])
-        try:
-            query = instance.build()
-            with injected(injector):
-                instance.steps[0]()
-                with pytest.raises(TaskFailure):
-                    query.process_all_available()
-            # nothing was delivered or committed
-            assert instance.read_sink() == []
-            assert os.listdir(
-                os.path.join(instance.checkpoint_dir, "commits")) == []
+        """A task that fails every attempt surfaces TaskFailure — after
+        ``max_retries + 1`` attempts, through ``StreamingQuery.exception``
+        on a threaded query, with a postmortem — without committing the
+        epoch; once the cause clears, a restart from the same checkpoint
+        completes byte-identically."""
+        instance = agg_workload(str(tmp_path / "run"), 4, executor="process")
+        query = instance.build()
+        failing, *rest = instance.steps
+        always = FaultInjector([Fault("worker.task", occurrence=None,
+                                      times=None, action="fail")])
+        with injected(always):  # installed before the workers fork
+            failing()
+            # The same engine behind a driver thread, as an interval
+            # trigger would run it.
+            threaded = StreamingQuery(
+                query.engine, ProcessingTimeTrigger(0.01), "failing")
+            with pytest.raises(TaskFailure):
+                threaded.await_termination(timeout=30)
+        failure = threaded.exception
+        assert type(failure) is TaskFailure
+        attempts = query.engine.pool.max_retries + 1
+        assert f"failed {attempts} times" in str(failure)
+        assert query.engine.pool.worker_deaths == 0
+        threaded.stop()
+        # nothing was delivered or committed
+        assert instance.read_sink() == []
+        assert os.listdir(
+            os.path.join(instance.checkpoint_dir, "commits")) == []
+        (postmortem,) = glob.glob(
+            os.path.join(instance.checkpoint_dir, "postmortem*.json"))
+        with open(postmortem, encoding="utf-8") as fh:
+            assert "TaskFailure" in json.dumps(json.load(fh)["crash"])
 
-            restarted = instance.build()
-            restarted.process_all_available()
-            for step in instance.steps[1:]:
-                step()
-                restarted.process_all_available()
-            restarted.stop()
-        finally:
-            instance.cleanup()
+        _drive(instance, rest)
 
-        reference = make_workload("scheduler.task", "microbatch", 2,
-                                  str(tmp_path / "reference"))
-        try:
-            _drive(reference)
-        finally:
-            reference.cleanup()
+        reference = agg_workload(str(tmp_path / "reference"), 4,
+                                 executor="inline")
+        _drive(reference)
         assert instance.read_sink() == reference.read_sink()
+        assert checkpoint_fingerprint(instance.checkpoint_dir) == \
+            checkpoint_fingerprint(reference.checkpoint_dir)
 
 
 # ======================================================================

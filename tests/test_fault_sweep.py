@@ -47,13 +47,13 @@ def test_sweep_cell(point, mode, shards, tmp_path):
 
 def test_sweep_coverage_floor():
     """The matrix must exercise at least 13 distinct named fault points
-    spanning WAL, state, storage, sinks, the scheduler, and the cascade
+    spanning WAL, state, storage, sinks, the pool workers, and the cascade
     drive (the sweep's acceptance floor — a registry addition that no
     cell reaches shows up here)."""
     if not _FIRED_POINTS:
         pytest.skip("sweep cells did not run in this test selection")
     assert len(_FIRED_POINTS) >= 13, sorted(_FIRED_POINTS)
-    for prefix in ("wal.", "state.", "storage.", "sink.", "scheduler.",
+    for prefix in ("wal.", "state.", "storage.", "sink.", "worker.",
                    "cascade."):
         assert any(p.startswith(prefix) for p in _FIRED_POINTS), (
             f"no {prefix}* point fired", sorted(_FIRED_POINTS))

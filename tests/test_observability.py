@@ -494,9 +494,7 @@ class TestMonitorCLI:
             "lateRowsDropped": 0, "triggerTime": 1.0,
             "taskMetrics": {
                 "num_tasks": 3, "retries": 0,
-                "tasks": [{"seconds": 0.01, "attempts": 1,
-                           "speculative_won": False, "task_id": "t"}],
-                "speculative_launched": 0, "speculative_won": 0,
+                "tasks": [{"seconds": 0.01, "attempts": 1, "task_id": "t"}],
                 "executor": {
                     "type": "process", "num_workers": 2,
                     "ipc_bytes": 123456, "ship_seconds": 0.004,
@@ -521,16 +519,14 @@ class TestMonitorCLI:
     def test_executor_columns_from_recorded_process_run(self, session, tmp_path):
         """End to end: a real process-executor query's events.jsonl
         renders per-worker utilization and IPC columns."""
-        from repro.cluster.scheduler import TaskScheduler
-
         checkpoint = str(tmp_path / "cp")
-        scheduler = TaskScheduler(2, executor="process", speculation=False)
         with metrics.enabled():
             stream = make_stream((("k", "string"), ("v", "long")))
             df = (session.read_stream.memory(stream)
                   .group_by("k").agg(F.sum("v").alias("total")))
             query = start_memory_query(df, "update", "pmon", checkpoint,
-                                       num_shards=4, scheduler=scheduler)
+                                       num_shards=4, executor="process",
+                                       num_workers=2)
             try:
                 for i in range(3):
                     stream.add_data(
@@ -538,7 +534,6 @@ class TestMonitorCLI:
                     query.process_all_available()
             finally:
                 query.stop()
-                scheduler.shutdown()
 
         events = monitor.load_events(checkpoint)
         assert any(

@@ -133,7 +133,7 @@ class TestStatefulAggregateBranches:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_fold_shard_is_pure(self, tmp_path, weighted):
         """The one shard task reads pre-epoch state only: two calls return
-        equal results and write nothing (retry/speculation idempotence)."""
+        equal results and write nothing (retry idempotence)."""
         from repro.streaming.zset import attach_weights, weighted_schema
 
         schema = weighted_schema(SCHEMA) if weighted else SCHEMA

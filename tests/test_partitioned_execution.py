@@ -2,12 +2,13 @@
 
 The partitioned execution layer must be *invisible* in every observable
 output: sink rows, checkpoint bytes, and recovery behaviour may not
-depend on the shard count, the worker count, or scheduler timing.  These
+depend on the shard count, the worker count, or worker timing.  These
 tests pin that contract:
 
 * the vectorized hash kernel agrees with its scalar path row-for-row;
-* N-shard execution (serial or scheduler-driven) produces byte-identical
-  sink output and checkpoint files to single-shard execution;
+* N-shard execution (serial or on the process pool) produces
+  byte-identical sink output and checkpoint files to single-shard
+  execution;
 * a checkpoint written at N shards restores exactly at M shards
   (state rescaling via deterministic key re-hashing);
 * hypothesis drives random batches/keys/shard counts through the same
@@ -20,7 +21,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cluster import TaskScheduler
 from repro.sql import functions as F
 from repro.sql.batch import (
     RecordBatch,
@@ -116,8 +116,10 @@ AGG_EPOCHS = [
 ]
 
 
-def run_windowed_agg(session_cls, checkpoint, num_shards, scheduler=None,
-                     epochs=AGG_EPOCHS):
+def run_windowed_agg(session_cls, checkpoint, num_shards, epochs=AGG_EPOCHS,
+                     inspect=None, **options):
+    """``inspect(query)`` runs just before the query stops; ``options``
+    are further writer options (the executor, say)."""
     session = session_cls()
     stream = make_stream([("t", "timestamp"), ("k", "string")])
     df = session.read_stream.memory(stream).with_watermark("t", "50s")
@@ -128,9 +130,7 @@ def run_windowed_agg(session_cls, checkpoint, num_shards, scheduler=None,
     # delta/snapshot format is byte-identical across shard counts.  (The
     # tiered format's own determinism golden — replay produces the same
     # runs — lives in tests/test_state_tiered.py.)
-    options = {"num_shards": num_shards, "state_backend": "dict"}
-    if scheduler is not None:
-        options["scheduler"] = scheduler
+    options = {"num_shards": num_shards, "state_backend": "dict", **options}
     query = start_memory_query(counts, "update", "parteq", checkpoint,
                                **options)
     outputs = []
@@ -138,6 +138,8 @@ def run_windowed_agg(session_cls, checkpoint, num_shards, scheduler=None,
         stream.add_data(rows)
         query.process_all_available()
         outputs.append(list(query.engine.sink.rows()))
+    if inspect is not None:
+        inspect(query)
     query.stop()
     return outputs
 
@@ -196,41 +198,47 @@ class TestShardCountInvariance:
         assert (checkpoint_fingerprint(str(tmp_path / "fp1"))
                 == checkpoint_fingerprint(str(tmp_path / "fp4")))
 
-    def test_agg_with_scheduler_matches_serial(self, tmp_path):
-        """Parallel task execution (4 shards × 4 workers, speculation on)
+    def test_agg_with_scheduler_matches_serial(self, tmp_path, shm_guard):
+        """Parallel task execution (4 shards over 2 pool workers)
         produces exactly the serial single-shard bytes."""
         from repro.sql.session import Session
 
         ref_out, ref_files = self._reference(tmp_path)
-        scheduler = TaskScheduler(4, speculation=True,
-                                  speculation_min_seconds=0.01)
-        try:
-            par_dir = str(tmp_path / "par")
-            out = run_windowed_agg(Session, par_dir, 4, scheduler=scheduler)
-            assert out == ref_out
-            assert read_state_files(par_dir) == ref_files
-        finally:
-            scheduler.shutdown()
+        par_dir = str(tmp_path / "par")
+        reports = []
+        out = run_windowed_agg(
+            Session, par_dir, 4, executor="process", num_workers=2,
+            inspect=lambda q: reports.extend(q.engine.pool.stage_reports))
+        assert out == ref_out
+        assert read_state_files(par_dir) == ref_files
+        assert reports  # the shard tasks really ran on the pool
 
-    def test_scheduler_reports_task_metrics(self, tmp_path):
+    def test_scheduler_reports_task_metrics(self, tmp_path, shm_guard):
+        """The pool's stage report: per-task seconds and attempts, the
+        ``executor`` section, JSON-serialisable as it stands — and the
+        same dict the epoch's progress event carries."""
+        import json
+
         from repro.sql.session import Session
 
-        scheduler = TaskScheduler(2, speculation=False)
-        try:
-            run_windowed_agg(Session, str(tmp_path / "m"), 4,
-                             scheduler=scheduler)
-            report = scheduler.last_stage_report
-            assert report is not None
-            assert report["num_tasks"] >= 1
-            for stats in report["tasks"]:
-                assert stats["seconds"] >= 0
-                assert stats["attempts"] >= 1
-            metrics = scheduler.stage_metrics()
-            assert metrics["num_stages"] >= 1
-            assert metrics["task_seconds_p50"] is not None
-            assert metrics["task_seconds_max"] >= metrics["task_seconds_p50"]
-        finally:
-            scheduler.shutdown()
+        seen = {}
+
+        def inspect(query):
+            seen["report"] = query.engine.pool.last_stage_report
+            seen["progress"] = query.last_progress.task_metrics
+
+        run_windowed_agg(Session, str(tmp_path / "m"), 4, inspect=inspect,
+                         executor="process", num_workers=2)
+        report = seen["report"]
+        assert report is not None
+        assert report["num_tasks"] >= 1
+        for stats in report["tasks"]:
+            assert stats["seconds"] >= 0
+            assert stats["attempts"] >= 1
+        assert report["executor"]["type"] == "process"
+        assert report["executor"]["num_workers"] == 2
+        assert json.loads(json.dumps(report))["retries"] == 0
+        assert seen["progress"] == report
 
     def test_dedup_invariant(self, tmp_path):
         from repro.sql.session import Session
@@ -375,28 +383,45 @@ def test_property_shard_and_rescale_equivalence(tmp_path_factory, epochs, n, m):
 
 
 # ---------------------------------------------------------------------------
-# run_shard_tasks: scheduler path == inline path
+# run_op_shard_tasks, the one dispatcher: pool path == inline path
 # ---------------------------------------------------------------------------
 
-def test_run_shard_tasks_orders_and_skips_none():
-    from repro.streaming.operators import EpochContext, run_shard_tasks
+def test_run_shard_tasks_orders_and_skips_none(op_pool):
+    from repro.observability import tracing
+    from repro.streaming.operators import EpochContext, run_op_shard_tasks
     from repro.streaming.watermark import WatermarkTracker
 
-    scheduler = TaskScheduler(3, speculation=False)
-    try:
-        ctx = EpochContext(epoch_id=0, inputs={}, watermarks=WatermarkTracker({}),
-                           processing_time=0.0, output_mode="append",
-                           scheduler=scheduler)
-        fns = [lambda i=i: i * 10 for i in range(5)]
-        fns[2] = None
-        results = run_shard_tasks(ctx, ("t", 1), fns)
-        assert results == [0, 10, None, 30, 40]
-        inline = EpochContext(epoch_id=0, inputs={},
-                              watermarks=WatermarkTracker({}),
-                              processing_time=0.0, output_mode="append")
-        assert run_shard_tasks(inline, ("t", 1), fns) == results
-    finally:
-        scheduler.shutdown()
+    from tests.conftest import ShardTaskOp
+
+    def context(pool):
+        return EpochContext(epoch_id=0, inputs={},
+                            watermarks=WatermarkTracker({}),
+                            processing_time=0.0, output_mode="append",
+                            pool=pool)
+
+    pool, op = op_pool
+    payloads = [(i,) for i in range(5)]
+    payloads[2] = None
+    expected = [0, 1, None, 9, 16]
+    with tracing.enabled() as tracer:
+        shipped = run_op_shard_tasks(
+            context(pool), ("t", 1), op, "square", payloads)
+        inline = run_op_shard_tasks(
+            context(None), ("t", 1), op, "square", payloads)
+    assert shipped == inline == expected
+    assert len(pool.stage_reports) == 1
+    # Both paths leave the same task spans behind.
+    names = [span["name"] for span in tracer.spans
+             if span["name"].startswith("task:")]
+    assert sorted(names) == sorted(
+        [f"task:t:shard{i}" for i in (0, 1, 3, 4)] * 2)
+    # An operator the pool was not bound to, or a single runnable shard,
+    # stays on the calling thread even with a pool on the context.
+    assert run_op_shard_tasks(
+        context(pool), ("t", 1), ShardTaskOp(), "square", payloads) == expected
+    assert run_op_shard_tasks(
+        context(pool), ("t", 1), op, "square", [None, (3,)]) == [None, 9]
+    assert len(pool.stage_reports) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import os
 
 import pytest
 
-from repro.cluster.scheduler import TaskScheduler
 from repro.sinks.memory import MemorySink
 from repro.sources.cdc import ChangeStream
 from repro.sql import functions as F
@@ -153,7 +152,7 @@ GOLDEN_FINAL = [{"k": "a", "total": 2}, {"k": "c", "total": 9},
                 {"k": "b", "total": 1}]
 
 
-def _build_cascade(root, *, backend="dict", scheduler=None, shards=2):
+def _build_cascade(root, *, backend="dict", executor=None, shards=2):
     session = Session()
     cdc = ChangeStream(CDC_SCHEMA)
     silver = (session.read_stream.cdc(cdc)
@@ -169,19 +168,17 @@ def _build_cascade(root, *, backend="dict", scheduler=None, shards=2):
         writer = (session.read_stream_table("silver")
                   .group_by("k").agg(F.sum("v").alias("total"))
                   .write_stream.sink(sink).output_mode("retract")
-                  .option("num_shards", shards))
+                  .option("num_shards", shards)
+                  .option("executor", executor).option("num_workers", 2))
         if backend == "tiered":
             writer = (writer.option("state_backend", "tiered")
                       .option("state_memtable_bytes", 256))
-        if scheduler is not None:
-            writer = writer.option("scheduler", scheduler)
         return upstream, writer.start(ck2)
 
     return cdc, sink, ck1, ck2, start
 
 
 def _run_cascade(root, **kwargs):
-    scheduler = kwargs.get("scheduler")
     cdc, sink, ck1, ck2, start = _build_cascade(root, **kwargs)
     upstream, downstream = start()
     try:
@@ -192,8 +189,6 @@ def _run_cascade(root, **kwargs):
     finally:
         upstream.stop()
         downstream.stop()
-        if scheduler is not None:
-            scheduler.shutdown()
     return sink.rows(), checkpoint_fingerprint(ck1), checkpoint_fingerprint(ck2)
 
 
@@ -214,10 +209,10 @@ def test_cascade_bytes_invariant_to_state_backend(tmp_path):
 
 @pytest.mark.usefixtures("shm_guard")
 def test_cascade_bytes_invariant_to_executor(tmp_path):
-    rows_i, fp1_i, fp2_i = _run_cascade(str(tmp_path / "inline"))
-    scheduler = TaskScheduler(2, executor="process", speculation=False)
+    rows_i, fp1_i, fp2_i = _run_cascade(str(tmp_path / "inline"),
+                                        executor="inline")
     rows_p, fp1_p, fp2_p = _run_cascade(str(tmp_path / "process"),
-                                        scheduler=scheduler)
+                                        executor="process")
     assert canonical_rows(rows_p) == canonical_rows(rows_i)
     assert fp1_p == fp1_i
     assert fp2_p == fp2_i  # including every state checkpoint byte

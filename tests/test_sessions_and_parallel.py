@@ -1,15 +1,14 @@
-"""Tests for session windows, scheduler-integrated epochs, time travel."""
+"""Tests for session windows, partitioned ingestion, time travel."""
 
 import pytest
 
-from repro.cluster import FailureInjector, TaskScheduler
 from repro.sinks.file import TransactionalFileSink
 from repro.sql import functions as F
 from repro.sql.batch import RecordBatch
 from repro.sql.types import StructType
 from repro.streaming.sessions import session_windows
 
-from tests.conftest import make_stream, start_memory_query
+from tests.conftest import fail_shard, make_stream, start_memory_query
 
 EVENTS = (("user", "string"), ("t", "timestamp"))
 
@@ -81,55 +80,63 @@ class TestSessionWindows:
 
 
 class TestSchedulerIntegratedEngine:
-    def _start(self, session, stream, scheduler, checkpoint):
+    """An epoch's reads and shard tasks: every partition's range read
+    once on the engine thread, shard tasks inline or on the pool."""
+
+    def _start(self, session, stream, checkpoint, **options):
         df = session.read_stream.memory(stream).where(F.col("v") >= 0)
-        return (df.write_stream.format("memory").query_name("par")
-                .option("scheduler", scheduler)
-                .output_mode("append").start(checkpoint))
+        return start_memory_query(df, "append", "par", checkpoint, **options)
 
     def test_epoch_runs_via_tasks(self, session, checkpoint):
-        scheduler = TaskScheduler(2, speculation=False)
-        try:
-            stream = make_stream((("v", "long"),))
-            query = self._start(session, stream, scheduler, checkpoint)
-            stream.add_data([{"v": i} for i in range(10)])
-            query.process_all_available()
-            assert len(query.engine.sink.rows()) == 10
-        finally:
-            scheduler.shutdown()
+        stream = make_stream((("v", "long"),))
+        query = self._start(session, stream, checkpoint)
+        stream.add_data([{"v": i} for i in range(10)])
+        query.process_all_available()
+        assert len(query.engine.sink.rows()) == 10
 
-    def test_mid_epoch_task_failure_recovers(self, session, checkpoint):
-        """A fetch task fails once; the scheduler retries just that task
-        and the epoch completes exactly-once (§6.2 fine-grained recovery)."""
-        injector = FailureInjector({("source-0", "0"): 1})
-        scheduler = TaskScheduler(2, speculation=False, injectors=[injector])
+    def test_mid_epoch_task_failure_recovers(self, session, checkpoint,
+                                             shm_guard):
+        """A shard task fails once in its pool worker; the driver re-sends
+        just that task and the epoch completes exactly-once (§6.2
+        fine-grained recovery)."""
+        from repro.streaming.operators import StatelessOp
+        from repro.testing.faults import injected
+
+        rows = [{"v": i} for i in range(StatelessOp.MIN_PARALLEL_ROWS)]
+        stream = make_stream((("v", "long"),))
+        query = self._start(session, stream, checkpoint, executor="process",
+                            num_workers=2, num_shards=2)
+        injector = fail_shard(1)
         try:
-            stream = make_stream((("v", "long"),))
-            query = self._start(session, stream, scheduler, checkpoint)
-            stream.add_data([{"v": 1}, {"v": 2}])
-            query.process_all_available()
-            assert injector.injected  # the failure really happened
-            assert [r["v"] for r in query.engine.sink.rows()] == [1, 2]
+            stream.add_data(rows)
+            with injected(injector):
+                query.process_all_available()
+            report = query.engine.pool.last_stage_report
         finally:
-            scheduler.shutdown()
+            query.stop()
+        assert injector.fired  # the failure really happened
+        assert [t["attempts"] for t in report["tasks"]] == [1, 2]
+        assert report["executor"]["worker_deaths"] == 0
+        assert query.engine.sink.rows() == rows
 
     def test_multi_partition_kafka_fetch_parallel(self, session, checkpoint):
+        """One epoch's read over four partitions is the four single-
+        partition reads, in partition order."""
         from repro.bus import Broker
 
-        scheduler = TaskScheduler(4, speculation=False)
-        try:
-            broker = Broker()
-            topic = broker.create_topic("t", 4)
-            for p in range(4):
-                topic.publish_to(p, [{"v": p * 10 + i} for i in range(5)])
-            df = session.read_stream.kafka(broker, "t", (("v", "long"),))
-            query = (df.write_stream.format("memory").query_name("k")
-                     .option("scheduler", scheduler)
-                     .output_mode("append").start(checkpoint))
-            query.process_all_available()
-            assert len(query.engine.sink.rows()) == 20
-        finally:
-            scheduler.shutdown()
+        broker = Broker()
+        topic = broker.create_topic("t", 4)
+        for p in range(4):
+            topic.publish_to(p, [{"v": p * 10 + i} for i in range(5)])
+        df = session.read_stream.kafka(broker, "t", (("v", "long"),))
+        query = start_memory_query(df, "append", "k", checkpoint)
+        query.process_all_available()
+        rows = query.engine.sink.rows()
+        assert len(rows) == 20
+        (source,) = query.engine.sources.values()
+        single = [row for p in sorted(source.latest_offsets())
+                  for row in source.get_partition_batch(p, 0, 5).to_rows()]
+        assert rows == single
 
 
 class TestTimeTravel:
