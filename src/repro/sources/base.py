@@ -5,8 +5,13 @@ offset ranges (§4.2: records are totally ordered within a partition,
 unordered across partitions).  The engine's contract with sources is:
 
 * ``latest_offsets`` — what data exists right now (end of each partition);
-* ``get_batch(start, end)`` — *replayable*: the same range must return the
-  same records until ``commit`` allows their disposal;
+* ``get_batch(start, end, schema=None)`` — *replayable*: the same range
+  must return the same records until ``commit`` allows their disposal.
+  ``schema`` is a subset of the source's fields, in source order — the
+  columns the query references, which the engine works out at plan time —
+  and the batch carries exactly those (None: every field).  A columnar
+  source never touches the others; a row-decoding source drops them
+  after the decode;
 * ``commit(end)`` — all data before ``end`` has been durably committed to
   the sink; the source may release it (e.g. retention trimming).
 
@@ -68,8 +73,9 @@ class Source:
         """End offsets of all data currently available."""
         raise NotImplementedError
 
-    def get_batch(self, start: dict, end: dict) -> RecordBatch:
-        """Read records with offsets in ``[start, end)`` for each partition.
+    def get_batch(self, start: dict, end: dict, schema: StructType = None) -> RecordBatch:
+        """Read records with offsets in ``[start, end)`` for each partition,
+        holding only the fields of ``schema`` (None: all fields).
 
         Must be deterministic and repeatable for any retained range.
         """
@@ -153,6 +159,6 @@ class RetainedLogSource(Source, SourceDescriptor):
     def get_partition_batch(self, partition: str, start: int, end: int) -> RecordBatch:
         return self._log.read_columnar(start, end, self.schema)
 
-    def get_batch(self, start: dict, end: dict) -> RecordBatch:
+    def get_batch(self, start: dict, end: dict, schema: StructType = None) -> RecordBatch:
         return self._log.read_columnar(
-            start.get(PARTITION, 0), end[PARTITION], self.schema)
+            start.get(PARTITION, 0), end[PARTITION], schema or self.schema)

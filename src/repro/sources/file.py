@@ -39,15 +39,16 @@ class FileStreamSource(Source):
     def latest_offsets(self) -> dict:
         return {PARTITION: len(self._listing())}
 
-    def get_partition_batch(self, partition: str, start: int, end: int) -> RecordBatch:
+    def get_partition_batch(self, partition: str, start: int, end: int,
+                            schema: StructType = None) -> RecordBatch:
         rows = []
         for name in self._listing()[start:end]:
             rows.extend(read_jsonl(os.path.join(self._directory, name)))
-        return RecordBatch.from_rows(rows, self.schema)
+        return RecordBatch.from_rows(rows, schema or self.schema)
 
-    def get_batch(self, start: dict, end: dict) -> RecordBatch:
+    def get_batch(self, start: dict, end: dict, schema: StructType = None) -> RecordBatch:
         return self.get_partition_batch(
-            PARTITION, start.get(PARTITION, 0), end[PARTITION]
+            PARTITION, start.get(PARTITION, 0), end[PARTITION], schema
         )
 
 

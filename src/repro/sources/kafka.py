@@ -35,26 +35,30 @@ class KafkaSource(Source):
     def latest_offsets(self) -> dict:
         return self._topic.end_offsets()
 
-    def get_partition_batch(self, partition: str, start: int, end: int) -> RecordBatch:
-        """Vectorized decode: columnar bus segments are sliced directly;
-        row chunks are converted (the decode cost a columnar reader pays
-        once per fetch, not per operator)."""
+    def get_partition_batch(self, partition: str, start: int, end: int,
+                            schema: StructType = None) -> RecordBatch:
+        """Vectorized decode: columnar bus segments are sliced directly
+        (only ``schema``'s columns); row chunks are converted (the decode
+        cost a columnar reader pays once per fetch, not per operator)."""
+        schema = schema or self.schema
         tp = self._topic.partitions[int(partition)]
         if self._records_are_json:
             rows = [json.loads(r) for r in tp.read(start, end)]
-            return RecordBatch.from_rows(rows, self.schema)
-        return tp.read_columnar(start, end, self.schema)
+            return RecordBatch.from_rows(rows, schema)
+        return tp.read_columnar(start, end, schema)
 
-    def get_batch(self, start: dict, end: dict) -> RecordBatch:
+    def get_batch(self, start: dict, end: dict, schema: StructType = None) -> RecordBatch:
+        schema = schema or self.schema
         batches = []
         for partition in sorted(end):
             lo = start.get(partition, 0)
             hi = end[partition]
             if hi > lo:
-                batches.append(self.get_partition_batch(partition, lo, hi))
+                batches.append(
+                    self.get_partition_batch(partition, lo, hi, schema))
         if not batches:
-            return RecordBatch.empty(self.schema)
-        return RecordBatch.concat(batches, self.schema)
+            return RecordBatch.empty(schema)
+        return RecordBatch.concat(batches, schema)
 
     def commit(self, end: dict) -> None:
         """No-op: retention is managed by the broker, as with real Kafka."""

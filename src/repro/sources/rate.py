@@ -46,10 +46,11 @@ class RateSource(Source):
             self.schema, timestamp=timestamps, value=values
         )
 
-    def get_batch(self, start: dict, end: dict) -> RecordBatch:
-        return self.get_partition_batch(
+    def get_batch(self, start: dict, end: dict, schema: StructType = None) -> RecordBatch:
+        batch = self.get_partition_batch(
             PARTITION, start.get(PARTITION, 0), end[PARTITION]
         )
+        return batch if schema is None else batch.select(schema.names)
 
 
 class RateSourceDescriptor(SourceDescriptor):

@@ -9,14 +9,27 @@ from __future__ import annotations
 
 import numpy as np
 
+#: The dense path's lookup table may hold this many slots per input row
+#: (and at least ``_DENSE_MIN_SLOTS``); a wider key range is sorted.
+_DENSE_SLOTS_PER_ROW = 2
+_DENSE_MIN_SLOTS = 1 << 12
+#: Window indexes at or beyond this magnitude are not exact integers in a
+#: double, so they keep the exact path.
+_EXACT_FLOAT_INT = float(1 << 52)
 
-def encode_groups(arrays) -> tuple:
+
+def encode_groups(arrays, window_slide=None) -> tuple:
     """Encode parallel key arrays into ``(codes, unique_key_tuples)``.
 
     ``codes[i]`` is the dense id of row i's key; ``unique_key_tuples[c]``
     is the Python tuple for code ``c``.  All-numeric keys take a fully
     vectorized path; unique keys come back in lexicographic order (the
     order a structured-array ``np.unique`` would give).
+
+    With ``window_slide``, the last array holds tumbling-window indexes
+    ``floor(t / slide)`` (finite doubles) and the key tuples carry each
+    window's start ``index * window_slide`` in its place: the codes and
+    tuples are exactly those the start values themselves would give.
     """
     arrays = list(arrays)
     if not arrays:
@@ -24,6 +37,13 @@ def encode_groups(arrays) -> tuple:
     n = len(arrays[0])
     if n == 0:
         return np.empty(0, dtype=np.int64), []
+
+    if all(a.dtype != object for a in arrays):
+        encoded = _encode_dense(arrays, n, window_slide)
+        if encoded is not None:
+            return encoded
+    if window_slide is not None:
+        arrays[-1] = arrays[-1] * window_slide
 
     if all(a.dtype != object for a in arrays):
         if len(arrays) == 1:
@@ -47,6 +67,68 @@ def encode_groups(arrays) -> tuple:
             seen[key] = code
             uniques.append(key if isinstance(key, tuple) else (key,))
         codes[i] = code
+    return codes, uniques
+
+
+def _encode_dense(arrays, n: int, window_slide):
+    """Exact dense path for bounded integer keys and window indexes.
+
+    Each key becomes its offset from the column minimum; the offsets
+    combine into one mixed-radix integer per row (first column most
+    significant, so combined order is lexicographic order), one
+    ``bincount`` marks the combinations present and one lookup table maps
+    each to its rank — the sorted order ``np.unique`` would give, without
+    a sort.  Returns None (the caller takes the sorting path) for a
+    float or object column, a range product beyond the table budget, or a
+    window index that is not an exact integer, or whose starts could
+    collide or carry a signed zero.
+    """
+    budget = max(_DENSE_SLOTS_PER_ROW * n, _DENSE_MIN_SLOTS)
+    window_col = len(arrays) - 1 if window_slide is not None else None
+    columns = []  # (key array, minimum, span) per key column
+    size = 1
+    for i, a in enumerate(arrays):
+        if a.dtype.kind in "iub":
+            if a.dtype.itemsize < 8:
+                # Offsets from the minimum must not wrap in the key's width.
+                a = a.astype(np.int64)
+        elif i != window_col:
+            return None
+        lo, hi = a.min(), a.max()
+        if i == window_col and not (
+                -_EXACT_FLOAT_INT < lo and hi < _EXACT_FLOAT_INT):
+            return None  # also rejects a NaN index
+        span = int(hi) - int(lo) + 1
+        size *= span
+        if size > budget:
+            return None
+        columns.append((a, lo, span))
+    if window_col is not None:
+        index, lo, span = columns[-1]
+        starts = (np.arange(span) + lo) * window_slide
+        if (np.diff(starts) <= 0).any():
+            return None  # two indexes would share one start
+        if lo <= 0 <= lo + span - 1 and np.signbit(index[index == 0]).any():
+            return None  # -0.0: the sorting path decides how zeros group
+    combined = None
+    for a, lo, span in columns:
+        offsets = (a - lo).astype(np.int64, copy=False)
+        combined = offsets if combined is None else combined * span + offsets
+    present = np.flatnonzero(np.bincount(combined, minlength=size))
+    table = np.empty(size, dtype=np.int64)
+    table[present] = np.arange(len(present))
+    codes = table[combined]
+    values = []
+    for i in range(len(columns) - 1, -1, -1):
+        a, lo, span = columns[i]
+        offsets = present % span
+        present = present // span
+        if i == window_col:
+            values.append((offsets + lo) * window_slide)
+        else:
+            values.append((offsets.astype(a.dtype) + lo).astype(
+                arrays[i].dtype, copy=False))
+    uniques = list(zip(*(v.tolist() for v in reversed(values))))
     return codes, uniques
 
 

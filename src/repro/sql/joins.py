@@ -2,18 +2,27 @@
 
 Two paths, mirroring how an analytical engine specializes joins:
 
-* a vectorized fast path for joins against a build side with *unique* keys
-  (the dimension-table pattern: the Yahoo! benchmark's ads -> campaigns
-  join), implemented with sort + searchsorted;
+* a vectorized gather path for joins against a build side with *unique*
+  keys (the dimension-table pattern: the Yahoo! benchmark's ads ->
+  campaigns join): a :class:`UniqueKeyIndex` maps each key to its build
+  row — a dense lookup table for compact integer keys, sorted keys plus
+  ``searchsorted`` otherwise — so the join is one lookup per probe row and
+  a masked gather.  A static relation's index is built once, with its
+  operator, and serves every epoch;
 * a general hash path supporting duplicate keys on both sides.
+
+Both return matched pairs in (left row, right row) order, then the
+unmatched rows of the outer side in row order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sql.batch import RecordBatch, promote_nullable
+from repro.sql.batch import RecordBatch
 from repro.sql.types import StructType
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 def key_tuples(batch: RecordBatch, names) -> list:
@@ -24,14 +33,110 @@ def key_tuples(batch: RecordBatch, names) -> list:
     return list(zip(*(a.tolist() for a in arrays)))
 
 
-def _single_numeric_key(batch: RecordBatch, names) -> np.ndarray:
-    """Return the key as one numeric array if eligible for the fast path."""
-    if len(names) != 1:
-        return None
-    arr = batch.columns[names[0]]
-    if arr.dtype == object:
-        return None
-    return arr
+class UniqueKeyIndex:
+    """Key -> row lookup over a build side whose one join key is numeric,
+    non-null and unique.
+
+    Always holds the keys sorted (with the row each came from); integer
+    keys whose range is at most ``DENSE_SLOTS_PER_ROW`` times the row
+    count also get a dense table, ``table[key - lo]`` being the key's row
+    or -1, so a probe of the same dtype costs one gather and no search.
+    """
+
+    #: Key-range slots a dense table may spend per build row.
+    DENSE_SLOTS_PER_ROW = 4
+
+    __slots__ = ("num_rows", "_sorted", "_order", "_table", "_lo", "_hi")
+
+    def __init__(self, keys: np.ndarray, order: np.ndarray):
+        self.num_rows = len(keys)
+        self._order = order
+        self._sorted = keys[order]
+        self._table = self._lo = self._hi = None
+        if keys.dtype.kind in "iu" and self.num_rows:
+            lo, hi = self._sorted[0], self._sorted[-1]
+            span = int(hi) - int(lo) + 1
+            if span <= self.DENSE_SLOTS_PER_ROW * self.num_rows:
+                self._table = np.full(span, -1, dtype=np.int64)
+                self._table[keys - lo] = np.arange(self.num_rows)
+                self._lo, self._hi = lo, hi
+
+    @classmethod
+    def build(cls, batch: RecordBatch, on):
+        """The index over ``batch``'s join key, or None when the key is
+        not eligible — several columns, object dtype, a NaN, or a
+        duplicate — and the hash path must serve."""
+        if len(on) != 1:
+            return None
+        keys = batch.columns[on[0]]
+        if keys.dtype == object:
+            return None
+        if keys.dtype.kind == "f" and np.isnan(keys).any():
+            return None
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        if (ordered[1:] == ordered[:-1]).any():
+            return None
+        return cls(keys, order)
+
+    def lookup(self, probe: np.ndarray) -> np.ndarray:
+        """Build row of each probe key, -1 where no build key equals it."""
+        table = self._table
+        if table is not None and probe.dtype == self._lo.dtype:
+            if not len(probe) or (
+                    probe.min() >= self._lo and probe.max() <= self._hi):
+                return table[probe - self._lo]
+            rows = np.full(len(probe), -1, dtype=np.int64)
+            inside = (probe >= self._lo) & (probe <= self._hi)
+            rows[inside] = table[probe[inside] - self._lo]
+            return rows
+        if not self.num_rows:
+            return np.full(len(probe), -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self._sorted, probe), self.num_rows - 1)
+        return np.where(self._sorted[pos] == probe, self._order[pos], -1)
+
+    def join(self, probe: np.ndarray, how: str, indexed: str):
+        """Join indices (see :func:`join_indices`) of probe keys against
+        this index over the ``indexed`` side ("right" or "left"), or None
+        for an object-dtype probe, which the hash path serves.
+
+        With the index on the right, probe rows are the left rows in
+        order; when every one matched, ``left_idx`` is None — "all left
+        rows, in order" — so the left columns need no gather.  With the
+        index on the left, matched pairs are sorted back into left-row
+        order (a stable sort keeps right rows ascending per left row).
+        """
+        if probe.dtype == object:
+            return None
+        rows = self.lookup(probe)
+        matched = rows >= 0
+        if indexed == "right":
+            if matched.all():
+                left_idx, right_idx = None, rows
+            else:
+                left_idx = np.flatnonzero(matched)
+                right_idx = rows[left_idx]
+            left_unmatched = np.flatnonzero(~matched) \
+                if how == "left_outer" else _NO_ROWS
+            right_unmatched = _unhit(right_idx, self.num_rows) \
+                if how == "right_outer" else _NO_ROWS
+            return left_idx, right_idx, left_unmatched, right_unmatched
+        right_idx = np.flatnonzero(matched)
+        left_idx = rows[right_idx]
+        order = np.argsort(left_idx, kind="stable")
+        left_idx, right_idx = left_idx[order], right_idx[order]
+        left_unmatched = _unhit(left_idx, self.num_rows) \
+            if how == "left_outer" else _NO_ROWS
+        right_unmatched = np.flatnonzero(~matched) \
+            if how == "right_outer" else _NO_ROWS
+        return left_idx, right_idx, left_unmatched, right_unmatched
+
+
+def _unhit(hit_rows: np.ndarray, num_rows: int) -> np.ndarray:
+    """Rows in ``range(num_rows)`` absent from ``hit_rows``, ascending."""
+    hit = np.zeros(num_rows, dtype=bool)
+    hit[hit_rows] = True
+    return np.flatnonzero(~hit)
 
 
 def join_indices(left: RecordBatch, right: RecordBatch, on, how: str = "inner"):
@@ -39,39 +144,20 @@ def join_indices(left: RecordBatch, right: RecordBatch, on, how: str = "inner"):
 
     Returns ``(left_idx, right_idx, left_unmatched, right_unmatched)``:
     aligned index arrays for matched pairs plus the unmatched row indices
-    needed by the requested outer side (empty arrays otherwise).
+    needed by the requested outer side (empty arrays otherwise);
+    ``left_idx`` is None when every left row matched exactly once, in
+    order.  A right side with a unique numeric key is indexed for this
+    call (:class:`UniqueKeyIndex`); anything else takes the hash path.
     """
-    left_key = _single_numeric_key(left, on)
-    right_key = _single_numeric_key(right, on)
-    if left_key is not None and right_key is not None and len(right_key):
-        unique_keys = np.unique(right_key)
-        if len(unique_keys) == len(right_key):
-            return _unique_key_join(left_key, right_key, how)
-    return _hash_join(left, right, on, how)
+    index = UniqueKeyIndex.build(right, on)
+    if index is not None:
+        indices = index.join(left.columns[on[0]], how, "right")
+        if indices is not None:
+            return indices
+    return hash_join(left, right, on, how)
 
 
-def _unique_key_join(left_key: np.ndarray, right_key: np.ndarray, how: str):
-    """Vectorized join when the right side's keys are unique."""
-    order = np.argsort(right_key, kind="stable")
-    sorted_keys = right_key[order]
-    pos = np.searchsorted(sorted_keys, left_key)
-    pos_clipped = np.minimum(pos, len(sorted_keys) - 1)
-    matched = sorted_keys[pos_clipped] == left_key
-    left_idx = np.nonzero(matched)[0]
-    right_idx = order[pos_clipped[matched]]
-
-    left_unmatched = np.empty(0, dtype=np.int64)
-    right_unmatched = np.empty(0, dtype=np.int64)
-    if how == "left_outer":
-        left_unmatched = np.nonzero(~matched)[0]
-    elif how == "right_outer":
-        hit = np.zeros(len(right_key), dtype=bool)
-        hit[right_idx] = True
-        right_unmatched = np.nonzero(~hit)[0]
-    return left_idx, right_idx, left_unmatched, right_unmatched
-
-
-def _hash_join(left: RecordBatch, right: RecordBatch, on, how: str):
+def hash_join(left: RecordBatch, right: RecordBatch, on, how: str):
     """General hash join supporting duplicate keys on both sides."""
     build = {}
     for i, key in enumerate(key_tuples(right, on)):
@@ -106,6 +192,8 @@ def apply_time_bound(left: RecordBatch, right: RecordBatch, how: str, within,
     rows whose every match failed the bound to the unmatched set (so
     outer joins emit them null-padded)."""
     left_col, right_col, skew = within
+    if left_idx is None:
+        left_idx = np.arange(left.num_rows)
     if not len(left_idx):
         return left_idx, right_idx, left_unmatched, right_unmatched
     lt = np.asarray(left.columns[left_col], dtype=np.float64)[left_idx]
@@ -144,16 +232,18 @@ def assemble_join_output(left: RecordBatch, right: RecordBatch, on, how: str,
 
     Join keys appear once; on outer joins, the unmatched side's columns are
     null-padded (numeric columns are promoted to double by the schema).
+    A ``left_idx`` of None takes every left row in order: the left columns
+    are used as they are.
     """
     right_rest = [n for n in right.schema.names if n not in on]
     left_names = left.schema.names
     columns = {}
 
     for name in left_names:
-        matched_part = left.columns[name][left_idx]
-        parts = [matched_part]
+        column = left.columns[name]
+        parts = [column if left_idx is None else column[left_idx]]
         if len(left_unmatched):
-            parts.append(left.columns[name][left_unmatched])
+            parts.append(column[left_unmatched])
         if len(right_unmatched):
             if name in on:
                 parts.append(right.columns[name][right_unmatched])
@@ -174,7 +264,8 @@ def assemble_join_output(left: RecordBatch, right: RecordBatch, on, how: str,
 
 
 def _concat_casted(parts, data_type) -> np.ndarray:
-    """Concatenate parts, coercing to the output column type."""
+    """Concatenate parts, coercing to the output column type (a single
+    part of that type is returned as it is)."""
     target = data_type.numpy_dtype
     if target is object:
         casted = []
@@ -184,9 +275,9 @@ def _concat_casted(parts, data_type) -> np.ndarray:
                 out[:] = p.tolist()
                 p = out
             casted.append(p)
-        return np.concatenate(casted) if casted else np.empty(0, dtype=object)
-    casted = [p.astype(target) if p.dtype != target else p for p in parts]
-    return np.concatenate(casted)
+    else:
+        casted = [p.astype(target) if p.dtype != target else p for p in parts]
+    return casted[0] if len(casted) == 1 else np.concatenate(casted)
 
 
 def execute_join(left: RecordBatch, right: RecordBatch, on, how: str) -> RecordBatch:

@@ -219,6 +219,8 @@ def compile_grouping(plan: L.Aggregate):
     child_schema = plan.child.schema
     key_fns = [E.bind(g, child_schema) for g in plan.plain_grouping]
     window = plan.window
+    if window is not None and window.slide == window.duration:
+        return _tumbling_grouping(key_fns, window, child_schema)
 
     def grouping(batch):
         if window is not None:
@@ -229,6 +231,31 @@ def compile_grouping(plan: L.Aggregate):
         else:
             key_arrays = [fn(batch) for fn in key_fns]
         codes, uniques = encode_groups(key_arrays)
+        return batch, codes, uniques
+
+    return grouping
+
+
+def _tumbling_grouping(key_fns, window: E.WindowExpr, child_schema):
+    """``compile_grouping`` for a tumbling window: every row belongs to
+    exactly one window, so the batch is kept as it is (no expansion) and
+    the window joins the key as its index ``floor(t / slide)``, which
+    ``encode_groups`` can code densely.  A row is kept under the same
+    test ``WindowExpr.assign_batch`` applies, so a NaN or infinite time
+    is still in no window."""
+    time_fn = E.bind(window.time_expr, child_schema)
+    slide = window.slide
+
+    def grouping(batch):
+        times = np.asarray(time_fn(batch), dtype=np.float64)
+        index = np.floor(times / slide)
+        keep = index * slide > times - window.duration
+        if not keep.all():
+            batch = batch.filter(keep)
+            index = index[keep]
+        key_arrays = [fn(batch) for fn in key_fns]
+        key_arrays.append(index)
+        codes, uniques = encode_groups(key_arrays, window_slide=slide)
         return batch, codes, uniques
 
     return grouping

@@ -229,9 +229,7 @@ class ContinuousEngine:
 
             def run_watermark(batch):
                 batch = inner(batch)
-                if batch.num_rows:
-                    watermarks.observe(
-                        column, float(np.max(batch.columns[column])))
+                watermarks.observe_values(column, batch.columns[column])
                 return batch
 
             return run_watermark

@@ -20,8 +20,9 @@ from repro.sql.analysis import (
 )
 from repro.sql.expressions import AnalysisError
 from repro.sql.optimizer import optimize
+from repro.sql.types import StructType
 from repro.streaming import operators as ops
-from repro.streaming.zset import thread_weights
+from repro.streaming.zset import WEIGHT_COLUMN, thread_weights
 
 
 class IncrementalPlan:
@@ -29,11 +30,14 @@ class IncrementalPlan:
 
     def __init__(self, root: ops.IncrementalOp, sources: list, watermark_delays: dict,
                  stateful_ops: list, key_names: list, output_mode: str,
-                 num_shards: int = 1):
+                 num_shards: int = 1, read_schemas: dict = None):
         #: Root incremental operator; its per-epoch output feeds the sink.
         self.root = root
         #: [(source_name, SourceDescriptor)] in plan order.
         self.sources = sources
+        #: source name -> schema of the only columns the plan reads from
+        #: it; a source absent here is read whole.
+        self.read_schemas = read_schemas or {}
         #: column -> lateness delay (seconds) for every watermark.
         self.watermark_delays = watermark_delays
         #: Stateful operators (for timeout polling and metrics).
@@ -61,6 +65,9 @@ class _Builder:
         #: independent tasks per epoch (§6.2).
         self.num_shards = max(1, num_shards)
         self.sources = []
+        #: source name -> the narrowed schema its scan reads (only for
+        #: sources whose consumers reference a strict subset of columns).
+        self.read_schemas = {}
         self.stateful_ops = []
         self._op_counter = 0
 
@@ -73,25 +80,41 @@ class _Builder:
         return self._state_store.handle(self._next_op_id(kind))
 
     # ------------------------------------------------------------------
-    def build(self, plan: L.LogicalPlan) -> ops.IncrementalOp:
+    def build(self, plan: L.LogicalPlan, required: set = None) -> ops.IncrementalOp:
+        """The operator for ``plan``.  ``required`` names the output
+        columns the consumer reads (None: all of them); a source scan
+        reads only those, so a column no operator references is never
+        decoded or concatenated (§5.3 column pruning, at the read)."""
         if not plan.is_streaming:
             return ops.StaticOp(plan)
         if isinstance(plan, L.Scan):
             name = f"source-{len(self.sources)}"
             self.sources.append((name, plan.provider))
-            return ops.StreamScanOp(name, plan.schema)
+            schema = _read_schema(plan.schema, required)
+            if schema is not plan.schema:
+                self.read_schemas[name] = schema
+            return ops.StreamScanOp(name, schema)
         if isinstance(plan, (L.Project, L.Filter)):
             # Collapse the maximal adjacent Project/Filter chain into ONE
             # StatelessOp, which compiles it as a fused pipeline (§5.3) —
             # one operator boundary per stateless segment, not per node.
-            bottom = plan
-            while isinstance(bottom.child, (L.Project, L.Filter)) \
-                    and bottom.child.is_streaming:
-                bottom = bottom.child
-            return ops.StatelessOp(plan, self.build(bottom.child),
+            chain = [plan]
+            while isinstance(chain[-1].child, (L.Project, L.Filter)) \
+                    and chain[-1].child.is_streaming:
+                chain.append(chain[-1].child)
+            for node in chain:
+                if isinstance(node, L.Project):
+                    required = set().union(
+                        *(e.references() for e in node.exprs))
+                elif required is not None:
+                    required = required | node.condition.references()
+            return ops.StatelessOp(plan, self.build(chain[-1].child, required),
                                    num_shards=self.num_shards)
         if isinstance(plan, L.WithWatermark):
-            return ops.WatermarkTrackOp(plan.column, self.build(plan.child))
+            if required is not None:
+                required = required | {plan.column}
+            return ops.WatermarkTrackOp(
+                plan.column, self.build(plan.child, required))
         if isinstance(plan, L.Aggregate):
             return self._build_aggregate(plan)
         if isinstance(plan, L.Join):
@@ -182,6 +205,19 @@ class _Builder:
         )
 
 
+def _read_schema(schema: StructType, required) -> StructType:
+    """``schema`` narrowed to the ``required`` columns (in schema order)
+    plus any Z-set weight column; ``schema`` itself when that keeps every
+    column, or would keep none (a batch needs a column to count rows)."""
+    if required is None:
+        return schema
+    fields = [f for f in schema.fields
+              if f.name in required or f.name == WEIGHT_COLUMN]
+    if not fields or len(fields) == len(schema.fields):
+        return schema
+    return StructType(fields)
+
+
 def _single_watermark_column(plan: L.LogicalPlan):
     """The (first) watermarked column of a subplan, or None."""
     marks = watermarked_columns(plan)
@@ -236,4 +272,5 @@ def incrementalize(plan: L.LogicalPlan, output_mode: str, state_store,
         key_names=_result_key_names(plan),
         output_mode=output_mode,
         num_shards=builder.num_shards,
+        read_schemas=builder.read_schemas,
     )

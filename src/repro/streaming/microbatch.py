@@ -430,7 +430,8 @@ class MicrobatchEngine:
         entry = self.wal.read_offsets(epoch)
         self.watermarks.load_json(entry.get("watermarks", {}))
         inputs = {
-            name: self.sources[name].get_batch(rng["start"], rng["end"])
+            name: self.sources[name].get_batch(
+                rng["start"], rng["end"], self.plan.read_schemas.get(name))
             for name, rng in entry["sources"].items()
         }
         ctx = EpochContext(
@@ -590,7 +591,8 @@ class MicrobatchEngine:
         # (2) Read the epoch's new data and run the incremental plan.
         with _Phase("read-inputs", timings):
             inputs = {
-                name: source.get_batch(self._start_offsets[name], ends[name])
+                name: source.get_batch(self._start_offsets[name], ends[name],
+                                       self.plan.read_schemas.get(name))
                 for name, source in self.sources.items()
             }
         ctx = EpochContext(

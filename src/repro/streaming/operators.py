@@ -32,7 +32,12 @@ from repro.sql.batch import (
     shard_assignments,
 )
 from repro.sql.grouping import encode_groups
-from repro.sql.joins import assemble_join_output, join_indices
+from repro.sql.joins import (
+    UniqueKeyIndex,
+    assemble_join_output,
+    hash_join,
+    join_indices,
+)
 from repro.sql.physical import aggregate_result_batch, execute
 from repro.sql.types import StructType, hashable_value
 from repro.streaming.state import encode_key
@@ -379,8 +384,7 @@ class WatermarkTrackOp(IncrementalOp):
 
     def process(self, ctx: EpochContext) -> RecordBatch:
         batch = self.child.process(ctx)
-        if batch.num_rows:
-            ctx.watermarks.observe(self.column, float(np.max(batch.columns[self.column])))
+        ctx.watermarks.observe_values(self.column, batch.columns[self.column])
         return batch
 
 
@@ -410,8 +414,10 @@ class UnionOp(IncrementalOp):
 class StreamStaticJoinOp(IncrementalOp):
     """Join between a stream delta and a static relation (§3, §5.2).
 
-    The static side is materialized once; each epoch joins only the new
-    stream rows against it, so cost is proportional to the delta.
+    The static side is materialized — and, when its join key is unique,
+    indexed — once, at construction (so the process pool's forked workers
+    inherit both); each epoch joins only the new stream rows against it,
+    so cost is proportional to the delta.
     """
 
     def __init__(self, node: L.Join, stream: IncrementalOp, static: StaticOp,
@@ -422,9 +428,13 @@ class StreamStaticJoinOp(IncrementalOp):
         self.stream_is_left = stream_is_left
         self.num_shards = max(1, num_shards)
         self.output_schema = node.schema
+        #: None: duplicate, object or NaN static keys take the hash path.
+        self._index = UniqueKeyIndex.build(static.materialize(), node.on)
+        self._indexed = "right" if stream_is_left else "left"
 
     def join_delta(self, delta: RecordBatch) -> RecordBatch:
-        """Join one stream delta against the static side."""
+        """Join one stream delta against the static side: a lookup of
+        each delta key in the static index and a masked gather."""
         if delta.num_rows == 0:
             return self._empty()
         static_batch = self.static.materialize()
@@ -432,10 +442,14 @@ class StreamStaticJoinOp(IncrementalOp):
             left, right = delta, static_batch
         else:
             left, right = static_batch, delta
-        indices = join_indices(left, right, self._node.on, self._node.how)
+        on, how = self._node.on, self._node.how
+        indices = None
+        if self._index is not None:
+            indices = self._index.join(delta.columns[on[0]], how, self._indexed)
+        if indices is None:
+            indices = hash_join(left, right, on, how)
         return assemble_join_output(
-            left, right, self._node.on, self._node.how, self.output_schema, *indices
-        )
+            left, right, on, how, self.output_schema, *indices)
 
     def process(self, ctx: EpochContext) -> RecordBatch:
         delta = self.stream.process(ctx)
@@ -716,28 +730,24 @@ class StatefulAggregateOp(IncrementalOp):
 
     def _drop_late(self, expanded, codes, uniques, watermark):
         """Remove group memberships whose key is already finalized."""
-        late_codes = {
-            g for g, key in enumerate(uniques)
-            if (expiry := self._key_expiry(key)) is not None and expiry <= watermark
-        }
-        if not late_codes:
+        late = np.fromiter(
+            ((expiry := self._key_expiry(key)) is not None
+             and expiry <= watermark for key in uniques),
+            dtype=bool, count=len(uniques))
+        if not late.any():
             return expanded, codes, uniques, 0
-        keep = ~np.isin(codes, list(late_codes))
-        late_rows = int((~keep).sum())
-        expanded = expanded.filter(keep)
+        keep = ~late[codes]
         kept_codes = codes[keep]
-        # Re-encode to dense codes over surviving groups.
-        mapping = {}
-        new_codes = np.empty(len(kept_codes), dtype=np.int64)
-        new_uniques = []
-        for i, code in enumerate(kept_codes.tolist()):
-            new = mapping.get(code)
-            if new is None:
-                new = len(new_uniques)
-                mapping[code] = new
-                new_uniques.append(uniques[code])
-            new_codes[i] = new
-        return expanded, new_codes, new_uniques, late_rows
+        late_rows = len(codes) - len(kept_codes)
+        expanded = expanded.filter(keep)
+        # Re-encode to dense codes over the surviving groups, numbered in
+        # order of their first surviving row.
+        survivors, first_rows = np.unique(kept_codes, return_index=True)
+        survivors = survivors[np.argsort(first_rows)]
+        remap = np.empty(len(uniques), dtype=np.int64)
+        remap[survivors] = np.arange(len(survivors))
+        new_uniques = [uniques[g] for g in survivors.tolist()]
+        return expanded, remap[kept_codes], new_uniques, late_rows
 
     def _evict_finalized(self, watermark) -> list:
         """Remove keys the watermark finalized; returns (key, buffers).

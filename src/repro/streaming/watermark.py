@@ -14,6 +14,8 @@ entry so recovery resumes with the same watermark.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class WatermarkTracker:
     """Tracks per-column maxima and derived watermarks."""
@@ -54,6 +56,24 @@ class WatermarkTracker:
         previous = self._max_seen.get(column)
         if previous is None or max_event_time > previous:
             self._max_seen[column] = max_event_time
+
+    def observe_values(self, column: str, values) -> None:
+        """Record the max of one epoch's event times for a column.
+
+        Null (NaN) times carry no event time: the max is taken over the
+        rest, and a column holding only nulls records nothing — a NaN
+        maximum would compare false against every later one and freeze
+        the watermark.
+        """
+        if not len(values):
+            return
+        latest = float(np.max(values))
+        if latest != latest:
+            valid = values[~np.isnan(values)]
+            if not len(valid):
+                return
+            latest = float(np.max(valid))
+        self.observe(column, latest)
 
     def advance(self) -> None:
         """Move watermarks forward from the observed maxima (monotonic).

@@ -3,6 +3,7 @@ contexts — exercising edge branches the engine paths rarely hit."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.sql import expressions as E
 from repro.sql import logical as L
@@ -169,6 +170,49 @@ class TestStatefulAggregateBranches:
         else:
             assert puts == {("a",): [2, [6.0, 2]], ("b",): [2, [4.0, 2]]}
             assert not removes
+
+
+def _drop_late_by_rows(op, expanded, codes, uniques, watermark):
+    """Reference for ``_drop_late``: the surviving groups re-encoded one
+    row at a time, numbered in order of their first surviving row."""
+    late_codes = {
+        g for g, key in enumerate(uniques)
+        if (expiry := op._key_expiry(key)) is not None and expiry <= watermark
+    }
+    if not late_codes:
+        return expanded, list(codes), uniques, 0
+    keep = ~np.isin(codes, list(late_codes))
+    mapping, new_codes, new_uniques = {}, [], []
+    for code in codes[keep].tolist():
+        if code not in mapping:
+            mapping[code] = len(new_uniques)
+            new_uniques.append(uniques[code])
+        new_codes.append(mapping[code])
+    return expanded.filter(keep), new_codes, new_uniques, int((~keep).sum())
+
+
+@given(st.lists(st.tuples(st.integers(0, 3),
+                          st.floats(-5.0, 60.0, allow_nan=False)),
+                min_size=1, max_size=30),
+       st.sampled_from([-10.0, 5.0, 20.0, 45.0, 100.0]))
+def test_drop_late_equals_the_per_row_reference(tmp_path_factory, rows,
+                                                watermark):
+    # Integer keys code in key order, so first-seen order differs from it.
+    schema = StructType((("k", "long"), ("t", "timestamp")))
+    node = L.Aggregate(
+        [E.ColumnRef("k"), E.WindowExpr(E.ColumnRef("t"), 10.0)],
+        [(E.Count(None), "n")], L.Scan(schema, None, True, name="s"))
+    handle = OperatorStateHandle(str(tmp_path_factory.mktemp("agg")))
+    op = ops.StatefulAggregateOp(
+        node, ops.StreamScanOp("source-0", schema), handle,
+        watermark_column="t")
+    expanded, codes, uniques = op._grouping(RecordBatch.from_rows(
+        [{"k": k, "t": t} for k, t in rows], schema))
+    got = op._drop_late(expanded, codes, uniques, watermark)
+    want = _drop_late_by_rows(op, expanded, codes, uniques, watermark)
+    assert got[0].to_rows() == want[0].to_rows()
+    assert list(got[1]) == want[1]
+    assert got[2:] == want[2:]
 
 
 class TestDedupBranches:

@@ -13,17 +13,27 @@ Two families of guarantees:
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from repro.bus import Broker
+from repro.sources.kafka import KafkaSource
 from repro.sql import expressions as E
 from repro.sql import functions as F
 from repro.sql import logical as L
 from repro.sql import plancompiler
 from repro.sql.batch import RecordBatch
+from repro.sql.joins import UniqueKeyIndex
 from repro.sql.physical import execute
 from repro.sql.session import Session
 from repro.sql.types import StructType
+from repro.streaming import operators as ops
+from repro.workloads.yahoo import (
+    YAHOO_EVENT_SCHEMA,
+    YahooWorkload,
+    structured_streaming_query,
+)
 
 from tests.conftest import make_stream, rows_set, start_memory_query
 
@@ -387,4 +397,85 @@ def test_streaming_epochs_do_no_expression_compilation(monkeypatch, tmp_path):
 
     assert calls == {"bind": 0, "data_type": 0}
     assert plancompiler.PLAN_COMPILATIONS == plans_before
+    query.stop()
+
+
+def _operators(op):
+    yield op
+    for child in op.child_ops():
+        yield from _operators(child)
+
+
+def test_streaming_epochs_never_reindex_the_static_side(monkeypatch, tmp_path):
+    """A stream-static join indexes its static relation once, at start:
+    no later epoch builds an index, or sorts or uniques the static keys."""
+    session = Session()
+    campaigns = session.create_dataframe(
+        [{"ad_id": a, "campaign": a // 10} for a in range(100)],
+        (("ad_id", "long"), ("campaign", "long")))
+    stream = make_stream((("ad_id", "long"), ("t", "double")))
+    df = (session.read_stream.memory(stream)
+          .join(campaigns, on="ad_id")
+          .group_by("campaign", F.window(F.col("t"), "10 seconds"))
+          .agg(F.count().alias("n")))
+    query = start_memory_query(df, "update", "index_spy", str(tmp_path))
+    stream.add_data([{"ad_id": 1, "t": 1.0}])
+    query.process_all_available()
+
+    join = next(op for op in _operators(query.engine.plan.root)
+                if isinstance(op, ops.StreamStaticJoinOp))
+    static_keys = join.static.materialize().columns["ad_id"]
+    calls = []
+
+    def over_static_keys(name, real):
+        def spy(array, *args, **kwargs):
+            if isinstance(array, np.ndarray) and \
+                    np.shares_memory(array, static_keys):
+                calls.append(name)
+            return real(array, *args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(np, "unique", over_static_keys("unique", np.unique))
+    monkeypatch.setattr(np, "argsort", over_static_keys("argsort", np.argsort))
+    monkeypatch.setattr(UniqueKeyIndex, "build", classmethod(
+        lambda cls, *args: calls.append("build")))
+
+    for epoch in range(3):
+        stream.add_data([{"ad_id": a, "t": 2.0 + epoch} for a in (5, 17, 99, 250)])
+        query.process_all_available()
+
+    assert calls == []
+    assert {(r["campaign"], r["n"]) for r in query.engine.sink.rows()} == {
+        (0, 4), (1, 3), (9, 3)}
+    query.stop()
+
+
+def test_yahoo_epoch_reads_only_the_referenced_columns(monkeypatch):
+    """The Yahoo query references three of the six event columns; the
+    epoch's input batch carries exactly those."""
+    workload = YahooWorkload(num_campaigns=5, ads_per_campaign=2)
+    rows = workload.event_rows(400)
+    broker = Broker()
+    topic = broker.create_topic("events", 2)
+    for index in range(2):
+        topic.publish_batch_to(index, RecordBatch.from_rows(
+            rows[index::2], YAHOO_EVENT_SCHEMA))
+    read = []
+
+    def recording(real):
+        def get_batch(source, *args):
+            batch = real(source, *args)
+            read.append(batch.schema.names)
+            return batch
+        return get_batch
+
+    monkeypatch.setattr(KafkaSource, "get_batch",
+                        recording(KafkaSource.get_batch))
+    df = structured_streaming_query(Session(), broker, "events", workload)
+    query = start_memory_query(df, "update", "yahoo_columns")
+    query.process_all_available()
+    assert read == [["ad_id", "event_type", "event_time"]]
+    assert {(r["campaign_id"], r["window_start"]): r["count"]
+            for r in query.engine.sink.rows()} == \
+        workload.reference_counts(rows)
     query.stop()

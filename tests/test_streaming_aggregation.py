@@ -1,9 +1,12 @@
 """Streaming aggregation across output modes, windows and watermarks
 (§4.2, §4.3.1, §5.2)."""
 
+import hashlib
+
 import pytest
 
 from repro.sql import functions as F
+from repro.testing.harness import checkpoint_fingerprint
 
 from tests.conftest import make_stream, rows_set, start_memory_query
 
@@ -261,3 +264,54 @@ class TestNullGroupKeys:
         assert query.engine.sink.rows() == [
             {"k": k, "window_start": 0.0, "window_end": 10.0, "count": 1}
             for k in ("a", "b", None)]
+
+
+def _digest(fingerprint: dict) -> str:
+    sha = hashlib.sha256()
+    for name in sorted(fingerprint):
+        content = fingerprint[name]
+        sha.update(name.encode())
+        sha.update(content if isinstance(content, bytes) else content.encode())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+class TestLateAndOnTimeRowsInOneEpoch:
+    """Late rows (windows the watermark finalized) interleaved with on-time
+    rows whose groups are first seen out of key order.  Sink rows,
+    checkpoint bytes and the late-row count are pinned to what the
+    per-row re-encoding of the surviving groups produced."""
+
+    #: The same at either shard count: state files do not record it.
+    CHECKPOINT_SHA256 = (
+        "0bd063e913774db37924bb541dfcee2db1f82aafe3095697a92185bf291009b0")
+
+    def test_late_rows_drop_and_survivors_fold(self, session, tmp_path, shards):
+        stream = make_stream((("t", "timestamp"), ("g", "long"),
+                              ("v", "double")))
+        df = (session.read_stream.memory(stream)
+              .with_watermark("t", "5 seconds")
+              .group_by(F.col("g"), F.window("t", "10 seconds"))
+              .agg(F.count().alias("n"), F.sum("v").alias("s")))
+        checkpoint_dir = str(tmp_path / "cp")
+        query = start_memory_query(
+            df, "update", "late", checkpoint_dir, num_shards=shards,
+            state_backend="dict", pipeline=False, executor="inline")
+        stream.add_data([{"t": 31.0, "g": 1, "v": 1.0}])
+        query.process_all_available()  # watermark 26 from the next epoch
+        stream.add_data([
+            {"t": 38.0, "g": 7, "v": 2.0}, {"t": 3.0, "g": 1, "v": 9.0},
+            {"t": 34.0, "g": 2, "v": 3.0}, {"t": 12.0, "g": 7, "v": 9.0},
+            {"t": 27.0, "g": 5, "v": 4.0}, {"t": 19.0, "g": 2, "v": 9.0},
+            {"t": 36.0, "g": 7, "v": 5.0}, {"t": 32.0, "g": 1, "v": 6.0},
+            {"t": 8.0, "g": 5, "v": 9.0}, {"t": 28.0, "g": 5, "v": 7.0},
+        ])
+        query.process_all_available()
+        assert query.last_progress.late_rows_dropped == 4
+        rows = [(r["g"], r["window_start"], r["n"], r["s"])
+                for r in query.engine.sink.rows()]
+        assert rows == [(1, 30.0, 2, 7.0), (2, 30.0, 1, 3.0),
+                        (5, 20.0, 2, 11.0), (7, 30.0, 2, 7.0)]
+        query.stop()
+        assert _digest(checkpoint_fingerprint(checkpoint_dir)) == \
+            self.CHECKPOINT_SHA256

@@ -1,8 +1,15 @@
 """Tests for watermark semantics (§4.3.1)."""
 
+import json
+
+import numpy as np
 import pytest
 
+from repro.sql import functions as F
+from repro.sql.session import Session
 from repro.streaming.watermark import WatermarkTracker
+
+from tests.conftest import make_stream, start_memory_query
 
 
 class TestBasicSemantics:
@@ -91,3 +98,55 @@ class TestPersistence:
         for _ in range(5):  # idle epochs with no new data
             tracker.advance()
         assert tracker.current("t") == before
+
+
+class TestNullEventTimes:
+    """A null (NaN) event time carries no time: the watermark follows the
+    epoch's non-null maximum, and an all-null epoch observes nothing."""
+
+    @staticmethod
+    def windowed_count(tmp_path):
+        stream = make_stream((("t", "timestamp"),))
+        df = (Session().read_stream.memory(stream)
+              .with_watermark("t", "1 second")
+              .group_by(F.window(F.col("t"), "10 seconds"))
+              .agg(F.count().alias("n")))
+        return stream, start_memory_query(
+            df, "append", "null_times", str(tmp_path))
+
+    @staticmethod
+    def epoch(stream, query, times):
+        stream.add_data([{"t": t} for t in times])
+        query.process_all_available()
+        watermarks = query.engine.watermarks
+        # A NaN maximum would reach the WAL as a bare ``NaN`` token.
+        json.dumps(watermarks.to_json(), allow_nan=False)
+        return watermarks.current("t")
+
+    def test_all_null_first_epoch_does_not_freeze_the_watermark(self, tmp_path):
+        stream, query = self.windowed_count(tmp_path)
+        assert self.epoch(stream, query, [None]) is None
+        assert [self.epoch(stream, query, [t]) for t in (15.0, 25.0, 35.0)] \
+            == [14.0, 24.0, 34.0]
+        # The watermark of the t=35 epoch (24) finalized [10, 20); the null
+        # row belongs to no window.
+        assert [(r["window_start"], r["n"]) for r in query.engine.sink.rows()] \
+            == [(10.0, 1)]
+        query.stop()
+
+    def test_null_beside_real_times_keeps_the_epoch_maximum(self, tmp_path):
+        stream, query = self.windowed_count(tmp_path)
+        assert self.epoch(stream, query, [15.0]) == 14.0
+        assert self.epoch(stream, query, [25.0, None]) == 24.0
+        assert self.epoch(stream, query, [None, 26.0, None]) == 25.0
+        query.stop()
+
+    def test_tracker_takes_the_max_over_non_null_values(self):
+        tracker = WatermarkTracker({"t": 1.0})
+        tracker.observe_values("t", np.array([np.nan, np.nan]))
+        tracker.observe_values("t", np.array([], dtype=np.float64))
+        tracker.advance()
+        assert tracker.current("t") is None
+        tracker.observe_values("t", np.array([3.0, np.nan, 5.0]))
+        tracker.advance()
+        assert tracker.current("t") == 4.0
