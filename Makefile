@@ -35,7 +35,7 @@ bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only
 
 bench-smoke:
-	STATE_SCALING_SMOKE=1 FIG6B_SMOKE=1 $(PY) -m pytest benchmarks/test_state_scaling.py "benchmarks/test_fig6b_scaling.py::test_worker_sweep_process_executor" "benchmarks/test_run_once_cost.py::test_pipelined_epoch_throughput" benchmarks/test_fig7_continuous_latency.py --benchmark-only -q $(BENCH_SMOKE_FLAGS)
+	STATE_SCALING_SMOKE=1 $(PY) -m pytest benchmarks/test_state_scaling.py "benchmarks/test_run_once_cost.py::test_pipelined_epoch_throughput" benchmarks/test_fig7_continuous_latency.py --benchmark-only -q $(BENCH_SMOKE_FLAGS)
 	@echo "consolidated results: benchmarks/results/bench_latest.json"
 
 # Ten interleaved parent/change pairs of one bench/ workload, judged by

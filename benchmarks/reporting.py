@@ -37,27 +37,6 @@ def _git_sha() -> str | None:
     return sha if out.returncode == 0 and sha else None
 
 
-def retract(name: str) -> None:
-    """Remove a suite's entry from bench_latest.json (if present).
-
-    Used when a run decides its numbers are not meaningful on this host
-    (e.g. multicore speedups on a 1-core box): simply not emitting would
-    leave a stale entry from an earlier host in the snapshot.
-    """
-    try:
-        with open(LATEST_JSON) as f:
-            merged = json.load(f)
-    except (OSError, ValueError):
-        return
-    if name not in merged:
-        return
-    del merged[name]
-    tmp = LATEST_JSON + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(merged, f, indent=2, sort_keys=True)
-    os.replace(tmp, LATEST_JSON)
-
-
 def emit(name: str, lines, data=None, recorded_at: float = None) -> None:
     """Write a benchmark report to results/<name>.txt and the console;
     with ``data``, also merge ``{name: data}`` into bench_latest.json.

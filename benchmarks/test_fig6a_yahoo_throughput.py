@@ -34,11 +34,11 @@ from repro.baselines.record_engine import (
     TableJoinStage,
     WindowedCountStage,
 )
-from repro.cluster.perfmodel import ClusterPerformanceModel
 from repro.observability import metrics, tracing
 from repro.sql.session import Session
 from repro.workloads.yahoo import WINDOW_SECONDS, structured_streaming_query
 
+from benchmarks.perfmodel import ClusterPerformanceModel
 from benchmarks.reporting import emit
 
 N_FAST = 400_000

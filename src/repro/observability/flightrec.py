@@ -7,8 +7,8 @@ postmortem design of Spark's own event logging).  Every engine carries a
 :class:`FlightRecorder`: an always-on, always-cheap ring buffer of the
 last N epochs' progress snapshots (including watermark positions, stage
 timings, and bottleneck attribution), per-epoch metric deltas when the
-registry is live, and noteworthy one-off events (recovery, task
-retries, worker deaths, prior crashes).
+registry is live, and noteworthy one-off events (recovery, prior
+crashes).
 
 When a query dies — ``StreamingQuery.exception`` fires, a fault-sweep
 cell crashes the engine, or the user calls ``query.dump_postmortem()``
@@ -47,7 +47,7 @@ from repro.observability.metrics import Counter, Gauge
 SCHEMA_VERSION = 1
 #: Epochs retained in the ring.
 DEFAULT_CAPACITY = 64
-#: One-off events retained (recovery notes, task retries, ...).
+#: One-off events retained (recovery notes, prior dumps, ...).
 EVENT_CAPACITY = 128
 #: Rotated prior dumps kept next to ``postmortem.json``.
 MAX_ROTATED = 3
@@ -100,15 +100,9 @@ class FlightRecorder:
             entry["metricsDelta"] = delta
         with self._lock:
             self._epochs.append(entry)
-        tasks = progress.task_metrics or {}
-        retries = tasks.get("retries", 0)
-        deaths = (tasks.get("executor") or {}).get("worker_deaths", 0)
-        if retries or deaths:
-            self.note("scheduler", epoch=progress.epoch_id,
-                      retries=retries, worker_deaths=deaths)
 
     def note(self, kind: str, **info) -> None:
-        """Record a one-off retry/worker/lifecycle event."""
+        """Record a one-off lifecycle event."""
         event = {"ts": self.clock(), "kind": kind}
         event.update(info)
         with self._lock:

@@ -7,8 +7,7 @@ check — no registry installed means no dict lookups, no allocation, no
 locks.  With a registry installed the helper is a dict hit on the metric
 name plus an integer add (GIL-consistent; counters are exact on single
 threads and best-effort under free-running thread contention, which is
-fine for monitoring — authoritative per-stage numbers live in the
-process pool's stage reports).
+fine for monitoring).
 
 Enable either programmatically (:func:`enable` / the :func:`enabled`
 context manager) or by exporting ``REPRO_METRICS=1`` before the process

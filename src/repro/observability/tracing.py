@@ -4,7 +4,7 @@
 a monotonic start offset, a duration, the recording thread, and the
 enclosing span (tracked per thread, so spans nest naturally — an
 ``epoch`` span contains ``stage:*`` spans which contain ``task:*``
-spans; tasks run in pool workers are re-recorded by the driver).
+spans).
 
 Disabled (the default), ``trace_span`` returns a shared no-op context
 manager after a single ``is None`` check — the same cheap-when-off

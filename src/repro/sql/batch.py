@@ -14,13 +14,8 @@ introduce nulls into numeric columns (outer joins) promote them to double.
 
 from __future__ import annotations
 
-import atexit
 import hashlib
-import itertools
-import os
-import pickle
 import struct
-import threading
 
 import numpy as np
 
@@ -342,223 +337,6 @@ def hash_partition(batch: "RecordBatch", key_names, num_shards: int) -> tuple:
         [batch.columns[n] for n in key_names], num_shards
     )
     return partition_by_assignment(batch, assign, num_shards)
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory batch transport (process-backed epoch execution)
-# ---------------------------------------------------------------------------
-#
-# The process executor ships each epoch's per-shard input deltas to its
-# workers.  Pickling whole batches copies every column twice (serialize +
-# deserialize); instead, numeric columns are packed once into one
-# ``multiprocessing.shared_memory`` segment and the *descriptor* — segment
-# name, per-column dtype/offset/length — crosses the pipe.  The worker
-# maps the segment and builds zero-copy ``np.frombuffer`` views over it.
-# Object-dtype columns (strings) have no stable wire layout, so they fall
-# back to pickle inside the descriptor.  Small batches skip shared memory
-# entirely: below ``SHM_MIN_BYTES`` the segment round-trip (shm_open +
-# mmap, twice) costs more than pickling the handful of rows.
-#
-# Leak-proofing: segments are named ``repro-<pid>-<seq>`` and tracked in a
-# process-local registry; the creator must ``unlink`` every segment (the
-# executor does so once the tasks reading it finish), and an ``atexit``
-# sweep unlinks anything still registered so a crashed driver never
-# strands files in /dev/shm.  Tests assert the registry and /dev/shm are
-# clean after every run.
-
-SHM_PREFIX = f"repro-{os.getpid()}-"
-SHM_MIN_BYTES = 16384
-
-_shm_seq = itertools.count()
-_live_segments = {}
-_live_lock = threading.Lock()
-
-
-def _shared_memory_cls():
-    from multiprocessing import shared_memory
-
-    return shared_memory.SharedMemory
-
-
-def _attach_shm(name: str):
-    """Attach to an existing segment without registering it with the
-    resource tracker.  Readers never own segments; letting the tracker
-    adopt one makes it unlink the creator's live segment when the reader
-    exits (the classic double-unlink bug).  Python 3.13 grew
-    ``track=False`` for exactly this; older versions need the manual
-    unregister."""
-    SharedMemory = _shared_memory_cls()
-    try:
-        return SharedMemory(name=name, track=False)
-    except TypeError:
-        pass
-    shm = SharedMemory(name=name)
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister("/" + name, "shared_memory")
-    except Exception:
-        pass
-    return shm
-
-
-def live_shm_segments() -> list:
-    """Names of shared-memory segments created and not yet unlinked."""
-    with _live_lock:
-        return sorted(_live_segments)
-
-
-def _sweep_shm_segments() -> int:
-    """Unlink every still-registered segment (atexit safety net)."""
-    freed = 0
-    with _live_lock:
-        leaked = list(_live_segments.items())
-        _live_segments.clear()
-    for _name, shm in leaked:
-        try:
-            shm.close()
-            shm.unlink()
-            freed += 1
-        except (FileNotFoundError, OSError):
-            pass
-    return freed
-
-
-atexit.register(_sweep_shm_segments)
-
-
-class SharedBatch:
-    """Descriptor of a RecordBatch encoded for cross-process transport.
-
-    Either a shared-memory form (``segment`` set; numeric columns live in
-    the segment, object columns pickled in ``object_payload``) or a plain
-    pickle form for small batches (``payload`` set).  The descriptor
-    itself is small and picklable; the creating process owns the segment
-    and must call :meth:`release` after all readers have decoded it.
-    """
-
-    __slots__ = ("schema", "num_rows", "segment", "columns_meta",
-                 "object_payload", "payload", "_shm")
-
-    def __init__(self, schema, num_rows, segment=None, columns_meta=None,
-                 object_payload=None, payload=None):
-        self.schema = schema
-        self.num_rows = num_rows
-        self.segment = segment
-        self.columns_meta = columns_meta
-        self.object_payload = object_payload
-        self.payload = payload
-        self._shm = None  # creator-side handle; not pickled
-
-    def __getstate__(self):
-        return (self.schema, self.num_rows, self.segment, self.columns_meta,
-                self.object_payload, self.payload)
-
-    def __setstate__(self, state):
-        (self.schema, self.num_rows, self.segment, self.columns_meta,
-         self.object_payload, self.payload) = state
-        self._shm = None
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def encode(cls, batch: "RecordBatch") -> "SharedBatch":
-        """Encode a batch; shared memory when the numeric payload is
-        large enough to pay for the segment round-trip."""
-        numeric = []
-        objects = []
-        total = 0
-        for name in batch.schema.names:
-            arr = batch.columns[name]
-            if arr.dtype == object:
-                objects.append(name)
-            else:
-                arr = np.ascontiguousarray(arr)
-                numeric.append((name, arr))
-                total += arr.nbytes
-        if total < SHM_MIN_BYTES:
-            return cls(batch.schema, batch.num_rows,
-                       payload=pickle.dumps(
-                           batch.columns, protocol=pickle.HIGHEST_PROTOCOL))
-        SharedMemory = _shared_memory_cls()
-        name = f"{SHM_PREFIX}{next(_shm_seq)}"
-        shm = SharedMemory(name=name, create=True, size=max(total, 1))
-        with _live_lock:
-            _live_segments[name] = shm
-        meta = []
-        offset = 0
-        for col_name, arr in numeric:
-            end = offset + arr.nbytes
-            shm.buf[offset:end] = arr.tobytes()
-            meta.append((col_name, arr.dtype.str, offset, len(arr)))
-            offset = end
-        object_payload = None
-        if objects:
-            object_payload = pickle.dumps(
-                {n: batch.columns[n] for n in objects},
-                protocol=pickle.HIGHEST_PROTOCOL)
-        out = cls(batch.schema, batch.num_rows, segment=name,
-                  columns_meta=meta, object_payload=object_payload)
-        out._shm = shm
-        return out
-
-    def decode(self) -> "RecordBatch":
-        """Rebuild the batch; numeric columns are zero-copy views over
-        the mapped segment (valid until the creator unlinks it *and* the
-        last reader drops its views)."""
-        if self.payload is not None:
-            return RecordBatch(pickle.loads(self.payload), self.schema)
-        shm = self._shm
-        if shm is None:
-            with _live_lock:
-                owned = _live_segments.get(self.segment)
-            if owned is not None:  # same-process decode (thread fallback)
-                shm = owned
-            else:
-                shm = self._shm = _attach_shm(self.segment)
-        columns = {}
-        for name, dtype_str, offset, count in self.columns_meta:
-            columns[name] = np.frombuffer(
-                shm.buf, dtype=np.dtype(dtype_str), count=count,
-                offset=offset)
-        if self.object_payload is not None:
-            columns.update(pickle.loads(self.object_payload))
-        return RecordBatch(columns, self.schema)
-
-    @property
-    def ipc_bytes(self) -> int:
-        """Bytes that cross the pipe for this descriptor (not the
-        zero-copy segment payload)."""
-        size = len(self.payload) if self.payload is not None else 0
-        if self.object_payload is not None:
-            size += len(self.object_payload)
-        return size
-
-    def release(self) -> None:
-        """Creator-side cleanup: close and unlink the segment (idempotent)."""
-        if self.segment is None:
-            return
-        with _live_lock:
-            shm = _live_segments.pop(self.segment, None)
-        self._shm = None
-        if shm is not None:
-            try:
-                shm.close()
-                shm.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-
-    def close_reader(self) -> None:
-        """Reader-side cleanup: drop this process's mapping.  Safe to
-        skip — mappings die with the process — but releasing eagerly
-        keeps long-lived workers from accumulating maps.  A BufferError
-        (live views into the segment) leaves the mapping open."""
-        if self.segment is None or self._shm is None:
-            return
-        try:
-            self._shm.close()
-        except BufferError:
-            return
-        self._shm = None
 
 
 def promote_nullable(schema: StructType) -> StructType:

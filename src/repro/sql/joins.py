@@ -33,6 +33,15 @@ def key_tuples(batch: RecordBatch, names) -> list:
     return list(zip(*(a.tolist() for a in arrays)))
 
 
+def is_null_key(key) -> bool:
+    """True when a join key holds a null or NaN in any column: such a
+    key matches no row, not even one with the same key."""
+    for value in key if isinstance(key, tuple) else (key,):
+        if value is None or value != value:
+            return True
+    return False
+
+
 class UniqueKeyIndex:
     """Key -> row lookup over a build side whose one join key is numeric,
     non-null and unique.
@@ -158,10 +167,12 @@ def join_indices(left: RecordBatch, right: RecordBatch, on, how: str = "inner"):
 
 
 def hash_join(left: RecordBatch, right: RecordBatch, on, how: str):
-    """General hash join supporting duplicate keys on both sides."""
+    """General hash join supporting duplicate keys on both sides.  Null
+    and NaN keys match nothing (a NaN probe already misses any dict)."""
     build = {}
     for i, key in enumerate(key_tuples(right, on)):
-        build.setdefault(key, []).append(i)
+        if not is_null_key(key):
+            build.setdefault(key, []).append(i)
 
     left_idx, right_idx = [], []
     left_unmatched = []

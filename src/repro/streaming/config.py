@@ -1,12 +1,11 @@
 """Engine configuration, resolved once per query.
 
 :meth:`EngineConfig.resolve` is the only place under ``repro.streaming``
-and ``repro.cluster`` that reads the environment: each knob is taken
-from the writer's ``.option()``, else from its ``REPRO_*`` variable,
-else from the default.  The engine, the state store and the worker pool
-receive plain values and never look again, so the configuration a query
-ran with is one object — the one its flight recorder notes at
-``engine-start``.
+that reads the environment: each knob is taken from the writer's
+``.option()``, else from its ``REPRO_*`` variable, else from the
+default.  The engine and the state store receive plain values and
+never look again, so the configuration a query ran with is one object —
+the one its flight recorder notes at ``engine-start``.
 
 ``REPRO_METRICS`` / ``REPRO_TRACE`` are not here: they switch
 process-wide instrumentation on at import time and belong to
@@ -16,11 +15,9 @@ process-wide instrumentation on at import time and belong to
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.streaming.state import BACKENDS, DEFAULT_MEMTABLE_BYTES
-
-EXECUTORS = ("inline", "process")
 
 
 def _as_bool(value) -> bool:
@@ -33,10 +30,6 @@ def _at_least_one(value) -> int:
     return max(1, int(value))
 
 
-def _default_workers() -> int:
-    return min(4, os.cpu_count() or 1)
-
-
 #: Knob -> (converter, environment variable or None).
 _KNOBS = {
     "max_records_per_epoch": (int, None),
@@ -46,10 +39,21 @@ _KNOBS = {
     "state_backend": (str, "REPRO_STATE_BACKEND"),
     "state_memtable_bytes": (_at_least_one, "REPRO_STATE_MEMTABLE_BYTES"),
     "pipeline": (_as_bool, "REPRO_PIPELINE"),
-    "executor": (str, "REPRO_EXECUTOR"),
-    "num_workers": (_at_least_one, "REPRO_NUM_WORKERS"),
 }
 ENV_VARS = {name: var for name, (_, var) in _KNOBS.items() if var}
+
+_NO_PROCESS_EXECUTOR = (
+    "the process executor was removed: every shard task runs on the "
+    "engine thread; set the shard count with num_shards")
+#: Writer option -> (environment variable or None, why it is rejected).
+#: Refused by name rather than ignored, so a stale script or CI variable
+#: cannot silently run something other than what it asked for.
+REMOVED_KNOBS = {
+    "scheduler": (None, "the 'scheduler' option (a caller-built thread "
+                  "pool) was removed; set the shard count with num_shards"),
+    "executor": ("REPRO_EXECUTOR", _NO_PROCESS_EXECUTOR),
+    "num_workers": ("REPRO_NUM_WORKERS", _NO_PROCESS_EXECUTOR),
+}
 
 
 @dataclass(frozen=True)
@@ -74,30 +78,25 @@ class EngineConfig:
     state_memtable_bytes: int = DEFAULT_MEMTABLE_BYTES
     #: Pipelined durability: async state flush + group-commit WAL.
     pipeline: bool = False
-    #: ``"inline"`` (shard tasks on the engine thread) or ``"process"``
-    #: (the engine builds and owns a forked worker pool).
-    executor: str = "inline"
-    #: Process executor: worker count.
-    num_workers: int = field(default_factory=_default_workers)
 
     def __post_init__(self):
         if self.state_backend not in BACKENDS:
             raise ValueError(
                 f"unknown state backend {self.state_backend!r}; "
                 f"expected one of {BACKENDS}")
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; expected one of "
-                f"{EXECUTORS}")
 
     @classmethod
     def resolve(cls, options: dict, environ=None) -> "EngineConfig":
         """``.option()`` > ``REPRO_*`` > default, for every knob.
 
         None and the empty string count as unset (CI passes empty
-        variables on the legs that do not use them).
+        variables on the legs that do not use them).  A set variable of
+        a removed knob raises.
         """
         environ = os.environ if environ is None else environ
+        for variable, message in REMOVED_KNOBS.values():
+            if variable is not None and environ.get(variable):
+                raise ValueError(f"{variable} is set: {message}")
         given = {}
         for name, (convert, variable) in _KNOBS.items():
             value = options.get(name)
@@ -105,8 +104,4 @@ class EngineConfig:
                 value = environ.get(variable)
             if value not in (None, ""):
                 given[name] = convert(value)
-        config = cls(**given)
-        if "num_shards" not in given and config.executor == "process":
-            # One shard per worker so a process pool has work to spread.
-            config = replace(config, num_shards=config.num_workers)
-        return config
+        return cls(**given)

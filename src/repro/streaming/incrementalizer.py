@@ -108,8 +108,7 @@ class _Builder:
                         *(e.references() for e in node.exprs))
                 elif required is not None:
                     required = required | node.condition.references()
-            return ops.StatelessOp(plan, self.build(chain[-1].child, required),
-                                   num_shards=self.num_shards)
+            return ops.StatelessOp(plan, self.build(chain[-1].child, required))
         if isinstance(plan, L.WithWatermark):
             if required is not None:
                 required = required | {plan.column}
@@ -197,11 +196,11 @@ class _Builder:
         if left_streaming:
             return ops.StreamStaticJoinOp(
                 plan, self.build(plan.left), ops.StaticOp(plan.right),
-                stream_is_left=True, num_shards=self.num_shards,
+                stream_is_left=True,
             )
         return ops.StreamStaticJoinOp(
             plan, self.build(plan.right), ops.StaticOp(plan.left),
-            stream_is_left=False, num_shards=self.num_shards,
+            stream_is_left=False,
         )
 
 

@@ -46,43 +46,6 @@ from repro.streaming.wal import WriteAheadLog
 from repro.streaming.watermark import WatermarkTracker
 from repro.testing.faults import fault_point
 
-# ----------------------------------------------------------------------
-# Fork gate: the process executor forks workers (initially and on
-# respawn) from the engine thread.  A background flusher caught
-# mid-write at fork time could leave a metrics/storage lock permanently
-# held in the child, so every fork first parks the pipeline threads
-# between work items via their gate locks.
-# ----------------------------------------------------------------------
-_PIPELINE_WORKERS = weakref.WeakSet()
-_fork_hook_installed = False
-_paused_gates = []
-
-
-def _register_pipeline_worker(worker) -> None:
-    global _fork_hook_installed
-    _PIPELINE_WORKERS.add(worker)
-    if not _fork_hook_installed and hasattr(os, "register_at_fork"):
-        _fork_hook_installed = True
-        os.register_at_fork(before=_pause_pipeline_workers,
-                            after_in_parent=_resume_pipeline_workers,
-                            after_in_child=_resume_pipeline_workers)
-
-
-def _pause_pipeline_workers() -> None:
-    for worker in list(_PIPELINE_WORKERS):
-        worker._fork_gate.acquire()
-        _paused_gates.append(worker._fork_gate)
-
-
-def _resume_pipeline_workers() -> None:
-    while _paused_gates:
-        gate = _paused_gates.pop()
-        try:
-            gate.release()
-        except RuntimeError:
-            pass
-
-
 class _AsyncStateFlusher:
     """Background writer for pipelined state checkpoints (§6.1).
 
@@ -115,7 +78,6 @@ class _AsyncStateFlusher:
         self._thread = None
         self._error = None
         self._unsynced = 0
-        self._fork_gate = threading.Lock()
 
     @property
     def error(self):
@@ -127,7 +89,6 @@ class _AsyncStateFlusher:
             if self._error is not None or self._stopping:
                 return  # surfaced at the next epoch boundary
             if self._thread is None:
-                _register_pipeline_worker(self)
                 self._thread = threading.Thread(
                     target=self._loop, name="state-flusher", daemon=True)
                 self._thread.start()
@@ -165,20 +126,19 @@ class _AsyncStateFlusher:
                 version, jobs = self._queue.popleft()
                 self._busy = True
             try:
-                with self._fork_gate:
-                    with tracing.trace_span("flusher:state-commit",
-                                            version=version):
-                        for i, job in enumerate(jobs):
-                            fault_point("state.async_flush_crash",
-                                        version=version, operator=job.operator)
-                            job.execute(self.group)
-                            fault_point("state.commit_all", version=version,
-                                        operator=job.operator, committed=i + 1,
-                                        total=len(jobs))
-                    self._unsynced += 1
-                    if self._unsynced >= self.STATE_SYNC_EVERY:
-                        self.group.sync()
-                        self._unsynced = 0
+                with tracing.trace_span("flusher:state-commit",
+                                        version=version):
+                    for i, job in enumerate(jobs):
+                        fault_point("state.async_flush_crash",
+                                    version=version, operator=job.operator)
+                        job.execute(self.group)
+                        fault_point("state.commit_all", version=version,
+                                    operator=job.operator, committed=i + 1,
+                                    total=len(jobs))
+                self._unsynced += 1
+                if self._unsynced >= self.STATE_SYNC_EVERY:
+                    self.group.sync()
+                    self._unsynced = 0
                 with self._cv:
                     self._busy = False
                     metrics.set_gauge("pipeline.flusher_queue",
@@ -251,11 +211,6 @@ class MicrobatchEngine:
         #: produce byte-identical checkpoints and sink output.
         self.pipelined = config.pipeline
         self.num_shards = config.num_shards
-        #: ``executor="process"``: the forked worker pool the operators'
-        #: per-shard tasks run on (§6.2), with per-task retry and
-        #: worker respawn.  Built here, bound after recovery, shut down
-        #: by stop(); None runs every shard task on this thread.
-        self.pool = None
         self._event_log = None
         self.state_store = None
 
@@ -278,10 +233,6 @@ class MicrobatchEngine:
         attachment and recovery — where injected faults (and real restart
         bugs) can fire before the first epoch ever runs."""
         config = self.config
-        if config.executor == "process":
-            from repro.cluster.process_pool import ProcessPool
-
-            self.pool = ProcessPool(config.num_workers)
         self.state_store = StateStore(
             checkpoint_dir, num_shards=self.num_shards,
             backend=config.state_backend,
@@ -328,12 +279,6 @@ class MicrobatchEngine:
         # runs once, off the hot path, and the engine must not observe a
         # half-flushed checkpoint of its own making.
         self._recover()
-        # The pool forks its workers from this fully recovered engine:
-        # compiled plans and restored state are inherited, not rebuilt
-        # per worker.  (The replay above ran inline: an unbound pool
-        # knows no operator.)
-        if self.pool is not None:
-            self.pool.bind(self)
 
     def _attach_event_log(self, checkpoint_dir: str) -> None:
         """Append each epoch's progress as a JSON line to the structured
@@ -354,13 +299,11 @@ class MicrobatchEngine:
         self.progress.listeners.append(log_event)
 
     def _release(self) -> None:
-        """Close what the engine itself opened: the event-log handle, the
-        worker pool and the state handles' run files (idempotent; also
-        the init-failure path)."""
+        """Close what the engine itself opened: the event-log handle and
+        the state handles' run files (idempotent; also the init-failure
+        path)."""
         if self._event_log is not None and not self._event_log.closed:
             self._event_log.close()
-        if self.pool is not None:
-            self.pool.shutdown()
         if self.state_store is not None:
             self.state_store.close()
 
@@ -442,7 +385,6 @@ class MicrobatchEngine:
             output_mode=self.output_mode,
             output_enabled=output_enabled,
             is_first_epoch=epoch == 0,
-            pool=self.pool,
         )
         result = self.plan.root.process(ctx)
         if output_enabled:
@@ -603,7 +545,6 @@ class MicrobatchEngine:
             output_mode=self.output_mode,
             output_enabled=True,
             is_first_epoch=epoch == 0,
-            pool=self.pool,
         )
         with _Phase("process", timings):
             result = self.plan.root.process(ctx)
@@ -705,10 +646,6 @@ class MicrobatchEngine:
                 for c in self.watermarks.columns
             },
             sources=ranges,
-            task_metrics=(
-                self.pool.last_stage_report or {}
-                if self.pool is not None else {}
-            ),
             stage_timings=timings or {},
             operator_metrics=ctx.op_metrics,
             output_rows_net=output_net,

@@ -36,6 +36,7 @@ from repro.sql.joins import (
     UniqueKeyIndex,
     assemble_join_output,
     hash_join,
+    is_null_key,
     join_indices,
 )
 from repro.sql.physical import aggregate_result_batch, execute
@@ -54,9 +55,9 @@ from repro.streaming.zset import (
 class EpochContext:
     """Everything an operator may read while processing one epoch."""
 
-    def __init__(self, epoch_id: int, inputs: dict, watermarks, processing_time: float,
-                 output_mode: str, output_enabled: bool = True, is_first_epoch: bool = False,
-                 pool=None):
+    def __init__(self, epoch_id: int, inputs: dict, watermarks,
+                 processing_time: float, output_mode: str,
+                 output_enabled: bool = True, is_first_epoch: bool = False):
         self.epoch_id = epoch_id
         #: source name -> RecordBatch of this epoch's new records.
         self.inputs = inputs
@@ -67,10 +68,6 @@ class EpochContext:
         #: False while replaying epochs purely to rebuild state (§6.1).
         self.output_enabled = output_enabled
         self.is_first_epoch = is_first_epoch
-        #: The engine's ProcessPool under ``executor="process"``: sharded
-        #: operators ship one task per (operator, shard) to it (§6.2);
-        #: None runs them inline.
-        self.pool = pool
         #: Filled by operators for progress reporting (§7.4).
         self.metrics = {"rows_processed": 0, "late_rows_dropped": 0}
         #: Operator label -> {"rows_out", "seconds", "calls"}, filled by
@@ -82,21 +79,12 @@ def run_op_shard_tasks(ctx: EpochContext, label, op, method: str,
                        payloads) -> list:
     """Run ``op.<method>(*payloads[i])`` per shard; results in shard order.
 
-    The one place that decides where a shard task runs.  Shard work is
-    named by ``(operator, method, args)`` rather than a closure, so the
-    process pool can ship it to the worker that already holds the
-    operator (forked plan) and the shard's state replica — which it does
-    when the pool knows ``op`` and more than one shard is runnable.
-    Otherwise the bound method is called per shard on this thread, under
-    the same ``task:<op>:shard<i>`` span; output is bit-identical either
-    way.  Tasks must be *pure*: they read immutable pre-epoch state and
-    return deferred writes, so a retried attempt reproduces the same
-    result.  ``payloads[i] is None`` marks an empty shard (skipped).
+    Each shard task runs on this thread under its own
+    ``task:<op>:shard<i>`` span.  Tasks are *pure*: they read pre-epoch
+    state and return deferred writes, which the caller applies in shard
+    order once every task finished.  ``payloads[i] is None`` marks an
+    empty shard (skipped).
     """
-    pool = ctx.pool
-    if (pool is not None and pool.knows(op)
-            and sum(args is not None for args in payloads) > 1):
-        return pool.run_op_stage(ctx, label, op, method, payloads)
     bound = getattr(op, method)
     name = f"task:{label[0] if isinstance(label, tuple) else label}:shard"
     results = []
@@ -142,24 +130,6 @@ def run_keyed_shard_tasks(ctx: EpochContext, label, op, method: str,
         outs.extend(out)
         ctx.metrics["late_rows_dropped"] += late_rows
     return outs
-
-
-def run_row_slice_tasks(ctx: EpochContext, label, op, method: str,
-                        batch: RecordBatch) -> RecordBatch:
-    """Run ``op.<method>(slice)`` over ``op.num_shards`` contiguous row
-    slices of ``batch`` (zero-copy column views) and concatenate the
-    results back in slice order — for row-wise work, where no key
-    partitioning is needed and the output row order must match the
-    single-call path exactly."""
-    bounds = np.linspace(
-        0, batch.num_rows, op.num_shards + 1).astype(np.int64)
-    slices = [batch.slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    outs = run_op_shard_tasks(ctx, label, op, method, [
-        (s,) if s.num_rows else None for s in slices
-    ])
-    return RecordBatch.concat(
-        [o for o in outs if o is not None], op.output_schema
-    )
 
 
 def _instrumented_process(fn, label: str):
@@ -209,9 +179,9 @@ class IncrementalOp:
     #: True when this operator's shard tasks only ever read state keys
     #: of their own task partition — i.e. its task partitioning uses
     #: exactly the state key, under the same stable hash the state
-    #: handle routes shards with.  The process executor then ships each
-    #: worker only the sync deltas of shards it owns instead of
-    #: broadcasting full replicas.
+    #: handle routes shards with.  Their writes then go straight to the
+    #: owning shard (``apply``/``get_many`` with a shard index) instead
+    #: of being routed key by key.
     state_aligned = False
 
     def __init_subclass__(cls, **kwargs):
@@ -239,15 +209,6 @@ class IncrementalOp:
             if isinstance(op, IncrementalOp):
                 found.append(op)
         return found
-
-    def state_handles(self) -> list:
-        """State handles whose shards this operator's *shard tasks* read.
-
-        The process executor replicates exactly these to its workers
-        (state-sync journaling); operators whose stateful work never
-        leaves the driver (``MapGroupsWithStateOp``) return none.
-        """
-        return []
 
     def describe(self) -> str:
         """One-line description for ``explain``."""
@@ -327,12 +288,7 @@ class StatelessOp(IncrementalOp):
     compilation.
     """
 
-    #: Minimum rows before a delta is split into parallel slices; below
-    #: this, task overhead exceeds the kernels' GIL-released compute.
-    MIN_PARALLEL_ROWS = 8192
-
-    def __init__(self, node: L.LogicalPlan, child: IncrementalOp,
-                 num_shards: int = 1):
+    def __init__(self, node: L.LogicalPlan, child: IncrementalOp):
         self._placeholder = make_placeholder(child.output_schema)
         self._node = self._graft(node)
         if WEIGHT_COLUMN in child.output_schema:
@@ -343,7 +299,6 @@ class StatelessOp(IncrementalOp):
             self._node = thread_weights(self._node)
         self.output_schema = self._node.schema
         self.child = child
-        self.num_shards = max(1, num_shards)
         self._compiled = plancompiler.compile_plan(self._node)
 
     def _graft(self, node: L.LogicalPlan) -> L.LogicalPlan:
@@ -362,10 +317,6 @@ class StatelessOp(IncrementalOp):
         batch = self.child.process(ctx)
         if batch.num_rows == 0:
             return self._empty()
-        if (ctx.pool is not None and self.num_shards > 1
-                and batch.num_rows >= self.MIN_PARALLEL_ROWS):
-            return run_row_slice_tasks(
-                ctx, ("stateless", id(self)), self, "apply", batch)
         return self.apply(batch)
 
 
@@ -415,18 +366,16 @@ class StreamStaticJoinOp(IncrementalOp):
     """Join between a stream delta and a static relation (§3, §5.2).
 
     The static side is materialized — and, when its join key is unique,
-    indexed — once, at construction (so the process pool's forked workers
-    inherit both); each epoch joins only the new stream rows against it,
-    so cost is proportional to the delta.
+    indexed — once, at construction; each epoch joins only the new stream
+    rows against it, so cost is proportional to the delta.
     """
 
     def __init__(self, node: L.Join, stream: IncrementalOp, static: StaticOp,
-                 stream_is_left: bool, num_shards: int = 1):
+                 stream_is_left: bool):
         self._node = node
         self.stream = stream
         self.static = static
         self.stream_is_left = stream_is_left
-        self.num_shards = max(1, num_shards)
         self.output_schema = node.schema
         #: None: duplicate, object or NaN static keys take the hash path.
         self._index = UniqueKeyIndex.build(static.materialize(), node.on)
@@ -453,17 +402,6 @@ class StreamStaticJoinOp(IncrementalOp):
 
     def process(self, ctx: EpochContext) -> RecordBatch:
         delta = self.stream.process(ctx)
-        if (ctx.pool is not None and self.num_shards > 1
-                and self.stream_is_left and self._node.how == "inner"
-                and delta.num_rows >= StatelessOp.MIN_PARALLEL_ROWS):
-            # Inner join with the stream on the left emits matched pairs
-            # in left-row order, so contiguous delta slices joined
-            # independently concatenate back to exactly the unsliced
-            # output.  (Outer joins append unmatched rows after all
-            # matches, which slicing would interleave — those and
-            # static-left joins keep the single-call path.)
-            return run_row_slice_tasks(
-                ctx, ("static-join", id(self)), self, "join_delta", delta)
         return self.join_delta(delta)
 
 
@@ -555,9 +493,6 @@ class StatefulAggregateOp(IncrementalOp):
             # Expiry-indexed state: advancing the watermark pops only
             # finalized keys instead of scanning the whole store.
             self.state.set_expiry(lambda key, _value: self._key_expiry(key))
-
-    def state_handles(self) -> list:
-        return [self.state]
 
     # -- event-time bound of a key ------------------------------------
     def _key_expiry(self, key_tuple):
@@ -809,9 +744,6 @@ class StreamingDedupOp(IncrementalOp):
         if self.watermark_column is not None:
             # State values are the key's event time: expiry == value.
             self.state.set_expiry(lambda _key, value: value)
-
-    def state_handles(self) -> list:
-        return [self.state]
 
     def process(self, ctx: EpochContext) -> RecordBatch:
         batch = self.child.process(ctx)
@@ -1091,9 +1023,6 @@ class StreamStreamJoinOp(IncrementalOp):
                 lambda _key, entries, i=rt, s=skew:
                 min(e[0][i] for e in entries) + s if entries else None)
 
-    def state_handles(self) -> list:
-        return [self._left_state, self._right_state]
-
     # State entry per side: key -> list of [row_values, matched_flag].
     def _rows_by_key(self, batch: RecordBatch, row_offsets=None) -> dict:
         """Group the delta's rows (as value lists) by join key, in row
@@ -1171,7 +1100,7 @@ class StreamStreamJoinOp(IncrementalOp):
             ctx, ("join", id(self)), self, "_probe_shard", payloads,
             [self._left_state, self._right_state])
         # Global probe order: left keys by first delta row, then
-        # right-only keys — independent of shard count and worker timing.
+        # right-only keys — independent of shard count.
         chunks.sort(key=lambda c: c[0])
         out_rows = []
         for _token, rows in chunks:
@@ -1245,7 +1174,7 @@ class StreamStreamJoinOp(IncrementalOp):
             if nr:
                 r_entries.extend([row, False] for row in nr[1])
             out_rows = []
-            if l_entries and r_entries:
+            if l_entries and r_entries and not is_null_key(key):
                 # new-left x (buffered + new right), then buffered-left x
                 # new-right: together every pair exactly once.
                 self._join_pairs(

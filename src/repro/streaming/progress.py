@@ -3,8 +3,8 @@
 Each completed epoch produces an :class:`EpochProgress` carrying the
 metrics the paper lists operators needing: load (rows, rows/s), backlog,
 state size, watermarks and timing — plus, when the observability layer
-is enabled, per-stage timings, per-operator row counts, worker-pool task
-metrics and continuous-mode latency percentiles.  ``to_json`` keeps it
+is enabled, per-stage timings, per-operator row counts and
+continuous-mode latency percentiles.  ``to_json`` keeps it
 loggable as a structured event; empty sections are omitted so
 ``events.jsonl`` lines stay compact.
 """
@@ -35,9 +35,6 @@ class EpochProgress:
     state_rows: int = 0
     watermarks: dict = field(default_factory=dict)
     sources: dict = field(default_factory=dict)
-    #: Per-task summary of the last process-pool stage (wall times,
-    #: attempts, retries, the ``executor`` section); {} when inline.
-    task_metrics: dict = field(default_factory=dict)
     #: Engine phase -> seconds for this epoch (wal-offsets, read-inputs,
     #: process, sink-write, wal-commit, state-commit); populated when
     #: observability is active.
@@ -95,7 +92,6 @@ class EpochProgress:
         optional = {
             "watermarks": self.watermarks,
             "sources": self.sources,
-            "taskMetrics": self.task_metrics,
             "stageTimings": self.stage_timings,
             "operatorMetrics": self.operator_metrics,
             "latencyPercentiles": self.latency_percentiles,

@@ -160,17 +160,13 @@ class _StateShard:
     """One hash partition of an operator's keyed state: its own data
     dict, dirty tracking and expiry index — no locks, no sharing."""
 
-    __slots__ = ("data", "dirty", "removed", "pending", "expiry", "heap",
+    __slots__ = ("data", "dirty", "removed", "expiry", "heap",
                  "puts_metric", "gets_metric", "evictions_metric")
 
     def __init__(self, index: int = 0):
         self.data = {}
         self.dirty = set()
         self.removed = set()
-        #: Keys written/removed since the last state-sync ship to the
-        #: worker owning this shard (None unless journaling is enabled
-        #: by the process executor; see ``enable_journal``).
-        self.pending = None
         #: encoded key -> currently valid expiry (heap entries that
         #: disagree with this map are stale and dropped lazily).
         self.expiry = {}
@@ -323,8 +319,6 @@ class OperatorStateHandle:
         shard.data[encoded] = value
         shard.dirty.add(encoded)
         shard.removed.discard(encoded)
-        if shard.pending is not None:
-            shard.pending.add(encoded)
         if self._expiry_fn is not None:
             self._index_put(shard, encoded, key, value)
 
@@ -336,8 +330,6 @@ class OperatorStateHandle:
                 self._num_rows -= self._row_fn(old)
             shard.dirty.discard(encoded)
             shard.removed.add(encoded)
-            if shard.pending is not None:
-                shard.pending.add(encoded)
             shard.expiry.pop(encoded, None)
             metrics.count("state.removes")
 
@@ -363,83 +355,6 @@ class OperatorStateHandle:
     def rows(self) -> int:
         """Rows buffered in this handle (== keys unless sized)."""
         return self._num_keys if self._row_fn is None else self._num_rows
-
-    # ------------------------------------------------------------------
-    # State-sync journal (process executor, §6.2)
-    # ------------------------------------------------------------------
-    # The process executor's workers keep a per-shard replica of this
-    # handle (inherited at fork).  The driver stays authoritative — it
-    # applies every deferred write itself — and ships each worker, at
-    # the next stage touching this handle, only the keys written or
-    # removed since the last ship.  Deltas are *snapshots* (the key's
-    # current value at ship time), so re-applying one after a worker
-    # respawn is a no-op; that idempotence is what keeps retry and
-    # recovery logic trivial.
-
-    def enable_journal(self) -> None:
-        """Start journaling writes per shard for worker state sync.
-
-        Must be called once the handle's state is final for the fork
-        (the pool binds after engine recovery); a later ``restore``
-        resets the journals, at which point the pool re-forks workers
-        rather than replaying deltas.
-        """
-        self._journaled = True
-        for shard in self._shards:
-            shard.pending = set()
-
-    def collect_sync_delta(self) -> dict:
-        """Drain the journal: ``{shard_index: (puts, removes)}``.
-
-        ``puts`` maps encoded key -> its *current* value (a snapshot,
-        not the historical write), ``removes`` lists encoded keys no
-        longer present.  Shards with an empty journal are omitted.  The
-        caller must deliver the delta to each shard's owning worker —
-        the journal is cleared here.
-        """
-        deltas = {}
-        for index, shard in enumerate(self._shards):
-            if not shard.pending:
-                continue
-            puts = {}
-            removes = []
-            for encoded in shard.pending:
-                if encoded in shard.data:
-                    puts[encoded] = shard.data[encoded]
-                else:
-                    removes.append(encoded)
-            deltas[index] = (puts, sorted(removes))
-            shard.pending = set()
-        return deltas
-
-    def sync_residual(self) -> dict:
-        """Uncommitted changes relative to ``last_committed_version``:
-        same shape as :meth:`collect_sync_delta`, without draining
-        anything.  A respawned worker restores the last checkpoint from
-        disk and applies this on top, reproducing the driver's current
-        state exactly."""
-        deltas = {}
-        for index, shard in enumerate(self._shards):
-            if not shard.dirty and not shard.removed:
-                continue
-            puts = {encoded: shard.data[encoded] for encoded in shard.dirty}
-            deltas[index] = (puts, sorted(shard.removed))
-        return deltas
-
-    def apply_sync_delta(self, shard_index: int, puts: dict, removes) -> None:
-        """Worker-side: overwrite one shard's replica with a sync delta.
-
-        Writes raw encoded keys/values into the shard dict.  The expiry
-        index is *not* maintained: shard tasks only ever ``get``/
-        ``contains`` — eviction (``pop_expired``) runs on the driver.
-        Dirty tracking is untouched too; worker replicas never commit.
-        """
-        data = self._shards[shard_index].data
-        before = len(data)
-        data.update(puts)
-        for encoded in removes:
-            data.pop(encoded, None)
-        self._num_keys += len(data) - before
 
     # ------------------------------------------------------------------
     # Expiry index (watermark eviction without full scans)

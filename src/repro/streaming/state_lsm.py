@@ -42,14 +42,8 @@ Crash-consistency invariants:
   manifests (the exactly-once sweep checks this at the fingerprint
   level);
 * orphaned runs (flushed after the last durable manifest, or torn by a
-  crash) are garbage-collected when the handle is next *constructed* —
-  never during ``restore``, which also runs inside forked process-pool
-  workers that must not delete the driver's files.
-
-Process-executor replicas work unchanged: workers fork with the driver's
-open run file descriptors (reads use ``os.pread``, so a file stays
-readable after the driver unlinks it), and the sync-delta journal ships
-current values — probed from runs when a journaled key was flushed.
+  crash) are garbage-collected when the handle is next *constructed*,
+  never during ``restore``.
 """
 
 from __future__ import annotations
@@ -171,9 +165,9 @@ class SortedRun:
     bare sorted JSONL, their sidecar lacking ``format`` — stay readable.
 
     Reads go through ``os.pread`` on a descriptor held open for the
-    run's lifetime: thread-safe without seek state, and — because forked
-    workers inherit the descriptor — still readable after the driver
-    compacts and unlinks the file (POSIX deleted-but-open semantics).
+    run's lifetime: thread-safe without seek state, and still readable
+    after compaction unlinks the file (POSIX deleted-but-open
+    semantics).
     """
 
     __slots__ = ("seq", "path", "count", "bytes", "sha256", "min_key",
@@ -350,8 +344,8 @@ class TieredOperatorStateHandle(OperatorStateHandle):
     The shard dicts become a bounded memtable (values or ``TOMBSTONE``);
     reads fall through to the sorted runs newest-first.  All public
     semantics — ``get``/``put``/``remove``/``pop_expired``/``items``,
-    delta commits, restore to any retained version, N→M shard rescaling,
-    the process executor's sync-delta journal — match the dict backend
+    delta commits, restore to any retained version, N→M shard rescaling —
+    match the dict backend
     (the property suite in ``tests/test_state_tiered.py`` pins this).
     """
 
@@ -367,11 +361,11 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         self._runs = []          # newest first
         self._next_seq = 0
         self._mem_bytes = 0
-        # Construction happens on a fresh engine (never inside a forked
-        # worker), so this is the safe moment to drop runs no durable
-        # manifest references: wild runs flushed after the last commit,
-        # or torn by a crash mid-flush.  ``repair_torn_tail`` (in the
-        # base constructor) has already quarantined a torn manifest.
+        # Construction happens on a fresh engine, so this is the safe
+        # moment to drop runs no durable manifest references: wild runs
+        # flushed after the last commit, or torn by a crash mid-flush.
+        # ``repair_torn_tail`` (in the base constructor) has already
+        # quarantined a torn manifest.
         self._gc_runs()
 
     # ------------------------------------------------------------------
@@ -418,8 +412,6 @@ class TieredOperatorStateHandle(OperatorStateHandle):
                 self._row_fn(prior) if was_live else 0)
         shard.dirty.add(encoded)
         shard.removed.discard(encoded)
-        if shard.pending is not None:
-            shard.pending.add(encoded)
         if self._expiry_fn is not None:
             self._index_put(shard, encoded, key, value)
         if self._mem_bytes >= self.memtable_bytes:
@@ -445,17 +437,14 @@ class TieredOperatorStateHandle(OperatorStateHandle):
             self._num_rows -= self._row_fn(prior)
         shard.dirty.discard(encoded)
         shard.removed.add(encoded)
-        if shard.pending is not None:
-            shard.pending.add(encoded)
         shard.expiry.pop(encoded, None)
         metrics.count("state.removes")
         if self._mem_bytes >= self.memtable_bytes:
             self._flush()
 
     def close(self) -> None:
-        """Close the live runs' descriptors (idempotent).  Forked workers
-        keep their inherited copies; a closed handle serves no more
-        reads until ``restore`` reopens its runs."""
+        """Close the live runs' descriptors (idempotent).  A closed
+        handle serves no more reads until ``restore`` reopens its runs."""
         for run in self._runs:
             run.close()
 
@@ -534,59 +523,13 @@ class TieredOperatorStateHandle(OperatorStateHandle):
             heapq.heapify(shard.heap)
 
     # ------------------------------------------------------------------
-    # State-sync journal (process executor)
-    # ------------------------------------------------------------------
-    def collect_sync_delta(self) -> dict:
-        deltas = {}
-        for index, shard in enumerate(self._shards):
-            if not shard.pending:
-                continue
-            puts = {}
-            removes = []
-            for encoded in shard.pending:
-                # A journaled key may have been flushed out of the
-                # memtable since it was written: ship its run value.
-                value = self._lookup(shard, encoded)
-                if value is _MISS or value is TOMBSTONE:
-                    removes.append(encoded)
-                else:
-                    puts[encoded] = value
-            deltas[index] = (puts, sorted(removes))
-            shard.pending = set()
-        return deltas
-
-    def sync_residual(self) -> dict:
-        deltas = {}
-        for index, shard in enumerate(self._shards):
-            if not shard.dirty and not shard.removed:
-                continue
-            puts = {}
-            for encoded in shard.dirty:
-                value = self._lookup(shard, encoded)
-                if value is not _MISS and value is not TOMBSTONE:
-                    puts[encoded] = value
-            deltas[index] = (puts, sorted(shard.removed))
-        return deltas
-
-    def apply_sync_delta(self, shard_index: int, puts: dict, removes) -> None:
-        # Worker replicas only: removes become tombstones (a plain pop
-        # would unmask a stale value in a fork-inherited run), and the
-        # budget is not enforced — replicas never flush or commit.
-        shard = self._shards[shard_index]
-        for encoded, value in puts.items():
-            shard.data[encoded] = value
-        for encoded in removes:
-            shard.data[encoded] = TOMBSTONE
-
-    # ------------------------------------------------------------------
     # Flush + compaction
     # ------------------------------------------------------------------
     def _flush(self) -> None:
         """Seal the memtable (all shards, merged + sorted) as one run.
 
-        Dirty/removed/pending journals are untouched: they track the
-        *commit* and *worker-sync* deltas, which are independent of
-        where a value physically lives.
+        Dirty/removed tracking is untouched: it tracks the *commit*
+        delta, which is independent of where a value physically lives.
         """
         items = []
         for shard in self._shards:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import tempfile
 
 from repro.sql.expressions import AnalysisError
-from repro.streaming.config import EngineConfig
+from repro.streaming.config import REMOVED_KNOBS, EngineConfig
 from repro.streaming.query import StreamingQuery
 from repro.streaming.triggers import (
     AvailableNowTrigger,
@@ -201,12 +201,9 @@ class DataStreamWriter:
         # Every engine knob is resolved here, once: option > REPRO_* >
         # default.  Continuous mode (above) takes none of them — it
         # stays pinned to its single-partition fast path.
-        if "scheduler" in self._options:
-            raise ValueError(
-                "the 'scheduler' option (a caller-built thread pool) was "
-                "removed; select the process executor with "
-                ".option(\"executor\", \"process\") and size it with "
-                ".option(\"num_workers\", n)")
+        for name, (_variable, message) in REMOVED_KNOBS.items():
+            if name in self._options:
+                raise ValueError(f"option {name!r}: {message}")
         config = EngineConfig.resolve(self._options)
         engine = MicrobatchEngine(
             self._df.plan, sink, self._mode, checkpoint_dir, config)

@@ -1,7 +1,7 @@
 """Deterministic fault injection for crash-consistency testing.
 
 The durability and execution hot paths (storage, WAL, state store,
-engines, sinks, pool workers) call :func:`fault_point` at *named* crash
+engines, sinks) call :func:`fault_point` at *named* crash
 sites.  With no injector installed the call is a single ``is None``
 check, so production overhead is negligible.  Tests install a
 :class:`FaultInjector` whose *schedule* decides, per named point and
@@ -17,10 +17,8 @@ firing occurrence, whether to
 * **drop** — delete the in-flight temp file and crash, so the write
   never becomes visible;
 * **fail** — raise a transient :class:`InjectedTaskError` (a normal
-  exception, not a crash): used at ``worker.task`` to model one shard
-  task failing in a live pool worker and being re-sent;
-* **hang** — sleep, then fail; in a pool worker, a straggler that
-  outlives the driver's task deadline and is killed and respawned.
+  exception, not a crash), modeling an operation that fails while the
+  process survives.
 
 Schedules are either explicit lists of :class:`Fault` entries or drawn
 from a seed (:meth:`FaultInjector.from_seed`), so every failure run is
@@ -36,7 +34,6 @@ from __future__ import annotations
 import os
 import random
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -77,24 +74,12 @@ REGISTRY = {
     # streaming/continuous.py -- epoch-marker handling on the master
     "continuous.commit_epoch": "master about to log an epoch's offsets",
     "continuous.after_offsets": "offsets logged, before the commit entry",
-    # cluster/process_pool.py -- inside a forked worker, per shard task.
-    # These fire in the *worker process*: "fail" makes that one task
-    # report failure (the driver re-sends only it), "crash" kills the
-    # worker (not the driver), "hang" stalls it past the task timeout.
-    "worker.task": "process worker about to run a shard task",
-    "worker.crash_mid_task": "process worker dies before running a shard task",
-    "worker.hang": "process worker stalls before running a shard task",
 }
 
-#: Points where a crash models *driver* process death.  Excluded: the
-#: worker-process points — a ``fail`` there is a retryable task failure,
-#: anything else kills a pool worker, which the driver detects and
-#: respawns; the query keeps running either way.
-CRASHABLE_POINTS = tuple(sorted(
-    set(REGISTRY) - {"worker.task", "worker.crash_mid_task", "worker.hang"}
-))
+#: Points where a crash models process death: every registered point.
+CRASHABLE_POINTS = tuple(sorted(REGISTRY))
 
-_ACTIONS = ("crash", "torn", "drop", "fail", "hang")
+_ACTIONS = ("crash", "torn", "drop", "fail")
 
 
 class CrashPoint(Exception):
@@ -131,7 +116,6 @@ class Fault:
     point: str
     occurrence: int | None = 0
     action: str = "crash"
-    seconds: float = 0.0
     match: callable = None
     times: int | None = 1
     triggered: int = field(default=0, compare=False)
@@ -158,9 +142,9 @@ class FaultInjector:
     """Executes a fault schedule against the named points.
 
     Thread-safe: fault points fire from the engine thread and the
-    continuous workers/master (pool workers fire a fork-time copy whose
-    progress the driver merges back).  ``counts`` (firings per point) and ``fired`` (faults actually triggered) persist across
-    engine restarts, which is what lets one schedule place crashes in
+    continuous workers/master.  ``counts`` (firings per point) and
+    ``fired`` (faults actually triggered) persist across engine
+    restarts, which is what lets one schedule place crashes in
     *recovery* code paths too.
     """
 
@@ -180,9 +164,7 @@ class FaultInjector:
         faults = []
         for _ in range(rng.randint(1, max_faults)):
             point = rng.choice(list(points))
-            if point == "worker.task":
-                action = "fail"
-            elif point in ("storage.fsync", "storage.write"):
+            if point in ("storage.fsync", "storage.write"):
                 action = rng.choice(["crash", "torn", "drop"])
             else:
                 action = "crash"
@@ -226,9 +208,6 @@ class FaultInjector:
     def _execute(self, fault: Fault, name: str, count: int, ctx: dict) -> None:
         tag = f"injected {fault.action} at {name}#{count}"
         if fault.action == "fail":
-            raise InjectedTaskError(tag)
-        if fault.action == "hang":
-            time.sleep(fault.seconds)
             raise InjectedTaskError(tag)
         if fault.action == "torn":
             self._tear(ctx)

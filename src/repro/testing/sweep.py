@@ -15,10 +15,6 @@ Workloads are chosen per point so the point actually fires:
 * ``join`` — stream-stream join with two state operators into a memory
   sink (microbatch; multi-operator ``commit_all`` and the memory sink's
   idempotence);
-* ``process`` cells — the aggregation (spread over several windows so
-  multiple shards fill per epoch) on the process executor: the
-  transient task-failure, worker-death and worker-hang points plus
-  driver crashes with a live worker pool;
 * ``map``  — stateless filter/project on the continuous engine
   (at-least-once within the last epoch, §6.3);
 * ``cascade`` — a two-stage materialized-view chain: a CDC change
@@ -55,27 +51,15 @@ from repro.testing.harness import (
 
 #: Points that can fire on each engine (the continuous engine never
 #: checkpoints state, batches to sinks, or schedules epoch tasks; the
-#: worker points only exist inside process-pool workers; the cascade
-#: point only fires in the two-stage cascade drive wrapper).
+#: cascade point only fires in the two-stage cascade drive wrapper).
 MICROBATCH_POINTS = tuple(sorted(set(REGISTRY) - {
     "continuous.commit_epoch", "continuous.after_offsets",
-    "worker.task", "worker.crash_mid_task", "worker.hang",
     "cascade.between_stages",
 }))
 CONTINUOUS_POINTS = (
     "storage.write", "storage.fsync", "storage.rename",
     "wal.offsets", "wal.commit",
     "continuous.commit_epoch", "continuous.after_offsets",
-)
-#: Cells run under the process executor: the worker-process points plus
-#: a few driver points, so driver crashes are also probed while a pool
-#: holds live state replicas.
-PROCESS_POINTS = (
-    "worker.task", "worker.crash_mid_task", "worker.hang",
-    "epoch.after_process", "wal.commit", "state.commit",
-    # One tiered-backend cell: a driver crash mid-flush while a live
-    # worker pool holds fork-inherited run file descriptors.
-    "state.flush_crash",
 )
 #: Points that only fire on the tiered state backend; their cells run
 #: the workload with ``state_backend=tiered`` and a memtable budget so
@@ -109,18 +93,9 @@ _ACTIONS_FOR_POINT = {
     # path's torn newest entry must quarantine exactly like the
     # sequential path's (repair_torn_tail on reopen).
     "wal.group_commit_crash": ("torn", "crash"),
-    # In a worker, "fail" fails one task (the driver re-sends only it);
-    # "crash" kills the worker process and "hang" stalls it past the
-    # driver's task timeout, both exercising respawn + re-restore.
-    "worker.task": ("fail", "fail"),
-    "worker.hang": ("hang", "hang"),
 }
 #: The later occurrence probed in each cell (the first is always 0).
 LATER_OCCURRENCE = 4
-#: How long a hung worker sleeps — beyond the process cells' task
-#: timeout, so the driver's deadline path (not the happy path) fires.
-HANG_SECONDS = 3.0
-PROCESS_TASK_TIMEOUT = 1.0
 
 
 def sweep_cells():
@@ -131,8 +106,6 @@ def sweep_cells():
             yield (point, "microbatch", 4)
         if point in CONTINUOUS_POINTS:
             yield (point, "continuous", 1)
-        if point in PROCESS_POINTS:
-            yield (point, "process", 4)
         if point in CASCADE_POINTS:
             yield (point, "cascade", 1)
         if point == "cascade.between_stages":
@@ -161,14 +134,10 @@ def schedule_for(point: str, mode: str = "microbatch") -> list:
                                           CASCADE_RETRACTION_EPOCH)),
         ]
     early, later = _ACTIONS_FOR_POINT.get(point, ("crash", "crash"))
-    faults = [
+    return [
         Fault(point, occurrence=0, action=early),
         Fault(point, occurrence=LATER_OCCURRENCE, action=later),
     ]
-    for fault in faults:
-        if fault.action == "hang":
-            fault.seconds = HANG_SECONDS
-    return faults
 
 
 class WorkloadInstance:
@@ -229,17 +198,11 @@ class _CascadeQuery:
             self.downstream.stop()
 
 
-def agg_workload(root: str, shards: int, executor: str = None,
-                 tiered: bool = False,
+def agg_workload(root: str, shards: int, tiered: bool = False,
                  pipelined: bool = False) -> WorkloadInstance:
-    """``executor`` (``"process"``, or ``"inline"`` as its reference run)
-    selects the process-cell shape: a memory sink, two pool workers with
-    a short task timeout, and chunks spread across several 10s windows
-    so multiple shards are non-empty per epoch — single-shard epochs
-    take the driver-inline path and worker fault points would never
-    fire.  ``tiered=True`` runs the LSM state backend with a tiny
-    memtable budget, so flush and compaction windows open on every
-    epoch."""
+    """Windowed count into the transactional file sink.  ``tiered=True``
+    runs the LSM state backend with a tiny memtable budget, so flush
+    and compaction windows open on every epoch."""
     session = Session()
     stream = MemoryStream(StructType((("k", "string"), ("v", "long"),
                                       ("t", "timestamp"))))
@@ -249,56 +212,26 @@ def agg_workload(root: str, shards: int, executor: str = None,
     checkpoint = os.path.join(root, "checkpoint")
     out_dir = os.path.join(root, "table")
 
-    def _backend_options(writer):
+    def build():  # fresh file sink per restart (reads manifests anew)
+        writer = (df.write_stream.format("file").option("path", out_dir)
+                  .option("num_shards", shards))
         if tiered:
             writer = (writer.option("state_backend", "tiered")
                       .option("state_memtable_bytes", TIERED_MEMTABLE_BYTES))
         if pipelined:
             writer = writer.option("pipeline", "on")
-        return writer
+        return writer.output_mode("append").start(checkpoint)
 
-    if executor is None:
-        def build():  # fresh file sink per restart (reads manifests anew)
-            writer = (df.write_stream.format("file").option("path", out_dir)
-                      .option("num_shards", shards))
-            return _backend_options(writer).output_mode("append").start(checkpoint)
+    def read_sink():
+        return TransactionalFileSink(out_dir).read_rows()
 
-        def read_sink():
-            return TransactionalFileSink(out_dir).read_rows()
-
-        chunks = [
-            [{"k": "a", "v": i, "t": float(t)} for i, t in enumerate((1, 2, 3))],
-            [{"k": "b", "v": i, "t": float(t)} for i, t in enumerate((12, 14))],
-            [{"k": "c", "v": i, "t": float(t)} for i, t in enumerate((23, 24, 25, 26))],
-            [{"k": "d", "v": 0, "t": 50.0}],
-            [{"k": "e", "v": 0, "t": 90.0}],
-        ]
-    else:
-        sink = MemorySink()
-
-        def build():
-            writer = (df.write_stream.sink(sink)
-                      .option("num_shards", shards)
-                      .option("executor", executor)
-                      .option("num_workers", 2))
-            query = _backend_options(writer).output_mode("append").start(checkpoint)
-            if query.engine.pool is not None:
-                # Workers fork on the first stage, so this is in time.
-                query.engine.pool.task_timeout = PROCESS_TASK_TIMEOUT
-            return query
-
-        read_sink = sink.rows
-        chunks = [
-            [{"k": "a", "v": i, "t": float(t)}
-             for i, t in enumerate((1, 11, 21, 31))],
-            [{"k": "b", "v": i, "t": float(t)}
-             for i, t in enumerate((12, 22, 32, 42))],
-            [{"k": "c", "v": i, "t": float(t)}
-             for i, t in enumerate((23, 33, 43, 53))],
-            [{"k": "d", "v": i, "t": float(t)}
-             for i, t in enumerate((54, 64, 74))],
-            [{"k": "e", "v": 0, "t": 90.0}, {"k": "e", "v": 1, "t": 95.0}],
-        ]
+    chunks = [
+        [{"k": "a", "v": i, "t": float(t)} for i, t in enumerate((1, 2, 3))],
+        [{"k": "b", "v": i, "t": float(t)} for i, t in enumerate((12, 14))],
+        [{"k": "c", "v": i, "t": float(t)} for i, t in enumerate((23, 24, 25, 26))],
+        [{"k": "d", "v": 0, "t": 50.0}],
+        [{"k": "e", "v": 0, "t": 90.0}],
+    ]
     steps = [lambda rows=rows: stream.add_data(rows) for rows in chunks]
     return WorkloadInstance(build, steps, read_sink, checkpoint)
 
@@ -404,9 +337,6 @@ def make_workload(point: str, mode: str, shards: int, root: str) -> WorkloadInst
         return _map_workload(root)
     if mode == "cascade":
         return _cascade_workload(root, shards)
-    if mode == "process":
-        return agg_workload(root, shards, executor="process",
-                            tiered=point in TIERED_POINTS)
     if point in TIERED_POINTS:
         return agg_workload(root, shards, tiered=True)
     if point == "state.async_flush_crash":
@@ -425,10 +355,6 @@ def _golden_key(point: str, mode: str, shards: int):
         return ("map", mode, 1)
     if mode == "cascade":
         return ("cascade", mode, shards)
-    if mode == "process":
-        if point in TIERED_POINTS:
-            return ("agg-wide-tiered", mode, shards)
-        return ("agg-wide", mode, shards)
     if point in TIERED_POINTS:
         return ("agg-tiered", mode, shards)
     if point == "state.async_flush_crash":

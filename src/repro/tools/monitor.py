@@ -5,8 +5,8 @@ Every epoch appends one JSON line to ``<checkpoint>/events.jsonl``
 the monitoring view the paper says operators need (§2.3): processing
 rate, backlog, state size, watermarks and their lag, plus — when the
 observability layer was enabled — the engine's per-phase time
-breakdown, per-operator row counts, worker-pool task stats and
-continuous-mode latency percentiles.
+breakdown, per-operator row counts and continuous-mode latency
+percentiles.
 
 Usable as a CLI::
 
@@ -102,18 +102,6 @@ def _fmt_seconds(value) -> str:
     if value >= 0.001:
         return f"{value * 1e3:.1f}ms"
     return f"{value * 1e6:.0f}us"
-
-
-def _fmt_bytes(value) -> str:
-    if value is None:
-        return "-"
-    if value >= 1e9:
-        return f"{value / 1e9:.2f}GB"
-    if value >= 1e6:
-        return f"{value / 1e6:.1f}MB"
-    if value >= 1e3:
-        return f"{value / 1e3:.1f}kB"
-    return f"{int(value)}B"
 
 
 def _bar(fraction: float, width: int = 20) -> str:
@@ -241,47 +229,6 @@ def render(events: list, window: int = 20) -> str:
             lines.append(
                 f"    {op:<14} rows_out {_fmt_count(stats['rows_out']):>8}  "
                 f"time {_fmt_seconds(stats['seconds'])}"
-            )
-
-    tasks = last.get("taskMetrics", {})
-    if tasks.get("tasks"):
-        seconds = sorted(t["seconds"] for t in tasks["tasks"])
-        lines.append(
-            f"  tasks         {tasks.get('num_tasks', len(seconds))} per stage   "
-            f"slowest {_fmt_seconds(seconds[-1])}   "
-            f"retries {tasks.get('retries', 0)}"
-        )
-
-    # Process-executor stats (taskMetrics carry an "executor" section
-    # when the stage ran on the process pool).
-    executor = tasks.get("executor") or {}
-    if executor:
-        ipc_window = sum(
-            (e.get("taskMetrics") or {}).get("executor", {}).get(
-                "ipc_bytes", 0)
-            for e in recent
-        )
-        epoch_seconds = last.get("durationSeconds")
-        overhead = ""
-        ship = executor.get("ship_seconds", 0.0)
-        merge = executor.get("merge_seconds", 0.0)
-        if isinstance(epoch_seconds, (int, float)) and epoch_seconds > 0:
-            overhead = (f"   ipc overhead {100 * (ship + merge) / epoch_seconds:.1f}%"
-                        " of epoch")
-        lines.append(
-            f"  executor      {executor.get('type', '?')} x "
-            f"{executor.get('num_workers', '?')} workers   "
-            f"ipc {_fmt_bytes(ipc_window)} (window)   "
-            f"ship {_fmt_seconds(ship)}   merge {_fmt_seconds(merge)}   "
-            f"deaths {executor.get('worker_deaths', 0)}{overhead}"
-        )
-        for stats in executor.get("workers", []):
-            util = stats.get("utilization", 0.0)
-            lines.append(
-                f"    worker {stats.get('worker', '?')} "
-                f"gen{stats.get('generation', '?')}  {_bar(util)} "
-                f"{100 * util:5.1f}%  tasks {stats.get('tasks', 0)}  "
-                f"busy {_fmt_seconds(stats.get('busy_seconds'))}"
             )
 
     latency = last.get("latencyPercentiles", {})

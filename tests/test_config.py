@@ -13,7 +13,7 @@ import repro
 from repro.sinks.memory import MemorySink
 from repro.sql import functions as F
 from repro.sql.session import Session
-from repro.streaming.config import ENV_VARS, EXECUTORS, EngineConfig
+from repro.streaming.config import ENV_VARS, REMOVED_KNOBS, EngineConfig
 from repro.streaming.state import DEFAULT_MEMTABLE_BYTES
 from repro.streaming.state_lsm import TieredOperatorStateHandle
 
@@ -28,8 +28,6 @@ CASES = {
     "state_backend": ("dict", "tiered", "tiered", "tiered"),
     "state_memtable_bytes": (DEFAULT_MEMTABLE_BYTES, 123, "2048", 2048),
     "pipeline": (False, "on", "1", True),
-    "executor": ("inline", "process", "process", "process"),
-    "num_workers": (min(4, os.cpu_count() or 1), 3, "2", 2),
 }
 OPTION_RESULT = {"pipeline": True}  # "on" -> True; the rest come back as set
 
@@ -50,9 +48,7 @@ def test_option_beats_env_beats_default(name):
     environ = {}
     if env_text is not None:
         environ = {ENV_VARS[name]: env_text}
-        # Pin the knob the shards-follow-workers rule would otherwise move.
-        pinned = {} if name == "num_shards" else {"num_shards": 1}
-        assert getattr(EngineConfig.resolve(pinned, environ), name) == env_value
+        assert getattr(EngineConfig.resolve({}, environ), name) == env_value
     resolved = EngineConfig.resolve({name: option}, environ)
     assert getattr(resolved, name) == OPTION_RESULT.get(name, option)
 
@@ -64,48 +60,59 @@ def test_resolve_reads_the_process_environment(monkeypatch):
     assert config.num_shards == 5 and config.pipeline is False
 
 
-def test_shards_follow_workers_unless_given():
-    process = {"executor": "process", "num_workers": 3}
-    assert EngineConfig.resolve(process, {}).num_shards == 3
-    assert EngineConfig.resolve(dict(process, num_shards=2), {}).num_shards == 2
-    assert EngineConfig.resolve(
-        process, {"REPRO_NUM_SHARDS": "8"}).num_shards == 8
-    assert EngineConfig.resolve(
-        {}, {"REPRO_EXECUTOR": "process", "REPRO_NUM_WORKERS": "2"}
-    ).num_shards == 2
-    # Inline: workers are irrelevant, one shard.
-    assert EngineConfig.resolve({"num_workers": 3}, {}).num_shards == 1
-
-
 def test_unknown_values_rejected_at_resolution():
     with pytest.raises(ValueError, match="state backend"):
         EngineConfig.resolve({"state_backend": "rocksdb"}, {})
     with pytest.raises(ValueError, match="state backend"):
         EngineConfig.resolve({}, {"REPRO_STATE_BACKEND": "rocksdb"})
-    with pytest.raises(ValueError, match="executor"):
-        EngineConfig.resolve({"executor": "gpu"}, {})
-    with pytest.raises(ValueError, match="executor"):
-        EngineConfig.resolve({}, {"REPRO_EXECUTOR": "thread"})
 
 
-def test_unknown_executor_message_names_only_what_exists():
+def test_seven_fields_and_four_environment_variables():
+    assert len(fields(EngineConfig)) == 7
+    assert sorted(ENV_VARS.values()) == [
+        "REPRO_NUM_SHARDS", "REPRO_PIPELINE", "REPRO_STATE_BACKEND",
+        "REPRO_STATE_MEMTABLE_BYTES"]
+
+
+def _start_with(tmp_path, name, value):
+    stream = make_stream((("k", "string"), ("v", "long")))
+    writer = (Session().read_stream.memory(stream)
+              .write_stream.sink(MemorySink()).option(name, value))
     with pytest.raises(ValueError) as error:
-        EngineConfig.resolve({"executor": "thread"}, {})
-    assert str(EXECUTORS) in str(error.value)
-    assert "scheduler" not in str(error.value).lower()
+        writer.start(str(tmp_path / "cp"))
+    assert not os.path.exists(str(tmp_path / "cp"))
+    return str(error.value)
 
 
 def test_scheduler_option_is_rejected_not_ignored(tmp_path):
     """The removed object-valued option would otherwise be dropped like
     any unknown key and the caller silently get the inline executor."""
-    stream = make_stream((("k", "string"), ("v", "long")))
-    writer = (Session().read_stream.memory(stream)
-              .write_stream.sink(MemorySink()).option("scheduler", object()))
-    with pytest.raises(ValueError) as error:
-        writer.start(str(tmp_path / "cp"))
-    assert '.option("executor", "process")' in str(error.value)
-    assert "num_workers" in str(error.value)
-    assert not os.path.exists(str(tmp_path / "cp"))
+    message = _start_with(tmp_path, "scheduler", object())
+    assert "'scheduler'" in message and "removed" in message
+    assert "num_shards" in message
+
+
+@pytest.mark.parametrize("name,value", [
+    ("executor", "process"), ("num_workers", 2), ("executor", "inline"),
+])
+def test_removed_executor_option_is_rejected_by_name(tmp_path, name, value):
+    """Even ``executor="inline"`` raises: a script naming the knob still
+    believes there is a choice to make."""
+    message = _start_with(tmp_path, name, value)
+    assert repr(name) in message
+    assert "process executor was removed" in message
+
+
+@pytest.mark.parametrize("variable", ["REPRO_EXECUTOR", "REPRO_NUM_WORKERS"])
+def test_removed_environment_variable_raises(variable):
+    """A stale CI variable must not silently run inline."""
+    assert variable in {var for var, _ in REMOVED_KNOBS.values()}
+    with pytest.raises(ValueError, match="process executor was removed") \
+            as error:
+        EngineConfig.resolve({}, {variable: "process"})
+    assert variable in str(error.value)
+    # Empty counts as unset, as for every other variable.
+    assert EngineConfig.resolve({}, {variable: ""}) == EngineConfig()
 
 
 def test_config_is_frozen():
@@ -169,13 +176,16 @@ def test_one_vectorized_evaluator_and_eval_row_is_the_oracle_only():
         os.path.join("sql", "expressions.py")]
 
 
-def test_two_executors_and_no_thread_pool():
-    """Shard tasks run inline or on the process pool; the thread executor
-    and its scheduler are gone, not fenced — no name of theirs survives
-    under ``src/`` and the cluster package starts no thread."""
-    assert EXECUTORS == ("inline", "process")
-    assert _sources_matching(r"threading\.Thread\(", ("cluster",)) == []
+def test_one_executor_no_pool_no_fork():
+    """Shard tasks run on the engine thread; the process pool, its
+    shared-memory transport and the state-replica journal are gone, not
+    fenced — no name of theirs survives under ``src/``."""
+    assert _sources_matching(
+        r"ProcessPool|SharedBatch|shared_memory|register_at_fork"
+        r"|collect_sync_delta|fork\(") == []
     assert _sources_matching(r"TaskScheduler|run_stage") == []
+    assert _sources_matching(r"threading\.Thread\(", ("cluster",)) == []
     root = os.path.dirname(repro.__file__)
-    for gone in ("scheduler.py", "failures.py"):
+    for gone in ("scheduler.py", "failures.py", "process_pool.py",
+                 "perfmodel.py"):
         assert not os.path.exists(os.path.join(root, "cluster", gone))

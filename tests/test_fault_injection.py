@@ -11,8 +11,8 @@ Four concerns:
   prove it fails on sinks that silently duplicate or drop rows, and on
   malformed checkpoint directories — a checker that cannot fail proves
   nothing;
-* task failure paths on the process pool and ``stop``/run-once
-  behavior under faults.
+* a failed epoch surfacing cleanly, and ``stop``/run-once behavior
+  under faults.
 """
 
 import glob
@@ -21,7 +21,6 @@ import os
 
 import pytest
 
-from repro.cluster import TaskFailure
 from repro.sinks.file import TransactionalFileSink
 from repro.sinks.memory import MemorySink
 from repro.storage import atomic_write_json
@@ -48,7 +47,7 @@ from repro.testing.harness import (
 )
 from repro.testing.sweep import agg_workload
 
-from tests.conftest import fail_shard, make_stream, start_memory_query
+from tests.conftest import make_stream, start_memory_query
 
 SCHEMA = (("k", "string"), ("v", "long"))
 
@@ -99,10 +98,11 @@ class TestFaultScheduling:
                 fault_point("storage.write", path="/a/target.json", tmp_path="/t")
 
     def test_fail_action_is_transient_not_a_crash(self):
-        injector = FaultInjector([Fault("worker.task", action="fail")])
+        injector = FaultInjector([Fault("epoch.after_process", action="fail")])
         with injected(injector):
-            with pytest.raises(InjectedTaskError):
-                fault_point("worker.task", shard=0, pid=os.getpid())
+            with pytest.raises(InjectedTaskError) as error:
+                fault_point("epoch.after_process", epoch=0)
+        assert not isinstance(error.value, CrashPoint)
 
     def test_counts_persist_across_engine_restarts(self, session, checkpoint):
         # One schedule, two query generations: the second fault lands in
@@ -392,7 +392,7 @@ class TestCheckpointInvariantMutations:
 
 
 # ======================================================================
-# Task failure paths (§6.2) on the process pool, through ``worker.task``
+# A failed epoch
 # ======================================================================
 def _drive(instance, steps=None):
     query = instance.build()
@@ -406,54 +406,26 @@ def _drive(instance, steps=None):
     return query
 
 
-@pytest.mark.usefixtures("shm_guard")
-class TestSchedulerFailurePaths:
-    def test_transient_task_failure_is_invisible(self, tmp_path):
-        """A shard task that fails once in its worker and is re-sent must
-        leave the sink AND the checkpoint byte-identical to a fault-free
-        inline run — and only that task is retried."""
-        clean = agg_workload(str(tmp_path / "clean"), 4, executor="inline")
-        _drive(clean)
-
-        faulted = agg_workload(str(tmp_path / "faulted"), 4,
-                               executor="process")
-        injector = fail_shard(1)
-        with injected(injector):
-            pool = _drive(faulted).engine.pool
-        assert injector.fired  # the first attempt really did fail
-        retried = [report for report in pool.stage_reports
-                   if report["retries"]]
-        assert len(retried) == 1
-        assert sorted(t["attempts"] for t in retried[0]["tasks"])[-2:] == [1, 2]
-        assert pool.worker_deaths == 0
-        assert faulted.read_sink() == clean.read_sink()
-        assert checkpoint_fingerprint(faulted.checkpoint_dir) == \
-            checkpoint_fingerprint(clean.checkpoint_dir)
-
-    def test_retry_exhaustion_is_a_clean_error(self, tmp_path):
-        """A task that fails every attempt surfaces TaskFailure — after
-        ``max_retries + 1`` attempts, through ``StreamingQuery.exception``
-        on a threaded query, with a postmortem — without committing the
-        epoch; once the cause clears, a restart from the same checkpoint
-        completes byte-identically."""
-        instance = agg_workload(str(tmp_path / "run"), 4, executor="process")
+class TestFailedEpoch:
+    def test_failing_epoch_is_a_clean_error(self, tmp_path):
+        """An epoch that fails on every attempt surfaces its error through
+        ``StreamingQuery.exception`` on a threaded query, with a
+        postmortem, without committing the epoch; once the cause clears,
+        a restart from the same checkpoint completes byte-identically."""
+        instance = agg_workload(str(tmp_path / "run"), 4)
         query = instance.build()
         failing, *rest = instance.steps
-        always = FaultInjector([Fault("worker.task", occurrence=None,
+        always = FaultInjector([Fault("epoch.after_process", occurrence=None,
                                       times=None, action="fail")])
-        with injected(always):  # installed before the workers fork
+        with injected(always):
             failing()
             # The same engine behind a driver thread, as an interval
             # trigger would run it.
             threaded = StreamingQuery(
                 query.engine, ProcessingTimeTrigger(0.01), "failing")
-            with pytest.raises(TaskFailure):
+            with pytest.raises(InjectedTaskError):
                 threaded.await_termination(timeout=30)
-        failure = threaded.exception
-        assert type(failure) is TaskFailure
-        attempts = query.engine.pool.max_retries + 1
-        assert f"failed {attempts} times" in str(failure)
-        assert query.engine.pool.worker_deaths == 0
+        assert type(threaded.exception) is InjectedTaskError
         threaded.stop()
         # nothing was delivered or committed
         assert instance.read_sink() == []
@@ -462,12 +434,11 @@ class TestSchedulerFailurePaths:
         (postmortem,) = glob.glob(
             os.path.join(instance.checkpoint_dir, "postmortem*.json"))
         with open(postmortem, encoding="utf-8") as fh:
-            assert "TaskFailure" in json.dumps(json.load(fh)["crash"])
+            assert "InjectedTaskError" in json.dumps(json.load(fh)["crash"])
 
         _drive(instance, rest)
 
-        reference = agg_workload(str(tmp_path / "reference"), 4,
-                                 executor="inline")
+        reference = agg_workload(str(tmp_path / "reference"), 4)
         _drive(reference)
         assert instance.read_sink() == reference.read_sink()
         assert checkpoint_fingerprint(instance.checkpoint_dir) == \

@@ -29,14 +29,7 @@ _GOLDEN_CACHE = {}
 _FIRED_POINTS = set()
 
 
-@pytest.mark.parametrize("point,mode,shards", [
-    # The worker-hang cells sleep past the driver's task timeout by
-    # design, so they dominate the suite's wall clock (make test-fast
-    # skips them).
-    pytest.param(point, mode, shards,
-                 marks=[pytest.mark.slow] if point == "worker.hang" else [])
-    for point, mode, shards in sweep_cells()
-])
+@pytest.mark.parametrize("point,mode,shards", list(sweep_cells()))
 def test_sweep_cell(point, mode, shards, tmp_path):
     info = run_sweep_cell(point, mode, shards, str(tmp_path), _GOLDEN_CACHE)
     _FIRED_POINTS.update(p for p, _, _ in info["triggered"])
@@ -47,14 +40,12 @@ def test_sweep_cell(point, mode, shards, tmp_path):
 
 def test_sweep_coverage_floor():
     """The matrix must exercise at least 13 distinct named fault points
-    spanning WAL, state, storage, sinks, the pool workers, and the cascade
-    drive (the sweep's acceptance floor — a registry addition that no
+    spanning WAL, state, storage, sinks, and the cascade drive (the sweep's acceptance floor — a registry addition that no
     cell reaches shows up here)."""
     if not _FIRED_POINTS:
         pytest.skip("sweep cells did not run in this test selection")
     assert len(_FIRED_POINTS) >= 13, sorted(_FIRED_POINTS)
-    for prefix in ("wal.", "state.", "storage.", "sink.", "worker.",
-                   "cascade."):
+    for prefix in ("wal.", "state.", "storage.", "sink.", "cascade."):
         assert any(p.startswith(prefix) for p in _FIRED_POINTS), (
             f"no {prefix}* point fired", sorted(_FIRED_POINTS))
 

@@ -2,8 +2,8 @@
 
 import pytest
 
+from benchmarks.perfmodel import ClusterPerformanceModel
 from repro.cluster.costmodel import DeploymentCostModel
-from repro.cluster.perfmodel import ClusterPerformanceModel
 
 HOUR = 3600.0
 MONTH = 30 * 24 * HOUR

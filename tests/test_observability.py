@@ -293,14 +293,13 @@ class TestEngineTrace:
 # Progress shape (satellite bugfix)
 # ----------------------------------------------------------------------
 class TestProgressShape:
-    def test_task_metrics_defaults_to_empty_dict(self):
+    def test_empty_sections_default_and_are_omitted(self):
         from repro.streaming.progress import EpochProgress
 
         p = EpochProgress(0, 0.0, 0.1, 1, 1, 0, 0, 0)
-        assert p.task_metrics == {}
         assert p.stage_timings == {}
         payload = p.to_json()
-        assert "taskMetrics" not in payload
+        assert "stageTimings" not in payload
         assert "watermarks" not in payload
         assert payload["numInputRows"] == 1
 
@@ -486,65 +485,6 @@ class TestMonitorCLI:
         )
         text = monitor.render(monitor.load_events(str(events_path)))
         assert "epoch 0" in text
-
-    def test_render_shows_executor_columns(self):
-        events = [{
-            "epoch": 2, "numInputRows": 10, "numOutputRows": 4,
-            "durationSeconds": 0.4, "backlogRows": 0, "stateKeys": 4,
-            "lateRowsDropped": 0, "triggerTime": 1.0,
-            "taskMetrics": {
-                "num_tasks": 3, "retries": 0,
-                "tasks": [{"seconds": 0.01, "attempts": 1, "task_id": "t"}],
-                "executor": {
-                    "type": "process", "num_workers": 2,
-                    "ipc_bytes": 123456, "ship_seconds": 0.004,
-                    "merge_seconds": 0.002, "worker_deaths": 1,
-                    "workers": [
-                        {"worker": 0, "generation": 1, "tasks": 5,
-                         "busy_seconds": 0.05, "utilization": 0.8},
-                        {"worker": 1, "generation": 2, "tasks": 3,
-                         "busy_seconds": 0.02, "utilization": 0.25},
-                    ],
-                },
-            },
-        }]
-        text = monitor.render(events)
-        assert "executor      process x 2 workers" in text
-        assert "ipc 123.5kB" in text
-        assert "deaths 1" in text
-        assert "ipc overhead" in text
-        assert "worker 0" in text and "worker 1" in text
-        assert "80.0%" in text and "25.0%" in text
-
-    def test_executor_columns_from_recorded_process_run(self, session, tmp_path):
-        """End to end: a real process-executor query's events.jsonl
-        renders per-worker utilization and IPC columns."""
-        checkpoint = str(tmp_path / "cp")
-        with metrics.enabled():
-            stream = make_stream((("k", "string"), ("v", "long")))
-            df = (session.read_stream.memory(stream)
-                  .group_by("k").agg(F.sum("v").alias("total")))
-            query = start_memory_query(df, "update", "pmon", checkpoint,
-                                       num_shards=4, executor="process",
-                                       num_workers=2)
-            try:
-                for i in range(3):
-                    stream.add_data(
-                        [{"k": f"k{j}", "v": i} for j in range(8)])
-                    query.process_all_available()
-            finally:
-                query.stop()
-
-        events = monitor.load_events(checkpoint)
-        assert any(
-            (e.get("taskMetrics") or {}).get("executor", {}).get("type")
-            == "process"
-            for e in events
-        )
-        text = monitor.render(events)
-        assert "executor      process x 2 workers" in text
-        assert "ipc " in text
-        assert "worker 0" in text
 
     def test_render_shows_latency_percentiles(self):
         events = [{

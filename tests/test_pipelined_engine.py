@@ -2,7 +2,7 @@
 
 The sequential engine is the golden reference — pipelined mode must
 produce byte-identical checkpoints and sink output across backends and
-executors, while doing strictly fewer fsyncs.  Background-thread
+shard counts, while doing strictly fewer fsyncs.  Background-thread
 failures must surface through the same ``StreamingQuery.exception`` /
 raise surfaces a synchronous failure uses.
 """
@@ -87,8 +87,8 @@ class TestByteIdentity:
         assert rows_on == rows_off
         assert fp_on == fp_off
 
-    def test_process_executor(self, tmp_path, shm_guard):
-        opts = {"executor": "process", "num_workers": 2}
+    def test_four_shards(self, tmp_path):
+        opts = {"num_shards": 4}
         fp_off, rows_off = _run_agg(tmp_path, "off", "seq", **opts)
         fp_on, rows_on = _run_agg(tmp_path, "on", "pipe", **opts)
         assert rows_on == rows_off
@@ -342,19 +342,18 @@ class TestTornGroupCommit:
 
 class TestListenerContainment:
     """A raising listener must never take the query down — including in
-    the most concurrent configuration (pipelined epochs on the process
-    executor), where progress fires from the driver loop while the async
+    the most concurrent configuration (pipelined epochs over four
+    shards), where progress fires from the driver loop while the async
     flusher can be failing concurrently."""
 
-    def test_listener_errors_contained_pipelined_process(
-            self, tmp_path, shm_guard):
+    def test_listener_errors_contained_pipelined_four_shards(self, tmp_path):
         session = Session()
         stream = make_stream(SCHEMA)
         cp = str(tmp_path / "cp")
         query = (_agg_df(session, stream).write_stream.format("memory")
                  .query_name("bad-listener").output_mode("update")
                  .option("pipeline", "on")
-                 .option("executor", "process").option("num_workers", 2)
+                 .option("num_shards", 4)
                  .start(cp))
 
         class BadListener:

@@ -7,10 +7,14 @@ application restarts.  The sink object survives (it models the external
 system the query writes to).
 """
 
+import os
+import threading
+
 import pytest
 
-from repro.sql import functions as F
 from repro.sinks.file import TransactionalFileSink
+from repro.sinks.memory import MemorySink
+from repro.sql import functions as F
 from repro.testing.faults import CrashPoint, Fault, FaultInjector, injected
 
 from tests.conftest import make_stream, rows_set, start_memory_query
@@ -305,3 +309,41 @@ class TestWatermarkRecovery:
         stream.add_data([{"t": 31.0, "k": "a"}])
         q1.process_all_available()
         assert {(r["window_start"], r["count"]) for r in sink.rows()} == {(0.0, 1)}
+
+
+class TestFailedStart:
+    @pytest.mark.parametrize("backend", ["dict", "tiered"])
+    def test_failed_start_releases_event_log_and_run_files(
+            self, session, tmp_path, backend):
+        """A start() that dies in recovery must leak neither a thread, the
+        events.jsonl handle, nor a tiered handle's run descriptors."""
+        stream = make_stream((("k", "string"), ("v", "long")))
+        df = counts_df(session, stream)
+        sink = MemorySink()
+        cp = str(tmp_path / "cp")
+
+        def start(shards):
+            # A tiny memtable makes the tiered backend spill run files.
+            return (df.write_stream.sink(sink).output_mode("update")
+                    .option("num_shards", shards)
+                    .option("state_backend", backend)
+                    .option("state_memtable_bytes", 64).start(cp))
+
+        # Leave epoch 0 logged but uncommitted: every restart re-runs it
+        # and writes its commit entry, which is where the restarts die.
+        query = start(1)
+        stream.add_data([{"k": f"k{i % 5}", "v": i} for i in range(30)])
+        with injected(FaultInjector([Fault("epoch.after_sink")])):
+            with pytest.raises(CrashPoint):
+                query.process_all_available()
+        query.stop()
+
+        threads = set(threading.enumerate())
+        fds = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            with injected(FaultInjector([Fault("wal.commit")])):
+                with pytest.raises(CrashPoint):
+                    start(4)
+        # Subset, not equality: an earlier test's idle flusher may exit.
+        assert set(threading.enumerate()) <= threads
+        assert len(os.listdir("/proc/self/fd")) <= fds

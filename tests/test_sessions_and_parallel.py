@@ -8,7 +8,7 @@ from repro.sql.batch import RecordBatch
 from repro.sql.types import StructType
 from repro.streaming.sessions import session_windows
 
-from tests.conftest import fail_shard, make_stream, start_memory_query
+from tests.conftest import make_stream, start_memory_query
 
 EVENTS = (("user", "string"), ("t", "timestamp"))
 
@@ -81,7 +81,7 @@ class TestSessionWindows:
 
 class TestSchedulerIntegratedEngine:
     """An epoch's reads and shard tasks: every partition's range read
-    once on the engine thread, shard tasks inline or on the pool."""
+    once on the engine thread, then the shard tasks on it."""
 
     def _start(self, session, stream, checkpoint, **options):
         df = session.read_stream.memory(stream).where(F.col("v") >= 0)
@@ -93,31 +93,6 @@ class TestSchedulerIntegratedEngine:
         stream.add_data([{"v": i} for i in range(10)])
         query.process_all_available()
         assert len(query.engine.sink.rows()) == 10
-
-    def test_mid_epoch_task_failure_recovers(self, session, checkpoint,
-                                             shm_guard):
-        """A shard task fails once in its pool worker; the driver re-sends
-        just that task and the epoch completes exactly-once (§6.2
-        fine-grained recovery)."""
-        from repro.streaming.operators import StatelessOp
-        from repro.testing.faults import injected
-
-        rows = [{"v": i} for i in range(StatelessOp.MIN_PARALLEL_ROWS)]
-        stream = make_stream((("v", "long"),))
-        query = self._start(session, stream, checkpoint, executor="process",
-                            num_workers=2, num_shards=2)
-        injector = fail_shard(1)
-        try:
-            stream.add_data(rows)
-            with injected(injector):
-                query.process_all_available()
-            report = query.engine.pool.last_stage_report
-        finally:
-            query.stop()
-        assert injector.fired  # the failure really happened
-        assert [t["attempts"] for t in report["tasks"]] == [1, 2]
-        assert report["executor"]["worker_deaths"] == 0
-        assert query.engine.sink.rows() == rows
 
     def test_multi_partition_kafka_fetch_parallel(self, session, checkpoint):
         """One epoch's read over four partitions is the four single-

@@ -296,7 +296,7 @@ class TestLateAndOnTimeRowsInOneEpoch:
         checkpoint_dir = str(tmp_path / "cp")
         query = start_memory_query(
             df, "update", "late", checkpoint_dir, num_shards=shards,
-            state_backend="dict", pipeline=False, executor="inline")
+            state_backend="dict", pipeline=False)
         stream.add_data([{"t": 31.0, "g": 1, "v": 1.0}])
         query.process_all_available()  # watermark 26 from the next epoch
         stream.add_data([

@@ -212,3 +212,54 @@ class TestJoinEquivalenceWithBatch:
             rs.add_data([rr])
             query.process_all_available()
         assert rows_set(query.engine.sink.rows()) == expected
+
+
+class TestNullAndNanKeys:
+    """An inner join never matches a null or NaN key — not even to
+    another null or NaN — on either input kind and at any shard count,
+    and the streaming result equals the batch join's."""
+
+    KEYS = {
+        "double": [1.0, float("nan"), 2.0, float("nan"), 1.0],
+        "string": ["a", None, "b", None, "a"],
+    }
+
+    @pytest.mark.parametrize("key_type", sorted(KEYS))
+    @pytest.mark.parametrize("source", ["append", "cdc"])
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_inner_join_skips_null_and_nan_keys(
+            self, session, tmp_path, key_type, source, shards):
+        from repro.sources import ChangeStream
+        from repro.sql.types import StructType
+
+        left_schema = (("k", key_type), ("l", "string"))
+        right_schema = (("k", key_type), ("r", "string"))
+        keys = self.KEYS[key_type]
+        left_rows = [{"k": k, "l": f"l{i}"} for i, k in enumerate(keys)]
+        right_rows = [{"k": k, "r": f"r{i}"} for i, k in enumerate(keys)]
+        expected = rows_set(
+            session.create_dataframe(left_rows, left_schema)
+            .join(session.create_dataframe(right_rows, right_schema), on="k")
+            .collect())
+        # Only the two real keys match: "a"/1.0 twice on each side.
+        assert len(expected) == 5
+
+        if source == "cdc":
+            ls = ChangeStream(StructType(left_schema))
+            rs = ChangeStream(StructType(right_schema))
+            read, add, mode = session.read_stream.cdc, "insert", "retract"
+        else:
+            ls, rs = make_stream(left_schema), make_stream(right_schema)
+            read, add, mode = session.read_stream.memory, "add_data", "append"
+        df = read(ls).join(read(rs), on="k")
+        query = start_memory_query(df, mode, "nulls", str(tmp_path / "cp"),
+                                   num_shards=shards)
+        for lr, rr in zip(left_rows, right_rows):
+            getattr(ls, add)([lr])
+            getattr(rs, add)([rr])
+            query.process_all_available()
+        rows = query.engine.sink.rows()
+        query.stop()
+        assert all(r["k"] is not None and r["k"] == r["k"] for r in rows)
+        assert len(rows) == len(expected)
+        assert rows_set(rows) == expected

@@ -13,8 +13,7 @@ Usage::
     PYTHONPATH=src python tools/linecov.py [--fail-under PCT] [pytest args...]
 
 Caveats (why the floor is a little below pytest-cov's number): lines
-executed only inside forked worker processes (the process executor) or
-before tracing starts are not recorded, and ``co_lines`` counts a few
+executed before tracing starts are not recorded, and ``co_lines`` counts a few
 artifact lines (e.g. module docstrings) that coverage.py excludes.
 """
 
