@@ -103,7 +103,9 @@ def run_keyed_shard_tasks(ctx: EpochContext, label, op, method: str,
 
     A keyed shard task is *pure*: it reads pre-epoch state only and
     returns ``(writes, out, late_rows)``, ``writes`` holding one
-    ``(puts, removes)`` pair per handle in ``states`` and ``out`` a list.
+    ``(puts, removes)`` pair per handle in ``states`` in the shape
+    :meth:`~repro.streaming.state.OperatorStateHandle.apply` takes (keys
+    encoded once, by the task) and ``out`` a list.
     The writes are applied here, in shard order, after every task
     finished; returns the ``out`` lists concatenated in shard order.  A
     single payload is the unpartitioned epoch and runs as a plain call.
@@ -629,11 +631,14 @@ class StatefulAggregateOp(IncrementalOp):
                   fn.batch_partials(expanded, codes, len(uniques)))
                  for fn, _ in aggs],
             ))
-        puts, removes, changes = {}, [], []
+        puts, removes, changes = [], [], []
         keys = {}  # first-seen order: the +1 part's groups, then -1-only
         for groups, _counts, _reducers in folds:
             keys.update(groups)
-        for key, stored in zip(keys, self.state.get_many(keys, shard)):
+        keys = list(keys)
+        encoded = [encode_key(key) for key in keys]
+        for key, enc, stored in zip(
+                keys, encoded, self.state.get_many(encoded, keys, shard)):
             live, old_buffers = self._unpack(stored)
             buffers = old_buffers if old_buffers is not None \
                 else [fn.init() for fn, _ in aggs]
@@ -656,9 +661,9 @@ class StatefulAggregateOp(IncrementalOp):
                     )
                 value = [live, buffers] if live else None
             if value is not None:
-                puts[key] = value
+                puts.append((enc, key, value))
             elif stored is not None:
-                removes.append(key)
+                removes.append((enc, key))
             changes.append(
                 (key, old_buffers, buffers if value is not None else None))
         return [(puts, removes)], changes, late_rows
@@ -802,7 +807,8 @@ class StreamingDedupOp(IncrementalOp):
         row_keys = [tuple(row[i] for i in subset_idx) for row in rows]
         # Pre-epoch state by distinct key; ``local``: a private copy.
         keys = list(dict.fromkeys(row_keys))
-        stored = dict(zip(keys, self.state.get_many(keys, shard)))
+        encoded = [encode_key(key) for key in keys]
+        stored = dict(zip(keys, self.state.get_many(encoded, keys, shard)))
         local = {
             key: ([[int(c), list(v)] for c, v in value[1]]
                   if value is not None else [])
@@ -845,13 +851,14 @@ class StreamingDedupOp(IncrementalOp):
                     emitted = list(new_rep)
                     emitted[weight_idx] = 1
                     emits.append((pos, emitted))
-        puts, removes = {}, []
-        for key, entries in local.items():
+        puts, removes = [], []
+        for key, enc in zip(keys, encoded):
+            entries = local[key]
             if not entries:
                 if stored[key] is not None:
-                    removes.append(key)
+                    removes.append((enc, key))
             else:
-                puts[key] = [sum(e[0] for e in entries), entries]
+                puts.append((enc, key, [sum(e[0] for e in entries), entries]))
         return [(puts, removes)], emits, 0
 
     def _dedup_shard(self, batch: RecordBatch, positions, watermark,
@@ -881,37 +888,59 @@ class StreamingDedupOp(IncrementalOp):
                 counts = np.bincount(codes, minlength=len(uniques))
                 late_rows = int(counts[late].sum())
                 live_codes = live_codes[~late]
-        puts = {}
+        puts = []
         emits = []
         live_codes = live_codes.tolist()
-        seen = self.state.get_many([uniques[g] for g in live_codes], shard)
-        for g, marker in zip(live_codes, seen):
-            key = uniques[g]
+        keys = [uniques[g] for g in live_codes]
+        encoded = [encode_key(key) for key in keys]
+        seen = self.state.get_many(encoded, keys, shard)
+        for g, key, enc, marker in zip(live_codes, keys, encoded, seen):
             if marker is None:
-                puts[key] = (
+                puts.append((enc, key, (
                     key[self._time_index] if self._time_index is not None else 1
-                )
+                )))
                 emits.append((int(positions[first_pos[g]]), None))
         return [(puts, ())], emits, late_rows
 
 
-def _consolidate(entries: list, weight_idx) -> list:
-    """A join side's entry list as the integral of its input Z-set.
+def _frozen(entries) -> tuple:
+    """A join side's stored value as a tuple of ``(row_values, matched)``
+    tuples, ``()`` for no state.  What the join writes already is one; a
+    value decoded from a checkpoint (JSON has only lists) is frozen the
+    first time a probe or an eviction reads it."""
+    if entries is None:
+        return ()
+    if type(entries) is tuple:
+        return entries
+    return tuple((tuple(values), matched) for values, matched in entries)
 
-    Entries are ``[row_values, matched]``; two entries are the same row
+
+def _flag_matched(entries: tuple, hits) -> tuple:
+    """``entries`` with the entries at positions ``hits`` marked matched:
+    a fresh tuple if any flag flips, else ``entries`` itself."""
+    if all(entries[i][1] for i in hits):
+        return entries
+    return tuple((e[0], True) if not e[1] and i in hits else e
+                 for i, e in enumerate(entries))
+
+
+def _consolidate(entries: tuple, weight_idx) -> tuple:
+    """A join side's entries as the integral of its input Z-set.
+
+    Entries are ``(row_values, matched)``; two entries are the same row
     when their values agree everywhere but the weight slot.  Weights
     add, a row netting to zero disappears, survivors keep first-seen
     order (a negative net multiplicity is legal and kept: the insert it
-    cancels may arrive in a later epoch).  Stored value lists are never
-    mutated — a merged row is a fresh list.  An unweighted side
-    (``weight_idx is None``) is returned as is.
+    cancels may arrive in a later epoch).  Entries are immutable: an
+    unchanged one is the same object, a merged row a fresh tuple.  An
+    unweighted side (``weight_idx is None``) is returned as is.
     """
     if weight_idx is None or len(entries) < 2:
         return entries
     net = {}
     for entry in entries:
         values = entry[0]
-        identity = tuple(values[:weight_idx] + values[weight_idx + 1:])
+        identity = values[:weight_idx] + values[weight_idx + 1:]
         try:
             slot = net.get(identity)
         except TypeError:  # a cell holding a list: fold it to a tuple
@@ -930,13 +959,12 @@ def _consolidate(entries: list, weight_idx) -> list:
             continue
         values = entry[0]
         if values[weight_idx] != weight:
-            values = list(values)
-            values[weight_idx] = weight
-            entry = [values, matched]
+            values = values[:weight_idx] + (weight,) + values[weight_idx + 1:]
+            entry = (values, matched)
         elif entry[1] != matched:
-            entry = [values, matched]
+            entry = (values, matched)
         out.append(entry)
-    return out
+    return tuple(out)
 
 
 class StreamStreamJoinOp(IncrementalOp):
@@ -960,6 +988,13 @@ class StreamStreamJoinOp(IncrementalOp):
     consolidated by row identity as they are written back, weights add,
     and a row whose weights sum to zero no longer exists — so state
     tracks the live rows, not the change history.
+
+    A side's state value for a key is immutable, like the integral it
+    stands for: a tuple of ``(row_values, matched)`` entries, row values
+    a tuple too.  A flipped flag or a merged row builds a new entry;
+    nothing stored is ever mutated.  Tuples of atomic values drop out of
+    the cyclic collector's passes, and JSON writes a tuple exactly as a
+    list, so the checkpoint bytes are those of the list form.
     """
 
     stateful = True
@@ -1023,22 +1058,23 @@ class StreamStreamJoinOp(IncrementalOp):
                 lambda _key, entries, i=rt, s=skew:
                 min(e[0][i] for e in entries) + s if entries else None)
 
-    # State entry per side: key -> list of [row_values, matched_flag].
-    def _rows_by_key(self, batch: RecordBatch, row_offsets=None) -> dict:
-        """Group the delta's rows (as value lists) by join key, in row
-        order — the only materialization this epoch performs.  Returns
-        ``key -> (first_row_index, [row_values, ...])``, keys in order of
-        their first row; indices come from ``row_offsets`` (global
-        positions of this sub-batch's rows) so sharded probes can be
-        merged back into global delta order.  Columnar: group codes, a
-        stable sort of row positions by code, rows materialized once in
-        that order — a key's rows are a slice."""
+    # State per side: key -> tuple of (row_values, matched) entries.
+    def _entries_by_key(self, batch: RecordBatch, row_offsets=None) -> dict:
+        """Group the delta's rows by join key, in row order, as unmatched
+        state entries — the only materialization this epoch performs.
+        Returns ``key -> (first_row_index, [(row_values, False), ...])``,
+        keys in order of their first row; indices come from
+        ``row_offsets`` (global positions of this sub-batch's rows) so
+        sharded probes can be merged back into global delta order.
+        Columnar: group codes, a stable sort of row positions by code,
+        entries built once in that order (``zip``'s tuples are the row
+        values) — a key's entries are a slice."""
         if batch.num_rows == 0:
             return {}
         codes, keys = encode_groups(
             [batch.columns[k] for k in self._node.on])
         order = np.argsort(codes, kind="stable")
-        rows = [list(row) for row in zip(
+        rows = [(values, False) for values in zip(
             *(batch.columns[n][order].tolist() for n in batch.schema.names))]
         ends = np.cumsum(np.bincount(codes, minlength=len(keys)))
         starts = np.concatenate(([0], ends[:-1]))
@@ -1054,12 +1090,16 @@ class StreamStreamJoinOp(IncrementalOp):
 
     def _drop_late_input(self, batch: RecordBatch, time_col: str,
                          watermark, ctx: EpochContext) -> RecordBatch:
-        """Drop input rows at or below their side's watermark: required
-        for eviction to be sound (an accepted row's time always exceeds
-        the watermark at acceptance)."""
-        if watermark is None or batch.num_rows == 0:
+        """Drop input rows at or below their side's watermark, and rows
+        with a null or NaN event time whatever the watermark (both count
+        as late): required for eviction to be sound.  An accepted row's
+        time always exceeds the watermark at acceptance; a row with no
+        time is outside every time bound, and its key's expiry would be
+        NaN, which never pops."""
+        if batch.num_rows == 0:
             return batch
-        keep = np.asarray(batch.columns[time_col], dtype=np.float64) > watermark
+        times = np.asarray(batch.columns[time_col], dtype=np.float64)
+        keep = ~np.isnan(times) if watermark is None else times > watermark
         if not keep.all():
             ctx.metrics["late_rows_dropped"] += int((~keep).sum())
             batch = batch.filter(keep)
@@ -1122,29 +1162,21 @@ class StreamStreamJoinOp(IncrementalOp):
 
         Probes the state store only for the distinct keys present in the
         deltas (per-epoch cost is O(delta + matches), not O(buffered
-        state)), reading pre-epoch entry lists and *copying* them before
-        appending rows or flipping matched flags — every write is
-        deferred into the returned writes, so a retried attempt of the
-        task reads the same immutable state.  A side is
-        written back only if it changed: it received rows, or (outer
-        joins) one of its matched flags flipped; a key whose every
-        buffered row cancelled is removed (the checkpoint records a
-        tombstone, not an empty list).  Returns ``(writes, chunks, 0)``
-        — writes for the left then the right handle, each chunk
-        ``((side, first_row_index), out_rows)`` for deterministic
-        merging.
+        state)), each key encoded once for both handles' reads and
+        writes.  Stored entries are immutable, so reading pre-epoch
+        state needs no copy, and every write is deferred into the
+        returned writes.  A side is written back only if it changed: it
+        received rows, or (outer joins) one of its matched flags
+        flipped; a key whose every buffered row cancelled is removed
+        (the checkpoint records a tombstone, not an empty list).
+        Returns ``(writes, chunks, 0)`` — writes for the left then the
+        right handle, each chunk ``((side, first_row_index), out_rows)``
+        for deterministic merging.
         """
-        left_by_key = self._rows_by_key(new_left, left_offsets)
-        right_by_key = self._rows_by_key(new_right, right_offsets)
+        left_by_key = self._entries_by_key(new_left, left_offsets)
+        right_by_key = self._entries_by_key(new_right, right_offsets)
         track = self._track_matched
-        left, right, chunks = ({}, []), ({}, []), []
-
-        def write_back(side, key, entries):
-            if entries:
-                side[0][key] = entries
-            else:
-                side[1].append(key)
-
+        left, right, chunks = ([], []), ([], []), []
         probe = [(key, (0, first)) for key, (first, _rows)
                  in left_by_key.items()]
         probe.extend(
@@ -1152,70 +1184,69 @@ class StreamStreamJoinOp(IncrementalOp):
             in right_by_key.items() if key not in left_by_key
         )
         keys = [key for key, _token in probe]
-        for (key, token), stored_l, stored_r in zip(
-                probe, self._left_state.get_many(keys, shard),
-                self._right_state.get_many(keys, shard)):
+        encoded = [encode_key(key) for key in keys]
+        for (key, token), enc, stored_l, stored_r in zip(
+                probe, encoded,
+                self._left_state.get_many(encoded, keys, shard),
+                self._right_state.get_many(encoded, keys, shard)):
             nl = left_by_key.get(key)
             nr = right_by_key.get(key)
-            stored_l, stored_r = stored_l or [], stored_r or []
-            if track:
-                l_entries = [[e[0], e[1]] for e in stored_l]
-                r_entries = [[e[0], e[1]] for e in stored_r]
-                flags_before = (sum(e[1] for e in l_entries),
-                                sum(e[1] for e in r_entries))
-            else:
-                l_entries = list(stored_l)
-                r_entries = list(stored_r)
-            # Add new rows first so matched flags land on them.
-            bl = len(l_entries)
-            br = len(r_entries)
-            if nl:
-                l_entries.extend([row, False] for row in nl[1])
-            if nr:
-                r_entries.extend([row, False] for row in nr[1])
+            stored_l, stored_r = _frozen(stored_l), _frozen(stored_r)
+            # New rows go after the buffered ones, at bl / br onwards.
+            bl, br = len(stored_l), len(stored_r)
+            l_entries = (*stored_l, *nl[1]) if nl else stored_l
+            r_entries = (*stored_r, *nr[1]) if nr else stored_r
             out_rows = []
             if l_entries and r_entries and not is_null_key(key):
+                hits = (set(), set()) if track else None
                 # new-left x (buffered + new right), then buffered-left x
                 # new-right: together every pair exactly once.
-                self._join_pairs(
-                    l_entries[bl:], r_entries, out_rows, lt_idx, rt_idx,
-                    skew, self._rest_idx, self._pair_weight, track)
-                self._join_pairs(
-                    l_entries[:bl], r_entries[br:], out_rows, lt_idx, rt_idx,
-                    skew, self._rest_idx, self._pair_weight, track)
+                if nl:
+                    self._join_pairs(
+                        l_entries, range(bl, len(l_entries)),
+                        r_entries, range(len(r_entries)),
+                        out_rows, lt_idx, rt_idx, skew, hits)
+                if nr and bl:
+                    self._join_pairs(
+                        l_entries, range(bl),
+                        r_entries, range(br, len(r_entries)),
+                        out_rows, lt_idx, rt_idx, skew, hits)
+                if track:
+                    l_entries = _flag_matched(l_entries, hits[0])
+                    r_entries = _flag_matched(r_entries, hits[1])
             if nl:
                 l_entries = _consolidate(l_entries, self._left_weight)
-                if l_entries != stored_l:  # an update may change nothing
-                    write_back(left, key, l_entries)
-            elif track and sum(e[1] for e in l_entries) != flags_before[0]:
-                left[0][key] = l_entries
             if nr:
                 r_entries = _consolidate(r_entries, self._right_weight)
-                if r_entries != stored_r:
-                    write_back(right, key, r_entries)
-            elif track and sum(e[1] for e in r_entries) != flags_before[1]:
-                right[0][key] = r_entries
+            for (puts, removes), entries, stored in (
+                    (left, l_entries, stored_l), (right, r_entries, stored_r)):
+                if entries != stored:  # an update may change nothing
+                    if entries:
+                        puts.append((enc, key, entries))
+                    else:
+                        removes.append((enc, key))
             if out_rows:
                 chunks.append((token, out_rows))
         return [left, right], chunks, 0
 
-    @staticmethod
-    def _join_pairs(l_entries, r_entries, out_rows, lt_idx, rt_idx, skew,
-                    rest_idx, pair_weight=None, track=True) -> None:
-        """Emit the cross product of two entry lists (within the time
-        bound), flipping matched flags by entry identity when ``track``.
-        With ``pair_weight = (left_idx, right_idx, slot)`` a pair's
-        weight is the product of the two sides' multiplicities, emitted
-        as that many unit rows: weights stay in {-1, +1} downstream even
-        though consolidated state may hold a row of multiplicity 2."""
-        for l_entry in l_entries:
-            l_values = l_entry[0]
-            for r_entry in r_entries:
-                r_values = r_entry[0]
+    def _join_pairs(self, l_entries, l_positions, r_entries, r_positions,
+                    out_rows, lt_idx, rt_idx, skew, hits) -> None:
+        """Emit the cross product of the entries at ``l_positions`` and
+        ``r_positions`` (within the time bound) as value lists.  With
+        ``hits = (left, right)`` sets (outer joins) the positions that
+        matched are added to them.  A weighted pair's weight is the
+        product of the two sides' multiplicities, emitted as that many
+        unit rows: weights stay in {-1, +1} downstream even though
+        consolidated state may hold a row of multiplicity 2."""
+        rest_idx, pair_weight = self._rest_idx, self._pair_weight
+        for i in l_positions:
+            l_values = l_entries[i][0]
+            for j in r_positions:
+                r_values = r_entries[j][0]
                 if skew is not None and \
                         abs(l_values[lt_idx] - r_values[rt_idx]) > skew:
                     continue
-                row = l_values + [r_values[j] for j in rest_idx]
+                row = [*l_values, *[r_values[k] for k in rest_idx]]
                 out_rows.append(row)
                 if pair_weight is not None:
                     lw_idx, rw_idx, slot = pair_weight
@@ -1225,9 +1256,9 @@ class StreamStreamJoinOp(IncrementalOp):
                     row[slot] = 1 if weight > 0 else -1
                     for _ in range(abs(weight) - 1):
                         out_rows.append(list(row))
-                if track:
-                    l_entry[1] = True
-                    r_entry[1] = True
+                if hits is not None:
+                    hits[0].add(i)
+                    hits[1].add(j)
 
     def _matched_batch(self, out_rows: list) -> RecordBatch:
         """Build the matched-pair batch (inner schema) from value lists."""
@@ -1293,14 +1324,15 @@ class StreamStreamJoinOp(IncrementalOp):
             unmatched_rows = []
             for key, entries in state.pop_expired(other_watermark):
                 keep = []
-                for values, matched in entries:
+                for entry in _frozen(entries):
+                    values, matched = entry
                     if values[time_index] + skew <= other_watermark:
                         if not matched and emits_outer:
                             unmatched_rows.append(values)
                     else:
-                        keep.append([values, matched])
+                        keep.append(entry)
                 if keep:
-                    state.put(key, keep)
+                    state.put(key, tuple(keep))
                 else:
                     state.remove(key)
             if unmatched_rows:

@@ -190,10 +190,12 @@ class OperatorStateHandle:
     delta-proportionality the paper claims in §5.2/§6.1), and nothing is
     kept per key beside the key's entry in its shard:
 
-    * a key is encoded on each access by :func:`encode_key` (no cache),
-      and a shard task names the shard it owns — ``get_many(keys,
-      shard)`` / ``apply(puts, removes, shard)`` — so a sharded handle
-      hashes a key when it first enters a shard, not on every access;
+    * a key is encoded on each access by :func:`encode_key` (no cache);
+      a shard task encodes each of its keys once and passes the strings
+      to both batch calls — ``get_many(encoded, keys, shard)`` /
+      ``apply(puts, removes, shard)`` — naming the shard it owns, so a
+      sharded handle hashes a key when it first enters a shard, not on
+      every access;
     * per-shard **expiry indexes** (min-heaps with lazy invalidation,
       maintained on ``put``/``remove``) let watermark-gated operators
       pop only finalized keys instead of scanning the full store; they
@@ -254,17 +256,26 @@ class OperatorStateHandle:
             metrics._registry.counter(shard.gets_metric).inc()
         return self._read(shard, encoded, default)
 
-    def get_many(self, keys, shard: int = None) -> list:
-        """Values for ``keys`` in order, None where a key has no state.
-        ``shard``: the index of the shard a task of a ``state_aligned``
-        operator knows all its keys live in; naming it saves the hashes
-        (a key of another shard reads as absent)."""
+    def get_many(self, encoded, keys, shard: int = None) -> list:
+        """Values in order for the keys whose :func:`encode_key` strings
+        are ``encoded``, None where a key has no state.  ``shard``: the
+        index of the shard a task of a ``state_aligned`` operator knows
+        all its keys live in; naming it saves the hashes (a key of
+        another shard reads as absent).  ``keys``, the decoded keys
+        beside ``encoded``, are read only to route each key by its hash
+        when a sharded handle is given no shard."""
+        read = self._read
         if shard is None and self.num_shards > 1:
-            return [self.get(key) for key in keys]
-        owned, read = self._shards[shard or 0], self._read
+            shards, route = self._shards, self.shard_index
+            located = [shards[route(key)] for key in keys]
+            if metrics._registry is not None:
+                for owner in located:
+                    metrics._registry.counter(owner.gets_metric).inc()
+            return [read(owner, e) for owner, e in zip(located, encoded)]
+        owned = self._shards[shard or 0]
         if metrics._registry is not None:
-            metrics._registry.counter(owned.gets_metric).inc(len(keys))
-        return [read(owned, encode_key(key)) for key in keys]
+            metrics._registry.counter(owned.gets_metric).inc(len(encoded))
+        return [read(owned, e) for e in encoded]
 
     def contains(self, key) -> bool:
         """True if the key has state."""
@@ -278,25 +289,27 @@ class OperatorStateHandle:
         """Delete a key's state."""
         self._remove(*self._locate(key))
 
-    def apply(self, puts: dict, removes, shard: int = None) -> None:
-        """Apply one shard task's deferred writes: puts, then removes.
+    def apply(self, puts, removes, shard: int = None) -> None:
+        """Apply one shard task's deferred writes: ``puts`` as
+        ``(encoded, key, value)`` triples, then ``removes`` as
+        ``(encoded, key)`` pairs, ``encoded`` being :func:`encode_key`
+        of ``key`` (the decoded key feeds the expiry index and routing).
         Under ``shard`` (see :meth:`get_many`) only a key new to that
         shard is hashed, and one that routes elsewhere raises rather
         than start a second life where no restore would look for it."""
         if shard is None and self.num_shards > 1:
-            for key, value in puts.items():
-                self.put(key, value)
-            for key in removes:
-                self.remove(key)
+            shards, route = self._shards, self.shard_index
+            for encoded, key, value in puts:
+                self._put(shards[route(key)], encoded, key, value)
+            for encoded, key in removes:
+                self._remove(shards[route(key)], encoded)
             return
         owned, check = self._shards[shard or 0], self.num_shards > 1
-        for key, value in puts.items():
-            encoded = encode_key(key)
+        for encoded, key, value in puts:
             if check and encoded not in owned.data:
                 self._check_owner(key, shard)
             self._put(owned, encoded, key, value)
-        for key in removes:
-            encoded = encode_key(key)
+        for encoded, key in removes:
             if check and encoded not in owned.data:
                 self._check_owner(key, shard)
             self._remove(owned, encoded)

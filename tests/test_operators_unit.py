@@ -10,7 +10,7 @@ from repro.sql import logical as L
 from repro.sql.batch import RecordBatch
 from repro.sql.types import StructType
 from repro.streaming import operators as ops
-from repro.streaming.state import OperatorStateHandle
+from repro.streaming.state import OperatorStateHandle, encode_key
 from repro.streaming.watermark import WatermarkTracker
 
 SCHEMA = StructType((("k", "string"), ("t", "timestamp"), ("v", "double")))
@@ -162,6 +162,10 @@ class TestStatefulAggregateBranches:
         assert handle.commit(1)["keys_written"] == 0
         [(puts, removes)], changes, late_rows = first_call
         assert late_rows == 0
+        # Writes carry each key encoded once, beside the decoded key.
+        assert all(enc == encode_key(key) for enc, key, *_ in puts + removes)
+        puts = {key: value for _enc, key, value in puts}
+        removes = [key for _enc, key in removes]
         assert [c[0] for c in changes] == [("a",), ("b",)]
         if weighted:
             # [live, buffers]; 'b' went empty and leaves state.

@@ -30,7 +30,7 @@ from repro.sql.batch import (
     stable_hash_value,
 )
 from repro.sql.types import StructType
-from repro.streaming.state import OperatorStateHandle
+from repro.streaming.state import OperatorStateHandle, encode_key
 
 from tests.conftest import make_stream, rows_set, start_memory_query
 from tests.test_checkpoint_format import read_state_files
@@ -391,22 +391,23 @@ class TestShardOwnedAccess:
         make = TieredOperatorStateHandle if tiered else OperatorStateHandle
         handle = make(str(tmp_path / "h"), num_shards=4)
         key = ("k7", 1)
+        enc = encode_key(key)
         own = handle.shard_index(key)
         other = (own + 1) % 4
-        handle.apply({key: "v1"}, [], shard=own)
-        for attempt in ({key: "v2"}, []), ({}, [key]):
+        handle.apply([(enc, key, "v1")], [], shard=own)
+        for attempt in ([(enc, key, "v2")], []), ([], [(enc, key)]):
             with pytest.raises(ValueError, match="belongs to shard"):
                 handle.apply(*attempt, shard=other)
         # One life, in the shard its hash routes to — where a restore
         # (which re-routes every key) will look for it.
         assert len(handle) == 1 and handle.get(key) == "v1"
-        assert handle.get_many([key], shard=own) == ["v1"]
-        assert handle.get_many([key], shard=other) == [None]
-        assert handle.get_many([key]) == ["v1"]
+        assert handle.get_many([enc], [key], shard=own) == ["v1"]
+        assert handle.get_many([enc], [key], shard=other) == [None]
+        assert handle.get_many([enc], [key]) == ["v1"]
         # An update of a key the shard already holds is not re-hashed.
         handle.shard_index = None
-        handle.apply({key: "v3"}, [], shard=own)
-        assert handle.get_many([key], shard=own) == ["v3"]
+        handle.apply([(enc, key, "v3")], [], shard=own)
+        assert handle.get_many([enc], [key], shard=own) == ["v3"]
         handle.close()
 
     def test_aligned_operator_applies_under_the_task_shard(self, tmp_path):
@@ -420,7 +421,7 @@ class TestShardOwnedAccess:
         real_apply = Handle.apply
 
         def apply(self, puts, removes, shard=None):
-            seen.append((shard, [self.shard_index(k) for k in puts]))
+            seen.append((shard, [self.shard_index(k) for _, k, _ in puts]))
             real_apply(self, puts, removes, shard)
 
         stream = make_stream((("k", "string"), ("t", "double")))

@@ -10,23 +10,29 @@ Three properties of the default state path, each pinned here:
   amplification stays ≤ 2 and the chain's file count is bounded;
 * every state file is one record-framed stream whose trailer lets a
   torn newest file be recognised and quarantined.
+
+A join side's in-memory state is immutable tuples, which the collector
+stops tracking and JSON writes exactly as the lists a restore decodes;
+the boundary between the two is pinned here too.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.observability import metrics
 from repro.sources import ChangeStream
 from repro.sql.session import Session
 from repro.sql.types import StructType
-from repro.streaming import statefile
-from repro.streaming.operators import _consolidate
+from repro.streaming import operators, statefile
+from repro.streaming.operators import StreamStreamJoinOp, _consolidate
 from repro.streaming.state import MIN_FILE_WEIGHT, OperatorStateHandle
 from repro.streaming.state_lsm import TieredOperatorStateHandle
 from repro.testing.oracle import batch_recompute, canonical_rows
@@ -136,18 +142,18 @@ def test_join_state_is_the_integral_of_its_input(tmp_path_factory, history,
 
 
 def test_consolidate_nets_weights_and_keeps_negatives():
-    stored = [[["a", 1, 1], False], [["a", 2, 1], False]]
-    frozen = json.dumps(stored)
-    entries = stored + [[["a", 1, -1], False], [["a", 1, 1], False],
-                        [["a", 2, 1], False], [["a", 3, -1], False]]
+    # Entries are immutable ``(row_values, matched)`` tuples.
+    stored = ((("a", 1, 1), False), (("a", 2, 1), False))
+    entries = stored + ((("a", 1, -1), False), (("a", 1, 1), False),
+                        (("a", 2, 1), False), (("a", 3, -1), False))
     out = _consolidate(entries, 2)
-    # a/1: +1 -1 +1 = 1 (the stored list object survives untouched);
-    # a/2: multiplicity 2; a/3: a delete ahead of its insert stays.
-    assert out == [[["a", 1, 1], False], [["a", 2, 2], False],
-                   [["a", 3, -1], False]]
+    # a/1: +1 -1 +1 = 1 (the stored entry object survives as is);
+    # a/2: multiplicity 2, a fresh entry; a/3: a delete ahead of its
+    # insert stays.
+    assert out == ((("a", 1, 1), False), (("a", 2, 2), False),
+                   (("a", 3, -1), False))
     assert out[0] is stored[0]
-    assert json.dumps(stored) == frozen, "stored state was mutated"
-    assert _consolidate([[["x", 1], False], [["x", -1], False]], 1) == []
+    assert _consolidate(((("x", 1), False), (("x", -1), False)), 1) == ()
     # The append-only path is untouched: same object back.
     assert _consolidate(entries, None) is entries
 
@@ -228,6 +234,193 @@ def test_state_rows_gauge_and_event(tmp_path):
     # Two join keys' worth of state, three buffered rows.
     assert (progress.state_keys, progress.state_rows) == (2, 3)
     assert progress.to_json()["stateRows"] == 3
+
+
+# ----------------------------------------------------------------------
+# Immutable join state: restored lists vs written tuples, GC, footprint
+# ----------------------------------------------------------------------
+def _state_tree(checkpoint) -> dict:
+    """Every file under a checkpoint's ``state/``, runs included."""
+    root = os.path.join(checkpoint, "state")
+    found = {}
+    for directory, _dirs, names in os.walk(root):
+        for name in names:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as f:
+                found[os.path.relpath(path, root)] = f.read()
+    return found
+
+
+def _records_written_at(tree: dict, operator: str, version: int) -> list:
+    """Record lines ``operator`` wrote for ``version``: its delta file's
+    (dict backend), or the runs its manifest added (tiered)."""
+    prefix = f"{operator}/{version:010d}."
+    if prefix + "delta.jsonl" in tree:
+        files = [tree[prefix + "delta.jsonl"]]
+    else:
+        def runs(v):
+            doc = json.loads(tree[f"{operator}/{v:010d}.manifest.json"])
+            return {run["seq"] for run in doc["runs"]}
+        files = [tree[f"{operator}/runs/{seq:08d}.run"]
+                 for seq in sorted(runs(version) - runs(version - 1))]
+    return [line for data in files for line in data.splitlines()[1:-1]]
+
+
+RESTORE_EPOCHS = [
+    lambda left, right: (left.insert([{"k": "a", "v": 1}, {"k": "b", "v": 2}]),
+                         right.insert([{"k": "a", "w": 7}])),
+    lambda left, right: left.insert([{"k": "a", "v": 3}]),
+    lambda left, right: right.insert([{"k": "b", "w": 8}]),
+    # Epoch 3, first after the restart: a -1/+1 pair of one stored row
+    # nets key "a" back to the entries it already has.
+    lambda left, right: left.update([{"k": "a", "v": 1}], [{"k": "a", "v": 1}]),
+    lambda left, right: right.insert([{"k": "a", "w": 9}]),
+]
+
+
+@pytest.mark.parametrize("backend", ["dict", "tiered"])
+@pytest.mark.parametrize("shards", [1, 4])
+def test_restored_join_state_nets_to_no_write(tmp_path, backend, shards):
+    """Restored state holds the lists JSON decodes to, state the join
+    wrote holds tuples: an epoch that nets a restored key back to its
+    entries writes no record for it, and the restarted run's checkpoint
+    bytes equal an uninterrupted run's."""
+    trees, outputs = [], []
+    for restart_at in (None, 3):
+        checkpoint = str(tmp_path / f"restart-{restart_at}")
+        left = ChangeStream(StructType(LEFT))
+        right = ChangeStream(StructType(RIGHT))
+
+        def start(sink=None):
+            session = Session()
+            joined = session.read_stream.cdc(left).join(
+                session.read_stream.cdc(right), on="k")
+            writer = (joined.write_stream.output_mode("retract")
+                      .option("state_backend", backend)
+                      .option("state_memtable_bytes", 2048)
+                      .option("num_shards", shards))
+            writer = (writer.sink(sink) if sink is not None
+                      else writer.format("memory").query_name("boundary"))
+            return writer.start(checkpoint)
+
+        query = start()
+        sink = query.engine.sink
+        for epoch, step in enumerate(RESTORE_EPOCHS):
+            if epoch == restart_at:
+                query.stop()
+                query = start(sink)
+            step(left, right)
+            query.process_all_available()
+            if epoch == restart_at:
+                join = next(op for op in query.engine.plan.stateful_ops
+                            if isinstance(op, StreamStreamJoinOp))
+                # The boundary is real: "a" was read back as lists.
+                assert type(join._left_state.get(("a",))) is list
+        query.stop()
+        tree = _state_tree(checkpoint)
+        assert _records_written_at(tree, "join-left-0", 3) == []
+        trees.append(tree)
+        outputs.append(sink.rows())
+    assert trees[0] == trees[1]
+    assert outputs[0] == outputs[1]
+
+
+def _start_join(source: str, how: str, checkpoint: str):
+    """``(left, right, add, query)``: a dict-backend stream–stream join
+    over append (``MemoryStream``, watermarked, ``within``-bounded) or
+    CDC input; ``add`` names the streams' append method."""
+    from tests.conftest import make_stream, start_memory_query
+
+    left_fields = (("k", "long"), ("t", "double"), ("v", "long"))
+    right_fields = (("k", "long"), ("t2", "double"), ("w", "long"))
+    session = Session()
+    if source == "cdc":
+        left = ChangeStream(StructType(left_fields))
+        right = ChangeStream(StructType(right_fields))
+        df = session.read_stream.cdc(left).join(
+            session.read_stream.cdc(right), on="k", how=how)
+        query = (df.write_stream.format("memory").query_name("gc-cdc")
+                 .output_mode("retract").option("state_backend", "dict")
+                 .start(checkpoint))
+        return left, right, "insert", query
+    left, right = make_stream(left_fields), make_stream(right_fields)
+    df = (session.read_stream.memory(left).with_watermark("t", "100s")
+          .join(session.read_stream.memory(right).with_watermark("t2", "100s"),
+                on="k", how=how, within=("t", "t2", "50s")))
+    query = start_memory_query(df, "append", f"gc-{how}", checkpoint,
+                               state_backend="dict")
+    return left, right, "add_data", query
+
+
+class TestJoinStateFootprint:
+    # Outer joins over CDC input are rejected by the analyzer.
+    @pytest.mark.parametrize("source, how", [
+        ("append", "inner"), ("append", "left_outer"), ("cdc", "inner")])
+    def test_stored_join_values_are_not_gc_tracked(self, tmp_path, source,
+                                                   how):
+        """Tuples of atomic values leave the collector's passes: after
+        collection no stored join value is tracked, flags flipped or not.
+        A pass untracks a tuple once its items are untracked but visits
+        a container before its contents, so each pass peels one level:
+        row values, then entries, then a key's tuple of entries."""
+        left, right, add, query = _start_join(source, how,
+                                              str(tmp_path / "ckpt"))
+        epochs = [
+            ([{"k": 1, "t": 1.0, "v": 10}, {"k": 2, "t": 2.0, "v": 20}], []),
+            ([], [{"k": 1, "t2": 1.5, "w": 7}]),
+            ([{"k": 1, "t": 3.0, "v": 11}], [{"k": 3, "t2": 3.0, "w": 9}]),
+        ]
+        for left_rows, right_rows in epochs:
+            for stream, rows in ((left, left_rows), (right, right_rows)):
+                if rows:
+                    getattr(stream, add)(rows)
+            query.process_all_available()
+        join = next(op for op in query.engine.plan.stateful_ops
+                    if isinstance(op, StreamStreamJoinOp))
+        for _level in range(3):
+            gc.collect()
+        values = [value for state in (join._left_state, join._right_state)
+                  for _key, value in state.items()]
+        flags = [matched for value in values for _values, matched in value]
+        query.stop()
+        assert len(values) == 4 and len(flags) == 5
+        assert [v for v in values if gc.is_tracked(v)] == []
+        # The outer join flipped flags (new entries), the inner ones not.
+        assert any(flags) == (how == "left_outer")
+
+    def test_buffered_cdc_rows_retain_little(self, tmp_path):
+        """20 000 buffered three-``long`` CDC rows, two per key: measured
+        252 B a row under ``operators.py`` (the ints, a values tuple, an
+        entry tuple and a share of the key's tuple); the list form held
+        316."""
+        rows = 20_000
+        orders = ChangeStream(StructType((
+            ("order_id", "long"), ("cust", "long"), ("amount", "long"))))
+        customers = ChangeStream(StructType((("cust", "long"),
+                                             ("region", "long"))))
+        session = Session()
+        df = session.read_stream.cdc(orders).join(
+            session.read_stream.cdc(customers), on="cust")
+        query = (df.write_stream.format("memory").query_name("footprint")
+                 .output_mode("retract").option("state_backend", "dict")
+                 .option("num_shards", 1).start(str(tmp_path / "ckpt")))
+        load = [{"order_id": 10**6 + i, "cust": 10**5 + i // 2,
+                 "amount": 1000 + i} for i in range(rows)]
+        orders.insert(load[:10])          # first epoch: plan warm-up
+        query.process_all_available()
+        tracemalloc.start()
+        try:
+            orders.insert(load[10:])
+            query.process_all_available()
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, operators.__file__)])
+        finally:
+            tracemalloc.stop()
+        assert query.engine.state_store.total_rows() == rows
+        query.stop()
+        held = sum(stat.size for stat in snapshot.statistics("filename"))
+        assert held / (rows - 10) <= 270
 
 
 # ----------------------------------------------------------------------
@@ -392,6 +585,58 @@ def test_framed_reader_is_chunking_invariant(values, chunk):
     assert list(statefile.read_records(pieces)) == records
     with pytest.raises(ValueError):
         list(statefile.read_records([data[:writer.records_end]]))
+
+
+def _file_text(value, version=1) -> str:
+    """One state file holding ``value`` under key ``[1]``."""
+    return "".join(statefile.StateFileWriter("delta", version)
+                   .chunks([("[1]", value)]))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=4), children,
+                                        max_size=4)),
+    max_leaves=12)
+
+
+@given(value=json_values)
+@example(value=[-0.0, 1e16, 2 ** 70, -(2 ** 64), float("nan"), float("inf"),
+                float("-inf"), "é€\U0001f600\x00", ((1, [2.5]), False),
+                {"b": 1, "a": (2, ["ü"]), "": None}])
+def test_file_encoder_line_equals_encode(value):
+    """Each file binds its C encoder once; its lines are byte for byte
+    :func:`statefile.encode`'s (``sort_keys``, ASCII, NaN/Infinity, a
+    tuple as a list)."""
+    lines = _file_text(value).splitlines()
+    assert lines[1] == statefile.encode(["[1]", value])
+    assert lines[1].isascii()
+
+
+def test_file_encoder_without_the_c_encoder(monkeypatch):
+    value = {"z": [1, (2.5, None)], "a": "é", "n": float("nan")}
+    expected = _file_text(value)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert statefile._file_encoder() is statefile.encode
+    assert _file_text(value) == expected
+
+
+def test_file_encoder_checks_cycles_and_starts_clean_per_file():
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular reference"):
+        _file_text(loop)
+    # A TypeError part-way through a file leaves the failed value's
+    # marker in that file's encoder; the next file's encoder is fresh,
+    # so the same (now encodable) list is not mistaken for a cycle.
+    value = [[object()]]
+    with pytest.raises(TypeError):
+        _file_text(value, 2)
+    value[0] = [1]
+    assert _file_text(value, 3).splitlines()[1] == '["[1]",[[1]]]'
 
 
 # ----------------------------------------------------------------------

@@ -196,6 +196,44 @@ class TestTimeIntervalSemantics:
         assert by_l == {"a": "x", "b": None}
 
 
+class TestNullEventTime:
+    """A row whose event time is null is outside every ``within`` bound:
+    it is dropped as late whatever the watermark — also before the first
+    one — instead of matching every row of its key and staying in state
+    forever (its expiry would be NaN, which never pops)."""
+
+    @pytest.mark.parametrize("how", ["inner", "left_outer"])
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_null_time_row_is_dropped_before_any_watermark(
+            self, session, tmp_path, how, shards):
+        from repro.streaming.operators import StreamStreamJoinOp
+
+        ls, rs, df = two_stream_join(session, how=how, delay="5s",
+                                     within_skew="5s")
+        query = start_memory_query(df, "append", "nulltime",
+                                   str(tmp_path / "cp"), num_shards=shards)
+        ls.add_data([{"k": 1, "t": None, "l": "no-time"},
+                     {"k": 2, "t": 1.0, "l": "timed"}])
+        # Two rows survive the drop, so 4 shards really partition.
+        rs.add_data([{"k": 9, "t2": 1.0, "r": "other"}])
+        dropped = [p.late_rows_dropped for p in query.process_all_available()]
+        for t2 in (100.0, 200.0, 300.0):
+            rs.add_data([{"k": 1, "t2": t2, "r": "y"}])
+            query.process_all_available()
+        join = next(op for op in query.engine.plan.stateful_ops
+                    if isinstance(op, StreamStreamJoinOp))
+        left_keys = list(join._left_state.keys())
+        rows = query.engine.sink.rows()
+        query.stop()
+        assert dropped == [1]
+        assert [r for r in rows if r["l"] == "no-time"] == []
+        assert (1,) not in left_keys
+        if how == "left_outer":
+            # The timed row still meets the ordinary outer-join fate.
+            assert [r for r in rows if r["l"] == "timed"] == [
+                {"k": 2, "t": 1.0, "l": "timed", "t2": None, "r": None}]
+
+
 class TestJoinEquivalenceWithBatch:
     def test_inner_join_matches_batch_result(self, session):
         left_rows = [{"k": i % 3, "t": float(i), "l": f"l{i}"} for i in range(6)]

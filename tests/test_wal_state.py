@@ -279,7 +279,8 @@ class TestExpiryIndex:
             handle = make(directory, 2)
             handle.put(1, "int")
             handle.put(1.0, "float")
-            handle.apply({True: "bool", (1,): "int-tuple"}, [])
+            handle.apply([(encode_key(k), k, v) for k, v in (
+                (True, "bool"), ((1,), "int-tuple"))], [])
             handle.put((1.0,), "float-tuple")
             restored = make(directory, 2)
             handle.commit(0)
@@ -288,7 +289,8 @@ class TestExpiryIndex:
                 assert view.get(1) == "int"
                 assert view.get(1.0) == "float"
                 assert view.get(True) == "bool"
-                assert view.get_many([(1,), (1.0,), (True,)]) == [
+                keys = [(1,), (1.0,), (True,)]
+                assert view.get_many(list(map(encode_key, keys)), keys) == [
                     "int-tuple", "float-tuple", None]
                 assert len(view) == 5
                 assert {type(k): v for k, v in view.items()
@@ -375,5 +377,6 @@ class TestKeyMemory:
         assert not any(shard.data or shard.dirty or shard.expiry
                        for shard in handle._shards)
         assert per_key <= 32
-        assert handle.get_many([(100_000,), (5,)]) == [1, None]
+        keys = [(100_000,), (5,)]
+        assert handle.get_many(list(map(encode_key, keys)), keys) == [1, None]
         handle.close()

@@ -9,9 +9,11 @@ Runs a ``bench/drivers.py`` workload under ``tracemalloc`` and prints
 the bytes still live at the end of set-up and at the end of the timed
 window, charged to the innermost ``src/repro`` module on each
 allocation's stack (``bench/`` frames count as the harness, the rest as
-``other``), then the ``--lines`` largest ``src/repro`` lines at the end
-of the window.  ``--root`` points at another checkout — a copy of the
-parent commit — so a memory claim is two runs of this one instrument.
+``other``), the number of objects the cyclic collector tracks (what each
+of its full passes walks) at both points, then the ``--lines`` largest
+``src/repro`` lines at the end of the window.  ``--root`` points at
+another checkout — a copy of the parent commit — so a memory claim is
+two runs of this one instrument.
 
 ``bench/`` is imported, never edited.  ``tracemalloc`` slows the run
 several times over and adds its own bookkeeping to the process: read
@@ -22,6 +24,7 @@ for how much.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import shutil
 import sys
@@ -84,8 +87,10 @@ def main(argv=None) -> int:
     try:
         workload.setup()
         after_setup, _ = charge(tracemalloc.take_snapshot(), root)
+        tracked = [len(gc.get_objects())]
         workload.measure()
         after_window, lines = charge(tracemalloc.take_snapshot(), root)
+        tracked.append(len(gc.get_objects()))
     finally:
         tracemalloc.stop()
         workload.teardown()
@@ -101,6 +106,7 @@ def main(argv=None) -> int:
               f"{after_window[layer] * mb:>15.1f}")
     print(f"{'total':40s}{sum(after_setup.values()) * mb:>15.1f}"
           f"{sum(after_window.values()) * mb:>15.1f}")
+    print(f"{'GC-tracked objects':40s}{tracked[0]:>15,d}{tracked[1]:>15,d}")
     print("\nlargest src/repro lines at end of window")
     for line in sorted(lines, key=lines.get, reverse=True)[:args.lines]:
         print(f"{line:40s}{lines[line] * mb:>30.1f}")
