@@ -46,11 +46,6 @@ class FileStreamSource(Source):
             rows.extend(read_jsonl(os.path.join(self._directory, name)))
         return RecordBatch.from_rows(rows, schema or self.schema)
 
-    def get_batch(self, start: dict, end: dict, schema: StructType = None) -> RecordBatch:
-        return self.get_partition_batch(
-            PARTITION, start.get(PARTITION, 0), end[PARTITION], schema
-        )
-
 
 class FileSourceDescriptor(SourceDescriptor):
     """Recipe for watching a directory of JSON-lines files."""

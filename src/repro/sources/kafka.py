@@ -47,19 +47,6 @@ class KafkaSource(Source):
             return RecordBatch.from_rows(rows, schema)
         return tp.read_columnar(start, end, schema)
 
-    def get_batch(self, start: dict, end: dict, schema: StructType = None) -> RecordBatch:
-        schema = schema or self.schema
-        batches = []
-        for partition in sorted(end):
-            lo = start.get(partition, 0)
-            hi = end[partition]
-            if hi > lo:
-                batches.append(
-                    self.get_partition_batch(partition, lo, hi, schema))
-        if not batches:
-            return RecordBatch.empty(schema)
-        return RecordBatch.concat(batches, schema)
-
     def commit(self, end: dict) -> None:
         """No-op: retention is managed by the broker, as with real Kafka."""
 

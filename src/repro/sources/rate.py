@@ -39,16 +39,12 @@ class RateSource(Source):
         elapsed = self._clock() - self._start
         return {PARTITION: int(elapsed * self._rate)}
 
-    def get_partition_batch(self, partition: str, start: int, end: int) -> RecordBatch:
+    def get_partition_batch(self, partition: str, start: int, end: int,
+                            schema: StructType = None) -> RecordBatch:
         values = np.arange(start, end, dtype=np.int64)
         timestamps = self._start + values / self._rate
-        return RecordBatch.from_columns(
+        batch = RecordBatch.from_columns(
             self.schema, timestamp=timestamps, value=values
-        )
-
-    def get_batch(self, start: dict, end: dict, schema: StructType = None) -> RecordBatch:
-        batch = self.get_partition_batch(
-            PARTITION, start.get(PARTITION, 0), end[PARTITION]
         )
         return batch if schema is None else batch.select(schema.names)
 

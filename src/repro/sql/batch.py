@@ -21,6 +21,30 @@ import numpy as np
 
 from repro.sql.types import DataType, DoubleType, StructType
 
+#: A boolean mask keeping at most this share of its rows is applied to
+#: two or more arrays as one ``np.flatnonzero`` plus a gather per array;
+#: above it, as the mask itself.  Measured on 200k rows of three columns
+#: (int64, float64, object), random masks: 10 % kept 2.25 ms by mask vs
+#: 0.58 ms by index, 33 % 3.67 vs 0.72, 50 % 4.50 vs 1.00, 60 % 4.54 vs
+#: 1.18, 90 % 2.07 vs 3.54.  A clustered mask (one run of survivors)
+#: favours the mask at every share (33 %: 0.65 vs 0.92 ms), so the
+#: crossover is set below the random-mask one (between 60 and 90 %).
+#: Measured on a 2-core Xeon VM, numpy 2.4.
+INDEX_GATHER_MAX_SHARE = 0.5
+
+
+def selection(mask: np.ndarray):
+    """How to apply a boolean ``mask`` to arrays of its length: ``None``
+    when every row survives, the survivors' positions when at most
+    :data:`INDEX_GATHER_MAX_SHARE` of them do, else the mask itself.
+    Either selector indexes an array (``array[sel]``) to the same rows."""
+    kept = np.count_nonzero(mask)
+    if kept == len(mask):
+        return None
+    if kept <= len(mask) * INDEX_GATHER_MAX_SHARE:
+        return np.flatnonzero(mask)
+    return mask
+
 
 def _column_array(values, data_type: DataType) -> np.ndarray:
     """Build a numpy column of the right dtype from an iterable of values."""
@@ -31,24 +55,56 @@ def _column_array(values, data_type: DataType) -> np.ndarray:
     return np.asarray(values, dtype=data_type.numpy_dtype)
 
 
+def _pylist(array: np.ndarray) -> list:
+    """A column as natural Python values, NaN as None: one ``tolist``,
+    and a per-element pass only where one can change a value."""
+    if array.dtype == object:
+        return [RecordBatch._pyvalue(v) for v in array.tolist()]
+    values = array.tolist()
+    if array.dtype.kind == "f" and np.isnan(array).any():
+        return [None if v != v else v for v in values]
+    return values
+
+
 class RecordBatch:
     """An immutable-by-convention columnar chunk of rows with a schema.
 
     Columns are numpy arrays of equal length stored in a dict keyed by
     column name.  Mutating a batch's arrays in place is not supported;
     operators always build new batches.
+
+    A *chunked* batch (:meth:`chunked`) is a source read's per-partition
+    parts kept apart: row-local work runs per part (:meth:`chunks`), and
+    ``columns`` concatenates them only when something reads it.
     """
 
-    __slots__ = ("columns", "schema", "num_rows")
+    __slots__ = ("_columns", "_parts", "schema", "num_rows")
 
     def __init__(self, columns: dict, schema: StructType):
-        self.columns = columns
+        self._columns = columns
+        self._parts = None
         self.schema = schema
         self.num_rows = len(next(iter(columns.values()))) if columns else 0
         if set(columns) != set(schema.names):
             raise ValueError(
                 f"column/schema mismatch: {sorted(columns)} vs {schema.names}"
             )
+
+    @property
+    def columns(self) -> dict:
+        """Column name -> array.  A chunked batch concatenates its parts
+        here, once, and releases them: :meth:`chunks` is then ``[self]``."""
+        columns = self._columns
+        if columns is None:
+            columns = self._columns = RecordBatch.concat(
+                self._parts, self.schema).columns
+            self._parts = None
+        return columns
+
+    def chunks(self) -> list:
+        """The batch as row-ordered parts: a chunked batch's per-partition
+        parts, else ``[self]``."""
+        return self._parts or [self]
 
     # ------------------------------------------------------------------
     # Construction
@@ -105,6 +161,17 @@ class RecordBatch:
         }
         return cls(cols, schema)
 
+    @classmethod
+    def chunked(cls, parts, schema: StructType) -> "RecordBatch":
+        """One batch over ``parts`` (batches of ``schema``, in row order)
+        that keeps them apart until ``columns`` is read."""
+        batch = cls.__new__(cls)
+        batch._columns = None
+        batch._parts = list(parts)
+        batch.schema = schema
+        batch.num_rows = sum(part.num_rows for part in batch._parts)
+        return batch
+
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
@@ -117,11 +184,8 @@ class RecordBatch:
         from repro.sql.row import Row
 
         names = self.schema.names
-        cols = [self.columns[n] for n in names]
-        out = []
-        for i in range(self.num_rows):
-            out.append(Row(zip(names, (self._pyvalue(c[i]) for c in cols))))
-        return out
+        cols = [_pylist(self.columns[n]) for n in names]
+        return [Row(zip(names, values)) for values in zip(*cols)]
 
     @staticmethod
     def _pyvalue(value):
@@ -166,13 +230,12 @@ class RecordBatch:
 
     def filter(self, mask: np.ndarray) -> "RecordBatch":
         """Keep only the rows where ``mask`` is True."""
-        if mask.all():
-            return self
-        cols = {n: a[mask] for n, a in self.columns.items()}
-        return RecordBatch(cols, self.schema)
+        sel = selection(mask)
+        return self if sel is None else self.take(sel)
 
     def take(self, indices: np.ndarray) -> "RecordBatch":
-        """Gather rows by integer position (repeats allowed)."""
+        """Gather rows by integer position (repeats allowed), or by a
+        :func:`selection`."""
         cols = {n: a[indices] for n, a in self.columns.items()}
         return RecordBatch(cols, self.schema)
 

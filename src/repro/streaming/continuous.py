@@ -66,6 +66,7 @@ class _PartitionWorker:
         source = engine.source
         max_chunk = engine.max_chunk
         poll = engine.poll_interval
+        schema = engine.plan.read_schemas.get(engine.source_name)
         try:
             while not engine._stop_event.is_set():
                 end = source.latest_offsets().get(self.partition, self.position)
@@ -75,7 +76,7 @@ class _PartitionWorker:
                 hi = min(end, self.position + max_chunk)
                 with tracing.trace_span(self._span_name):
                     batch = source.get_partition_batch(
-                        self.partition, self.position, hi)
+                        self.partition, self.position, hi, schema)
                     out = engine.pipeline(batch)
                     if out.num_rows:
                         engine.sink.append_rows(out.to_rows())

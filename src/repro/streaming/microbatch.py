@@ -46,6 +46,26 @@ from repro.streaming.wal import WriteAheadLog
 from repro.streaming.watermark import WatermarkTracker
 from repro.testing.faults import fault_point
 
+
+def _capped_ends(start: dict, latest: dict, budget: int) -> dict:
+    """End offsets reading at most ``budget`` records of ``[start,
+    latest)``: each partition gets the floor of its backlog's pro-rata
+    share (Spark's ``maxOffsetsPerTrigger``), and the records the floors
+    leave over go one each to the largest remainders, ties in sorted
+    partition order.  A greedy split in partition order would starve the
+    later partitions, whose rows then arrive behind the watermark."""
+    backlog = {p: max(latest[p] - start.get(p, 0), 0) for p in sorted(latest)}
+    total = sum(backlog.values())
+    if total <= budget:
+        return {p: start.get(p, 0) + n for p, n in backlog.items()}
+    take = {p: n * budget // total for p, n in backlog.items()}
+    leftover = budget - sum(take.values())
+    by_remainder = sorted(backlog, key=lambda p: -(backlog[p] * budget % total))
+    for p in by_remainder[:leftover]:
+        take[p] += 1
+    return {p: start.get(p, 0) + take[p] for p in backlog}
+
+
 class _AsyncStateFlusher:
     """Background writer for pipelined state checkpoints (§6.1).
 
@@ -402,25 +422,17 @@ class MicrobatchEngine:
     # Normal epoch execution
     # ------------------------------------------------------------------
     def _available_end_offsets(self) -> dict:
-        """End offsets for the next epoch: everything available, or the
-        first ``max_records_per_epoch`` records of it."""
+        """End offsets for the next epoch: everything available, or at
+        most ``max_records_per_epoch`` records of it per source, split
+        across partitions in proportion to their backlogs."""
         max_records = self.config.max_records_per_epoch
         ends = {}
         for name, source in self.sources.items():
             latest = source.latest_offsets()
-            start = self._start_offsets[name]
             if max_records is not None:
-                capped = {}
-                budget = max_records
-                for partition in sorted(latest):
-                    lo = start.get(partition, 0)
-                    hi = latest[partition]
-                    take = min(hi - lo, budget)
-                    capped[partition] = lo + max(take, 0)
-                    budget -= max(take, 0)
-                ends[name] = capped
-            else:
-                ends[name] = latest
+                latest = _capped_ends(
+                    self._start_offsets[name], latest, max_records)
+            ends[name] = latest
         return ends
 
     def _epoch_ingest_floor(self, ends: dict, starts: dict = None):

@@ -7,6 +7,7 @@ static query on the prefix of input seen so far.
 
 import pytest
 
+from repro.bus import Broker
 from repro.sql import functions as F
 from repro.sql.expressions import AnalysisError
 
@@ -225,3 +226,55 @@ class TestProgressReporting:
         stream.add_data([{"v": i} for i in range(5)])
         progresses = query.process_all_available()
         assert [p.input_rows for p in progresses] == [2, 2, 1]
+
+
+class TestCappedEpochs:
+    """``max_records_per_epoch`` splits its budget across partitions by
+    backlog, so a capped epoch never leaves a partition behind."""
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_a_capped_epoch_advances_every_partition(self, session, shards):
+        # Four partitions, each with event times 0..999 s, a 10 s
+        # watermark and a cap of 400: a greedy split gave epoch 0 only
+        # partition 0's first 400 rows, which put the watermark at 389 s
+        # and dropped most of the other partitions' rows as late.
+        broker = Broker()
+        topic = broker.create_topic("events", 4)
+        for p in range(4):
+            topic.publish_to(p, [{"t": float(t), "p": p} for t in range(1000)])
+        df = (session.read_stream
+              .kafka(broker, "events", (("t", "timestamp"), ("p", "long")))
+              .with_watermark("t", "10 seconds")
+              .group_by(F.window(F.col("t"), "10 seconds"))
+              .agg(F.count().alias("n")))
+        query = start_memory_query(df, "update", "capped",
+                                   max_records_per_epoch=400,
+                                   num_shards=shards)
+        progresses = query.process_all_available()
+        assert sum(p.late_rows_dropped for p in progresses) == 0
+        assert [p.input_rows for p in progresses] == [400] * 10
+        for progress in progresses:
+            (ranges,) = progress.sources.values()
+            assert {p: ranges["end"][p] - ranges["start"].get(p, 0)
+                    for p in ranges["end"]} == {p: 100 for p in "0123"}
+        counts = {r["window_start"]: r["n"] for r in query.engine.sink.rows()}
+        assert counts == {float(w): 40 for w in range(0, 1000, 10)}
+        query.stop()
+
+
+@pytest.mark.parametrize("latest, budget, expected", [
+    # Pro rata by backlog; the floors leave nothing over.
+    ({"0": 1000, "1": 1000}, 400, {"0": 200, "1": 200}),
+    # Equal remainders: the leftover goes in sorted partition order.
+    ({"0": 1, "1": 1, "2": 1}, 2, {"0": 1, "1": 1, "2": 0}),
+    # Largest remainder first: 9.9 -> 10, 0.099 -> 0.
+    ({"0": 100, "1": 1}, 10, {"0": 10, "1": 0}),
+    # Under the cap: everything available.
+    ({"0": 3, "1": 2}, 10, {"0": 3, "1": 2}),
+])
+def test_capped_ends_split_the_budget_by_backlog(latest, budget, expected):
+    from repro.streaming.microbatch import _capped_ends
+
+    start = {"0": 0}
+    assert _capped_ends(start, latest, budget) == expected
+    assert sum(expected.values()) == min(budget, sum(latest.values()))

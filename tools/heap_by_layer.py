@@ -9,9 +9,12 @@ Runs a ``bench/drivers.py`` workload under ``tracemalloc`` and prints
 the bytes still live at the end of set-up and at the end of the timed
 window, charged to the innermost ``src/repro`` module on each
 allocation's stack (``bench/`` frames count as the harness, the rest as
-``other``), the number of objects the cyclic collector tracks (what each
-of its full passes walks) at both points, then the ``--lines`` largest
-``src/repro`` lines at the end of the window.  ``--root`` points at
+``other``), the traced *peak* over set-up and over the window (the
+transient high-water mark an epoch's working set reaches, which live
+bytes at a boundary do not show), the number of objects the cyclic
+collector tracks (what each of its full passes walks) at both points,
+then the ``--lines`` largest ``src/repro`` lines at the end of the
+window.  ``--root`` points at
 another checkout — a copy of the parent commit — so a memory claim is
 two runs of this one instrument.
 
@@ -86,9 +89,12 @@ def main(argv=None) -> int:
     tracemalloc.start(FRAMES)
     try:
         workload.setup()
+        peaks = [tracemalloc.get_traced_memory()[1]]
         after_setup, _ = charge(tracemalloc.take_snapshot(), root)
         tracked = [len(gc.get_objects())]
+        tracemalloc.reset_peak()
         workload.measure()
+        peaks.append(tracemalloc.get_traced_memory()[1])
         after_window, lines = charge(tracemalloc.take_snapshot(), root)
         tracked.append(len(gc.get_objects()))
     finally:
@@ -106,6 +112,8 @@ def main(argv=None) -> int:
               f"{after_window[layer] * mb:>15.1f}")
     print(f"{'total':40s}{sum(after_setup.values()) * mb:>15.1f}"
           f"{sum(after_window.values()) * mb:>15.1f}")
+    print(f"{'traced peak MB (over set-up, window)':40s}{peaks[0] * mb:>15.1f}"
+          f"{peaks[1] * mb:>15.1f}")
     print(f"{'GC-tracked objects':40s}{tracked[0]:>15,d}{tracked[1]:>15,d}")
     print("\nlargest src/repro lines at end of window")
     for line in sorted(lines, key=lines.get, reverse=True)[:args.lines]:
