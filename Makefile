@@ -45,7 +45,8 @@ bench-pairs:
 	$(PY) tools/bench_pairs.py --workload $(W) --base $(BASE) --pairs $(N)
 
 # Live heap of one bench/ workload by src/repro module, at the end of
-# set-up and of the window (tracemalloc): make heap W=cdc_join_agg
+# set-up, of the window and of the harness's correctness check, with the
+# tracemalloc peak over each: make heap W=cdc_join_agg
 # [ROOT=<another checkout, e.g. a copy of the parent>]
 ROOT ?= .
 heap:

@@ -13,6 +13,11 @@ the epoch's output rows under the query's output mode:
 ``last_committed_epoch`` lets a recovering engine skip re-delivery of
 epochs the sink already has — this plus idempotent ``add_batch`` yields
 exactly-once output end to end (§6.1 step 4).
+
+The continuous engine (§6.3) writes outside epochs through
+``append_batch(batch)``.  A sink takes continuous writes by defining
+``append_rows(rows)``, which the default ``append_batch`` feeds; one
+that can use the columns overrides ``append_batch`` as well.
 """
 
 from __future__ import annotations
@@ -45,6 +50,11 @@ class Sink:
     def add_batch(self, epoch_id: int, batch: RecordBatch, mode: str) -> None:
         """Write one epoch's output.  MUST be idempotent in ``epoch_id``."""
         raise NotImplementedError
+
+    def append_batch(self, batch: RecordBatch) -> None:
+        """Continuous-mode write of one chunk's output (§6.3).  Default:
+        ``append_rows`` of its rows, for sinks whose contract is rows."""
+        self.append_rows(batch.to_rows())
 
     def last_committed_epoch(self):
         """Highest epoch id durably written, or None."""

@@ -14,24 +14,73 @@ Layout::
 
     <dir>/part-<version>-<n>.jsonl   data files (JSON-lines)
     <dir>/_log/<version>.json        manifest: files + mode + writer id/epoch
+
+A data file's line is ``json.dumps(row)`` of one output row.  The sink
+never builds those rows: :func:`encode_jsonl` writes the same bytes a
+column at a time, and a reader decodes each file in one call
+(:func:`repro.storage.read_jsonl`).
 """
 
 from __future__ import annotations
 
+import json
 import os
 
+import numpy as np
+
 from repro.sinks.base import Sink
-from repro.sql.batch import RecordBatch
+from repro.sql.batch import RecordBatch, pylist
 from repro.sql.types import StructType
 from repro.storage import (
     atomic_write_json,
+    atomic_write_text,
+    bind_encoder,
     list_files,
     read_json,
     read_jsonl,
     repair_torn_tail,
-    write_jsonl,
 )
 from repro.testing.faults import fault_point
+
+#: ``json.dumps``'s own encoder: ", " and ": " separators, ASCII, NaN
+#: and Infinity allowed.
+_DUMPS = json.JSONEncoder()
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json_column(array: np.ndarray, encode) -> list:
+    """Each value of a column as ``json.dumps`` writes it in a row of
+    ``to_rows()`` (NaN as ``null``): numeric and boolean columns by one
+    ``tolist`` and a C ``repr`` per value, other columns through
+    ``encode``."""
+    kind = array.dtype.kind
+    if kind in "iu":
+        return list(map(int.__repr__, array.tolist()))
+    if kind == "b":
+        return ["true" if v else "false" for v in array.tolist()]
+    if kind == "f":
+        texts = list(map(float.__repr__, array.tolist()))
+        for i in np.flatnonzero(~np.isfinite(array)).tolist():
+            v = array[i]
+            texts[i] = "null" if v != v else (
+                "Infinity" if v > 0 else "-Infinity")
+        return texts
+    return [_escape(v) if isinstance(v, str) else encode(v)
+            for v in pylist(array)]
+
+
+def encode_jsonl(batch: RecordBatch) -> str:
+    """``batch`` as one JSON line per row, byte for byte
+    ``"".join(json.dumps(row) + "\n" for row in batch.to_rows())``, built
+    a column at a time: every value is encoded once, by one C encoder
+    bound for the file, and each line is one format of its row's texts."""
+    encode = bind_encoder(_DUMPS.encode)
+    template = "{" + ", ".join(
+        _escape(name).replace("%", "%%") + ": %s"
+        for name in batch.schema.names) + "}\n"
+    columns = [_json_column(batch.columns[name], encode)
+               for name in batch.schema.names]
+    return "".join(map(template.__mod__, zip(*columns)))
 
 
 class TransactionalFileSink(Sink):
@@ -113,12 +162,13 @@ class TransactionalFileSink(Sink):
         if self._manifest_for_epoch(epoch_id) is not None:
             return  # this writer already committed this epoch: idempotent
         version = self._indexed_upto + 1  # one past the latest listed
-        rows = batch.to_rows()
+        num_rows = batch.num_rows
         files = []
-        for i, start in enumerate(range(0, max(len(rows), 1), self._rows_per_file)):
-            chunk = rows[start:start + self._rows_per_file]
+        for i, start in enumerate(range(0, max(num_rows, 1), self._rows_per_file)):
+            part = batch.slice(start, start + self._rows_per_file)
             name = f"part-{version:05d}-{i:03d}.jsonl"
-            write_jsonl(os.path.join(self.directory, name), chunk)
+            atomic_write_text(os.path.join(self.directory, name),
+                              encode_jsonl(part))
             files.append(name)
         # The manifest write is the commit point: one atomic rename makes
         # all of the version's files visible at once.
@@ -128,11 +178,11 @@ class TransactionalFileSink(Sink):
             "epoch": epoch_id,
             "mode": mode,
             "files": files,
-            "num_rows": len(rows),
+            "num_rows": num_rows,
         })
         self._epoch_versions[epoch_id] = version
         self._indexed_upto = version
-        self._count_commit(len(rows))
+        self._count_commit(num_rows)
 
     def last_committed_epoch(self):
         """Highest epoch this *writer* committed, or None."""

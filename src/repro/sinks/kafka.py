@@ -13,7 +13,11 @@ import threading
 from repro.bus import Broker
 from repro.observability import metrics
 from repro.sinks.base import Sink
-from repro.sql.batch import RecordBatch
+from repro.sql.batch import (
+    RecordBatch,
+    partition_by_assignment,
+    shard_assignments,
+)
 
 # Broker-side registries, keyed by (topic, query). Living outside the sink
 # instance models state kept by the external bus (transaction markers),
@@ -23,7 +27,11 @@ _committed_epochs: dict = {}
 
 
 class KafkaSink(Sink):
-    """Publish each epoch's rows to a topic, exactly once per epoch."""
+    """Publish each epoch's rows to a topic, exactly once per epoch.
+
+    With ``partition_key`` on a multi-partition topic, a row goes to the
+    partition :func:`repro.sql.batch.shard_of_key` gives its key — stable
+    across processes, like Kafka's key partitioner."""
 
     supported_modes = ("append", "update")
 
@@ -40,19 +48,22 @@ class KafkaSink(Sink):
             seen = _committed_epochs.setdefault(self._registry_key, set())
             if epoch_id in seen:
                 return
-        rows = batch.to_rows()
-        if self._partition_key is None or self._topic.num_partitions == 1:
-            self._topic.publish_to(0, rows)
+        partitions = self._topic.num_partitions
+        if self._partition_key is None or partitions == 1:
+            self._topic.publish_to(0, batch.to_rows())
         else:
-            shards = [[] for _ in range(self._topic.num_partitions)]
-            for row in rows:
-                shards[hash(row[self._partition_key]) % len(shards)].append(row)
-            for index, shard in enumerate(shards):
-                if shard:
-                    self._topic.publish_to(index, shard)
+            # The engine's stable key hash, so a key lands in the same
+            # partition in every process (``hash`` of a str is salted per
+            # process: a restarted query would scatter a key's records).
+            assign = shard_assignments(
+                [batch.columns[self._partition_key]], partitions)
+            parts, _ = partition_by_assignment(batch, assign, partitions)
+            for index, part in enumerate(parts):
+                if part.num_rows:
+                    self._topic.publish_to(index, part.to_rows())
         with _registry_lock:
             _committed_epochs[self._registry_key].add(epoch_id)
-        self._count_commit(len(rows))
+        self._count_commit(batch.num_rows)
 
     def append_rows(self, rows) -> None:
         """Continuous-mode write path: publish rows immediately (§6.3)."""

@@ -55,7 +55,7 @@ def _column_array(values, data_type: DataType) -> np.ndarray:
     return np.asarray(values, dtype=data_type.numpy_dtype)
 
 
-def _pylist(array: np.ndarray) -> list:
+def pylist(array: np.ndarray) -> list:
     """A column as natural Python values, NaN as None: one ``tolist``,
     and a per-element pass only where one can change a value."""
     if array.dtype == object:
@@ -184,7 +184,7 @@ class RecordBatch:
         from repro.sql.row import Row
 
         names = self.schema.names
-        cols = [_pylist(self.columns[n]) for n in names]
+        cols = [pylist(self.columns[n]) for n in names]
         return [Row(zip(names, values)) for values in zip(*cols)]
 
     @staticmethod

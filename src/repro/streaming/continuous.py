@@ -79,7 +79,7 @@ class _PartitionWorker:
                         self.partition, self.position, hi, schema)
                     out = engine.pipeline(batch)
                     if out.num_rows:
-                        engine.sink.append_rows(out.to_rows())
+                        engine.sink.append_batch(out)
                         engine.record_latency(out)
                 metrics.count("continuous.chunks")
                 metrics.count("continuous.rows_out", out.num_rows)

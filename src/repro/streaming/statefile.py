@@ -43,7 +43,7 @@ import json
 import os
 from contextlib import contextmanager
 
-from repro.storage import read_json
+from repro.storage import bind_encoder, read_json
 
 FORMAT = "repro-state/1"
 
@@ -73,20 +73,8 @@ encode = _ENCODER.encode
 
 
 def _file_encoder():
-    """:func:`encode` for the lines of one file, its C encoder built
-    once instead of on every call (``JSONEncoder.encode`` rebuilds it
-    per value: ~2.0 vs ~1.3 µs for a one-entry join record).  A fresh
-    ``markers`` dict per file keeps the circular-reference check, and a
-    value that fails part-way through one file leaves no stale marker
-    in the next."""
-    make = json.encoder.c_make_encoder
-    if make is None:
-        return encode
-    e = _ENCODER
-    c_encode = make({}, e.default, json.encoder.encode_basestring_ascii,
-                    e.indent, e.key_separator, e.item_separator,
-                    e.sort_keys, e.skipkeys, e.allow_nan)
-    return lambda value: "".join(c_encode(value, 0))
+    """:func:`encode` with its C encoder bound once for one file."""
+    return bind_encoder(encode)
 
 
 class _Tombstone:

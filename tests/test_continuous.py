@@ -60,6 +60,33 @@ class TestContinuousExecution:
         query.stop()
         assert query.engine.wal.latest_committed_epoch() == 0
 
+    def test_chunks_reach_the_sink_as_batches(self, session, broker):
+        """The engine hands each chunk's output to ``append_batch``; a
+        sink that overrides it gets the columns, never rows."""
+        from repro.sinks.base import Sink
+
+        class ColumnSink(Sink):
+            def __init__(self):
+                self.key_names = []
+                self.batches = []
+
+            def append_rows(self, rows):
+                raise AssertionError("rows built for a column sink")
+
+            def append_batch(self, batch):
+                self.batches.append(batch)
+
+        broker.get_or_create("in", 1)
+        sink = ColumnSink()
+        query = (session.read_stream.kafka(broker, "in", (("v", "long"),))
+                 .select((F.col("v") * 2).alias("v2"))
+                 .write_stream.sink(sink).trigger(continuous="50ms").start())
+        broker.topic("in").publish_to(0, [{"v": 1}, {"v": 2}])
+        assert wait_until(lambda: sum(b.num_rows for b in sink.batches) == 2)
+        query.stop()
+        assert [v for b in sink.batches for v in b.column("v2").tolist()] \
+            == [2, 4]
+
     def test_restart_resumes_from_committed_offsets(self, session, broker, checkpoint):
         topic = broker.get_or_create("in", 1)
         df = session.read_stream.kafka(broker, "in", (("v", "long"),))

@@ -1,12 +1,18 @@
 """Tests for sinks: the idempotence and atomicity contracts (§3, §6.1)."""
 
+import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from repro import storage
 from repro.bus import Broker
 from repro.sinks.console import ConsoleSink
-from repro.sinks.file import TransactionalFileSink
+from repro.sinks.file import TransactionalFileSink, encode_jsonl
 from repro.sinks.foreach import ForeachSink
 from repro.sinks.kafka import KafkaSink, reset_transaction_registry
 from repro.sinks.memory import MemorySink
@@ -185,6 +191,115 @@ class TestTransactionalFileSink:
         sink.add_batch(0, batch([{"k": "a", "n": 1}]), "append")
         assert not [n for n in os.listdir(directory) if n.startswith(".tmp")]
 
+    def test_part_file_bytes_are_pinned(self, tmp_path):
+        """Golden bytes: each line is ``json.dumps`` of the row (", " and
+        ": ", ASCII escapes, NaN as null, Infinity), split at
+        ``rows_per_file``."""
+        directory = str(tmp_path / "out")
+        schema = StructType((("k", "string"), ("n", "long"), ("x", "double"),
+                             ("ok", "boolean"), ("__weight__", "long")))
+        out = RecordBatch.from_columns(
+            schema, k=np.array(["a", 'q"\u00e9\n', None], dtype=object),
+            n=np.array([1, -2**63, 2**62]), x=np.array([0.1, np.nan, -np.inf]),
+            ok=np.array([True, False, True]), __weight__=np.array([1, -1, 1]))
+        TransactionalFileSink(directory, rows_per_file=2).add_batch(
+            0, out, "append")
+        files = {}
+        for name in list_files(directory, ".jsonl"):
+            with open(os.path.join(directory, name), encoding="utf-8") as f:
+                files[name] = f.read()
+        assert files == {
+            "part-00000-000.jsonl":
+                '{"k": "a", "n": 1, "x": 0.1, "ok": true, "__weight__": 1}\n'
+                '{"k": "q\\"\\u00e9\\n", "n": -9223372036854775808, '
+                '"x": null, "ok": false, "__weight__": -1}\n',
+            "part-00000-001.jsonl":
+                '{"k": null, "n": 4611686018427387904, "x": -Infinity, '
+                '"ok": true, "__weight__": 1}\n',
+        }
+
+    def test_reads_decode_each_part_file_in_one_call(self, tmp_path,
+                                                     monkeypatch):
+        """One ``json.loads`` per part file, so a file's rows share their
+        key strings instead of each holding private copies."""
+        sink = TransactionalFileSink(str(tmp_path / "out"), rows_per_file=3)
+        sink.add_batch(0, batch([{"k": str(i), "n": i} for i in range(5)]),
+                       "append")
+        sink.add_batch(1, batch([{"k": "z", "n": 9}]), "append")
+        calls = []
+        loads = json.loads
+
+        def spy(text, **kw):
+            calls.append(text)
+            return loads(text, **kw)
+
+        monkeypatch.setattr(storage.json, "loads", spy)
+        rows = sink.read_rows()
+        data_calls = [c for c in calls if c.startswith("[")]  # not manifests
+        assert len(data_calls) == 3  # two part files for epoch 0, one for 1
+        assert [r["n"] for r in rows] == [0, 1, 2, 3, 4, 9]
+        first, second = (list(r) for r in rows[:2])
+        assert all(a is b for a, b in zip(first, second))
+        assert sink.read_batch(SCHEMA).column("n").tolist() == [0, 1, 2, 3, 4, 9]
+
+
+# Column-wise encoding against the rows it replaces
+_strings = st.text(max_size=4)
+#: What an object column may hold: strings (escapes, non-BMP), None,
+#: numpy scalars, Python numbers and JSON containers.
+_objects = st.one_of(
+    st.none(), _strings, st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True), st.booleans(),
+    st.floats(allow_nan=True).map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.lists(st.one_of(st.none(), _strings, st.integers()), max_size=2),
+)
+
+
+def _object_column(values):
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+@st.composite
+def typed_batches(draw):
+    n = draw(st.integers(0, 8))
+    cells = lambda strategy: draw(st.lists(strategy, min_size=n, max_size=n))
+    columns = {
+        "i": np.array(cells(st.integers(-2**63, 2**63 - 1)), dtype=np.int64),
+        "f": np.array(cells(st.floats(allow_nan=True)), dtype=np.float64),
+        "b": np.array(cells(st.booleans()), dtype=bool),
+        "o": _object_column(cells(_objects)),
+    }
+    types = {"i": "long", "f": "double", "b": "boolean", "o": "string"}
+    names = draw(st.lists(st.text(min_size=1, max_size=3), min_size=4,
+                          max_size=4, unique=True))
+    order = draw(st.permutations(list(columns)))
+    schema = StructType(tuple((names[i], types[c]) for i, c in enumerate(order)))
+    return RecordBatch({names[i]: columns[c] for i, c in enumerate(order)},
+                       schema)
+
+
+@given(out=typed_batches())
+@example(out=RecordBatch.from_columns(
+    StructType((("50%", "double"), ("\u00e9", "string"), ("n", "long"))),
+    **{"50%": np.array([-0.0, np.inf, np.nan, 1e16, 5e-324]),
+       "\u00e9": _object_column(["%s", None, np.float64("nan"), "\U0001f600",
+                             2**70]),
+       "n": np.array([2**63 - 1, -2**63, 0, 7, -1])}))
+def test_encode_jsonl_is_json_dumps_of_each_row(out):
+    assert encode_jsonl(out) == "".join(
+        json.dumps(row) + "\n" for row in out.to_rows())
+
+
+def test_encode_jsonl_raises_as_json_dumps_does():
+    schema = StructType((("o", "string"),))
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        encode_jsonl(RecordBatch({"o": _object_column([object()])}, schema))
+    assert encode_jsonl(RecordBatch.empty(schema)) == ""
+    assert encode_jsonl(RecordBatch({}, StructType(()))) == ""
+
 
 class TestKafkaSink:
     def setup_method(self):
@@ -220,6 +335,37 @@ class TestKafkaSink:
         sink.add_batch(0, batch([{"k": str(i), "n": i} for i in range(20)]), "append")
         assert broker.topic("out").total_records() == 20
 
+    def test_partitioned_publish_is_the_same_in_every_process(self):
+        """A key's partition may not depend on the process's str-hash
+        salt: a restarted query must keep publishing a key where it did."""
+        code = (
+            "import json\n"
+            "from repro.bus import Broker\n"
+            "from repro.sinks.kafka import KafkaSink\n"
+            "from repro.sql.batch import RecordBatch\n"
+            "from repro.sql.types import StructType\n"
+            "broker = Broker()\n"
+            "broker.create_topic('out', 4)\n"
+            "rows = [{'k': 'key-%d' % i, 'n': i} for i in range(24)]\n"
+            "KafkaSink(broker, 'out', 'q', partition_key='k').add_batch(\n"
+            "    0, RecordBatch.from_rows(rows, StructType(\n"
+            "        (('k', 'string'), ('n', 'long')))), 'append')\n"
+            "topic = broker.topic('out')\n"
+            "print(json.dumps([[r['n'] for r in p.read(0, p.end_offset)]\n"
+            "                  for p in topic.partitions]))\n")
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(storage.__file__)))
+        placements = {
+            subprocess.run(
+                [sys.executable, "-c", code], check=True, capture_output=True,
+                text=True, env={**os.environ, "PYTHONHASHSEED": salt,
+                                "PYTHONPATH": src}).stdout
+            for salt in ("1", "2", "3")}
+        assert len(placements) == 1
+        by_partition = json.loads(placements.pop())
+        assert sorted(n for p in by_partition for n in p) == list(range(24))
+        assert all(p == sorted(p) for p in by_partition)  # order kept
+
     def test_last_committed_epoch(self):
         broker = Broker()
         sink = KafkaSink(broker, "out", query_id="q1")
@@ -247,6 +393,17 @@ class TestForeachSink:
         sink = ForeachSink(lambda e, rows, mode: calls.append(e))
         sink.append_rows([{"k": "a", "n": 1}])
         assert calls == [-1]
+
+
+class TestAppendBatch:
+    """The continuous engine writes batches; a sink whose contract is rows
+    gets them through the base class's one conversion (a sink overriding
+    ``append_batch`` is in ``tests/test_continuous.py``)."""
+
+    def test_default_feeds_append_rows(self):
+        sink = MemorySink()
+        sink.append_batch(batch([{"k": "a", "n": 1}, {"k": "b", "n": 2}]))
+        assert sink.rows() == [{"k": "a", "n": 1}, {"k": "b", "n": 2}]
 
 
 class TestConsoleSink:

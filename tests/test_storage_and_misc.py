@@ -1,9 +1,11 @@
 """Tests for filesystem helpers, rows utilities, and foreach_batch."""
 
+import json
 import os
 import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.sql import functions as F
 from repro.sql.row import Row, rows_equal_unordered
@@ -59,6 +61,50 @@ class TestAtomicWrites:
         with open(path, "w") as f:
             f.write('{"a": 1}\n\n{"a": 2}\n')
         assert read_jsonl(path) == [{"a": 1}, {"a": 2}]
+
+    @pytest.mark.parametrize("text, rows", [
+        ("", []),
+        (" \n\n", []),
+        ('{"a": 1}', [{"a": 1}]),
+        ('{"a": 1}\r\n{"a": 2}\r\n', [{"a": 1}, {"a": 2}]),
+        ('  {"a": 1}  \n\t{"a": 2}\n   \n', [{"a": 1}, {"a": 2}]),
+        ('{"a": "x\u2028y"}\n[1]\n"s"\n', [{"a": "x\u2028y"}, [1], "s"]),
+    ])
+    def test_jsonl_reads_what_a_line_at_a_time_reads(self, tmp_path, text,
+                                                     rows):
+        path = str(tmp_path / "rows.jsonl")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        assert read_jsonl(path) == rows
+
+    @pytest.mark.parametrize("text", [
+        '{"a": 1}, {"a": 2}\n',        # two values on one line
+        '{"a": 1}\n{"a":\n 2}\n',     # one value over two lines
+        '{"a": 1}\n{"a": 2\n',         # a torn last line
+        '{"a": 1}\n]\n',
+    ])
+    def test_jsonl_rejects_a_line_that_is_not_one_value(self, tmp_path, text):
+        path = str(tmp_path / "rows.jsonl")
+        with open(path, "w") as f:
+            f.write(text)
+        with pytest.raises(ValueError):
+            read_jsonl(path)
+
+    @given(rows=st.lists(st.dictionaries(
+        st.text(max_size=3),
+        st.one_of(st.none(), st.text(max_size=3), st.integers(),
+                  st.floats(allow_nan=False), st.lists(st.integers(),
+                                                       max_size=2)),
+        max_size=3), max_size=6), ascii_only=st.booleans())
+    def test_jsonl_file_decode_equals_per_line_decode(self, tmp_path_factory,
+                                                      rows, ascii_only):
+        path = str(tmp_path_factory.mktemp("jsonl") / "rows.jsonl")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("".join(json.dumps(row, ensure_ascii=ascii_only) + "\n"
+                            for row in rows))
+        with open(path, encoding="utf-8") as f:
+            oracle = [json.loads(line) for line in f if line.strip()]
+        assert read_jsonl(path) == oracle == rows
 
     def test_concurrent_writers_leave_consistent_file(self, tmp_path):
         path = str(tmp_path / "f.txt")

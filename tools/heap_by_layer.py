@@ -6,15 +6,17 @@
     make heap W=<workload>
 
 Runs a ``bench/drivers.py`` workload under ``tracemalloc`` and prints
-the bytes still live at the end of set-up and at the end of the timed
-window, charged to the innermost ``src/repro`` module on each
-allocation's stack (``bench/`` frames count as the harness, the rest as
-``other``), the traced *peak* over set-up and over the window (the
-transient high-water mark an epoch's working set reaches, which live
-bytes at a boundary do not show), the number of objects the cyclic
-collector tracks (what each of its full passes walks) at both points,
-then the ``--lines`` largest ``src/repro`` lines at the end of the
-window.  ``--root`` points at
+the bytes still live at the end of set-up, at the end of the timed
+window and after the harness's correctness check (``mismatches()``:
+for ``cdc_join_agg`` a read of the whole sink table, which is where the
+run's RSS high-water is set), charged to the innermost ``src/repro``
+module on each allocation's stack (``bench/`` frames count as the
+harness, the rest as ``other``); the traced *peak* over each of the
+three phases (the transient high-water mark a phase's working set
+reaches, which live bytes at a boundary do not show); the number of
+objects the cyclic collector tracks (what each of its full passes
+walks) at each point; then the ``--lines`` largest ``src/repro`` lines
+at the end of the window.  ``--root`` points at
 another checkout — a copy of the parent commit — so a memory claim is
 two runs of this one instrument.
 
@@ -86,17 +88,19 @@ def main(argv=None) -> int:
     workload = drivers.WORKLOADS[args.workload](
         args.seed, args.blocks, os.path.join(workdir, "run"))
     os.makedirs(workload.workdir)
+    phases = ("end of set-up", "end of window", "after check")
+    steps = (workload.setup, workload.measure, workload.mismatches)
+    live, lines, peaks, tracked = [], [], [], []
     tracemalloc.start(FRAMES)
     try:
-        workload.setup()
-        peaks = [tracemalloc.get_traced_memory()[1]]
-        after_setup, _ = charge(tracemalloc.take_snapshot(), root)
-        tracked = [len(gc.get_objects())]
-        tracemalloc.reset_peak()
-        workload.measure()
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        after_window, lines = charge(tracemalloc.take_snapshot(), root)
-        tracked.append(len(gc.get_objects()))
+        for step in steps:
+            tracemalloc.reset_peak()
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            by_layer, by_line = charge(tracemalloc.take_snapshot(), root)
+            live.append(by_layer)
+            lines.append(by_line)
+            tracked.append(len(gc.get_objects()))
     finally:
         tracemalloc.stop()
         workload.teardown()
@@ -104,20 +108,24 @@ def main(argv=None) -> int:
 
     mb = 1 / (1 << 20)
     print(f"{args.workload} seed {args.seed}, {args.blocks} blocks, {root}")
-    print(f"{'live MB by layer':40s}{'end of set-up':>15s}{'end of window':>15s}")
-    for layer in sorted(after_window, key=after_window.get, reverse=True):
-        if after_window[layer] * mb < 0.05 and after_setup[layer] * mb < 0.05:
+    print(f"{'live MB by layer':40s}" + "".join(f"{p:>15s}" for p in phases))
+    layers = set().union(*live)
+    for layer in sorted(layers, key=lambda n: max(p[n] for p in live),
+                        reverse=True):
+        if all(phase[layer] * mb < 0.05 for phase in live):
             continue
-        print(f"{layer:40s}{after_setup[layer] * mb:>15.1f}"
-              f"{after_window[layer] * mb:>15.1f}")
-    print(f"{'total':40s}{sum(after_setup.values()) * mb:>15.1f}"
-          f"{sum(after_window.values()) * mb:>15.1f}")
-    print(f"{'traced peak MB (over set-up, window)':40s}{peaks[0] * mb:>15.1f}"
-          f"{peaks[1] * mb:>15.1f}")
-    print(f"{'GC-tracked objects':40s}{tracked[0]:>15,d}{tracked[1]:>15,d}")
+        print(f"{layer:40s}"
+              + "".join(f"{phase[layer] * mb:>15.1f}" for phase in live))
+    print(f"{'total':40s}"
+          + "".join(f"{sum(phase.values()) * mb:>15.1f}" for phase in live))
+    print(f"{'traced peak MB over the phase':40s}"
+          + "".join(f"{peak * mb:>15.1f}" for peak in peaks))
+    print(f"{'GC-tracked objects':40s}"
+          + "".join(f"{count:>15,d}" for count in tracked))
     print("\nlargest src/repro lines at end of window")
-    for line in sorted(lines, key=lines.get, reverse=True)[:args.lines]:
-        print(f"{line:40s}{lines[line] * mb:>30.1f}")
+    window = lines[1]
+    for line in sorted(window, key=window.get, reverse=True)[:args.lines]:
+        print(f"{line:40s}{window[line] * mb:>30.1f}")
     return 0
 
 
