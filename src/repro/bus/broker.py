@@ -31,6 +31,8 @@ import threading
 from bisect import bisect_right
 from operator import attrgetter
 
+from repro.sql.batch import shard_of_key
+
 _END_OFFSET = attrgetter("end_offset")
 
 
@@ -210,8 +212,11 @@ class Topic:
 
     def publish(self, record, key=None) -> int:
         """Publish one record, hash-partitioned by key (round-robin-ish
-        by object identity when no key is given)."""
-        index = hash(key) % len(self.partitions) if key is not None \
+        by object identity when no key is given).  A key is placed by
+        the engine's stable key hash, as ``KafkaSink`` places rows:
+        ``hash`` of a str is salted per process, so a restarted producer
+        would scatter a key across partitions."""
+        index = shard_of_key(key, len(self.partitions)) if key is not None \
             else id(record) % len(self.partitions)
         return self.partitions[index].append(record)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import time
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -911,68 +912,113 @@ class StreamingDedupOp(IncrementalOp):
         return [(puts, ())], emits, late_rows
 
 
-def _frozen(entries) -> tuple:
-    """A join side's stored value as a tuple of ``(row_values, matched)``
-    tuples, ``()`` for no state.  What the join writes already is one; a
-    value decoded from a checkpoint (JSON has only lists) is frozen the
-    first time a probe or an eviction reads it."""
-    if entries is None:
-        return ()
-    if type(entries) is tuple:
-        return entries
-    return tuple((tuple(values), matched) for values, matched in entries)
+class _SideLayout:
+    """How one join side buffers its rows in a state value.
 
+    A key's value is one flat tuple: the side's buffered rows one after
+    another, ``stride`` cells each — the row's ``width`` column values,
+    then, for an outer join only, its matched flag (an inner join never
+    reads the flag, so it stores none).  Row ``i`` starts at
+    ``i * stride``.  One tuple of atomic values per key holds no object
+    per row and drops out of the cyclic collector's passes in one.
 
-def _flag_matched(entries: tuple, hits) -> tuple:
-    """``entries`` with the entries at positions ``hits`` marked matched:
-    a fresh tuple if any flag flips, else ``entries`` itself."""
-    if all(entries[i][1] for i in hits):
-        return entries
-    return tuple((e[0], True) if not e[1] and i in hits else e
-                 for i, e in enumerate(entries))
-
-
-def _consolidate(entries: tuple, weight_idx) -> tuple:
-    """A join side's entries as the integral of its input Z-set.
-
-    Entries are ``(row_values, matched)``; two entries are the same row
-    when their values agree everywhere but the weight slot.  Weights
-    add, a row netting to zero disappears, survivors keep first-seen
-    order (a negative net multiplicity is legal and kept: the insert it
-    cancels may arrive in a later epoch).  Entries are immutable: an
-    unchanged one is the same object, a merged row a fresh tuple.  An
-    unweighted side (``weight_idx is None``) is returned as is.
+    Checkpoints keep the nested ``[[row_values, matched], ...]`` records
+    they always held: :meth:`to_disk` and :meth:`from_disk` are the
+    state handle's value codec (``set_codec``).  Values are immutable: a
+    flipped flag or a merged row builds a new tuple.
     """
-    if weight_idx is None or len(entries) < 2:
-        return entries
-    net = {}
-    for entry in entries:
-        values = entry[0]
-        identity = values[:weight_idx] + values[weight_idx + 1:]
-        try:
-            slot = net.get(identity)
-        except TypeError:  # a cell holding a list: fold it to a tuple
-            identity = tuple(map(hashable_value, identity))
-            slot = net.get(identity)
-        if slot is None:
-            net[identity] = [entry, values[weight_idx], entry[1]]
-        else:
-            slot[1] += values[weight_idx]
-            slot[2] = slot[2] or entry[1]
-    if len(net) == len(entries):
-        return entries
-    out = []
-    for entry, weight, matched in net.values():
-        if weight == 0:
-            continue
-        values = entry[0]
-        if values[weight_idx] != weight:
-            values = values[:weight_idx] + (weight,) + values[weight_idx + 1:]
-            entry = (values, matched)
-        elif entry[1] != matched:
-            entry = (values, matched)
-        out.append(entry)
-    return tuple(out)
+
+    __slots__ = ("width", "stride", "weight")
+
+    def __init__(self, width: int, track_matched: bool, weight):
+        self.width = width
+        self.stride = width + track_matched
+        #: Index of the weight column in a row, None when append-only.
+        self.weight = weight
+
+    def rows(self, value: tuple) -> int:
+        """Rows buffered in one key's value."""
+        return len(value) // self.stride
+
+    def to_disk(self, value: tuple) -> tuple:
+        """The nested records of a value (JSON writes a tuple as a list);
+        an inner join's rows read unmatched."""
+        width, stride = self.width, self.stride
+        tracked = stride > width
+        if len(value) == stride:  # one row: most keys, a fifth the cost
+            return ((value[:width], tracked and value[width]),)
+        return tuple((value[i:i + width], tracked and value[i + width])
+                     for i in range(0, len(value), stride))
+
+    def from_disk(self, entries) -> tuple:
+        """Invert :meth:`to_disk` on decoded JSON (lists)."""
+        if self.stride > self.width:
+            return tuple(chain.from_iterable(
+                [(*values, matched) for values, matched in entries]))
+        if len(entries) == 1:
+            return tuple(entries[0][0])
+        return tuple(chain.from_iterable(
+            [values for values, _matched in entries]))
+
+    def expiry(self, time_idx: int, skew):
+        """A key's expiry: its earliest row time plus ``skew``."""
+        stride = self.stride
+        return (lambda _key, value:
+                min(value[time_idx::stride]) + skew if value else None)
+
+    def flag_matched(self, value: tuple, hits) -> tuple:
+        """``value`` with the rows at positions ``hits`` marked matched:
+        a fresh tuple if any flag flips, else ``value`` itself."""
+        flags = [i * self.stride + self.width for i in hits]
+        if all(value[f] for f in flags):
+            return value
+        out = list(value)
+        for f in flags:
+            out[f] = True
+        return tuple(out)
+
+    def consolidate(self, value: tuple) -> tuple:
+        """A value as the integral of the side's input Z-set.
+
+        Two rows are the same when they agree everywhere but the weight
+        slot.  Weights add, a row netting to zero disappears, survivors
+        keep first-seen order (a negative net multiplicity is legal and
+        kept: the insert it cancels may arrive in a later epoch), and a
+        merged row is matched if any of its parts was.  ``value`` itself
+        comes back when no two rows merge, and on an unweighted side.
+        """
+        weight_idx, width, stride = self.weight, self.width, self.stride
+        if weight_idx is None or len(value) < 2 * stride:
+            return value
+        tracked = stride > width
+        net = {}
+        for start in range(0, len(value), stride):
+            identity = (value[start:start + weight_idx]
+                        + value[start + weight_idx + 1:start + width])
+            try:
+                slot = net.get(identity)
+            except TypeError:  # a cell holding a list: fold it to a tuple
+                identity = tuple(map(hashable_value, identity))
+                slot = net.get(identity)
+            if slot is None:
+                net[identity] = [start, value[start + weight_idx],
+                                 tracked and value[start + width]]
+            else:
+                slot[1] += value[start + weight_idx]
+                if tracked:
+                    slot[2] = slot[2] or value[start + width]
+        if len(net) * stride == len(value):
+            return value
+        out = []
+        for start, weight, matched in net.values():
+            if weight == 0:
+                continue
+            at = len(out)
+            out.extend(value[start:start + stride])
+            out[at + weight_idx] = weight
+            if tracked:
+                out[at + width] = matched
+        return tuple(out)
 
 
 class StreamStreamJoinOp(IncrementalOp):
@@ -998,11 +1044,9 @@ class StreamStreamJoinOp(IncrementalOp):
     tracks the live rows, not the change history.
 
     A side's state value for a key is immutable, like the integral it
-    stands for: a tuple of ``(row_values, matched)`` entries, row values
-    a tuple too.  A flipped flag or a merged row builds a new entry;
-    nothing stored is ever mutated.  Tuples of atomic values drop out of
-    the cyclic collector's passes, and JSON writes a tuple exactly as a
-    list, so the checkpoint bytes are those of the list form.
+    stands for: one flat tuple of the key's buffered rows, laid out by
+    the side's :class:`_SideLayout`, whose value codec keeps the
+    checkpoint records in their nested ``[[row, matched], ...]`` form.
     """
 
     stateful = True
@@ -1048,42 +1092,44 @@ class StreamStreamJoinOp(IncrementalOp):
                 None, self._right_weight,
                 len(left_names) + self._rest_idx.index(self._right_weight))
         #: Matched flags only decide which evicted rows an *outer* join
-        #: null-pads; an inner join never reads them, so it never flips
-        #: (or re-checkpoints) them.
+        #: null-pads; an inner join never reads them, so it stores none.
         self._track_matched = node.how != "inner"
-        for state in (left_state, right_state):
-            state.set_row_count(len)
+        self._left_layout = _SideLayout(
+            len(left_names), self._track_matched, self._left_weight)
+        self._right_layout = _SideLayout(
+            len(right_names), self._track_matched, self._right_weight)
+        for state, layout in ((left_state, self._left_layout),
+                              (right_state, self._right_layout)):
+            state.set_codec(layout.to_disk, layout.from_disk)
+            state.set_row_count(layout.rows)
         if self.within is not None:
             left_col, right_col, skew = self.within
-            lt = self.left.output_schema.names.index(left_col)
-            rt = self.right.output_schema.names.index(right_col)
-            # A key's entries become evictable starting at
-            # min(entry time) + skew; re-puts refresh the index.
-            self._left_state.set_expiry(
-                lambda _key, entries, i=lt, s=skew:
-                min(e[0][i] for e in entries) + s if entries else None)
-            self._right_state.set_expiry(
-                lambda _key, entries, i=rt, s=skew:
-                min(e[0][i] for e in entries) + s if entries else None)
+            # A key's rows become evictable starting at min(row time) +
+            # skew; re-puts refresh the index.
+            self._left_state.set_expiry(self._left_layout.expiry(
+                left_names.index(left_col), skew))
+            self._right_state.set_expiry(self._right_layout.expiry(
+                right_names.index(right_col), skew))
 
-    # State per side: key -> tuple of (row_values, matched) entries.
-    def _entries_by_key(self, batch: RecordBatch, row_offsets=None) -> dict:
+    def _entries_by_key(self, batch: RecordBatch, layout: _SideLayout,
+                        row_offsets=None) -> dict:
         """Group the delta's rows by join key, in row order, as unmatched
-        state entries — the only materialization this epoch performs.
-        Returns ``key -> (first_row_index, [(row_values, False), ...])``,
-        keys in order of their first row; indices come from
-        ``row_offsets`` (global positions of this sub-batch's rows) so
-        sharded probes can be merged back into global delta order.
-        Columnar: group codes, a stable sort of row positions by code,
-        entries built once in that order (``zip``'s tuples are the row
-        values) — a key's entries are a slice."""
+        rows in ``layout`` — the only materialization this epoch performs.
+        Returns ``key -> (first_row_index, flat rows)``, keys in order of
+        their first row; indices come from ``row_offsets`` (global
+        positions of this sub-batch's rows) so sharded probes can be
+        merged back into global delta order.  Columnar: group codes, a
+        stable sort of row positions by code, one flat list filled a
+        column at a time in that order — a key's rows are a slice."""
         if batch.num_rows == 0:
             return {}
         codes, keys = encode_groups(
             [batch.columns[k] for k in self._node.on])
         order = np.argsort(codes, kind="stable")
-        rows = [(values, False) for values in zip(
-            *(batch.columns[n][order].tolist() for n in batch.schema.names))]
+        stride = layout.stride
+        flat = [False] * (batch.num_rows * stride)
+        for i, name in enumerate(batch.schema.names):
+            flat[i::stride] = batch.columns[name][order].tolist()
         ends = np.cumsum(np.bincount(codes, minlength=len(keys)))
         starts = np.concatenate(([0], ends[:-1]))
         # The sort is stable: a group's first sorted row is its first row.
@@ -1091,9 +1137,11 @@ class StreamStreamJoinOp(IncrementalOp):
         by_first = np.argsort(firsts, kind="stable").tolist()
         if row_offsets is not None:
             firsts = np.asarray(row_offsets)[firsts]
-        firsts, starts, ends = firsts.tolist(), starts.tolist(), ends.tolist()
+        firsts = firsts.tolist()
+        starts, ends = (starts * stride).tolist(), (ends * stride).tolist()
         return {
-            keys[g]: (firsts[g], rows[starts[g]:ends[g]]) for g in by_first
+            keys[g]: (firsts[g], tuple(flat[starts[g]:ends[g]]))
+            for g in by_first
         }
 
     def _drop_late_input(self, batch: RecordBatch, time_col: str,
@@ -1171,7 +1219,7 @@ class StreamStreamJoinOp(IncrementalOp):
         Probes the state store only for the distinct keys present in the
         deltas (per-epoch cost is O(delta + matches), not O(buffered
         state)), each key encoded once for both handles' reads and
-        writes.  Stored entries are immutable, so reading pre-epoch
+        writes.  Stored values are immutable, so reading pre-epoch
         state needs no copy, and every write is deferred into the
         returned writes.  A side is written back only if it changed: it
         received rows, or (outer joins) one of its matched flags
@@ -1181,8 +1229,10 @@ class StreamStreamJoinOp(IncrementalOp):
         right handle, each chunk ``((side, first_row_index), out_rows)``
         for deterministic merging.
         """
-        left_by_key = self._entries_by_key(new_left, left_offsets)
-        right_by_key = self._entries_by_key(new_right, right_offsets)
+        left_layout, right_layout = self._left_layout, self._right_layout
+        left_by_key = self._entries_by_key(new_left, left_layout, left_offsets)
+        right_by_key = self._entries_by_key(
+            new_right, right_layout, right_offsets)
         track = self._track_matched
         left, right, chunks = ([], []), ([], []), []
         probe = [(key, (0, first)) for key, (first, _rows)
@@ -1199,33 +1249,36 @@ class StreamStreamJoinOp(IncrementalOp):
                 self._right_state.get_many(encoded, keys, shard)):
             nl = left_by_key.get(key)
             nr = right_by_key.get(key)
-            stored_l, stored_r = _frozen(stored_l), _frozen(stored_r)
-            # New rows go after the buffered ones, at bl / br onwards.
-            bl, br = len(stored_l), len(stored_r)
-            l_entries = (*stored_l, *nl[1]) if nl else stored_l
-            r_entries = (*stored_r, *nr[1]) if nr else stored_r
+            stored_l, stored_r = stored_l or (), stored_r or ()
+            # New rows go after the buffered ones, at rows bl / br on.
+            bl = left_layout.rows(stored_l)
+            br = right_layout.rows(stored_r)
+            l_entries = stored_l + nl[1] if nl else stored_l
+            r_entries = stored_r + nr[1] if nr else stored_r
             out_rows = []
             if l_entries and r_entries and not is_null_key(key):
                 hits = (set(), set()) if track else None
+                nrows_l = left_layout.rows(l_entries)
+                nrows_r = right_layout.rows(r_entries)
                 # new-left x (buffered + new right), then buffered-left x
                 # new-right: together every pair exactly once.
                 if nl:
                     self._join_pairs(
-                        l_entries, range(bl, len(l_entries)),
-                        r_entries, range(len(r_entries)),
+                        l_entries, range(bl, nrows_l),
+                        r_entries, range(nrows_r),
                         out_rows, lt_idx, rt_idx, skew, hits)
                 if nr and bl:
                     self._join_pairs(
                         l_entries, range(bl),
-                        r_entries, range(br, len(r_entries)),
+                        r_entries, range(br, nrows_r),
                         out_rows, lt_idx, rt_idx, skew, hits)
                 if track:
-                    l_entries = _flag_matched(l_entries, hits[0])
-                    r_entries = _flag_matched(r_entries, hits[1])
+                    l_entries = left_layout.flag_matched(l_entries, hits[0])
+                    r_entries = right_layout.flag_matched(r_entries, hits[1])
             if nl:
-                l_entries = _consolidate(l_entries, self._left_weight)
+                l_entries = left_layout.consolidate(l_entries)
             if nr:
-                r_entries = _consolidate(r_entries, self._right_weight)
+                r_entries = right_layout.consolidate(r_entries)
             for (puts, removes), entries, stored in (
                     (left, l_entries, stored_l), (right, r_entries, stored_r)):
                 if entries != stored:  # an update may change nothing
@@ -1239,18 +1292,21 @@ class StreamStreamJoinOp(IncrementalOp):
 
     def _join_pairs(self, l_entries, l_positions, r_entries, r_positions,
                     out_rows, lt_idx, rt_idx, skew, hits) -> None:
-        """Emit the cross product of the entries at ``l_positions`` and
-        ``r_positions`` (within the time bound) as value lists.  With
-        ``hits = (left, right)`` sets (outer joins) the positions that
-        matched are added to them.  A weighted pair's weight is the
-        product of the two sides' multiplicities, emitted as that many
-        unit rows: weights stay in {-1, +1} downstream even though
-        consolidated state may hold a row of multiplicity 2."""
+        """Emit the cross product of the rows at ``l_positions`` and
+        ``r_positions`` of two flat side values (within the time bound)
+        as value lists.  With ``hits = (left, right)`` sets (outer joins)
+        the positions that matched are added to them.  A weighted pair's
+        weight is the product of the two sides' multiplicities, emitted
+        as that many unit rows: weights stay in {-1, +1} downstream even
+        though consolidated state may hold a row of multiplicity 2."""
         rest_idx, pair_weight = self._rest_idx, self._pair_weight
+        l_width, l_stride = self._left_layout.width, self._left_layout.stride
+        r_width, r_stride = self._right_layout.width, self._right_layout.stride
+        r_rows = [(j, r_entries[j * r_stride:j * r_stride + r_width])
+                  for j in r_positions]
         for i in l_positions:
-            l_values = l_entries[i][0]
-            for j in r_positions:
-                r_values = r_entries[j][0]
+            l_values = l_entries[i * l_stride:i * l_stride + l_width]
+            for j, r_values in r_rows:
                 if skew is not None and \
                         abs(l_values[lt_idx] - r_values[rt_idx]) > skew:
                     continue
@@ -1320,25 +1376,30 @@ class StreamStreamJoinOp(IncrementalOp):
             return []
         left_col, right_col, skew = self.within
         parts = []
-        for side, state, schema, own_col, other_watermark, emits_outer in (
-            ("left", self._left_state, self.left.output_schema, left_col,
+        for side, state, layout, schema, own_col, other_watermark, \
+                emits_outer in (
+            ("left", self._left_state, self._left_layout,
+             self.left.output_schema, left_col,
              ctx.watermarks.current(right_col), self._node.how == "left_outer"),
-            ("right", self._right_state, self.right.output_schema, right_col,
+            ("right", self._right_state, self._right_layout,
+             self.right.output_schema, right_col,
              ctx.watermarks.current(left_col), self._node.how == "right_outer"),
         ):
             if other_watermark is None:
                 continue
             time_index = schema.names.index(own_col)
+            width, stride = layout.width, layout.stride
             unmatched_rows = []
-            for key, entries in state.pop_expired(other_watermark):
+            for key, value in state.pop_expired(other_watermark):
                 keep = []
-                for entry in _frozen(entries):
-                    values, matched = entry
-                    if values[time_index] + skew <= other_watermark:
-                        if not matched and emits_outer:
-                            unmatched_rows.append(values)
+                for start in range(0, len(value), stride):
+                    if value[start + time_index] + skew <= other_watermark:
+                        # Only an outer join emits, and it keeps flags.
+                        if emits_outer and not value[start + width]:
+                            unmatched_rows.append(
+                                value[start:start + width])
                     else:
-                        keep.append(entry)
+                        keep.extend(value[start:start + stride])
                 if keep:
                     state.put(key, tuple(keep))
                 else:

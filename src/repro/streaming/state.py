@@ -215,6 +215,8 @@ class OperatorStateHandle:
         self._shards = _make_shards(self.num_shards)
         self._expiry_fn = None
         self._row_fn = None
+        #: The value codec (``set_codec``): None keeps values as stored.
+        self._to_disk = self._from_disk = None
         #: Running totals, so neither ``len()`` nor ``rows`` ever scans:
         #: live keys, and buffered rows as sized by ``set_row_count``.
         self._num_keys = 0
@@ -345,6 +347,32 @@ class OperatorStateHandle:
             shard.removed.add(encoded)
             shard.expiry.pop(encoded, None)
             metrics.count("state.removes")
+
+    # ------------------------------------------------------------------
+    # Value codec (in-memory layout vs. checkpoint records)
+    # ------------------------------------------------------------------
+    def set_codec(self, to_disk, from_disk) -> None:
+        """Register the value codec: ``to_disk(value)`` is the record a
+        checkpoint holds for an in-memory value, ``from_disk(decoded)``
+        the in-memory value of a decoded record.  Values cross it
+        wherever they cross the disk — commit and restore, and the
+        tiered backend's spills and run reads — so an operator can keep
+        a compact working layout behind unchanged checkpoint bytes.
+        Register it before the handle holds state (an operator's
+        constructor: the engine restores after building the plan)."""
+        self._to_disk, self._from_disk = to_disk, from_disk
+
+    def _disk_value(self, value):
+        """A value (or ``TOMBSTONE``) as a checkpoint record holds it."""
+        if self._to_disk is None or value is TOMBSTONE:
+            return value
+        return self._to_disk(value)
+
+    def _memory_value(self, record):
+        """A decoded record (or ``TOMBSTONE``) as the operator holds it."""
+        if self._from_disk is None or record is TOMBSTONE:
+            return record
+        return self._from_disk(record)
 
     # ------------------------------------------------------------------
     # Buffered-row accounting (monitoring, §7.4)
@@ -530,6 +558,9 @@ class OperatorStateHandle:
         streams = [pick(shard) for shard in self._shards]
         records = (streams[0] if len(streams) == 1
                    else heapq.merge(*streams, key=itemgetter(0)))
+        if self._to_disk is not None:
+            records = ((encoded, self._disk_value(value))
+                       for encoded, value in records)
         return kind, records, written
 
     def _finish_commit(self, version: int, kind: str, size: int,
@@ -671,6 +702,10 @@ class OperatorStateHandle:
         if usable:
             with statefile.paused_gc():
                 merged = self._load_chain(usable)
+                if self._from_disk is not None:
+                    from_disk = self._from_disk
+                    for encoded, value in merged.items():
+                        merged[encoded] = from_disk(value)
             self._num_keys = len(merged)
             if self.num_shards == 1:
                 self._shards[0].data = merged

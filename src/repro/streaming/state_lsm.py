@@ -372,14 +372,15 @@ class TieredOperatorStateHandle(OperatorStateHandle):
     # Keyed access
     # ------------------------------------------------------------------
     def _probe_runs(self, encoded: str):
-        """Look a key up in the runs, newest first."""
+        """Look a key up in the runs, newest first (a value comes back
+        through the codec's ``from_disk``)."""
         if not self._runs:
             return _MISS
         h_lo, h_hi = _bloom_hash(encoded)
         for run in self._runs:
             value = run.get(encoded, h_lo, h_hi)
             if value is not _MISS:
-                return value
+                return self._memory_value(value)
         return _MISS
 
     def _lookup(self, shard, encoded):
@@ -397,12 +398,15 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         if metrics._registry is not None:
             metrics._registry.counter(shard.puts_metric).inc()
         prior = shard.data.get(encoded, _MISS)
+        # The budget sizes values in their disk form, so spill points do
+        # not depend on an operator's in-memory layout.
+        disk = self._disk_value(value)
         if prior is _MISS:
             prior = self._probe_runs(encoded)
-            self._mem_bytes += _entry_bytes(encoded, value)
+            self._mem_bytes += _entry_bytes(encoded, disk)
         else:
-            self._mem_bytes += (
-                _approx_value_bytes(value) - _approx_value_bytes(prior))
+            self._mem_bytes += (_approx_value_bytes(disk)
+                                - _approx_value_bytes(self._disk_value(prior)))
         was_live = prior is not _MISS and prior is not TOMBSTONE
         shard.data[encoded] = value
         if not was_live:
@@ -428,7 +432,8 @@ class TieredOperatorStateHandle(OperatorStateHandle):
             if prior is TOMBSTONE:
                 return
             self._mem_bytes += (
-                _approx_value_bytes(TOMBSTONE) - _approx_value_bytes(prior))
+                _approx_value_bytes(TOMBSTONE)
+                - _approx_value_bytes(self._disk_value(prior)))
         # A tombstone (not a dict pop): it must mask any older value
         # still sitting in a run, and flush with the next seal.
         shard.data[encoded] = TOMBSTONE
@@ -474,7 +479,12 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         for shard in self._shards:
             mem.update(shard.data)
         streams = [iter(sorted(mem.items()))]
-        streams.extend(run.scan() for run in self._runs)
+        for run in self._runs:
+            records = run.scan()
+            if self._from_disk is not None:
+                records = ((encoded, self._memory_value(value))
+                           for encoded, value in records)
+            streams.append(records)
 
         def tag(stream, priority):
             for encoded, value in stream:
@@ -533,7 +543,8 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         """
         items = []
         for shard in self._shards:
-            items.extend(shard.data.items())
+            items.extend((encoded, self._disk_value(value))
+                         for encoded, value in shard.data.items())
         if not items:
             return
         items.sort()
@@ -723,8 +734,8 @@ class TieredOperatorStateHandle(OperatorStateHandle):
             merged = self._load_chain(usable)
         for encoded, value in merged.items():
             shard = self._shards[self.shard_index(decode_key(encoded))]
-            shard.data[encoded] = value
             self._mem_bytes += _entry_bytes(encoded, value)
+            shard.data[encoded] = self._memory_value(value)
         self._num_keys = len(merged)
         # Never reuse a sequence a later (tiered) manifest references.
         self._next_seq = 1 + max(

@@ -1,10 +1,16 @@
 """Tests for the message-bus substrate (repro.bus)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.bus import Broker
-from repro.sql.batch import RecordBatch
+from repro.sql.batch import RecordBatch, shard_of_key
 from repro.sql.types import StructType
 
 SCHEMA = StructType((("v", "long"),))
@@ -72,14 +78,37 @@ class TestPartitionLog:
         assert topic.partitions[0].append({"v": 9}) == 0
 
     def test_hash_partitioning_by_key(self, broker):
+        """A key's partition is the engine's stable key hash, the same in
+        every process: ``hash`` of a str is salted per process, so a
+        restarted producer would scatter a key across partitions."""
         topic = broker.create_topic("t", 4)
         for i in range(40):
             topic.publish({"v": i}, key=i)
         assert topic.total_records() == 40
-        # same key -> same partition
-        target = hash(7) % 4
+        target = shard_of_key(7, 4)
         assert {"v": 7} in topic.partitions[target].read(
             0, topic.partitions[target].end_offset)
+        code = (
+            "import json\n"
+            "from repro.bus import Broker\n"
+            "topic = Broker().create_topic('t', 4)\n"
+            "for i in range(24):\n"
+            "    topic.publish({'v': i}, key='key-%d' % i)\n"
+            "print(json.dumps([[r['v'] for r in p.read(0, p.end_offset)]\n"
+            "                  for p in topic.partitions]))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        placements = {
+            subprocess.run(
+                [sys.executable, "-c", code], check=True, capture_output=True,
+                text=True, env={**os.environ, "PYTHONHASHSEED": salt,
+                                "PYTHONPATH": src}).stdout
+            for salt in ("1", "2", "3")}
+        assert len(placements) == 1
+        by_partition = json.loads(placements.pop())
+        assert by_partition == [
+            [i for i in range(24) if shard_of_key(f"key-{i}", 4) == p]
+            for p in range(4)]
 
     def test_end_offsets_json_keys(self, broker):
         topic = broker.create_topic("t", 2)

@@ -31,6 +31,7 @@ from repro.observability.serve import CONTENT_TYPE, MetricsServer
 from repro.sinks.memory import MemorySink
 from repro.sql import functions as F
 from repro.sql.session import Session
+from repro.streaming import microbatch
 from repro.streaming.progress import EpochProgress
 from repro.testing.faults import CrashPoint, Fault, FaultInjector, injected
 
@@ -267,10 +268,16 @@ class TestBottleneckModel:
 
 
 class TestBottleneckSyntheticDelay:
-    def test_slow_sink_is_named(self, tmp_path):
+    def test_slow_sink_is_named(self, tmp_path, monkeypatch):
+        # The phase clock stands still except in the sink, which takes
+        # ten seconds by it: the sink's share of the phase timings does
+        # not depend on how fast the host runs the rest of the epoch.
+        now = [0.0]
+        monkeypatch.setattr(microbatch, "phase_clock", lambda: now[0])
+
         class SlowSink(MemorySink):
             def add_batch(self, epoch_id, batch, mode):
-                time.sleep(0.05)
+                now[0] += 10.0
                 super().add_batch(epoch_id, batch, mode)
 
         session = Session()

@@ -32,7 +32,7 @@ from repro.sources import ChangeStream
 from repro.sql.session import Session
 from repro.sql.types import StructType
 from repro.streaming import operators, statefile
-from repro.streaming.operators import StreamStreamJoinOp, _consolidate
+from repro.streaming.operators import StreamStreamJoinOp, _SideLayout
 from repro.streaming.state import MIN_FILE_WEIGHT, OperatorStateHandle
 from repro.streaming.state_lsm import TieredOperatorStateHandle
 from repro.testing.oracle import batch_recompute, canonical_rows
@@ -142,20 +142,45 @@ def test_join_state_is_the_integral_of_its_input(tmp_path_factory, history,
 
 
 def test_consolidate_nets_weights_and_keeps_negatives():
-    # Entries are immutable ``(row_values, matched)`` tuples.
-    stored = ((("a", 1, 1), False), (("a", 2, 1), False))
-    entries = stored + ((("a", 1, -1), False), (("a", 1, 1), False),
-                        (("a", 2, 1), False), (("a", 3, -1), False))
-    out = _consolidate(entries, 2)
-    # a/1: +1 -1 +1 = 1 (the stored entry object survives as is);
-    # a/2: multiplicity 2, a fresh entry; a/3: a delete ahead of its
-    # insert stays.
-    assert out == ((("a", 1, 1), False), (("a", 2, 2), False),
-                   (("a", 3, -1), False))
-    assert out[0] is stored[0]
-    assert _consolidate(((("x", 1), False), (("x", -1), False)), 1) == ()
+    # A side's value is one flat tuple of rows: here three columns, the
+    # weight last, and no matched flags (an inner join keeps none).
+    layout = _SideLayout(3, False, 2)
+    stored = ("a", 1, 1, "a", 2, 1)
+    value = stored + ("a", 1, -1, "a", 1, 1, "a", 2, 1, "a", 3, -1)
+    # a/1: +1 -1 +1 = 1; a/2: multiplicity 2; a/3: a delete ahead of
+    # its insert stays.
+    assert layout.consolidate(value) == ("a", 1, 1, "a", 2, 2, "a", 3, -1)
+    # Nothing merges: the same object back.
+    assert layout.consolidate(stored) is stored
+    assert _SideLayout(2, False, 1).consolidate(("x", 1, "x", -1)) == ()
+    # With matched flags (outer joins) a merged row is matched if any
+    # of its parts was.
+    assert _SideLayout(2, True, 1).consolidate(
+        ("x", 1, False, "y", 1, False, "x", 1, True)) == (
+        "x", 2, True, "y", 1, False)
     # The append-only path is untouched: same object back.
-    assert _consolidate(entries, None) is entries
+    assert _SideLayout(3, False, None).consolidate(value) is value
+
+
+CELLS = st.one_of(st.integers(), st.floats(), st.text(max_size=3),
+                  st.none())
+
+
+@given(width=st.integers(1, 4), tracked=st.booleans(), data=st.data())
+def test_side_codec_round_trips_the_nested_records(width, tracked, data):
+    """A join side's value codec maps the nested ``[[row, matched], ...]``
+    records a checkpoint holds to the flat layout and back to the same
+    JSON bytes; an inner join (no flags stored) writes every row
+    unmatched."""
+    records = data.draw(st.lists(st.tuples(
+        st.lists(CELLS, min_size=width, max_size=width),
+        st.booleans() if tracked else st.just(False))))
+    layout = _SideLayout(width, tracked, None)
+    value = layout.from_disk(json.loads(json.dumps(records)))
+    assert type(value) is tuple
+    assert layout.rows(value) == len(records)
+    assert len(value) == len(records) * (width + tracked)
+    assert json.dumps(layout.to_disk(value)) == json.dumps(records)
 
 
 @pytest.mark.parametrize("right_weighted", [True, False])
@@ -281,10 +306,10 @@ RESTORE_EPOCHS = [
 @pytest.mark.parametrize("backend", ["dict", "tiered"])
 @pytest.mark.parametrize("shards", [1, 4])
 def test_restored_join_state_nets_to_no_write(tmp_path, backend, shards):
-    """Restored state holds the lists JSON decodes to, state the join
-    wrote holds tuples: an epoch that nets a restored key back to its
-    entries writes no record for it, and the restarted run's checkpoint
-    bytes equal an uninterrupted run's."""
+    """Restored state comes back through the join's value codec as the
+    flat tuple the join writes: an epoch that nets a restored key back
+    to its rows writes no record for it, and the restarted run's
+    checkpoint bytes equal an uninterrupted run's."""
     trees, outputs = [], []
     for restart_at in (None, 3):
         checkpoint = str(tmp_path / f"restart-{restart_at}")
@@ -314,8 +339,10 @@ def test_restored_join_state_nets_to_no_write(tmp_path, backend, shards):
             if epoch == restart_at:
                 join = next(op for op in query.engine.plan.stateful_ops
                             if isinstance(op, StreamStreamJoinOp))
-                # The boundary is real: "a" was read back as lists.
-                assert type(join._left_state.get(("a",))) is list
+                # The boundary is real: "a" was read back from disk,
+                # two rows of (k, v, weight) laid flat.
+                assert join._left_state.get(("a",)) == (
+                    "a", 1, 1, "a", 3, 1)
         query.stop()
         tree = _state_tree(checkpoint)
         assert _records_written_at(tree, "join-left-0", 3) == []
@@ -359,10 +386,9 @@ class TestJoinStateFootprint:
     def test_stored_join_values_are_not_gc_tracked(self, tmp_path, source,
                                                    how):
         """Tuples of atomic values leave the collector's passes: after
-        collection no stored join value is tracked, flags flipped or not.
-        A pass untracks a tuple once its items are untracked but visits
-        a container before its contents, so each pass peels one level:
-        row values, then entries, then a key's tuple of entries."""
+        one collection no stored join value is tracked, flags flipped or
+        not — a key's value is one flat tuple, so one pass untracks it.
+        Only an outer join stores matched flags."""
         left, right, add, query = _start_join(source, how,
                                               str(tmp_path / "ckpt"))
         epochs = [
@@ -377,22 +403,27 @@ class TestJoinStateFootprint:
             query.process_all_available()
         join = next(op for op in query.engine.plan.stateful_ops
                     if isinstance(op, StreamStreamJoinOp))
-        for _level in range(3):
-            gc.collect()
-        values = [value for state in (join._left_state, join._right_state)
-                  for _key, value in state.items()]
-        flags = [matched for value in values for _values, matched in value]
+        gc.collect()
+        values = [(layout, value) for state, layout in (
+            (join._left_state, join._left_layout),
+            (join._right_state, join._right_layout))
+            for _key, value in state.items()]
+        flags = [value[start + layout.width] for layout, value in values
+                 if layout.stride > layout.width
+                 for start in range(0, len(value), layout.stride)]
         query.stop()
-        assert len(values) == 4 and len(flags) == 5
-        assert [v for v in values if gc.is_tracked(v)] == []
-        # The outer join flipped flags (new entries), the inner ones not.
+        assert len(values) == 4
+        assert sum(layout.rows(value) for layout, value in values) == 5
+        assert [v for _layout, v in values if gc.is_tracked(v)] == []
+        # The outer join flipped flags (new values); the inner keeps none.
+        assert len(flags) == (5 if how == "left_outer" else 0)
         assert any(flags) == (how == "left_outer")
 
     def test_buffered_cdc_rows_retain_little(self, tmp_path):
         """20 000 buffered three-``long`` CDC rows, two per key: measured
-        252 B a row under ``operators.py`` (the ints, a values tuple, an
-        entry tuple and a share of the key's tuple); the list form held
-        316."""
+        148 B a row under ``operators.py`` (the ints and a share of the
+        key's flat tuple); one tuple per row inside a tuple of
+        ``(row, matched)`` entries held 250, the list form 316."""
         rows = 20_000
         orders = ChangeStream(StructType((
             ("order_id", "long"), ("cust", "long"), ("amount", "long"))))
@@ -420,7 +451,7 @@ class TestJoinStateFootprint:
         assert query.engine.state_store.total_rows() == rows
         query.stop()
         held = sum(stat.size for stat in snapshot.statistics("filename"))
-        assert held / (rows - 10) <= 270
+        assert held / (rows - 10) <= 160
 
 
 # ----------------------------------------------------------------------

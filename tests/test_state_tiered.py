@@ -32,6 +32,7 @@ from repro.streaming.state_lsm import (
     _MISS,
 )
 from repro.testing.faults import CrashPoint, Fault, FaultInjector, injected
+from repro.testing.oracle import canonical_rows
 
 from tests.conftest import framed, make_stream, rows_set, start_memory_query
 
@@ -472,3 +473,92 @@ def test_stop_closes_spilled_run_descriptors(tmp_path):
     query.stop()
     assert _fds_under(checkpoint) == []
     query.stop()  # close is idempotent
+
+
+# ----------------------------------------------------------------------
+# A weighted join that cancels a whole key, through the join's codec
+# ----------------------------------------------------------------------
+CANCEL_EPOCHS = [
+    # Nine left keys overflow the 2048 B memtable mid-epoch: run 0 is
+    # a spill, run 1 the commit's seal.
+    lambda left, right: (
+        left.insert([{"k": "a", "v": 1}, {"k": "a", "v": 2}]
+                    + [{"k": k, "v": 9} for k in "bcdefgh"]),
+        right.insert([{"k": "a", "w": 10}, {"k": "b", "w": 20}])),
+    # "a" is read back out of run 0.
+    lambda left, right: left.insert([{"k": "a", "v": 3}]),
+    # Every row of "a" is deleted: the key is removed while its value
+    # lives in run 2, so run 3 holds its tombstone.
+    lambda left, right: left.delete(
+        [{"k": "a", "v": 1}, {"k": "a", "v": 2}, {"k": "a", "v": 3}]),
+    lambda left, right: (right.insert([{"k": "a", "w": 11}]),
+                         left.insert([{"k": "b", "v": 5}])),
+    lambda left, right: left.insert([{"k": "a", "v": 4}]),
+]
+
+CANCEL_RUNS_GOLDEN = {
+    "00000000.run": framed(
+        "run", 0, '["[\\"a\\"]",[[["a",1,1],false],[["a",2,1],false]]]',
+        *(f'["[\\"{k}\\"]",[[["{k}",9,1],false]]]' for k in "bcde")),
+    "00000001.run": framed(
+        "run", 1,
+        *(f'["[\\"{k}\\"]",[[["{k}",9,1],false]]]' for k in "fgh")),
+    "00000002.run": framed(
+        "run", 2, '["[\\"a\\"]",[[["a",1,1],false],[["a",2,1],false],'
+                  '[["a",3,1],false]]]'),
+    "00000003.run": framed("run", 3, '["[\\"a\\"]"]'),
+}
+
+
+def _run_cancelling_join(checkpoint, backend, restart_backend=None):
+    """The sink table of CANCEL_EPOCHS through a weighted inner join on
+    ``backend`` (2048 B memtable), restarted before epoch 3 onto
+    ``restart_backend`` when one is given."""
+    from repro.sources import ChangeStream
+    from repro.sql.session import Session
+    from repro.sql.types import StructType
+
+    left = ChangeStream(StructType((("k", "string"), ("v", "long"))))
+    right = ChangeStream(StructType((("k", "string"), ("w", "long"))))
+
+    def start(backend, sink=None):
+        session = Session()
+        joined = session.read_stream.cdc(left).join(
+            session.read_stream.cdc(right), on="k")
+        writer = (joined.write_stream.output_mode("retract")
+                  .option("state_backend", backend)
+                  .option("state_memtable_bytes", 2048)
+                  .option("num_shards", 1))
+        writer = (writer.sink(sink) if sink is not None
+                  else writer.format("memory").query_name("cancel"))
+        return writer.start(checkpoint)
+
+    query = start(backend)
+    sink = query.engine.sink
+    for epoch, step in enumerate(CANCEL_EPOCHS):
+        if epoch == 3 and restart_backend is not None:
+            query.stop()
+            query = start(restart_backend, sink)
+        step(left, right)
+        query.process_all_available()
+    query.stop()
+    return sink.rows()
+
+
+def test_weighted_join_cancelling_a_key_pins_runs_and_restarts(tmp_path):
+    """The join's flat values cross the tiered backend's spill, run read
+    and remove paths through its codec: the run files hold the nested
+    records byte for byte, the cancelled key's tombstone included, and
+    a restart onto the dict backend reaches the uninterrupted table."""
+    checkpoint = tmp_path / "switch"
+    switched = _run_cancelling_join(str(checkpoint), "tiered", "dict")
+    runs_dir = checkpoint / "state" / "join-left-0" / "runs"
+    runs = {name: (runs_dir / name).read_text(encoding="utf-8")
+            for name in sorted(os.listdir(runs_dir)) if name.endswith(".run")}
+    assert runs == CANCEL_RUNS_GOLDEN
+    expected = [{"k": "b", "v": 9, "w": 20}, {"k": "b", "v": 5, "w": 20},
+                {"k": "a", "v": 4, "w": 10}, {"k": "a", "v": 4, "w": 11}]
+    assert canonical_rows(switched) == canonical_rows(expected)
+    for backend in ("dict", "tiered"):
+        assert canonical_rows(_run_cancelling_join(
+            str(tmp_path / backend), backend)) == canonical_rows(expected)

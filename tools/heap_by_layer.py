@@ -3,7 +3,7 @@
 
     python3 tools/heap_by_layer.py --workload W [--seed N] [--blocks B]
                                    [--root <checkout>] [--lines K]
-    make heap W=<workload>
+    make heap W=<workload> [BLOCKS=B]
 
 Runs a ``bench/drivers.py`` workload under ``tracemalloc`` and prints
 the bytes still live at the end of set-up, at the end of the timed
@@ -15,8 +15,11 @@ harness, the rest as ``other``); the traced *peak* over each of the
 three phases (the transient high-water mark a phase's working set
 reaches, which live bytes at a boundary do not show); the number of
 objects the cyclic collector tracks (what each of its full passes
-walks) at each point; then the ``--lines`` largest ``src/repro`` lines
-at the end of the window.  ``--root`` points at
+walks) at each point; each state handle's keys, buffered rows, deep
+bytes (keys with the shard dicts, and values) and bytes per row at
+each point (one handle per stateful operator, one per join side; the
+tiered backend's memtable only); then the ``--lines`` largest
+``src/repro`` lines at the end of the window.  ``--root`` points at
 another checkout — a copy of the parent commit — so a memory claim is
 two runs of this one instrument.
 
@@ -62,6 +65,40 @@ def charge(snapshot, root: str):
     return layers, lines
 
 
+def deep_bytes(handle) -> tuple:
+    """``(key bytes, value bytes)`` of one state handle's in-memory keyed
+    state: the shards' dicts with their encoded keys, and the values
+    followed down tuples, lists and dicts, every object counted once (a
+    small int or a shared string too)."""
+    keys, seen, total, stack = 0, set(), 0, []
+    for shard in handle._shards:
+        keys += sys.getsizeof(shard.data) + sum(map(sys.getsizeof, shard.data))
+        stack.extend(shard.data.values())
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+    return keys, total
+
+
+def state_by_handle(workload) -> dict:
+    """``handle id -> (keys, rows, key bytes, value bytes)`` of the
+    workload's query (empty for an engine without a state store)."""
+    engine = getattr(getattr(workload, "query", None), "engine", None)
+    store = getattr(engine, "state_store", None)
+    if store is None:
+        return {}
+    return {name: (len(handle), handle.rows, *deep_bytes(handle))
+            for name, handle in store._handles.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
@@ -90,7 +127,7 @@ def main(argv=None) -> int:
     os.makedirs(workload.workdir)
     phases = ("end of set-up", "end of window", "after check")
     steps = (workload.setup, workload.measure, workload.mismatches)
-    live, lines, peaks, tracked = [], [], [], []
+    live, lines, peaks, tracked, handles = [], [], [], [], []
     tracemalloc.start(FRAMES)
     try:
         for step in steps:
@@ -101,6 +138,7 @@ def main(argv=None) -> int:
             live.append(by_layer)
             lines.append(by_line)
             tracked.append(len(gc.get_objects()))
+            handles.append(state_by_handle(workload))
     finally:
         tracemalloc.stop()
         workload.teardown()
@@ -122,6 +160,18 @@ def main(argv=None) -> int:
           + "".join(f"{peak * mb:>15.1f}" for peak in peaks))
     print(f"{'GC-tracked objects':40s}"
           + "".join(f"{count:>15,d}" for count in tracked))
+    print(f"\n{'state by handle':16s}{'phase':>15s}{'keys':>9s}{'rows':>9s}"
+          f"{'key MB':>9s}{'value MB':>9s}{'deep MB':>9s}{'B/row':>7s}")
+    for name in sorted(set().union(*handles)):
+        for phase, by_handle in zip(phases, handles):
+            if name not in by_handle:
+                continue
+            keys, rows, key_bytes, value_bytes = by_handle[name]
+            size = key_bytes + value_bytes
+            per_row = f"{size / rows:>7.0f}" if rows else f"{'-':>7s}"
+            print(f"{name:16s}{phase:>15s}{keys:>9,d}{rows:>9,d}"
+                  f"{key_bytes * mb:>9.2f}{value_bytes * mb:>9.2f}"
+                  f"{size * mb:>9.2f}{per_row}")
     print("\nlargest src/repro lines at end of window")
     window = lines[1]
     for line in sorted(window, key=window.get, reverse=True)[:args.lines]:
