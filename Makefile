@@ -41,14 +41,19 @@ bench-smoke:
 
 # Ten interleaved parent/change pairs of one bench/ workload, judged by
 # bench/README.md's claim rule: make bench-pairs W=cdc_join_agg BASE=<sha>
+# checks BASE out and copies this checkout (tracked files as modified,
+# plus untracked ones not ignored) beside it in one temporary directory,
+# and runs both sides from there: never checkout against worktree.
 N ?= 10
 bench-pairs:
 	$(PY) tools/bench_pairs.py --workload $(W) --base $(BASE) --pairs $(N)
 
 # Live heap of one bench/ workload by src/repro module, at the end of
 # set-up, of the window and of the harness's correctness check, with the
-# tracemalloc peak over each and each state handle's keys, rows and
-# deep bytes: make heap W=cdc_join_agg [BLOCKS=14]
+# tracemalloc peak over each, each state handle's keys, rows and deep
+# bytes, and the window's epoch working set (peak above the epoch's
+# starting live bytes, and the operator call that reached it):
+# make heap W=cdc_join_agg [BLOCKS=14]
 # [ROOT=<another checkout, e.g. a copy of the parent>]
 ROOT ?= .
 BLOCKS ?= 3

@@ -975,8 +975,29 @@ class AggregateFunction(Expression):
         """Extract the final aggregate value from a buffer."""
         raise NotImplementedError
 
+    #: True when a buffer is a number or a list of numbers that ``merge``
+    #: adds and ``retract`` subtracts slot by slot (count, sum, avg):
+    #: per-group partials then merge as whole arrays
+    #: (:class:`~repro.sql.grouping.PartialTable`).
+    additive = False
+
     def batch_partials(self, batch, codes: np.ndarray, num_groups: int) -> list:
         """Vectorized: one partial buffer per group code for this batch."""
+        if self.additive:
+            return self.buffers_from_arrays(
+                self.partial_arrays(batch, codes, num_groups))
+        raise NotImplementedError
+
+    def partial_arrays(self, batch, codes: np.ndarray, num_groups: int,
+                       rows: np.ndarray = None) -> list:
+        """Additive aggregates: the batch's per-group partials as one array
+        per buffer slot, indexed by group code.  ``rows``, when given, is
+        ``np.bincount(codes, minlength=num_groups)``, already counted."""
+        raise NotImplementedError
+
+    def buffers_from_arrays(self, arrays) -> list:
+        """Additive aggregates: the per-group buffers ``partial_arrays``'
+        slot arrays stand for."""
         raise NotImplementedError
 
     # -- helpers ---------------------------------------------------------
@@ -1002,11 +1023,44 @@ def _valid_mask(values: np.ndarray) -> np.ndarray:
     return np.ones(len(values), dtype=bool)
 
 
+#: A float64 holds every integer below this magnitude exactly.
+_FLOAT_EXACT_INT = 1 << 53
+
+
+def _integer_sums(values: np.ndarray, codes: np.ndarray, num_groups: int):
+    """Per-group sums of integer ``values``, exact: an int64 array while
+    every sum stays below 2**53 in magnitude, else Python ints (an object
+    array) — so int64 partials add up across parts without leaving int64
+    (:class:`~repro.sql.grouping.PartialTable`).
+
+    While ``max |value| x rows`` stays below 2**53 every partial sum is an
+    exact double, so one float ``bincount`` serves; up to 2**63 the sums
+    accumulate in int64; beyond that, in Python ints.
+    """
+    if not len(values):
+        return np.zeros(num_groups, dtype=np.int64)
+    bound = max(-int(values.min()), int(values.max())) * len(values)
+    if bound < _FLOAT_EXACT_INT:
+        return np.bincount(codes, weights=values,
+                           minlength=num_groups).astype(np.int64)
+    if bound < 1 << 63:
+        totals = np.zeros(num_groups, dtype=np.int64)
+        np.add.at(totals, codes, values)
+        return totals.astype(object)
+    sums = [0] * num_groups
+    for code, value in zip(codes.tolist(), values.tolist()):
+        sums[code] += value
+    totals = np.empty(num_groups, dtype=object)
+    totals[:] = sums
+    return totals
+
+
 class Count(AggregateFunction):
     """``count(*)`` when child is None, else ``count(col)`` skipping nulls."""
 
     func_name = "count"
     supports_retract = True
+    additive = True
 
     def data_type(self, schema: StructType) -> DataType:
         if self.child is not None:
@@ -1030,13 +1084,17 @@ class Count(AggregateFunction):
     def finish(self, buffer):
         return buffer
 
-    def batch_partials(self, batch, codes, num_groups):
-        if self.child is None:
-            counts = np.bincount(codes, minlength=num_groups)
-        else:
+    def partial_arrays(self, batch, codes, num_groups, rows=None):
+        if self.child is not None:
             mask = _valid_mask(self._values(batch))
-            counts = np.bincount(codes[mask], minlength=num_groups)
-        return counts.tolist()
+            if not mask.all():
+                return [np.bincount(codes[mask], minlength=num_groups)]
+        if rows is None:
+            rows = np.bincount(codes, minlength=num_groups)
+        return [rows]
+
+    def buffers_from_arrays(self, arrays):
+        return arrays[0].tolist()
 
     @property
     def output_name(self) -> str:
@@ -1048,6 +1106,7 @@ class Sum(AggregateFunction):
 
     func_name = "sum"
     supports_retract = True
+    additive = True
 
     def data_type(self, schema: StructType) -> DataType:
         ct = self.child.data_type(schema)
@@ -1072,16 +1131,22 @@ class Sum(AggregateFunction):
     def finish(self, buffer):
         return buffer[0] if buffer[1] else None
 
-    def batch_partials(self, batch, codes, num_groups):
+    def partial_arrays(self, batch, codes, num_groups, rows=None):
         values = np.asarray(self._values(batch))
         mask = _valid_mask(values)
         if not mask.all():
-            values, codes = values[mask], codes[mask]
-        totals = np.bincount(codes, weights=values.astype(np.float64), minlength=num_groups)
-        counts = np.bincount(codes, minlength=num_groups)
+            values, codes, rows = values[mask], codes[mask], None
         if values.dtype.kind in "iu":
-            totals = totals.astype(np.int64)
-        return [[t, int(c)] for t, c in zip(totals.tolist(), counts.tolist())]
+            totals = _integer_sums(values, codes, num_groups)
+        else:
+            totals = np.bincount(codes, weights=values.astype(np.float64),
+                                 minlength=num_groups)
+        if rows is None:
+            rows = np.bincount(codes, minlength=num_groups)
+        return [totals, rows]
+
+    def buffers_from_arrays(self, arrays):
+        return [[t, c] for t, c in zip(*(a.tolist() for a in arrays))]
 
 
 class Avg(AggregateFunction):
@@ -1089,6 +1154,7 @@ class Avg(AggregateFunction):
 
     func_name = "avg"
     supports_retract = True
+    additive = True
 
     def data_type(self, schema: StructType) -> DataType:
         ct = self.child.data_type(schema)
@@ -1113,14 +1179,18 @@ class Avg(AggregateFunction):
     def finish(self, buffer):
         return buffer[0] / buffer[1] if buffer[1] else None
 
-    def batch_partials(self, batch, codes, num_groups):
+    def partial_arrays(self, batch, codes, num_groups, rows=None):
         values = np.asarray(self._values(batch), dtype=np.float64)
         mask = _valid_mask(values)
         if not mask.all():
-            values, codes = values[mask], codes[mask]
-        totals = np.bincount(codes, weights=values, minlength=num_groups)
-        counts = np.bincount(codes, minlength=num_groups)
-        return [[t, int(c)] for t, c in zip(totals.tolist(), counts.tolist())]
+            values, codes, rows = values[mask], codes[mask], None
+        if rows is None:
+            rows = np.bincount(codes, minlength=num_groups)
+        return [np.bincount(codes, weights=values, minlength=num_groups),
+                rows]
+
+    def buffers_from_arrays(self, arrays):
+        return [[t, c] for t, c in zip(*(a.tolist() for a in arrays))]
 
 
 class _Extremum(AggregateFunction):

@@ -171,3 +171,139 @@ def _encode_structured(arrays, n: int):
         packed[f"k{i}"] = a
     uniques, codes = np.unique(packed, return_inverse=True)
     return codes.astype(np.int64, copy=False), [tuple(k) for k in uniques.tolist()]
+
+
+#: The one NaN object :func:`shared_nan` puts in key tuples.
+_NAN = float("nan")
+
+
+def shared_nan(key: tuple) -> tuple:
+    """``key`` with every NaN replaced by one shared NaN object.  Tuples
+    compare their elements by identity first, so two keys holding a null
+    (NaN) double are then equal and hash alike, as their state encodings
+    are; NaN objects from two ``tolist`` calls never are."""
+    if all(v == v for v in key):
+        return key
+    return tuple(_NAN if v != v else v for v in key)
+
+
+#: Parts an int64 slot takes before it widens to Python ints.  An int64
+#: partial stays below 2**53 in magnitude (a row count, or an integer sum
+#: ``Sum`` keeps in int64 only that far), so this many add up exactly.
+_INT64_PARTS = 1 << 10
+
+
+def _add_at(total: np.ndarray, ids: np.ndarray, part: np.ndarray, sign: int,
+            widen: bool):
+    """``total`` with ``sign * part`` added at ``ids`` (which may repeat).
+    Integer slots widen to object arrays of Python ints when either side
+    holds them already, or on ``widen``."""
+    if total.dtype.kind in "iuO" and (
+            widen or total.dtype == object or part.dtype == object):
+        total, part = total.astype(object), part.astype(object)
+    (np.add if sign > 0 else np.subtract).at(total, ids, part)
+    return total
+
+
+def _grown(array: np.ndarray, size: int) -> np.ndarray:
+    """A copy of ``array`` zero-extended to ``size`` slots (a copy: a
+    part's arrays may be shared, the row counts with ``count(*)``'s)."""
+    return np.concatenate([array, np.zeros(size - len(array), array.dtype)])
+
+
+class PartialTable:
+    """Per-group aggregate partials, merged over the parts of one epoch.
+
+    Each part is grouped on its own (``codes``/``uniques`` as
+    :func:`encode_groups` returns them) and reduced to per-group partials;
+    :meth:`add` numbers the part's key tuples into epoch-wide group ids,
+    in first-seen order, and merges the partials in part order — a +1
+    part with each aggregate's ``merge``, a -1 part with its ``retract``.
+    Additive aggregates (count, sum, avg) merge as arrays, one vectorized
+    add per buffer slot; any other keeps one buffer per group and merges
+    with its own ``merge``, which keeps ``first`` and ``last`` in arrival
+    order, as one pass over the concatenated parts would.  Exact for
+    counts and integer sums; a float ``sum``/``avg`` adds per-part totals,
+    which can differ from one pass's total in the last place.
+
+    ``key_fn`` maps a key tuple to the dict key groups are told apart by
+    (:func:`shared_nan` where a key column is a double, so that a null
+    key read in two parts is one group).  With ``count_rows`` the table
+    also keeps each part's rows per group, for :meth:`counts`.
+    """
+
+    def __init__(self, aggregates, count_rows: bool = False, key_fn=None):
+        self._aggregates = aggregates
+        self._slots = [None] * len(aggregates)
+        self._key_fn = key_fn
+        #: Key tuple -> group id; insertion order is id order.
+        self._index = {}
+        #: (ids, rows per part group, sign) per part, with ``count_rows``.
+        self._rows = [] if count_rows else None
+        self._added = 0  # parts merged
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    @property
+    def keys(self) -> list:
+        """Key tuples by group id."""
+        return list(self._index)
+
+    def add(self, batch, codes: np.ndarray, uniques: list, sign: int = 1):
+        """Merge one grouped part's partials (``batch`` holds the rows
+        ``codes`` index, ``uniques`` the part's key tuples by code)."""
+        index = self._index
+        fresh = not index
+        self._added += 1
+        if self._key_fn is not None:
+            uniques = [self._key_fn(key) for key in uniques]
+        ids = list(map(index.get, uniques))
+        if None in ids:  # new groups, numbered in first-seen order
+            for i, g in enumerate(ids):
+                if g is None:
+                    ids[i] = index.setdefault(uniques[i], len(index))
+        ids = np.array(ids, dtype=np.int64)
+        size, width = len(index), len(uniques)
+        rows = None
+        if self._rows is not None:
+            rows = np.bincount(codes, minlength=width)
+            self._rows.append((ids, rows, sign))
+        # A first +1 part whose keys are all distinct is the table as is.
+        adopt = fresh and size == width and sign > 0
+        for i, fn in enumerate(self._aggregates):
+            slot = self._slots[i]
+            if fn.additive:
+                arrays = fn.partial_arrays(batch, codes, width, rows)
+                self._slots[i] = arrays if adopt else [
+                    _add_at(_grown(total, size), ids, part, sign,
+                            self._added > _INT64_PARTS)
+                    for total, part in zip(slot or [
+                        np.zeros(0, dtype=part.dtype) for part in arrays],
+                        arrays)]
+                continue
+            partials = fn.batch_partials(batch, codes, width)
+            if adopt:
+                self._slots[i] = partials
+                continue
+            slot = slot or []
+            slot.extend(fn.init() for _ in range(size - len(slot)))
+            combine = fn.merge if sign > 0 else fn.retract
+            for g, partial in zip(ids.tolist(), partials):
+                slot[g] = combine(slot[g], partial)
+            self._slots[i] = slot
+
+    def counts(self) -> np.ndarray:
+        """Each group's signed row count (group memberships: for
+        lateness, or a Z-set's live rows)."""
+        counts = np.zeros(len(self._index), dtype=np.int64)
+        for ids, rows, sign in self._rows:
+            (np.add if sign > 0 else np.subtract).at(counts, ids, rows)
+        return counts
+
+    def buffers(self) -> list:
+        """Per aggregate, the epoch's partial buffer of each group id."""
+        return [
+            fn.buffers_from_arrays(slot) if fn.additive else slot
+            for fn, slot in zip(self._aggregates, self._slots)
+        ]

@@ -32,7 +32,7 @@ from repro.sql.batch import (
     partition_by_assignment,
     shard_assignments,
 )
-from repro.sql.grouping import encode_groups
+from repro.sql.grouping import PartialTable, encode_groups, shared_nan
 from repro.sql.joins import (
     UniqueKeyIndex,
     assemble_join_output,
@@ -74,6 +74,15 @@ class EpochContext:
         #: Operator label -> {"rows_out", "seconds", "calls"}, filled by
         #: the instrumented process wrappers when observability is on.
         self.op_metrics = {}
+
+    def narrowed(self, source_name: str, part: RecordBatch) -> "EpochContext":
+        """This context with one source's input replaced by ``part`` (one
+        part of its chunked read); watermarks, metrics and op_metrics
+        stay shared, so repeated calls add up as one epoch's."""
+        ctx = object.__new__(EpochContext)
+        ctx.__dict__.update(self.__dict__)
+        ctx.inputs = {**self.inputs, source_name: part}
+        return ctx
 
 
 def run_op_shard_tasks(ctx: EpochContext, label, op, method: str,
@@ -204,6 +213,17 @@ class IncrementalOp:
         """True if the operator needs an epoch even without new data."""
         return False
 
+    @property
+    def row_local_scan(self):
+        """The one stream scan this operator's output is a row-local
+        function of, or None.  Row-local down to one scan (stages, the
+        stream–static join, the watermark tracker): each input row's
+        output rows depend on that row alone, so the operator may run
+        once per part of the scan's chunked read and the outputs' union
+        is the epoch's.  A union, a stateful operator or a second scan
+        below makes it None."""
+        return None
+
     def child_ops(self) -> list:
         """Child operators, for plan rendering and traversal."""
         found = []
@@ -253,6 +273,10 @@ class StreamScanOp(IncrementalOp):
         ctx.metrics["rows_processed"] += batch.num_rows
         return batch
 
+    @property
+    def row_local_scan(self):
+        return self
+
     def describe(self) -> str:
         return f"StreamScan [{self.source_name}]"
 
@@ -289,11 +313,16 @@ class StatelessOp(IncrementalOp):
     (:mod:`repro.sql.plancompiler`, §5.3); each epoch then runs only the
     compiled kernels over the delta, with no plan walk or expression
     compilation.  Being row-local, the pipeline runs once per part of a
-    chunked source read and only the survivors are concatenated, so the
-    epoch's full-width input is never built when this operator is the
-    scan's first consumer.  Any other operator directly on the scan (a
-    watermark with no stage below it, a join, an aggregate) reads
-    ``columns``, which concatenates the read first.
+    chunked source read.  Under a grouped aggregate whose child is
+    row-local down to the scan (this stage, the stream–static join, the
+    watermark tracker), the aggregate calls it once per part and folds
+    each part into per-group partials, so nothing is concatenated (float
+    ``sum``/``avg`` then add per-part totals, which can differ from one
+    pass in the last place).  Otherwise, as the scan's first consumer,
+    it concatenates only its survivors.  Every other consumer of a read
+    (a stream–stream join, a dedup, a union, an aggregate over any of
+    these or at ``num_shards > 1``) reads ``columns``, which
+    concatenates the read first.
     """
 
     def __init__(self, node: L.LogicalPlan, child: IncrementalOp):
@@ -324,6 +353,10 @@ class StatelessOp(IncrementalOp):
             [compiled({key: part}) for part in batch.chunks()],
             self.output_schema)
 
+    @property
+    def row_local_scan(self):
+        return self.child.row_local_scan
+
     def process(self, ctx: EpochContext) -> RecordBatch:
         batch = self.child.process(ctx)
         if batch.num_rows == 0:
@@ -343,6 +376,10 @@ class WatermarkTrackOp(IncrementalOp):
         self.column = column
         self.child = child
         self.output_schema = child.output_schema
+
+    @property
+    def row_local_scan(self):
+        return self.child.row_local_scan
 
     def process(self, ctx: EpochContext) -> RecordBatch:
         batch = self.child.process(ctx)
@@ -391,6 +428,12 @@ class StreamStaticJoinOp(IncrementalOp):
         #: None: duplicate, object or NaN static keys take the hash path.
         self._index = UniqueKeyIndex.build(static.materialize(), node.on)
         self._indexed = "right" if stream_is_left else "left"
+
+    @property
+    def row_local_scan(self):
+        # Analysis admits an outer join only with the stream side kept, so
+        # each output row comes from one stream row.
+        return self.stream.row_local_scan
 
     def join_delta(self, delta: RecordBatch) -> RecordBatch:
         """Join one stream delta against the static side: a lookup of
@@ -444,6 +487,13 @@ class StatefulAggregateOp(IncrementalOp):
     With a watermark, rows later than the bound are dropped and finalized
     keys evicted in update mode too, keeping state bounded (§4.3.1).
 
+    The fold is a partial aggregate per input part merged once into the
+    state store (§5.2, §6.1): over a chunked read, and a child that is
+    row-local down to its scan, each part is run through the child,
+    grouped and reduced to per-group partials that merge into one epoch
+    table (:class:`~repro.sql.grouping.PartialTable`) before the next
+    part is read.  State is then read and written once per key.
+
     One fold serves both delta models (§4.2 generalized, DBSP): +1 rows
     *merge* their partials into a group's buffers, -1 rows *retract*
     theirs, and append-only input is the all-ones Z-set — a single +1
@@ -493,6 +543,13 @@ class StatefulAggregateOp(IncrementalOp):
         self.state_aligned = bool(node.plain_grouping) and self._window is None
         #: Group-key pipeline compiled once; per epoch only kernels run.
         self._grouping = plancompiler.compile_grouping(node)
+        #: The scan whose chunked read the fold takes part by part.
+        self._part_scan = child.row_local_scan
+        #: A null (NaN) double key must be one group across rows and
+        #: parts, as it is one state key.
+        self._key_fn = shared_nan if any(
+            g.data_type(node.child.schema).numpy_dtype == np.float64
+            for g in node.plain_grouping) else None
         #: Index of the watermarked plain grouping key (non-window case).
         self._key_time_index = None
         if self.watermark_column is not None and self._window is None:
@@ -522,12 +579,11 @@ class StatefulAggregateOp(IncrementalOp):
         return value if self.weighted else (None, value)
 
     def process(self, ctx: EpochContext) -> RecordBatch:
-        batch = self.child.process(ctx)
         watermark = (
             ctx.watermarks.current(self.watermark_column)
             if self.watermark_column is not None else None
         )
-        changes = self._fold(batch, watermark, ctx)
+        changes = self._fold(ctx, watermark)
         if ctx.output_mode == "complete":
             # Canonical (encoded-key) order: state iteration order varies
             # with the shard count, the emitted table must not.
@@ -542,11 +598,10 @@ class StatefulAggregateOp(IncrementalOp):
         # append: emit exactly the keys the watermark has finalized.
         emit = self._evict_finalized(watermark)
         if ctx.output_mode == "update":
-            # Changed keys still in state after that eviction.
-            emit = [
-                (key, buffers) for key, _old, _new in _by_group_key(changes)
-                if (buffers := self.state.get(key)) is not None
-            ]
+            # Changed keys with their new buffers.  None was just evicted:
+            # eviction and the fold's late drop share one bound, so a
+            # group the watermark finalized never folded this epoch.
+            emit = [(key, new) for key, _old, new in _by_group_key(changes)]
         return aggregate_result_batch(
             self._node, [k for k, _ in emit], [b for _, b in emit]
         )
@@ -582,19 +637,38 @@ class StatefulAggregateOp(IncrementalOp):
             return [np.floor(times / window.slide) * window.slide]
         return None
 
-    def _fold(self, batch: RecordBatch, watermark, ctx: EpochContext) -> list:
+    def _child_parts(self, ctx: EpochContext):
+        """The epoch's child output, one batch per part of a chunked read
+        when the child is row-local down to that read's scan (each part
+        driven through the child's ``process`` under a narrowed context),
+        else the one whole-epoch batch."""
+        scan = self._part_scan
+        read = ctx.inputs.get(scan.source_name) if scan is not None else None
+        if read is None or len(read.chunks()) < 2:
+            yield self.child.process(ctx)
+            return
+        for part in read.chunks():
+            yield self.child.process(ctx.narrowed(scan.source_name, part))
+
+    def _fold(self, ctx: EpochContext, watermark) -> list:
         """Fold the epoch's delta into state; returns the per-key changes
         ``(key, old_buffers_or_None, new_buffers_or_None)``.
 
-        With ``num_shards > 1`` the delta is hash-partitioned by group
-        key and each shard folds as an independent task: a group's rows
-        share a shard, so the buffers equal the single-shard fold's.
+        With one shard the fold reads the child's output part by part
+        (:meth:`_child_parts`).  With ``num_shards > 1`` the delta is
+        hash-partitioned by group key and each shard folds its one part
+        as an independent task: a group's rows share a shard, so the
+        buffers equal the single-shard fold's.
         """
-        if batch.num_rows == 0:
-            return []
-        payloads = [(batch, watermark)]
-        if self.num_shards > 1 and batch.num_rows > 1:
-            arrays = self._partition_arrays(batch)
+        if self.num_shards == 1:
+            payloads = [(self._child_parts(ctx), watermark)]
+        else:
+            batch = self.child.process(ctx)
+            if batch.num_rows == 0:
+                return []
+            payloads = [(batch, watermark)]
+            arrays = self._partition_arrays(batch) \
+                if batch.num_rows > 1 else None
             if arrays is not None:
                 assign = shard_assignments(arrays, self.num_shards)
                 parts, _ = partition_by_assignment(
@@ -602,67 +676,63 @@ class StatefulAggregateOp(IncrementalOp):
                 payloads = [
                     (p, watermark) if p.num_rows else None for p in parts
                 ]
+            del batch
         return run_keyed_shard_tasks(
             ctx, ("agg", id(self)), self, "_fold_shard", payloads,
             [self.state])
 
-    def _fold_shard(self, batch: RecordBatch, watermark,
-                    shard=None) -> tuple:
-        """Pure keyed shard task: fold one sub-batch's Z-set into state.
+    def _fold_shard(self, delta, watermark, shard=None) -> tuple:
+        """Pure keyed shard task: fold a delta's Z-set into state.
 
-        Each signed part is grouped, late-dropped and reduced to per-group
-        partials; per key the +1 partials merge into the pre-epoch buffers
-        and the -1 partials retract.  Returns ``(writes, changes, late)``.
+        ``delta`` is a batch or an iterable of batches, the epoch's parts,
+        read one at a time.  Each part (each signed half of it, for
+        weighted input) is grouped and reduced to per-group partials,
+        which merge into one epoch table before the next part is read;
+        groups the watermark has finalized are then dropped from the
+        table, their rows counted as late.  Per key, the epoch partials
+        merge into the pre-epoch buffers.  Returns ``(writes, changes,
+        late)``.
         """
-        parts = (zip((1, -1), split_by_sign(batch)) if self.weighted
-                 else ((1, batch),))
         aggs = self._node.aggregates
-        # Per non-empty part: (key -> group, signed rows per group, per-agg
-        # (combine, partials) with combine = merge for +1, retract for -1).
-        folds = []
-        late_rows = 0
-        for sign, part in parts:
-            if part.num_rows == 0:
-                continue
-            expanded, codes, uniques = self._grouping(part)
-            if watermark is not None and len(uniques):
-                expanded, codes, uniques, late = self._drop_late(
-                    expanded, codes, uniques, watermark
-                )
-                late_rows += late
-            if not len(uniques):
-                continue
-            folds.append((
-                dict(zip(uniques, range(len(uniques)))),
-                (sign * np.bincount(codes, minlength=len(uniques))).tolist()
-                if self.weighted else None,
-                [(fn.merge if sign > 0 else fn.retract,
-                  fn.batch_partials(expanded, codes, len(uniques)))
-                 for fn, _ in aggs],
-            ))
-        puts, removes, changes = [], [], []
-        keys = {}  # first-seen order: the +1 part's groups, then -1-only
-        for groups, _counts, _reducers in folds:
-            keys.update(groups)
-        keys = list(keys)
+        table = PartialTable(
+            [fn for fn, _ in aggs],
+            count_rows=self.weighted or watermark is not None,
+            key_fn=self._key_fn)
+        parts = delta.chunks() if isinstance(delta, RecordBatch) else delta
+        for part in parts:
+            self._add_part(table, part)
+            del part  # drop this part's rows before the next is read
+        if not len(table):
+            return [([], [])], [], 0
+        keys, late_rows = table.keys, 0
+        groups = range(len(keys))
+        if watermark is not None:
+            late = np.fromiter(
+                ((expiry := self._key_expiry(key)) is not None
+                 and expiry <= watermark for key in keys),
+                dtype=bool, count=len(keys))
+            if late.any():
+                late_rows = int(table.counts()[late].sum())
+                groups = np.flatnonzero(~late).tolist()
+                keys = [keys[g] for g in groups]
+        # Each group's partials, one per aggregate.
+        partials = list(zip(*table.buffers()))
+        counts = table.counts().tolist() if self.weighted else None
         encoded = [encode_key(key) for key in keys]
-        for key, enc, stored in zip(
-                keys, encoded, self.state.get_many(encoded, keys, shard)):
+        merges = [fn.merge for fn, _ in aggs]
+        puts, removes, changes = [], [], []
+        for g, key, enc, stored in zip(
+                groups, keys, encoded,
+                self.state.get_many(encoded, keys, shard)):
             live, old_buffers = self._unpack(stored)
-            buffers = old_buffers if old_buffers is not None \
-                else [fn.init() for fn, _ in aggs]
-            for groups, counts, reducers in folds:
-                g = groups.get(key)
-                if g is None:
-                    continue
-                buffers = [
-                    combine(buffer, partials[g])
-                    for buffer, (combine, partials) in zip(buffers, reducers)
-                ]
-                if counts is not None:
-                    live += counts[g]
+            buffers = [
+                merge(buffer, partial) for merge, buffer, partial in zip(
+                    merges, old_buffers if old_buffers is not None
+                    else [fn.init() for fn, _ in aggs], partials[g])
+            ]
             value = buffers
             if self.weighted:
+                live += counts[g]
                 if live < 0:
                     raise ValueError(
                         f"retraction of a row never added: group {key!r} "
@@ -677,26 +747,17 @@ class StatefulAggregateOp(IncrementalOp):
                 (key, old_buffers, buffers if value is not None else None))
         return [(puts, removes)], changes, late_rows
 
-    def _drop_late(self, expanded, codes, uniques, watermark):
-        """Remove group memberships whose key is already finalized."""
-        late = np.fromiter(
-            ((expiry := self._key_expiry(key)) is not None
-             and expiry <= watermark for key in uniques),
-            dtype=bool, count=len(uniques))
-        if not late.any():
-            return expanded, codes, uniques, 0
-        keep = ~late[codes]
-        kept_codes = codes[keep]
-        late_rows = len(codes) - len(kept_codes)
-        expanded = expanded.filter(keep)
-        # Re-encode to dense codes over the surviving groups, numbered in
-        # order of their first surviving row.
-        survivors, first_rows = np.unique(kept_codes, return_index=True)
-        survivors = survivors[np.argsort(first_rows)]
-        remap = np.empty(len(uniques), dtype=np.int64)
-        remap[survivors] = np.arange(len(survivors))
-        new_uniques = [uniques[g] for g in survivors.tolist()]
-        return expanded, remap[kept_codes], new_uniques, late_rows
+    def _add_part(self, table: PartialTable, batch: RecordBatch) -> None:
+        """Group one part of the delta and merge its partials into the
+        epoch table (a weighted part as its +1 and -1 halves)."""
+        if batch.num_rows == 0:
+            return
+        halves = (zip((1, -1), split_by_sign(batch)) if self.weighted
+                  else ((1, batch),))
+        for sign, half in halves:
+            if half.num_rows:
+                expanded, codes, uniques = self._grouping(half)
+                table.add(expanded, codes, uniques, sign)
 
     def _evict_finalized(self, watermark) -> list:
         """Remove keys the watermark finalized; returns (key, buffers).

@@ -14,6 +14,8 @@ entry so recovery resumes with the same watermark.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -50,8 +52,11 @@ class WatermarkTracker:
         return min(values)
 
     def observe(self, column: str, max_event_time: float) -> None:
-        """Record the max event time seen for a column in this epoch."""
-        if column not in self._delays:
+        """Record the max event time seen for a column in this epoch.
+
+        A non-finite time (NaN, ±inf) carries no event time and is
+        ignored: an infinite maximum would make every later row late."""
+        if column not in self._delays or not math.isfinite(max_event_time):
             return
         previous = self._max_seen.get(column)
         if previous is None or max_event_time > previous:
@@ -60,16 +65,17 @@ class WatermarkTracker:
     def observe_values(self, column: str, values) -> None:
         """Record the max of one epoch's event times for a column.
 
-        Null (NaN) times carry no event time: the max is taken over the
-        rest, and a column holding only nulls records nothing — a NaN
-        maximum would compare false against every later one and freeze
-        the watermark.
+        Null (NaN) and infinite times carry no event time: the max is
+        taken over the rest, and a column holding no finite time records
+        nothing — a NaN maximum would compare false against every later
+        one and freeze the watermark, an infinite one would make every
+        later row late (an infinite time lands in no window either).
         """
         if not len(values):
             return
         latest = float(np.max(values))
-        if latest != latest:
-            valid = values[~np.isnan(values)]
+        if not math.isfinite(latest):
+            valid = values[np.isfinite(values)]
             if not len(valid):
                 return
             latest = float(np.max(valid))

@@ -15,6 +15,11 @@ into an executable check:
 * For weighted (CDC) input the batch side first nets the changelog with
   :func:`repro.streaming.zset.apply_zset` — the live rows a database
   table would hold after applying every insert/update/delete.
+* With ``partitions``, append-only input goes to a kafka-sim topic of
+  that many partitions instead, each row to the partition its
+  ``__partition__`` field names, so an epoch reads a chunked batch
+  (one part per non-empty partition); the batch side reads each
+  chunk's rows in that same partition order.
 
 Tests supply only the query builder and the input chunks; the oracle
 owns sessions, checkpoints, restarts, and row canonicalization (numpy
@@ -27,6 +32,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 
+from repro.bus import Broker, Topic
 from repro.sql.session import Session
 from repro.sql.types import StructType, WEIGHT_COLUMN, hashable_value
 from repro.sources.cdc import ChangeStream
@@ -36,6 +42,8 @@ from repro.streaming.zset import apply_zset
 #: Decimal places kept when comparing float cells: wide enough to catch
 #: real bugs, forgiving of incremental-vs-batch summation order.
 FLOAT_PLACES = 6
+#: Row field naming the kafka-sim partition an oracle input row goes to.
+PARTITION_KEY = "__partition__"
 
 
 def canonical_rows(rows, float_places: int = FLOAT_PLACES) -> Counter:
@@ -60,8 +68,19 @@ def feed(stream, rows) -> None:
     """Push one chunk of (possibly weighted) row dicts into a source.
 
     Rows may carry ``__weight__`` (+1/-1, missing means +1) when the
-    stream is a :class:`ChangeStream`; plain sources take rows as-is.
+    stream is a :class:`ChangeStream`, and ``__partition__`` (missing
+    means 0) when it is a kafka-sim :class:`~repro.bus.Topic`; plain
+    sources take rows as-is.
     """
+    if isinstance(stream, Topic):
+        placed = [[] for _ in stream.partitions]
+        for row in rows:
+            data = dict(row)
+            placed[data.pop(PARTITION_KEY, 0)].append(data)
+        for partition, data in enumerate(placed):
+            if data:
+                stream.publish_to(partition, data)
+        return
     if not isinstance(stream, ChangeStream):
         stream.add_data([dict(r) for r in rows])
         return
@@ -79,7 +98,8 @@ def feed(stream, rows) -> None:
 def check_differential(builders, schema, chunks, workdir, *,
                        weighted: bool = True, output_mode: str = None,
                        restart_after=(), options=None,
-                       float_places: int = FLOAT_PLACES) -> list:
+                       float_places: int = FLOAT_PLACES,
+                       partitions: int = None) -> list:
     """Assert incremental == batch for a query or cascade; return rows.
 
     ``builders`` is one callable ``df -> df`` or a list of them: with
@@ -90,7 +110,9 @@ def check_differential(builders, schema, chunks, workdir, *,
     and if ``i`` is in ``restart_after`` every engine is abandoned and
     restarted from its checkpoint first (crash-recovery differential).
     ``weighted`` selects a CDC source (rows may carry ``__weight__``)
-    versus a plain append-only memory source.
+    versus a plain append-only memory source; ``partitions`` an
+    append-only kafka-sim topic of that many partitions (rows may carry
+    ``__partition__``).
 
     The batch oracle nets the full concatenated changelog (weighted
     case) and runs the composed builders through the batch engine; the
@@ -104,9 +126,18 @@ def check_differential(builders, schema, chunks, workdir, *,
     options = dict(options or {})
 
     session = Session()
-    stream = ChangeStream(schema) if weighted else MemoryStream(schema)
-    reader = (session.read_stream.cdc(stream) if weighted
-              else session.read_stream.memory(stream))
+    if partitions:
+        if weighted:
+            raise ValueError("a partitioned oracle input is append-only")
+        broker = Broker()
+        stream = broker.create_topic("oracle", partitions)
+        reader = session.read_stream.kafka(broker, "oracle", schema)
+    elif weighted:
+        stream = ChangeStream(schema)
+        reader = session.read_stream.cdc(stream)
+    else:
+        stream = MemoryStream(schema)
+        reader = session.read_stream.memory(stream)
 
     # Build the stage DataFrames; stage i>0 reads stage i-1's table.
     # Upstream stages must publish before downstream ones can bind their
@@ -174,9 +205,12 @@ def batch_recompute(builders, schema, chunks, *, weighted: bool = True) -> list:
     """The batch oracle: net the changelog, run the composed query."""
     if callable(builders):
         builders = [builders]
-    all_rows = [row for chunk in chunks for row in chunk]
+    # An epoch reads its partitions in order, each in publish order.
+    all_rows = [row for chunk in chunks for row in sorted(
+        chunk, key=lambda row: row.get(PARTITION_KEY, 0))]
     live = apply_zset(all_rows) if weighted else [
-        {k: v for k, v in row.items()} for row in all_rows
+        {k: v for k, v in row.items() if k != PARTITION_KEY}
+        for row in all_rows
     ]
     session = Session()
     df = session.create_dataframe(live, schema)

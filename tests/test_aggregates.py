@@ -98,6 +98,44 @@ class TestSum:
         with pytest.raises(AnalysisError):
             E.Sum(E.ColumnRef("s")).data_type(SCHEMA)
 
+    @pytest.mark.parametrize("values", [
+        [2**53, 1],                 # past a double's integers
+        [2**62, 3],
+        [2**62, 2**62 + 1, -2**62],  # a running sum past int64
+        [-2**63, 2**63 - 1, 5],
+        list(range(-3, 40)),        # the float-exact fast path
+    ])
+    def test_long_sum_is_exact_in_batch_and_streaming(self, values):
+        """Integral input sums in integers, never through doubles: the
+        batch kernel and the streaming fold share it."""
+        from repro.sql import functions as F
+        from repro.sql.session import Session
+        from tests.conftest import make_stream, start_memory_query
+
+        schema = StructType((("k", "long"), ("v", "long")))
+        rows = [{"k": 1, "v": v} for v in values]
+        batch = Session().create_dataframe(rows, schema) \
+            .group_by("k").agg(F.sum("v").alias("s")).collect()
+        assert [r["s"] for r in batch] == [sum(values)]
+        stream = make_stream((("k", "long"), ("v", "long")))
+        query = start_memory_query(
+            Session().read_stream.memory(stream).group_by("k")
+            .agg(F.sum("v").alias("s")), "complete", "exact_sum")
+        for epoch in (rows, [{"k": 1, "v": -1}]):  # and across epochs
+            stream.add_data(epoch)
+            query.process_all_available()
+        assert [r["s"] for r in query.engine.sink.rows()] == [sum(values) - 1]
+        query.stop()
+
+    def test_integer_partials_stay_integers(self):
+        schema = StructType((("v", "long"),))
+        batch = RecordBatch.from_columns(
+            schema, v=np.array([2**62, 2**62, 7], dtype=np.int64))
+        partials = E.Sum(E.ColumnRef("v")).batch_partials(
+            batch, np.array([0, 0, 1]), 2)
+        assert partials == [[2**63, 2], [7, 1]]
+        assert all(type(total) is int for total, _count in partials)
+
 
 class TestAvg:
     def test_simple(self):

@@ -161,3 +161,52 @@ class TestDensePath:
         codes, uniques = encode_groups([keys, index], window_slide=10.0)
         assert codes.tolist() == [0, 1, 0]
         assert repr(uniques) == "[(1, -0.0), (1, 0.0)]"
+
+
+class TestPartialTable:
+    """Partials merged part by part equal one pass over the rows."""
+
+    @staticmethod
+    def _fold(parts, aggregates, key_fn=None):
+        from repro.sql.batch import RecordBatch
+        from repro.sql.grouping import PartialTable
+        from repro.sql.types import StructType
+
+        schema = StructType((("k", "double"), ("v", "long")))
+        table = PartialTable(aggregates, count_rows=True, key_fn=key_fn)
+        for rows in parts:
+            batch = RecordBatch.from_rows(
+                [{"k": k, "v": v} for k, v in rows], schema)
+            codes, uniques = encode_groups([batch.columns["k"]])
+            table.add(batch, codes, uniques)
+        return dict(zip(table.keys, zip(table.counts().tolist(),
+                                        *table.buffers())))
+
+    def test_integer_sums_stay_exact_past_int64_across_parts(self):
+        # 1 100 parts of 2 x (2**52 - 1): each int64 partial is exact,
+        # their total passes 2**62 and, past 1 024 parts, int64 itself.
+        from repro.sql import expressions as E
+
+        value = 2**52 - 1
+        parts = [[(1.0, value), (1.0, value)] for _ in range(1100)]
+        [(_rows, total)] = self._fold(
+            parts, [E.Sum(E.ColumnRef("v"))]).values()
+        assert total == [2 * 1100 * value, 2200]
+
+    def test_first_and_last_follow_part_order(self):
+        from repro.sql import expressions as E
+
+        got = self._fold(
+            [[(1.0, 1), (2.0, 5)], [(1.0, 2)], [(2.0, 6), (1.0, 3)]],
+            [E.First(E.ColumnRef("v")), E.Last(E.ColumnRef("v"))])
+        assert got == {(1.0,): (3, [True, 1], [True, 3]),
+                       (2.0,): (2, [True, 5], [True, 6])}
+
+    def test_null_keys_of_several_parts_are_one_group(self):
+        from repro.sql import expressions as E
+        from repro.sql.grouping import shared_nan
+
+        parts = [[(None, 1), (2.0, 1)], [(None, 4)], [(None, 5), (2.0, 2)]]
+        got = self._fold(parts, [E.Count(None)], key_fn=shared_nan)
+        counts = sorted((rows, n) for rows, n in got.values())
+        assert counts == [(2, 2), (3, 3)]

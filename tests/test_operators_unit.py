@@ -3,7 +3,7 @@ contexts — exercising edge branches the engine paths rarely hit."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.sql import expressions as E
 from repro.sql import logical as L
@@ -176,32 +176,33 @@ class TestStatefulAggregateBranches:
             assert not removes
 
 
-def _drop_late_by_rows(op, expanded, codes, uniques, watermark):
-    """Reference for ``_drop_late``: the surviving groups re-encoded one
-    row at a time, numbered in order of their first surviving row."""
-    late_codes = {
-        g for g, key in enumerate(uniques)
-        if (expiry := op._key_expiry(key)) is not None and expiry <= watermark
-    }
-    if not late_codes:
-        return expanded, list(codes), uniques, 0
-    keep = ~np.isin(codes, list(late_codes))
-    mapping, new_codes, new_uniques = {}, [], []
-    for code in codes[keep].tolist():
-        if code not in mapping:
-            mapping[code] = len(new_uniques)
-            new_uniques.append(uniques[code])
-        new_codes.append(mapping[code])
-    return expanded.filter(keep), new_codes, new_uniques, int((~keep).sum())
+def _late_fold_by_rows(op, batch, watermark):
+    """Reference for the fold's late drop: one row (window membership)
+    at a time over the whole delta, a row whose group the watermark
+    finalized is late, every other row counts toward its group."""
+    _expanded, codes, uniques = op._grouping(batch)
+    late, counts = 0, {}
+    for code in codes.tolist():
+        key = uniques[code]
+        if op._key_expiry(key) <= watermark:
+            late += 1
+        else:
+            counts[key] = counts.get(key, 0) + 1
+    return late, counts
 
 
 @given(st.lists(st.tuples(st.integers(0, 3),
                           st.floats(-5.0, 60.0, allow_nan=False)),
                 min_size=1, max_size=30),
-       st.sampled_from([-10.0, 5.0, 20.0, 45.0, 100.0]))
-def test_drop_late_equals_the_per_row_reference(tmp_path_factory, rows,
-                                                watermark):
-    # Integer keys code in key order, so first-seen order differs from it.
+       st.sampled_from([-10.0, 5.0, 20.0, 45.0, 100.0]),
+       st.lists(st.integers(0, 30), max_size=2))
+# A signed zero is its own group code but the same dict key.
+@example([(0, 0.0), (0, -0.0)], -10.0, [1])
+def test_late_groups_dropped_equal_the_per_row_reference(
+        tmp_path_factory, rows, watermark, cuts):
+    """Late groups leave the merged epoch table, not its rows: over any
+    split of the delta into parts, the fold counts exactly the rows of
+    finalized windows as late and folds every other row once."""
     schema = StructType((("k", "long"), ("t", "timestamp")))
     node = L.Aggregate(
         [E.ColumnRef("k"), E.WindowExpr(E.ColumnRef("t"), 10.0)],
@@ -210,13 +211,19 @@ def test_drop_late_equals_the_per_row_reference(tmp_path_factory, rows,
     op = ops.StatefulAggregateOp(
         node, ops.StreamScanOp("source-0", schema), handle,
         watermark_column="t")
-    expanded, codes, uniques = op._grouping(RecordBatch.from_rows(
-        [{"k": k, "t": t} for k, t in rows], schema))
-    got = op._drop_late(expanded, codes, uniques, watermark)
-    want = _drop_late_by_rows(op, expanded, codes, uniques, watermark)
-    assert got[0].to_rows() == want[0].to_rows()
-    assert list(got[1]) == want[1]
-    assert got[2:] == want[2:]
+    bounds = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
+    parts = [RecordBatch.from_rows(
+        [{"k": k, "t": t} for k, t in rows[lo:hi]], schema)
+        for lo, hi in zip(bounds, bounds[1:])]
+    [(puts, removes)], changes, late_rows = op._fold_shard(
+        iter(parts), watermark)
+    want_late, want_counts = _late_fold_by_rows(
+        op, RecordBatch.concat(parts), watermark)
+    assert late_rows == want_late
+    assert {key: value for _enc, key, [value] in puts} == want_counts
+    assert all(enc == encode_key(key) for enc, key, _value in puts)
+    assert not removes
+    assert sorted(c[0] for c in changes) == sorted(want_counts)
 
 
 class TestDedupBranches:

@@ -541,18 +541,26 @@ def _watermark_then_count(df):
         F.window(F.col("t"), "10 seconds"), F.col("p")).agg(F.count())
 
 
+def _watermark_then_dedup(df):
+    return df.with_watermark("t", "10 seconds").drop_duplicates(["t", "p"])
+
+
 @pytest.mark.parametrize("build, mode, chunks", [
     (_filter_then_select, "append", 2),
     # The optimizer pushes the filter below the watermark, onto the scan.
     (_watermark_then_filter, "append", 2),
-    # Nothing to push: the watermark is the scan's first consumer.
-    (_watermark_then_count, "update", 1),
+    # The watermark is the scan's first consumer, and the aggregate above
+    # it drives the row-local pair once per part.
+    (_watermark_then_count, "update", 2),
+    # Dedup is not row-local: it reads the whole epoch's ``columns``.
+    (_watermark_then_dedup, "append", 1),
 ])
 def test_only_a_stage_on_the_scan_keeps_the_read_chunked(
         monkeypatch, build, mode, chunks):
-    """The stage runs per part only as the scan's first consumer; any
-    other operator there (here a watermark with no stage to push below
-    it) reads ``columns``, which concatenates the parts."""
+    """The read stays chunked only where it is consumed part by part: a
+    stage on the scan, or an aggregate over a row-local subtree down to
+    the scan.  Any other consumer (here a dedup over the watermark)
+    reads ``columns``, which concatenates the parts."""
     broker = Broker()
     topic = broker.create_topic("events", 2)
     for p in range(2):
@@ -560,7 +568,8 @@ def test_only_a_stage_on_the_scan_keeps_the_read_chunked(
     reads = _record_chunked_reads(monkeypatch)
     df = build(Session().read_stream.kafka(
         broker, "events", (("t", "timestamp"), ("p", "long"))))
-    query = start_memory_query(df, mode, "chunk_shapes")
+    # One shard: several hash-partition the aggregate's whole delta.
+    query = start_memory_query(df, mode, "chunk_shapes", num_shards=1)
     query.process_all_available()
     assert len(reads) == 1
     assert len(reads[0].chunks()) == chunks

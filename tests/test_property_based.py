@@ -21,7 +21,11 @@ from repro.sql.types import StructType
 from repro.streaming.state import OperatorStateHandle
 from repro.streaming.watermark import WatermarkTracker
 
-from repro.testing.oracle import canonical_rows, check_differential
+from repro.testing.oracle import (
+    PARTITION_KEY,
+    canonical_rows,
+    check_differential,
+)
 
 from tests.conftest import make_stream, start_memory_query
 
@@ -272,24 +276,107 @@ DIFFERENTIAL_PLANS = {
 }
 
 
-@pytest.mark.parametrize("delta", ["cdc", "append"])
+def placed(data, chunks) -> tuple:
+    """Draw 1-3 kafka-sim partitions and a partition for every row (rows
+    spread at random; a partition may get none in an epoch).  Returns
+    ``(partitions, chunks)``, each row carrying ``__partition__``."""
+    partitions = data.draw(st.integers(1, 3), label="partitions")
+    where = st.integers(0, partitions - 1)
+    return partitions, [
+        [{**row, PARTITION_KEY: data.draw(where)} for row in chunk]
+        for chunk in chunks]
+
+
+@pytest.mark.parametrize("delta", ["cdc", "append", "partitioned"])
 @pytest.mark.parametrize("plan", list(DIFFERENTIAL_PLANS))
-@given(chunks=cdc_chunks(), restarts=st.sets(st.integers(0, 9), max_size=3))
-def test_operator_differential(tmp_path_factory, plan, delta, chunks, restarts):
+@given(chunks=cdc_chunks(), restarts=st.sets(st.integers(0, 9), max_size=3),
+       data=st.data())
+def test_operator_differential(tmp_path_factory, plan, delta, chunks, restarts,
+                               data):
     """Every keyed operator x delta model under one oracle: a random
     insert/delete history — with crash/restarts between epochs — equals
     the batch recompute over the netted input.  The append arm feeds the
     same history with its -1 ops dropped through a weight-free source:
-    the all-ones Z-set must take the same fold."""
+    the all-ones Z-set must take the same fold.  The partitioned arm
+    spreads the append arm's rows over 1-3 kafka-sim partitions, so an
+    epoch reads a chunked batch and folds it part by part."""
     builders, append_mode = DIFFERENTIAL_PLANS[plan]
     weighted = delta == "cdc"
     if not weighted:
         chunks = [[r for r in chunk if "__weight__" not in r]
                   for chunk in chunks]
+    partitions = None
+    if delta == "partitioned":
+        partitions, chunks = placed(data, chunks)
     check_differential(
         builders, CDC_SCHEMA, chunks, tmp_path_factory.mktemp("oracle"),
         weighted=weighted, output_mode=None if weighted else append_mode,
-        restart_after=restarts)
+        restart_after=restarts, partitions=partitions)
+
+
+PARTITIONED_SCHEMA = (("k", "string"), ("v", "long"), ("t", "timestamp"))
+
+#: Campaign-like static side for the stream–static join: keys a-c map to
+#: a group; "d" has no match (the inner join drops it).
+STATIC_GROUPS = [{"k": "a", "g": 1}, {"k": "b", "g": 1}, {"k": "c", "g": 2}]
+
+
+def _order_insensitive(df, *grouping):
+    """Every order-insensitive aggregate, over ``grouping``."""
+    return df.group_by(*grouping).agg(
+        F.count().alias("n"), F.sum("v").alias("s"), F.avg("v").alias("m"),
+        F.min("v").alias("lo"), F.max("v").alias("hi"),
+        F.count_distinct("v").alias("d"))
+
+
+#: Plan over a partitioned read -> (builder, output mode).  The window
+#: plan's watermark trails by more than the drawn times span, so no row
+#: is late and the batch recompute stays the reference.
+PARTITIONED_PLANS = {
+    "stage": (
+        lambda df: df.filter(F.col("v") > -20).select(
+            "k", (F.col("v") * 2).alias("v2")),
+        "append"),
+    "static_join": (
+        lambda df: _order_insensitive(
+            df.filter(F.col("v") > -40).join(
+                Session().create_dataframe(
+                    STATIC_GROUPS, (("k", "string"), ("g", "long"))),
+                on="k"),
+            "g"),
+        "complete"),
+    "window": (
+        lambda df: _order_insensitive(
+            df.with_watermark("t", "1000 seconds"),
+            F.window(F.col("t"), "10 seconds"), "k"),
+        "complete"),
+}
+
+
+@st.composite
+def timed_chunks(draw):
+    """Append-only epochs of ``(k, v, t)`` rows, t within 0-100 s."""
+    row = st.fixed_dictionaries({
+        "k": keys, "v": st.integers(-50, 50),
+        "t": st.floats(0, 100, allow_nan=False)})
+    return draw(st.lists(st.lists(row, max_size=8), min_size=1, max_size=5))
+
+
+@pytest.mark.parametrize("plan", list(PARTITIONED_PLANS))
+@given(chunks=timed_chunks(), restarts=st.sets(st.integers(0, 4), max_size=2),
+       data=st.data())
+def test_partitioned_read_differential(tmp_path_factory, plan, chunks,
+                                       restarts, data):
+    """A stage, a stream–static join under an aggregate and a watermarked
+    tumbling-window aggregate over a read of 1-3 kafka-sim partitions
+    (the per-part stage and the per-part fold) equal the batch
+    recompute, with crash/restarts between epochs."""
+    builder, mode = PARTITIONED_PLANS[plan]
+    partitions, chunks = placed(data, chunks)
+    check_differential(
+        builder, PARTITIONED_SCHEMA, chunks,
+        tmp_path_factory.mktemp("oracle"), weighted=False, output_mode=mode,
+        restart_after=restarts, partitions=partitions)
 
 
 @given(data=row_lists, seed=st.integers(0, 2**16),

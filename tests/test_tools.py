@@ -170,6 +170,17 @@ class TestMonitorNetRates:
         assert "delivered" not in text
 
 
+def _bench_pairs():
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "tools", "bench_pairs.py")
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchPairsVerdict:
     """``tools/bench_pairs.py`` applies bench/README.md's claim rule:
     win nine decided pairs in ten AND medians apart by more than the
@@ -177,14 +188,7 @@ class TestBenchPairsVerdict:
 
     @pytest.fixture(scope="class")
     def judge(self):
-        import importlib.util
-
-        path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                            "tools", "bench_pairs.py")
-        spec = importlib.util.spec_from_file_location("bench_pairs", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module.judge
+        return _bench_pairs().judge
 
     def test_clear_gain(self, judge):
         parent = [100, 101, 99, 102, 98, 100, 101, 99, 100, 102]
@@ -203,3 +207,38 @@ class TestBenchPairsVerdict:
         change = [v - 1 for v in parent]        # wins all ten, by noise
         verdict = judge(parent, change, "lower")
         assert (verdict["wins"], verdict["verdict"]) == (10, "unresolved")
+
+
+def test_bench_pairs_copies_the_checkout_as_it_is(tmp_path, monkeypatch):
+    """``--base`` runs the change from a copy beside the parent worktree:
+    tracked files as modified, untracked ones git does not ignore, never
+    an ignored or a deleted file."""
+    import subprocess
+
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), *args], check=True,
+                       capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("results/\n")
+    (repo / "src").mkdir()
+    (repo / "src" / "kept.py").write_text("committed\n")
+    (repo / "gone.py").write_text("committed\n")
+    git("add", "-A")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "x")
+    (repo / "src" / "kept.py").write_text("modified\n")
+    (repo / "src" / "new.py").write_text("untracked\n")
+    (repo / "gone.py").unlink()
+    (repo / "results").mkdir()
+    (repo / "results" / "run.json").write_text("ignored\n")
+    module = _bench_pairs()
+    monkeypatch.setattr(module, "ROOT", str(repo))
+    dest = tmp_path / "change"
+    module.copy_checkout(str(dest))
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*")
+                    if p.is_file())
+    assert copied == [".gitignore", "src/kept.py", "src/new.py"]
+    assert (dest / "src" / "kept.py").read_text() == "modified\n"

@@ -141,6 +141,29 @@ class TestNullEventTimes:
         assert self.epoch(stream, query, [None, 26.0, None]) == 25.0
         query.stop()
 
+    @pytest.mark.parametrize("no_time", [None, float("nan"), float("inf")])
+    def test_a_row_without_a_finite_time_leaves_the_watermark(
+            self, tmp_path, no_time):
+        """An infinite time lands in no window, like a null one, and must
+        not move the watermark either: at +inf every later row would be
+        late and the count would stay at its first row."""
+        stream = make_stream((("t", "timestamp"),))
+        df = (Session().read_stream.memory(stream)
+              .with_watermark("t", "10 seconds")
+              .group_by(F.window(F.col("t"), "10 seconds"))
+              .agg(F.count().alias("n")))
+        query = start_memory_query(df, "update", "no_time", str(tmp_path))
+        late = []
+        for times in ([1.0, no_time], [5.0], [6.0]):
+            stream.add_data([{"t": t} for t in times])
+            query.process_all_available()
+            late.append(query.last_progress.late_rows_dropped)
+        assert late == [0, 0, 0]
+        rows = query.engine.sink.rows()
+        assert [(r["window_start"], r["n"]) for r in rows] == [(0.0, 3)]
+        json.dumps(query.engine.watermarks.to_json(), allow_nan=False)
+        query.stop()
+
     def test_tracker_takes_the_max_over_non_null_values(self):
         tracker = WatermarkTracker({"t": 1.0})
         tracker.observe_values("t", np.array([np.nan, np.nan]))
@@ -150,3 +173,7 @@ class TestNullEventTimes:
         tracker.observe_values("t", np.array([3.0, np.nan, 5.0]))
         tracker.advance()
         assert tracker.current("t") == 4.0
+        tracker.observe_values("t", np.array([np.inf, 7.0, -np.inf]))
+        tracker.observe("t", float("inf"))
+        tracker.advance()
+        assert tracker.current("t") == 6.0

@@ -5,15 +5,22 @@ rule in bench/README.md.
     python3 tools/bench_pairs.py --workload W --base <sha> [--pairs 10]
     make bench-pairs W=<workload> BASE=<sha> [N=10]
 
-The parent commit is checked out into a temporary ``git worktree``
-(removed afterwards); each pair runs ``bench/run.py --workload W`` once
-on the parent and once on this checkout with the same fresh seed,
-alternating which side goes first so both see the same weather.  Every
-metric the runs print is then reported with both medians, both
-inter-quartile ranges and the pairs won, and gets the README's verdict:
-a gain (or a loss) only when one side wins at least nine pairs in ten
-*and* the medians differ by more than the parent's own IQR; otherwise
-``unresolved``.
+With ``--base`` the parent commit is checked out into a temporary
+``git worktree`` and this checkout is copied (its tracked files as they
+are in the working tree, plus untracked ones git does not ignore) beside
+it, as siblings in one temporary directory that is removed afterwards:
+the two trees then differ only in their contents, never in where they
+live (an A/A of identical trees read -5.9 % from the checkout's own
+directory alone).  ``--base-dir`` names an existing parent copy instead
+and runs this checkout as it is, so run it from a copy of the change
+that sits beside that parent copy.  Each pair runs
+``bench/run.py --workload W`` once on the parent and once on the change
+with the same fresh seed, alternating which side goes first so both see
+the same weather.  Every metric the runs print is then reported with
+both medians, both inter-quartile ranges and the pairs won, and gets
+the README's verdict: a gain (or a loss) only when one side wins at
+least nine pairs in ten *and* the medians differ by more than the
+parent's own IQR; otherwise ``unresolved``.
 
 Reads ``bench/`` and ``BENCHMARK.json``; edits nothing in them (run
 records land in each tree's git-ignored ``bench/results``).
@@ -24,25 +31,25 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-#: Both sides' checkpoints and sink files go here, so parent and change
-#: fsync on the same (the repo's) filesystem wherever the worktree is.
-WORKDIR = os.path.join(ROOT, "bench", "results", "pairs-work")
 #: Pairs one side must win, as a share of the pairs that were not ties.
 WIN_SHARE = 0.9
 
 
-def run_once(tree: str, workload: str, seed: int) -> dict:
+def run_once(tree: str, workload: str, seed: int, workdir: str) -> dict:
     """One untraced run in ``tree``; returns every metric it measured
-    (``{name: value}``) plus ``correct``/``failed``."""
+    (``{name: value}``) plus ``correct``/``failed``.  Both sides'
+    checkpoints and sink files go to the one ``workdir``, so they fsync
+    on the same filesystem."""
     done = subprocess.run(
         [sys.executable, os.path.join(tree, "bench", "run.py"),
-         "--workload", workload, "--seed", str(seed), "--workdir", WORKDIR],
+         "--workload", workload, "--seed", str(seed), "--workdir", workdir],
         capture_output=True, text=True, timeout=900)
     if done.returncode not in (0, 1):
         sys.stderr.write(done.stdout + done.stderr)
@@ -135,32 +142,53 @@ def main(argv=None) -> int:
         spec = json.load(f)
     described = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
 
-    worktree = None
-    parent_tree = args.base_dir and os.path.abspath(args.base_dir)
+    siblings = None
+    trees = {"parent": args.base_dir and os.path.abspath(args.base_dir),
+             "change": ROOT}
+    workdir = os.path.join(ROOT, "bench", "results", "pairs-work")
     if args.base:
-        worktree = tempfile.mkdtemp(prefix="bench-pairs-")
+        siblings = tempfile.mkdtemp(prefix="bench-pairs-")
+        trees = {side: os.path.join(siblings, side)
+                 for side in ("parent", "change")}
+        workdir = os.path.join(siblings, "work")
         subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
-                        worktree, args.base], check=True,
+                        trees["parent"], args.base], check=True,
                        stdout=subprocess.DEVNULL)
-        parent_tree = worktree
-    trees = {"parent": parent_tree, "change": ROOT}
+        copy_checkout(trees["change"])
     runs = {"parent": [], "change": []}
     try:
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 \
                 else ("change", "parent")
             for side in order:
-                runs[side].append(
-                    run_once(trees[side], args.workload, args.seed + pair))
+                runs[side].append(run_once(
+                    trees[side], args.workload, args.seed + pair, workdir))
             p, c = runs["parent"][-1]["metrics"], runs["change"][-1]["metrics"]
             print(f"pair {pair} seed {args.seed + pair} ({order[0]} first): "
                   + "  ".join(f"{n}={p[n]:.5g}/{c[n]:.5g}" for n in p),
                   flush=True)
     finally:
-        if worktree is not None:
+        if siblings is not None:
             subprocess.run(["git", "-C", ROOT, "worktree", "remove",
-                            "--force", worktree], check=False)
+                            "--force", trees["parent"]], check=False)
+            shutil.rmtree(siblings, ignore_errors=True)
     return report(args.workload, runs, described)
+
+
+def copy_checkout(dest: str) -> None:
+    """Copy this checkout's files as they are in the working tree:
+    tracked ones (modified or not) and untracked ones git does not
+    ignore; a tracked file deleted in the working tree is left out."""
+    listed = subprocess.run(
+        ["git", "-C", ROOT, "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], check=True, capture_output=True).stdout
+    for name in sorted(set(listed.decode().split("\0")) - {""}):
+        source = os.path.join(ROOT, name)
+        if not os.path.isfile(source):
+            continue
+        target = os.path.join(dest, name)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(source, target)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,10 @@ objects the cyclic collector tracks (what each of its full passes
 walks) at each point; each state handle's keys, buffered rows, deep
 bytes (keys with the shard dicts, and values) and bytes per row at
 each point (one handle per stateful operator, one per join side; the
-tiered backend's memtable only); then the ``--lines`` largest
+tiered backend's memtable only); the working set of the window's
+epochs — each epoch's traced peak above the live bytes at its start,
+with the operator ``process`` call the peak was reached in — as the
+median and the largest epoch; then the ``--lines`` largest
 ``src/repro`` lines at the end of the window.  ``--root`` points at
 another checkout — a copy of the parent commit — so a memory claim is
 two runs of this one instrument.
@@ -99,6 +102,74 @@ def state_by_handle(workload) -> dict:
             for name, handle in store._handles.items()}
 
 
+class EpochWatch:
+    """Per-epoch working set under ``tracemalloc``: wraps the engine's
+    ``run_epoch`` and every plan operator's ``process`` (per instance, so
+    a rebuilt engine is not touched) and records, per epoch, the traced
+    peak above the bytes live at its start and the innermost operator
+    ``process`` call running when that peak was last raised (outside
+    every operator: the engine's own source read, sink or commit).
+
+    Reading the epoch peak resets ``tracemalloc``'s; :meth:`phase_peak`
+    folds the peaks it consumed back into the phase's."""
+
+    OUTSIDE = "(outside operators)"
+
+    def __init__(self):
+        self.epochs = []  # (working set bytes, operator)
+        self._stack, self._mark, self._owner = [], 0, self.OUTSIDE
+        self._folded = 0
+
+    def install(self, engine) -> None:
+        run_epoch = engine.run_epoch
+
+        def watched(*args, **kwargs):
+            self._folded = max(self._folded,
+                               tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            start = self._mark = tracemalloc.get_traced_memory()[0]
+            self._owner = self.OUTSIDE
+            try:
+                return run_epoch(*args, **kwargs)
+            finally:
+                self._event()
+                peak = tracemalloc.get_traced_memory()[1]
+                self._folded = max(self._folded, peak)
+                self.epochs.append((peak - start, self._owner))
+
+        engine.run_epoch = watched
+        pending = [engine.plan.root]
+        while pending:
+            op = pending.pop()
+            pending.extend(op.child_ops())
+            op.process = self._wrap(op.process, f"{type(op).__name__}.process")
+
+    def _event(self) -> None:
+        """Charge a peak raised since the last call/return to the call
+        that was innermost in between."""
+        peak = tracemalloc.get_traced_memory()[1]
+        if peak > self._mark:
+            self._mark = peak
+            self._owner = self._stack[-1] if self._stack else self.OUTSIDE
+
+    def _wrap(self, process, label: str):
+        def watched(ctx):
+            self._event()
+            self._stack.append(label)
+            try:
+                return process(ctx)
+            finally:
+                self._event()
+                self._stack.pop()
+        return watched
+
+    def phase_peak(self) -> int:
+        """The traced peak since the phase began, epochs included."""
+        peak = max(self._folded, tracemalloc.get_traced_memory()[1])
+        self._folded = 0
+        return peak
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
@@ -128,12 +199,21 @@ def main(argv=None) -> int:
     phases = ("end of set-up", "end of window", "after check")
     steps = (workload.setup, workload.measure, workload.mismatches)
     live, lines, peaks, tracked, handles = [], [], [], [], []
+    watch, window_epochs = EpochWatch(), []
     tracemalloc.start(FRAMES)
     try:
         for step in steps:
             tracemalloc.reset_peak()
+            watch.phase_peak()
+            if step == workload.measure:
+                engine = getattr(getattr(workload, "query", None),
+                                 "engine", None)
+                if hasattr(engine, "plan"):
+                    watch.install(engine)
             step()
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            if step == workload.measure:
+                window_epochs = list(watch.epochs)
+            peaks.append(watch.phase_peak())
             by_layer, by_line = charge(tracemalloc.take_snapshot(), root)
             live.append(by_layer)
             lines.append(by_line)
@@ -172,6 +252,14 @@ def main(argv=None) -> int:
             print(f"{name:16s}{phase:>15s}{keys:>9,d}{rows:>9,d}"
                   f"{key_bytes * mb:>9.2f}{value_bytes * mb:>9.2f}"
                   f"{size * mb:>9.2f}{per_row}")
+    if window_epochs:
+        ordered = sorted(window_epochs, key=lambda epoch: epoch[0])
+        print(f"\nepoch working set over the window's {len(ordered)} epochs"
+              " (traced peak above the live bytes at the epoch's start)")
+        for name, (size, owner) in (
+                ("median epoch", ordered[len(ordered) // 2]),
+                ("largest epoch", ordered[-1])):
+            print(f"{name:16s}{size * mb:>9.2f} MB  reached in {owner}")
     print("\nlargest src/repro lines at end of window")
     window = lines[1]
     for line in sorted(window, key=window.get, reverse=True)[:args.lines]:
