@@ -50,8 +50,8 @@ bench-pairs:
 
 # Live heap of one bench/ workload by src/repro module, at the end of
 # set-up, of the window and of the harness's correctness check, with the
-# tracemalloc peak over each, each state handle's keys, rows and deep
-# bytes, and the window's epoch working set (peak above the epoch's
+# tracemalloc peak over each, each state handle's keys, rows, deep
+# bytes and join-side layout, and the window's epoch working set (peak above the epoch's
 # starting live bytes, and the operator call that reached it):
 # make heap W=cdc_join_agg [BLOCKS=14]
 # [ROOT=<another checkout, e.g. a copy of the parent>]

@@ -300,12 +300,14 @@ def stable_hash_value(value) -> int:
 
     Must agree with the per-dtype vectorized paths in
     :func:`stable_hash_arrays`: ints/bools hash their two's-complement
-    bits, floats their IEEE-754 bits, strings a truncated blake2b digest.
+    bits, floats their IEEE-754 bits (−0.0 as 0.0, one key with 0.0 as
+    :func:`repro.streaming.state.encode_key` makes it), strings a
+    truncated blake2b digest.
     """
     if isinstance(value, (bool, int, np.integer)):
         return _mix64_scalar(int(value) & _MASK64)
     if isinstance(value, (float, np.floating)):
-        bits = int.from_bytes(struct.pack("<d", float(value)), "little")
+        bits = int.from_bytes(struct.pack("<d", float(value) + 0.0), "little")
         return _mix64_scalar(bits)
     if value is None:
         return _mix64_scalar(_NONE_SENTINEL)
@@ -323,7 +325,7 @@ def _hash_column(arr: np.ndarray, n: int) -> np.ndarray:
             dtype=np.uint64, count=n,
         )
     if arr.dtype.kind == "f":
-        bits = np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
+        bits = (np.asarray(arr, dtype=np.float64) + 0.0).view(np.uint64)
     elif arr.dtype.kind == "b":
         bits = arr.astype(np.uint64)
     else:

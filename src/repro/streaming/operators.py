@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import time
-from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -41,7 +40,7 @@ from repro.sql.joins import (
     join_indices,
 )
 from repro.sql.physical import aggregate_result_batch, execute
-from repro.sql.types import StructType, hashable_value
+from repro.sql.types import StructType
 from repro.streaming.state import encode_key
 from repro.streaming.stateful import GroupState, normalize_func_output
 from repro.streaming.zset import (
@@ -973,115 +972,6 @@ class StreamingDedupOp(IncrementalOp):
         return [(puts, ())], emits, late_rows
 
 
-class _SideLayout:
-    """How one join side buffers its rows in a state value.
-
-    A key's value is one flat tuple: the side's buffered rows one after
-    another, ``stride`` cells each — the row's ``width`` column values,
-    then, for an outer join only, its matched flag (an inner join never
-    reads the flag, so it stores none).  Row ``i`` starts at
-    ``i * stride``.  One tuple of atomic values per key holds no object
-    per row and drops out of the cyclic collector's passes in one.
-
-    Checkpoints keep the nested ``[[row_values, matched], ...]`` records
-    they always held: :meth:`to_disk` and :meth:`from_disk` are the
-    state handle's value codec (``set_codec``).  Values are immutable: a
-    flipped flag or a merged row builds a new tuple.
-    """
-
-    __slots__ = ("width", "stride", "weight")
-
-    def __init__(self, width: int, track_matched: bool, weight):
-        self.width = width
-        self.stride = width + track_matched
-        #: Index of the weight column in a row, None when append-only.
-        self.weight = weight
-
-    def rows(self, value: tuple) -> int:
-        """Rows buffered in one key's value."""
-        return len(value) // self.stride
-
-    def to_disk(self, value: tuple) -> tuple:
-        """The nested records of a value (JSON writes a tuple as a list);
-        an inner join's rows read unmatched."""
-        width, stride = self.width, self.stride
-        tracked = stride > width
-        if len(value) == stride:  # one row: most keys, a fifth the cost
-            return ((value[:width], tracked and value[width]),)
-        return tuple((value[i:i + width], tracked and value[i + width])
-                     for i in range(0, len(value), stride))
-
-    def from_disk(self, entries) -> tuple:
-        """Invert :meth:`to_disk` on decoded JSON (lists)."""
-        if self.stride > self.width:
-            return tuple(chain.from_iterable(
-                [(*values, matched) for values, matched in entries]))
-        if len(entries) == 1:
-            return tuple(entries[0][0])
-        return tuple(chain.from_iterable(
-            [values for values, _matched in entries]))
-
-    def expiry(self, time_idx: int, skew):
-        """A key's expiry: its earliest row time plus ``skew``."""
-        stride = self.stride
-        return (lambda _key, value:
-                min(value[time_idx::stride]) + skew if value else None)
-
-    def flag_matched(self, value: tuple, hits) -> tuple:
-        """``value`` with the rows at positions ``hits`` marked matched:
-        a fresh tuple if any flag flips, else ``value`` itself."""
-        flags = [i * self.stride + self.width for i in hits]
-        if all(value[f] for f in flags):
-            return value
-        out = list(value)
-        for f in flags:
-            out[f] = True
-        return tuple(out)
-
-    def consolidate(self, value: tuple) -> tuple:
-        """A value as the integral of the side's input Z-set.
-
-        Two rows are the same when they agree everywhere but the weight
-        slot.  Weights add, a row netting to zero disappears, survivors
-        keep first-seen order (a negative net multiplicity is legal and
-        kept: the insert it cancels may arrive in a later epoch), and a
-        merged row is matched if any of its parts was.  ``value`` itself
-        comes back when no two rows merge, and on an unweighted side.
-        """
-        weight_idx, width, stride = self.weight, self.width, self.stride
-        if weight_idx is None or len(value) < 2 * stride:
-            return value
-        tracked = stride > width
-        net = {}
-        for start in range(0, len(value), stride):
-            identity = (value[start:start + weight_idx]
-                        + value[start + weight_idx + 1:start + width])
-            try:
-                slot = net.get(identity)
-            except TypeError:  # a cell holding a list: fold it to a tuple
-                identity = tuple(map(hashable_value, identity))
-                slot = net.get(identity)
-            if slot is None:
-                net[identity] = [start, value[start + weight_idx],
-                                 tracked and value[start + width]]
-            else:
-                slot[1] += value[start + weight_idx]
-                if tracked:
-                    slot[2] = slot[2] or value[start + width]
-        if len(net) * stride == len(value):
-            return value
-        out = []
-        for start, weight, matched in net.values():
-            if weight == 0:
-                continue
-            at = len(out)
-            out.extend(value[start:start + stride])
-            out[at + weight_idx] = weight
-            if tracked:
-                out[at + width] = matched
-        return tuple(out)
-
-
 class StreamStreamJoinOp(IncrementalOp):
     """Join between two streams (§5.2, §8.1's TCP ⋈ DHCP pattern).
 
@@ -1105,8 +995,9 @@ class StreamStreamJoinOp(IncrementalOp):
     tracks the live rows, not the change history.
 
     A side's state value for a key is immutable, like the integral it
-    stands for: one flat tuple of the key's buffered rows, laid out by
-    the side's :class:`_SideLayout`, whose value codec keeps the
+    stands for: the key's buffered rows in the side's layout
+    (:mod:`repro.streaming.join_state`) — packed bytes when every column
+    is fixed-width, else one flat tuple — whose value codec keeps the
     checkpoint records in their nested ``[[row, matched], ...]`` form.
     """
 
@@ -1155,10 +1046,13 @@ class StreamStreamJoinOp(IncrementalOp):
         #: Matched flags only decide which evicted rows an *outer* join
         #: null-pads; an inner join never reads them, so it stores none.
         self._track_matched = node.how != "inner"
-        self._left_layout = _SideLayout(
-            len(left_names), self._track_matched, self._left_weight)
-        self._right_layout = _SideLayout(
-            len(right_names), self._track_matched, self._right_weight)
+        # Imported here so that only a query with such a join compiles it.
+        from repro.streaming.join_state import side_layout
+
+        self._left_layout = side_layout(
+            left.output_schema, self._track_matched, self._left_weight)
+        self._right_layout = side_layout(
+            right.output_schema, self._track_matched, self._right_weight)
         for state, layout in ((left_state, self._left_layout),
                               (right_state, self._right_layout)):
             state.set_codec(layout.to_disk, layout.from_disk)
@@ -1172,38 +1066,40 @@ class StreamStreamJoinOp(IncrementalOp):
             self._right_state.set_expiry(self._right_layout.expiry(
                 right_names.index(right_col), skew))
 
-    def _entries_by_key(self, batch: RecordBatch, layout: _SideLayout,
+    def describe(self) -> str:
+        """The join type, keys and each side's state layout."""
+        return (f"{super().describe()} {self._node.how} on "
+                f"[{', '.join(self._node.on)}] left: "
+                f"{self._left_layout.describe()}, right: "
+                f"{self._right_layout.describe()}")
+
+    def _entries_by_key(self, batch: RecordBatch, layout,
                         row_offsets=None) -> dict:
         """Group the delta's rows by join key, in row order, as unmatched
         rows in ``layout`` — the only materialization this epoch performs.
-        Returns ``key -> (first_row_index, flat rows)``, keys in order of
-        their first row; indices come from ``row_offsets`` (global
-        positions of this sub-batch's rows) so sharded probes can be
-        merged back into global delta order.  Columnar: group codes, a
-        stable sort of row positions by code, one flat list filled a
-        column at a time in that order — a key's rows are a slice."""
+        Returns ``key -> (first_row_index, value of the new rows)``, keys
+        in order of their first row; indices come from ``row_offsets``
+        (global positions of this sub-batch's rows) so sharded probes can
+        be merged back into global delta order.  Columnar: group codes,
+        a stable sort of row positions by code, and the layout encodes
+        the rows in that order once — a key's rows are a slice."""
         if batch.num_rows == 0:
             return {}
         codes, keys = encode_groups(
             [batch.columns[k] for k in self._node.on])
         order = np.argsort(codes, kind="stable")
-        stride = layout.stride
-        flat = [False] * (batch.num_rows * stride)
-        for i, name in enumerate(batch.schema.names):
-            flat[i::stride] = batch.columns[name][order].tolist()
         ends = np.cumsum(np.bincount(codes, minlength=len(keys)))
         starts = np.concatenate(([0], ends[:-1]))
+        values = layout.delta_values(
+            [batch.columns[name] for name in batch.schema.names],
+            order, starts, ends)
         # The sort is stable: a group's first sorted row is its first row.
         firsts = order[starts]
         by_first = np.argsort(firsts, kind="stable").tolist()
         if row_offsets is not None:
             firsts = np.asarray(row_offsets)[firsts]
         firsts = firsts.tolist()
-        starts, ends = (starts * stride).tolist(), (ends * stride).tolist()
-        return {
-            keys[g]: (firsts[g], tuple(flat[starts[g]:ends[g]]))
-            for g in by_first
-        }
+        return {keys[g]: (firsts[g], values[g]) for g in by_first}
 
     def _drop_late_input(self, batch: RecordBatch, time_col: str,
                          watermark, ctx: EpochContext) -> RecordBatch:
@@ -1310,7 +1206,8 @@ class StreamStreamJoinOp(IncrementalOp):
                 self._right_state.get_many(encoded, keys, shard)):
             nl = left_by_key.get(key)
             nr = right_by_key.get(key)
-            stored_l, stored_r = stored_l or (), stored_r or ()
+            stored_l = stored_l or left_layout.empty
+            stored_r = stored_r or right_layout.empty
             # New rows go after the buffered ones, at rows bl / br on.
             bl = left_layout.rows(stored_l)
             br = right_layout.rows(stored_r)
@@ -1319,19 +1216,19 @@ class StreamStreamJoinOp(IncrementalOp):
             out_rows = []
             if l_entries and r_entries and not is_null_key(key):
                 hits = (set(), set()) if track else None
-                nrows_l = left_layout.rows(l_entries)
-                nrows_r = right_layout.rows(r_entries)
+                l_rows = left_layout.row_values(l_entries)
+                r_rows = right_layout.row_values(r_entries)
                 # new-left x (buffered + new right), then buffered-left x
                 # new-right: together every pair exactly once.
                 if nl:
                     self._join_pairs(
-                        l_entries, range(bl, nrows_l),
-                        r_entries, range(nrows_r),
+                        l_rows, range(bl, len(l_rows)),
+                        r_rows, range(len(r_rows)),
                         out_rows, lt_idx, rt_idx, skew, hits)
                 if nr and bl:
                     self._join_pairs(
-                        l_entries, range(bl),
-                        r_entries, range(br, nrows_r),
+                        l_rows, range(bl),
+                        r_rows, range(br, len(r_rows)),
                         out_rows, lt_idx, rt_idx, skew, hits)
                 if track:
                     l_entries = left_layout.flag_matched(l_entries, hits[0])
@@ -1351,22 +1248,19 @@ class StreamStreamJoinOp(IncrementalOp):
                 chunks.append((token, out_rows))
         return [left, right], chunks, 0
 
-    def _join_pairs(self, l_entries, l_positions, r_entries, r_positions,
+    def _join_pairs(self, l_rows, l_positions, r_rows, r_positions,
                     out_rows, lt_idx, rt_idx, skew, hits) -> None:
         """Emit the cross product of the rows at ``l_positions`` and
-        ``r_positions`` of two flat side values (within the time bound)
-        as value lists.  With ``hits = (left, right)`` sets (outer joins)
+        ``r_positions`` of two sides' row-value lists (within the time
+        bound) as value lists.  With ``hits = (left, right)`` sets (outer joins)
         the positions that matched are added to them.  A weighted pair's
         weight is the product of the two sides' multiplicities, emitted
         as that many unit rows: weights stay in {-1, +1} downstream even
         though consolidated state may hold a row of multiplicity 2."""
         rest_idx, pair_weight = self._rest_idx, self._pair_weight
-        l_width, l_stride = self._left_layout.width, self._left_layout.stride
-        r_width, r_stride = self._right_layout.width, self._right_layout.stride
-        r_rows = [(j, r_entries[j * r_stride:j * r_stride + r_width])
-                  for j in r_positions]
+        r_rows = [(j, r_rows[j]) for j in r_positions]
         for i in l_positions:
-            l_values = l_entries[i * l_stride:i * l_stride + l_width]
+            l_values = l_rows[i]
             for j, r_values in r_rows:
                 if skew is not None and \
                         abs(l_values[lt_idx] - r_values[rt_idx]) > skew:
@@ -1449,20 +1343,15 @@ class StreamStreamJoinOp(IncrementalOp):
             if other_watermark is None:
                 continue
             time_index = schema.names.index(own_col)
-            width, stride = layout.width, layout.stride
             unmatched_rows = []
             for key, value in state.pop_expired(other_watermark):
-                keep = []
-                for start in range(0, len(value), stride):
-                    if value[start + time_index] + skew <= other_watermark:
-                        # Only an outer join emits, and it keeps flags.
-                        if emits_outer and not value[start + width]:
-                            unmatched_rows.append(
-                                value[start:start + width])
-                    else:
-                        keep.extend(value[start:start + stride])
+                keep, unmatched = layout.evict(
+                    value, time_index, skew, other_watermark)
+                # Only an outer join emits, and it keeps flags.
+                if emits_outer:
+                    unmatched_rows.extend(unmatched)
                 if keep:
-                    state.put(key, tuple(keep))
+                    state.put(key, keep)
                 else:
                     state.remove(key)
             if unmatched_rows:

@@ -128,7 +128,9 @@ def encode_key(key) -> str:
     a scalar), the on-disk key format, but written by hand for the three
     types keys are made of — under a microsecond, so handles cache
     nothing per key.  Anything else (bool, None, nan/inf, a nested list,
-    a subclass) sends the whole key through ``json.dumps``.
+    a subclass) sends the whole key through ``json.dumps``.  A float
+    ``-0.0`` is written as ``0.0``: the two are one key, as they are
+    one value to ``==`` and to the batch engine's grouping.
     """
     values = key if isinstance(key, tuple) else (key,)
     parts = []
@@ -139,9 +141,10 @@ def encode_key(key) -> str:
         elif kind is str:
             parts.append(_encode_str(value))
         elif kind is float and isfinite(value):
-            parts.append(repr(value))
+            parts.append(repr(value + 0.0))
         else:
-            return json.dumps(list(key) if values is key else key)
+            folded = [v + 0.0 if type(v) is float else v for v in values]
+            return json.dumps(folded if values is key else folded[0])
     return "[" + ", ".join(parts) + "]" if values is key else parts[0]
 
 
@@ -706,6 +709,7 @@ class OperatorStateHandle:
                     from_disk = self._from_disk
                     for encoded, value in merged.items():
                         merged[encoded] = from_disk(value)
+            rekeyed = _rekey_negative_zeros(merged)
             self._num_keys = len(merged)
             if self.num_shards == 1:
                 self._shards[0].data = merged
@@ -713,10 +717,29 @@ class OperatorStateHandle:
                 for encoded, value in merged.items():
                     shard = self._shards[self.shard_index(decode_key(encoded))]
                     shard.data[encoded] = value
+            for old, new in rekeyed:
+                shard = self._shards[self.shard_index(decode_key(new))]
+                shard.removed.add(old)
+                shard.dirty.add(new)
             self.last_committed_version = usable[-1]
         self._recount_rows()
         self._rebuild_expiry_index()
         return self.last_committed_version
+
+
+def _rekey_negative_zeros(merged: dict) -> list:
+    """Move a restored key a legacy checkpoint wrote with ``-0.0`` to
+    the key :func:`encode_key` now gives it; returns ``(old, new)``
+    pairs, which the next commit records as a tombstone and a write.  A
+    key whose ``0.0`` twin is restored too keeps both entries as they
+    were: merging two values needs the operator that wrote them."""
+    moves = []
+    for encoded in [e for e in merged if "-0.0" in e]:
+        canonical = encode_key(decode_key(encoded))
+        if canonical != encoded and canonical not in merged:
+            merged[canonical] = merged.pop(encoded)
+            moves.append((encoded, canonical))
+    return moves
 
 
 def _sorted_items(shard):

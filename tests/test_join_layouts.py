@@ -1,0 +1,173 @@
+"""Join-side state layouts: packed bytes ≡ the flat tuple.
+
+A stream–stream join side whose columns are all fixed-width keeps a
+key's rows as one ``bytes`` value; any other side keeps one flat tuple.
+Both sit behind one interface (``repro.streaming.join_state``), and
+everything a checkpoint, a probe or an eviction reads through it must
+agree between the two: pinned here at the layout level by a property
+over extreme cells, and end to end by the layout's name in ``explain``
+and by a NaN row that consolidates.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from repro.sources import ChangeStream
+from repro.sql.session import Session
+from repro.sql.types import WEIGHT_COLUMN, StructType
+from repro.streaming.join_state import (
+    _PackedSideLayout,
+    _SideLayout,
+    side_layout,
+)
+from repro.streaming.operators import StreamStreamJoinOp
+
+from tests.conftest import make_stream, start_memory_query
+
+NAN = float("nan")
+#: Small domains, so rows repeat and consolidate; each holds its type's
+#: extremes, and the doubles −0.0 beside 0.0 and a NaN.
+CELLS = {
+    "long": st.sampled_from([0, 1, -(2 ** 63), 2 ** 63 - 1]),
+    "double": st.sampled_from([0.0, -0.0, NAN, float("inf"),
+                               float("-inf"), 1.5]),
+    "boolean": st.booleans(),
+}
+
+
+def _same(a, b) -> bool:
+    """Equal as JSON writes them: NaN equals NaN, −0.0 differs from 0.0."""
+    return json.dumps(a) == json.dumps(b)
+
+
+@st.composite
+def side(draw):
+    """``(schema, tracked, weight index, nested records)`` of one side."""
+    types = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1,
+                          max_size=4))
+    weight = draw(st.none() | st.integers(0, len(types)))
+    if weight is not None:
+        types.insert(weight, "weight")
+    names = [WEIGHT_COLUMN if t == "weight" else f"c{i}"
+             for i, t in enumerate(types)]
+    schema = StructType(tuple(
+        (name, "long" if t == "weight" else t)
+        for name, t in zip(names, types)))
+    tracked = draw(st.booleans())
+    cell = {**CELLS, "weight": st.sampled_from([-1, 1, 2])}
+    records = draw(st.lists(st.tuples(
+        st.tuples(*[cell[t] for t in types]),
+        st.booleans() if tracked else st.just(False)), max_size=6))
+    return schema, tracked, weight, records
+
+
+@given(spec=side(), data=st.data())
+def test_packed_and_tuple_layouts_agree(spec, data):
+    schema, tracked, weight, records = spec
+    packed = side_layout(schema, tracked, weight)
+    assert isinstance(packed, _PackedSideLayout)
+    floats = [i for i, f in enumerate(schema)
+              if f.data_type.simple_name == "double"]
+    flat = _SideLayout(len(schema), tracked, weight, floats)
+    decoded = json.loads(json.dumps(records))
+    pv, tv = packed.from_disk(decoded), flat.from_disk(decoded)
+    assert type(pv) is bytes and type(tv) is tuple
+    # The codec: the same record bytes, and a round trip to the value.
+    assert _same(packed.to_disk(pv), records)
+    assert _same(flat.to_disk(tv), records)
+    assert packed.from_disk(json.loads(json.dumps(packed.to_disk(pv)))) == pv
+    assert packed.rows(pv) == flat.rows(tv) == len(records)
+    assert _same(packed.row_values(pv), flat.row_values(tv))
+
+    # Consolidation folds −0.0 and NaN alike in both; "nothing merged"
+    # hands back the value itself in both.
+    pc, tc = packed.consolidate(pv), flat.consolidate(tv)
+    assert _same(packed.to_disk(pc), flat.to_disk(tc))
+    assert (pc is pv) == (tc is tv)
+
+    if tracked and records:
+        hits = data.draw(st.sets(st.integers(0, len(records) - 1)))
+        pf, tf = packed.flag_matched(pv, hits), flat.flag_matched(tv, hits)
+        assert _same(packed.to_disk(pf), flat.to_disk(tf))
+        assert (pf is pv) == (tf is tv)
+
+    times = [i for i, f in enumerate(schema)
+             if f.data_type.simple_name != "boolean"]
+    if records and times:
+        time_idx = data.draw(st.sampled_from(times))
+        bound = data.draw(st.sampled_from([-1.0, 0.0, 2.0]))
+        assert _same(packed.expiry(time_idx, 0.5)(None, pv),
+                     flat.expiry(time_idx, 0.5)(None, tv))
+        (pk, pu), (tk, tu) = (packed.evict(pv, time_idx, 0.5, bound),
+                              flat.evict(tv, time_idx, 0.5, bound))
+        assert _same(packed.to_disk(pk), flat.to_disk(tk))
+        assert _same(pu, tu)
+
+    # An epoch's new rows, one key: every row unmatched.
+    columns = [np.asarray([row[i] for row, _ in records],
+                          dtype=f.data_type.numpy_dtype)
+               for i, f in enumerate(schema)]
+    order = np.arange(len(records))
+    bounds = np.array([0]), np.array([len(records)])
+    [pd], [td] = (packed.delta_values(columns, order, *bounds),
+                  flat.delta_values(columns, order, *bounds))
+    unmatched = [(row, False) for row, _ in records]
+    assert _same(packed.to_disk(pd), unmatched)
+    assert _same(flat.to_disk(td), unmatched)
+
+
+def test_a_side_with_an_object_column_keeps_the_tuple():
+    schema = StructType((("k", "long"), ("name", "string"), ("x", "double")))
+    layout = side_layout(schema, False, None)
+    assert type(layout) is _SideLayout
+    assert layout.describe() == "tuple (name: string)"
+    packed = side_layout(
+        StructType((("k", "long"), ("x", "double"), ("b", "boolean"))),
+        True, None)
+    # int64, float64, bool and the matched flag: 18 bytes, no padding.
+    assert packed.describe() == "packed <qd?? (18 B/row)"
+
+
+def test_explain_names_each_sides_layout():
+    session = Session()
+    numbers = make_stream((("k", "long"), ("t", "timestamp")))
+    names = make_stream((("k", "long"), ("t2", "timestamp"),
+                         ("who", "string")))
+    df = (session.read_stream.memory(numbers).with_watermark("t", "5s")
+          .join(session.read_stream.memory(names).with_watermark("t2", "5s"),
+                on="k", how="left_outer", within=("t", "t2", "10s")))
+    query = start_memory_query(df, "append", "layouts")
+    text = query.explain()
+    query.stop()
+    assert ("StreamStreamJoinOp [stateful] left_outer on [k] "
+            "left: packed <qd? (17 B/row), right: tuple (who: string)"
+            in text)
+
+
+def test_nan_cell_consolidates_on_a_weighted_side():
+    """Inserting and deleting a row with a NaN (null) double four times
+    leaves no buffered row, as it does for a non-null one: the row's
+    identity folds NaN to one null."""
+    session = Session()
+    changes = ChangeStream(StructType((("k", "long"), ("x", "double"))))
+    other = ChangeStream(StructType((("k", "long"), ("y", "long"))))
+    query = (session.read_stream.cdc(changes)
+             .join(session.read_stream.cdc(other), on="k")
+             .write_stream.format("memory").query_name("nan-side")
+             .output_mode("retract").start())
+    other.insert([{"k": 1, "y": 5}])
+    for x in (NAN, 2.0):
+        for _ in range(4):
+            changes.insert([{"k": 1, "x": x}])
+            query.process_all_available()
+            changes.delete([{"k": 1, "x": x}])
+            query.process_all_available()
+        join = next(op for op in query.engine.plan.stateful_ops
+                    if isinstance(op, StreamStreamJoinOp))
+        assert join._left_state.rows == 0
+        assert query.engine.sink.rows() == []
+    query.stop()

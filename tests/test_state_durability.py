@@ -31,8 +31,9 @@ from repro.observability import metrics
 from repro.sources import ChangeStream
 from repro.sql.session import Session
 from repro.sql.types import StructType
-from repro.streaming import operators, statefile
-from repro.streaming.operators import StreamStreamJoinOp, _SideLayout
+from repro.streaming import join_state, operators, statefile
+from repro.streaming.join_state import _SideLayout
+from repro.streaming.operators import StreamStreamJoinOp
 from repro.streaming.state import MIN_FILE_WEIGHT, OperatorStateHandle
 from repro.streaming.state_lsm import TieredOperatorStateHandle
 from repro.testing.oracle import batch_recompute, canonical_rows
@@ -42,10 +43,21 @@ from repro.testing.oracle import batch_recompute, canonical_rows
 # ----------------------------------------------------------------------
 LEFT = (("k", "string"), ("v", "long"))
 RIGHT = (("k", "string"), ("w", "long"))
+NAN = float("nan")
+#: name -> (left schema, right schema, key domain, left value domain).
+#: String keys take the flat tuple layout; the all-numeric sides are
+#: packed, and their domains hold −0.0 beside 0.0 (one key, one value)
+#: and a NaN (one null): rows the state must consolidate as equal.
+JOIN_SCHEMAS = {
+    "string": (LEFT, RIGHT, "ab", (0, 1, 2)),
+    "numeric": ((("k", "double"), ("v", "double")),
+                (("k", "double"), ("w", "long")),
+                (0.0, -0.0, 1.0), (0.0, -0.0, NAN, 1.5)),
+}
 
 
 @st.composite
-def cdc_history(draw, value_name, max_ops=18):
+def cdc_history(draw, value_name, keys="ab", values=(0, 1, 2), max_ops=18):
     """A valid CDC history over a *tiny* row domain, so the interesting
     shapes are the common case: insert → delete → re-insert of the same
     row, duplicate rows (multiplicity 2), and updates that change
@@ -54,8 +66,8 @@ def cdc_history(draw, value_name, max_ops=18):
     for _ in range(draw(st.integers(0, max_ops))):
         kind = draw(st.sampled_from(["insert", "insert", "delete", "noop"]))
         if kind == "insert" or not live:
-            row = {"k": draw(st.sampled_from("ab")),
-                   value_name: draw(st.integers(0, 2))}
+            row = {"k": draw(st.sampled_from(keys)),
+                   value_name: draw(st.sampled_from(values))}
             live.append(row)
             ops.append(dict(row))
         elif kind == "delete":
@@ -85,6 +97,7 @@ def _feed(stream, rows):
 
 
 def _distinct_live_rows(chunks) -> int:
+    """Live rows, −0.0 equal to 0.0 and the domain's one NaN to itself."""
     net = Counter()
     for chunk in chunks:
         for row in chunk:
@@ -94,16 +107,18 @@ def _distinct_live_rows(chunks) -> int:
     return sum(1 for count in net.values() if count)
 
 
-@given(history=st.data(), restart_at=st.integers(0, 8))
+@given(history=st.data(), restart_at=st.integers(0, 8),
+       schema=st.sampled_from(sorted(JOIN_SCHEMAS)))
 def test_join_state_is_the_integral_of_its_input(tmp_path_factory, history,
-                                                 restart_at):
-    left_chunks = history.draw(cdc_history("v"), label="left")
-    right_chunks = history.draw(cdc_history("w"), label="right")
+                                                 restart_at, schema):
+    left_schema, right_schema, keys, values = JOIN_SCHEMAS[schema]
+    left_chunks = history.draw(cdc_history("v", keys, values), label="left")
+    right_chunks = history.draw(cdc_history("w", keys), label="right")
     epochs = max(len(left_chunks), len(right_chunks))
     checkpoint = str(tmp_path_factory.mktemp("integral") / "ckpt")
 
-    left = ChangeStream(StructType(LEFT))
-    right = ChangeStream(StructType(RIGHT))
+    left = ChangeStream(StructType(left_schema))
+    right = ChangeStream(StructType(right_schema))
 
     def start(sink=None):
         session = Session()
@@ -132,11 +147,12 @@ def test_join_state_is_the_integral_of_its_input(tmp_path_factory, history,
     streamed = sink.rows()
     query.stop()
 
-    live_left = batch_recompute(lambda df: df, LEFT, left_chunks)
-    live_right = batch_recompute(lambda df: df, RIGHT, right_chunks)
+    live_left = batch_recompute(lambda df: df, left_schema, left_chunks)
+    live_right = batch_recompute(lambda df: df, right_schema, right_chunks)
     session = Session()
-    expected = (session.create_dataframe(live_left, LEFT)
-                .join(session.create_dataframe(live_right, RIGHT), on="k")
+    expected = (session.create_dataframe(live_left, left_schema)
+                .join(session.create_dataframe(live_right, right_schema),
+                      on="k")
                 .collect()) if live_left and live_right else []
     assert canonical_rows(streamed) == canonical_rows(expected)
 
@@ -385,10 +401,11 @@ class TestJoinStateFootprint:
         ("append", "inner"), ("append", "left_outer"), ("cdc", "inner")])
     def test_stored_join_values_are_not_gc_tracked(self, tmp_path, source,
                                                    how):
-        """Tuples of atomic values leave the collector's passes: after
-        one collection no stored join value is tracked, flags flipped or
-        not — a key's value is one flat tuple, so one pass untracks it.
-        Only an outer join stores matched flags."""
+        """No stored join value is tracked by the collector, flags
+        flipped or not: these all-numeric sides pack a key's rows into
+        one bytes object, which the collector never tracks (a flat tuple
+        of atomic values leaves it after one pass).  Only an outer join
+        stores matched flags."""
         left, right, add, query = _start_join(source, how,
                                               str(tmp_path / "ckpt"))
         epochs = [
@@ -408,9 +425,8 @@ class TestJoinStateFootprint:
             (join._left_state, join._left_layout),
             (join._right_state, join._right_layout))
             for _key, value in state.items()]
-        flags = [value[start + layout.width] for layout, value in values
-                 if layout.stride > layout.width
-                 for start in range(0, len(value), layout.stride)]
+        flags = [matched for layout, value in values if layout.tracked
+                 for _row, matched in layout.to_disk(value)]
         query.stop()
         assert len(values) == 4
         assert sum(layout.rows(value) for layout, value in values) == 5
@@ -419,14 +435,12 @@ class TestJoinStateFootprint:
         assert len(flags) == (5 if how == "left_outer" else 0)
         assert any(flags) == (how == "left_outer")
 
-    def test_buffered_cdc_rows_retain_little(self, tmp_path):
-        """20 000 buffered three-``long`` CDC rows, two per key: measured
-        148 B a row under ``operators.py`` (the ints and a share of the
-        key's flat tuple); one tuple per row inside a tuple of
-        ``(row, matched)`` entries held 250, the list form 316."""
+    @staticmethod
+    def _retained_per_row(tmp_path, orders_schema, make_order) -> float:
+        """Traced bytes the join's two modules hold per buffered row
+        after 20 000 CDC rows, two per key, join the state."""
         rows = 20_000
-        orders = ChangeStream(StructType((
-            ("order_id", "long"), ("cust", "long"), ("amount", "long"))))
+        orders = ChangeStream(StructType(orders_schema))
         customers = ChangeStream(StructType((("cust", "long"),
                                              ("region", "long"))))
         session = Session()
@@ -435,8 +449,7 @@ class TestJoinStateFootprint:
         query = (df.write_stream.format("memory").query_name("footprint")
                  .output_mode("retract").option("state_backend", "dict")
                  .option("num_shards", 1).start(str(tmp_path / "ckpt")))
-        load = [{"order_id": 10**6 + i, "cust": 10**5 + i // 2,
-                 "amount": 1000 + i} for i in range(rows)]
+        load = [make_order(i) for i in range(rows)]
         orders.insert(load[:10])          # first epoch: plan warm-up
         query.process_all_available()
         tracemalloc.start()
@@ -445,13 +458,34 @@ class TestJoinStateFootprint:
             query.process_all_available()
             gc.collect()
             snapshot = tracemalloc.take_snapshot().filter_traces(
-                [tracemalloc.Filter(True, operators.__file__)])
+                [tracemalloc.Filter(True, module.__file__)
+                 for module in (operators, join_state)])
         finally:
             tracemalloc.stop()
         assert query.engine.state_store.total_rows() == rows
         query.stop()
         held = sum(stat.size for stat in snapshot.statistics("filename"))
-        assert held / (rows - 10) <= 160
+        return held / (rows - 10)
+
+    def test_buffered_cdc_rows_retain_little(self, tmp_path):
+        """20 000 buffered three-``long`` CDC rows, two per key: a key's
+        two rows (and weights) are one 97-byte bytes object, ~49 B a row.
+        The flat tuple measured 148, one tuple per row inside a tuple of
+        ``(row, matched)`` entries 250, the list form 316."""
+        assert self._retained_per_row(
+            tmp_path,
+            (("order_id", "long"), ("cust", "long"), ("amount", "long")),
+            lambda i: {"order_id": 10**6 + i, "cust": 10**5 + i // 2,
+                       "amount": 1000 + i}) <= 64
+
+    def test_buffered_double_and_boolean_rows_retain_little(self, tmp_path):
+        """A ``double`` and a ``boolean`` column pack too: 8 + 8 + 1 + 8
+        bytes a row, two rows per 83-byte value."""
+        assert self._retained_per_row(
+            tmp_path,
+            (("cust", "long"), ("amount", "double"), ("paid", "boolean")),
+            lambda i: {"cust": 10**5 + i // 2, "amount": i / 4,
+                       "paid": i % 3 == 0}) <= 64
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,9 @@ reaches, which live bytes at a boundary do not show); the number of
 objects the cyclic collector tracks (what each of its full passes
 walks) at each point; each state handle's keys, buffered rows, deep
 bytes (keys with the shard dicts, and values) and bytes per row at
-each point (one handle per stateful operator, one per join side; the
-tiered backend's memtable only); the working set of the window's
+each point (one handle per stateful operator, one per join side, the
+side's layout beside it; the tiered backend's memtable only); the
+working set of the window's
 epochs — each epoch's traced peak above the live bytes at its start,
 with the operator ``process`` call the peak was reached in — as the
 median and the largest epoch; then the ``--lines`` largest
@@ -91,14 +92,33 @@ def deep_bytes(handle) -> tuple:
     return keys, total
 
 
+def handle_layouts(engine) -> dict:
+    """``id(handle) -> layout name`` for each stream–stream join side:
+    its ``describe()``, or ``tuple`` for a checkout whose layouts have
+    none (every side was a flat tuple before sides could pack)."""
+    layouts = {}
+    for op in getattr(getattr(engine, "plan", None), "stateful_ops", ()):
+        for state, layout in ((getattr(op, "_left_state", None),
+                               getattr(op, "_left_layout", None)),
+                              (getattr(op, "_right_state", None),
+                               getattr(op, "_right_layout", None))):
+            if layout is not None:
+                describe = getattr(layout, "describe", None)
+                layouts[id(state)] = describe() if describe else "tuple"
+    return layouts
+
+
 def state_by_handle(workload) -> dict:
-    """``handle id -> (keys, rows, key bytes, value bytes)`` of the
-    workload's query (empty for an engine without a state store)."""
+    """``handle id -> (layout, keys, rows, key bytes, value bytes)`` of
+    the workload's query (empty for an engine without a state store);
+    the layout is ``-`` for a handle that is not a join side."""
     engine = getattr(getattr(workload, "query", None), "engine", None)
     store = getattr(engine, "state_store", None)
     if store is None:
         return {}
-    return {name: (len(handle), handle.rows, *deep_bytes(handle))
+    layouts = handle_layouts(engine)
+    return {name: (layouts.get(id(handle), "-"), len(handle), handle.rows,
+                   *deep_bytes(handle))
             for name, handle in store._handles.items()}
 
 
@@ -241,17 +261,18 @@ def main(argv=None) -> int:
     print(f"{'GC-tracked objects':40s}"
           + "".join(f"{count:>15,d}" for count in tracked))
     print(f"\n{'state by handle':16s}{'phase':>15s}{'keys':>9s}{'rows':>9s}"
-          f"{'key MB':>9s}{'value MB':>9s}{'deep MB':>9s}{'B/row':>7s}")
+          f"{'key MB':>9s}{'value MB':>9s}{'deep MB':>9s}{'B/row':>7s}"
+          "  layout")
     for name in sorted(set().union(*handles)):
         for phase, by_handle in zip(phases, handles):
             if name not in by_handle:
                 continue
-            keys, rows, key_bytes, value_bytes = by_handle[name]
+            layout, keys, rows, key_bytes, value_bytes = by_handle[name]
             size = key_bytes + value_bytes
             per_row = f"{size / rows:>7.0f}" if rows else f"{'-':>7s}"
             print(f"{name:16s}{phase:>15s}{keys:>9,d}{rows:>9,d}"
                   f"{key_bytes * mb:>9.2f}{value_bytes * mb:>9.2f}"
-                  f"{size * mb:>9.2f}{per_row}")
+                  f"{size * mb:>9.2f}{per_row}  {layout}")
     if window_epochs:
         ordered = sorted(window_epochs, key=lambda epoch: epoch[0])
         print(f"\nepoch working set over the window's {len(ordered)} epochs"
