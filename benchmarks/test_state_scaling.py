@@ -214,7 +214,7 @@ def _dict_bytes_per_key(n: int = 200_000) -> float:
 
     gc.collect()
     before = _rss_bytes()
-    handle = OperatorStateHandle(tempfile.mkdtemp(), num_shards=1)
+    handle = OperatorStateHandle(tempfile.mkdtemp())
     for i in range(n):
         handle.put(i, [i % 7])
     gc.collect()
@@ -237,8 +237,7 @@ def test_tiered_backend_bounded_rss_and_flat_epochs(benchmark, tmp_path):
     gc.collect()
     rss_start = _rss_bytes()
     handle = TieredOperatorStateHandle(
-        str(tmp_path / "op"), num_shards=1,
-        memtable_bytes=TIERED_MEMTABLE_BYTES)
+        str(tmp_path / "op"), memtable_bytes=TIERED_MEMTABLE_BYTES)
     runs_dir = str(tmp_path / "op" / "runs")
     epochs = []  # (total_keys, seconds, rss, flush_bytes, compact_bytes)
 

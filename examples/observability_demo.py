@@ -5,7 +5,7 @@ then shows the three monitoring surfaces:
 
 1. the per-epoch progress events (``events.jsonl``) rendered by the
    ``repro.tools.monitor`` dashboard;
-2. a metrics-registry snapshot (state puts per shard, WAL writes,
+2. a metrics-registry snapshot (state puts, WAL writes,
    sink deliveries, epoch timings);
 3. a span trace exported in Chrome trace-event format — open the
    printed path in ``chrome://tracing`` or https://ui.perfetto.dev.
@@ -41,7 +41,6 @@ def main():
           .agg(F.avg("latency_ms").alias("avg_latency")))
     query = (df.write_stream.format("memory").query_name("latency_by_user")
              .output_mode("update")
-             .option("num_shards", 4)
              .start(checkpoint))
 
     for epoch in range(5):

@@ -6,8 +6,8 @@ management of continuous jobs) and §7.4 (the progress/metrics API):
 * :mod:`repro.observability.metrics` — process-wide counters, gauges
   and fixed-bucket histograms with percentile accessors, exportable in
   the OpenMetrics text format (``MetricsRegistry.to_openmetrics``);
-* :mod:`repro.observability.tracing` — nested spans per epoch, stage,
-  and shard task, exportable to ``chrome://tracing``;
+* :mod:`repro.observability.tracing` — nested spans per epoch and
+  stage, exportable to ``chrome://tracing``;
 * :mod:`repro.observability.flightrec` — the always-on flight recorder
   behind crash ``postmortem.json`` dumps;
 * :mod:`repro.observability.bottleneck` — folds per-phase/operator

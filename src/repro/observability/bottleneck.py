@@ -46,8 +46,8 @@ def fold_costs(stage_timings: dict, operator_metrics: dict) -> dict:
     """Merge raw phase/operator timings into ``{category: seconds}``.
 
     The ``process`` phase is split across ``stage:<Op>`` entries by the
-    operators' own measured seconds; whatever remains (batch plumbing,
-    shard dispatch) is attributed to ``stage:plan``.
+    operators' own measured seconds; whatever remains (batch plumbing)
+    is attributed to ``stage:plan``.
     """
     costs = {}
     process_seconds = 0.0

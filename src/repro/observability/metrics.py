@@ -251,7 +251,6 @@ class MetricsRegistry:
         can aggregate across them (the documented, stable mapping —
         see docs/observability.md):
 
-        * ``state.puts.shard3``        -> ``repro_state_puts{shard="3"}``
         * ``op.FilterOp.rows_out``     -> ``repro_op_rows_out{operator="FilterOp"}``
         * ``engine.watermark_lag.ts``  -> ``repro_engine_watermark_lag{column="ts"}``
 
@@ -290,16 +289,12 @@ class MetricsRegistry:
 # ----------------------------------------------------------------------
 # OpenMetrics exposition helpers
 # ----------------------------------------------------------------------
-_SHARD_SUFFIX = re.compile(r"^(?P<base>.+)\.shard(?P<shard>\d+)$")
 _OP_METRIC = re.compile(r"^op\.(?P<op>.+)\.(?P<stat>rows_out)$")
 _WATERMARK_LAG = re.compile(r"^engine\.watermark_lag\.(?P<column>.+)$")
 
 
 def _split_labels(name: str):
     """Internal dotted name -> (family, labels) per the documented map."""
-    match = _SHARD_SUFFIX.match(name)
-    if match:
-        return match.group("base"), {"shard": match.group("shard")}
     match = _OP_METRIC.match(name)
     if match:
         return f"op.{match.group('stat')}", {"operator": match.group("op")}

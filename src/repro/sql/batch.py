@@ -252,21 +252,20 @@ class RecordBatch:
 
 
 # ---------------------------------------------------------------------------
-# Stable hashing and hash partitioning (shared-nothing parallel execution)
+# Stable hashing and hash partitioning (record placement by key)
 # ---------------------------------------------------------------------------
 #
-# The partitioned execution layer shards every epoch's delta by key so
-# that per-shard stateful operators never see each other's keys.  Two
-# requirements shape the hash:
+# The bus places a keyed record on a topic partition by its key, and the
+# Kafka sink places each output row the same way, so one key's records
+# always share a partition.  Two requirements shape the hash:
 #
-# * **stable across processes and runs** — shard placement decides where
-#   a key's state lives, and recovery/rescaling must be able to recompute
-#   it from a restored checkpoint (so Python's randomized ``hash()`` is
-#   out);
-# * **computable both vectorized and per-key** — the hot path hashes
-#   whole key columns at once (:func:`stable_hash_arrays`), while restore
-#   and rescaling hash one decoded state-key tuple at a time
-#   (:func:`stable_hash_key`); the two MUST agree bit-for-bit.
+# * **stable across processes and runs** — a restarted producer must
+#   place a key where the records before the crash went (so Python's
+#   randomized ``hash()`` is out);
+# * **computable both vectorized and per-key** — the sink hashes whole
+#   key columns at once (:func:`stable_hash_arrays`), while the bus
+#   hashes one key at a time (:func:`stable_hash_key`); the two MUST
+#   agree bit-for-bit.
 #
 # Numeric columns go through a splitmix64 finalizer on their 64-bit
 # patterns; strings (the object-dtype slow path) use a truncated blake2b.
@@ -337,7 +336,7 @@ def stable_hash_arrays(arrays) -> np.ndarray:
     """Combined row hashes of parallel key columns (vectorized).
 
     ``result[i]`` equals ``stable_hash_key(tuple(a[i] for a in arrays))``
-    for every row — the agreement the state-rescaling path relies on.
+    for every row — the agreement the bus and the Kafka sink rely on.
     """
     arrays = [np.asarray(a) for a in arrays]
     n = len(arrays[0])
@@ -362,25 +361,26 @@ def stable_hash_key(values) -> int:
 
 
 def shard_of_key(values, num_shards: int) -> int:
-    """The shard a key tuple belongs to (0 when only one shard)."""
+    """The partition of ``num_shards`` a key tuple belongs to (0 when
+    there is only one)."""
     if num_shards <= 1:
         return 0
     return stable_hash_key(values) % num_shards
 
 
 def shard_assignments(arrays, num_shards: int) -> np.ndarray:
-    """Per-row shard ids for parallel key columns."""
+    """Per-row partition ids for parallel key columns."""
     hashes = stable_hash_arrays(arrays)
     return (hashes % np.uint64(num_shards)).astype(np.int64)
 
 
 def partition_by_assignment(batch: "RecordBatch", assign: np.ndarray,
                             num_shards: int) -> tuple:
-    """Split ``batch`` into per-shard sub-batches by precomputed shard ids.
+    """Split ``batch`` into per-partition sub-batches by precomputed ids.
 
     Returns ``(sub_batches, row_indices)``; ``row_indices[s]`` maps each
-    shard-local row back to its position in ``batch`` (row order within a
-    shard is preserved, which keeps merged outputs deterministic).
+    of partition ``s``'s rows back to its position in ``batch`` (row
+    order within a partition is preserved).
     """
     parts = []
     indices = []
@@ -389,19 +389,6 @@ def partition_by_assignment(batch: "RecordBatch", assign: np.ndarray,
         indices.append(idx)
         parts.append(batch.take(idx))
     return parts, indices
-
-
-def hash_partition(batch: "RecordBatch", key_names, num_shards: int) -> tuple:
-    """Hash-partition ``batch`` by the named key columns.
-
-    The vectorized kernel behind the partitioned execution layer:
-    ``(sub_batches, row_indices)`` such that every row lands in the shard
-    :func:`shard_of_key` would assign its key tuple to.
-    """
-    assign = shard_assignments(
-        [batch.columns[n] for n in key_names], num_shards
-    )
-    return partition_by_assignment(batch, assign, num_shards)
 
 
 def promote_nullable(schema: StructType) -> StructType:

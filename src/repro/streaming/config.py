@@ -35,7 +35,6 @@ _KNOBS = {
     "max_records_per_epoch": (int, None),
     "state_checkpoint_interval": (_at_least_one, None),
     "retain_epochs": (int, None),
-    "num_shards": (_at_least_one, "REPRO_NUM_SHARDS"),
     "state_backend": (str, "REPRO_STATE_BACKEND"),
     "state_memtable_bytes": (_at_least_one, "REPRO_STATE_MEMTABLE_BYTES"),
     "pipeline": (_as_bool, "REPRO_PIPELINE"),
@@ -43,16 +42,20 @@ _KNOBS = {
 ENV_VARS = {name: var for name, (_, var) in _KNOBS.items() if var}
 
 _NO_PROCESS_EXECUTOR = (
-    "the process executor was removed: every shard task runs on the "
-    "engine thread; set the shard count with num_shards")
+    "the process executor was removed: each operator runs one task per "
+    "epoch on the engine thread")
 #: Writer option -> (environment variable or None, why it is rejected).
 #: Refused by name rather than ignored, so a stale script or CI variable
 #: cannot silently run something other than what it asked for.
 REMOVED_KNOBS = {
     "scheduler": (None, "the 'scheduler' option (a caller-built thread "
-                  "pool) was removed; set the shard count with num_shards"),
+                  "pool) was removed: each operator runs one task per "
+                  "epoch on the engine thread"),
     "executor": ("REPRO_EXECUTOR", _NO_PROCESS_EXECUTOR),
     "num_workers": ("REPRO_NUM_WORKERS", _NO_PROCESS_EXECUTOR),
+    "num_shards": ("REPRO_NUM_SHARDS", "state shards were removed: each "
+                   "keyed operator keeps one state dict, and a checkpoint "
+                   "records no partition count"),
 }
 
 
@@ -60,18 +63,14 @@ REMOVED_KNOBS = {
 class EngineConfig:
     """The microbatch engine's knobs (see docs/execution_modes.md)."""
 
-    #: Cap on records one epoch consumes across a source's partitions;
-    #: None = everything available (adaptive batching, §7.3).
+    #: Cap on records one epoch consumes across a source's partitions,
+    #: at least 1; None = everything available (adaptive batching, §7.3).
     max_records_per_epoch: int = None
     #: Checkpoint operator state every this many epochs.
     state_checkpoint_interval: int = 1
     #: Keep at least this many recent epochs of WAL + state for manual
     #: rollback (§7.2); None = retain everything.
     retain_epochs: int = None
-    #: Hash-partition count for operator state and epoch tasks (§6.2).
-    #: Checkpoints are shard-count independent, so a query may restart
-    #: at a different count.
-    num_shards: int = 1
     #: ``"dict"`` (in memory) or ``"tiered"`` (LSM memtable + runs).
     state_backend: str = "dict"
     #: Tiered backend: memtable budget before a spill to a sorted run.
@@ -80,6 +79,11 @@ class EngineConfig:
     pipeline: bool = False
 
     def __post_init__(self):
+        cap = self.max_records_per_epoch
+        if cap is not None and cap < 1:
+            raise ValueError(
+                f"max_records_per_epoch must be at least 1, got {cap}: a "
+                "cap below 1 would never read a record")
         if self.state_backend not in BACKENDS:
             raise ValueError(
                 f"unknown state backend {self.state_backend!r}; "

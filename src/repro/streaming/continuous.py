@@ -110,12 +110,10 @@ class ContinuousEngine:
         self.max_chunk = max_chunk
         self.poll_interval = poll_interval
 
-        # Single-partition fast path: continuous workers each own their
-        # input partition and run map-like pipelines only, so the epoch
-        # sharding of the microbatch engine never applies here.
-        self.state_store = StateStore(checkpoint_dir, num_shards=1)
-        self.plan = incrementalize(plan, output_mode, self.state_store,
-                                   num_shards=1)
+        # Continuous workers each own their input partition and run
+        # map-like pipelines only, so the state store stays empty.
+        self.state_store = StateStore(checkpoint_dir)
+        self.plan = incrementalize(plan, output_mode, self.state_store)
         if self.plan.stateful_ops:
             raise UnsupportedContinuousQueryError(
                 "continuous processing supports map-like queries only "

@@ -30,7 +30,7 @@ class IncrementalPlan:
 
     def __init__(self, root: ops.IncrementalOp, sources: list, watermark_delays: dict,
                  stateful_ops: list, key_names: list, output_mode: str,
-                 num_shards: int = 1, read_schemas: dict = None):
+                 read_schemas: dict = None):
         #: Root incremental operator; its per-epoch output feeds the sink.
         self.root = root
         #: [(source_name, SourceDescriptor)] in plan order.
@@ -45,8 +45,6 @@ class IncrementalPlan:
         #: Output columns identifying a row, for update-mode sinks.
         self.key_names = key_names
         self.output_mode = output_mode
-        #: Shard count every stateful operator partitions by (§6.2).
-        self.num_shards = num_shards
 
 
 class _Builder:
@@ -57,13 +55,9 @@ class _Builder:
     store directories — the basis for code updates that keep state (§7.1).
     """
 
-    def __init__(self, state_store, output_mode: str, num_shards: int = 1):
+    def __init__(self, state_store, output_mode: str):
         self._state_store = state_store
         self._output_mode = output_mode
-        #: Shard count assigned to each stateful operator; the operators
-        #: hash-partition their input deltas by key into this many
-        #: independent tasks per epoch (§6.2).
-        self.num_shards = max(1, num_shards)
         self.sources = []
         #: source name -> the narrowed schema its scan reads (only for
         #: sources whose consumers reference a strict subset of columns).
@@ -124,7 +118,6 @@ class _Builder:
             op = ops.MapGroupsWithStateOp(
                 plan, self.build(plan.child), self._handle("mgws"),
                 watermark_column=_single_watermark_column(plan.child),
-                num_shards=self.num_shards,
             )
             self.stateful_ops.append(op)
             return op
@@ -162,7 +155,6 @@ class _Builder:
         op = ops.StatefulAggregateOp(
             plan, self.build(plan.child), self._handle("agg"),
             watermark_column=watermark_column,
-            num_shards=self.num_shards,
             output_mode=self._output_mode,
         )
         self.stateful_ops.append(op)
@@ -174,7 +166,6 @@ class _Builder:
         op = ops.StreamingDedupOp(
             plan, self.build(plan.child), self._handle("dedup"),
             watermark_column=in_subset[0] if in_subset else None,
-            num_shards=self.num_shards,
         )
         self.stateful_ops.append(op)
         return op
@@ -189,7 +180,6 @@ class _Builder:
                 self.build(plan.right),
                 self._handle("join-left"),
                 self._handle("join-right"),
-                num_shards=self.num_shards,
             )
             self.stateful_ops.append(op)
             return op
@@ -243,15 +233,11 @@ def _result_key_names(plan: L.LogicalPlan) -> list:
 
 
 def incrementalize(plan: L.LogicalPlan, output_mode: str, state_store,
-                   run_optimizer: bool = True,
-                   num_shards: int = 1) -> IncrementalPlan:
+                   run_optimizer: bool = True) -> IncrementalPlan:
     """Plan a streaming query: analyze, check, optimize, build operators.
 
     ``state_store`` supplies the keyed state handles for stateful
     operators; the engine commits/restores it around epochs.
-    ``num_shards`` is the partition count every stateful operator splits
-    its epoch work into (it should match the state store's shard count);
-    1 keeps the single-task path.
     """
     analyze(plan)
     check_streaming_supported(plan, output_mode)
@@ -261,7 +247,7 @@ def incrementalize(plan: L.LogicalPlan, output_mode: str, state_store,
     if plan_is_weighted(plan):
         plan = thread_weights(plan)
         analyze(plan)
-    builder = _Builder(state_store, output_mode, num_shards)
+    builder = _Builder(state_store, output_mode)
     root = builder.build(plan)
     return IncrementalPlan(
         root=root,
@@ -270,6 +256,5 @@ def incrementalize(plan: L.LogicalPlan, output_mode: str, state_store,
         stateful_ops=builder.stateful_ops,
         key_names=_result_key_names(plan),
         output_mode=output_mode,
-        num_shards=builder.num_shards,
         read_schemas=builder.read_schemas,
     )

@@ -235,7 +235,6 @@ class MicrobatchEngine:
         #: The sequential path is the golden reference: both modes
         #: produce byte-identical checkpoints and sink output.
         self.pipelined = config.pipeline
-        self.num_shards = config.num_shards
         self._event_log = None
         self.state_store = None
 
@@ -259,12 +258,10 @@ class MicrobatchEngine:
         bugs) can fire before the first epoch ever runs."""
         config = self.config
         self.state_store = StateStore(
-            checkpoint_dir, num_shards=self.num_shards,
-            backend=config.state_backend,
+            checkpoint_dir, backend=config.state_backend,
             memtable_bytes=config.state_memtable_bytes)
         with tracing.trace_span("plan-compile"):
-            self.plan = incrementalize(plan, output_mode, self.state_store,
-                                       num_shards=self.num_shards)
+            self.plan = incrementalize(plan, output_mode, self.state_store)
         self.sink.set_key_names(self.plan.key_names)
         if output_mode not in sink.supported_modes:
             raise ValueError(

@@ -22,15 +22,9 @@ import numpy as np
 
 from repro import observability
 from repro.observability import metrics, tracing
-from repro.sql import expressions as E
 from repro.sql import logical as L
 from repro.sql import plancompiler
-from repro.sql.batch import (
-    RecordBatch,
-    hash_partition,
-    partition_by_assignment,
-    shard_assignments,
-)
+from repro.sql.batch import RecordBatch
 from repro.sql.grouping import PartialTable, encode_groups, shared_nan
 from repro.sql.joins import (
     UniqueKeyIndex,
@@ -84,63 +78,20 @@ class EpochContext:
         return ctx
 
 
-def run_op_shard_tasks(ctx: EpochContext, label, op, method: str,
-                       payloads) -> list:
-    """Run ``op.<method>(*payloads[i])`` per shard; results in shard order.
+def apply_kernel(ctx: EpochContext, result, states) -> list:
+    """Commit a keyed kernel's deferred writes; returns its ``out`` list.
 
-    Each shard task runs on this thread under its own
-    ``task:<op>:shard<i>`` span.  Tasks are *pure*: they read pre-epoch
-    state and return deferred writes, which the caller applies in shard
-    order once every task finished.  ``payloads[i] is None`` marks an
-    empty shard (skipped).
-    """
-    bound = getattr(op, method)
-    name = f"task:{label[0] if isinstance(label, tuple) else label}:shard"
-    results = []
-    for i, args in enumerate(payloads):
-        if args is None:
-            results.append(None)
-            continue
-        with tracing.trace_span(f"{name}{i}", epoch=ctx.epoch_id, shard=i):
-            results.append(bound(*args))
-    return results
-
-
-def run_keyed_shard_tasks(ctx: EpochContext, label, op, method: str,
-                          payloads, states) -> list:
-    """Run a keyed shard task per payload, then commit its deferred writes.
-
-    A keyed shard task is *pure*: it reads pre-epoch state only and
-    returns ``(writes, out, late_rows)``, ``writes`` holding one
-    ``(puts, removes)`` pair per handle in ``states`` in the shape
+    A keyed kernel is *pure*: it reads pre-epoch state only and returns
+    ``(writes, out, late_rows)``, ``writes`` holding one ``(puts,
+    removes)`` pair per handle in ``states`` in the shape
     :meth:`~repro.streaming.state.OperatorStateHandle.apply` takes (keys
-    encoded once, by the task) and ``out`` a list.
-    The writes are applied here, in shard order, after every task
-    finished; returns the ``out`` lists concatenated in shard order.  A
-    single payload is the unpartitioned epoch and runs as a plain call.
-
-    The partitioned tasks of a ``state_aligned`` operator also get, as
-    their last argument, the index of the state shard their keys live
-    in — their own — and their writes are applied under it; otherwise
-    the handles route each key by its hash.
+    encoded once, by the kernel) and ``out`` a list.
     """
-    aligned = len(payloads) > 1 and op.state_aligned
-    if aligned:
-        payloads = [args and (*args, i) for i, args in enumerate(payloads)]
-    if len(payloads) == 1:
-        results = [getattr(op, method)(*payloads[0])]
-    else:
-        results = run_op_shard_tasks(ctx, label, op, method, payloads)
-    outs = []
-    for i, result in enumerate(results):
-        if result is None:
-            continue
-        writes, out, late_rows = result
-        for state, (puts, removes) in zip(states, writes):
-            state.apply(puts, removes, i if aligned else None)
-        outs.extend(out)
-        ctx.metrics["late_rows_dropped"] += late_rows
-    return outs
+    writes, out, late_rows = result
+    for state, (puts, removes) in zip(states, writes):
+        state.apply(puts, removes)
+    ctx.metrics["late_rows_dropped"] += late_rows
+    return out
 
 
 def _instrumented_process(fn, label: str):
@@ -187,13 +138,6 @@ class IncrementalOp:
     output_schema: StructType = None
     #: True when the operator keeps cross-epoch state.
     stateful = False
-    #: True when this operator's shard tasks only ever read state keys
-    #: of their own task partition — i.e. its task partitioning uses
-    #: exactly the state key, under the same stable hash the state
-    #: handle routes shards with.  Their writes then go straight to the
-    #: owning shard (``apply``/``get_many`` with a shard index) instead
-    #: of being routed key by key.
-    state_aligned = False
 
     def __init_subclass__(cls, **kwargs):
         """Every subclass that defines ``process`` gets it wrapped with
@@ -320,8 +264,7 @@ class StatelessOp(IncrementalOp):
     pass in the last place).  Otherwise, as the scan's first consumer,
     it concatenates only its survivors.  Every other consumer of a read
     (a stream–stream join, a dedup, a union, an aggregate over any of
-    these or at ``num_shards > 1``) reads ``columns``, which
-    concatenates the read first.
+    these) reads ``columns``, which concatenates the read first.
     """
 
     def __init__(self, node: L.LogicalPlan, child: IncrementalOp):
@@ -505,8 +448,7 @@ class StatefulAggregateOp(IncrementalOp):
     stateful = True
 
     def __init__(self, node: L.Aggregate, child: IncrementalOp, state_handle,
-                 watermark_column: str = None, num_shards: int = 1,
-                 output_mode: str = None):
+                 watermark_column: str = None, output_mode: str = None):
         self._node = node
         self.child = child
         self.state = state_handle
@@ -522,24 +464,6 @@ class StatefulAggregateOp(IncrementalOp):
         #: late, so nothing is dropped as late and nothing is evicted.
         self.watermark_column = None if self.weighted else watermark_column
         self._window = node.window
-        self.num_shards = max(1, num_shards)
-        #: Compiled per-row partition keys (None -> not shardable).  Any
-        #: plain grouping colocates a whole group (the state key extends
-        #: the plain values), so those expressions alone suffice; a
-        #: window-only aggregate shards by tumbling window start, and a
-        #: sliding window-only aggregate stays on the single-shard path
-        #: (one row belongs to several windows).
-        self._partition_key_fns = None
-        if node.plain_grouping:
-            self._partition_key_fns = [
-                E.bind(g, node.child.schema) for g in node.plain_grouping
-            ]
-        #: Tasks partition by the plain grouping values; without a
-        #: window those ARE the state key, so task ownership matches
-        #: state sharding.  A windowed aggregate's state key extends the
-        #: plain values with the window, hashing differently — stay on
-        #: the broadcast path there.
-        self.state_aligned = bool(node.plain_grouping) and self._window is None
         #: Group-key pipeline compiled once; per epoch only kernels run.
         self._grouping = plancompiler.compile_grouping(node)
         #: The scan whose chunked read the fold takes part by part.
@@ -584,8 +508,8 @@ class StatefulAggregateOp(IncrementalOp):
         )
         changes = self._fold(ctx, watermark)
         if ctx.output_mode == "complete":
-            # Canonical (encoded-key) order: state iteration order varies
-            # with the shard count, the emitted table must not.
+            # Canonical (encoded-key) order: the dict backend iterates in
+            # insertion order, the tiered one in key order.
             keys, buffers = [], []
             for key, value in sorted(
                     self.state.items(), key=lambda kv: encode_key(kv[0])):
@@ -623,19 +547,6 @@ class StatefulAggregateOp(IncrementalOp):
         result = aggregate_result_batch(self._node, keys, buffers)
         return attach_weights(result, weights)
 
-    def _partition_arrays(self, batch: RecordBatch):
-        """Per-row partition-key arrays, or None when not shardable."""
-        if self._partition_key_fns is not None:
-            return [fn(batch) for fn in self._partition_key_fns]
-        window = self._window
-        if window is not None and window.slide == window.duration:
-            # Tumbling window start, computed exactly as assign_batch's
-            # k=0 term so a group's rows land in one shard.
-            times = np.asarray(
-                window.time_expr.eval_batch(batch), dtype=np.float64)
-            return [np.floor(times / window.slide) * window.slide]
-        return None
-
     def _child_parts(self, ctx: EpochContext):
         """The epoch's child output, one batch per part of a chunked read
         when the child is row-local down to that read's scan (each part
@@ -651,37 +562,14 @@ class StatefulAggregateOp(IncrementalOp):
 
     def _fold(self, ctx: EpochContext, watermark) -> list:
         """Fold the epoch's delta into state; returns the per-key changes
-        ``(key, old_buffers_or_None, new_buffers_or_None)``.
-
-        With one shard the fold reads the child's output part by part
-        (:meth:`_child_parts`).  With ``num_shards > 1`` the delta is
-        hash-partitioned by group key and each shard folds its one part
-        as an independent task: a group's rows share a shard, so the
-        buffers equal the single-shard fold's.
-        """
-        if self.num_shards == 1:
-            payloads = [(self._child_parts(ctx), watermark)]
-        else:
-            batch = self.child.process(ctx)
-            if batch.num_rows == 0:
-                return []
-            payloads = [(batch, watermark)]
-            arrays = self._partition_arrays(batch) \
-                if batch.num_rows > 1 else None
-            if arrays is not None:
-                assign = shard_assignments(arrays, self.num_shards)
-                parts, _ = partition_by_assignment(
-                    batch, assign, self.num_shards)
-                payloads = [
-                    (p, watermark) if p.num_rows else None for p in parts
-                ]
-            del batch
-        return run_keyed_shard_tasks(
-            ctx, ("agg", id(self)), self, "_fold_shard", payloads,
+        ``(key, old_buffers_or_None, new_buffers_or_None)``; the child's
+        output is read part by part (:meth:`_child_parts`)."""
+        return apply_kernel(
+            ctx, self._fold_delta(self._child_parts(ctx), watermark),
             [self.state])
 
-    def _fold_shard(self, delta, watermark, shard=None) -> tuple:
-        """Pure keyed shard task: fold a delta's Z-set into state.
+    def _fold_delta(self, delta, watermark) -> tuple:
+        """Pure keyed kernel: fold a delta's Z-set into state.
 
         ``delta`` is a batch or an iterable of batches, the epoch's parts,
         read one at a time.  Each part (each signed half of it, for
@@ -722,7 +610,7 @@ class StatefulAggregateOp(IncrementalOp):
         puts, removes, changes = [], [], []
         for g, key, enc, stored in zip(
                 groups, keys, encoded,
-                self.state.get_many(encoded, keys, shard)):
+                self.state.get_many(encoded)):
             live, old_buffers = self._unpack(stored)
             buffers = [
                 merge(buffer, partial) for merge, buffer, partial in zip(
@@ -785,7 +673,7 @@ class StreamingDedupOp(IncrementalOp):
     (what batch ``drop_duplicates`` would keep: the earliest surviving
     occurrence) the op emits ``-1`` old representative / ``+1`` new one.
 
-    ``process`` is one body; the two shard kernels behind it share a
+    ``process`` is one body; the two kernels behind it share a
     signature and result shape but stay separate on purpose.  Append-only
     input needs only a seen-marker per key and is vectorised
     (``encode_groups`` + ``np.unique``); weighted input needs the key's
@@ -794,16 +682,13 @@ class StreamingDedupOp(IncrementalOp):
     """
 
     stateful = True
-    #: Tasks partition by ``node.subset`` — exactly the state key.
-    state_aligned = True
 
     def __init__(self, node: L.Deduplicate, child: IncrementalOp, state_handle,
-                 watermark_column: str = None, num_shards: int = 1):
+                 watermark_column: str = None):
         self._node = node
         self.child = child
         self.state = state_handle
         self.output_schema = node.schema
-        self.num_shards = max(1, num_shards)
         self.weighted = WEIGHT_COLUMN in child.output_schema
         #: Weighted dedup never drops late rows or evicts: a late
         #: retraction must still find the key's multiplicity.
@@ -827,45 +712,26 @@ class StreamingDedupOp(IncrementalOp):
             ctx.watermarks.current(self.watermark_column)
             if self.watermark_column is not None else None
         )
-        if self.num_shards > 1 and batch.num_rows > 1:
-            # Hash-partition by the dedup subset: every occurrence of a
-            # key lands in one shard, so per-shard first-seen decisions
-            # are globally correct.
-            parts, indices = hash_partition(
-                batch, self._node.subset, self.num_shards)
-            payloads = [
-                (p, idx, watermark) if p.num_rows else None
-                for p, idx in zip(parts, indices)
-            ]
-        else:
-            payloads = [
-                (batch, np.arange(batch.num_rows, dtype=np.int64), watermark)]
-        emits = run_keyed_shard_tasks(
-            ctx, ("dedup", id(self)), self,
-            "_dedup_shard_weighted" if self.weighted else "_dedup_shard",
-            payloads, [self.state])
+        kernel = (self._dedup_weighted if self.weighted
+                  else self._dedup_first_seen)
+        emits = apply_kernel(ctx, kernel(batch, watermark), [self.state])
         if watermark is not None:
             for key, _value in self.state.pop_expired(watermark):
                 self.state.remove(key)
-        # Emission follows the input delta's row order regardless of the
-        # shard count.
-        emits.sort(key=itemgetter(0))
         if not emits:
             return self._empty()
         if not self.weighted:
-            return batch.take(np.asarray([pos for pos, _ in emits],
-                                         dtype=np.int64))
+            return batch.take(np.asarray(emits, dtype=np.int64))
         names = self.output_schema.names
-        rows = [dict(zip(names, values)) for _pos, values in emits]
+        rows = [dict(zip(names, values)) for values in emits]
         return RecordBatch.from_rows(rows, self.output_schema)
 
-    def _dedup_shard_weighted(self, batch: RecordBatch, positions,
-                              _watermark, shard=None) -> tuple:
-        """Pure keyed shard task: weighted dedup of one sub-batch.
+    def _dedup_weighted(self, batch: RecordBatch, _watermark) -> tuple:
+        """Pure keyed kernel: weighted dedup of the epoch's delta.
 
-        Returns ``(writes, emits, 0)`` with emits as
-        ``(global_position, row_values)`` — row values in output-schema
-        order with the weight slot set to the emitted sign.
+        Returns ``(writes, emits, 0)`` with emits as row values in
+        output-schema order, the weight slot set to the emitted sign, in
+        the delta's row order.
         """
         names = batch.schema.names
         subset_idx = [names.index(n) for n in self._node.subset]
@@ -877,13 +743,13 @@ class StreamingDedupOp(IncrementalOp):
         # Pre-epoch state by distinct key; ``local``: a private copy.
         keys = list(dict.fromkeys(row_keys))
         encoded = [encode_key(key) for key in keys]
-        stored = dict(zip(keys, self.state.get_many(encoded, keys, shard)))
+        stored = dict(zip(keys, self.state.get_many(encoded)))
         local = {
             key: ([[int(c), list(v)] for c, v in value[1]]
                   if value is not None else [])
             for key, value in stored.items()
         }
-        for pos, row, key in zip(np.asarray(positions).tolist(), rows, row_keys):
+        for row, key in zip(rows, row_keys):
             weight = int(row[weight_idx])
             entries = local[key]
             old_rep = entries[0][1] if entries else None
@@ -915,11 +781,11 @@ class StreamingDedupOp(IncrementalOp):
                 if old_rep is not None:
                     emitted = list(old_rep)
                     emitted[weight_idx] = -1
-                    emits.append((pos, emitted))
+                    emits.append(emitted)
                 if new_rep is not None:
                     emitted = list(new_rep)
                     emitted[weight_idx] = 1
-                    emits.append((pos, emitted))
+                    emits.append(emitted)
         puts, removes = [], []
         for key, enc in zip(keys, encoded):
             entries = local[key]
@@ -930,12 +796,11 @@ class StreamingDedupOp(IncrementalOp):
                 puts.append((enc, key, [sum(e[0] for e in entries), entries]))
         return [(puts, removes)], emits, 0
 
-    def _dedup_shard(self, batch: RecordBatch, positions, watermark,
-                     shard=None) -> tuple:
-        """Pure keyed shard task: first-seen rows of one sub-batch.
+    def _dedup_first_seen(self, batch: RecordBatch, watermark) -> tuple:
+        """Pure keyed kernel: first-seen rows of the epoch's delta.
 
-        Returns ``(writes, emits, late_rows)`` with emits as
-        ``(global_position, None)`` — the kept rows are the delta's own.
+        Returns ``(writes, emits, late_rows)`` with emits as the kept
+        rows' positions in the delta, ascending.
         """
         codes, uniques = encode_groups(
             [batch.columns[n] for n in self._node.subset]
@@ -962,13 +827,14 @@ class StreamingDedupOp(IncrementalOp):
         live_codes = live_codes.tolist()
         keys = [uniques[g] for g in live_codes]
         encoded = [encode_key(key) for key in keys]
-        seen = self.state.get_many(encoded, keys, shard)
+        seen = self.state.get_many(encoded)
         for g, key, enc, marker in zip(live_codes, keys, encoded, seen):
             if marker is None:
                 puts.append((enc, key, (
                     key[self._time_index] if self._time_index is not None else 1
                 )))
-                emits.append((int(positions[first_pos[g]]), None))
+                emits.append(int(first_pos[g]))
+        emits.sort()
         return [(puts, ())], emits, late_rows
 
 
@@ -1002,17 +868,14 @@ class StreamStreamJoinOp(IncrementalOp):
     """
 
     stateful = True
-    #: Both sides' tasks and both state handles key by ``node.on``.
-    state_aligned = True
 
     def __init__(self, node: L.Join, left: IncrementalOp, right: IncrementalOp,
-                 left_state, right_state, num_shards: int = 1):
+                 left_state, right_state):
         self._node = node
         self.left = left
         self.right = right
         self._left_state = left_state
         self._right_state = right_state
-        self.num_shards = max(1, num_shards)
         self.within = node.within  # (left_time_col, right_time_col, skew)
         self.output_schema = node.schema
         self._inner = self._inner_schema()
@@ -1073,14 +936,11 @@ class StreamStreamJoinOp(IncrementalOp):
                 f"{self._left_layout.describe()}, right: "
                 f"{self._right_layout.describe()}")
 
-    def _entries_by_key(self, batch: RecordBatch, layout,
-                        row_offsets=None) -> dict:
+    def _entries_by_key(self, batch: RecordBatch, layout) -> dict:
         """Group the delta's rows by join key, in row order, as unmatched
         rows in ``layout`` — the only materialization this epoch performs.
-        Returns ``key -> (first_row_index, value of the new rows)``, keys
-        in order of their first row; indices come from ``row_offsets``
-        (global positions of this sub-batch's rows) so sharded probes can
-        be merged back into global delta order.  Columnar: group codes,
+        Returns ``key -> value of the new rows``, keys in order of their
+        first row.  Columnar: group codes,
         a stable sort of row positions by code, and the layout encodes
         the rows in that order once — a key's rows are a slice."""
         if batch.num_rows == 0:
@@ -1094,12 +954,8 @@ class StreamStreamJoinOp(IncrementalOp):
             [batch.columns[name] for name in batch.schema.names],
             order, starts, ends)
         # The sort is stable: a group's first sorted row is its first row.
-        firsts = order[starts]
-        by_first = np.argsort(firsts, kind="stable").tolist()
-        if row_offsets is not None:
-            firsts = np.asarray(row_offsets)[firsts]
-        firsts = firsts.tolist()
-        return {keys[g]: (firsts[g], values[g]) for g in by_first}
+        by_first = np.argsort(order[starts], kind="stable").tolist()
+        return {keys[g]: values[g] for g in by_first}
 
     def _drop_late_input(self, batch: RecordBatch, time_col: str,
                          watermark, ctx: EpochContext) -> RecordBatch:
@@ -1133,31 +989,9 @@ class StreamStreamJoinOp(IncrementalOp):
         else:
             lt_idx = rt_idx = skew = None
 
-        if self.num_shards > 1 and new_left.num_rows + new_right.num_rows > 1:
-            # Hash-partition both deltas by join key: a key's rows (and
-            # its buffered state) belong to exactly one shard, so shard
-            # probes never overlap.
-            l_parts, l_idx = hash_partition(
-                new_left, self._node.on, self.num_shards)
-            r_parts, r_idx = hash_partition(
-                new_right, self._node.on, self.num_shards)
-            payloads = [
-                (lp, li, rp, ri, lt_idx, rt_idx, skew)
-                if lp.num_rows or rp.num_rows else None
-                for lp, li, rp, ri in zip(l_parts, l_idx, r_parts, r_idx)
-            ]
-        else:
-            payloads = [
-                (new_left, None, new_right, None, lt_idx, rt_idx, skew)]
-        chunks = run_keyed_shard_tasks(
-            ctx, ("join", id(self)), self, "_probe_shard", payloads,
+        out_rows = apply_kernel(
+            ctx, self._probe(new_left, new_right, lt_idx, rt_idx, skew),
             [self._left_state, self._right_state])
-        # Global probe order: left keys by first delta row, then
-        # right-only keys — independent of shard count.
-        chunks.sort(key=lambda c: c[0])
-        out_rows = []
-        for _token, rows in chunks:
-            out_rows.extend(rows)
 
         out_parts = []
         if out_rows:
@@ -1168,10 +1002,9 @@ class StreamStreamJoinOp(IncrementalOp):
         parts = [self._to_output_schema(p) for p in out_parts]
         return RecordBatch.concat(parts, self.output_schema)
 
-    def _probe_shard(self, new_left: RecordBatch, left_offsets,
-                     new_right: RecordBatch, right_offsets,
-                     lt_idx, rt_idx, skew, shard=None) -> tuple:
-        """Pure shard task: probe one shard's delta keys against state.
+    def _probe(self, new_left: RecordBatch, new_right: RecordBatch,
+               lt_idx, rt_idx, skew) -> tuple:
+        """Pure keyed kernel: probe the delta's keys against state.
 
         Probes the state store only for the distinct keys present in the
         deltas (per-epoch cost is O(delta + matches), not O(buffered
@@ -1182,28 +1015,22 @@ class StreamStreamJoinOp(IncrementalOp):
         received rows, or (outer joins) one of its matched flags
         flipped; a key whose every buffered row cancelled is removed
         (the checkpoint records a tombstone, not an empty list).
-        Returns ``(writes, chunks, 0)`` — writes for the left then the
-        right handle, each chunk ``((side, first_row_index), out_rows)``
-        for deterministic merging.
+        Returns ``(writes, out_rows, 0)`` — writes for the left then the
+        right handle; output rows follow the probe order, left keys by
+        first delta row, then right-only keys.
         """
         left_layout, right_layout = self._left_layout, self._right_layout
-        left_by_key = self._entries_by_key(new_left, left_layout, left_offsets)
-        right_by_key = self._entries_by_key(
-            new_right, right_layout, right_offsets)
+        left_by_key = self._entries_by_key(new_left, left_layout)
+        right_by_key = self._entries_by_key(new_right, right_layout)
         track = self._track_matched
-        left, right, chunks = ([], []), ([], []), []
-        probe = [(key, (0, first)) for key, (first, _rows)
-                 in left_by_key.items()]
-        probe.extend(
-            (key, (1, first)) for key, (first, _rows)
-            in right_by_key.items() if key not in left_by_key
-        )
-        keys = [key for key, _token in probe]
+        left, right, out_rows = ([], []), ([], []), []
+        keys = list(left_by_key)
+        keys.extend(key for key in right_by_key if key not in left_by_key)
         encoded = [encode_key(key) for key in keys]
-        for (key, token), enc, stored_l, stored_r in zip(
-                probe, encoded,
-                self._left_state.get_many(encoded, keys, shard),
-                self._right_state.get_many(encoded, keys, shard)):
+        for key, enc, stored_l, stored_r in zip(
+                keys, encoded,
+                self._left_state.get_many(encoded),
+                self._right_state.get_many(encoded)):
             nl = left_by_key.get(key)
             nr = right_by_key.get(key)
             stored_l = stored_l or left_layout.empty
@@ -1211,9 +1038,8 @@ class StreamStreamJoinOp(IncrementalOp):
             # New rows go after the buffered ones, at rows bl / br on.
             bl = left_layout.rows(stored_l)
             br = right_layout.rows(stored_r)
-            l_entries = stored_l + nl[1] if nl else stored_l
-            r_entries = stored_r + nr[1] if nr else stored_r
-            out_rows = []
+            l_entries = stored_l + nl if nl else stored_l
+            r_entries = stored_r + nr if nr else stored_r
             if l_entries and r_entries and not is_null_key(key):
                 hits = (set(), set()) if track else None
                 l_rows = left_layout.row_values(l_entries)
@@ -1244,9 +1070,7 @@ class StreamStreamJoinOp(IncrementalOp):
                         puts.append((enc, key, entries))
                     else:
                         removes.append((enc, key))
-            if out_rows:
-                chunks.append((token, out_rows))
-        return [left, right], chunks, 0
+        return [left, right], out_rows, 0
 
     def _join_pairs(self, l_rows, l_positions, r_rows, r_positions,
                     out_rows, lt_idx, rt_idx, skew, hits) -> None:
@@ -1392,17 +1216,11 @@ class MapGroupsWithStateOp(IncrementalOp):
     stateful = True
 
     def __init__(self, node: L.MapGroupsWithState, child: IncrementalOp,
-                 state_handle, watermark_column: str = None,
-                 num_shards: int = 1):
+                 state_handle, watermark_column: str = None):
         self._node = node
         self.child = child
         self.state = state_handle
         self.output_schema = node.schema
-        #: State is shard-partitioned like every stateful operator (so
-        #: rescaling applies), but invocation stays single-task: the
-        #: user's Python function holds the GIL, so sharding the calls
-        #: buys no parallelism and risks interleaving side effects.
-        self.num_shards = max(1, num_shards)
         self.watermark_column = watermark_column
         if node.timeout != "none":
             # Index armed timeouts so expiry checks need no full scan.

@@ -19,15 +19,9 @@ on-disk format as human-readable as the paper's WAL.  Chains written
 before this format (``*.snapshot.json`` / ``*.delta.json``) restore
 unchanged.
 
-In-memory the handle is **hash-partitioned** into ``num_shards``
-shared-nothing shards (dict + expiry heap each), routed by the stable
-key hash from :mod:`repro.sql.batch` — the same hash the partitioned
-epoch executor uses to split input deltas, so a shard task only ever
-touches one shard's structures.  The on-disk format stays *merged* and
-sorted by encoded key, which makes checkpoint bytes independent of the
-shard count; ``restore`` re-routes every key through the current shard
-function, so recovering an N-shard checkpoint into an M-shard handle is
-exact rescaling (§6.2).
+In memory the handle is one dict from encoded key to value, with one
+expiry heap beside it.  The on-disk format is sorted by encoded key and
+records no partition count, so a checkpoint restores into any handle.
 """
 
 from __future__ import annotations
@@ -37,10 +31,8 @@ import json
 import os
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite
-from operator import itemgetter
 
 from repro.observability import metrics
-from repro.sql.batch import shard_of_key
 from repro.storage import (
     atomic_write_stream,
     deferred_fsync,
@@ -159,51 +151,21 @@ def decode_key(text: str):
 _MISSING = object()
 
 
-class _StateShard:
-    """One hash partition of an operator's keyed state: its own data
-    dict, dirty tracking and expiry index — no locks, no sharing."""
-
-    __slots__ = ("data", "dirty", "removed", "expiry", "heap",
-                 "puts_metric", "gets_metric", "evictions_metric")
-
-    def __init__(self, index: int = 0):
-        self.data = {}
-        self.dirty = set()
-        self.removed = set()
-        #: encoded key -> currently valid expiry (heap entries that
-        #: disagree with this map are stale and dropped lazily).
-        self.expiry = {}
-        self.heap = []
-        #: Pre-formatted per-shard metric names (§2.3 monitoring): the
-        #: hot-path cost with metrics enabled is one dict hit per
-        #: access, with no string formatting.
-        self.puts_metric = f"state.puts.shard{index}"
-        self.gets_metric = f"state.gets.shard{index}"
-        self.evictions_metric = f"state.evictions.shard{index}"
-
-
-def _make_shards(num_shards: int) -> list:
-    return [_StateShard(i) for i in range(num_shards)]
-
-
 class OperatorStateHandle:
     """One operator's keyed state, with dirty tracking for delta commits.
 
     Per-access cost is independent of total state size (the
     delta-proportionality the paper claims in §5.2/§6.1), and nothing is
-    kept per key beside the key's entry in its shard:
+    kept per key beside the key's entry in ``data``:
 
     * a key is encoded on each access by :func:`encode_key` (no cache);
-      a shard task encodes each of its keys once and passes the strings
-      to both batch calls — ``get_many(encoded, keys, shard)`` /
-      ``apply(puts, removes, shard)`` — naming the shard it owns, so a
-      sharded handle hashes a key when it first enters a shard, not on
-      every access;
-    * per-shard **expiry indexes** (min-heaps with lazy invalidation,
-      maintained on ``put``/``remove``) let watermark-gated operators
-      pop only finalized keys instead of scanning the full store; they
-      are not persisted (the checkpoint format is shard-count
-      independent) but rebuilt from data on ``restore``.
+      an operator's kernel encodes each of its keys once and passes the
+      strings to both batch calls, ``get_many(encoded)`` and
+      ``apply(puts, removes)``;
+    * an **expiry index** (a min-heap with lazy invalidation, maintained
+      on ``put``/``remove``) lets watermark-gated operators pop only
+      finalized keys instead of scanning the full store; it is not
+      persisted but rebuilt from data on ``restore``.
     """
 
     #: Checkpoint kinds this backend can restore from.  The tiered
@@ -212,10 +174,17 @@ class OperatorStateHandle:
     #: directory written by one backend readable by the other.
     _RESTORE_KINDS = frozenset(statefile.BASE_KINDS + statefile.DELTA_KINDS)
 
-    def __init__(self, directory: str, num_shards: int = 1):
+    def __init__(self, directory: str):
         self._directory = directory
-        self.num_shards = max(1, num_shards)
-        self._shards = _make_shards(self.num_shards)
+        #: encoded key -> value: the working state.
+        self.data = {}
+        #: Keys written / removed since the last commit (the delta).
+        self.dirty = set()
+        self.removed = set()
+        #: encoded key -> currently valid expiry (heap entries that
+        #: disagree with this map are stale and dropped lazily).
+        self.expiry = {}
+        self.heap = []
         self._expiry_fn = None
         self._row_fn = None
         #: The value codec (``set_codec``): None keeps values as stored.
@@ -242,113 +211,70 @@ class OperatorStateHandle:
     # ------------------------------------------------------------------
     # Keyed access (in-memory working state)
     # ------------------------------------------------------------------
-    def shard_index(self, key) -> int:
-        """The shard a key routes to (0 when unsharded)."""
-        return shard_of_key(key, self.num_shards)
-
-    def _locate(self, key):
-        """A key's ``(shard, encoded key)``."""
-        return self._shards[self.shard_index(key)], encode_key(key)
-
-    def _read(self, shard, encoded: str, default=None):
-        """A located key's value."""
-        return shard.data.get(encoded, default)
+    def _read(self, encoded: str, default=None):
+        """An encoded key's value."""
+        return self.data.get(encoded, default)
 
     def get(self, key, default=None):
         """Value for a key, or default."""
-        shard, encoded = self._locate(key)
         if metrics._registry is not None:
-            metrics._registry.counter(shard.gets_metric).inc()
-        return self._read(shard, encoded, default)
+            metrics._registry.counter("state.gets").inc()
+        return self._read(encode_key(key), default)
 
-    def get_many(self, encoded, keys, shard: int = None) -> list:
+    def get_many(self, encoded) -> list:
         """Values in order for the keys whose :func:`encode_key` strings
-        are ``encoded``, None where a key has no state.  ``shard``: the
-        index of the shard a task of a ``state_aligned`` operator knows
-        all its keys live in; naming it saves the hashes (a key of
-        another shard reads as absent).  ``keys``, the decoded keys
-        beside ``encoded``, are read only to route each key by its hash
-        when a sharded handle is given no shard."""
-        read = self._read
-        if shard is None and self.num_shards > 1:
-            shards, route = self._shards, self.shard_index
-            located = [shards[route(key)] for key in keys]
-            if metrics._registry is not None:
-                for owner in located:
-                    metrics._registry.counter(owner.gets_metric).inc()
-            return [read(owner, e) for owner, e in zip(located, encoded)]
-        owned = self._shards[shard or 0]
+        are ``encoded``, None where a key has no state."""
         if metrics._registry is not None:
-            metrics._registry.counter(owned.gets_metric).inc(len(encoded))
-        return [read(owned, e) for e in encoded]
+            metrics._registry.counter("state.gets").inc(len(encoded))
+        read = self._read
+        return [read(e) for e in encoded]
 
     def contains(self, key) -> bool:
         """True if the key has state."""
-        return self._read(*self._locate(key), _MISSING) is not _MISSING
+        return self._read(encode_key(key), _MISSING) is not _MISSING
 
     def put(self, key, value) -> None:
         """Set a key's state (JSON-serializable value)."""
-        self._put(*self._locate(key), key, value)
+        self._put(encode_key(key), key, value)
 
     def remove(self, key) -> None:
         """Delete a key's state."""
-        self._remove(*self._locate(key))
+        self._remove(encode_key(key))
 
-    def apply(self, puts, removes, shard: int = None) -> None:
-        """Apply one shard task's deferred writes: ``puts`` as
-        ``(encoded, key, value)`` triples, then ``removes`` as
-        ``(encoded, key)`` pairs, ``encoded`` being :func:`encode_key`
-        of ``key`` (the decoded key feeds the expiry index and routing).
-        Under ``shard`` (see :meth:`get_many`) only a key new to that
-        shard is hashed, and one that routes elsewhere raises rather
-        than start a second life where no restore would look for it."""
-        if shard is None and self.num_shards > 1:
-            shards, route = self._shards, self.shard_index
-            for encoded, key, value in puts:
-                self._put(shards[route(key)], encoded, key, value)
-            for encoded, key in removes:
-                self._remove(shards[route(key)], encoded)
-            return
-        owned, check = self._shards[shard or 0], self.num_shards > 1
+    def apply(self, puts, removes) -> None:
+        """Apply a kernel's deferred writes: ``puts`` as ``(encoded, key,
+        value)`` triples, then ``removes`` as ``(encoded, key)`` pairs,
+        ``encoded`` being :func:`encode_key` of ``key`` (the decoded key
+        feeds the expiry index)."""
         for encoded, key, value in puts:
-            if check and encoded not in owned.data:
-                self._check_owner(key, shard)
-            self._put(owned, encoded, key, value)
-        for encoded, key in removes:
-            if check and encoded not in owned.data:
-                self._check_owner(key, shard)
-            self._remove(owned, encoded)
+            self._put(encoded, key, value)
+        for encoded, _key in removes:
+            self._remove(encoded)
 
-    def _check_owner(self, key, shard: int) -> None:
-        if self.shard_index(key) != shard:
-            raise ValueError(
-                f"state key {key!r} belongs to shard {self.shard_index(key)}"
-                f" of {self.num_shards}, not to shard {shard}")
-
-    def _put(self, shard, encoded: str, key, value) -> None:
+    def _put(self, encoded: str, key, value) -> None:
         if metrics._registry is not None:
-            metrics._registry.counter(shard.puts_metric).inc()
-        old = shard.data.get(encoded, _MISSING)
+            metrics._registry.counter("state.puts").inc()
+        old = self.data.get(encoded, _MISSING)
         if old is _MISSING:
             self._num_keys += 1
         if self._row_fn is not None:
             self._num_rows += self._row_fn(value) - (
                 0 if old is _MISSING else self._row_fn(old))
-        shard.data[encoded] = value
-        shard.dirty.add(encoded)
-        shard.removed.discard(encoded)
+        self.data[encoded] = value
+        self.dirty.add(encoded)
+        self.removed.discard(encoded)
         if self._expiry_fn is not None:
-            self._index_put(shard, encoded, key, value)
+            self._index_put(encoded, key, value)
 
-    def _remove(self, shard, encoded: str) -> None:
-        old = shard.data.pop(encoded, _MISSING)
+    def _remove(self, encoded: str) -> None:
+        old = self.data.pop(encoded, _MISSING)
         if old is not _MISSING:
             self._num_keys -= 1
             if self._row_fn is not None:
                 self._num_rows -= self._row_fn(old)
-            shard.dirty.discard(encoded)
-            shard.removed.add(encoded)
-            shard.expiry.pop(encoded, None)
+            self.dirty.discard(encoded)
+            self.removed.add(encoded)
+            self.expiry.pop(encoded, None)
             metrics.count("state.removes")
 
     # ------------------------------------------------------------------
@@ -392,8 +318,7 @@ class OperatorStateHandle:
         """Re-derive the row total from the working state (restore)."""
         fn = self._row_fn
         self._num_rows = 0 if fn is None else sum(
-            fn(value) for shard in self._shards
-            for value in shard.data.values())
+            fn(value) for value in self.data.values())
 
     @property
     def rows(self) -> int:
@@ -415,90 +340,79 @@ class OperatorStateHandle:
         self._rebuild_expiry_index()
 
     def _rebuild_expiry_index(self) -> None:
-        for shard in self._shards:
-            shard.expiry = {}
-            shard.heap = []
-            if self._expiry_fn is None:
-                continue
-            for encoded, value in shard.data.items():
-                expiry = self._expiry_fn(decode_key(encoded), value)
-                if expiry is not None:
-                    shard.expiry[encoded] = expiry
-                    shard.heap.append((expiry, encoded))
-            heapq.heapify(shard.heap)
+        self.expiry = {}
+        self.heap = []
+        if self._expiry_fn is None:
+            return
+        for encoded, value in self.data.items():
+            expiry = self._expiry_fn(decode_key(encoded), value)
+            if expiry is not None:
+                self.expiry[encoded] = expiry
+                self.heap.append((expiry, encoded))
+        heapq.heapify(self.heap)
 
-    def _index_put(self, shard: _StateShard, encoded: str, key, value) -> None:
+    def _index_put(self, encoded: str, key, value) -> None:
         expiry = self._expiry_fn(key, value)
         if expiry is None:
-            shard.expiry.pop(encoded, None)
-        elif shard.expiry.get(encoded) != expiry:
-            shard.expiry[encoded] = expiry
-            heapq.heappush(shard.heap, (expiry, encoded))
+            self.expiry.pop(encoded, None)
+        elif self.expiry.get(encoded) != expiry:
+            self.expiry[encoded] = expiry
+            heapq.heappush(self.heap, (expiry, encoded))
 
     def reindex(self, key) -> None:
         """Re-register a key's expiry from its current value without
         marking it dirty (used to defer a popped-but-unhandled key)."""
         if self._expiry_fn is None:
             return
-        shard, encoded = self._locate(key)
-        if encoded in shard.data:
-            self._index_put(shard, encoded, key, shard.data[encoded])
+        encoded = encode_key(key)
+        if encoded in self.data:
+            self._index_put(encoded, key, self.data[encoded])
 
     def next_expiry(self):
         """The smallest live expiry, or None (O(stale) amortized)."""
-        earliest = None
-        for shard in self._shards:
-            heap = shard.heap
-            while heap:
-                expiry, encoded = heap[0]
-                if shard.expiry.get(encoded) == expiry:
-                    if earliest is None or expiry < earliest:
-                        earliest = expiry
-                    break
-                heapq.heappop(heap)
-        return earliest
+        heap = self.heap
+        while heap:
+            expiry, encoded = heap[0]
+            if self.expiry.get(encoded) == expiry:
+                return expiry
+            heapq.heappop(heap)
+        return None
 
     def pop_expired(self, bound) -> list:
         """Pop and return ``[(decoded_key, value), ...]`` for every key
-        whose expiry is <= ``bound``.
+        whose expiry is <= ``bound``, in ``(expiry, encoded key)`` order.
 
         Popped keys leave the index but not the store: the caller decides
         to ``remove`` them, ``put`` them back (re-indexing under a new
-        expiry), or ``reindex`` to defer untouched.  Results merge the
-        per-shard pops back into global ``(expiry, encoded)`` order — the
-        exact order a single shared heap would pop — so callers see the
-        same sequence at every shard count."""
+        expiry), or ``reindex`` to defer untouched."""
+        heap, expiries = self.heap, self.expiry
         popped = []
-        for shard in self._shards:
-            heap = shard.heap
-            shard_popped = 0
-            while heap and heap[0][0] <= bound:
-                expiry, encoded = heapq.heappop(heap)
-                if shard.expiry.get(encoded) != expiry:
-                    continue  # stale entry: superseded or removed
-                del shard.expiry[encoded]
-                popped.append((expiry, encoded, shard.data[encoded]))
-                shard_popped += 1
-            if shard_popped:
-                metrics.count(shard.evictions_metric, shard_popped)
-        popped.sort(key=lambda item: item[:2])
-        return [(decode_key(encoded), value) for _, encoded, value in popped]
+        while heap and heap[0][0] <= bound:
+            expiry, encoded = heapq.heappop(heap)
+            if expiries.get(encoded) != expiry:
+                continue  # stale entry: superseded or removed
+            del expiries[encoded]
+            value = self._read(encoded, _MISSING)
+            if value is not _MISSING:
+                popped.append((decode_key(encoded), value))
+        if popped:
+            metrics.count("state.evictions", len(popped))
+        return popped
 
     def items(self):
         """Iterate (decoded_key, value) pairs of the working state.
 
-        Order is per-shard insertion order; callers needing an order
-        independent of the shard count must sort (e.g. by encoded key).
+        Order is the backend's (insertion order here, key order in the
+        tiered backend); callers needing one order must sort (e.g. by
+        encoded key).
         """
-        for shard in self._shards:
-            for encoded, value in shard.data.items():
-                yield decode_key(encoded), value
+        for encoded, value in self.data.items():
+            yield decode_key(encoded), value
 
     def keys(self):
         """Iterate decoded keys."""
-        for shard in self._shards:
-            for encoded in shard.data:
-                yield decode_key(encoded)
+        for encoded in self.data:
+            yield decode_key(encoded)
 
     def __len__(self) -> int:
         return self._num_keys
@@ -524,9 +438,8 @@ class OperatorStateHandle:
         the directory holds, so a crash-replay repeats the same
         decisions byte for byte.
 
-        Shards are merged into one stream sorted by encoded key, so the
-        bytes written do not depend on the shard count.  Returns
-        checkpoint metrics (sizes) for monitoring (§7.4).
+        Records are sorted by encoded key.  Returns checkpoint metrics
+        (sizes) for monitoring (§7.4).
         """
         fault_point("state.commit", version=version,
                     operator=os.path.basename(self._directory))
@@ -553,14 +466,11 @@ class OperatorStateHandle:
     def _commit_records(self):
         """``(kind, records sorted by encoded key, keys written)``."""
         if self._wants_base():
-            kind, pick, written = statefile.BASE, _sorted_items, self._num_keys
+            kind, records, written = (
+                statefile.BASE, self._sorted_items(), self._num_keys)
         else:
-            kind, pick = statefile.DELTA, _sorted_changes
-            written = sum(len(shard.dirty) + len(shard.removed)
-                          for shard in self._shards)
-        streams = [pick(shard) for shard in self._shards]
-        records = (streams[0] if len(streams) == 1
-                   else heapq.merge(*streams, key=itemgetter(0)))
+            kind, records = statefile.DELTA, self._sorted_changes()
+            written = len(self.dirty) + len(self.removed)
         if self._to_disk is not None:
             records = ((encoded, self._disk_value(value))
                        for encoded, value in records)
@@ -573,12 +483,25 @@ class OperatorStateHandle:
             self._base_weight, self._delta_weight = weight, 0
         else:
             self._delta_weight += weight
-        for shard in self._shards:
-            shard.dirty.clear()
-            shard.removed.clear()
+        self.dirty.clear()
+        self.removed.clear()
         self.last_committed_version = version
         return {"version": version, "keys_written": written,
                 "num_keys": self._num_keys, "kind": kind, "bytes": size}
+
+    def _sorted_items(self):
+        """``(key, value)`` pairs in key order, values read lazily (only
+        the sorted key list is materialised beside the dict)."""
+        data = self.data
+        for encoded in sorted(data):
+            yield encoded, data[encoded]
+
+    def _sorted_changes(self):
+        """Changes since the last commit in key order: written keys with
+        their value, removed keys as tombstones."""
+        data = self.data
+        for encoded in sorted(self.dirty | self.removed):
+            yield encoded, data.get(encoded, TOMBSTONE)
 
     def prepare_commit(self, version: int, group) -> PendingStateWrite:
         """Capture version's checkpoint now; the write happens later.
@@ -692,12 +615,8 @@ class OperatorStateHandle:
         actually restored (None for empty state); the engine replays
         input epochs after it from the WAL to reach the target (§6.1
         step 4).
-
-        Every restored key is re-routed through the *current* shard
-        function, so a checkpoint written at one shard count restores
-        exactly into a handle with any other (rescaling, §6.2).
         """
-        self._shards = _make_shards(self.num_shards)
+        self.data, self.dirty, self.removed = {}, set(), set()
         self._num_keys = 0
         self._base_weight = self._delta_weight = 0
         self.last_committed_version = None
@@ -711,16 +630,10 @@ class OperatorStateHandle:
                         merged[encoded] = from_disk(value)
             rekeyed = _rekey_negative_zeros(merged)
             self._num_keys = len(merged)
-            if self.num_shards == 1:
-                self._shards[0].data = merged
-            else:
-                for encoded, value in merged.items():
-                    shard = self._shards[self.shard_index(decode_key(encoded))]
-                    shard.data[encoded] = value
+            self.data = merged
             for old, new in rekeyed:
-                shard = self._shards[self.shard_index(decode_key(new))]
-                shard.removed.add(old)
-                shard.dirty.add(new)
+                self.removed.add(old)
+                self.dirty.add(new)
             self.last_committed_version = usable[-1]
         self._recount_rows()
         self._rebuild_expiry_index()
@@ -742,22 +655,6 @@ def _rekey_negative_zeros(merged: dict) -> list:
     return moves
 
 
-def _sorted_items(shard):
-    """A shard's ``(key, value)`` pairs in key order, values read lazily
-    (only the sorted key list is materialised beside the dict)."""
-    data = shard.data
-    for encoded in sorted(data):
-        yield encoded, data[encoded]
-
-
-def _sorted_changes(shard):
-    """A shard's changes since the last commit in key order: written
-    keys with their value, removed keys as tombstones."""
-    data = shard.data
-    for encoded in sorted(shard.dirty | shard.removed):
-        yield encoded, data.get(encoded, TOMBSTONE)
-
-
 def _is_base(kinds) -> bool:
     """True if a version's file kinds include one holding full state."""
     return not kinds.isdisjoint(statefile.BASE_KINDS)
@@ -773,11 +670,9 @@ class StateStore:
     ``memtable_bytes`` is the tiered backend's spill budget.
     """
 
-    def __init__(self, checkpoint_dir: str, num_shards: int = 1,
-                 backend: str = "dict",
+    def __init__(self, checkpoint_dir: str, backend: str = "dict",
                  memtable_bytes: int = DEFAULT_MEMTABLE_BYTES):
         self._directory = os.path.join(checkpoint_dir, "state")
-        self._num_shards = max(1, num_shards)
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown state backend {backend!r}; expected one of {BACKENDS}"
@@ -796,13 +691,9 @@ class StateStore:
                 from repro.streaming.state_lsm import TieredOperatorStateHandle
 
                 self._handles[operator_id] = TieredOperatorStateHandle(
-                    directory, self._num_shards,
-                    memtable_bytes=self._memtable_bytes,
-                )
+                    directory, memtable_bytes=self._memtable_bytes)
             else:
-                self._handles[operator_id] = OperatorStateHandle(
-                    directory, self._num_shards,
-                )
+                self._handles[operator_id] = OperatorStateHandle(directory)
         return self._handles[operator_id]
 
     def close(self) -> None:

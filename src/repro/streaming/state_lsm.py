@@ -1,6 +1,6 @@
-"""Tiered (larger-than-memory) state backend: LSM runs under the shard API.
+"""Tiered (larger-than-memory) state backend: LSM runs under the handle API.
 
-``TieredOperatorStateHandle`` keeps the shard dicts of
+``TieredOperatorStateHandle`` keeps the ``data`` dict of
 :class:`~repro.streaming.state.OperatorStateHandle` as a **memtable**
 capped by a byte budget; when the budget is exceeded the memtable is
 sealed into an immutable **sorted run** on disk
@@ -71,7 +71,6 @@ from repro.streaming.state import (
     DEFAULT_MEMTABLE_BYTES,
     OperatorStateHandle,
     PendingStateWrite,
-    _make_shards,
     decode_key,
 )
 from repro.streaming.statefile import TOMBSTONE, StateFileWriter
@@ -341,20 +340,20 @@ class SortedRun:
 class TieredOperatorStateHandle(OperatorStateHandle):
     """Drop-in :class:`OperatorStateHandle` with LSM-tiered storage.
 
-    The shard dicts become a bounded memtable (values or ``TOMBSTONE``);
-    reads fall through to the sorted runs newest-first.  All public
-    semantics — ``get``/``put``/``remove``/``pop_expired``/``items``,
-    delta commits, restore to any retained version, N→M shard rescaling —
-    match the dict backend
+    The ``data`` dict becomes a bounded memtable (values or
+    ``TOMBSTONE``); reads fall through to the sorted runs newest-first.
+    All public semantics — ``get``/``put``/``remove``/``pop_expired``/
+    ``items``, delta commits, restore to any retained version — match
+    the dict backend
     (the property suite in ``tests/test_state_tiered.py`` pins this).
     """
 
     backend = "tiered"
     _RESTORE_KINDS = OperatorStateHandle._RESTORE_KINDS | {MANIFEST}
 
-    def __init__(self, directory: str, num_shards: int = 1,
+    def __init__(self, directory: str,
                  memtable_bytes: int = DEFAULT_MEMTABLE_BYTES):
-        super().__init__(directory, num_shards)
+        super().__init__(directory)
         self.memtable_bytes = max(1, int(memtable_bytes))
         self._runs_dir = os.path.join(directory, "runs")
         os.makedirs(self._runs_dir, exist_ok=True)
@@ -383,21 +382,17 @@ class TieredOperatorStateHandle(OperatorStateHandle):
                 return self._memory_value(value)
         return _MISS
 
-    def _lookup(self, shard, encoded):
-        """Current value through both tiers (``_MISS``/``TOMBSTONE`` raw)."""
-        value = shard.data.get(encoded, _MISS)
+    def _read(self, encoded: str, default=None):
+        """Current value through both tiers."""
+        value = self.data.get(encoded, _MISS)
         if value is _MISS:
             value = self._probe_runs(encoded)
-        return value
-
-    def _read(self, shard, encoded: str, default=None):
-        value = self._lookup(shard, encoded)
         return default if value is _MISS or value is TOMBSTONE else value
 
-    def _put(self, shard, encoded: str, key, value) -> None:
+    def _put(self, encoded: str, key, value) -> None:
         if metrics._registry is not None:
-            metrics._registry.counter(shard.puts_metric).inc()
-        prior = shard.data.get(encoded, _MISS)
+            metrics._registry.counter("state.puts").inc()
+        prior = self.data.get(encoded, _MISS)
         # The budget sizes values in their disk form, so spill points do
         # not depend on an operator's in-memory layout.
         disk = self._disk_value(value)
@@ -408,21 +403,21 @@ class TieredOperatorStateHandle(OperatorStateHandle):
             self._mem_bytes += (_approx_value_bytes(disk)
                                 - _approx_value_bytes(self._disk_value(prior)))
         was_live = prior is not _MISS and prior is not TOMBSTONE
-        shard.data[encoded] = value
+        self.data[encoded] = value
         if not was_live:
             self._num_keys += 1
         if self._row_fn is not None:
             self._num_rows += self._row_fn(value) - (
                 self._row_fn(prior) if was_live else 0)
-        shard.dirty.add(encoded)
-        shard.removed.discard(encoded)
+        self.dirty.add(encoded)
+        self.removed.discard(encoded)
         if self._expiry_fn is not None:
-            self._index_put(shard, encoded, key, value)
+            self._index_put(encoded, key, value)
         if self._mem_bytes >= self.memtable_bytes:
             self._flush()
 
-    def _remove(self, shard, encoded: str) -> None:
-        prior = shard.data.get(encoded, _MISS)
+    def _remove(self, encoded: str) -> None:
+        prior = self.data.get(encoded, _MISS)
         if prior is _MISS:
             prior = self._probe_runs(encoded)
             if prior is _MISS or prior is TOMBSTONE:
@@ -436,13 +431,13 @@ class TieredOperatorStateHandle(OperatorStateHandle):
                 - _approx_value_bytes(self._disk_value(prior)))
         # A tombstone (not a dict pop): it must mask any older value
         # still sitting in a run, and flush with the next seal.
-        shard.data[encoded] = TOMBSTONE
+        self.data[encoded] = TOMBSTONE
         self._num_keys -= 1
         if self._row_fn is not None:
             self._num_rows -= self._row_fn(prior)
-        shard.dirty.discard(encoded)
-        shard.removed.add(encoded)
-        shard.expiry.pop(encoded, None)
+        self.dirty.discard(encoded)
+        self.removed.add(encoded)
+        self.expiry.pop(encoded, None)
         metrics.count("state.removes")
         if self._mem_bytes >= self.memtable_bytes:
             self._flush()
@@ -453,32 +448,9 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         for run in self._runs:
             run.close()
 
-    def pop_expired(self, bound) -> list:
-        popped = []
-        for shard in self._shards:
-            heap = shard.heap
-            shard_popped = 0
-            while heap and heap[0][0] <= bound:
-                expiry, encoded = heapq.heappop(heap)
-                if shard.expiry.get(encoded) != expiry:
-                    continue
-                del shard.expiry[encoded]
-                value = self._lookup(shard, encoded)
-                if value is _MISS or value is TOMBSTONE:
-                    continue  # indexed entry superseded by a removal
-                popped.append((expiry, encoded, value))
-                shard_popped += 1
-            if shard_popped:
-                metrics.count(shard.evictions_metric, shard_popped)
-        popped.sort(key=lambda item: item[:2])
-        return [(decode_key(encoded), value) for _, encoded, value in popped]
-
     def _iter_merged(self):
         """Stream live ``(encoded, value)`` pairs, key-sorted, newest-wins."""
-        mem = {}
-        for shard in self._shards:
-            mem.update(shard.data)
-        streams = [iter(sorted(mem.items()))]
+        streams = [iter(sorted(self.data.items()))]
         for run in self._runs:
             records = run.scan()
             if self._from_disk is not None:
@@ -517,34 +489,28 @@ class TieredOperatorStateHandle(OperatorStateHandle):
             fn(value) for _encoded, value in self._iter_merged())
 
     def _rebuild_expiry_index(self) -> None:
-        for shard in self._shards:
-            shard.expiry = {}
-            shard.heap = []
+        self.expiry = {}
+        self.heap = []
         if self._expiry_fn is None:
             return
         for encoded, value in self._iter_merged():
-            key = decode_key(encoded)
-            expiry = self._expiry_fn(key, value)
+            expiry = self._expiry_fn(decode_key(encoded), value)
             if expiry is not None:
-                shard = self._shards[self.shard_index(key)]
-                shard.expiry[encoded] = expiry
-                shard.heap.append((expiry, encoded))
-        for shard in self._shards:
-            heapq.heapify(shard.heap)
+                self.expiry[encoded] = expiry
+                self.heap.append((expiry, encoded))
+        heapq.heapify(self.heap)
 
     # ------------------------------------------------------------------
     # Flush + compaction
     # ------------------------------------------------------------------
     def _flush(self) -> None:
-        """Seal the memtable (all shards, merged + sorted) as one run.
+        """Seal the memtable (sorted) as one run.
 
         Dirty/removed tracking is untouched: it tracks the *commit*
         delta, which is independent of where a value physically lives.
         """
-        items = []
-        for shard in self._shards:
-            items.extend((encoded, self._disk_value(value))
-                         for encoded, value in shard.data.items())
+        items = [(encoded, self._disk_value(value))
+                 for encoded, value in self.data.items()]
         if not items:
             return
         items.sort()
@@ -554,8 +520,7 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         run = SortedRun.create(self._runs_dir, self._next_seq, items)
         self._next_seq += 1
         self._runs.insert(0, run)
-        for shard in self._shards:
-            shard.data.clear()
+        self.data.clear()
         self._mem_bytes = 0
         metrics.count("state.flushes")
         self._maybe_compact()
@@ -653,8 +618,7 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         """
         fault_point("state.commit", version=version,
                     operator=os.path.basename(self._directory))
-        written = sum(
-            len(shard.dirty) + len(shard.removed) for shard in self._shards)
+        written = len(self.dirty) + len(self.removed)
         self._flush()
         manifest = {
             "kind": "manifest",
@@ -667,9 +631,8 @@ class TieredOperatorStateHandle(OperatorStateHandle):
             ],
         }
         atomic_write_json(self._path(version, MANIFEST), manifest)
-        for shard in self._shards:
-            shard.dirty.clear()
-            shard.removed.clear()
+        self.dirty.clear()
+        self.removed.clear()
         self.last_committed_version = version
         return {"version": version, "keys_written": written,
                 "num_keys": self._num_keys, "backend": "tiered",
@@ -697,13 +660,11 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         Also accepts dict-backend checkpoints (base+delta chains, either
         format) for the version range before a backend switch: the
         merged chain state loads into the memtable and spills on the
-        next over-budget write.  Shards are rebuilt empty and the runs
-        are shard-agnostic, so restoring at any shard count is exact
-        rescaling, same as the dict backend.
+        next over-budget write.
         """
         self.close()
         self._runs = []
-        self._shards = _make_shards(self.num_shards)
+        self.data, self.dirty, self.removed = {}, set(), set()
         self._mem_bytes = 0
         self._num_keys = 0
         self.last_committed_version = None
@@ -733,9 +694,8 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         with statefile.paused_gc():
             merged = self._load_chain(usable)
         for encoded, value in merged.items():
-            shard = self._shards[self.shard_index(decode_key(encoded))]
             self._mem_bytes += _entry_bytes(encoded, value)
-            shard.data[encoded] = self._memory_value(value)
+            self.data[encoded] = self._memory_value(value)
         self._num_keys = len(merged)
         # Never reuse a sequence a later (tiered) manifest references.
         self._next_seq = 1 + max(

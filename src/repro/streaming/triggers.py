@@ -42,9 +42,8 @@ class OnceTrigger:
 
 @dataclass(frozen=True)
 class AvailableNowTrigger:
-    """Run epochs until no new data is available, then stop."""
-
-    max_records_per_epoch: int = None
+    """Run epochs until no new data is available, then stop (the
+    writer's ``max_records_per_epoch`` option caps each epoch)."""
 
 
 @dataclass(frozen=True)

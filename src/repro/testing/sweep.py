@@ -1,4 +1,4 @@
-"""Fault-sweep driver: every fault point × engine mode × shard count.
+"""Fault-sweep driver: every fault point × engine mode.
 
 Each *cell* of the sweep runs one workload with a schedule that crashes
 the query at a specific named fault point (twice: an early and a later
@@ -99,17 +99,14 @@ LATER_OCCURRENCE = 4
 
 
 def sweep_cells():
-    """Yield every (point, engine_mode, num_shards) cell of the matrix."""
+    """Yield every (point, engine_mode) cell of the matrix."""
     for point in sorted(REGISTRY):
         if point in MICROBATCH_POINTS:
-            yield (point, "microbatch", 1)
-            yield (point, "microbatch", 4)
+            yield (point, "microbatch")
         if point in CONTINUOUS_POINTS:
-            yield (point, "continuous", 1)
+            yield (point, "continuous")
         if point in CASCADE_POINTS:
-            yield (point, "cascade", 1)
-        if point == "cascade.between_stages":
-            yield (point, "cascade", 4)
+            yield (point, "cascade")
 
 
 def _match_wal_commit(stage_dir: str, epoch: int):
@@ -198,7 +195,7 @@ class _CascadeQuery:
             self.downstream.stop()
 
 
-def agg_workload(root: str, shards: int, tiered: bool = False,
+def agg_workload(root: str, tiered: bool = False,
                  pipelined: bool = False) -> WorkloadInstance:
     """Windowed count into the transactional file sink.  ``tiered=True``
     runs the LSM state backend with a tiny memtable budget, so flush
@@ -213,8 +210,7 @@ def agg_workload(root: str, shards: int, tiered: bool = False,
     out_dir = os.path.join(root, "table")
 
     def build():  # fresh file sink per restart (reads manifests anew)
-        writer = (df.write_stream.format("file").option("path", out_dir)
-                  .option("num_shards", shards))
+        writer = df.write_stream.format("file").option("path", out_dir)
         if tiered:
             writer = (writer.option("state_backend", "tiered")
                       .option("state_memtable_bytes", TIERED_MEMTABLE_BYTES))
@@ -236,8 +232,7 @@ def agg_workload(root: str, shards: int, tiered: bool = False,
     return WorkloadInstance(build, steps, read_sink, checkpoint)
 
 
-def _join_workload(root: str, shards: int,
-                   pipelined: bool = False) -> WorkloadInstance:
+def _join_workload(root: str, pipelined: bool = False) -> WorkloadInstance:
     session = Session()
     ls = MemoryStream(StructType((("k", "long"), ("t", "timestamp"),
                                   ("l", "string"))))
@@ -250,8 +245,7 @@ def _join_workload(root: str, shards: int,
     sink = MemorySink()  # survives restarts (models the external system)
 
     def build():
-        writer = (df.write_stream.sink(sink)
-                  .option("num_shards", shards))
+        writer = df.write_stream.sink(sink)
         if pipelined:
             writer = writer.option("pipeline", "on")
         return writer.output_mode("append").start(checkpoint)
@@ -288,7 +282,7 @@ def _map_workload(root: str) -> WorkloadInstance:
                             checkpoint_dir=checkpoint, at_least_once=True)
 
 
-def _cascade_workload(root: str, shards: int) -> WorkloadInstance:
+def _cascade_workload(root: str) -> WorkloadInstance:
     """CDC bronze -> stateless silver stage into a stream table ->
     downstream grouped sum into a memory sink, both stages in retract
     mode with their own checkpoints.  Chunk ``CASCADE_RETRACTION_EPOCH``
@@ -306,13 +300,11 @@ def _cascade_workload(root: str, shards: int) -> WorkloadInstance:
     def build():
         upstream = (silver.write_stream.to_table("sweep_silver")
                     .output_mode("retract")
-                    .option("num_shards", shards)
                     .start(ck1))
         downstream = (session.read_stream_table("sweep_silver")
                       .group_by("k").agg(F.sum("v").alias("total"))
                       .write_stream.sink(sink)
                       .output_mode("retract")
-                      .option("num_shards", shards)
                       .start(ck2))
         return _CascadeQuery(upstream, downstream)
 
@@ -331,39 +323,39 @@ def _cascade_workload(root: str, shards: int) -> WorkloadInstance:
                             extra_checkpoints=[ck1])
 
 
-def make_workload(point: str, mode: str, shards: int, root: str) -> WorkloadInstance:
+def make_workload(point: str, mode: str, root: str) -> WorkloadInstance:
     os.makedirs(root, exist_ok=True)
     if mode == "continuous":
         return _map_workload(root)
     if mode == "cascade":
-        return _cascade_workload(root, shards)
+        return _cascade_workload(root)
     if point in TIERED_POINTS:
-        return agg_workload(root, shards, tiered=True)
+        return agg_workload(root, tiered=True)
     if point == "state.async_flush_crash":
         # Two stateful operators, so one flusher batch holds multiple
         # jobs and a crash can land between them.
-        return _join_workload(root, shards, pipelined=True)
+        return _join_workload(root, pipelined=True)
     if point in PIPELINE_POINTS:
-        return agg_workload(root, shards, pipelined=True)
+        return agg_workload(root, pipelined=True)
     if point.startswith(("state.", "sink.")):
-        return _join_workload(root, shards)
-    return agg_workload(root, shards)
+        return _join_workload(root)
+    return agg_workload(root)
 
 
-def _golden_key(point: str, mode: str, shards: int):
+def _golden_key(point: str, mode: str):
     if mode == "continuous":
-        return ("map", mode, 1)
+        return ("map", mode)
     if mode == "cascade":
-        return ("cascade", mode, shards)
+        return ("cascade", mode)
     if point in TIERED_POINTS:
-        return ("agg-tiered", mode, shards)
+        return ("agg-tiered", mode)
     if point == "state.async_flush_crash":
-        return ("join-pipelined", mode, shards)
+        return ("join-pipelined", mode)
     if point in PIPELINE_POINTS:
-        return ("agg-pipelined", mode, shards)
+        return ("agg-pipelined", mode)
     if point.startswith(("state.", "sink.")):
-        return ("join", mode, shards)
-    return ("agg", mode, shards)
+        return ("join", mode)
+    return ("agg", mode)
 
 
 def check_postmortems(checkpoint_dirs, context: str = "") -> int:
@@ -401,22 +393,22 @@ def check_postmortems(checkpoint_dirs, context: str = "") -> int:
     return found
 
 
-def run_sweep_cell(point: str, mode: str, shards: int, root: str,
+def run_sweep_cell(point: str, mode: str, root: str,
                    golden_cache: dict) -> dict:
     """Run one sweep cell; returns coverage info for the caller.
 
     ``golden_cache`` maps workload identity to its GoldenRun so the
     fault-free reference is computed once per workload, not per cell.
     """
-    key = _golden_key(point, mode, shards)
+    key = _golden_key(point, mode)
     if key not in golden_cache:
-        golden_instance = make_workload(point, mode, shards,
+        golden_instance = make_workload(point, mode,
                                         os.path.join(root, "golden"))
         golden_cache[key] = run_golden(
             golden_instance.build, golden_instance.steps,
             golden_instance.read_sink)
 
-    instance = make_workload(point, mode, shards, os.path.join(root, "run"))
+    instance = make_workload(point, mode, os.path.join(root, "run"))
     injector = FaultInjector(schedule_for(point, mode))
     checker = ExactlyOnceChecker(
         golden_cache[key], ordered=instance.ordered,
@@ -431,21 +423,20 @@ def run_sweep_cell(point: str, mode: str, shards: int, root: str,
         )
     checker.check_final(
         instance.read_sink(),
-        context=f"in sweep cell ({point}, {mode}, shards={shards})")
+        context=f"in sweep cell ({point}, {mode})")
     for directory in [instance.checkpoint_dir, *instance.extra_checkpoints]:
         check_checkpoint_invariants(
             directory, strict=True,
-            context=f"after completed cell ({point}, {mode}, shards={shards})")
+            context=f"after completed cell ({point}, {mode})")
     if report.num_crashes:
         # Every genuine crash must have left a flight-recorder dump
         # (torn/drop/fail actions that the query absorbed need not).
         check_postmortems(
             [instance.checkpoint_dir, *instance.extra_checkpoints],
-            context=f"({point}, {mode}, shards={shards})")
+            context=f"({point}, {mode})")
     return {
         "point": point,
         "mode": mode,
-        "shards": shards,
         "crashes": report.num_crashes,
         "fired": dict(injector.counts),
         "triggered": list(injector.fired),

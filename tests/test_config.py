@@ -24,7 +24,6 @@ CASES = {
     "max_records_per_epoch": (None, 7, None, None),
     "state_checkpoint_interval": (1, 3, None, None),
     "retain_epochs": (None, 5, None, None),
-    "num_shards": (1, 3, "6", 6),
     "state_backend": ("dict", "tiered", "tiered", "tiered"),
     "state_memtable_bytes": (DEFAULT_MEMTABLE_BYTES, 123, "2048", 2048),
     "pipeline": (False, "on", "1", True),
@@ -54,10 +53,10 @@ def test_option_beats_env_beats_default(name):
 
 
 def test_resolve_reads_the_process_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_NUM_SHARDS", "5")
+    monkeypatch.setenv("REPRO_STATE_MEMTABLE_BYTES", "4096")
     monkeypatch.setenv("REPRO_PIPELINE", "0")
     config = EngineConfig.resolve({})
-    assert config.num_shards == 5 and config.pipeline is False
+    assert config.state_memtable_bytes == 4096 and config.pipeline is False
 
 
 def test_unknown_values_rejected_at_resolution():
@@ -67,11 +66,22 @@ def test_unknown_values_rejected_at_resolution():
         EngineConfig.resolve({}, {"REPRO_STATE_BACKEND": "rocksdb"})
 
 
-def test_seven_fields_and_four_environment_variables():
-    assert len(fields(EngineConfig)) == 7
+def test_six_fields_and_three_environment_variables():
+    assert len(fields(EngineConfig)) == 6
     assert sorted(ENV_VARS.values()) == [
-        "REPRO_NUM_SHARDS", "REPRO_PIPELINE", "REPRO_STATE_BACKEND",
+        "REPRO_PIPELINE", "REPRO_STATE_BACKEND",
         "REPRO_STATE_MEMTABLE_BYTES"]
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_records_cap_below_one_is_rejected(tmp_path, cap):
+    """A cap of 0 would read nothing and one below 0 would compute end
+    offsets before the start: either way the query would stall with its
+    input unread, so the cap is refused when the query starts."""
+    with pytest.raises(ValueError, match="max_records_per_epoch"):
+        EngineConfig(max_records_per_epoch=cap)
+    message = _start_with(tmp_path, "max_records_per_epoch", cap)
+    assert "max_records_per_epoch" in message
 
 
 def _start_with(tmp_path, name, value):
@@ -89,7 +99,7 @@ def test_scheduler_option_is_rejected_not_ignored(tmp_path):
     any unknown key and the caller silently get the inline executor."""
     message = _start_with(tmp_path, "scheduler", object())
     assert "'scheduler'" in message and "removed" in message
-    assert "num_shards" in message
+    assert "one task per epoch" in message
 
 
 @pytest.mark.parametrize("name,value", [
@@ -101,6 +111,16 @@ def test_removed_executor_option_is_rejected_by_name(tmp_path, name, value):
     message = _start_with(tmp_path, name, value)
     assert repr(name) in message
     assert "process executor was removed" in message
+
+
+def test_removed_shard_count_is_rejected_by_name(tmp_path):
+    """A script or CI leg still asking for shards must not silently run
+    one state dict per operator: the option and the variable raise."""
+    message = _start_with(tmp_path, "num_shards", 4)
+    assert "'num_shards'" in message and "shards were removed" in message
+    with pytest.raises(ValueError, match="REPRO_NUM_SHARDS is set"):
+        EngineConfig.resolve({}, {"REPRO_NUM_SHARDS": "1"})
+    assert EngineConfig.resolve({}, {"REPRO_NUM_SHARDS": ""}) == EngineConfig()
 
 
 @pytest.mark.parametrize("variable", ["REPRO_EXECUTOR", "REPRO_NUM_WORKERS"])
@@ -118,7 +138,7 @@ def test_removed_environment_variable_raises(variable):
 def test_config_is_frozen():
     config = EngineConfig()
     with pytest.raises(AttributeError):
-        config.num_shards = 2
+        config.pipeline = True
 
 
 def test_writer_hands_the_engine_one_resolved_config(tmp_path, monkeypatch):
@@ -189,3 +209,15 @@ def test_one_executor_no_pool_no_fork():
     for gone in ("scheduler.py", "failures.py", "process_pool.py",
                  "perfmodel.py"):
         assert not os.path.exists(os.path.join(root, "cluster", gone))
+
+
+def test_one_keyed_state_layout_no_shards():
+    """Each keyed operator runs one task per epoch against one state
+    dict: the shard layer is gone, not fenced.  ``num_shards`` survives
+    only in the config module, which refuses it by name."""
+    assert _sources_matching(
+        r"_StateShard|run_keyed_shard_tasks|run_op_shard_tasks"
+        r"|state_aligned|hash_partition", ("streaming",)) == []
+    assert _sources_matching(r"num_shards", ("streaming",)) == [
+        os.path.join("streaming", "config.py")]
+    assert "num_shards" in REMOVED_KNOBS

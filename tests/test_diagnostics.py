@@ -406,14 +406,14 @@ class TestOpenMetrics:
     def test_label_mapping_and_suffixes(self):
         registry = metrics.MetricsRegistry()
         registry.counter("engine.epochs").inc(3)
-        registry.counter("state.puts.shard3").inc(7)
+        registry.counter("state.puts").inc(7)
         registry.counter("op.FilterOp.rows_out").inc(11)
         registry.gauge("engine.watermark_lag.ts").set(2.5)
         registry.gauge("engine.backlog_rows")  # unset gauge: skipped
         text = registry.to_openmetrics()
         assert "# TYPE repro_engine_epochs counter" in text
         assert "repro_engine_epochs_total 3" in text
-        assert 'repro_state_puts_total{shard="3"} 7' in text
+        assert "repro_state_puts_total 7" in text
         assert 'repro_op_rows_out_total{operator="FilterOp"} 11' in text
         assert 'repro_engine_watermark_lag{column="ts"} 2.5' in text
         assert "backlog_rows" not in text

@@ -412,7 +412,7 @@ class TestFailedEpoch:
         ``StreamingQuery.exception`` on a threaded query, with a
         postmortem, without committing the epoch; once the cause clears,
         a restart from the same checkpoint completes byte-identically."""
-        instance = agg_workload(str(tmp_path / "run"), 4)
+        instance = agg_workload(str(tmp_path / "run"))
         query = instance.build()
         failing, *rest = instance.steps
         always = FaultInjector([Fault("epoch.after_process", occurrence=None,
@@ -438,7 +438,7 @@ class TestFailedEpoch:
 
         _drive(instance, rest)
 
-        reference = agg_workload(str(tmp_path / "reference"), 4)
+        reference = agg_workload(str(tmp_path / "reference"))
         _drive(reference)
         assert instance.read_sink() == reference.read_sink()
         assert checkpoint_fingerprint(instance.checkpoint_dir) == \

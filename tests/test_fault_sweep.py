@@ -29,13 +29,13 @@ _GOLDEN_CACHE = {}
 _FIRED_POINTS = set()
 
 
-@pytest.mark.parametrize("point,mode,shards", list(sweep_cells()))
-def test_sweep_cell(point, mode, shards, tmp_path):
-    info = run_sweep_cell(point, mode, shards, str(tmp_path), _GOLDEN_CACHE)
+@pytest.mark.parametrize("point,mode", list(sweep_cells()))
+def test_sweep_cell(point, mode, tmp_path):
+    info = run_sweep_cell(point, mode, str(tmp_path), _GOLDEN_CACHE)
     _FIRED_POINTS.update(p for p, _, _ in info["triggered"])
     # Microbatch cells schedule two faults; at least the first must have
     # actually fired, or the cell silently tested nothing.
-    assert info["triggered"], f"no fault fired in cell ({point}, {mode}, {shards})"
+    assert info["triggered"], f"no fault fired in cell ({point}, {mode})"
 
 
 def test_sweep_coverage_floor():
@@ -57,13 +57,13 @@ def test_random_multi_crash_schedules(seed):
     occurrences, on the windowed-aggregation workload.  Any failure
     reproduces with ``FaultInjector.from_seed(seed)``."""
     root = tempfile.mkdtemp(prefix="fault-fuzz-")
-    key = ("agg", "microbatch", 1)
+    key = ("agg", "microbatch")
     if key not in _GOLDEN_CACHE:
-        golden = make_workload("epoch.begin", "microbatch", 1,
+        golden = make_workload("epoch.begin", "microbatch",
                                os.path.join(root, "golden"))
         _GOLDEN_CACHE[key] = run_golden(golden.build, golden.steps,
                                         golden.read_sink)
-    instance = make_workload("epoch.begin", "microbatch", 1,
+    instance = make_workload("epoch.begin", "microbatch",
                              os.path.join(root, "run"))
     injector = FaultInjector.from_seed(seed)
     checker = ExactlyOnceChecker(_GOLDEN_CACHE[key], ordered=True)

@@ -1,7 +1,7 @@
 """Observability layer: metrics registry, span tracing, monitor surface.
 
 Covers the histogram bucket math, span nesting and export formats, the
-engine's span coverage for a multi-shard epoch, the monitor CLI, the
+engine's span coverage for an epoch, the monitor CLI, the
 listener lifecycle fixes, and the crash-restart counting guarantee
 (metrics must not double-count deliveries across recovery).
 """
@@ -189,16 +189,16 @@ class TestTracing:
 
 
 # ----------------------------------------------------------------------
-# Engine span coverage (multi-shard epoch)
+# Engine span coverage
 # ----------------------------------------------------------------------
 class TestEngineTrace:
-    def test_multi_shard_epoch_trace_covers_every_layer(self, session, tmp_path):
+    def test_epoch_trace_covers_every_layer(self, session, tmp_path):
         with metrics.enabled() as reg, tracing.enabled() as tracer:
             stream = make_stream((("k", "string"), ("v", "long")))
             df = (session.read_stream.memory(stream)
                   .group_by("k").agg(F.sum("v").alias("total")))
             query = start_memory_query(
-                df, "update", "traced", str(tmp_path / "cp"), num_shards=4)
+                df, "update", "traced", str(tmp_path / "cp"))
             stream.add_data([{"k": f"k{i}", "v": i} for i in range(16)])
             query.process_all_available()
             query.stop()
@@ -207,20 +207,10 @@ class TestEngineTrace:
             assert "plan-compile" in names
             assert "epoch" in names
             assert any(n.startswith("stage:") for n in names)
-            assert any(n.startswith("task:agg:shard") for n in names)
             assert "state-commit" in names
             assert "sink-write" in names
-            # Every shard the keys hash to produced a task span.
-            from repro.sql.batch import shard_of_key
-
-            expected = {
-                f"task:agg:shard{shard_of_key((f'k{i}',), 4)}"
-                for i in range(16)
-            }
-            shards = {s["name"] for s in tracer.spans
-                      if s["name"].startswith("task:agg:shard")}
-            assert shards == expected
-            assert len(shards) >= 2  # genuinely multi-shard
+            # One task per operator per epoch: no per-task spans.
+            assert not any(n.startswith("task:") for n in names)
 
             # The trace loads as valid Chrome trace-event JSON.
             path = str(tmp_path / "trace.json")
@@ -229,7 +219,7 @@ class TestEngineTrace:
                 doc = json.load(f)
             assert {e["name"] for e in doc["traceEvents"]} == names
 
-            # Stage/task spans nest under the epoch span.
+            # Stage spans nest under the epoch span.
             epoch0 = next(s for s in tracer.spans
                           if s["name"] == "epoch"
                           and s.get("args", {}).get("epoch") == 0)
@@ -249,7 +239,8 @@ class TestEngineTrace:
             snap = reg.snapshot()
             assert snap["engine.rows_in"] == 16
             assert snap["sink.batches_committed"] >= 1
-            assert any(name.startswith("state.puts.shard") for name in snap)
+            assert snap["state.puts"] == 16
+            assert not any(".shard" in name for name in snap)
             assert snap["wal.commits_written"] >= 1
 
     def test_progress_carries_stage_and_operator_metrics(self, session, tmp_path):
@@ -456,8 +447,7 @@ class TestMonitorCLI:
             stream = make_stream((("k", "string"), ("v", "long")))
             df = (session.read_stream.memory(stream)
                   .group_by("k").agg(F.sum("v").alias("total")))
-            query = start_memory_query(df, "update", "mon", checkpoint,
-                                       num_shards=2)
+            query = start_memory_query(df, "update", "mon", checkpoint)
             for i in range(3):
                 stream.add_data([{"k": f"k{j}", "v": i} for j in range(4)])
                 query.process_all_available()

@@ -133,7 +133,7 @@ class TestStatefulAggregateBranches:
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_fold_shard_is_pure(self, tmp_path, weighted):
-        """The one shard task reads pre-epoch state only: two calls return
+        """The fold kernel reads pre-epoch state only: two calls return
         equal results and write nothing (retry idempotence)."""
         from repro.streaming.zset import attach_weights, weighted_schema
 
@@ -156,8 +156,8 @@ class TestStatefulAggregateBranches:
         before = dict(handle.items())
         # 'a' gains a row; under weighted input 'b' loses its only row.
         second = delta([("a", 5.0), ("b", 2.0)], [1, -1])
-        first_call = op._fold_shard(second, None)
-        assert op._fold_shard(second, None) == first_call
+        first_call = op._fold_delta(second, None)
+        assert op._fold_delta(second, None) == first_call
         assert dict(handle.items()) == before
         assert handle.commit(1)["keys_written"] == 0
         [(puts, removes)], changes, late_rows = first_call
@@ -215,7 +215,7 @@ def test_late_groups_dropped_equal_the_per_row_reference(
     parts = [RecordBatch.from_rows(
         [{"k": k, "t": t} for k, t in rows[lo:hi]], schema)
         for lo, hi in zip(bounds, bounds[1:])]
-    [(puts, removes)], changes, late_rows = op._fold_shard(
+    [(puts, removes)], changes, late_rows = op._fold_delta(
         iter(parts), watermark)
     want_late, want_counts = _late_fold_by_rows(
         op, RecordBatch.concat(parts), watermark)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import sys
 import tracemalloc
 
 import pytest
@@ -83,13 +84,12 @@ def _keyed(row) -> tuple:
     return tuple(sorted((k, repr(v)) for k, v in row.items()))
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_per_part_fold_equals_a_one_partition_read(shards):
+def test_per_part_fold_equals_a_one_partition_read():
     """Three parts folded one at a time give the rows, exact long sums,
     ``first``/``last`` and late counts of one partition holding the same
     rows in partition order (NaN keys and values included)."""
     epochs = [_events(e) for e in range(3)]
-    late, rows, query = _run(_windowed, 3, epochs, num_shards=shards)
+    late, rows, query = _run(_windowed, 3, epochs)
     query.stop()
     want_late, want_rows, query = _run(
         _windowed, 1, _in_partition_order(epochs, 3))
@@ -104,7 +104,7 @@ def test_a_null_double_key_read_in_several_parts_is_one_group():
     key encoding makes them (and as one pass over the rows would)."""
     _late, rows, query = _run(
         lambda df: df.group_by("v").agg(F.count().alias("rows")), 3,
-        [_events(0)] * 2, mode="complete", num_shards=1)
+        [_events(0)] * 2, mode="complete")
     query.stop()
     nulls = [r["rows"] for r in rows if r["v"] is None]
     assert nulls == [10]
@@ -164,7 +164,7 @@ def test_an_aggregate_over_the_scan_reads_part_by_part(monkeypatch):
     joined = _record_concats(monkeypatch)
     _late, rows, query = _run(
         lambda df: df.group_by("k").agg(F.count().alias("rows")), 2,
-        [_events(0)], mode="complete", num_shards=1)
+        [_events(0)], mode="complete")
     query.stop()
     assert joined == []
     assert sorted((r["k"] is None, r["k"], r["rows"]) for r in rows) == [
@@ -177,10 +177,9 @@ def _yahoo_epochs(partitions: int, events: int):
     workload = YahooWorkload(seed=3)
     broker = Broker()
     topic = broker.create_topic("events", partitions)
-    # One shard: several hash-partition the whole, concatenated delta.
     query = start_memory_query(
         structured_streaming_query(Session(), broker, "events", workload),
-        "update", "yahoo_parts", num_shards=1)
+        "update", "yahoo_parts")
     published = []
 
     def epoch():
@@ -215,6 +214,31 @@ def _heap_tool():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_heap_tool_deep_bytes_reads_the_handle_dict(tmp_path):
+    """``make heap``'s per-handle table reads the handle's one dict; an
+    older checkout's handle, one dict per shard, reads to the same value
+    bytes.  Nothing else calls ``deep_bytes``, so this is its check."""
+    from types import SimpleNamespace
+
+    from repro.streaming.state import OperatorStateHandle
+
+    deep_bytes = _heap_tool().deep_bytes
+    handle = OperatorStateHandle(str(tmp_path / "op"))
+    for key in ("a", "b", "c"):
+        handle.put((key,), [key * 3, 2.5])
+    keys, values = deep_bytes(handle)
+    assert keys == sys.getsizeof(handle.data) + sum(
+        map(sys.getsizeof, handle.data))
+    # Three lists, three strings and one shared float.
+    assert values == sum(
+        sys.getsizeof(v) + sys.getsizeof(v[0]) for v in handle.data.values()
+    ) + sys.getsizeof(2.5)
+    items = list(handle.data.items())
+    older = SimpleNamespace(_shards=[SimpleNamespace(data=dict(items[:1])),
+                                     SimpleNamespace(data=dict(items[1:]))])
+    assert deep_bytes(older)[1] == values
 
 
 def test_a_four_partition_yahoo_epoch_working_set():

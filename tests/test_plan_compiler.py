@@ -568,8 +568,7 @@ def test_only_a_stage_on_the_scan_keeps_the_read_chunked(
     reads = _record_chunked_reads(monkeypatch)
     df = build(Session().read_stream.kafka(
         broker, "events", (("t", "timestamp"), ("p", "long"))))
-    # One shard: several hash-partition the aggregate's whole delta.
-    query = start_memory_query(df, mode, "chunk_shapes", num_shards=1)
+    query = start_memory_query(df, mode, "chunk_shapes")
     query.process_all_available()
     assert len(reads) == 1
     assert len(reads[0].chunks()) == chunks
@@ -621,7 +620,6 @@ kafka_epochs = st.integers(1, 4).flatmap(lambda partitions: st.lists(
 _CONCATENATED = classmethod(lambda cls, parts, schema: cls.concat(parts, schema))
 
 
-@pytest.mark.parametrize("shards", [1, 4])
 @given(chain=chains_with_udfs(), epochs=kafka_epochs,
        columnar=st.booleans(), aggregate=st.booleans())
 @example(chain=_pinned(lambda scan: L.Filter(
@@ -629,7 +627,7 @@ _CONCATENATED = classmethod(lambda cls, parts, schema: cls.concat(parts, schema)
     epochs=[[NULL_ROWS, [], NULL_ROWS[1:2] * 3]],
     columnar=True, aggregate=True)
 def test_chunked_stage_equals_concatenate_then_stage(
-        shards, chain, epochs, columnar, aggregate):
+        chain, epochs, columnar, aggregate):
     """A multi-partition Kafka read staged per part gives the sink rows
     and the checkpoint bytes of concatenating first (the oracle: the
     same query with ``RecordBatch.chunked`` concatenating its parts)."""
@@ -644,8 +642,7 @@ def test_chunked_stage_equals_concatenate_then_stage(
         df = DataFrame(_graft(plan, events.plan), session)
         if aggregate:
             df = df.group_by(df.columns[0]).agg(F.count().alias("n"))
-        return start_memory_query(df, mode, f"chunks_{side}", checkpoint,
-                                  num_shards=shards)
+        return start_memory_query(df, mode, f"chunks_{side}", checkpoint)
 
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {side: os.path.join(tmp, side) for side in ("staged", "oracle")}

@@ -323,16 +323,15 @@ class TestFailedStart:
         sink = MemorySink()
         cp = str(tmp_path / "cp")
 
-        def start(shards):
+        def start():
             # A tiny memtable makes the tiered backend spill run files.
             return (df.write_stream.sink(sink).output_mode("update")
-                    .option("num_shards", shards)
                     .option("state_backend", backend)
                     .option("state_memtable_bytes", 64).start(cp))
 
         # Leave epoch 0 logged but uncommitted: every restart re-runs it
         # and writes its commit entry, which is where the restarts die.
-        query = start(1)
+        query = start()
         stream.add_data([{"k": f"k{i % 5}", "v": i} for i in range(30)])
         with injected(FaultInjector([Fault("epoch.after_sink")])):
             with pytest.raises(CrashPoint):
@@ -344,7 +343,7 @@ class TestFailedStart:
         for _ in range(3):
             with injected(FaultInjector([Fault("wal.commit")])):
                 with pytest.raises(CrashPoint):
-                    start(4)
+                    start()
         # Subset, not equality: an earlier test's idle flusher may exit.
         assert set(threading.enumerate()) <= threads
         assert len(os.listdir("/proc/self/fd")) <= fds

@@ -2,10 +2,10 @@
 
 Unit tests for the weighted delivery/apply paths, the CDC source and
 stream-table plumbing, plus the golden cascade contract: one fixed
-bronze -> silver -> gold run whose sink rows and checkpoint bytes are
-invariant to the state backend (dict vs tiered) and the shard count
-(1 vs 4), and whose pure-retraction epoch replays
-byte-identically after a crash at the sink delivery.
+bronze -> silver -> gold run whose sink rows and WAL bytes are
+invariant to the state backend (dict vs tiered), and whose
+pure-retraction epoch replays byte-identically after a crash at the
+sink delivery.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def test_weighted_dedup_promotes_next_surviving_row(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The golden cascade: bytes invariant to backend and shard count
+# The golden cascade: bytes invariant to the state backend
 # ----------------------------------------------------------------------
 def _cascade_steps():
     """One chunk per epoch; chunk 2 is deletes-only (a pure retraction
@@ -152,7 +152,7 @@ GOLDEN_FINAL = [{"k": "a", "total": 2}, {"k": "c", "total": 9},
                 {"k": "b", "total": 1}]
 
 
-def _build_cascade(root, *, backend="dict", shards=2):
+def _build_cascade(root, *, backend="dict"):
     session = Session()
     cdc = ChangeStream(CDC_SCHEMA)
     silver = (session.read_stream.cdc(cdc)
@@ -163,12 +163,10 @@ def _build_cascade(root, *, backend="dict", shards=2):
 
     def start():
         upstream = (silver.write_stream.to_table("silver")
-                    .output_mode("retract").option("num_shards", shards)
-                    .start(ck1))
+                    .output_mode("retract").start(ck1))
         writer = (session.read_stream_table("silver")
                   .group_by("k").agg(F.sum("v").alias("total"))
-                  .write_stream.sink(sink).output_mode("retract")
-                  .option("num_shards", shards))
+                  .write_stream.sink(sink).output_mode("retract"))
         if backend == "tiered":
             writer = (writer.option("state_backend", "tiered")
                       .option("state_memtable_bytes", 256))
@@ -204,15 +202,6 @@ def test_cascade_bytes_invariant_to_state_backend(tmp_path):
     # State file formats differ by design; every WAL byte must not.
     assert fp1_t == fp1_d
     assert _wal_part(fp2_t) == _wal_part(fp2_d)
-
-
-def test_cascade_bytes_invariant_to_shard_count(tmp_path):
-    rows_1, fp1_1, fp2_1 = _run_cascade(str(tmp_path / "one"), shards=1)
-    rows_4, fp1_4, fp2_4 = _run_cascade(str(tmp_path / "four"), shards=4)
-    assert canonical_rows(rows_1) == canonical_rows(GOLDEN_FINAL)
-    assert canonical_rows(rows_4) == canonical_rows(rows_1)
-    assert fp1_4 == fp1_1
-    assert fp2_4 == fp2_1  # including every state checkpoint byte
 
 
 def test_retraction_epoch_replays_byte_identically(tmp_path):

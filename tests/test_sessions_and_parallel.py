@@ -80,8 +80,8 @@ class TestSessionWindows:
 
 
 class TestSchedulerIntegratedEngine:
-    """An epoch's reads and shard tasks: every partition's range read
-    once on the engine thread, then the shard tasks on it."""
+    """An epoch's reads and tasks: every partition's range read once on
+    the engine thread, then each operator's one task on it."""
 
     def _start(self, session, stream, checkpoint, **options):
         df = session.read_stream.memory(stream).where(F.col("v") >= 0)

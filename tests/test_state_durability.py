@@ -320,8 +320,7 @@ RESTORE_EPOCHS = [
 
 
 @pytest.mark.parametrize("backend", ["dict", "tiered"])
-@pytest.mark.parametrize("shards", [1, 4])
-def test_restored_join_state_nets_to_no_write(tmp_path, backend, shards):
+def test_restored_join_state_nets_to_no_write(tmp_path, backend):
     """Restored state comes back through the join's value codec as the
     flat tuple the join writes: an epoch that nets a restored key back
     to its rows writes no record for it, and the restarted run's
@@ -338,8 +337,7 @@ def test_restored_join_state_nets_to_no_write(tmp_path, backend, shards):
                 session.read_stream.cdc(right), on="k")
             writer = (joined.write_stream.output_mode("retract")
                       .option("state_backend", backend)
-                      .option("state_memtable_bytes", 2048)
-                      .option("num_shards", shards))
+                      .option("state_memtable_bytes", 2048))
             writer = (writer.sink(sink) if sink is not None
                       else writer.format("memory").query_name("boundary"))
             return writer.start(checkpoint)
@@ -448,7 +446,7 @@ class TestJoinStateFootprint:
             session.read_stream.cdc(customers), on="cust")
         query = (df.write_stream.format("memory").query_name("footprint")
                  .output_mode("retract").option("state_backend", "dict")
-                 .option("num_shards", 1).start(str(tmp_path / "ckpt")))
+                 .start(str(tmp_path / "ckpt")))
         load = [make_order(i) for i in range(rows)]
         orders.insert(load[:10])          # first epoch: plan warm-up
         query.process_all_available()

@@ -2,8 +2,8 @@
 on-disk format goldens, and crash-window determinism.
 
 The equivalence property is the backend's contract: any sequence of
-``put``/``remove``/``pop_expired`` (with commits, restores and N→M
-shard rescaling interleaved) observes identical state through either
+``put``/``remove``/``pop_expired`` (with commits and restores into
+fresh handles interleaved) observes identical state through either
 backend.  One asymmetry is inherent and canonicalized away here: a
 spilled value round-trips through JSON (tuples become lists) *earlier*
 than the dict backend's (which round-trips at its first restore), so
@@ -41,16 +41,15 @@ def canon(value):
     return json.loads(json.dumps(value, sort_keys=True))
 
 
-def tiered(directory, shards=1, budget=256):
-    return TieredOperatorStateHandle(
-        str(directory), num_shards=shards, memtable_bytes=budget)
+def tiered(directory, budget=256):
+    return TieredOperatorStateHandle(str(directory), memtable_bytes=budget)
 
 
 # ----------------------------------------------------------------------
 # Point lookups, spill, and the probe structures
 # ----------------------------------------------------------------------
 def test_spill_and_probe_through_runs(tmp_path):
-    h = tiered(tmp_path / "op", shards=3, budget=300)
+    h = tiered(tmp_path / "op", budget=300)
     for i in range(120):
         h.put(("k", i), {"n": i})
     assert len(h._runs) > 1, "budget never forced a spill"
@@ -163,8 +162,8 @@ def test_commit_cost_tracks_delta_not_total_state(tmp_path):
     assert sum(r["count"] for r in new_runs) == 1
 
 
-def test_restore_rescales_and_prune_keeps_referenced_runs(tmp_path):
-    h = tiered(tmp_path / "op", shards=2, budget=250)
+def test_restore_and_prune_keeps_referenced_runs(tmp_path):
+    h = tiered(tmp_path / "op", budget=250)
     for i in range(80):
         h.put(("u", i), {"n": i})
     h.commit(1)
@@ -172,12 +171,12 @@ def test_restore_rescales_and_prune_keeps_referenced_runs(tmp_path):
         h.remove(("u", i))
     h.commit(2)
 
-    h5 = tiered(tmp_path / "op", shards=5, budget=250)
+    h5 = tiered(tmp_path / "op", budget=250)
     assert h5.restore(2) == 2
     assert len(h5) == 40
     assert h5.get(("u", 70)) == {"n": 70} and h5.get(("u", 10)) is None
     # rollback to version 1 still possible before pruning
-    h1 = tiered(tmp_path / "op", shards=1, budget=10_000)
+    h1 = tiered(tmp_path / "op", budget=10_000)
     assert h1.restore(1) == 1 and len(h1) == 80
 
     h5.prune(2)
@@ -187,7 +186,7 @@ def test_restore_rescales_and_prune_keeps_referenced_runs(tmp_path):
                if n.endswith(".run")}
     assert on_disk == {r["seq"] for r in manifest["runs"]}
     assert not os.path.exists(tmp_path / "op" / "0000000001.manifest.json")
-    h6 = tiered(tmp_path / "op", shards=3, budget=250)
+    h6 = tiered(tmp_path / "op", budget=250)
     assert h6.restore(2) == 2 and len(h6) == 40
 
 
@@ -213,20 +212,20 @@ def test_manifest_sha_matches_run_file_contents(tmp_path):
 
 
 def test_tiered_reads_dict_checkpoints_and_vice_versa(tmp_path):
-    hd = OperatorStateHandle(str(tmp_path / "op"), num_shards=2)
+    hd = OperatorStateHandle(str(tmp_path / "op"))
     for i in range(30):
         hd.put(i, i * 2)
     hd.commit(2)            # snapshot
     hd.put(1, -1)
     hd.remove(2)
     hd.commit(3)            # delta
-    ht = tiered(tmp_path / "op", shards=3, budget=150)
+    ht = tiered(tmp_path / "op", budget=150)
     assert ht.restore(3) == 3
     assert ht.get(1) == -1 and ht.get(2) is None and len(ht) == 29
     ht.put(99, [1])         # spills the inherited legacy state
     ht.commit(4)
     # ...and the dict backend still restores its own older versions
-    hd2 = OperatorStateHandle(str(tmp_path / "op"), num_shards=1)
+    hd2 = OperatorStateHandle(str(tmp_path / "op"))
     assert hd2.restore(3) == 3 and hd2.get(1) == -1 and len(hd2) == 29
 
 
@@ -328,7 +327,7 @@ TIERED_GOLDEN = {
 
 
 def test_tiered_checkpoint_format_golden(tmp_path):
-    h = tiered(tmp_path / "op", shards=1, budget=220)
+    h = tiered(tmp_path / "op", budget=220)
     h.put("a", [1])
     h.put("b", [2])
     h.put("c", [3])
@@ -368,7 +367,7 @@ OPS = st.lists(
         st.tuples(st.just("put"), KEYS, VALUES),
         st.tuples(st.just("remove"), KEYS),
         st.tuples(st.just("pop"), st.integers(0, 50)),
-        st.tuples(st.just("cycle"), st.integers(1, 4), st.integers(1, 4)),
+        st.tuples(st.just("cycle")),
     ),
     min_size=5, max_size=60,
 )
@@ -378,12 +377,12 @@ def _expiry(_key, value):
     return value["t"]
 
 
-@given(ops=OPS, budget=st.integers(64, 600), shards=st.integers(1, 4))
-def test_dict_and_tiered_observationally_identical(ops, budget, shards,
+@given(ops=OPS, budget=st.integers(64, 600))
+def test_dict_and_tiered_observationally_identical(ops, budget,
                                                    tmp_path_factory):
     root = tmp_path_factory.mktemp("equiv")
-    dict_h = OperatorStateHandle(str(root / "dict"), num_shards=shards)
-    tier_h = tiered(root / "tier", shards=shards, budget=budget)
+    dict_h = OperatorStateHandle(str(root / "dict"))
+    tier_h = tiered(root / "tier", budget=budget)
     dict_h.set_expiry(_expiry)
     tier_h.set_expiry(_expiry)
     version = 0
@@ -397,13 +396,12 @@ def test_dict_and_tiered_observationally_identical(ops, budget, shards,
         elif op[0] == "pop":
             assert canon(dict_h.pop_expired(op[1])) == \
                 canon(tier_h.pop_expired(op[1]))
-        else:  # commit + reopen at new shard counts (N→M rescale)
+        else:  # commit + reopen in fresh handles
             version += 1
             dict_h.commit(version)
             tier_h.commit(version)
-            dict_h = OperatorStateHandle(str(root / "dict"),
-                                         num_shards=op[1])
-            tier_h = tiered(root / "tier", shards=op[2], budget=budget)
+            dict_h = OperatorStateHandle(str(root / "dict"))
+            tier_h = tiered(root / "tier", budget=budget)
             dict_h.set_expiry(_expiry)
             tier_h.set_expiry(_expiry)
             assert dict_h.restore(version) == tier_h.restore(version)
@@ -424,7 +422,7 @@ def _drive_agg(backend, checkpoint, budget=None):
     session = Session()
     df = (session.read_stream.memory(stream).with_watermark("t", "20s")
           .group_by(F.window("t", "10s"), "k").count())
-    options = {"state_backend": backend, "num_shards": 3}
+    options = {"state_backend": backend}
     if budget is not None:
         options["state_memtable_bytes"] = budget
     query = start_memory_query(df, "append", f"bk-{backend}", checkpoint,
@@ -527,8 +525,7 @@ def _run_cancelling_join(checkpoint, backend, restart_backend=None):
             session.read_stream.cdc(right), on="k")
         writer = (joined.write_stream.output_mode("retract")
                   .option("state_backend", backend)
-                  .option("state_memtable_bytes", 2048)
-                  .option("num_shards", 1))
+                  .option("state_memtable_bytes", 2048))
         writer = (writer.sink(sink) if sink is not None
                   else writer.format("memory").query_name("cancel"))
         return writer.start(checkpoint)

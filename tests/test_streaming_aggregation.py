@@ -230,29 +230,27 @@ class TestCompositeKeys:
         assert got == {("a", 0.0): 1, ("b", 0.0): 1, ("a", 10.0): 1}
 
 
-@pytest.mark.parametrize("shards", [1, 4])
 class TestNullGroupKeys:
     """A null group key sorts last in update/append emission instead of
     crashing the raw-tuple sort; non-null keys keep their value order."""
 
-    def test_update_mode_orders_null_key_last(self, session, shards):
+    def test_update_mode_orders_null_key_last(self, session):
         stream = make_stream(EVENT)
         df = (session.read_stream.memory(stream)
               .group_by("k").agg(F.count().alias("n")))
-        query = start_memory_query(df, "update", "out", num_shards=shards)
+        query = start_memory_query(df, "update", "out")
         stream.add_data([{"t": 1.0, "k": k, "v": 1.0} for k in ("a", None, "b")])
         query.process_all_available()
         assert query.engine.sink.rows() == [
             {"k": "a", "n": 1}, {"k": "b", "n": 1}, {"k": None, "n": 1}]
 
-    def test_append_mode_finalizes_window_with_null_plain_key(
-            self, session, shards):
+    def test_append_mode_finalizes_window_with_null_plain_key(self, session):
         stream = make_stream(EVENT)
         df = (session.read_stream.memory(stream)
               .with_watermark("t", "10s")
               .group_by(F.col("k"), F.window("t", "10s"))
               .count())
-        query = start_memory_query(df, "append", "out", num_shards=shards)
+        query = start_memory_query(df, "append", "out")
         stream.add_data([{"t": 1.0, "k": "b", "v": 1.0},
                          {"t": 2.0, "k": None, "v": 1.0},
                          {"t": 3.0, "k": "a", "v": 1.0}])
@@ -275,18 +273,16 @@ def _digest(fingerprint: dict) -> str:
     return sha.hexdigest()
 
 
-@pytest.mark.parametrize("shards", [1, 4])
 class TestLateAndOnTimeRowsInOneEpoch:
     """Late rows (windows the watermark finalized) interleaved with on-time
     rows whose groups are first seen out of key order.  Sink rows,
     checkpoint bytes and the late-row count are pinned to what the
     per-row re-encoding of the surviving groups produced."""
 
-    #: The same at either shard count: state files do not record it.
     CHECKPOINT_SHA256 = (
         "0bd063e913774db37924bb541dfcee2db1f82aafe3095697a92185bf291009b0")
 
-    def test_late_rows_drop_and_survivors_fold(self, session, tmp_path, shards):
+    def test_late_rows_drop_and_survivors_fold(self, session, tmp_path):
         stream = make_stream((("t", "timestamp"), ("g", "long"),
                               ("v", "double")))
         df = (session.read_stream.memory(stream)
@@ -295,7 +291,7 @@ class TestLateAndOnTimeRowsInOneEpoch:
               .agg(F.count().alias("n"), F.sum("v").alias("s")))
         checkpoint_dir = str(tmp_path / "cp")
         query = start_memory_query(
-            df, "update", "late", checkpoint_dir, num_shards=shards,
+            df, "update", "late", checkpoint_dir,
             state_backend="dict", pipeline=False)
         stream.add_data([{"t": 31.0, "g": 1, "v": 1.0}])
         query.process_all_available()  # watermark 26 from the next epoch

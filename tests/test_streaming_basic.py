@@ -232,8 +232,7 @@ class TestCappedEpochs:
     """``max_records_per_epoch`` splits its budget across partitions by
     backlog, so a capped epoch never leaves a partition behind."""
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_a_capped_epoch_advances_every_partition(self, session, shards):
+    def test_a_capped_epoch_advances_every_partition(self, session):
         # Four partitions, each with event times 0..999 s, a 10 s
         # watermark and a cap of 400: a greedy split gave epoch 0 only
         # partition 0's first 400 rows, which put the watermark at 389 s
@@ -248,8 +247,7 @@ class TestCappedEpochs:
               .group_by(F.window(F.col("t"), "10 seconds"))
               .agg(F.count().alias("n")))
         query = start_memory_query(df, "update", "capped",
-                                   max_records_per_epoch=400,
-                                   num_shards=shards)
+                                   max_records_per_epoch=400)
         progresses = query.process_all_available()
         assert sum(p.late_rows_dropped for p in progresses) == 0
         assert [p.input_rows for p in progresses] == [400] * 10

@@ -203,18 +203,16 @@ class TestNullEventTime:
     forever (its expiry would be NaN, which never pops)."""
 
     @pytest.mark.parametrize("how", ["inner", "left_outer"])
-    @pytest.mark.parametrize("shards", [1, 4])
     def test_null_time_row_is_dropped_before_any_watermark(
-            self, session, tmp_path, how, shards):
+            self, session, tmp_path, how):
         from repro.streaming.operators import StreamStreamJoinOp
 
         ls, rs, df = two_stream_join(session, how=how, delay="5s",
                                      within_skew="5s")
         query = start_memory_query(df, "append", "nulltime",
-                                   str(tmp_path / "cp"), num_shards=shards)
+                                   str(tmp_path / "cp"))
         ls.add_data([{"k": 1, "t": None, "l": "no-time"},
                      {"k": 2, "t": 1.0, "l": "timed"}])
-        # Two rows survive the drop, so 4 shards really partition.
         rs.add_data([{"k": 9, "t2": 1.0, "r": "other"}])
         dropped = [p.late_rows_dropped for p in query.process_all_available()]
         for t2 in (100.0, 200.0, 300.0):
@@ -254,8 +252,7 @@ class TestJoinEquivalenceWithBatch:
 
 class TestNullAndNanKeys:
     """An inner join never matches a null or NaN key — not even to
-    another null or NaN — on either input kind and at any shard count,
-    and the streaming result equals the batch join's."""
+    another null or NaN — on either input kind, and the streaming result equals the batch join's."""
 
     KEYS = {
         "double": [1.0, float("nan"), 2.0, float("nan"), 1.0],
@@ -264,9 +261,8 @@ class TestNullAndNanKeys:
 
     @pytest.mark.parametrize("key_type", sorted(KEYS))
     @pytest.mark.parametrize("source", ["append", "cdc"])
-    @pytest.mark.parametrize("shards", [1, 4])
     def test_inner_join_skips_null_and_nan_keys(
-            self, session, tmp_path, key_type, source, shards):
+            self, session, tmp_path, key_type, source):
         from repro.sources import ChangeStream
         from repro.sql.types import StructType
 
@@ -290,8 +286,7 @@ class TestNullAndNanKeys:
             ls, rs = make_stream(left_schema), make_stream(right_schema)
             read, add, mode = session.read_stream.memory, "add_data", "append"
         df = read(ls).join(read(rs), on="k")
-        query = start_memory_query(df, mode, "nulls", str(tmp_path / "cp"),
-                                   num_shards=shards)
+        query = start_memory_query(df, mode, "nulls", str(tmp_path / "cp"))
         for lr, rr in zip(left_rows, right_rows):
             getattr(ls, add)([lr])
             getattr(rs, add)([rr])

@@ -280,13 +280,13 @@ class TestExpiryIndex:
         # memory and through commit + restore, on both backends.
         for make in (OperatorStateHandle, TieredOperatorStateHandle):
             directory = str(tmp_path / make.__name__)
-            handle = make(directory, 2)
+            handle = make(directory)
             handle.put(1, "int")
             handle.put(1.0, "float")
             handle.apply([(encode_key(k), k, v) for k, v in (
                 (True, "bool"), ((1,), "int-tuple"))], [])
             handle.put((1.0,), "float-tuple")
-            restored = make(directory, 2)
+            restored = make(directory)
             handle.commit(0)
             restored.restore(0)
             for view in (handle, restored):
@@ -294,7 +294,7 @@ class TestExpiryIndex:
                 assert view.get(1.0) == "float"
                 assert view.get(True) == "bool"
                 keys = [(1,), (1.0,), (True,)]
-                assert view.get_many(list(map(encode_key, keys)), keys) == [
+                assert view.get_many(list(map(encode_key, keys))) == [
                     "int-tuple", "float-tuple", None]
                 assert len(view) == 5
                 assert {type(k): v for k, v in view.items()
@@ -344,7 +344,7 @@ class TestStateStore:
 
 
 class TestKeyMemory:
-    """The handle keeps nothing per key beside the key's shard entry: a
+    """The handle keeps nothing per key beside the key's ``data`` entry: a
     per-key side structure (say, a cache of encoded keys, ~250 B a key)
     would show here."""
 
@@ -378,9 +378,8 @@ class TestKeyMemory:
         handle, per_key = self._committed(
             lambda: TieredOperatorStateHandle(str(tmp_path / "op")))
         assert len(handle) == self.KEYS
-        assert not any(shard.data or shard.dirty or shard.expiry
-                       for shard in handle._shards)
+        assert not (handle.data or handle.dirty or handle.expiry)
         assert per_key <= 32
         keys = [(100_000,), (5,)]
-        assert handle.get_many(list(map(encode_key, keys)), keys) == [1, None]
+        assert handle.get_many(list(map(encode_key, keys))) == [1, None]
         handle.close()

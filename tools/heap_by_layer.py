@@ -16,7 +16,7 @@ three phases (the transient high-water mark a phase's working set
 reaches, which live bytes at a boundary do not show); the number of
 objects the cyclic collector tracks (what each of its full passes
 walks) at each point; each state handle's keys, buffered rows, deep
-bytes (keys with the shard dicts, and values) and bytes per row at
+bytes (keys with the handle's dict, and values) and bytes per row at
 each point (one handle per stateful operator, one per join side, the
 side's layout beside it; the tiered backend's memtable only); the
 working set of the window's
@@ -71,13 +71,16 @@ def charge(snapshot, root: str):
 
 def deep_bytes(handle) -> tuple:
     """``(key bytes, value bytes)`` of one state handle's in-memory keyed
-    state: the shards' dicts with their encoded keys, and the values
-    followed down tuples, lists and dicts, every object counted once (a
-    small int or a shared string too)."""
+    state: its dict with the encoded keys, and the values followed down
+    tuples, lists and dicts, every object counted once (a small int or a
+    shared string too).  A checkout whose handle split its state into
+    ``_shards`` (one dict each) is read shard by shard."""
     keys, seen, total, stack = 0, set(), 0, []
-    for shard in handle._shards:
-        keys += sys.getsizeof(shard.data) + sum(map(sys.getsizeof, shard.data))
-        stack.extend(shard.data.values())
+    shards = getattr(handle, "_shards", None)
+    for data in ([shard.data for shard in shards] if shards is not None
+                 else [handle.data]):
+        keys += sys.getsizeof(data) + sum(map(sys.getsizeof, data))
+        stack.extend(data.values())
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
