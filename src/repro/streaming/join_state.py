@@ -1,5 +1,5 @@
 """How a stream–stream join side buffers its rows in one state value
-per key (§5.2).
+per key (§5.2), and the join's epoch kernel over them.
 
 Two encodings sit behind one interface, chosen per side at plan time
 from the side's schema by :func:`side_layout`:
@@ -13,8 +13,13 @@ from the side's schema by :func:`side_layout`:
 
 Either way the state handle's value codec (``to_disk``/``from_disk``)
 maps a value to the same nested ``[[row_values, matched], ...]``
-records, so the encoding never reaches a checkpoint byte.  The join
-reads values only through the layout.
+records, so the encoding never reaches a checkpoint byte.
+
+:func:`probe` runs an epoch of the join as array programs over both
+layouts: the stored values of the delta's keys become one structured
+row array per side, and the pairs, the output batch, the matched flags
+and the consolidated write-back are computed over those arrays, never a
+Python object per row or per pair.
 
 Imported only where a stream–stream join is built, so a query without
 one never compiles this module.
@@ -27,7 +32,11 @@ from itertools import chain
 
 import numpy as np
 
+from repro.sql.batch import RecordBatch
+from repro.sql.grouping import encode_groups
 from repro.sql.types import hashable_value
+from repro.streaming.state import encode_keys
+from repro.streaming.statefile import encode
 
 #: numpy column dtype -> (struct code, little-endian numpy field format).
 _FIXED = {
@@ -65,16 +74,21 @@ class _SideLayout:
     collector's passes in one.  Values are immutable: a flipped flag or
     a merged row builds a new value.
 
-    A *row* below is one tuple of ``stride`` cells (values, then the
-    flag when tracked); ``_rows`` and ``_build`` convert between a value
-    and its rows, and everything else is written once over rows.
+    The kernel sees rows as a structured array of ``dtype`` — fields
+    ``f0`` … ``f{width-1}`` for the columns (objects here, so a cell
+    keeps its identity), then a bool ``f{width}`` for the flag when
+    tracked: :meth:`gather` builds it from values, :meth:`values` builds
+    values from it.
     """
 
-    __slots__ = ("width", "stride", "weight", "tracked", "_folds",
-                 "declined")
+    __slots__ = ("width", "stride", "weight", "tracked", "floats",
+                 "declined", "dtype")
 
     #: The value of a key with no rows.
     empty = ()
+    #: The bulk checkpoint text of values (see the packed layout): none,
+    #: a tuple's cells take the generic encoder.
+    disk_text = None
 
     def __init__(self, width: int, track_matched: bool, weight,
                  floats=(), declined=None):
@@ -84,12 +98,12 @@ class _SideLayout:
         self.stride = width + self.tracked
         #: Index of the weight column in a row, None when append-only.
         self.weight = weight
-        #: Positions of float columns within a row's identity (the row
-        #: without its weight), folded by :func:`_fold_floats`.
-        self._folds = () if weight is None else tuple(
-            i - (i > weight) for i in floats if i != weight)
+        #: Positions of the float columns, folded in a row's identity.
+        self.floats = tuple(floats)
         #: ``"name: type"`` of the column that declined packing.
         self.declined = declined
+        self.dtype = np.dtype([(f"f{i}", object) for i in range(width)]
+                              + [(f"f{width}", np.bool_)] * self.tracked)
 
     def describe(self) -> str:
         """The encoding, for ``explain``."""
@@ -108,22 +122,31 @@ class _SideLayout:
     def _build(self, rows):
         return tuple(chain.from_iterable(rows))
 
-    def delta_values(self, columns, order, starts, ends) -> list:
-        """Per-key values of an epoch's new rows: ``columns`` (the
-        side's, in schema order) taken in ``order``, key ``g``'s rows
-        at ``starts[g]:ends[g]`` of it, every row unmatched.  One flat
-        list is filled a column at a time; a key's value is a slice."""
-        stride = self.stride
-        flat = [False] * (len(order) * stride)
-        for i, column in enumerate(columns):
-            flat[i::stride] = column[order].tolist()
-        return [tuple(flat[s * stride:e * stride])
-                for s, e in zip(starts.tolist(), ends.tolist())]
+    def gather(self, values) -> np.ndarray:
+        """The rows of ``values`` (a list), back to back, as one array:
+        one flat tuple, cut a field at a time."""
+        flat = list(chain.from_iterable(values))
+        n, stride = len(flat) // self.stride, self.stride
+        table = np.empty(n, self.dtype)
+        for i, name in enumerate(self.dtype.names):
+            table[name] = np.fromiter(flat[i::stride], self.dtype[name], n)
+        return table
 
-    def row_values(self, value) -> list:
-        """A value's rows as tuples of their ``width`` column values."""
-        width, stride = self.width, self.stride
-        return [value[i:i + width] for i in range(0, len(value), stride)]
+    def new_rows(self, columns, order) -> np.ndarray:
+        """An epoch's new rows: ``columns`` (the side's, in schema order)
+        taken in ``order``, every row unmatched."""
+        table = np.zeros(len(order), self.dtype)
+        for name, column in zip(self.dtype.names, columns):
+            table[name] = column[order]
+        return table
+
+    def values(self, table, counts) -> list:
+        """Per-key values of ``table``'s rows, ``counts[k]`` rows each."""
+        stride = self.stride
+        flat = [None] * (len(table) * stride)
+        for i, name in enumerate(self.dtype.names):
+            flat[i::stride] = table[name].tolist()
+        return _cut(flat, counts * stride, tuple)
 
     def to_disk(self, value) -> tuple:
         """The nested records of a value (JSON writes a tuple as a list);
@@ -151,17 +174,6 @@ class _SideLayout:
         return (lambda _key, value:
                 min(value[time_idx::stride]) + skew if value else None)
 
-    def flag_matched(self, value, hits):
-        """``value`` with the rows at positions ``hits`` marked matched:
-        a fresh value if any flag flips, else ``value`` itself."""
-        flags = [i * self.stride + self.width for i in hits]
-        if all(value[f] for f in flags):
-            return value
-        out = list(value)
-        for f in flags:
-            out[f] = True
-        return tuple(out)
-
     def evict(self, value, time_idx: int, skew, bound) -> tuple:
         """Split ``value`` at the other side's watermark ``bound``:
         ``(kept value, expired unmatched rows)``, a row expiring once
@@ -177,73 +189,17 @@ class _SideLayout:
                 unmatched.append(row[:width])
         return self._build(keep) if keep else self.empty, unmatched
 
-    def consolidate(self, value):
-        """A value as the integral of the side's input Z-set.
-
-        A row's identity is the row without its weight (and flag),
-        compared as values, with −0.0 folded to 0.0 and NaN to one null.
-        Weights add, a row netting to zero disappears, survivors keep
-        first-seen order and cells (a negative net multiplicity is legal
-        and kept: the insert it cancels may arrive in a later epoch),
-        and a merged row is matched if any of its parts was.  ``value``
-        itself comes back when no two rows merge, and on an unweighted
-        side.
-        """
-        weight_idx, width, stride = self.weight, self.width, self.stride
-        if weight_idx is None or len(value) < 2 * stride:
-            return value
-        tracked, folds = self.tracked, self._folds
-        rows = self._rows(value)
-        net = {}
-        for row in rows:
-            identity = row[:weight_idx] + row[weight_idx + 1:width]
-            if folds:
-                identity = _fold_floats(identity, folds)
-            try:
-                slot = net.get(identity)
-            except TypeError:  # a cell holding a list: fold it to a tuple
-                identity = tuple(map(hashable_value, identity))
-                slot = net.get(identity)
-            if slot is None:
-                net[identity] = [row, row[weight_idx],
-                                 tracked and row[width]]
-            else:
-                slot[1] += row[weight_idx]
-                if tracked:
-                    slot[2] = slot[2] or row[width]
-        if len(net) == len(rows):
-            return value
-        out = []
-        for row, weight, matched in net.values():
-            if weight == 0:
-                continue
-            row = list(row)
-            row[weight_idx] = weight
-            if tracked:
-                row[width] = matched
-            out.append(row)
-        return self._build(out) if out else self.empty
-
-
-def _fold_floats(identity: tuple, folds) -> tuple:
-    """``identity`` with the floats at ``folds`` made canonical: −0.0
-    as 0.0 and NaN (or None) as None, the way the sink nets rows."""
-    cells = list(identity)
-    for i in folds:
-        v = cells[i]
-        cells[i] = None if v is None or v != v else v + 0.0
-    return tuple(cells)
-
 
 class _PackedSideLayout(_SideLayout):
     """The packed encoding: a key's value is one ``bytes`` object, its
     rows back to back in a little-endian row format (int64, float64 and
     bool fields in schema order, then a bool matched flag for an outer
-    join) with no padding, ``stride`` bytes each.  One ``struct.Struct``
-    packs and unpacks rows in C; an epoch's new rows are packed once,
-    through the numpy row dtype of the same layout."""
+    join) with no padding, ``stride`` bytes each.  The kernel's row
+    array is that format itself: values are gathered with one
+    ``frombuffer`` and written back with one ``tobytes``; one
+    ``struct.Struct`` packs and unpacks a key's rows for the codec."""
 
-    __slots__ = ("_struct", "_dtype")
+    __slots__ = ("_struct", "_row_text", "_value_text")
 
     empty = b""
 
@@ -252,10 +208,15 @@ class _PackedSideLayout(_SideLayout):
         codes = [code for code, _ in formats] + ["?"] * self.tracked
         fields = [field for _, field in formats] + ["?"] * self.tracked
         self._struct = struct.Struct("<" + "".join(codes))
-        self._dtype = np.dtype({"names": [f"f{i}" for i in range(len(fields))],
-                                "formats": fields})
-        assert self._dtype.itemsize == self._struct.size
+        self.dtype = np.dtype({"names": [f"f{i}" for i in range(len(fields))],
+                               "formats": fields})
+        assert self.dtype.itemsize == self._struct.size
         self.stride = self._struct.size
+        #: ``str.format`` patterns of one row's record and of a one-row
+        #: value's, a ``{}`` per cell (an inner join's flag is false).
+        self._row_text = ("[[" + ",".join(["{}"] * self.width) + "],"
+                          + ("{}" if self.tracked else "false") + "]")
+        self._value_text = "[" + self._row_text + "]"
 
     def describe(self) -> str:
         return f"packed {self._struct.format} ({self.stride} B/row)"
@@ -267,22 +228,31 @@ class _PackedSideLayout(_SideLayout):
         pack = self._struct.pack
         return b"".join([pack(*row) for row in rows])
 
-    def delta_values(self, columns, order, starts, ends) -> list:
-        """As the tuple layout's, in one ``tobytes`` of the epoch's rows
-        in key order; a key's value is a slice of it."""
-        packed = np.zeros(len(order), dtype=self._dtype)
-        for name, column in zip(self._dtype.names, columns):
-            packed[name] = column[order]
-        data, stride = packed.tobytes(), self.stride
-        return [data[s * stride:e * stride]
-                for s, e in zip(starts.tolist(), ends.tolist())]
+    def gather(self, values) -> np.ndarray:
+        return np.frombuffer(b"".join(values), self.dtype)
 
-    def row_values(self, value) -> list:
-        rows = self._struct.iter_unpack(value)
-        if not self.tracked:
-            return list(rows)
-        width = self.width
-        return [row[:width] for row in rows]
+    def values(self, table, counts) -> list:
+        return _cut(table.tobytes(), counts * self.stride)
+
+    def disk_text(self, values) -> list:
+        """The JSON text of ``to_disk(value)`` for each of ``values``,
+        byte for byte what the encoder writes.  The rows of all of them
+        are viewed as one array, whose columns become text a column at
+        a time — ints as they are (``format`` writes one as ``str``
+        does), floats and bools through one ``encode`` of the column —
+        and one ``str.format`` per row assembles a row's text."""
+        if not values:
+            return []
+        table = np.frombuffer(b"".join(values), self.dtype)
+        cells = [column.tolist() if column.dtype == np.int64
+                 else encode(column.tolist())[1:-1].split(",")
+                 for column in map(table.__getitem__, self.dtype.names)]
+        if len(table) == len(values):  # one row a value: most keys
+            return list(map(self._value_text.format, *cells))
+        rows = list(map(self._row_text.format, *cells))
+        sizes = np.fromiter(map(len, values), np.int64, len(values))
+        return _cut(rows, sizes // self.stride,
+                    lambda piece: "[" + ",".join(piece) + "]")
 
     def to_disk(self, value) -> tuple:
         width, tracked = self.width, self.tracked
@@ -309,12 +279,351 @@ class _PackedSideLayout(_SideLayout):
                                         unpack(value)) + skew
                 if value else None)
 
-    def flag_matched(self, value, hits):
-        stride = self.stride
-        flags = [i * stride + stride - 1 for i in hits]
-        if all(value[f] for f in flags):
-            return value
-        out = bytearray(value)
-        for f in flags:
-            out[f] = 1
-        return bytes(out)
+
+def _cut(flat, sizes, build=None) -> list:
+    """``flat`` cut into consecutive pieces of ``sizes`` units."""
+    pieces, start = [], 0
+    for end in np.cumsum(sizes).tolist():
+        piece = flat[start:end]
+        pieces.append(piece if build is None else build(piece))
+        start = end
+    return pieces
+
+
+# ----------------------------------------------------------------------
+# The epoch kernel
+# ----------------------------------------------------------------------
+#: Probe keys per pass of the kernel: the row arrays and per-key lists
+#: of one pass bound an epoch's working set, whatever the epoch's size.
+_KEYS_PER_PASS = 4096
+
+
+def probe(op, new_left: RecordBatch, new_right: RecordBatch,
+          lt_idx, rt_idx, skew) -> tuple:
+    """Pure keyed kernel: one epoch of ``op`` (a ``StreamStreamJoinOp``)
+    over its two deltas — DBSP's ``Δa ⋈ (b + Δb) + a ⋈ Δb``.
+
+    The deltas' keys are probed against state once each (per-epoch cost
+    O(delta + matches), not O(buffered state)).  Per side, each key's
+    stored rows and then its new ones form one row array; pairs are
+    enumerated over it with ``np.repeat`` — per key, new-left ×
+    all-right, then buffered-left × new-right, so every pair exactly
+    once — keys in probe order (left keys by first delta row, then
+    right-only keys).  The ``within`` bound is a mask; a weighted pair
+    is as many unit rows as the product of its sides' multiplicities.
+    An inner join drops delta rows whose key holds a null or NaN: they
+    can never match, and buffered they would never leave.
+
+    The probe keys are taken ``_KEYS_PER_PASS`` at a time, which bounds
+    the arrays one pass holds.  Stored values are immutable, so reading
+    pre-epoch state needs no copy; every write is deferred (see
+    :meth:`_Side.write_back`).  Returns ``(writes, batches of matched
+    pairs, 0)``, writes for the left then the right handle.
+    """
+    drop_null = op._node.how == "inner"
+    batches = (new_left, new_right)
+    groups = [_groups(batch, op._node.on, drop_null) for batch in batches]
+    keys, encoded, joinable, slots = _probe_keys(groups)
+    deltas = [None if group is None else _delta(batch, group[0], slot,
+                                                len(keys))
+              for batch, group, slot in zip(batches, groups, slots)]
+    sides = ((op._left_layout, op._left_state, deltas[0]),
+             (op._right_layout, op._right_state, deltas[1]))
+    writes, matched = [([], []), ([], [])], []
+    for start in range(0, len(keys), _KEYS_PER_PASS):
+        span = slice(start, start + _KEYS_PER_PASS)
+        left, right = (_Side(layout, state, encoded[span], delta, span)
+                       for layout, state, delta in sides)
+        lpos, rpos = _pairs(left, right, joinable[span])
+        if skew is not None and len(lpos):
+            within = ~(np.abs(left.take(lt_idx, lpos, np.float64)
+                              - right.take(rt_idx, rpos, np.float64)) > skew)
+            lpos, rpos = lpos[within], rpos[within]
+        if len(lpos):
+            matched.append(_pair_batch(op, left, right, lpos, rpos))
+        for (puts, removes), side, hits in zip(writes, (left, right),
+                                               (lpos, rpos)):
+            side_puts, side_removes = side.write_back(
+                hits, keys[span], encoded[span])
+            puts += side_puts
+            removes += side_removes
+    return writes, matched, 0
+
+
+def _delta(batch: RecordBatch, codes, slot, k: int) -> tuple:
+    """A delta's rows by probe key: ``(columns, row positions ordered
+    by probe key, rows per key, each key's first position)``."""
+    row_key = slot[codes]
+    rows = np.flatnonzero(row_key >= 0)
+    order = rows[np.argsort(row_key[rows], kind="stable")]
+    counts = np.bincount(row_key[rows], minlength=k)
+    return ([batch.columns[name] for name in batch.schema.names], order,
+            counts, np.cumsum(counts) - counts)
+
+
+def _groups(batch: RecordBatch, on, drop_null: bool):
+    """A delta's rows grouped by join key: ``(row codes, key tuple per
+    code, codes in order of their first row, null key per code, the key
+    columns' cells in that order)`` — None for an empty delta.  With
+    ``drop_null`` the null keys' codes are left out of the order."""
+    n = batch.num_rows
+    if n == 0:
+        return None
+    key_columns = [batch.columns[name] for name in on]
+    codes, keys = encode_groups(key_columns)
+    first = np.full(len(keys), n, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(n))
+    null = np.zeros(len(keys), dtype=bool)
+    for cells in (column[first] for column in key_columns):
+        null |= (cells != cells) if cells.dtype != object else np.fromiter(
+            (v is None or v != v for v in cells.tolist()), bool, len(keys))
+    order = np.argsort(first, kind="stable")
+    if drop_null:
+        order = order[~null[order]]
+    return codes, keys, order, null, [c[first[order]] for c in key_columns]
+
+
+def _probe_keys(groups) -> tuple:
+    """The epoch's probe keys from both sides' groups: ``(key tuples,
+    their encoded keys, joinable flags, per side an array mapping a
+    group code to its probe key, -1 where dropped)``.
+
+    A right key equal to a left key (``==``, as a dict compares: a NaN
+    never equals another NaN object) is that key; left keys come in
+    first-row order, then the right-only ones.  Keys of one side that
+    encode alike (only nulls can) share one probe key, so a handle is
+    written once per key."""
+    keys, encoded, joinable, slots = [], [], [], []
+    by_key = {}
+    for side, group in enumerate(groups):
+        if group is None:
+            slots.append(None)
+            continue
+        _codes, group_keys, order, null, cells = group
+        side_keys = [group_keys[g] for g in order.tolist()]
+        index = np.asarray([by_key.get(key, -1) for key in side_keys],
+                           dtype=np.int64)
+        fresh = np.flatnonzero(index < 0)
+        side_encoded = encode_keys([c[fresh] for c in cells])
+        side_null = null[order[fresh]]
+        if side_null.any():  # NaN keys may encode alike: one probe key
+            by_encoded = {}
+            for i, enc, is_null in zip(fresh.tolist(), side_encoded,
+                                       side_null.tolist()):
+                p = index[i] = by_encoded.setdefault(enc, len(keys))
+                if p == len(keys):
+                    keys.append(side_keys[i])
+                    encoded.append(enc)
+                    joinable.append(not is_null)
+        else:
+            index[fresh] = np.arange(len(keys), len(keys) + len(fresh))
+            keys.extend(side_keys if len(fresh) == len(side_keys)
+                        else [side_keys[i] for i in fresh.tolist()])
+            encoded.extend(side_encoded)
+            joinable.extend([True] * len(fresh))
+        if side == 0:
+            by_key = dict(zip(keys, range(len(keys))))
+        slot = np.full(len(group_keys), -1, dtype=np.int64)
+        slot[order] = index
+        slots.append(slot)
+    return keys, encoded, np.asarray(joinable, dtype=bool), slots
+
+
+class _Side:
+    """One side's rows for a span of the epoch's probe keys, as one
+    structured row array (``table``, in the layout's ``dtype``): key
+    ``k``'s ``sc[k]`` buffered rows, then its ``nc[k]`` new ones,
+    ``ts[k]`` the first."""
+
+    __slots__ = ("layout", "stored", "table", "sc", "nc", "tc", "ts",
+                 "row_key")
+
+    def __init__(self, layout, state, encoded, delta, span):
+        k = len(encoded)
+        self.layout = layout
+        empty = layout.empty
+        self.stored = [v or empty for v in state.get_many(encoded)]
+        self.sc = np.fromiter(map(len, self.stored), np.int64,
+                              k) // layout.stride
+        stored = layout.gather(self.stored)
+        if delta is None:
+            self.nc = np.zeros(k, dtype=np.int64)
+            new = stored[:0]
+        else:
+            columns, order, counts, starts = delta
+            self.nc = counts[span]
+            at = starts[span.start]
+            new = layout.new_rows(columns, order[at:at + self.nc.sum()])
+        self.tc = self.sc + self.nc
+        self.ts = np.cumsum(self.tc) - self.tc
+        if not len(new):
+            self.table = stored
+        elif not len(stored):
+            self.table = new
+        else:  # interleave: each key's buffered rows, then its new ones
+            self.table = np.empty(len(stored) + len(new), layout.dtype)
+            at = self.ts
+            for part, count in ((stored, self.sc), (new, self.nc)):
+                self.table[np.repeat(at - (np.cumsum(count) - count), count)
+                           + np.arange(len(part))] = part
+                at = at + count
+        self.row_key = np.repeat(np.arange(k), self.tc)
+
+    def take(self, i: int, positions, dtype=None) -> np.ndarray:
+        """Column ``i`` at ``positions``, cast to ``dtype`` if given (the
+        tuple layout's cells are objects)."""
+        column = self.table[f"f{i}"][positions]
+        if dtype is None or column.dtype == dtype:
+            return column
+        return column.astype(dtype)
+
+    def write_back(self, hits, keys, encoded) -> tuple:
+        """``(puts, removes)`` for this side's handle, keys in probe
+        order, after the rows at ``hits`` matched.
+
+        Over a weighted side the stored value is the integral of the
+        side's input Z-set: each key with new rows is consolidated by
+        row identity — the row without its weight, with
+        −0.0 folded to 0.0 and NaN to one null.  Weights add, a row
+        netting to zero disappears, survivors keep first-seen order and
+        cells (a negative net multiplicity is legal and kept: the insert
+        it cancels may arrive in a later epoch).  A key where no two rows
+        merge keeps its rows as they are.  A weighted side tracks no
+        flags: analysis refuses an outer join over a weighted stream."""
+        layout, table, row_key = self.layout, self.table, self.row_key
+        k = len(keys)
+        touched = self.nc > 0
+        flags = weights = merged = None
+        if layout.tracked:
+            hit = np.zeros(len(table), dtype=bool)
+            hit[hits] = True
+            stored_flags = table[f"f{layout.width}"]
+            flipped = hit & ~stored_flags
+            if flipped.any():
+                touched |= np.bincount(row_key[flipped], minlength=k) > 0
+            flags = stored_flags | hit
+        if not touched.any():
+            return [], []
+        keep = touched[row_key]
+        if layout.weight is not None:
+            weights, merged = self._consolidate(keep)
+        selected = np.flatnonzero(keep)
+        rows = table[selected]
+        if weights is not None:
+            rows[f"f{layout.weight}"] = weights[selected]
+        if flags is not None:
+            rows[f"f{layout.width}"] = flags[selected]
+        touched_keys = np.flatnonzero(touched)
+        values = layout.values(
+            rows, np.bincount(row_key[selected], minlength=k)[touched_keys])
+        index = range(k) if len(touched_keys) == k else touched_keys.tolist()
+        if len(index) < k:
+            encoded = [encoded[p] for p in index]
+            keys = [keys[p] for p in index]
+        if merged is None:  # every value grew or flipped a flag
+            return list(zip(encoded, keys, values)), []
+        puts, removes = [], []
+        stored = self.stored
+        for p, enc, key, value in zip(index, encoded, keys, values):
+            if value != stored[p]:  # a merged key may net to its rows
+                if value:
+                    puts.append((enc, key, value))
+                else:
+                    removes.append((enc, key))
+        return puts, removes
+
+    def _consolidate(self, keep) -> tuple:
+        """Consolidate the keys with new rows (see :meth:`write_back`):
+        updates ``keep`` in place, returns ``(weights of the rows kept,
+        keys where rows merged)`` — ``(None, None)`` when nothing
+        merged."""
+        layout, row_key = self.layout, self.row_key
+        assert not layout.tracked
+        # Only a key with new rows, and with two rows or more, can merge.
+        mergeable = (self.nc > 0) & (self.tc > 1)
+        candidates = np.flatnonzero(mergeable[row_key])
+        if not len(candidates):
+            return None, None
+        identity = [row_key[candidates]]
+        for i in range(layout.width):
+            if i == layout.weight:
+                continue
+            column = self.take(i, candidates, np.float64
+                               if i in layout.floats else None)
+            if column.dtype == np.float64:  # −0.0 already equals 0.0
+                null = np.isnan(column)
+                identity += [null, np.where(null, 0.0, column)]
+            else:
+                identity.append(column.astype(np.int64)
+                                if column.dtype == np.bool_ else column)
+        try:
+            codes, uniques = encode_groups(identity)
+        except TypeError:  # a cell holding a list: fold it to a tuple
+            codes, uniques = encode_groups(
+                [np.fromiter(map(hashable_value, c), object, len(c))
+                 if c.dtype == object else c for c in identity])
+        if len(uniques) == len(candidates):
+            return None, None
+        by_code = np.argsort(codes, kind="stable")
+        sizes = np.bincount(codes)
+        starts = np.cumsum(sizes) - sizes
+        first = candidates[by_code[starts]]
+        weights = self.take(layout.weight, slice(None), np.int64)
+        net = np.add.reduceat(weights[candidates][by_code], starts)
+        k = len(self.nc)
+        merged = mergeable & (
+            np.bincount(row_key[first], minlength=k) < self.tc)
+        keep &= ~merged[row_key]
+        survivors = merged[row_key[first]] & (net != 0)
+        rows = first[survivors]
+        keep[rows] = True
+        weights = weights.copy()
+        weights[rows] = net[survivors]
+        return weights, merged
+
+
+def _pairs(left: _Side, right: _Side, joinable) -> tuple:
+    """Row positions ``(left, right)`` of every pair, in output order:
+    per key, block A (new-left × all-right) then block B
+    (buffered-left × new-right), each left row's pairs together."""
+    k = np.flatnonzero(joinable & (left.tc > 0) & (right.tc > 0))
+    lo = np.stack([left.ts[k] + left.sc[k], left.ts[k]], axis=1).ravel()
+    lcount = np.stack([left.nc[k], left.sc[k]], axis=1).ravel()
+    ro = np.stack([right.ts[k], right.ts[k] + right.sc[k]], axis=1).ravel()
+    rcount = np.stack([right.tc[k], right.nc[k]], axis=1).ravel()
+    sizes = lcount * rcount
+    total = int(sizes.sum())
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    offset = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    width = rcount[block]
+    return lo[block] + offset // width, ro[block] + offset % width
+
+
+def _pair_batch(op, left: _Side, right: _Side, lpos, rpos) -> RecordBatch:
+    """The matched pairs as a batch of ``op``'s inner schema: the left
+    row's columns, then the right row's other than the keys."""
+    sign = slot = None
+    if op._pair_weight is not None:
+        lw_idx, rw_idx, slot = op._pair_weight
+        weight = np.ones(len(lpos), dtype=np.int64)
+        if lw_idx is not None:
+            weight = weight * left.take(lw_idx, lpos, np.int64)
+        if rw_idx is not None:
+            weight = weight * right.take(rw_idx, rpos, np.int64)
+        sign = np.where(weight > 0, 1, -1)
+        repeat = np.maximum(np.abs(weight), 1)
+        if (repeat > 1).any():
+            lpos, rpos, sign = (np.repeat(a, repeat)
+                                for a in (lpos, rpos, sign))
+    sources = [(left, i, lpos) for i in range(left.layout.width)]
+    sources += [(right, i, rpos) for i in op._rest_idx]
+    columns = {}
+    for idx, (field, (side, i, positions)) in enumerate(
+            zip(op._inner, sources)):
+        dtype = field.data_type.numpy_dtype
+        if idx == slot:
+            columns[field.name] = sign.astype(dtype)
+        else:
+            columns[field.name] = side.take(
+                i, positions, None if dtype is object else dtype)
+    return RecordBatch(columns, op._inner)

@@ -30,7 +30,6 @@ from repro.sql.joins import (
     UniqueKeyIndex,
     assemble_join_output,
     hash_join,
-    is_null_key,
     join_indices,
 )
 from repro.sql.physical import aggregate_result_batch, execute
@@ -843,7 +842,13 @@ class StreamStreamJoinOp(IncrementalOp):
 
     Both sides' rows are buffered in the state store.  Each epoch,
     new-left rows join buffered+new right rows and buffered left rows
-    join new-right rows (so no pair is produced twice).
+    join new-right rows (so no pair is produced twice) — DBSP's
+    ``Δa ⋈ (b + Δb) + a ⋈ Δb``, run as one bulk kernel over the whole
+    epoch (:func:`repro.streaming.join_state.probe`): the delta's keys
+    are probed once, and pairs, matched flags and the write-back are
+    array programs, with no Python object per pair or per row.  A key
+    holding a null or NaN matches nothing, so an inner join never
+    buffers such rows; an outer join buffers them to emit at eviction.
 
     State bounding follows the paper's rule that "the join condition
     must involve a watermarked column": with a ``within`` time bound,
@@ -865,6 +870,8 @@ class StreamStreamJoinOp(IncrementalOp):
     (:mod:`repro.streaming.join_state`) — packed bytes when every column
     is fixed-width, else one flat tuple — whose value codec keeps the
     checkpoint records in their nested ``[[row, matched], ...]`` form.
+    A packed side also hands the checkpoint writer those records' text
+    in bulk, column by column, byte for byte what the encoder writes.
     """
 
     stateful = True
@@ -910,16 +917,20 @@ class StreamStreamJoinOp(IncrementalOp):
         #: null-pads; an inner join never reads them, so it stores none.
         self._track_matched = node.how != "inner"
         # Imported here so that only a query with such a join compiles it.
-        from repro.streaming.join_state import side_layout
+        from repro.streaming.join_state import probe, side_layout
 
+        #: The epoch's pure keyed kernel (probe, pairs and write-back):
+        #: returns ``(writes, batches of matched pairs, 0)``.
+        self._kernel = probe
         self._left_layout = side_layout(
             left.output_schema, self._track_matched, self._left_weight)
         self._right_layout = side_layout(
             right.output_schema, self._track_matched, self._right_weight)
         for state, layout in ((left_state, self._left_layout),
                               (right_state, self._right_layout)):
-            state.set_codec(layout.to_disk, layout.from_disk)
-            state.set_row_count(layout.rows)
+            state.set_codec(layout.to_disk, layout.from_disk,
+                            layout.disk_text)
+            state.set_row_count(layout.stride)
         if self.within is not None:
             left_col, right_col, skew = self.within
             # A key's rows become evictable starting at min(row time) +
@@ -935,27 +946,6 @@ class StreamStreamJoinOp(IncrementalOp):
                 f"[{', '.join(self._node.on)}] left: "
                 f"{self._left_layout.describe()}, right: "
                 f"{self._right_layout.describe()}")
-
-    def _entries_by_key(self, batch: RecordBatch, layout) -> dict:
-        """Group the delta's rows by join key, in row order, as unmatched
-        rows in ``layout`` — the only materialization this epoch performs.
-        Returns ``key -> value of the new rows``, keys in order of their
-        first row.  Columnar: group codes,
-        a stable sort of row positions by code, and the layout encodes
-        the rows in that order once — a key's rows are a slice."""
-        if batch.num_rows == 0:
-            return {}
-        codes, keys = encode_groups(
-            [batch.columns[k] for k in self._node.on])
-        order = np.argsort(codes, kind="stable")
-        ends = np.cumsum(np.bincount(codes, minlength=len(keys)))
-        starts = np.concatenate(([0], ends[:-1]))
-        values = layout.delta_values(
-            [batch.columns[name] for name in batch.schema.names],
-            order, starts, ends)
-        # The sort is stable: a group's first sorted row is its first row.
-        by_first = np.argsort(order[starts], kind="stable").tolist()
-        return {keys[g]: values[g] for g in by_first}
 
     def _drop_late_input(self, batch: RecordBatch, time_col: str,
                          watermark, ctx: EpochContext) -> RecordBatch:
@@ -989,132 +979,15 @@ class StreamStreamJoinOp(IncrementalOp):
         else:
             lt_idx = rt_idx = skew = None
 
-        out_rows = apply_kernel(
-            ctx, self._probe(new_left, new_right, lt_idx, rt_idx, skew),
+        out_parts = apply_kernel(
+            ctx, self._kernel(self, new_left, new_right, lt_idx, rt_idx,
+                              skew),
             [self._left_state, self._right_state])
-
-        out_parts = []
-        if out_rows:
-            out_parts.append(self._matched_batch(out_rows))
         out_parts.extend(self._evict(ctx))
         if not out_parts:
             return self._empty()
         parts = [self._to_output_schema(p) for p in out_parts]
         return RecordBatch.concat(parts, self.output_schema)
-
-    def _probe(self, new_left: RecordBatch, new_right: RecordBatch,
-               lt_idx, rt_idx, skew) -> tuple:
-        """Pure keyed kernel: probe the delta's keys against state.
-
-        Probes the state store only for the distinct keys present in the
-        deltas (per-epoch cost is O(delta + matches), not O(buffered
-        state)), each key encoded once for both handles' reads and
-        writes.  Stored values are immutable, so reading pre-epoch
-        state needs no copy, and every write is deferred into the
-        returned writes.  A side is written back only if it changed: it
-        received rows, or (outer joins) one of its matched flags
-        flipped; a key whose every buffered row cancelled is removed
-        (the checkpoint records a tombstone, not an empty list).
-        Returns ``(writes, out_rows, 0)`` — writes for the left then the
-        right handle; output rows follow the probe order, left keys by
-        first delta row, then right-only keys.
-        """
-        left_layout, right_layout = self._left_layout, self._right_layout
-        left_by_key = self._entries_by_key(new_left, left_layout)
-        right_by_key = self._entries_by_key(new_right, right_layout)
-        track = self._track_matched
-        left, right, out_rows = ([], []), ([], []), []
-        keys = list(left_by_key)
-        keys.extend(key for key in right_by_key if key not in left_by_key)
-        encoded = [encode_key(key) for key in keys]
-        for key, enc, stored_l, stored_r in zip(
-                keys, encoded,
-                self._left_state.get_many(encoded),
-                self._right_state.get_many(encoded)):
-            nl = left_by_key.get(key)
-            nr = right_by_key.get(key)
-            stored_l = stored_l or left_layout.empty
-            stored_r = stored_r or right_layout.empty
-            # New rows go after the buffered ones, at rows bl / br on.
-            bl = left_layout.rows(stored_l)
-            br = right_layout.rows(stored_r)
-            l_entries = stored_l + nl if nl else stored_l
-            r_entries = stored_r + nr if nr else stored_r
-            if l_entries and r_entries and not is_null_key(key):
-                hits = (set(), set()) if track else None
-                l_rows = left_layout.row_values(l_entries)
-                r_rows = right_layout.row_values(r_entries)
-                # new-left x (buffered + new right), then buffered-left x
-                # new-right: together every pair exactly once.
-                if nl:
-                    self._join_pairs(
-                        l_rows, range(bl, len(l_rows)),
-                        r_rows, range(len(r_rows)),
-                        out_rows, lt_idx, rt_idx, skew, hits)
-                if nr and bl:
-                    self._join_pairs(
-                        l_rows, range(bl),
-                        r_rows, range(br, len(r_rows)),
-                        out_rows, lt_idx, rt_idx, skew, hits)
-                if track:
-                    l_entries = left_layout.flag_matched(l_entries, hits[0])
-                    r_entries = right_layout.flag_matched(r_entries, hits[1])
-            if nl:
-                l_entries = left_layout.consolidate(l_entries)
-            if nr:
-                r_entries = right_layout.consolidate(r_entries)
-            for (puts, removes), entries, stored in (
-                    (left, l_entries, stored_l), (right, r_entries, stored_r)):
-                if entries != stored:  # an update may change nothing
-                    if entries:
-                        puts.append((enc, key, entries))
-                    else:
-                        removes.append((enc, key))
-        return [left, right], out_rows, 0
-
-    def _join_pairs(self, l_rows, l_positions, r_rows, r_positions,
-                    out_rows, lt_idx, rt_idx, skew, hits) -> None:
-        """Emit the cross product of the rows at ``l_positions`` and
-        ``r_positions`` of two sides' row-value lists (within the time
-        bound) as value lists.  With ``hits = (left, right)`` sets (outer joins)
-        the positions that matched are added to them.  A weighted pair's
-        weight is the product of the two sides' multiplicities, emitted
-        as that many unit rows: weights stay in {-1, +1} downstream even
-        though consolidated state may hold a row of multiplicity 2."""
-        rest_idx, pair_weight = self._rest_idx, self._pair_weight
-        r_rows = [(j, r_rows[j]) for j in r_positions]
-        for i in l_positions:
-            l_values = l_rows[i]
-            for j, r_values in r_rows:
-                if skew is not None and \
-                        abs(l_values[lt_idx] - r_values[rt_idx]) > skew:
-                    continue
-                row = [*l_values, *[r_values[k] for k in rest_idx]]
-                out_rows.append(row)
-                if pair_weight is not None:
-                    lw_idx, rw_idx, slot = pair_weight
-                    weight = (
-                        (1 if lw_idx is None else int(l_values[lw_idx]))
-                        * (1 if rw_idx is None else int(r_values[rw_idx])))
-                    row[slot] = 1 if weight > 0 else -1
-                    for _ in range(abs(weight) - 1):
-                        out_rows.append(list(row))
-                if hits is not None:
-                    hits[0].add(i)
-                    hits[1].add(j)
-
-    def _matched_batch(self, out_rows: list) -> RecordBatch:
-        """Build the matched-pair batch (inner schema) from value lists."""
-        columns = {}
-        for idx, field in enumerate(self._inner):
-            values = [row[idx] for row in out_rows]
-            if field.data_type.numpy_dtype is object:
-                arr = np.empty(len(values), dtype=object)
-                arr[:] = values
-            else:
-                arr = np.asarray(values, dtype=field.data_type.numpy_dtype)
-            columns[field.name] = arr
-        return RecordBatch(columns, self._inner)
 
     def _inner_schema(self) -> StructType:
         """Schema of matched pairs (no null padding yet)."""

@@ -31,6 +31,9 @@ import json
 import os
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import isfinite
+from operator import itemgetter
+
+import numpy as np
 
 from repro.observability import metrics
 from repro.storage import (
@@ -140,6 +143,24 @@ def encode_key(key) -> str:
     return "[" + ", ".join(parts) + "]" if values is key else parts[0]
 
 
+def encode_keys(columns) -> list:
+    """:func:`encode_key` of each row of the key ``columns`` as a
+    tuple, in one ``str.format`` a key when every column is int64 or
+    finite float64."""
+    cells, formats = [], []
+    for column in columns:
+        if column.dtype == np.int64:
+            cells.append(column.tolist())
+            formats.append("{}")
+        elif column.dtype == np.float64 and np.isfinite(column).all():
+            cells.append((column + 0.0).tolist())
+            formats.append("{!r}")
+        else:
+            return [encode_key(key)
+                    for key in zip(*[c.tolist() for c in columns])]
+    return list(map(("[" + ", ".join(formats) + "]").format, *cells))
+
+
 def decode_key(text: str):
     """Invert :func:`encode_key` (lists become tuples)."""
     value = json.loads(text)
@@ -149,6 +170,8 @@ def decode_key(text: str):
 
 
 _MISSING = object()
+#: A put's encoded key and its value.
+_FIRST, _THIRD = itemgetter(0), itemgetter(2)
 
 
 class OperatorStateHandle:
@@ -186,9 +209,10 @@ class OperatorStateHandle:
         self.expiry = {}
         self.heap = []
         self._expiry_fn = None
-        self._row_fn = None
+        #: ``set_row_count``'s units per row, None to count keys.
+        self._row_stride = None
         #: The value codec (``set_codec``): None keeps values as stored.
-        self._to_disk = self._from_disk = None
+        self._to_disk = self._from_disk = self._disk_text = None
         #: Running totals, so neither ``len()`` nor ``rows`` ever scans:
         #: live keys, and buffered rows as sized by ``set_row_count``.
         self._num_keys = 0
@@ -226,8 +250,7 @@ class OperatorStateHandle:
         are ``encoded``, None where a key has no state."""
         if metrics._registry is not None:
             metrics._registry.counter("state.gets").inc(len(encoded))
-        read = self._read
-        return [read(e) for e in encoded]
+        return list(map(self.data.get, encoded))
 
     def contains(self, key) -> bool:
         """True if the key has state."""
@@ -245,11 +268,34 @@ class OperatorStateHandle:
         """Apply a kernel's deferred writes: ``puts`` as ``(encoded, key,
         value)`` triples, then ``removes`` as ``(encoded, key)`` pairs,
         ``encoded`` being :func:`encode_key` of ``key`` (the decoded key
-        feeds the expiry index)."""
-        for encoded, key, value in puts:
-            self._put(encoded, key, value)
+        feeds the expiry index), each key once.  The puts land in bulk —
+        one ``dict.update``, one ``set.update`` — with the same effect
+        as :meth:`put` for each in order."""
+        if puts:
+            self._put_many(puts)
         for encoded, _key in removes:
             self._remove(encoded)
+
+    def _put_many(self, puts) -> None:
+        if metrics._registry is not None:
+            metrics._registry.counter("state.puts").inc(len(puts))
+        data, stride = self.data, self._row_stride
+        # Lazily, a column at a time: copies of the puts' columns, alive
+        # while the dict and set tables grow, would raise the heap's peak.
+        encoded, values = _FIRST, _THIRD
+        if stride is not None:
+            replaced = filter(None, map(data.get, map(encoded, puts)))
+            self._num_rows += (sum(map(len, map(values, puts)))
+                               - sum(map(len, replaced))) // stride
+        before = len(data)
+        data.update(zip(map(encoded, puts), map(values, puts)))
+        self._num_keys += len(data) - before
+        self.dirty.update(map(encoded, puts))
+        if self.removed:
+            self.removed.difference_update(map(encoded, puts))
+        if self._expiry_fn is not None:
+            for enc, key, value in puts:
+                self._index_put(enc, key, value)
 
     def _put(self, encoded: str, key, value) -> None:
         if metrics._registry is not None:
@@ -257,9 +303,9 @@ class OperatorStateHandle:
         old = self.data.get(encoded, _MISSING)
         if old is _MISSING:
             self._num_keys += 1
-        if self._row_fn is not None:
-            self._num_rows += self._row_fn(value) - (
-                0 if old is _MISSING else self._row_fn(old))
+        if self._row_stride is not None:
+            self._num_rows += (len(value) - (
+                0 if old is _MISSING else len(old))) // self._row_stride
         self.data[encoded] = value
         self.dirty.add(encoded)
         self.removed.discard(encoded)
@@ -270,8 +316,8 @@ class OperatorStateHandle:
         old = self.data.pop(encoded, _MISSING)
         if old is not _MISSING:
             self._num_keys -= 1
-            if self._row_fn is not None:
-                self._num_rows -= self._row_fn(old)
+            if self._row_stride is not None:
+                self._num_rows -= len(old) // self._row_stride
             self.dirty.discard(encoded)
             self.removed.add(encoded)
             self.expiry.pop(encoded, None)
@@ -280,16 +326,30 @@ class OperatorStateHandle:
     # ------------------------------------------------------------------
     # Value codec (in-memory layout vs. checkpoint records)
     # ------------------------------------------------------------------
-    def set_codec(self, to_disk, from_disk) -> None:
+    def set_codec(self, to_disk, from_disk, disk_text=None) -> None:
         """Register the value codec: ``to_disk(value)`` is the record a
         checkpoint holds for an in-memory value, ``from_disk(decoded)``
         the in-memory value of a decoded record.  Values cross it
         wherever they cross the disk — commit and restore, and the
         tiered backend's spills and run reads — so an operator can keep
         a compact working layout behind unchanged checkpoint bytes.
+        ``disk_text(values)``, when given, is the codec's bulk form for
+        the writer: the JSON text of ``to_disk(value)`` for each value
+        of a list, byte for byte what the encoder writes.
         Register it before the handle holds state (an operator's
         constructor: the engine restores after building the plan)."""
         self._to_disk, self._from_disk = to_disk, from_disk
+        self._disk_text = disk_text
+
+    def _disk_records(self, records) -> tuple:
+        """``(records, text)`` for :meth:`StateFileWriter.chunks` from
+        ``(encoded, in-memory value)`` records: the values cross the
+        codec one by one, or in bulk in the writer when it has a text
+        form."""
+        if self._disk_text is None and self._to_disk is not None:
+            records = ((encoded, self._disk_value(value))
+                       for encoded, value in records)
+        return records, self._disk_text
 
     def _disk_value(self, value):
         """A value (or ``TOMBSTONE``) as a checkpoint record holds it."""
@@ -306,24 +366,26 @@ class OperatorStateHandle:
     # ------------------------------------------------------------------
     # Buffered-row accounting (monitoring, §7.4)
     # ------------------------------------------------------------------
-    def set_row_count(self, fn) -> None:
-        """Register ``fn(value) -> rows`` for operators whose values
-        buffer several rows per key (a join side's entry list).  ``rows``
-        then follows every put/remove incrementally; without it a key
-        counts as one row."""
-        self._row_fn = fn
+    def set_row_count(self, stride: int) -> None:
+        """Count buffered rows for operators whose values hold several
+        rows per key (a join side's): a value of ``len`` n holds
+        ``n // stride`` rows.  ``rows`` then follows every put/remove
+        incrementally; without it a key counts as one row."""
+        self._row_stride = stride
         self._recount_rows()
 
     def _recount_rows(self) -> None:
         """Re-derive the row total from the working state (restore)."""
-        fn = self._row_fn
-        self._num_rows = 0 if fn is None else sum(
-            fn(value) for value in self.data.values())
+        self._num_rows = self._rows_of(self.data.values())
+
+    def _rows_of(self, values) -> int:
+        stride = self._row_stride
+        return 0 if stride is None else sum(map(len, values)) // stride
 
     @property
     def rows(self) -> int:
         """Rows buffered in this handle (== keys unless sized)."""
-        return self._num_keys if self._row_fn is None else self._num_rows
+        return self._num_keys if self._row_stride is None else self._num_rows
 
     # ------------------------------------------------------------------
     # Expiry index (watermark eviction without full scans)
@@ -459,22 +521,15 @@ class OperatorStateHandle:
         before the next mutation of this handle, after which ``writer``
         knows the file's size.
         """
-        kind, records, written = self._commit_records()
-        writer = StateFileWriter(kind.partition(".")[0], version)
-        return kind, writer, writer.chunks(records), written
-
-    def _commit_records(self):
-        """``(kind, records sorted by encoded key, keys written)``."""
         if self._wants_base():
             kind, records, written = (
                 statefile.BASE, self._sorted_items(), self._num_keys)
         else:
             kind, records = statefile.DELTA, self._sorted_changes()
             written = len(self.dirty) + len(self.removed)
-        if self._to_disk is not None:
-            records = ((encoded, self._disk_value(value))
-                       for encoded, value in records)
-        return kind, records, written
+        writer = StateFileWriter(kind.partition(".")[0], version)
+        records, text = self._disk_records(records)
+        return kind, writer, writer.chunks(records, text=text), written
 
     def _finish_commit(self, version: int, kind: str, size: int,
                        written: int) -> dict:

@@ -54,6 +54,7 @@ import json
 import os
 from array import array
 from bisect import bisect_right
+from operator import itemgetter
 
 import numpy as np
 
@@ -199,7 +200,7 @@ class SortedRun:
 
     @classmethod
     def create(cls, directory: str, seq: int, items,
-               count_hint: int = None) -> "SortedRun":
+               count_hint: int = None, text=None) -> "SortedRun":
         """Write a run from ``(encoded_key, value)`` pairs in key order.
 
         ``items`` may be a one-shot iterator (compaction merges stream);
@@ -208,6 +209,8 @@ class SortedRun:
         sizes the bloom filter when the final count is unknown upfront
         (a compaction merge dedupes as it streams); it must be an upper
         bound and deterministic, since the filter bytes are persisted.
+        ``text`` is a value codec's bulk form (see
+        :meth:`~repro.streaming.statefile.StateFileWriter.chunks`).
         """
         path = cls.run_path(directory, seq)
         bloom_m = _bloom_bits(count_hint) if count_hint is not None else None
@@ -248,7 +251,7 @@ class SortedRun:
             state["max"] = encoded
 
         writer = StateFileWriter("run", seq)
-        atomic_write_stream(path, writer.chunks(items, observe))
+        atomic_write_stream(path, writer.chunks(items, observe, text))
         count = writer.count
         final_m = bloom_m if bloom_m is not None else _bloom_bits(count)
         if state["bits"] is None:
@@ -389,6 +392,16 @@ class TieredOperatorStateHandle(OperatorStateHandle):
             value = self._probe_runs(encoded)
         return default if value is _MISS or value is TOMBSTONE else value
 
+    def get_many(self, encoded) -> list:
+        if metrics._registry is not None:
+            metrics._registry.counter("state.gets").inc(len(encoded))
+        return list(map(self._read, encoded))
+
+    def _put_many(self, puts) -> None:
+        # One at a time: a put may probe the runs and seal the memtable.
+        for encoded, key, value in puts:
+            self._put(encoded, key, value)
+
     def _put(self, encoded: str, key, value) -> None:
         if metrics._registry is not None:
             metrics._registry.counter("state.puts").inc()
@@ -406,9 +419,9 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         self.data[encoded] = value
         if not was_live:
             self._num_keys += 1
-        if self._row_fn is not None:
-            self._num_rows += self._row_fn(value) - (
-                self._row_fn(prior) if was_live else 0)
+        if self._row_stride is not None:
+            self._num_rows += (len(value) - (
+                len(prior) if was_live else 0)) // self._row_stride
         self.dirty.add(encoded)
         self.removed.discard(encoded)
         if self._expiry_fn is not None:
@@ -433,8 +446,8 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         # still sitting in a run, and flush with the next seal.
         self.data[encoded] = TOMBSTONE
         self._num_keys -= 1
-        if self._row_fn is not None:
-            self._num_rows -= self._row_fn(prior)
+        if self._row_stride is not None:
+            self._num_rows -= len(prior) // self._row_stride
         self.dirty.discard(encoded)
         self.removed.add(encoded)
         self.expiry.pop(encoded, None)
@@ -484,9 +497,8 @@ class TieredOperatorStateHandle(OperatorStateHandle):
             yield decode_key(encoded)
 
     def _recount_rows(self) -> None:
-        fn = self._row_fn
-        self._num_rows = 0 if fn is None else sum(
-            fn(value) for _encoded, value in self._iter_merged())
+        self._num_rows = self._rows_of(
+            value for _encoded, value in self._iter_merged())
 
     def _rebuild_expiry_index(self) -> None:
         self.expiry = {}
@@ -509,15 +521,15 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         Dirty/removed tracking is untouched: it tracks the *commit*
         delta, which is independent of where a value physically lives.
         """
-        items = [(encoded, self._disk_value(value))
-                 for encoded, value in self.data.items()]
+        items, text = self._disk_records(self.data.items())
+        items = sorted(items, key=itemgetter(0))
         if not items:
             return
-        items.sort()
         fault_point("state.flush_crash",
                     operator=os.path.basename(self._directory),
                     seq=self._next_seq, entries=len(items))
-        run = SortedRun.create(self._runs_dir, self._next_seq, items)
+        run = SortedRun.create(self._runs_dir, self._next_seq, items,
+                               text=text)
         self._next_seq += 1
         self._runs.insert(0, run)
         self.data.clear()

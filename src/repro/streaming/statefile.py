@@ -42,6 +42,8 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from repro.storage import bind_encoder, read_json
 
@@ -110,13 +112,16 @@ class StateFileWriter:
         self.records_end = 0
         self.sha256 = None
 
-    def chunks(self, records, observe=None):
+    def chunks(self, records, observe=None, text=None):
         """Yield the framed file for ``(encoded_key, value)`` pairs in
         key order (``value is TOMBSTONE`` for a removed key).
 
         ``observe(encoded_key, offset)`` is called with the byte offset
         each record line starts at (the tiered backend builds its sparse
-        index and bloom filter from it).
+        index and bloom filter from it).  ``text(values)``, a value
+        codec's bulk form, returns the JSON text ``encode`` would write
+        for each value of a list; with it the records hold values that
+        are not yet JSON, and reach ``text`` a chunk at a time.
         """
         digest = hashlib.sha256()
         encode = _file_encoder()
@@ -124,30 +129,51 @@ class StateFileWriter:
                          "version": self.version}) + "\n"
         offset = len(header)
         count = 0
-        lines = [header]
-        for encoded, value in records:
-            if observe is not None:
-                observe(encoded, offset)
-            if value is TOMBSTONE:
-                line = encode([encoded]) + "\n"
+        head = header
+        records = iter(records)
+        while True:
+            block = list(islice(records, _CHUNK_LINES))
+            if not block:
+                break
+            if text is None:
+                lines = [encode([encoded]) + "\n" if value is TOMBSTONE
+                         else encode([encoded, value]) + "\n"
+                         for encoded, value in block]
             else:
-                line = encode([encoded, value]) + "\n"
-            offset += len(line)
-            count += 1
-            lines.append(line)
-            if len(lines) >= _CHUNK_LINES:
-                chunk = "".join(lines)
-                lines = []
-                digest.update(chunk.encode("ascii"))
-                yield chunk
-        chunk = "".join(lines)
-        digest.update(chunk.encode("ascii"))
+                lines = _text_lines(block, text)
+            if observe is None:
+                offset += sum(map(len, lines))
+            else:
+                for (encoded, _value), line in zip(block, lines):
+                    observe(encoded, offset)
+                    offset += len(line)
+            count += len(block)
+            chunk = head + "".join(lines)
+            head = ""
+            digest.update(chunk.encode("ascii"))
+            yield chunk
+        digest.update(head.encode("ascii"))
         self.count = count
         self.records_end = offset
         self.sha256 = digest.hexdigest()
         trailer = encode({"count": count, "sha256": self.sha256}) + "\n"
         self.bytes = offset + len(trailer)
-        yield chunk + trailer
+        yield head + trailer
+
+
+def _text_lines(block, text) -> list:
+    """Record lines of ``block`` with live values written by ``text``:
+    byte for byte ``encode([key, value])``, the key being one ASCII JSON
+    string."""
+    live = [value for _encoded, value in block if value is not TOMBSTONE]
+    if len(live) == len(block):
+        return list(map("[{},{}]\n".format,
+                        map(_encode_str, [encoded for encoded, _ in block]),
+                        text(live)))
+    texts = iter(text(live))
+    return ["[" + _encode_str(encoded) + "]\n" if value is TOMBSTONE
+            else "[" + _encode_str(encoded) + "," + next(texts) + "]\n"
+            for encoded, value in block]
 
 
 @contextmanager

@@ -38,6 +38,8 @@ from repro.streaming.state import MIN_FILE_WEIGHT, OperatorStateHandle
 from repro.streaming.state_lsm import TieredOperatorStateHandle
 from repro.testing.oracle import batch_recompute, canonical_rows
 
+from tests.test_join_layouts import write_back
+
 # ----------------------------------------------------------------------
 # Join state = integral of the input Z-set
 # ----------------------------------------------------------------------
@@ -158,24 +160,32 @@ def test_join_state_is_the_integral_of_its_input(tmp_path_factory, history,
 
 
 def test_consolidate_nets_weights_and_keeps_negatives():
-    # A side's value is one flat tuple of rows: here three columns, the
-    # weight last, and no matched flags (an inner join keeps none).
+    # The join kernel's write-back of one key of a weighted side: three
+    # columns, the weight last, and no matched flags (an inner join
+    # keeps none; analysis refuses an outer join over a weighted stream).
     layout = _SideLayout(3, False, 2)
     stored = ("a", 1, 1, "a", 2, 1)
-    value = stored + ("a", 1, -1, "a", 1, 1, "a", 2, 1, "a", 3, -1)
+    new = [("a", 1, -1), ("a", 1, 1), ("a", 2, 1), ("a", 3, -1)]
     # a/1: +1 -1 +1 = 1; a/2: multiplicity 2; a/3: a delete ahead of
     # its insert stays.
-    assert layout.consolidate(value) == ("a", 1, 1, "a", 2, 2, "a", 3, -1)
-    # Nothing merges: the same object back.
-    assert layout.consolidate(stored) is stored
-    assert _SideLayout(2, False, 1).consolidate(("x", 1, "x", -1)) == ()
-    # With matched flags (outer joins) a merged row is matched if any
-    # of its parts was.
-    assert _SideLayout(2, True, 1).consolidate(
-        ("x", 1, False, "y", 1, False, "x", 1, True)) == (
-        "x", 2, True, "y", 1, False)
-    # The append-only path is untouched: same object back.
-    assert _SideLayout(3, False, None).consolidate(value) is value
+    assert write_back(layout, stored, new) == (
+        "a", 1, 1, "a", 2, 2, "a", 3, -1)
+    # The insert arriving in a later epoch nets the negative row away,
+    # and one netting against two rows leaves one.
+    held = ("a", 1, 1, "a", 3, -1)
+    assert write_back(layout, held, [("a", 3, 1)]) == ("a", 1, 1)
+    assert write_back(layout, held, [("a", 3, 1), ("a", 3, 1)]) == (
+        "a", 1, 1, "a", 3, 1)
+    # A merge that nets to the stored rows writes nothing.
+    assert write_back(layout, stored, [("a", 2, 1), ("a", 2, -1)]) is None
+    # A key netting to nothing is removed.
+    assert write_back(_SideLayout(2, False, 1), ("x", 1), [("x", -1)]) == ()
+    # Nothing merges: the stored rows, then the new ones.
+    assert write_back(layout, stored, [("a", 3, 1)]) == stored + (
+        "a", 3, 1)
+    # The append-only path never merges.
+    assert write_back(_SideLayout(3, False, None), stored, new) == (
+        stored + tuple(cell for row in new for cell in row))
 
 
 CELLS = st.one_of(st.integers(), st.floats(), st.text(max_size=3),
@@ -807,7 +817,7 @@ def test_legacy_tiered_runs_restore_and_compact_forward(tmp_path):
     directory = str(tmp_path / "op")
     _materialize(directory, LEGACY_TIERED)
     handle = TieredOperatorStateHandle(directory, memtable_bytes=10_000)
-    handle.set_row_count(len)
+    handle.set_row_count(1)
     assert handle.restore(1) == 1
     assert handle.get(("a",)) is None       # tombstoned in run 1
     assert handle.get(("b",)) == [[["b", 2, 1], False], [["b", 3, 1], False]]
