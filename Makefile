@@ -67,7 +67,7 @@ fault-sweep:
 # HYPOTHESIS_PROFILE=dev|ci|nightly (tests/conftest.py) sets how hard
 # they search — CI's scheduled oracle-nightly job runs `nightly`.
 oracle:
-	$(PY) -m pytest tests/test_property_based.py tests/test_property_based_extra.py tests/test_state_durability.py tests/test_engine_equivalence.py tests/test_join_bulk.py tests/test_join_checkpoint_text.py -q
+	$(PY) -m pytest tests/test_property_based.py tests/test_property_based_extra.py tests/test_state_durability.py tests/test_engine_equivalence.py tests/test_join_bulk.py tests/test_join_layouts.py tests/test_dedup_bulk.py tests/test_join_checkpoint_text.py -q
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; $(PY) $$f > /dev/null || exit 1; done

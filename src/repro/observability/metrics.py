@@ -238,10 +238,6 @@ class MetricsRegistry:
             for name, metric in sorted(self._metrics.items())
         }
 
-    def reset(self) -> None:
-        with self._lock:
-            self._metrics.clear()
-
     def to_openmetrics(self) -> str:
         """The registry in the OpenMetrics / Prometheus text exposition
         format (one ``# TYPE`` per family, ``# EOF`` terminator).
@@ -412,12 +408,6 @@ def observe(name: str, value) -> None:
     """Record one histogram observation (no-op unless installed)."""
     if _registry is not None:
         _registry.histogram(name).record(value)
-
-
-def observe_many(name: str, values) -> None:
-    """Record a batch of histogram observations (no-op unless installed)."""
-    if _registry is not None:
-        _registry.histogram(name).record_many(values)
 
 
 def snapshot() -> dict:

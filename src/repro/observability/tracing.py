@@ -60,9 +60,6 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    def spans_named(self, name: str) -> list:
-        return [s for s in self.spans if s["name"] == name]
-
     def spans_for_epoch(self, epoch: int) -> list:
         """Spans tagged with ``epoch`` (via span attrs), oldest first."""
         return [s for s in self.spans if s.get("args", {}).get("epoch") == epoch]

@@ -9,7 +9,7 @@ output mode is valid for this specific query.
 from __future__ import annotations
 
 from repro.sql import logical as L
-from repro.sql.expressions import AnalysisError, WindowExpr
+from repro.sql.expressions import AnalysisError
 from repro.sql.types import WEIGHT_COLUMN
 
 OUTPUT_MODES = ("append", "update", "complete", "retract")
@@ -301,11 +301,3 @@ def _check_windows_have_watermark_for_append(aggregates, output_mode: str) -> No
                 "windowed aggregation in append mode requires with_watermark "
                 "on the window's time column (§4.3.1)"
             )
-
-
-def find_window(plan: L.LogicalPlan) -> WindowExpr:
-    """Return the single window expression in the plan, or None."""
-    for agg in plan.collect_nodes(L.Aggregate):
-        if agg.window is not None:
-            return agg.window
-    return None

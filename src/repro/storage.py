@@ -65,11 +65,6 @@ class SyncGroup:
         with self._lock:
             self._dirs.add(os.path.dirname(path) or ".")
 
-    @property
-    def pending_dirs(self) -> list:
-        with self._lock:
-            return sorted(self._dirs)
-
     def sync(self) -> int:
         """fsync every pending directory once; returns how many."""
         with self._lock:

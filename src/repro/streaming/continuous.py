@@ -37,6 +37,11 @@ from repro.streaming.wal import WriteAheadLog
 from repro.streaming.watermark import WatermarkTracker
 from repro.testing.faults import fault_point
 
+#: Records a worker reads from its partition per chunk, at most.
+MAX_CHUNK = 1024
+#: Seconds a worker sleeps when its partition has no new records.
+POLL_INTERVAL = 0.0002
+
 
 class UnsupportedContinuousQueryError(Exception):
     """Raised for queries the continuous engine cannot run (non-map-like)."""
@@ -64,16 +69,14 @@ class _PartitionWorker:
     def _run(self) -> None:
         engine = self.engine
         source = engine.source
-        max_chunk = engine.max_chunk
-        poll = engine.poll_interval
         schema = engine.plan.read_schemas.get(engine.source_name)
         try:
             while not engine._stop_event.is_set():
                 end = source.latest_offsets().get(self.partition, self.position)
                 if end <= self.position:
-                    time.sleep(poll)
+                    time.sleep(POLL_INTERVAL)
                     continue
-                hi = min(end, self.position + max_chunk)
+                hi = min(end, self.position + MAX_CHUNK)
                 with tracing.trace_span(self._span_name):
                     batch = source.get_partition_batch(
                         self.partition, self.position, hi, schema)
@@ -97,9 +100,7 @@ class ContinuousEngine:
     """Continuous-mode execution of a map-like streaming query."""
 
     def __init__(self, plan, sink, output_mode: str, checkpoint_dir: str,
-                 epoch_interval: float = 1.0, max_chunk: int = 1024,
-                 poll_interval: float = 0.0002,
-                 latency_column: str = None, latency_clock=time.monotonic):
+                 epoch_interval: float = 1.0, latency_column: str = None):
         if output_mode != "append":
             raise UnsupportedContinuousQueryError(
                 "continuous processing supports append mode only"
@@ -107,8 +108,6 @@ class ContinuousEngine:
         self.sink = sink
         self.output_mode = output_mode
         self.epoch_interval = epoch_interval
-        self.max_chunk = max_chunk
-        self.poll_interval = poll_interval
 
         # Continuous workers each own their input partition and run
         # map-like pipelines only, so the state store stays empty.
@@ -152,13 +151,12 @@ class ContinuousEngine:
 
         #: Per-record event-time -> sink latency (§9.3's headline metric).
         #: Recorded vectorized per chunk against ``latency_column`` (a
-        #: wall-clock stamp measured by ``latency_clock``): explicitly
+        #: ``time.monotonic`` stamp): explicitly
         #: via ``.option("latency_column", ...)``, or auto-detected from
         #: a ``publish_time``/``send_time`` output column while the
         #: observability layer is enabled.  p50/p95/p99 surface through
         #: EpochProgress and the monitor CLI.
         self.latency_histogram = Histogram("continuous.record_latency_seconds")
-        self._latency_clock = latency_clock
         self._latency_explicit = latency_column is not None
         names = set(self.plan.root.output_schema.names)
         if latency_column is not None:
@@ -264,7 +262,7 @@ class ContinuousEngine:
         if column is None or not (
                 self._latency_explicit or observability.active()):
             return
-        now = self._latency_clock()
+        now = time.monotonic()
         lags = now - np.asarray(batch.columns[column], dtype=np.float64)
         self.latency_histogram.record_many(np.maximum(lags, 0.0))
         registry = metrics.active()

@@ -1,8 +1,9 @@
-"""How a stream–stream join side buffers its rows in one state value
-per key (§5.2), and the join's epoch kernel over them.
+"""The keyed multiset — DBSP's indexed Z-set, key → {row: weight} —
+that a stream–stream join side and a weighted dedup keep in one state
+value per key (§5.2), and the epoch kernels over it.
 
-Two encodings sit behind one interface, chosen per side at plan time
-from the side's schema by :func:`side_layout`:
+Two encodings sit behind one interface, chosen per operator at plan
+time from its input schema by :func:`side_layout`:
 
 * :class:`_PackedSideLayout` — every column fixed-width (``long``,
   ``integer``, ``double``, ``timestamp``, ``boolean``): a key's value is
@@ -11,18 +12,20 @@ from the side's schema by :func:`side_layout`:
   rows in its state store;
 * :class:`_SideLayout` — any other side: one flat tuple of cells.
 
-Either way the state handle's value codec (``to_disk``/``from_disk``)
-maps a value to the same nested ``[[row_values, matched], ...]``
-records, so the encoding never reaches a checkpoint byte.
+A row's weight field holds its net weight (join) or live count
+(dedup).  The handle's value codec maps a value to the records the
+operator always wrote — a join side's ``[[row_values, matched], ...]``
+(``to_disk``/``from_disk``), a dedup's ``[total, [[count, row], ...]]``
+(:func:`multiset_codec`) — so the encoding never reaches a checkpoint.
 
-:func:`probe` runs an epoch of the join as array programs over both
-layouts: the stored values of the delta's keys become one structured
-row array per side, and the pairs, the output batch, the matched flags
-and the consolidated write-back are computed over those arrays, never a
-Python object per row or per pair.
+The kernels are array programs over one structured row array of an
+epoch's stored and new rows (:class:`_Side`), never a Python object per
+row or per pair: :func:`probe` runs a join epoch, :func:`evict` a
+``within`` eviction, :func:`dedup` a weighted dedup epoch (whose delta
+is the epoch's net change per key).
 
-Imported only where a stream–stream join is built, so a query without
-one never compiles this module.
+Imported only where a stream–stream join or a weighted dedup is built,
+so a query without one never compiles this module.
 """
 
 from __future__ import annotations
@@ -115,13 +118,6 @@ class _SideLayout:
         """Rows buffered in one key's value."""
         return len(value) // self.stride
 
-    def _rows(self, value) -> list:
-        stride = self.stride
-        return [value[i:i + stride] for i in range(0, len(value), stride)]
-
-    def _build(self, rows):
-        return tuple(chain.from_iterable(rows))
-
     def gather(self, values) -> np.ndarray:
         """The rows of ``values`` (a list), back to back, as one array:
         one flat tuple, cut a field at a time."""
@@ -174,21 +170,6 @@ class _SideLayout:
         return (lambda _key, value:
                 min(value[time_idx::stride]) + skew if value else None)
 
-    def evict(self, value, time_idx: int, skew, bound) -> tuple:
-        """Split ``value`` at the other side's watermark ``bound``:
-        ``(kept value, expired unmatched rows)``, a row expiring once
-        its time plus ``skew`` is at most ``bound``.  The expired rows
-        come as ``width``-value tuples, matched ones left out (an inner
-        join tracks no flags, so all of them)."""
-        width, tracked = self.width, self.tracked
-        keep, unmatched = [], []
-        for row in self._rows(value):
-            if row[time_idx] + skew > bound:
-                keep.append(row)
-            elif not (tracked and row[width]):
-                unmatched.append(row[:width])
-        return self._build(keep) if keep else self.empty, unmatched
-
 
 class _PackedSideLayout(_SideLayout):
     """The packed encoding: a key's value is one ``bytes`` object, its
@@ -220,13 +201,6 @@ class _PackedSideLayout(_SideLayout):
 
     def describe(self) -> str:
         return f"packed {self._struct.format} ({self.stride} B/row)"
-
-    def _rows(self, value) -> list:
-        return list(self._struct.iter_unpack(value))
-
-    def _build(self, rows) -> bytes:
-        pack = self._struct.pack
-        return b"".join([pack(*row) for row in rows])
 
     def gather(self, values) -> np.ndarray:
         return np.frombuffer(b"".join(values), self.dtype)
@@ -290,6 +264,44 @@ def _cut(flat, sizes, build=None) -> list:
     return pieces
 
 
+def multiset_codec(layout) -> tuple:
+    """``(to_disk, from_disk)`` of a weighted dedup's values in
+    ``layout``, whose weight field holds a row's live count: the
+    checkpoint record of a value is ``[total, [[count, row], ...]]``,
+    each row with its weight cell 1."""
+    w = layout.weight
+
+    def to_disk(value) -> tuple:
+        entries = [(row[w], (*row[:w], 1, *row[w + 1:]))
+                   for row, _matched in layout.to_disk(value)]
+        return sum(count for count, _row in entries), entries
+
+    def from_disk(record):
+        return layout.from_disk([((*row[:w], count, *row[w + 1:]), False)
+                                 for count, row in record[1]])
+
+    return to_disk, from_disk
+
+
+def evict(layout, values, time_idx: int, skew, bound) -> tuple:
+    """Split ``values`` (a sequence) at the other side's watermark
+    ``bound``: ``(kept values, expired unmatched rows as one row
+    array)``, a row expiring once its time plus ``skew`` is at most
+    ``bound``.  Matched rows are left out of the expired ones (an inner
+    join tracks no flags, so none is)."""
+    table = layout.gather(values)
+    counts = np.fromiter(map(len, values), np.int64, len(values))
+    row_key = np.repeat(np.arange(len(values)),
+                        counts // layout.stride)
+    keep = table[f"f{time_idx}"].astype(np.float64) + skew > bound
+    expired = ~keep
+    if layout.tracked:
+        expired &= ~table[f"f{layout.width}"]
+    kept = layout.values(table[keep], np.bincount(row_key[keep],
+                                                  minlength=len(values)))
+    return kept, table[expired]
+
+
 # ----------------------------------------------------------------------
 # The epoch kernel
 # ----------------------------------------------------------------------
@@ -348,6 +360,73 @@ def probe(op, new_left: RecordBatch, new_right: RecordBatch,
             puts += side_puts
             removes += side_removes
     return writes, matched, 0
+
+
+def dedup(op, batch: RecordBatch) -> tuple:
+    """Pure keyed kernel: one epoch of ``op``, a ``StreamingDedupOp``
+    over a weighted child, on the delta ``batch``.
+
+    A key's value holds its live rows in ``op._layout``, a row's count
+    in its weight field, in slot order: the first is the representative
+    batch ``drop_duplicates`` keeps.  The delta is grouped by the
+    subset's key (keys that encode alike share one); each key's stored
+    rows, then its new ones in delta order, form one row array.  Counts
+    run per row identity in that order: a row takes a slot, at the end,
+    when its count leaves zero — so one that returns to zero inside the
+    epoch re-registers at its next insert, ``zset.apply_zset``'s order —
+    and a count below zero raises ``ValueError``.
+
+    Returns ``(writes, [delta] or [], 0)``: each key with live rows is
+    put, one left with none removed, and the delta is the epoch's net
+    change per key in probe-key order — ``-1`` old representative,
+    ``+1`` new one, nothing when the two are one row identity.
+    """
+    layout, weight = op._layout, op._layout.weight
+    group = _groups(batch, op._node.subset, False)
+    keys, encoded, _joinable, (slot,) = _probe_keys([group])
+    k = len(keys)
+    side = _Side(layout, op.state, encoded,
+                 _delta(batch, group[0], slot, k), slice(0, k))
+    codes, n = side.identities(slice(None))
+    # Each identity's rows in table order, and its count after each.
+    by = np.argsort(codes, kind="stable")
+    weights = side.take(weight, by, np.int64)
+    sizes = np.bincount(codes, minlength=n)
+    ends = np.cumsum(sizes)
+    total = np.cumsum(weights)
+    count = total - np.repeat(total[ends - sizes] - weights[ends - sizes],
+                              sizes)
+    if (count < 0).any():
+        key = keys[side.row_key[by[count < 0].min()]]
+        raise ValueError("retraction of a row never added: dedup key "
+                         f"{key!r} has no live row matching the -1 delta")
+    # The slot a live identity holds is the last one it took.
+    took = np.where((count == weights) & (weights > 0),
+                    np.arange(len(by)), -1)
+    live = np.flatnonzero(count[ends - 1] > 0)
+    slots = by[np.maximum.accumulate(took)[ends[live] - 1]]
+    order = np.argsort(slots)
+    slots = slots[order]
+    rows = side.table[slots]
+    rows[f"f{weight}"] = count[ends[live] - 1][order]
+    held = np.bincount(side.row_key[slots], minlength=k)
+    values = layout.values(rows, held)
+    puts = [put for put in zip(encoded, keys, values) if put[2]]
+    removes = [(enc, key) for enc, key, value, stored in zip(
+        encoded, keys, values, side.sc.tolist()) if stored and not value]
+    # Per key: the stored representative out, the new one in.
+    old = np.where(side.sc > 0, side.ts, -1)
+    new = np.full(k, -1)
+    new[held > 0] = slots[(np.cumsum(held) - held)[held > 0]]
+    same = (old >= 0) & (new >= 0) & (codes[old] == codes[new])
+    positions = np.stack([old, new], axis=1).ravel()
+    emit = (positions >= 0) & ~np.repeat(same, 2)
+    if not emit.any():
+        return [(puts, removes)], [], 0
+    positions = positions[emit]
+    return [(puts, removes)], [_take_batch(
+        op.output_schema, [(side, i, positions) for i in range(layout.width)],
+        weight, np.tile(np.array([-1, 1]), k)[emit])], 0
 
 
 def _delta(batch: RecordBatch, codes, slot, k: int) -> tuple:
@@ -430,8 +509,8 @@ def _probe_keys(groups) -> tuple:
 
 
 class _Side:
-    """One side's rows for a span of the epoch's probe keys, as one
-    structured row array (``table``, in the layout's ``dtype``): key
+    """One join side's (or a dedup's) rows for a span of the epoch's
+    probe keys, as one structured row array (``table``, in the layout's ``dtype``): key
     ``k``'s ``sc[k]`` buffered rows, then its ``nc[k]`` new ones,
     ``ts[k]`` the first."""
 
@@ -532,23 +611,16 @@ class _Side:
                     removes.append((enc, key))
         return puts, removes
 
-    def _consolidate(self, keep) -> tuple:
-        """Consolidate the keys with new rows (see :meth:`write_back`):
-        updates ``keep`` in place, returns ``(weights of the rows kept,
-        keys where rows merged)`` — ``(None, None)`` when nothing
-        merged."""
-        layout, row_key = self.layout, self.row_key
-        assert not layout.tracked
-        # Only a key with new rows, and with two rows or more, can merge.
-        mergeable = (self.nc > 0) & (self.tc > 1)
-        candidates = np.flatnonzero(mergeable[row_key])
-        if not len(candidates):
-            return None, None
-        identity = [row_key[candidates]]
+    def identities(self, positions) -> tuple:
+        """``(codes, count)`` grouping the rows at ``positions`` by key
+        and row identity: the row without its weight, with −0.0 folded
+        to 0.0 and NaN to one null."""
+        layout = self.layout
+        identity = [self.row_key[positions]]
         for i in range(layout.width):
             if i == layout.weight:
                 continue
-            column = self.take(i, candidates, np.float64
+            column = self.take(i, positions, np.float64
                                if i in layout.floats else None)
             if column.dtype == np.float64:  # −0.0 already equals 0.0
                 null = np.isnan(column)
@@ -562,7 +634,22 @@ class _Side:
             codes, uniques = encode_groups(
                 [np.fromiter(map(hashable_value, c), object, len(c))
                  if c.dtype == object else c for c in identity])
-        if len(uniques) == len(candidates):
+        return codes, len(uniques)
+
+    def _consolidate(self, keep) -> tuple:
+        """Consolidate the keys with new rows (see :meth:`write_back`):
+        updates ``keep`` in place, returns ``(weights of the rows kept,
+        keys where rows merged)`` — ``(None, None)`` when nothing
+        merged."""
+        layout, row_key = self.layout, self.row_key
+        assert not layout.tracked
+        # Only a key with new rows, and with two rows or more, can merge.
+        mergeable = (self.nc > 0) & (self.tc > 1)
+        candidates = np.flatnonzero(mergeable[row_key])
+        if not len(candidates):
+            return None, None
+        codes, count = self.identities(candidates)
+        if count == len(candidates):
             return None, None
         by_code = np.argsort(codes, kind="stable")
         sizes = np.bincount(codes)
@@ -617,13 +704,15 @@ def _pair_batch(op, left: _Side, right: _Side, lpos, rpos) -> RecordBatch:
                                 for a in (lpos, rpos, sign))
     sources = [(left, i, lpos) for i in range(left.layout.width)]
     sources += [(right, i, rpos) for i in op._rest_idx]
+    return _take_batch(op._inner, sources, slot, sign)
+
+
+def _take_batch(schema, sources, slot, sign) -> RecordBatch:
+    """A batch of ``schema``: column ``j`` is ``sources[j]``, a ``(side,
+    field index, positions)`` take, but column ``slot`` is ``sign``."""
     columns = {}
-    for idx, (field, (side, i, positions)) in enumerate(
-            zip(op._inner, sources)):
+    for j, (field, (side, i, positions)) in enumerate(zip(schema, sources)):
         dtype = field.data_type.numpy_dtype
-        if idx == slot:
-            columns[field.name] = sign.astype(dtype)
-        else:
-            columns[field.name] = side.take(
-                i, positions, None if dtype is object else dtype)
-    return RecordBatch(columns, op._inner)
+        columns[field.name] = (sign.astype(dtype) if j == slot else side.take(
+            i, positions, None if dtype is object else dtype))
+    return RecordBatch(columns, schema)

@@ -714,10 +714,6 @@ class MicrobatchEngine:
                 return results
             results.append(progress)
 
-    def result_batch_schema(self):
-        """Schema of the query's output rows."""
-        return self.plan.root.output_schema
-
     def empty_result(self) -> RecordBatch:
         """An empty output batch (schema carrier)."""
         return RecordBatch.empty(self.plan.root.output_schema)

@@ -666,18 +666,20 @@ class StreamingDedupOp(IncrementalOp):
     evicted (late duplicates would be dropped anyway).
 
     Over weighted (Z-set) input the op maintains the distinct table
-    under retraction: state per key is ``[total, [[count, row], ...]]``
-    — the multiset of live rows sharing the key, in first-insertion
-    order — and whenever a delta row changes the key's *representative*
-    (what batch ``drop_duplicates`` would keep: the earliest surviving
-    occurrence) the op emits ``-1`` old representative / ``+1`` new one.
+    under retraction.  State per key is the multiset of live rows
+    sharing the key, in the layout a weighted stream–stream join side
+    keeps (:mod:`repro.streaming.join_state`: a row's weight field is
+    its count), and the epoch runs as that module's bulk kernel
+    (:func:`~repro.streaming.join_state.dedup`).  Its delta is the
+    epoch's net change per key: ``-1`` old *representative* / ``+1``
+    new one, the representative being what batch ``drop_duplicates``
+    keeps (the earliest surviving occurrence).  A value codec keeps the
+    checkpoint record ``[total, [[count, row], ...]]``.
 
-    ``process`` is one body; the two kernels behind it share a
-    signature and result shape but stay separate on purpose.  Append-only
-    input needs only a seen-marker per key and is vectorised
-    (``encode_groups`` + ``np.unique``); weighted input needs the key's
-    live-row multiset and walks rows.  One merged kernel would branch on
-    its caller at every step and put the append dedup on a per-row path.
+    The two kernels stay separate on purpose: append-only input needs
+    only a seen-marker per key and is vectorised (``encode_groups`` +
+    ``np.unique``); weighted input needs the key's live-row multiset.
+    One merged kernel would branch on its caller at every step.
     """
 
     stateful = True
@@ -702,98 +704,37 @@ class StreamingDedupOp(IncrementalOp):
         if self.watermark_column is not None:
             # State values are the key's event time: expiry == value.
             self.state.set_expiry(lambda _key, value: value)
+        if self.weighted:
+            # Imported here: only a weighted dedup or a stream–stream
+            # join compiles it.
+            from repro.streaming import join_state
+
+            #: The weighted epoch's pure keyed kernel.
+            self._kernel = join_state.dedup
+            self._layout = join_state.side_layout(
+                child.output_schema, False,
+                child.output_schema.names.index(WEIGHT_COLUMN))
+            self.state.set_codec(*join_state.multiset_codec(self._layout))
 
     def process(self, ctx: EpochContext) -> RecordBatch:
         batch = self.child.process(ctx)
         if batch.num_rows == 0:
             return self._empty()
+        if self.weighted:
+            emits = apply_kernel(ctx, self._kernel(self, batch), [self.state])
+            return emits[0] if emits else self._empty()
         watermark = (
             ctx.watermarks.current(self.watermark_column)
             if self.watermark_column is not None else None
         )
-        kernel = (self._dedup_weighted if self.weighted
-                  else self._dedup_first_seen)
-        emits = apply_kernel(ctx, kernel(batch, watermark), [self.state])
+        emits = apply_kernel(ctx, self._dedup_first_seen(batch, watermark),
+                             [self.state])
         if watermark is not None:
             for key, _value in self.state.pop_expired(watermark):
                 self.state.remove(key)
         if not emits:
             return self._empty()
-        if not self.weighted:
-            return batch.take(np.asarray(emits, dtype=np.int64))
-        names = self.output_schema.names
-        rows = [dict(zip(names, values)) for values in emits]
-        return RecordBatch.from_rows(rows, self.output_schema)
-
-    def _dedup_weighted(self, batch: RecordBatch, _watermark) -> tuple:
-        """Pure keyed kernel: weighted dedup of the epoch's delta.
-
-        Returns ``(writes, emits, 0)`` with emits as row values in
-        output-schema order, the weight slot set to the emitted sign, in
-        the delta's row order.
-        """
-        names = batch.schema.names
-        subset_idx = [names.index(n) for n in self._node.subset]
-        weight_idx = names.index(WEIGHT_COLUMN)
-        data_idx = [i for i in range(len(names)) if i != weight_idx]
-        emits = []
-        rows = list(zip(*(batch.columns[n].tolist() for n in names)))
-        row_keys = [tuple(row[i] for i in subset_idx) for row in rows]
-        # Pre-epoch state by distinct key; ``local``: a private copy.
-        keys = list(dict.fromkeys(row_keys))
-        encoded = [encode_key(key) for key in keys]
-        stored = dict(zip(keys, self.state.get_many(encoded)))
-        local = {
-            key: ([[int(c), list(v)] for c, v in value[1]]
-                  if value is not None else [])
-            for key, value in stored.items()
-        }
-        for row, key in zip(rows, row_keys):
-            weight = int(row[weight_idx])
-            entries = local[key]
-            old_rep = entries[0][1] if entries else None
-            if weight > 0:
-                for e in entries:
-                    if all(e[1][i] == row[i] for i in data_idx):
-                        e[0] += 1
-                        break
-                else:
-                    canonical = list(row)
-                    canonical[weight_idx] = 1
-                    entries.append([1, canonical])
-            else:
-                for i, e in enumerate(entries):
-                    if all(e[1][i2] == row[i2] for i2 in data_idx):
-                        e[0] -= 1
-                        if e[0] == 0:
-                            del entries[i]
-                        break
-                else:
-                    raise ValueError(
-                        "retraction of a row never added: dedup key "
-                        f"{key!r} has no live row matching the -1 delta"
-                    )
-            new_rep = entries[0][1] if entries else None
-            if new_rep is not old_rep:
-                # Only count mutations keep the same list object, so
-                # identity tracks "the representative row changed".
-                if old_rep is not None:
-                    emitted = list(old_rep)
-                    emitted[weight_idx] = -1
-                    emits.append(emitted)
-                if new_rep is not None:
-                    emitted = list(new_rep)
-                    emitted[weight_idx] = 1
-                    emits.append(emitted)
-        puts, removes = [], []
-        for key, enc in zip(keys, encoded):
-            entries = local[key]
-            if not entries:
-                if stored[key] is not None:
-                    removes.append((enc, key))
-            else:
-                puts.append((enc, key, [sum(e[0] for e in entries), entries]))
-        return [(puts, removes)], emits, 0
+        return batch.take(np.asarray(emits, dtype=np.int64))
 
     def _dedup_first_seen(self, batch: RecordBatch, watermark) -> tuple:
         """Pure keyed kernel: first-seen rows of the epoch's delta.
@@ -855,9 +796,10 @@ class StreamStreamJoinOp(IncrementalOp):
     rows older than their own side's watermark are dropped as late at
     the input, and a buffered row is evicted once the *other* side's
     watermark passes its time plus the allowed skew — at which point it
-    is provably unmatchable, so outer joins can emit it null-padded.
-    Without a bound (inner joins only), no state is ever evicted, as in
-    Spark.
+    is provably unmatchable, so outer joins can emit it null-padded;
+    eviction masks the popped keys' rows as one row array
+    (:func:`repro.streaming.join_state.evict`).  Without a bound (inner
+    joins only), no state is ever evicted, as in Spark.
 
     Over a weighted (retraction) side the buffered state is the
     *integral* of that side's input Z-set (DBSP): entries are
@@ -866,10 +808,11 @@ class StreamStreamJoinOp(IncrementalOp):
     tracks the live rows, not the change history.
 
     A side's state value for a key is immutable, like the integral it
-    stands for: the key's buffered rows in the side's layout
-    (:mod:`repro.streaming.join_state`) — packed bytes when every column
-    is fixed-width, else one flat tuple — whose value codec keeps the
-    checkpoint records in their nested ``[[row, matched], ...]`` form.
+    stands for: the key's buffered rows in the keyed-multiset layout it
+    shares with weighted dedup (:mod:`repro.streaming.join_state`) —
+    packed bytes when every column is fixed-width, else one flat tuple
+    — whose value codec keeps the checkpoint records in their nested
+    ``[[row, matched], ...]`` form.
     A packed side also hands the checkpoint writer those records' text
     in bulk, column by column, byte for byte what the encoder writes.
     """
@@ -1026,54 +969,44 @@ class StreamStreamJoinOp(IncrementalOp):
         """
         if self.within is None:
             return []
+        from repro.streaming.join_state import evict
+
         left_col, right_col, skew = self.within
         parts = []
-        for side, state, layout, schema, own_col, other_watermark, \
-                emits_outer in (
-            ("left", self._left_state, self._left_layout,
-             self.left.output_schema, left_col,
-             ctx.watermarks.current(right_col), self._node.how == "left_outer"),
-            ("right", self._right_state, self._right_layout,
-             self.right.output_schema, right_col,
-             ctx.watermarks.current(left_col), self._node.how == "right_outer"),
-        ):
-            if other_watermark is None:
+        for side, state, layout, schema, own_col, other_col in (
+                ("left", self._left_state, self._left_layout,
+                 self.left.output_schema, left_col, right_col),
+                ("right", self._right_state, self._right_layout,
+                 self.right.output_schema, right_col, left_col)):
+            bound = ctx.watermarks.current(other_col)
+            popped = [] if bound is None else state.pop_expired(bound)
+            if not popped:
                 continue
-            time_index = schema.names.index(own_col)
-            unmatched_rows = []
-            for key, value in state.pop_expired(other_watermark):
-                keep, unmatched = layout.evict(
-                    value, time_index, skew, other_watermark)
-                # Only an outer join emits, and it keeps flags.
-                if emits_outer:
-                    unmatched_rows.extend(unmatched)
-                if keep:
-                    state.put(key, keep)
+            keys, values = zip(*popped)
+            kept, unmatched = evict(
+                layout, values, schema.names.index(own_col), skew, bound)
+            for key, value in zip(keys, kept):
+                if value:
+                    state.put(key, value)
                 else:
                     state.remove(key)
-            if unmatched_rows:
-                side_batch = RecordBatch.from_rows(
-                    [dict(zip(schema.names, v)) for v in unmatched_rows], schema
-                )
-                parts.append(self._null_padded(side_batch, side))
+            # Only an outer join emits, and it keeps flags.
+            if self._node.how == f"{side}_outer" and len(unmatched):
+                columns = {field.name: unmatched[f"f{i}"].astype(
+                    field.data_type.numpy_dtype)
+                    for i, field in enumerate(schema)}
+                parts.append(self._null_padded(RecordBatch(columns, schema),
+                                               side))
         return parts
 
     def _null_padded(self, batch: RecordBatch, side: str) -> RecordBatch:
         """Outer-join rows for evicted unmatched rows of one side."""
-        empty_other = RecordBatch.empty(
-            self.right.output_schema if side == "left" else self.left.output_schema
-        )
-        if side == "left":
-            indices = join_indices(batch, empty_other, self._node.on, "left_outer")
-            return assemble_join_output(
-                batch, empty_other, self._node.on, "left_outer",
-                self.output_schema, *indices,
-            )
-        indices = join_indices(empty_other, batch, self._node.on, "right_outer")
-        return assemble_join_output(
-            empty_other, batch, self._node.on, "right_outer",
-            self.output_schema, *indices,
-        )
+        how, on = f"{side}_outer", self._node.on
+        other = RecordBatch.empty(
+            (self.right if side == "left" else self.left).output_schema)
+        pair = (batch, other) if side == "left" else (other, batch)
+        return assemble_join_output(*pair, on, how, self.output_schema,
+                                    *join_indices(*pair, on, how))
 
 
 class MapGroupsWithStateOp(IncrementalOp):

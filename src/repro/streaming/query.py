@@ -14,11 +14,7 @@ import threading
 import time
 
 from repro.observability import metrics, tracing
-from repro.streaming.triggers import (
-    AvailableNowTrigger,
-    OnceTrigger,
-    ProcessingTimeTrigger,
-)
+from repro.streaming.triggers import AvailableNowTrigger, OnceTrigger
 
 
 class StreamingQuery:

@@ -37,10 +37,10 @@ Crash-consistency invariants:
   (plus never while this handle holds it open), so rollback to any
   retained manifest always finds its runs;
 * run sequence numbers restart from the restored manifest's
-  ``next_seq``, and flush boundaries are a pure function of the put
-  sequence — replay after a crash regenerates byte-identical runs and
-  manifests (the exactly-once sweep checks this at the fingerprint
-  level);
+  ``next_seq``, and flush boundaries are a pure function of the write
+  sequence, one ``apply`` counting as its set of writes — replay after
+  a crash regenerates byte-identical runs and manifests (the
+  exactly-once sweep checks this at the fingerprint level);
 * orphaned runs (flushed after the last durable manifest, or torn by a
   crash) are garbage-collected when the handle is next *constructed*,
   never during ``restore``.
@@ -54,6 +54,7 @@ import json
 import os
 from array import array
 from bisect import bisect_right
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -397,10 +398,16 @@ class TieredOperatorStateHandle(OperatorStateHandle):
             metrics._registry.counter("state.gets").inc(len(encoded))
         return list(map(self._read, encoded))
 
-    def _put_many(self, puts) -> None:
-        # One at a time: a put may probe the runs and seal the memtable.
-        for encoded, key, value in puts:
-            self._put(encoded, key, value)
+    def apply(self, puts, removes) -> None:
+        """The base contract, one write at a time (a write may probe the
+        runs and seal the memtable), puts and removes together in
+        encoded-key order: where one apply seals depends on its set of
+        writes, not on the order a kernel produced them in."""
+        for write in sorted(chain(puts, removes), key=itemgetter(0)):
+            if len(write) == 3:
+                self._put(*write)
+            else:
+                self._remove(write[0])
 
     def _put(self, encoded: str, key, value) -> None:
         if metrics._registry is not None:

@@ -12,14 +12,19 @@ inner schema (none when no pair matched), so the two can be compared
 row for row and write for write.
 
 The per-value helpers (``row_values``, ``flag_matched``,
-``consolidate``, ``delta_values``) are what the layouts offered one key
-at a time; the layout tests check the kernel's write-back of one key
-against ``flag_matched`` and ``consolidate``.
+``consolidate``, ``delta_values``, ``evict_value``) are what the layouts
+offered one key at a time; the layout tests check the kernel's
+write-back of one key against ``flag_matched`` and ``consolidate``, and
+its eviction against ``evict_value``.  ``evict(op, ctx)`` is the
+join's eviction a key at a time, read-only: it returns what the bulk
+``_evict`` must emit and write.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from itertools import chain
 
 from repro.sql.batch import RecordBatch
 from repro.sql.grouping import encode_groups
@@ -49,6 +54,22 @@ def delta_values(layout, columns, order, starts, ends) -> list:
         flat[i::stride] = column[order].tolist()
     return [tuple(flat[s * stride:e * stride])
             for s, e in zip(starts.tolist(), ends.tolist())]
+
+
+def unpack(layout, value) -> list:
+    """A value's rows as tuples of their ``stride`` cells, a tracked
+    side's flag last."""
+    if _packed(layout):
+        return list(layout._struct.iter_unpack(value))
+    stride = layout.stride
+    return [value[i:i + stride] for i in range(0, len(value), stride)]
+
+
+def pack(layout, rows):
+    """Invert :func:`unpack`."""
+    if _packed(layout):
+        return b"".join([layout._struct.pack(*row) for row in rows])
+    return tuple(chain.from_iterable(rows))
 
 
 def row_values(layout, value) -> list:
@@ -102,7 +123,7 @@ def consolidate(layout, value):
     tracked = layout.tracked
     folds = tuple(i - (i > weight_idx) for i in layout.floats
                   if i != weight_idx)
-    rows = layout._rows(value)
+    rows = unpack(layout, value)
     net = {}
     for row in rows:
         identity = row[:weight_idx] + row[weight_idx + 1:width]
@@ -130,7 +151,63 @@ def consolidate(layout, value):
         if tracked:
             row[width] = matched
         out.append(row)
-    return layout._build(out) if out else layout.empty
+    return pack(layout, out) if out else layout.empty
+
+
+def evict_value(layout, value, time_idx: int, skew, bound) -> tuple:
+    """Split ``value`` at the other side's watermark ``bound``:
+    ``(kept value, expired unmatched rows)``, a row expiring once its
+    time plus ``skew`` is at most ``bound``.  The expired rows come as
+    ``width``-value tuples, matched ones left out (an inner join tracks
+    no flags, so all of them)."""
+    width, tracked = layout.width, layout.tracked
+    keep, unmatched = [], []
+    for row in unpack(layout, value):
+        if row[time_idx] + skew > bound:
+            keep.append(row)
+        elif not (tracked and row[width]):
+            unmatched.append(row[:width])
+    return pack(layout, keep) if keep else layout.empty, unmatched
+
+
+def evict(op, ctx) -> tuple:
+    """The join's eviction for ``ctx``, computed from state without
+    touching it: ``(null-padded batches, per side {encoded key: kept
+    value, or None for a removed key})``.  The keys due are those whose
+    expiry has passed the other side's watermark, taken in the order
+    ``pop_expired`` yields them."""
+    if op.within is None:
+        return [], ({}, {})
+    left_col, right_col, skew = op.within
+    parts, writes = [], ({}, {})
+    for side, state, layout, schema, own_col, other_col, outer, out in (
+        ("left", op._left_state, op._left_layout, op.left.output_schema,
+         left_col, right_col, op._node.how == "left_outer", writes[0]),
+        ("right", op._right_state, op._right_layout,
+         op.right.output_schema, right_col, left_col,
+         op._node.how == "right_outer", writes[1]),
+    ):
+        bound = ctx.watermarks.current(other_col)
+        if bound is None:
+            continue
+        time_idx = schema.names.index(own_col)
+        expiry = layout.expiry(time_idx, skew)
+        due = sorted((expiry(key, value), encode_key(key), value)
+                     for key, value in state.items())
+        unmatched_rows = []
+        for when, enc, value in due:
+            if when > bound:
+                break
+            keep, unmatched = evict_value(layout, value, time_idx, skew,
+                                          bound)
+            out[enc] = keep or None
+            if outer:
+                unmatched_rows.extend(unmatched)
+        if unmatched_rows:
+            side_batch = RecordBatch.from_rows(
+                [dict(zip(schema.names, v)) for v in unmatched_rows], schema)
+            parts.append(op._null_padded(side_batch, side))
+    return parts, writes
 
 
 def entries_by_key(op, batch: RecordBatch, layout) -> dict:

@@ -10,8 +10,11 @@ and at every epoch runs both kernels on the same pre-epoch state and
 the same deltas: the matched rows must agree in order, dtype and
 bytes, and each state handle must receive the same puts and removes in
 the same order — with the kernel taking all probe keys in one pass,
-or two at a time.  Keys include null, NaN, −0.0 beside 0.0, and values
-repeat so weighted rows consolidate (multiplicity 2 included).  An
+or two at a time.  Under a ``within`` bound each epoch's eviction, run
+on the row arrays of the keys it pops, must emit the reference's
+null-padded rows and leave each popped key the reference's value.
+Keys include null, NaN, −0.0 beside 0.0, and values repeat so weighted
+rows consolidate (multiplicity 2 included).  An
 inner join drops null-key rows before its probe; the reference, which
 buffered them, is fed the deltas without them.
 """
@@ -22,6 +25,7 @@ import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.sources import ChangeStream
@@ -157,9 +161,21 @@ def _without_null_keys(batch, on):
                                  dtype=bool))
 
 
-def _checked(op, compared):
-    """Route ``op``'s kernel through a comparison with the reference."""
-    bulk = op._kernel
+def _checked(op, compared, evicted):
+    """Route ``op``'s kernel and eviction through a comparison with the
+    reference."""
+    bulk, bulk_evict = op._kernel, op._evict
+
+    def evict(ctx):
+        want, writes = join_reference.evict(op, ctx)
+        got = bulk_evict(ctx)
+        assert _batch(got) == _batch(want)
+        for state, side_writes in zip((op._left_state, op._right_state),
+                                      writes):
+            for enc, value in side_writes.items():
+                assert _text(state._read(enc)) == _text(value)
+        evicted.append(sum(map(len, writes)) + len(want))
+        return got
 
     def kernel(op, new_left, new_right, lt_idx, rt_idx, skew):
         got = bulk(op, new_left, new_right, lt_idx, rt_idx, skew)
@@ -175,6 +191,7 @@ def _checked(op, compared):
         return got
 
     op._kernel = kernel
+    op._evict = evict
 
 
 def _row(k, dt, v, op=1, pick=0):
@@ -218,8 +235,8 @@ def _run(how, within, weighted, key_type, value_types, epochs):
     sources, query = _build(how, within, weighted, key_type, value_types)
     op = next(op for op in query.engine.plan.stateful_ops
               if isinstance(op, StreamStreamJoinOp))
-    compared, live, published = [], ([], []), False
-    _checked(op, compared)
+    compared, evicted, live, published = [], [], ([], []), False
+    _checked(op, compared, evicted)
     for epoch, sides in enumerate(epochs):
         for source, rows, names, side_live in zip(
                 sources, sides, (("t", "v"), ("t2", "w")), live):
@@ -227,6 +244,7 @@ def _run(how, within, weighted, key_type, value_types, epochs):
         query.process_all_available()
     query.stop()
     assert compared or not published
+    return evicted
 
 
 def test_both_layouts_are_exercised():
@@ -236,3 +254,23 @@ def test_both_layouts_are_exercised():
                                  [value_type, "double"])
         assert f"left: {layout}" in query.explain()
         query.stop()
+
+
+@pytest.mark.parametrize("how", ["inner", "left_outer", "right_outer"])
+@pytest.mark.parametrize("value_type", ["long", "string"])
+def test_eviction_matches_the_reference(how, value_type):
+    """Eviction on packed (long) and tuple (string) sides: a key whose
+    rows matched, one whose rows never did, and one that keeps its later
+    row, as the watermarks pass them."""
+    a, b = VALUES[value_type][:2]
+    epochs = [
+        ([_row(1, 0.0, a), _row(2, 0.0, a), _row(2, 1.9, b)],
+         [_row(1, 0.0, b), _row(3, 0.0, a)]),
+        ([_row(2, 1.5, a)], [_row(3, 1.0, b)]),
+        ([_row(5, 0.0, a)], [_row(5, 0.0, b)]),
+        ([_row(6, 0.0, a)], [_row(6, 0.0, b)]),
+        ([_row(7, 0.0, a)], [_row(7, 0.0, b)]),
+    ]
+    evicted = _run(how, True, (False, False), "long", [value_type] * 2,
+                   epochs)
+    assert sum(evicted) > 0

@@ -5,9 +5,10 @@ key's rows as one ``bytes`` value; any other side keeps one flat tuple.
 Both sit behind one interface (``repro.streaming.join_state``), and
 everything a checkpoint, a probe or an eviction reads through it must
 agree between the two: pinned here at the layout level by a property
-over extreme cells — the codec, eviction, and the join kernel's
-write-back of one key (``join_state._Side``), checked against the
-scalar reference's per-value semantics (``tests/join_reference.py``) —
+over extreme cells — the codec, the join kernel's write-back of one
+key (``join_state._Side``) and eviction on the row arrays
+(``join_state.evict``), checked against the scalar reference's
+per-value semantics (``tests/join_reference.py``) —
 and end to end by the layout's name in ``explain`` and by a NaN row
 that consolidates.
 """
@@ -26,12 +27,13 @@ from repro.streaming.join_state import (
     _PackedSideLayout,
     _Side,
     _SideLayout,
+    evict,
     side_layout,
 )
 from repro.streaming.operators import StreamStreamJoinOp
 
 from tests.conftest import make_stream, start_memory_query
-from tests.join_reference import consolidate, flag_matched
+from tests.join_reference import consolidate, evict_value, flag_matched
 
 NAN = float("nan")
 #: Small domains, so rows repeat and consolidate; each holds its type's
@@ -156,10 +158,14 @@ def test_packed_and_tuple_layouts_agree(spec, data):
         bound = data.draw(st.sampled_from([-1.0, 0.0, 2.0]))
         assert _same(packed.expiry(time_idx, 0.5)(None, pv),
                      flat.expiry(time_idx, 0.5)(None, tv))
-        (pk, pu), (tk, tu) = (packed.evict(pv, time_idx, 0.5, bound),
-                              flat.evict(tv, time_idx, 0.5, bound))
-        assert _same(packed.to_disk(pk), flat.to_disk(tk))
-        assert _same(pu, tu)
+        # Eviction on the row arrays ≡ the reference's row walk.
+        want_kept, want_unmatched = evict_value(flat, tv, time_idx, 0.5,
+                                                bound)
+        for layout, value in ((packed, pv), (flat, tv)):
+            [kept], unmatched = evict(layout, [value], time_idx, 0.5, bound)
+            assert _same(layout.to_disk(kept), flat.to_disk(want_kept))
+            assert _same([row[:len(schema)] for row in unmatched.tolist()],
+                         want_unmatched)
 
     # An epoch's new rows, one key: every row unmatched.
     columns = [np.asarray([row[i] for row, _ in records],

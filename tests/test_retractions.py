@@ -133,6 +133,47 @@ def test_weighted_dedup_promotes_next_surviving_row(tmp_path):
     assert sink.rows() == [{"k": "a", "v": 2}]
 
 
+def test_weighted_dedup_retracts_a_row_holding_a_null_double(tmp_path):
+    """A null double cell is NaN in its column, which never equals
+    itself: the delete must still find the row it retracts."""
+    session = Session()
+    cdc = ChangeStream(StructType((("k", "string"), ("v", "double"))))
+    df = session.read_stream.cdc(cdc).drop_duplicates(["k"])
+    sink = MemorySink()
+    query = _start_retract(df, sink, tmp_path / "ck")
+    cdc.insert([{"k": "a", "v": None}])
+    query.process_all_available()
+    assert sink.rows() == [{"k": "a", "v": None}]
+    cdc.delete([{"k": "a", "v": None}])
+    query.process_all_available()
+    query.stop()
+    assert sink.rows() == []
+
+
+def test_weighted_dedup_keeps_one_row_per_null_double_key(tmp_path):
+    """Rows whose double key is null share one key, as in batch
+    ``drop_duplicates``; deleting the representative promotes the next
+    null-key row."""
+    session = Session()
+    schema = StructType((("k", "double"), ("v", "long")))
+    rows = [{"k": None, "v": 1}, {"k": None, "v": 2}, {"k": 1.0, "v": 3}]
+    cdc = ChangeStream(schema)
+    df = session.read_stream.cdc(cdc).drop_duplicates(["k"])
+    sink = MemorySink()
+    query = _start_retract(df, sink, tmp_path / "ck")
+    cdc.insert(rows)
+    query.process_all_available()
+    assert canonical_rows(sink.rows()) == canonical_rows(
+        session.create_dataframe(rows, schema).drop_duplicates(["k"])
+        .collect())
+    cdc.delete(rows[:1])
+    query.process_all_available()
+    query.stop()
+    assert canonical_rows(sink.rows()) == canonical_rows(
+        session.create_dataframe(rows[1:], schema).drop_duplicates(["k"])
+        .collect())
+
+
 # ----------------------------------------------------------------------
 # The golden cascade: bytes invariant to the state backend
 # ----------------------------------------------------------------------

@@ -211,6 +211,27 @@ def test_manifest_sha_matches_run_file_contents(tmp_path):
         assert _content_digest(path) == entry["sha256"]
 
 
+def test_one_apply_seals_by_its_set_of_writes(tmp_path):
+    """The same puts and removes in another order seal the same runs:
+    a grouped aggregate's per-part fold and its concatenated fold write
+    one epoch's keys in different orders and must agree byte for byte."""
+    from repro.streaming.state import encode_key
+
+    digests = []
+    for name, order in (("fwd", 1), ("rev", -1)):
+        h = tiered(tmp_path / name, budget=200)
+        h.apply([(encode_key(i), i, {"v": i}) for i in range(8)], [])
+        h.commit(0)
+        puts = [(encode_key(i), i, {"v": -i}) for i in range(4, 40)]
+        removes = [(encode_key(i), i) for i in range(3)]
+        h.apply(puts[::order], removes[::order])
+        h.commit(1)
+        assert len(h._runs) > 2, "budget never sealed inside the apply"
+        digests.append([(entry["seq"], entry["sha256"]) for entry in read_json(
+            str(tmp_path / name / "0000000001.manifest.json"))["runs"]])
+    assert digests[0] == digests[1]
+
+
 def test_tiered_reads_dict_checkpoints_and_vice_versa(tmp_path):
     hd = OperatorStateHandle(str(tmp_path / "op"))
     for i in range(30):
