@@ -144,7 +144,8 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def atomic_write_stream(path: str, chunks) -> None:
-    """Atomic write from an iterable of text chunks.
+    """Atomic write from an iterable of chunks, each text (written as
+    UTF-8) or bytes (written as they are).
 
     Same protocol and fault points as :func:`atomic_write_text`, but the
     content streams through a bounded buffer — the tiered state store's
@@ -159,9 +160,10 @@ def atomic_write_stream(path: str, chunks) -> None:
     group = getattr(_deferral, "group", None)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
+        with os.fdopen(fd, "wb") as f:
             for chunk in chunks:
-                f.write(chunk)
+                f.write(chunk if type(chunk) is bytes
+                        else chunk.encode("utf-8"))
             f.flush()
             fault_point("storage.write", path=path, tmp_path=tmp_path)
             if group is None:

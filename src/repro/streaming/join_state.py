@@ -16,7 +16,11 @@ A row's weight field holds its net weight (join) or live count
 (dedup).  The handle's value codec maps a value to the records the
 operator always wrote — a join side's ``[[row_values, matched], ...]``
 (``to_disk``/``from_disk``), a dedup's ``[total, [[count, row], ...]]``
-(:func:`multiset_codec`) — so the encoding never reaches a checkpoint.
+(:func:`multiset_codec`) — wherever state is JSON (a tuple layout's
+checkpoints, the tiered backend's runs).  A packed layout also declares
+its row format (``schema``, a :class:`~repro.streaming.statefile.RowSchema`),
+and the dict backend checkpoints its values as they are, in binary
+block files.
 
 The kernels are array programs over one structured row array of an
 epoch's stored and new rows (:class:`_Side`), never a Python object per
@@ -39,7 +43,7 @@ from repro.sql.batch import RecordBatch
 from repro.sql.grouping import encode_groups
 from repro.sql.types import hashable_value
 from repro.streaming.state import encode_keys
-from repro.streaming.statefile import encode
+from repro.streaming.statefile import RowSchema, encode
 
 #: numpy column dtype -> (struct code, little-endian numpy field format).
 _FIXED = {
@@ -63,7 +67,8 @@ def side_layout(schema, track_matched: bool, weight):
                 len(schema), track_matched, weight, floats,
                 declined=f"{field.name}: {field.data_type.simple_name}")
         formats.append(fixed)
-    return _PackedSideLayout(formats, track_matched, weight, floats)
+    return _PackedSideLayout(formats, schema.names, track_matched, weight,
+                             floats)
 
 
 class _SideLayout:
@@ -92,6 +97,9 @@ class _SideLayout:
     #: The bulk checkpoint text of values (see the packed layout): none,
     #: a tuple's cells take the generic encoder.
     disk_text = None
+    #: The declared row format of values (see the packed layout): none,
+    #: a tuple's checkpoints are JSON.
+    schema = None
 
     def __init__(self, width: int, track_matched: bool, weight,
                  floats=(), declined=None):
@@ -180,11 +188,12 @@ class _PackedSideLayout(_SideLayout):
     ``frombuffer`` and written back with one ``tobytes``; one
     ``struct.Struct`` packs and unpacks a key's rows for the codec."""
 
-    __slots__ = ("_struct", "_row_text", "_value_text")
+    __slots__ = ("_struct", "_row_text", "_value_text", "schema")
 
     empty = b""
 
-    def __init__(self, formats, track_matched: bool, weight, floats=()):
+    def __init__(self, formats, names, track_matched: bool, weight,
+                 floats=()):
         super().__init__(len(formats), track_matched, weight, floats)
         codes = [code for code, _ in formats] + ["?"] * self.tracked
         fields = [field for _, field in formats] + ["?"] * self.tracked
@@ -193,6 +202,10 @@ class _PackedSideLayout(_SideLayout):
                                "formats": fields})
         assert self.dtype.itemsize == self._struct.size
         self.stride = self._struct.size
+        #: The row format block files record: the side's column names,
+        #: then the outer join's flag.
+        self.schema = RowSchema([*names, *["__matched__"] * self.tracked],
+                                self.dtype, self._struct.format)
         #: ``str.format`` patterns of one row's record and of a one-row
         #: value's, a ``{}`` per cell (an inner join's flag is false).
         self._row_text = ("[[" + ",".join(["{}"] * self.width) + "],"
@@ -265,10 +278,11 @@ def _cut(flat, sizes, build=None) -> list:
 
 
 def multiset_codec(layout) -> tuple:
-    """``(to_disk, from_disk)`` of a weighted dedup's values in
-    ``layout``, whose weight field holds a row's live count: the
-    checkpoint record of a value is ``[total, [[count, row], ...]]``,
-    each row with its weight cell 1."""
+    """The ``set_codec`` arguments — ``(to_disk, from_disk, None,
+    schema)`` — of a weighted dedup's values in ``layout``, whose weight
+    field holds a row's live count: the JSON record of a value is
+    ``[total, [[count, row], ...]]``, each row with its weight cell 1; a
+    packed layout's block files hold the values as they are."""
     w = layout.weight
 
     def to_disk(value) -> tuple:
@@ -280,7 +294,7 @@ def multiset_codec(layout) -> tuple:
         return layout.from_disk([((*row[:w], count, *row[w + 1:]), False)
                                  for count, row in record[1]])
 
-    return to_disk, from_disk
+    return to_disk, from_disk, None, layout.schema
 
 
 def evict(layout, values, time_idx: int, skew, bound) -> tuple:

@@ -9,7 +9,10 @@ files (:mod:`repro.streaming.statefile`):
 * ``<version>.base.jsonl`` — the full state, written when the deltas
   since the newest base weigh as much as that base (see
   :meth:`OperatorStateHandle.commit`), which bounds both recovery
-  replay and write amplification by 2× without a tuning knob.
+  replay and write amplification by 2× without a tuning knob;
+* ``<version>.{base,delta}.block`` in their place when the handle's
+  value codec declares a row schema (values that are packed rows): the
+  values' own bytes in binary frames, restored without a decode.
 
 ``restore(version)`` loads the nearest base at or below the target and
 replays deltas — this is what enables both crash recovery and manual
@@ -213,6 +216,7 @@ class OperatorStateHandle:
         self._row_stride = None
         #: The value codec (``set_codec``): None keeps values as stored.
         self._to_disk = self._from_disk = self._disk_text = None
+        self._schema = None
         #: Running totals, so neither ``len()`` nor ``rows`` ever scans:
         #: live keys, and buffered rows as sized by ``set_row_count``.
         self._num_keys = 0
@@ -326,7 +330,8 @@ class OperatorStateHandle:
     # ------------------------------------------------------------------
     # Value codec (in-memory layout vs. checkpoint records)
     # ------------------------------------------------------------------
-    def set_codec(self, to_disk, from_disk, disk_text=None) -> None:
+    def set_codec(self, to_disk, from_disk, disk_text=None,
+                  schema=None) -> None:
         """Register the value codec: ``to_disk(value)`` is the record a
         checkpoint holds for an in-memory value, ``from_disk(decoded)``
         the in-memory value of a decoded record.  Values cross it
@@ -336,10 +341,16 @@ class OperatorStateHandle:
         ``disk_text(values)``, when given, is the codec's bulk form for
         the writer: the JSON text of ``to_disk(value)`` for each value
         of a list, byte for byte what the encoder writes.
+        ``schema``, a :class:`~repro.streaming.statefile.RowSchema`,
+        declares that every value is packed rows of that schema: the
+        dict backend then checkpoints the values themselves as block
+        files, and neither direction of the codec runs at commit or on
+        restoring a block.
         Register it before the handle holds state (an operator's
         constructor: the engine restores after building the plan)."""
         self._to_disk, self._from_disk = to_disk, from_disk
         self._disk_text = disk_text
+        self._schema = schema
 
     def _disk_records(self, records) -> tuple:
         """``(records, text)`` for :meth:`StateFileWriter.chunks` from
@@ -521,20 +532,25 @@ class OperatorStateHandle:
         before the next mutation of this handle, after which ``writer``
         knows the file's size.
         """
-        if self._wants_base():
-            kind, records, written = (
-                statefile.BASE, self._sorted_items(), self._num_keys)
-        else:
-            kind, records = statefile.DELTA, self._sorted_changes()
-            written = len(self.dirty) + len(self.removed)
-        writer = StateFileWriter(kind.partition(".")[0], version)
+        base = self._wants_base()
+        writer = StateFileWriter("base" if base else "delta", version)
+        written = (self._num_keys if base
+                   else len(self.dirty) + len(self.removed))
+        if self._schema is not None:
+            keys = sorted(self.data if base else self.dirty | self.removed)
+            kind = statefile.BASE_BLOCK if base else statefile.DELTA_BLOCK
+            return (kind, writer,
+                    writer.block_chunks(keys, self.data, self._schema),
+                    written)
+        records = self._sorted_items() if base else self._sorted_changes()
+        kind = statefile.BASE if base else statefile.DELTA
         records, text = self._disk_records(records)
         return kind, writer, writer.chunks(records, text=text), written
 
     def _finish_commit(self, version: int, kind: str, size: int,
                        written: int) -> dict:
         weight = max(size, MIN_FILE_WEIGHT)
-        if kind == statefile.BASE:
+        if kind in statefile.BASE_KINDS:
             self._base_weight, self._delta_weight = weight, 0
         else:
             self._delta_weight += weight
@@ -640,8 +656,10 @@ class OperatorStateHandle:
 
     def _load_chain(self, usable: list) -> dict:
         """Replay the base+delta chain over ``usable`` (sorted versions)
-        into one ``encoded key -> value`` dict, and take the rebase
-        rule's weights from the very files replayed."""
+        into one ``encoded key -> in-memory value`` dict, and take the
+        rebase rule's weights from the very files replayed.  Each file
+        is read as the format it was written in, so a chain may mix
+        them (a JSON base, then block deltas)."""
         versions = self._available_versions()
         usable = [v for v in usable
                   if versions[v] & OperatorStateHandle._RESTORE_KINDS]
@@ -653,7 +671,7 @@ class OperatorStateHandle:
                 continue
             kinds = statefile.BASE_KINDS if v == base else statefile.DELTA_KINDS
             path = self._path(v, next(k for k in kinds if k in versions[v]))
-            statefile.apply_file(path, merged)
+            statefile.apply_file(path, merged, self._from_disk, self._schema)
             weight = max(os.path.getsize(path), MIN_FILE_WEIGHT)
             if v == base:
                 self._base_weight = weight
@@ -679,10 +697,6 @@ class OperatorStateHandle:
         if usable:
             with statefile.paused_gc():
                 merged = self._load_chain(usable)
-                if self._from_disk is not None:
-                    from_disk = self._from_disk
-                    for encoded, value in merged.items():
-                        merged[encoded] = from_disk(value)
             rekeyed = _rekey_negative_zeros(merged)
             self._num_keys = len(merged)
             self.data = merged

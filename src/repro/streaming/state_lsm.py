@@ -709,12 +709,14 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         return self.last_committed_version
 
     def _restore_chain(self, usable: list) -> None:
-        """Load a dict-backend base+delta chain into the memtable."""
+        """Load a dict-backend base+delta chain (JSONL, block or mixed
+        files) into the memtable."""
         with statefile.paused_gc():
             merged = self._load_chain(usable)
+        # The budget sizes values in their disk form (see ``_put``).
         for encoded, value in merged.items():
-            self._mem_bytes += _entry_bytes(encoded, value)
-            self.data[encoded] = self._memory_value(value)
+            self._mem_bytes += _entry_bytes(encoded, self._disk_value(value))
+        self.data = merged
         self._num_keys = len(merged)
         # Never reuse a sequence a later (tiered) manifest references.
         self._next_seq = 1 + max(

@@ -51,6 +51,9 @@ class GoldenRun:
         #: Sink contents after 0, 1, ... steps (lists of row dicts).
         self.snapshots = snapshots
         self.final = final
+        #: The run's :func:`checkpoint_fingerprint`, where a caller
+        #: compares a faulted run's bytes with it.
+        self.fingerprint = None
 
 
 def run_golden(build, steps, read_sink) -> GoldenRun:

@@ -15,6 +15,11 @@ Workloads are chosen per point so the point actually fires:
 * ``join`` — stream-stream join with two state operators into a memory
   sink (microbatch; multi-operator ``commit_all`` and the memory sink's
   idempotence);
+* ``packed`` — a left outer stream-stream join whose sides are all
+  fixed-width (``long``/``timestamp``/``double``), so both handles
+  checkpoint binary block files: cells crash before a state commit,
+  tear a block file and crash after one becomes visible, and the
+  crash-replayed checkpoint must hold the fault-free run's bytes;
 * ``map``  — stateless filter/project on the continuous engine
   (at-least-once within the last epoch, §6.3);
 * ``cascade`` — a two-stage materialized-view chain: a CDC change
@@ -45,6 +50,7 @@ from repro.testing.faults import (
 from repro.testing.harness import (
     ExactlyOnceChecker,
     check_checkpoint_invariants,
+    checkpoint_fingerprint,
     run_golden,
     run_with_crashes,
 )
@@ -80,6 +86,13 @@ CASCADE_POINTS = (
     "cascade.between_stages", "wal.commit", "state.commit",
     "sink.add_batch", "storage.fsync",
 )
+#: Cells run on the packed join workload, whose state files are blocks:
+#: a crash before an operator's commit, a block torn while in flight,
+#: and a crash once a block is visible.
+PACKED_POINTS = ("state.commit", "storage.write", "storage.rename")
+#: The packed cells' later fault lands on a block of this version or
+#: newer (the first on the first block written).
+PACKED_LATER_VERSION = 3
 #: The cascade workload's pure-retraction chunk (deletes only) lands in
 #: this epoch of *both* stages' WALs; the storage.fsync cascade cell
 #: tears its commit entry in each.
@@ -107,6 +120,8 @@ def sweep_cells():
             yield (point, "continuous")
         if point in CASCADE_POINTS:
             yield (point, "cascade")
+        if point in PACKED_POINTS:
+            yield (point, "packed")
 
 
 def _match_wal_commit(stage_dir: str, epoch: int):
@@ -115,7 +130,22 @@ def _match_wal_commit(stage_dir: str, epoch: int):
     return lambda ctx: ctx.get("path", "").endswith(suffix)
 
 
+def _match_block(min_version: int):
+    """Predicate for a write of a state block file of ``min_version``
+    or newer."""
+    def match(ctx):
+        name = os.path.basename(ctx.get("path", ""))
+        return (name.endswith(".block")
+                and int(name.partition(".")[0]) >= min_version)
+    return match
+
+
 def schedule_for(point: str, mode: str = "microbatch") -> list:
+    if mode == "packed" and point != "state.commit":
+        action = "torn" if point == "storage.write" else "crash"
+        return [Fault(point, occurrence=None, action=action,
+                      match=_match_block(version))
+                for version in (0, PACKED_LATER_VERSION)]
     if mode == "cascade" and point == "storage.fsync":
         # Tear the pure-retraction epoch's WAL commit entry, first in
         # the upstream stage's checkpoint, then (after recovery replays
@@ -260,6 +290,39 @@ def _join_workload(root: str, pipelined: bool = False) -> WorkloadInstance:
                             checkpoint_dir=checkpoint, ordered=False)
 
 
+def _packed_join_workload(root: str) -> WorkloadInstance:
+    """A left outer join within 5 s whose sides hold only fixed-width
+    columns, into a memory sink: each side's state is packed rows (an
+    outer join's matched flag included), checkpointed as block files;
+    the watermark evicts the early rows, unmatched ones null-padded."""
+    session = Session()
+    ls = MemoryStream(StructType((("k", "long"), ("t", "timestamp"),
+                                  ("x", "double"))))
+    rs = MemoryStream(StructType((("k", "long"), ("t2", "timestamp"),
+                                  ("y", "double"))))
+    left = session.read_stream.memory(ls).with_watermark("t", "10s")
+    right = session.read_stream.memory(rs).with_watermark("t2", "10s")
+    df = left.join(right, on="k", how="left_outer", within=("t", "t2", "5s"))
+    checkpoint = os.path.join(root, "checkpoint")
+    sink = MemorySink()  # survives restarts (models the external system)
+
+    def build():
+        return (df.write_stream.sink(sink).option("state_backend", "dict")
+                .output_mode("append").start(checkpoint))
+
+    steps = []
+    for i in range(5):
+        t = 20.0 * i
+        rows_l = [{"k": k, "t": t + k, "x": k * 0.5 - i}
+                  for k in (i, i + 1, i + 2)]
+        rows_r = [{"k": k, "t2": t + k + 1.0, "y": -0.0 if k % 2 else k * 1.5}
+                  for k in (i + 1, i + 3)]
+        steps.append(lambda rows=rows_l: ls.add_data(rows))
+        steps.append(lambda rows=rows_r: rs.add_data(rows))
+    return WorkloadInstance(build, steps, read_sink=sink.rows,
+                            checkpoint_dir=checkpoint, ordered=False)
+
+
 def _map_workload(root: str) -> WorkloadInstance:
     session = Session()
     stream = MemoryStream(StructType((("v", "long"),)))
@@ -329,6 +392,8 @@ def make_workload(point: str, mode: str, root: str) -> WorkloadInstance:
         return _map_workload(root)
     if mode == "cascade":
         return _cascade_workload(root)
+    if mode == "packed":
+        return _packed_join_workload(root)
     if point in TIERED_POINTS:
         return agg_workload(root, tiered=True)
     if point == "state.async_flush_crash":
@@ -345,8 +410,8 @@ def make_workload(point: str, mode: str, root: str) -> WorkloadInstance:
 def _golden_key(point: str, mode: str):
     if mode == "continuous":
         return ("map", mode)
-    if mode == "cascade":
-        return ("cascade", mode)
+    if mode in ("cascade", "packed"):
+        return (mode, mode)
     if point in TIERED_POINTS:
         return ("agg-tiered", mode)
     if point == "state.async_flush_crash":
@@ -407,6 +472,8 @@ def run_sweep_cell(point: str, mode: str, root: str,
         golden_cache[key] = run_golden(
             golden_instance.build, golden_instance.steps,
             golden_instance.read_sink)
+        golden_cache[key].fingerprint = checkpoint_fingerprint(
+            golden_instance.checkpoint_dir)
 
     instance = make_workload(point, mode, os.path.join(root, "run"))
     injector = FaultInjector(schedule_for(point, mode))
@@ -428,6 +495,12 @@ def run_sweep_cell(point: str, mode: str, root: str,
         check_checkpoint_invariants(
             directory, strict=True,
             context=f"after completed cell ({point}, {mode})")
+    if mode == "packed":
+        # A crash-replay rewrites every block byte for byte.
+        assert checkpoint_fingerprint(instance.checkpoint_dir) == \
+            golden_cache[key].fingerprint, (
+                f"({point}, {mode}): the replayed checkpoint's bytes differ "
+                "from the fault-free run's")
     if report.num_crashes:
         # Every genuine crash must have left a flight-recorder dump
         # (torn/drop/fail actions that the query absorbed need not).

@@ -6,7 +6,8 @@ point".  This module is the administrator's side of that workflow:
 
 * :func:`describe_checkpoint` — summarize a query's checkpoint: epochs,
   commit status, per-source offsets, watermarks, state-store versions
-  and sizes;
+  and sizes, and per operator its newest state file's format (``block``,
+  ``jsonl`` or the legacy ``json``) with a block's row schema;
 * :func:`rollback_checkpoint` — discard epochs after a chosen point so
   the next restart recomputes from that prefix.
 
@@ -55,7 +56,7 @@ def describe_checkpoint(checkpoint_dir: str) -> dict:
             versions = sorted({
                 int(name.split(".")[0]) for name in checkpoints
             })
-            # Newest full copy of the state: a base of the current
+            # Newest full copy of the state: a base of a current
             # format (count in its trailer) or a legacy snapshot.
             bases = [n for n in checkpoints
                      if n.partition(".")[2] in statefile.BASE_KINDS]
@@ -63,13 +64,21 @@ def describe_checkpoint(checkpoint_dir: str) -> dict:
             if bases:
                 path = os.path.join(op_dir, bases[-1])
                 latest_keys = (
-                    statefile.record_count(path)
-                    if bases[-1].endswith(statefile.BASE)
-                    else len(read_json(path)["data"]))
+                    len(read_json(path)["data"])
+                    if bases[-1].endswith(statefile.LEGACY_BASE)
+                    else statefile.record_count(path))
+            # The newest file's format; a block's header holds the rows'
+            # schema (names, numpy fields, struct format).
+            newest = checkpoints[-1] if checkpoints else ""
+            file_format = newest.rpartition(".")[2] or None
             state[operator] = {
                 "versions": versions,
                 "num_checkpoints": len(checkpoints),
                 "keys_at_last_snapshot": latest_keys,
+                "format": file_format,
+                "row_schema": statefile.read_header(
+                    os.path.join(op_dir, newest)).get("schema")
+                if file_format == "block" else None,
             }
 
     return {

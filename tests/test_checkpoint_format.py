@@ -235,7 +235,8 @@ def test_weighted_agg_tiered_checkpoint_bytes(checkpoint):
 def test_weighted_state_restores_across_backends(session, checkpoint):
     """dict -> tiered -> dict: each restart reads the previous backend's
     checkpoint (shared directory), keeps retracting, and lands on the
-    same result table."""
+    same result table — for a JSONL aggregate and for a packed dedup,
+    whose dict checkpoints are block files."""
     from repro.sources import ChangeStream
     from repro.sql.session import Session
     from repro.sql.types import StructType
@@ -271,6 +272,43 @@ def test_weighted_state_restores_across_backends(session, checkpoint):
 
     assert sorted(sink.rows(), key=lambda r: r["k"]) == [
         {"k": "a", "s": 11, "n": 2}, {"k": "c", "s": 4, "n": 1}]
+
+    # A packed weighted dedup's dict checkpoints are block files: the
+    # tiered backend restores that chain into its memtable, and the dict
+    # backend the chain the tiered one left.
+    numeric = ChangeStream(StructType((("k", "long"), ("v", "double"))))
+    packed = os.path.join(checkpoint, "packed")
+
+    def start_dedup(backend, sink=None):
+        df = Session().read_stream.cdc(numeric).drop_duplicates(["k"])
+        writer = df.write_stream.output_mode("retract")
+        writer = (writer.sink(sink) if sink is not None
+                  else writer.format("memory").query_name("xb-dedup"))
+        return writer.option("state_backend", backend).start(packed)
+
+    query = start_dedup("dict")
+    sink = query.engine.sink
+    numeric.insert([{"k": 1, "v": 0.5}, {"k": 1, "v": 2.5},
+                    {"k": 2, "v": -1.0}])
+    query.process_all_available()
+    query.stop()
+    assert any(name.endswith(".block") for name in
+               os.listdir(os.path.join(packed, "state", "dedup-0")))
+
+    query = start_dedup("tiered", sink)
+    numeric.delete([{"k": 1, "v": 0.5}])
+    numeric.insert([{"k": 3, "v": 4.0}])
+    query.process_all_available()
+    query.stop()
+
+    query = start_dedup("dict", sink)
+    numeric.delete([{"k": 2, "v": -1.0}])
+    numeric.insert([{"k": 2, "v": 7.0}])
+    query.process_all_available()
+    query.stop()
+
+    assert sorted(sink.rows(), key=lambda r: r["k"]) == [
+        {"k": 1, "v": 2.5}, {"k": 2, "v": 7.0}, {"k": 3, "v": 4.0}]
 
 
 def test_stream_stream_join_checkpoint_bytes(session, checkpoint):

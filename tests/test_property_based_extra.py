@@ -4,6 +4,7 @@ probe-join / indexed-eviction state paths."""
 
 import json
 import os
+import struct
 
 import numpy as np
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from repro.streaming import statefile
 from repro.streaming.state import decode_key, encode_key
 
 from tests.conftest import make_stream, rows_set, start_memory_query
+from tests.test_block_checkpoints import block_records
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +141,8 @@ def test_stream_stream_join_equals_batch(left, right, seed):
 def assert_canonical_state_files(checkpoint: str):
     """Every state file must be a well-formed record-framed file: intact
     frame, one canonical compact line per key, sorted by string-encoded
-    state keys that survive a decode/encode roundtrip.  The expiry index
+    state keys that survive a decode/encode roundtrip (a packed handle's
+    block file: the same, frame by frame).  The expiry index
     and key cache are memory-only; nothing about them may leak to disk.
 
     This reads the *dict* backend's base/delta layout, so callers pin
@@ -151,6 +154,9 @@ def assert_canonical_state_files(checkpoint: str):
     for op in os.listdir(state_dir):
         for name in os.listdir(os.path.join(state_dir, op)):
             path = os.path.join(state_dir, op, name)
+            if name.endswith((".base.block", ".delta.block")):
+                _assert_canonical_block(path, name)
+                continue
             assert name.endswith((".base.jsonl", ".delta.jsonl"))
             statefile.verify(path)
             with open(path, encoding="utf-8") as f:
@@ -169,6 +175,30 @@ def assert_canonical_state_files(checkpoint: str):
                 assert all(len(r) == 2 for r in records)
             for state_key in state_keys:
                 assert encode_key(decode_key(state_key)) == state_key
+
+
+def _assert_canonical_block(path: str, name: str):
+    """A block file's form of the same checks (a packed handle's state):
+    intact frames, the header naming the row schema, keys sorted and
+    canonical, no tombstone in a base, each value whole rows."""
+    statefile.verify(path)
+    header = statefile.read_header(path)
+    schema = header.pop("schema")
+    assert header == {"format": statefile.FORMAT, "kind": name.split(".")[1],
+                      "version": int(name.split(".")[0])}
+    dtype = np.dtype({"names": [f"f{i}" for i in range(len(schema["fields"]))],
+                      "formats": schema["fields"]})
+    records = block_records(path, statefile.RowSchema(
+        schema["names"], dtype, schema["struct"]))
+    assert dtype.itemsize == struct.calcsize(schema["struct"])
+    state_keys = [key for key, _value in records]
+    assert state_keys == sorted(set(state_keys))
+    for key, value in records:
+        assert encode_key(decode_key(key)) == key
+        if value is statefile.TOMBSTONE:
+            assert header["kind"] == "delta"
+        else:
+            assert value and len(value) % dtype.itemsize == 0
 
 
 within_join_rows = st.lists(

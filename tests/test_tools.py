@@ -242,3 +242,25 @@ def test_bench_pairs_copies_the_checkout_as_it_is(tmp_path, monkeypatch):
                     if p.is_file())
     assert copied == [".gitignore", "src/kept.py", "src/new.py"]
     assert (dest / "src" / "kept.py").read_text() == "modified\n"
+
+
+def test_bench_pairs_reports_a_failed_runs_breakdown(capsys):
+    """A run with failed operations is reported with its count and its
+    ``stamp.failures`` breakdown, so late generator ticks read apart
+    from mismatched rows; the exit status stays 1."""
+    module = _bench_pairs()
+
+    def run(failures):
+        return {"correct": failures.get("mismatched_rows", 0) == 0,
+                "failed": sum(failures.values()), "failures": failures,
+                "metrics": {"setup_s": 1.0}}
+
+    late = {"late_ticks": 62, "unsustained_ticks": 0, "mismatched_rows": 0}
+    runs = {"parent": [run({}), run(late)], "change": [run({}), run({})]}
+    described = {"setup_s": {"better": "lower", "bound": 0.25}}
+    assert module.report("w", runs, described) == 1
+    out = capsys.readouterr().out
+    assert "parent: runs [1] reported" in out
+    assert ("run 1: failed=62 correct=True late_ticks=62 "
+            "mismatched_rows=0 unsustained_ticks=0") in out
+    assert "change: runs" not in out

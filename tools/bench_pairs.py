@@ -44,7 +44,8 @@ WIN_SHARE = 0.9
 
 def run_once(tree: str, workload: str, seed: int, workdir: str) -> dict:
     """One untraced run in ``tree``; returns every metric it measured
-    (``{name: value}``) plus ``correct``/``failed``.  Both sides'
+    (``{name: value}``) plus ``correct``/``failed`` and the failed
+    count's breakdown (``failures``).  Both sides'
     checkpoints and sink files go to the one ``workdir``, so they fsync
     on the same filesystem."""
     done = subprocess.run(
@@ -57,9 +58,11 @@ def run_once(tree: str, workload: str, seed: int, workdir: str) -> dict:
     result = json.loads(done.stdout.strip().splitlines()[-1])
     with open(os.path.join(tree, "bench", "results", f"e2e_{workload}.json"),
               encoding="utf-8") as f:
-        measured = json.load(f)["measured"]
+        record = json.load(f)
     return {"correct": result["correct"], "failed": result["failed"],
-            "metrics": {name: m["value"] for name, m in measured.items()}}
+            "failures": record["stamp"].get("failures", {}),
+            "metrics": {name: m["value"]
+                        for name, m in record["measured"].items()}}
 
 
 def quartiles(values) -> tuple:
@@ -121,7 +124,18 @@ def report(workload: str, runs: dict, described: dict) -> int:
             status = 1
             print(f"{side}: runs {bad} reported a wrong output or failed "
                   "operations")
+            for i in bad:
+                print(f"  run {i}: {failure_line(runs[side][i])}")
     return status
+
+
+def failure_line(run: dict) -> str:
+    """A failed run's count and its breakdown (``stamp.failures``): late
+    generator ticks on a busy host read apart from mismatched rows."""
+    parts = [f"failed={run['failed']}", f"correct={run['correct']}"]
+    parts += [f"{name}={count}"
+              for name, count in sorted(run["failures"].items())]
+    return " ".join(parts)
 
 
 def main(argv=None) -> int:
