@@ -13,7 +13,7 @@ FAULT_SWEEP_FLAGS ?=
 # see tools/linecov.py.
 COV_FLOOR ?= 93.8
 
-.PHONY: install test test-fast coverage bench bench-smoke bench-pairs heap fault-sweep oracle examples monitor-demo verify clean
+.PHONY: install test test-fast coverage bench bench-smoke bench-pairs heap fault-sweep oracle corpus examples monitor-demo verify clean
 
 install:
 	$(PY) setup.py develop
@@ -68,6 +68,14 @@ fault-sweep:
 # they search — CI's scheduled oracle-nightly job runs `nightly`.
 oracle:
 	$(PY) -m pytest tests/test_property_based.py tests/test_property_based_extra.py tests/test_state_durability.py tests/test_engine_equivalence.py tests/test_join_bulk.py tests/test_join_layouts.py tests/test_dedup_bulk.py tests/test_join_checkpoint_text.py -q
+
+# Write one label of the checkpoint-compatibility corpus
+# (tests/checkpoint_scenarios.py) with this checkout's tree, after a
+# deliberate state-format bump: make corpus LABEL=<name>.  An older
+# tree writes its label with PYTHONPATH=<its checkout>/src on
+# tools/checkpoint_corpus.py (docs/state_store.md, Compatibility corpus).
+corpus:
+	$(PY) tools/checkpoint_corpus.py write $(LABEL)
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; $(PY) $$f > /dev/null || exit 1; done

@@ -7,7 +7,8 @@ point".  This module is the administrator's side of that workflow:
 * :func:`describe_checkpoint` — summarize a query's checkpoint: epochs,
   commit status, per-source offsets, watermarks, state-store versions
   and sizes, and per operator its newest state file's format (``block``,
-  ``jsonl`` or the legacy ``json``) with a block's row schema;
+  ``jsonl``, the tiered backend's ``manifest`` or the legacy ``json``)
+  with a block's row schema;
 * :func:`rollback_checkpoint` — discard epochs after a chosen point so
   the next restart recomputes from that prefix.
 
@@ -25,6 +26,7 @@ import sys
 
 from repro.storage import list_files, read_json
 from repro.streaming import statefile
+from repro.streaming.state_lsm import MANIFEST
 from repro.streaming.wal import WriteAheadLog
 
 
@@ -56,21 +58,25 @@ def describe_checkpoint(checkpoint_dir: str) -> dict:
             versions = sorted({
                 int(name.split(".")[0]) for name in checkpoints
             })
-            # Newest full copy of the state: a base of a current
-            # format (count in its trailer) or a legacy snapshot.
-            bases = [n for n in checkpoints
-                     if n.partition(".")[2] in statefile.BASE_KINDS]
+            # Newest full copy of the state: a tiered manifest (its live
+            # key count), a base of a current format (count in its
+            # trailer) or a legacy snapshot.
+            anchors = [n for n in checkpoints if n.partition(".")[2]
+                       in statefile.BASE_KINDS + (MANIFEST,)]
             latest_keys = None
-            if bases:
-                path = os.path.join(op_dir, bases[-1])
+            if anchors:
+                path = os.path.join(op_dir, anchors[-1])
+                kind = anchors[-1].partition(".")[2]
                 latest_keys = (
-                    len(read_json(path)["data"])
-                    if bases[-1].endswith(statefile.LEGACY_BASE)
+                    read_json(path)["live_keys"] if kind == MANIFEST
+                    else len(read_json(path)["data"])
+                    if kind == statefile.LEGACY_BASE
                     else statefile.record_count(path))
             # The newest file's format; a block's header holds the rows'
             # schema (names, numpy fields, struct format).
             newest = checkpoints[-1] if checkpoints else ""
-            file_format = newest.rpartition(".")[2] or None
+            file_format = ("manifest" if newest.endswith(MANIFEST)
+                           else newest.rpartition(".")[2] or None)
             state[operator] = {
                 "versions": versions,
                 "num_checkpoints": len(checkpoints),

@@ -7,7 +7,8 @@ values as they are, in ``<version>.{base,delta}.block`` files
 live state across frame boundaries and tombstones; a torn, cut or
 flipped block is quarantined on open and the restart falls back to the
 previous version; a chain mixing a JSONL base and block deltas restores
-on both backends, from handles and from a parent's checkpoint; a block
+on both backends, from handles and from a parent's checkpoint (the
+corpus label 6204af2, ``tests/checkpoint_scenarios.py``); a block
 restores only into its own row schema; ``describe`` reports format,
 schema and key count.
 """
@@ -27,12 +28,7 @@ from repro.streaming.state_lsm import TieredOperatorStateHandle
 from repro.testing.oracle import canonical_rows
 from repro.tools.checkpoint import describe_checkpoint
 
-from tests.test_parent_checkpoints import _drive, _start
-from tests.test_parent_join_checkpoints import (
-    DEDUP_SCENARIOS,
-    _write_first_half,
-    parent_checkpoint,
-)
+from tests import checkpoint_scenarios as corpus
 
 NAN = float("nan")
 SCHEMA = StructType((("k", "long"), ("x", "double"), (WEIGHT_COLUMN, "long"),
@@ -263,37 +259,31 @@ def test_parent_jsonl_base_then_block_delta_restarts(tmp_path, backend):
     on a base) writes a block delta; restarted again — on the dict or
     the tiered backend — it restores that mixed chain and reaches the
     uninterrupted run's table."""
-    name = "weighted_numeric_dedup"
-    build, mode, first, second = DEDUP_SCENARIOS[name]
-    parent = parent_checkpoint(name, tmp_path / "parent")
-    sources, df, sink = _write_first_half(name, tmp_path / "own")
-    query = _start(df, mode, parent, sink=sink, state_backend="dict")
-    _drive(sources, query, second[:1])
-    query.stop()
+    scenario = corpus.SCENARIOS["weighted_numeric_dedup"]
+    parent = corpus.materialize(
+        corpus.load_label("6204af2")["weighted_numeric_dedup"],
+        tmp_path / "parent")
+    sources, plan, sink = corpus.write_first_half(scenario, tmp_path / "own")
+    queries = corpus.start(plan, scenario.mode, parent,
+                           {"state_backend": "dict"}, sink=sink)
+    corpus.drive(sources, queries, scenario.second[:1])
+    corpus.stop(queries)
     state = parent / "state" / "dedup-0"
     assert _files(state)[-2:] == ["0000000002.base.jsonl",
                                   "0000000003.delta.block"]
-    query = _start(df, mode, parent, sink=query.engine.sink,
-                   state_backend=backend)
-    _drive(sources, query, second[1:])
-    query.stop()
+    queries = corpus.start(plan, scenario.mode, parent,
+                           {"state_backend": backend}, sink=sink)
+    corpus.drive(sources, queries, scenario.second[1:])
+    corpus.stop(queries)
 
-    ref_sources, ref_df = build()
-    reference = _start(ref_df, mode, tmp_path / "ref")
-    _drive(ref_sources, reference, first + second)
-    reference.stop()
-    assert query.engine.sink.rows()
-    assert canonical_rows(query.engine.sink.rows()) == canonical_rows(
-        reference.engine.sink.rows())
+    reference = corpus.run_whole(scenario, tmp_path / "ref")
+    assert sink.rows()
+    assert canonical_rows(sink.rows()) == canonical_rows(reference)
 
 
 def test_describe_reports_format_schema_and_keys(tmp_path):
-    name = "weighted_numeric_dedup"
-    build, mode, first, _second = DEDUP_SCENARIOS[name]
-    sources, df = build()
-    query = _start(df, mode, tmp_path, state_backend="dict")
-    _drive(sources, query, first)
-    query.stop()
+    corpus.write_first_half(corpus.SCENARIOS["weighted_numeric_dedup"],
+                            tmp_path)
     described = describe_checkpoint(str(tmp_path))["state"]["dedup-0"]
     assert described["format"] == "block"
     assert described["row_schema"] == {

@@ -8,13 +8,12 @@ lines.  Both must be byte for byte ``encode([key, to_disk(value)])``,
 the line every other value gets — pinned here over the three packed
 types with their extremes, with and without a matched flag, one and
 several rows a value, tombstones between live records, and the cells
-of the parent checkpoint fixture.
+of the corpus label 3d3ee08, which a tree before packed sides wrote.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import struct
 
 from hypothesis import example, given, strategies as st
@@ -24,6 +23,8 @@ from repro.storage import bind_encoder
 from repro.streaming import statefile
 from repro.streaming.join_state import _PackedSideLayout, side_layout
 from repro.streaming.statefile import TOMBSTONE, StateFileWriter
+
+from tests.checkpoint_scenarios import load_label
 
 NAN = float("nan")
 INF = float("inf")
@@ -36,8 +37,6 @@ CELLS = {
                                1.152921504606847e+18]) | st.floats(),
     "boolean": st.booleans(),
 }
-FIXTURE = os.path.join(os.path.dirname(__file__), "data",
-                       "parent_join_checkpoints.json")
 
 
 @st.composite
@@ -102,11 +101,10 @@ def test_bulk_text_is_the_encoders_text(spec, tombstones):
 
 
 def test_parent_fixture_records_round_trip_to_their_bytes():
-    """Every packed join record line the parent wrote into the fixture
+    """Every packed join record line the parent wrote into the corpus
     (its ``NaN`` and ``1.152921504606847e+18`` cells among them) comes
     back from ``disk_text`` byte for byte."""
-    with open(FIXTURE, encoding="utf-8") as f:
-        scenario = json.load(f)["weighted_numeric_join"]
+    scenario = load_label("3d3ee08")["weighted_numeric_join"]
     layouts = {
         "left": side_layout(StructType((("k", "long"), ("x", "double"),
                                         (WEIGHT_COLUMN, "long"))),
@@ -116,11 +114,11 @@ def test_parent_fixture_records_round_trip_to_their_bytes():
                              False, 2),
     }
     seen = set()
-    for path, text in scenario.items():
+    for path, data in scenario.items():
         if not path.startswith("state/") or not path.endswith(".jsonl"):
             continue
         layout = layouts["left" if "join-left" in path else "right"]
-        for line in text.splitlines()[1:-1]:
+        for line in data.decode().splitlines()[1:-1]:
             record = json.loads(line)
             if len(record) == 1:
                 continue

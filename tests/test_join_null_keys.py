@@ -8,30 +8,20 @@ buffers them, to emit them null-padded once the watermark passes —
 every one of them, also when two null keys group apart but share one
 state key.
 
-``tests/data/parent_null_key_checkpoint.json`` holds the checkpoint
-(WAL entries + state files, dict backend) that commit 9fff8e5, which
-still buffered null keys in an inner join, wrote after the scenario's
-first epochs: ``[NaN]`` rows sit in both sides' state.  A query
-restarted on those files must continue to the table an uninterrupted
-run produces.
-
-Regenerate (only if a format change is deliberate) with the old tree on
-the path: ``PYTHONPATH=<old>/src:. python tests/test_join_null_keys.py``.
+The corpus label 9fff8e5 holds the checkpoint of an inner join that
+still buffered null keys (scenario ``nan_key_join`` of
+``tests/checkpoint_scenarios.py``): ``[NaN]`` rows sit in its state, and
+a query restarted on it must continue to the uninterrupted run's table.
 """
 
 from __future__ import annotations
 
-import json
-import os
-
 from repro.sql.session import Session
 from repro.testing.oracle import canonical_rows
 
+from tests import checkpoint_scenarios as corpus
 from tests.conftest import make_stream, start_memory_query
-from tests.test_parent_checkpoints import _drive, _durable_files, _start
 
-FIXTURE = os.path.join(os.path.dirname(__file__), "data",
-                       "parent_null_key_checkpoint.json")
 NAN = float("nan")
 
 
@@ -109,60 +99,18 @@ def test_outer_join_keeps_both_rows_of_a_two_column_nan_key():
     query.stop()
 
 
-#: Epochs before and after the restart; an epoch is one row list per
-#: source.  NaN and null keys arrive on both sides in the first half.
-FIRST = [
-    [[{"k": NAN, "t": 1.0, "v": 1}, {"k": None, "t": 1.0, "v": 2},
-      {"k": 1.0, "t": 1.0, "v": 3}],
-     [{"k": NAN, "t2": 1.0, "w": 10}, {"k": 1.0, "t2": 1.0, "w": 11}]],
-    [[{"k": 2.0, "t": 2.0, "v": 4}, {"k": NAN, "t": 2.0, "v": 5}],
-     [{"k": None, "t2": 2.0, "w": 12}]],
-]
-SECOND = [
-    [[{"k": NAN, "t": 3.0, "v": 6}, {"k": 1.0, "t": 3.0, "v": 7}],
-     [{"k": 2.0, "t2": 3.0, "w": 13}, {"k": NAN, "t2": 3.0, "w": 14}]],
-    [[{"k": 2.0, "t": 4.0, "v": 8}], [{"k": 1.0, "t2": 4.0, "w": 15}]],
-]
-
-
-def _write_first_half(checkpoint):
-    sources, df = _double_key_join()
-    query = _start(df, "append", checkpoint, state_backend="dict")
-    _drive(sources, query, FIRST)
-    query.stop()
-    return sources, df, query.engine.sink
-
-
 def test_parent_checkpoint_with_nan_key_rows_restarts(tmp_path):
-    with open(FIXTURE, encoding="utf-8") as f:
-        parent_files = json.load(f)
-    assert any('["[NaN]"' in text for text in parent_files.values())
-    parent_dir = tmp_path / "parent"
-    for relative, text in parent_files.items():
-        path = parent_dir / relative
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+    scenario = corpus.SCENARIOS["nan_key_join"]
+    files = corpus.load_label("9fff8e5")["nan_key_join"]
+    assert any(b'["[NaN]"' in data for path, data in files.items()
+               if path.startswith("state/"))
+    sources, plan, sink = corpus.write_first_half(scenario, tmp_path / "own")
+    queries = corpus.start(plan, scenario.mode,
+                           corpus.materialize(files, tmp_path / "parent"),
+                           scenario.restart_options(), sink=sink)
+    corpus.drive(sources, queries, scenario.second)
+    corpus.stop(queries)
 
-    sources, df, sink = _write_first_half(tmp_path / "own")
-    query = _start(df, "append", parent_dir, sink=sink)
-    _drive(sources, query, SECOND)
-    query.stop()
-
-    ref_sources, ref_df = _double_key_join()
-    reference = _start(ref_df, "append", tmp_path / "ref")
-    _drive(ref_sources, reference, FIRST + SECOND)
-    reference.stop()
+    reference = corpus.run_whole(scenario, tmp_path / "ref")
     assert len(sink.rows()) == 6
-    assert canonical_rows(sink.rows()) == canonical_rows(
-        reference.engine.sink.rows())
-
-
-if __name__ == "__main__":
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as directory:
-        _write_first_half(directory)
-        fixture = _durable_files(directory)
-    with open(FIXTURE, "w", encoding="utf-8") as f:
-        json.dump(fixture, f, indent=1, sort_keys=True)
-        f.write("\n")
+    assert canonical_rows(sink.rows()) == canonical_rows(reference)

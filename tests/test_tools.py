@@ -2,10 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
+from repro.sources import ChangeStream
 from repro.sql import functions as F
+from repro.sql.types import StructType
 from repro.tools.checkpoint import describe_checkpoint, main, rollback_checkpoint
 
 from tests.conftest import make_stream, start_memory_query
@@ -17,9 +22,8 @@ def populated_checkpoint(session, checkpoint):
     df = (session.read_stream.memory(stream)
           .with_watermark("t", "10s")
           .group_by("k").count())
-    # describe_checkpoint's state summary reads the dict backend's
-    # snapshot files, so the fixture pins it even under
-    # REPRO_STATE_BACKEND=tiered.
+    # The state summaries below are of the dict backend's files, so
+    # the fixture pins it even under REPRO_STATE_BACKEND=tiered.
     query = start_memory_query(df, "update", "adm", checkpoint,
                                state_backend="dict")
     for t in (5.0, 25.0):
@@ -61,6 +65,21 @@ class TestDescribe:
         checkpoint, _q, _s, _df = populated_checkpoint
         assert describe_checkpoint(checkpoint)["metadata"]["output_mode"] == "update"
 
+    def test_tiered_handle_reports_its_manifest(self, session, checkpoint):
+        """A tiered handle's newest file is a manifest, which records the
+        live key count."""
+        cdc = ChangeStream(StructType((("k", "string"), ("v", "long"))))
+        df = session.read_stream.cdc(cdc).group_by("k").agg(F.sum("v"))
+        query = start_memory_query(df, "retract", "adm-tiered", checkpoint,
+                                   state_backend="tiered",
+                                   state_memtable_bytes=64)
+        cdc.insert([{"k": f"k{i}", "v": i} for i in range(20)])
+        query.process_all_available()
+        query.stop()
+        described = describe_checkpoint(checkpoint)["state"]["agg-0"]
+        assert described["format"] == "manifest"
+        assert described["keys_at_last_snapshot"] == 20
+
 
 class TestRollback:
     def test_rollback_removes_epochs(self, populated_checkpoint):
@@ -95,6 +114,17 @@ class TestCli:
         checkpoint, _q, _s, _df = populated_checkpoint
         assert main(["rollback", checkpoint, "0"]) == 0
         assert json.loads(capsys.readouterr().out)["epochs_removed"] == [1]
+
+    def test_module_run_warns_nothing(self, populated_checkpoint):
+        checkpoint, _q, _s, _df = populated_checkpoint
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(
+            os.path.dirname(repro.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.tools.checkpoint", "describe", checkpoint],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["num_epochs"] == 2
 
     def test_usage_on_bad_args(self, capsys):
         assert main([]) == 2
