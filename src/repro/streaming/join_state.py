@@ -43,7 +43,7 @@ from repro.sql.batch import RecordBatch
 from repro.sql.grouping import encode_groups
 from repro.sql.types import hashable_value
 from repro.streaming.state import encode_keys
-from repro.streaming.statefile import RowSchema, encode
+from repro.streaming.statefile import RowSchema
 
 #: numpy column dtype -> (struct code, little-endian numpy field format).
 _FIXED = {
@@ -94,9 +94,6 @@ class _SideLayout:
 
     #: The value of a key with no rows.
     empty = ()
-    #: The bulk checkpoint text of values (see the packed layout): none,
-    #: a tuple's cells take the generic encoder.
-    disk_text = None
     #: The declared row format of values (see the packed layout): none,
     #: a tuple's checkpoints are JSON.
     schema = None
@@ -188,7 +185,7 @@ class _PackedSideLayout(_SideLayout):
     ``frombuffer`` and written back with one ``tobytes``; one
     ``struct.Struct`` packs and unpacks a key's rows for the codec."""
 
-    __slots__ = ("_struct", "_row_text", "_value_text", "schema")
+    __slots__ = ("_struct", "schema")
 
     empty = b""
 
@@ -206,11 +203,6 @@ class _PackedSideLayout(_SideLayout):
         #: then the outer join's flag.
         self.schema = RowSchema([*names, *["__matched__"] * self.tracked],
                                 self.dtype, self._struct.format)
-        #: ``str.format`` patterns of one row's record and of a one-row
-        #: value's, a ``{}`` per cell (an inner join's flag is false).
-        self._row_text = ("[[" + ",".join(["{}"] * self.width) + "],"
-                          + ("{}" if self.tracked else "false") + "]")
-        self._value_text = "[" + self._row_text + "]"
 
     def describe(self) -> str:
         return f"packed {self._struct.format} ({self.stride} B/row)"
@@ -220,26 +212,6 @@ class _PackedSideLayout(_SideLayout):
 
     def values(self, table, counts) -> list:
         return _cut(table.tobytes(), counts * self.stride)
-
-    def disk_text(self, values) -> list:
-        """The JSON text of ``to_disk(value)`` for each of ``values``,
-        byte for byte what the encoder writes.  The rows of all of them
-        are viewed as one array, whose columns become text a column at
-        a time — ints as they are (``format`` writes one as ``str``
-        does), floats and bools through one ``encode`` of the column —
-        and one ``str.format`` per row assembles a row's text."""
-        if not values:
-            return []
-        table = np.frombuffer(b"".join(values), self.dtype)
-        cells = [column.tolist() if column.dtype == np.int64
-                 else encode(column.tolist())[1:-1].split(",")
-                 for column in map(table.__getitem__, self.dtype.names)]
-        if len(table) == len(values):  # one row a value: most keys
-            return list(map(self._value_text.format, *cells))
-        rows = list(map(self._row_text.format, *cells))
-        sizes = np.fromiter(map(len, values), np.int64, len(values))
-        return _cut(rows, sizes // self.stride,
-                    lambda piece: "[" + ",".join(piece) + "]")
 
     def to_disk(self, value) -> tuple:
         width, tracked = self.width, self.tracked
@@ -278,8 +250,8 @@ def _cut(flat, sizes, build=None) -> list:
 
 
 def multiset_codec(layout) -> tuple:
-    """The ``set_codec`` arguments — ``(to_disk, from_disk, None,
-    schema)`` — of a weighted dedup's values in ``layout``, whose weight
+    """The ``set_codec`` arguments — ``(to_disk, from_disk, schema)`` —
+    of a weighted dedup's values in ``layout``, whose weight
     field holds a row's live count: the JSON record of a value is
     ``[total, [[count, row], ...]]``, each row with its weight cell 1; a
     packed layout's block files hold the values as they are."""
@@ -294,7 +266,7 @@ def multiset_codec(layout) -> tuple:
         return layout.from_disk([((*row[:w], count, *row[w + 1:]), False)
                                  for count, row in record[1]])
 
-    return to_disk, from_disk, None, layout.schema
+    return to_disk, from_disk, layout.schema
 
 
 def evict(layout, values, time_idx: int, skew, bound) -> tuple:

@@ -871,8 +871,7 @@ class StreamStreamJoinOp(IncrementalOp):
             right.output_schema, self._track_matched, self._right_weight)
         for state, layout in ((left_state, self._left_layout),
                               (right_state, self._right_layout)):
-            state.set_codec(layout.to_disk, layout.from_disk,
-                            layout.disk_text, layout.schema)
+            state.set_codec(layout.to_disk, layout.from_disk, layout.schema)
             state.set_row_count(layout.stride)
         if self.within is not None:
             left_col, right_col, skew = self.within

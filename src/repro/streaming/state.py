@@ -215,7 +215,7 @@ class OperatorStateHandle:
         #: ``set_row_count``'s units per row, None to count keys.
         self._row_stride = None
         #: The value codec (``set_codec``): None keeps values as stored.
-        self._to_disk = self._from_disk = self._disk_text = None
+        self._to_disk = self._from_disk = None
         self._schema = None
         #: Running totals, so neither ``len()`` nor ``rows`` ever scans:
         #: live keys, and buffered rows as sized by ``set_row_count``.
@@ -330,17 +330,13 @@ class OperatorStateHandle:
     # ------------------------------------------------------------------
     # Value codec (in-memory layout vs. checkpoint records)
     # ------------------------------------------------------------------
-    def set_codec(self, to_disk, from_disk, disk_text=None,
-                  schema=None) -> None:
+    def set_codec(self, to_disk, from_disk, schema=None) -> None:
         """Register the value codec: ``to_disk(value)`` is the record a
         checkpoint holds for an in-memory value, ``from_disk(decoded)``
         the in-memory value of a decoded record.  Values cross it
         wherever they cross the disk — commit and restore, and the
         tiered backend's spills and run reads — so an operator can keep
         a compact working layout behind unchanged checkpoint bytes.
-        ``disk_text(values)``, when given, is the codec's bulk form for
-        the writer: the JSON text of ``to_disk(value)`` for each value
-        of a list, byte for byte what the encoder writes.
         ``schema``, a :class:`~repro.streaming.statefile.RowSchema`,
         declares that every value is packed rows of that schema: the
         dict backend then checkpoints the values themselves as block
@@ -349,18 +345,15 @@ class OperatorStateHandle:
         Register it before the handle holds state (an operator's
         constructor: the engine restores after building the plan)."""
         self._to_disk, self._from_disk = to_disk, from_disk
-        self._disk_text = disk_text
         self._schema = schema
 
-    def _disk_records(self, records) -> tuple:
-        """``(records, text)`` for :meth:`StateFileWriter.chunks` from
-        ``(encoded, in-memory value)`` records: the values cross the
-        codec one by one, or in bulk in the writer when it has a text
-        form."""
-        if self._disk_text is None and self._to_disk is not None:
-            records = ((encoded, self._disk_value(value))
-                       for encoded, value in records)
-        return records, self._disk_text
+    def _disk_records(self, records):
+        """``(encoded, in-memory value)`` records as a checkpoint holds
+        them: the values cross the codec one by one."""
+        if self._to_disk is None:
+            return records
+        return ((encoded, self._disk_value(value))
+                for encoded, value in records)
 
     def _disk_value(self, value):
         """A value (or ``TOMBSTONE``) as a checkpoint record holds it."""
@@ -542,10 +535,10 @@ class OperatorStateHandle:
             return (kind, writer,
                     writer.block_chunks(keys, self.data, self._schema),
                     written)
-        records = self._sorted_items() if base else self._sorted_changes()
+        records = self._disk_records(
+            self._sorted_items() if base else self._sorted_changes())
         kind = statefile.BASE if base else statefile.DELTA
-        records, text = self._disk_records(records)
-        return kind, writer, writer.chunks(records, text=text), written
+        return kind, writer, writer.chunks(records), written
 
     def _finish_commit(self, version: int, kind: str, size: int,
                        written: int) -> dict:
@@ -654,17 +647,19 @@ class OperatorStateHandle:
                     removed += 1
         return removed
 
-    def _load_chain(self, usable: list) -> dict:
+    def _load_chain(self, usable: list) -> tuple:
         """Replay the base+delta chain over ``usable`` (sorted versions)
         into one ``encoded key -> in-memory value`` dict, and take the
         rebase rule's weights from the very files replayed.  Each file
         is read as the format it was written in, so a chain may mix
-        them (a JSON base, then block deltas)."""
+        them (a JSON base, then block deltas).  Returns the dict and
+        whether every file replayed was a block file."""
         versions = self._available_versions()
         usable = [v for v in usable
                   if versions[v] & OperatorStateHandle._RESTORE_KINDS]
         base = max((v for v in usable if _is_base(versions[v])), default=None)
         merged = {}
+        blocks_only = True
         self._base_weight = self._delta_weight = 0
         for v in usable:
             if base is not None and v < base:
@@ -672,12 +667,13 @@ class OperatorStateHandle:
             kinds = statefile.BASE_KINDS if v == base else statefile.DELTA_KINDS
             path = self._path(v, next(k for k in kinds if k in versions[v]))
             statefile.apply_file(path, merged, self._from_disk, self._schema)
+            blocks_only = blocks_only and path.endswith(statefile.BLOCK_SUFFIX)
             weight = max(os.path.getsize(path), MIN_FILE_WEIGHT)
             if v == base:
                 self._base_weight = weight
             else:
                 self._delta_weight += weight
-        return merged
+        return merged, blocks_only
 
     def restore(self, version):
         """Reset the working state to the newest checkpoint <= ``version``.
@@ -696,8 +692,10 @@ class OperatorStateHandle:
         usable = self._usable_versions(version) if version is not None else []
         if usable:
             with statefile.paused_gc():
-                merged = self._load_chain(usable)
-            rekeyed = _rekey_negative_zeros(merged)
+                merged, blocks_only = self._load_chain(usable)
+            # Block files postdate encode_key's folding of -0.0, so only
+            # a chain with a JSON file can hold a key to move.
+            rekeyed = [] if blocks_only else _rekey_negative_zeros(merged)
             self._num_keys = len(merged)
             self.data = merged
             for old, new in rekeyed:

@@ -201,7 +201,7 @@ class SortedRun:
 
     @classmethod
     def create(cls, directory: str, seq: int, items,
-               count_hint: int = None, text=None) -> "SortedRun":
+               count_hint: int = None) -> "SortedRun":
         """Write a run from ``(encoded_key, value)`` pairs in key order.
 
         ``items`` may be a one-shot iterator (compaction merges stream);
@@ -210,8 +210,6 @@ class SortedRun:
         sizes the bloom filter when the final count is unknown upfront
         (a compaction merge dedupes as it streams); it must be an upper
         bound and deterministic, since the filter bytes are persisted.
-        ``text`` is a value codec's bulk form (see
-        :meth:`~repro.streaming.statefile.StateFileWriter.chunks`).
         """
         path = cls.run_path(directory, seq)
         bloom_m = _bloom_bits(count_hint) if count_hint is not None else None
@@ -252,7 +250,7 @@ class SortedRun:
             state["max"] = encoded
 
         writer = StateFileWriter("run", seq)
-        atomic_write_stream(path, writer.chunks(items, observe, text))
+        atomic_write_stream(path, writer.chunks(items, observe))
         count = writer.count
         final_m = bloom_m if bloom_m is not None else _bloom_bits(count)
         if state["bits"] is None:
@@ -528,15 +526,14 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         Dirty/removed tracking is untouched: it tracks the *commit*
         delta, which is independent of where a value physically lives.
         """
-        items, text = self._disk_records(self.data.items())
-        items = sorted(items, key=itemgetter(0))
+        items = sorted(self._disk_records(self.data.items()),
+                       key=itemgetter(0))
         if not items:
             return
         fault_point("state.flush_crash",
                     operator=os.path.basename(self._directory),
                     seq=self._next_seq, entries=len(items))
-        run = SortedRun.create(self._runs_dir, self._next_seq, items,
-                               text=text)
+        run = SortedRun.create(self._runs_dir, self._next_seq, items)
         self._next_seq += 1
         self._runs.insert(0, run)
         self.data.clear()
@@ -712,7 +709,7 @@ class TieredOperatorStateHandle(OperatorStateHandle):
         """Load a dict-backend base+delta chain (JSONL, block or mixed
         files) into the memtable."""
         with statefile.paused_gc():
-            merged = self._load_chain(usable)
+            merged, _blocks_only = self._load_chain(usable)
         # The budget sizes values in their disk form (see ``_put``).
         for encoded, value in merged.items():
             self._mem_bytes += _entry_bytes(encoded, self._disk_value(value))

@@ -65,7 +65,6 @@ import os
 import struct
 from contextlib import contextmanager
 from itertools import islice, repeat
-from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -170,16 +169,13 @@ class StateFileWriter:
         self.records_end = 0
         self.sha256 = None
 
-    def chunks(self, records, observe=None, text=None):
+    def chunks(self, records, observe=None):
         """Yield the framed file for ``(encoded_key, value)`` pairs in
         key order (``value is TOMBSTONE`` for a removed key).
 
         ``observe(encoded_key, offset)`` is called with the byte offset
         each record line starts at (the tiered backend builds its sparse
-        index and bloom filter from it).  ``text(values)``, a value
-        codec's bulk form, returns the JSON text ``encode`` would write
-        for each value of a list; with it the records hold values that
-        are not yet JSON, and reach ``text`` a chunk at a time.
+        index and bloom filter from it).
         """
         digest = hashlib.sha256()
         encode = _file_encoder()
@@ -193,12 +189,9 @@ class StateFileWriter:
             block = list(islice(records, _CHUNK_LINES))
             if not block:
                 break
-            if text is None:
-                lines = [encode([encoded]) + "\n" if value is TOMBSTONE
-                         else encode([encoded, value]) + "\n"
-                         for encoded, value in block]
-            else:
-                lines = _text_lines(block, text)
+            lines = [encode([encoded]) + "\n" if value is TOMBSTONE
+                     else encode([encoded, value]) + "\n"
+                     for encoded, value in block]
             if observe is None:
                 offset += sum(map(len, lines))
             else:
@@ -280,21 +273,6 @@ def _frame(keys, values, dtype) -> list:
              lengths, counts, "".join(keys).encode("ascii")]
     parts += [table[name].tobytes() for name in dtype.names]
     return [_FRAME_LENGTH.pack(sum(map(len, parts))), *parts]
-
-
-def _text_lines(block, text) -> list:
-    """Record lines of ``block`` with live values written by ``text``:
-    byte for byte ``encode([key, value])``, the key being one ASCII JSON
-    string."""
-    live = [value for _encoded, value in block if value is not TOMBSTONE]
-    if len(live) == len(block):
-        return list(map("[{},{}]\n".format,
-                        map(_encode_str, [encoded for encoded, _ in block]),
-                        text(live)))
-    texts = iter(text(live))
-    return ["[" + _encode_str(encoded) + "]\n" if value is TOMBSTONE
-            else "[" + _encode_str(encoded) + "," + next(texts) + "]\n"
-            for encoded, value in block]
 
 
 @contextmanager

@@ -178,6 +178,14 @@ class DataStreamWriter:
         ``run_epoch()`` / ``process_all_available()`` — the default for
         the run-once trigger.
         """
+        # Every engine knob is resolved here, once, for either engine
+        # and before anything is created: option > REPRO_* > default,
+        # and a removed knob is refused.  Continuous mode then uses none
+        # of them — it stays pinned to its single-partition fast path.
+        for name, (_variable, message) in REMOVED_KNOBS.items():
+            if name in self._options:
+                raise ValueError(f"option {name!r}: {message}")
+        config = EngineConfig.resolve(self._options)
         if checkpoint_dir is None:
             checkpoint_dir = tempfile.mkdtemp(prefix="repro-checkpoint-")
         sink = self._build_sink()
@@ -198,13 +206,6 @@ class DataStreamWriter:
 
         from repro.streaming.microbatch import MicrobatchEngine
 
-        # Every engine knob is resolved here, once: option > REPRO_* >
-        # default.  Continuous mode (above) takes none of them — it
-        # stays pinned to its single-partition fast path.
-        for name, (_variable, message) in REMOVED_KNOBS.items():
-            if name in self._options:
-                raise ValueError(f"option {name!r}: {message}")
-        config = EngineConfig.resolve(self._options)
         engine = MicrobatchEngine(
             self._df.plan, sink, self._mode, checkpoint_dir, config)
         from repro.streaming.stream_table import StreamTable

@@ -2,8 +2,9 @@
 
 ``repro.testing.faults`` is imported by the engine's lowest layers and
 must stay import-cycle-free, so this package init re-exports only the
-fault primitives eagerly; the harness and sweep (which import the
-engines) load lazily on first attribute access.
+fault primitives eagerly; the harness (which imports the engines)
+loads lazily on first attribute access.  The fault sweep's matrix lives
+beside the checkpoint corpus, in ``tests/sweep.py``.
 """
 
 from repro.testing.faults import (  # noqa: F401

@@ -60,10 +60,10 @@ REGISTRY = {
     "state.compaction_crash": "tiered: about to merge a tier's sorted runs",
     # sinks -- idempotent output delivery
     "sink.add_batch": "sink asked to deliver an epoch's output",
-    # testing/sweep.py -- two-stage cascade drive: fired between the
-    # upstream query's commits (into a stream table) and the downstream
-    # query consuming them, the window where a crash leaves the cascade
-    # stages out of step.
+    # tests/sweep.py's stage adapter, which drives a cascade's stage
+    # queries in order: fired between an upstream query's commits (into
+    # a stream table) and the next stage consuming them, the window where
+    # a crash leaves the cascade stages out of step.
     "cascade.between_stages": "upstream epochs committed, downstream not driven",
     # streaming/microbatch.py -- epoch boundaries (Figure 4 steps)
     "epoch.begin": "epoch chosen, nothing durable yet",

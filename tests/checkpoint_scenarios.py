@@ -10,7 +10,8 @@ the labels oldest first, each with the commit of the tree that wrote
 it (the label's name where the tool wrote it).
 
 ``tests/test_checkpoint_corpus.py`` restarts every scenario on every
-label's files and compares what the current tree writes with them;
+label's files and compares what the current tree writes with them
+(``tests/sweep.py`` crashes every scenario in the fault sweep);
 ``tools/checkpoint_corpus.py write <label>`` (``make corpus
 LABEL=<label>``) writes a label with whichever ``repro`` is importable.
 A deliberate change to a scenario's files is a :class:`Bump` on its
@@ -90,9 +91,11 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # Running a scenario
 # ---------------------------------------------------------------------------
-def start(plan, mode, root, options, sink=None) -> list:
+def start(plan, mode, root, options, sink=None, trigger=None) -> list:
     """Start a plan's stages on checkpoints under ``root``; the last
-    stage writes to ``sink`` (a new memory sink when None)."""
+    stage writes to ``sink`` (a new memory sink when None) under
+    ``trigger`` (``DataStreamWriter.trigger`` keywords; manual when
+    None)."""
     stages = plan if isinstance(plan, list) else [plan]
     queries = []
     for i, stage in enumerate(stages):
@@ -104,6 +107,8 @@ def start(plan, mode, root, options, sink=None) -> list:
             writer = writer.output_mode(mode)
             writer = (writer.sink(sink) if sink is not None
                       else writer.format("memory").query_name("corpus"))
+            if trigger is not None:
+                writer = writer.trigger(**trigger)
         for key, value in options.items():
             writer = writer.option(key, value)
         checkpoint = (root if len(stages) == 1
@@ -314,6 +319,13 @@ def _map_groups_with_state():
     return [stream], df
 
 
+def _stateless():
+    stream = make_stream([("v", "long")])
+    df = (Session().read_stream.memory(stream).where(F.col("v") > 0)
+          .select((F.col("v") * 10).alias("x")))
+    return [stream], df
+
+
 def _cascade():
     """CDC rows, filtered into a stream table (stage 0), summed per key
     downstream (stage 1)."""
@@ -358,6 +370,25 @@ _CASCADE = ([
     [[{"k": "a", "v": 2}, _del(k="b", v=5)]],
 ], [
     [[{"k": "c", "v": 9}, _del(k="a", v=1)]],
+    [[{"k": "b", "v": 1}]],
+])
+
+#: Its rows are distinct: the continuous engine's at-least-once check
+#: needs distinct output rows.
+_STATELESS = ([
+    [[{"v": v} for v in range(-2, 10)]],
+    [[{"v": v} for v in range(10, 20)]],
+], [
+    [[{"v": v} for v in range(20, 30)]],
+])
+#: Its third epoch deletes only, so both stages log a pure retraction
+#: delta in that epoch.
+_CASCADE_DELETES = ([
+    [[{"k": "a", "v": 5}, {"k": "b", "v": 3}, {"k": "x", "v": -1}]],
+    [[{"k": "a", "v": 2}, {"k": "c", "v": 7}]],
+], [
+    [[_del(k="a", v=5), _del(k="b", v=3)]],
+    [[_del(k="c", v=7), {"k": "c", "v": 9}]],
     [[{"k": "b", "v": 1}]],
 ])
 
@@ -460,6 +491,13 @@ SCENARIOS = {
             _SESSIONS),
            ("cascade", _cascade, "retract", _CASCADE))},
 }
+#: A map-like query, the one shape the continuous engine runs, and a
+#: cascade with a deletes-only epoch.
+SCENARIOS.update({
+    "stateless": Scenario(_stateless, "append", "dict", *_STATELESS),
+    "cascade_deletes": Scenario(_cascade, "retract", "dict",
+                                *_CASCADE_DELETES),
+})
 #: The tiered backend, its memtable spilling, under an aggregate, a
 #: dedup and a join of each input kind.
 SCENARIOS.update({

@@ -52,7 +52,7 @@ def _handle(directory, layout=None, backend=OperatorStateHandle, schema=True):
     ``schema`` is false (the codec a tree before block files had)."""
     layout = layout or _layout()
     handle = backend(str(directory))
-    handle.set_codec(layout.to_disk, layout.from_disk, layout.disk_text,
+    handle.set_codec(layout.to_disk, layout.from_disk,
                      layout.schema if schema else None)
     handle.set_row_count(layout.stride)
     return handle

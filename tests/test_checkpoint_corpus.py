@@ -90,30 +90,50 @@ def test_restart_and_bytes(tmp_path, label, name):
     assert canonical_rows(sink.rows()) == canonical_rows(reference)
 
 
-def test_tool_writes_a_label_the_corpus_reads(tmp_path, monkeypatch):
-    """``tools/checkpoint_corpus.py write`` lists the label last and
-    stores files that restore to the current tree's bytes: block files
-    (base64) and a tiered cascade's two checkpoints among them."""
+#: The scenarios the tool's tests write.
+NAMES = ("weighted_numeric_dedup", "cascade_tiered")
+
+
+@pytest.fixture
+def tool(tmp_path, monkeypatch):
+    """``tools/checkpoint_corpus.py`` on a corpus under ``tmp_path``
+    holding an empty label ``a``, over two scenarios."""
     spec = importlib.util.spec_from_file_location(
         "checkpoint_corpus", os.path.join(os.path.dirname(__file__),
                                           os.pardir, "tools",
                                           "checkpoint_corpus.py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    names = ("weighted_numeric_dedup", "cascade_tiered")
-    newest = INDEX[-1]["label"]
-    expected = {name: corpus.fingerprint(corpus.materialize(
-        load_label(newest)[name], tmp_path / newest / name))
-        for name in names}
     monkeypatch.setattr(corpus, "SCENARIOS",
-                        {name: corpus.SCENARIOS[name] for name in names})
+                        {name: corpus.SCENARIOS[name] for name in NAMES})
     monkeypatch.setattr(corpus, "CORPUS", str(tmp_path))
     monkeypatch.setattr(corpus, "INDEX", str(tmp_path / "index.json"))
     (tmp_path / "index.json").write_text('[{"label": "a", "commit": "b"}]')
+    (tmp_path / "a.json").write_text("{}")
+    return tool
+
+
+def test_tool_writes_a_label_the_corpus_reads(tmp_path, tool):
+    """``tools/checkpoint_corpus.py write`` lists the label last and
+    stores files that restore to the current tree's bytes: block files
+    (base64) and a tiered cascade's two checkpoints among them."""
+    newest = INDEX[-1]["label"]
+    expected = {name: corpus.fingerprint(corpus.materialize(
+        load_label(newest)[name], tmp_path / newest / name))
+        for name in NAMES}
 
     assert tool.main(["write", "new"]) == 0
     assert corpus.label_index() == [{"label": "a", "commit": "b"},
                                     {"label": "new", "commit": "new"}]
     written = corpus.load_label("new")
     assert {name: corpus.fingerprint(corpus.materialize(
-        written[name], tmp_path / "new" / name)) for name in names} == expected
+        written[name], tmp_path / "new" / name)) for name in NAMES} == expected
+
+
+def test_writing_a_label_twice_changes_no_byte(tmp_path, tool):
+    """A rewrite keeps every file whose fingerprint is unchanged as the
+    label holds it: wall-clock ``trigger_time``s do not move."""
+    tool.write_label("new")
+    first = (tmp_path / "new.json").read_bytes()
+    tool.write_label("new")
+    assert (tmp_path / "new.json").read_bytes() == first

@@ -84,10 +84,14 @@ def test_records_cap_below_one_is_rejected(tmp_path, cap):
     assert "max_records_per_epoch" in message
 
 
-def _start_with(tmp_path, name, value):
+def _start_with(tmp_path, name=None, value=None, **trigger):
     stream = make_stream((("k", "string"), ("v", "long")))
-    writer = (Session().read_stream.memory(stream)
-              .write_stream.sink(MemorySink()).option(name, value))
+    writer = Session().read_stream.memory(stream).write_stream.sink(
+        MemorySink())
+    if name is not None:
+        writer = writer.option(name, value)
+    if trigger:
+        writer = writer.trigger(**trigger)
     with pytest.raises(ValueError) as error:
         writer.start(str(tmp_path / "cp"))
     assert not os.path.exists(str(tmp_path / "cp"))
@@ -121,6 +125,17 @@ def test_removed_shard_count_is_rejected_by_name(tmp_path):
     with pytest.raises(ValueError, match="REPRO_NUM_SHARDS is set"):
         EngineConfig.resolve({}, {"REPRO_NUM_SHARDS": "1"})
     assert EngineConfig.resolve({}, {"REPRO_NUM_SHARDS": ""}) == EngineConfig()
+
+
+@pytest.mark.parametrize("name", ["num_shards", "executor", "num_workers"])
+def test_continuous_query_refuses_removed_knobs(tmp_path, monkeypatch, name):
+    """A continuous query resolves the knobs a microbatch one does: a
+    removed knob's option or variable raises before anything starts."""
+    message = _start_with(tmp_path, name, 4, continuous=0.05)
+    assert repr(name) in message and "removed" in message
+    variable, _message = REMOVED_KNOBS[name]
+    monkeypatch.setenv(variable, "4")
+    assert f"{variable} is set" in _start_with(tmp_path, continuous=0.05)
 
 
 @pytest.mark.parametrize("variable", ["REPRO_EXECUTOR", "REPRO_NUM_WORKERS"])

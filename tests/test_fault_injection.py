@@ -45,9 +45,9 @@ from repro.testing.harness import (
     check_checkpoint_invariants,
     checkpoint_fingerprint,
 )
-from repro.testing.sweep import agg_workload
 
 from tests.conftest import make_stream, start_memory_query
+from tests.sweep import AGGREGATE_INTO_FILES, Instance
 
 SCHEMA = (("k", "string"), ("v", "long"))
 
@@ -412,7 +412,7 @@ class TestFailedEpoch:
         ``StreamingQuery.exception`` on a threaded query, with a
         postmortem, without committing the epoch; once the cause clears,
         a restart from the same checkpoint completes byte-identically."""
-        instance = agg_workload(str(tmp_path / "run"))
+        instance = Instance(AGGREGATE_INTO_FILES, str(tmp_path / "run"))
         query = instance.build()
         failing, *rest = instance.steps
         always = FaultInjector([Fault("epoch.after_process", occurrence=None,
@@ -430,19 +430,19 @@ class TestFailedEpoch:
         # nothing was delivered or committed
         assert instance.read_sink() == []
         assert os.listdir(
-            os.path.join(instance.checkpoint_dir, "commits")) == []
+            os.path.join(instance.checkpoint, "commits")) == []
         (postmortem,) = glob.glob(
-            os.path.join(instance.checkpoint_dir, "postmortem*.json"))
+            os.path.join(instance.checkpoint, "postmortem*.json"))
         with open(postmortem, encoding="utf-8") as fh:
             assert "InjectedTaskError" in json.dumps(json.load(fh)["crash"])
 
         _drive(instance, rest)
 
-        reference = agg_workload(str(tmp_path / "reference"))
+        reference = Instance(AGGREGATE_INTO_FILES, str(tmp_path / "reference"))
         _drive(reference)
         assert instance.read_sink() == reference.read_sink()
-        assert checkpoint_fingerprint(instance.checkpoint_dir) == \
-            checkpoint_fingerprint(reference.checkpoint_dir)
+        assert checkpoint_fingerprint(instance.checkpoint) == \
+            checkpoint_fingerprint(reference.checkpoint)
 
 
 # ======================================================================

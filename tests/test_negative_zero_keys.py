@@ -10,13 +10,17 @@ re-keys on restore.
 
 from __future__ import annotations
 
+import glob
 import os
 
 import numpy as np
 import pytest
 
 from repro.sql.batch import stable_hash_arrays, stable_hash_key
+from repro.sources import ChangeStream
 from repro.sql.session import Session
+from repro.sql.types import StructType
+from repro.streaming import state as state_module
 from repro.streaming.state import encode_key
 from repro.testing.oracle import canonical_rows
 
@@ -113,3 +117,29 @@ def test_legacy_negative_zero_key_is_rekeyed_on_restore(tmp_path):
     with open(os.path.join(state, "0000000001.delta.jsonl"),
               encoding="utf-8") as f:
         assert f.read().splitlines()[1:3] == ['["[-0.0]"]', '["[0.0]",[2]]']
+
+
+def test_only_a_chain_with_a_json_file_is_scanned(tmp_path, monkeypatch):
+    """Block files postdate −0.0's folding, so a restore that replays
+    only block files (a packed weighted dedup) skips the scan for
+    ``-0.0`` keys; a JSONL chain (an aggregate) is still scanned."""
+    scanned = []
+    scan = state_module._rekey_negative_zeros
+    monkeypatch.setattr(state_module, "_rekey_negative_zeros",
+                        lambda merged: scanned.append(len(merged))
+                        or scan(merged))
+    cdc = ChangeStream(StructType(SCHEMA))
+    source = Session().read_stream.cdc(cdc)
+    for name, df, mode, suffix in (
+            ("dedup", source.drop_duplicates(["k"]), "retract", ".block"),
+            ("agg", source.group_by("k").count(), "complete", ".jsonl")):
+        checkpoint = str(tmp_path / name)
+        for restart in range(2):
+            query = start_memory_query(df, mode, name, checkpoint,
+                                       state_backend="dict")
+            cdc.insert([{"k": -0.0, "v": restart}, {"k": 1.0, "v": 1}])
+            query.process_all_available()
+            query.stop()
+        state_dir = glob.glob(os.path.join(checkpoint, "state", "*"))[0]
+        assert all(f.endswith(suffix) for f in os.listdir(state_dir))
+    assert scanned == [2]  # the aggregate's one restore: 0.0 and 1.0

@@ -4,7 +4,9 @@
 
 Runs every scenario of ``tests/checkpoint_scenarios.py`` up to its
 restart with whichever ``repro`` is importable, and stores the
-checkpoint files in ``tests/data/checkpoints/<label>.json``.  The label,
+checkpoint files in ``tests/data/checkpoints/<label>.json``: a file
+whose fingerprint is unchanged keeps the bytes of the newest label
+holding it, so writing a label twice from one tree changes nothing.  The label,
 named after the commit of the tree that writes it, goes last in
 ``index.json``, or keeps its place if it is listed already.
 ``PYTHONPATH=<older checkout>/src`` writes an older tree's label;
@@ -26,14 +28,38 @@ sys.path.append(os.path.join(ROOT, "src"))  # after any PYTHONPATH tree
 from tests import checkpoint_scenarios as corpus  # noqa: E402
 
 
+def _newest_files() -> dict:
+    """scenario -> its files in the newest label holding it."""
+    newest = {}
+    for entry in corpus.label_index():
+        newest.update(corpus.load_label(entry["label"]))
+    return newest
+
+
 def write_label(label: str) -> dict:
-    """Write ``label`` and list it in the index; returns its entry."""
+    """Write ``label`` and list it in the index; returns its entry.
+
+    A file whose ``checkpoint_fingerprint`` entry equals the one in the
+    newest label holding the scenario keeps that label's bytes (an
+    offsets file's wall-clock ``trigger_time`` among them), so a label's
+    diff shows only what changed.
+    """
     stored = {}
+    labelled = _newest_files()
     for name, scenario in corpus.SCENARIOS.items():
         with tempfile.TemporaryDirectory() as directory:
-            corpus.write_first_half(scenario, directory)
-            stored[name] = corpus.encode_files(
-                corpus.durable_files(directory))
+            ours = os.path.join(directory, "ours")
+            corpus.write_first_half(scenario, ours)
+            files = corpus.durable_files(ours)
+            newest = labelled.get(name)
+            if newest is not None:
+                fingerprint = corpus.fingerprint(ours)
+                theirs = corpus.fingerprint(corpus.materialize(
+                    newest, os.path.join(directory, "theirs")))
+                files.update({path: newest[path] for path in fingerprint
+                              if path in newest
+                              and theirs.get(path) == fingerprint[path]})
+            stored[name] = corpus.encode_files(files)
     with open(corpus.label_path(label), "w", encoding="utf-8") as f:
         json.dump(stored, f, indent=1, sort_keys=True)
         f.write("\n")
