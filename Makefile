@@ -60,8 +60,10 @@ BLOCKS ?= 3
 heap:
 	$(PY) tools/heap_by_layer.py --workload $(W) --root $(ROOT) --blocks $(BLOCKS)
 
+# The fault sweep, plus the mode-equivalence test over the same golden
+# runs (tests/conftest.py's session `matrix`, measured once).
 fault-sweep:
-	$(PY) -m pytest tests/test_fault_sweep.py tests/test_fault_injection.py -q $(FAULT_SWEEP_FLAGS)
+	$(PY) -m pytest tests/test_fault_sweep.py tests/test_mode_equivalence.py tests/test_fault_injection.py -q $(FAULT_SWEEP_FLAGS)
 
 # The differential-oracle and durability property suites on their own;
 # HYPOTHESIS_PROFILE=dev|ci|nightly (tests/conftest.py) sets how hard

@@ -41,7 +41,7 @@ from repro.streaming.config import EngineConfig
 from repro.streaming.incrementalizer import incrementalize
 from repro.streaming.operators import EpochContext
 from repro.streaming.progress import EpochProgress, ProgressReporter
-from repro.streaming.state import StateStore
+from repro.streaming.state import StateStore, write_checkpoint
 from repro.streaming.wal import WriteAheadLog
 from repro.streaming.watermark import WatermarkTracker
 from repro.testing.faults import fault_point
@@ -71,8 +71,9 @@ class _AsyncStateFlusher:
 
     The engine thread captures each epoch's checkpoint synchronously
     (:meth:`StateStore.prepare_commit_all`) and submits the write jobs
-    here; this thread performs the file writes under a shared
-    :class:`SyncGroup`, fsyncing the state directories only every
+    here; this thread runs the engine's one write loop over them
+    (:func:`write_checkpoint`) under a shared :class:`SyncGroup`,
+    fsyncing the state directories only every
     ``STATE_SYNC_EVERY`` versions (or at drain/stop) — a lagging state
     *file* is always recoverable by WAL replay, so its durability window
     may span a few epochs while the WAL's may not.
@@ -148,13 +149,7 @@ class _AsyncStateFlusher:
             try:
                 with tracing.trace_span("flusher:state-commit",
                                         version=version):
-                    for i, job in enumerate(jobs):
-                        fault_point("state.async_flush_crash",
-                                    version=version, operator=job.operator)
-                        job.execute(self.group)
-                        fault_point("state.commit_all", version=version,
-                                    operator=job.operator, committed=i + 1,
-                                    total=len(jobs))
+                    write_checkpoint(jobs, self.group)
                 self._unsynced += 1
                 if self._unsynced >= self.STATE_SYNC_EVERY:
                     self.group.sync()
@@ -232,8 +227,8 @@ class MicrobatchEngine:
         #: :mod:`repro.streaming.config`).
         self.config = config
         #: Pipelined durability: async state flusher + group-commit WAL.
-        #: The sequential path is the golden reference: both modes
-        #: produce byte-identical checkpoints and sink output.
+        #: Both modes run one epoch body; ``tests/test_mode_equivalence.py``
+        #: checks that they write the same checkpoints and sink output.
         self.pipelined = config.pipeline
         self._event_log = None
         self.state_store = None
@@ -290,17 +285,19 @@ class MicrobatchEngine:
         }
         self.next_epoch = 0
         #: What ``write_offsets`` / ``write_commit`` / ``deferred_fsync``
-        #: take: None makes every write fsync itself (sequential).
+        #: take: None makes every write fsync itself (sequential), and
+        #: no flusher writes state inline.
         self._wal_group = self._flusher = None
+        self._wal_unsynced = 0
+        self._async_error_raised = False
+        # Recovery runs before the pipelined machinery exists, so it
+        # stays fully synchronous in either mode: it runs once, off the
+        # hot path, and the engine must not observe a half-flushed
+        # checkpoint of its own making.
+        self._recover()
         if self.pipelined:
             self._wal_group = SyncGroup()
             self._flusher = _AsyncStateFlusher(self)
-        self._wal_unsynced = 0
-        self._async_error_raised = False
-        # Recovery stays fully synchronous even in pipelined mode: it
-        # runs once, off the hot path, and the engine must not observe a
-        # half-flushed checkpoint of its own making.
-        self._recover()
 
     def _attach_event_log(self, checkpoint_dir: str) -> None:
         """Append each epoch's progress as a JSON line to the structured
@@ -371,14 +368,14 @@ class MicrobatchEngine:
         for epoch in range(replay_from, target + 1):
             self._run_logged_epoch(epoch, output_enabled=False)
         if replay_from <= target:
-            self.state_store.commit_all(target)
+            self._commit_state(target)
 
         if not committed:
             # At most one epoch may be partially written; re-run it and
             # let the idempotent sink deduplicate.
             self._run_logged_epoch(last, output_enabled=True)
             self.wal.write_commit(last, {"watermarks": self.watermarks.to_json()})
-            self.state_store.commit_all(last)
+            self._commit_state(last)
         elif replay_from > target:
             # No replay happened; the post-epoch watermark state was
             # recorded in the commit entry.
@@ -391,34 +388,75 @@ class MicrobatchEngine:
         self.next_epoch = last + 1
 
     def _run_logged_epoch(self, epoch: int, output_enabled: bool) -> None:
-        """Re-execute an epoch exactly as logged in the WAL."""
+        """Re-execute an epoch exactly as logged in the WAL: its offsets
+        are read rather than written, and output is on only for the
+        epoch that may be partially delivered."""
         entry = self.wal.read_offsets(epoch)
         self.watermarks.load_json(entry.get("watermarks", {}))
-        inputs = {
-            name: self.sources[name].get_batch(
-                rng["start"], rng["end"], self.plan.read_schemas.get(name))
-            for name, rng in entry["sources"].items()
-        }
+        ctx, result = self._process(
+            epoch, entry["sources"], entry.get("trigger_time", self.clock()),
+            output_enabled)
+        self._deliver(ctx, result, entry["sources"])
+
+    def _process(self, epoch: int, ranges: dict, trigger_time: float,
+                 output_enabled: bool = True, timings=None):
+        """Figure 4's step 2, live or replayed: read the epoch's input
+        ranges and run the incremental plan; returns its context and
+        result."""
+        with _Phase("read-inputs", timings):
+            inputs = {
+                name: self.sources[name].get_batch(
+                    rng["start"], rng["end"], self.plan.read_schemas.get(name))
+                for name, rng in ranges.items()
+            }
         ctx = EpochContext(
             epoch_id=epoch,
             inputs=inputs,
             watermarks=self.watermarks,
-            processing_time=entry.get("trigger_time", self.clock()),
+            processing_time=trigger_time,
             output_mode=self.output_mode,
             output_enabled=output_enabled,
             is_first_epoch=epoch == 0,
         )
-        result = self.plan.root.process(ctx)
-        if output_enabled:
+        with _Phase("process", timings):
+            result = self.plan.root.process(ctx)
+        return ctx, result
+
+    def _deliver(self, ctx, result, ranges: dict, timings=None):
+        """Figure 4's step 3, live or replayed: the idempotent sink write
+        when output is on, then the watermarks advance.  Returns the
+        epoch's ingest floor, when one was needed.
+
+        End-to-end event-time lag (§7.4) starts at the oldest
+        source-ingest timestamp the epoch consumed.  It is announced to
+        cascade-aware sinks *before* delivery, so a downstream
+        StreamTable can propagate the original (bronze) ingest time;
+        trigger time is the fallback floor when no source tracks ingest.
+        """
+        ingest_floor = None
+        if ctx.output_enabled:
             note_ingest = getattr(self.sink, "note_epoch_ingest", None)
+            if timings is not None or note_ingest is not None:
+                ingest_floor = self._epoch_ingest_floor(ranges)
             if note_ingest is not None:
-                starts = {n: rng["start"] for n, rng in entry["sources"].items()}
-                ends = {n: rng["end"] for n, rng in entry["sources"].items()}
-                floor = self._epoch_ingest_floor(ends, starts=starts)
-                note_ingest(epoch, floor if floor is not None
-                            else entry.get("trigger_time", self.clock()))
-            self.sink.add_batch(epoch, result, self.output_mode)
+                note_ingest(ctx.epoch_id, ingest_floor
+                            if ingest_floor is not None
+                            else ctx.processing_time)
+            with _Phase("sink-write", timings), \
+                    deferred_fsync(self._wal_group):
+                self.sink.add_batch(ctx.epoch_id, result, self.output_mode)
         self.watermarks.advance()
+        return ingest_floor
+
+    def _commit_state(self, version: int) -> None:
+        """Figure 4's step 4's state checkpoint: prepared on this thread,
+        then written by the one write loop — inline, or on the pipelined
+        flusher while the next epoch runs."""
+        if self._flusher is None:
+            write_checkpoint(self.state_store.prepare_commit_all(version))
+        else:
+            self._flusher.submit(version, self.state_store.prepare_commit_all(
+                version, self._flusher.group))
 
     # ------------------------------------------------------------------
     # Normal epoch execution
@@ -437,17 +475,16 @@ class MicrobatchEngine:
             ends[name] = latest
         return ends
 
-    def _epoch_ingest_floor(self, ends: dict, starts: dict = None):
+    def _epoch_ingest_floor(self, ranges: dict):
         """Oldest source-ingest timestamp across this epoch's input
         ranges, or None when no source tracks ingest (the protocol is
         optional: sources expose ``ingest_floor(start, end)``)."""
-        base = self._start_offsets if starts is None else starts
         floor = None
         for name, source in self.sources.items():
             probe = getattr(source, "ingest_floor", None)
             if probe is None:
                 continue
-            ts = probe(base[name], ends[name])
+            ts = probe(ranges[name]["start"], ranges[name]["end"])
             if ts is not None and (floor is None or ts < floor):
                 floor = ts
         return floor
@@ -545,23 +582,8 @@ class MicrobatchEngine:
         fault_point("epoch.after_offsets", epoch=epoch)
 
         # (2) Read the epoch's new data and run the incremental plan.
-        with _Phase("read-inputs", timings):
-            inputs = {
-                name: source.get_batch(self._start_offsets[name], ends[name],
-                                       self.plan.read_schemas.get(name))
-                for name, source in self.sources.items()
-            }
-        ctx = EpochContext(
-            epoch_id=epoch,
-            inputs=inputs,
-            watermarks=self.watermarks,
-            processing_time=trigger_time,
-            output_mode=self.output_mode,
-            output_enabled=True,
-            is_first_epoch=epoch == 0,
-        )
-        with _Phase("process", timings):
-            result = self.plan.root.process(ctx)
+        ctx, result = self._process(epoch, ranges, trigger_time,
+                                    timings=timings)
         fault_point("epoch.after_process", epoch=epoch)
 
         # Group-commit barrier: every WAL_SYNC_EVERY epochs, everything
@@ -575,24 +597,9 @@ class MicrobatchEngine:
                     self._wal_group.sync()
                 self._wal_unsynced = 0
 
-        # End-to-end event-time lag (§7.4): the oldest source-ingest
-        # timestamp this epoch consumed.  Announced to cascade-aware
-        # sinks *before* delivery so a downstream StreamTable can
-        # propagate the original (bronze) ingest time; trigger time is
-        # the fallback floor when no source tracks ingest.
-        note_ingest = getattr(self.sink, "note_epoch_ingest", None)
-        ingest_floor = None
-        if timings is not None or note_ingest is not None:
-            ingest_floor = self._epoch_ingest_floor(ends)
-        if note_ingest is not None:
-            note_ingest(epoch, ingest_floor if ingest_floor is not None
-                        else trigger_time)
-
         # (3) Idempotent sink write.
-        with _Phase("sink-write", timings), deferred_fsync(self._wal_group):
-            self.sink.add_batch(epoch, result, self.output_mode)
+        ingest_floor = self._deliver(ctx, result, ranges, timings)
         fault_point("epoch.after_sink", epoch=epoch)
-        self.watermarks.advance()
 
         # (4) Commit entry, then the state checkpoint.
         with _Phase("wal-commit", timings):
@@ -602,14 +609,7 @@ class MicrobatchEngine:
         fault_point("epoch.after_commit", epoch=epoch)
         if epoch % self.config.state_checkpoint_interval == 0:
             with _Phase("state-commit", timings):
-                if self.pipelined:
-                    # Capture the checkpoint synchronously (cheap), hand
-                    # the file writes to the background flusher.
-                    jobs = self.state_store.prepare_commit_all(
-                        epoch, self._flusher.group)
-                    self._flusher.submit(epoch, jobs)
-                else:
-                    self.state_store.commit_all(epoch)
+                self._commit_state(epoch)
         if self.pipelined and self.config.retain_epochs is not None:
             # Retention scans the on-disk state directory; wait for
             # queued writes so the horizon computation is deterministic.

@@ -8,7 +8,7 @@ files (:mod:`repro.streaming.statefile`):
   previous version (incremental checkpoint);
 * ``<version>.base.jsonl`` — the full state, written when the deltas
   since the newest base weigh as much as that base (see
-  :meth:`OperatorStateHandle.commit`), which bounds both recovery
+  :meth:`OperatorStateHandle.prepare_commit`), which bounds both recovery
   replay and write amplification by 2× without a tuning knob;
 * ``<version>.{base,delta}.block`` in their place when the handle's
   value codec declares a row schema (values that are packed rows): the
@@ -58,65 +58,96 @@ BACKENDS = ("dict", "tiered")
 DEFAULT_MEMTABLE_BYTES = 64 * 1024 * 1024
 
 
-def _write_chain_file(directory: str, version: int, kind: str, chunks) -> None:
-    """Atomically write ``<version>.<kind>``, first dropping any other
-    chain file of the same version.
-
-    Which kind a version gets depends on the bytes before it, so a
-    re-run after a rollback (§7.2) may decide differently than the run
-    that left the newer files behind — and a stale base must never
-    anchor a later restore.  Dropping before writing is the safe order:
-    a crash in between leaves the version absent, and recovery replays
-    it from the WAL.
-    """
-    prefix = os.path.join(directory, f"{version:010d}.")
-    for other in statefile.BASE_KINDS + statefile.DELTA_KINDS:
-        if other != kind:
-            try:
-                os.unlink(prefix + other)
-            except FileNotFoundError:
-                pass
-    atomic_write_stream(prefix + kind, chunks)
-
-
 class PendingStateWrite:
-    """A state checkpoint captured now, to be written by the flusher.
+    """One operator's checkpoint of one version, prepared and not yet
+    written: :meth:`execute` is the only way operator state reaches disk.
 
-    The pipelined engine calls :meth:`OperatorStateHandle.prepare_commit`
-    on the epoch thread — the file is *serialized* there, so writes
-    from later epochs cannot leak into it — and hands this job to the
-    background flusher, which performs the file write under the shared
-    :class:`~repro.storage.SyncGroup`.  The bytes written are identical
-    to a synchronous :meth:`OperatorStateHandle.commit`.
-
-    Backends that persist at prepare time (the tiered/LSM handle writes
-    its runs and manifest on the epoch thread with fsyncs deferred into
-    the group) return a job with ``directory=None``: executing it is a
-    no-op and only the group sync remains for the flusher.
+    :meth:`OperatorStateHandle.prepare_commit` makes it.  Its chunks read
+    the handle's live values as they are written, so either it is
+    executed before the handle next changes (the sequential engine and
+    recovery, which stream each file), or :meth:`capture` serializes it
+    first on the thread that owns the handle (the pipelined engine,
+    whose flusher writes it while the next epoch runs).  Either way the
+    commit's in-memory effects — journals cleared, rebase weights and
+    ``last_committed_version`` advanced — happen once, when the chunks
+    are spent, and :meth:`execute` writes the same bytes.
     """
 
-    __slots__ = ("report", "directory", "kind", "chunks", "operator",
-                 "version")
+    __slots__ = ("operator", "version", "kind", "chunks", "report",
+                 "_directory", "_settle")
 
-    def __init__(self, report, directory=None, kind=None, chunks=None,
-                 operator="", version=0):
-        self.report = report
-        self.directory = directory
+    def __init__(self, directory: str, version: int, kind: str, chunks,
+                 settle):
+        self.operator = os.path.basename(directory)
+        self.version = version
         self.kind = kind
         self.chunks = chunks
-        self.operator = operator
-        self.version = version
+        self.report = None
+        self._directory = directory
+        #: Applies the commit's in-memory effects and returns its report.
+        self._settle = settle
 
-    def execute(self, group) -> None:
-        """Perform the deferred write (flusher thread)."""
-        if self.directory is None:
-            return
+    def capture(self) -> None:
+        """Serialize the file now, so the handle may change before
+        :meth:`execute` runs."""
+        self.chunks = list(self.chunks)
+        self._settled()
+
+    def _settled(self) -> dict:
+        if self._settle is not None:
+            self.report, self._settle = self._settle(), None
+        return self.report
+
+    def execute(self, group=None) -> dict:
+        """Atomically write ``<version>.<kind>``, its fsync deferred into
+        ``group`` if one is given; returns the commit's report.
+
+        A chain file first drops any other chain file of its version.
+        Which kind a version gets depends on the bytes before it, so a
+        re-run after a rollback (§7.2) may decide differently than the
+        run that left the newer files behind — and a stale base must
+        never anchor a later restore.  Dropping before writing is the
+        safe order: a crash in between leaves the version absent, and
+        recovery replays it from the WAL.
+        """
         fault_point("state.commit", version=self.version,
                     operator=self.operator)
+        prefix = os.path.join(self._directory, f"{self.version:010d}.")
+        chain = statefile.BASE_KINDS + statefile.DELTA_KINDS
+        for other in chain if self.kind in chain else ():
+            if other != self.kind:
+                try:
+                    os.unlink(prefix + other)
+                except FileNotFoundError:
+                    pass
         with deferred_fsync(group):
-            _write_chain_file(self.directory, self.version, self.kind,
-                              self.chunks)
+            atomic_write_stream(prefix + self.kind, self.chunks)
         self.chunks = None  # free the serialized payload
+        return self._settled()
+
+
+def write_checkpoint(jobs, group=None) -> list:
+    """Write one version's prepared checkpoint (:meth:`StateStore
+    .prepare_commit_all`), operator by operator; returns the reports.
+
+    The one write loop: the sequential engine and recovery run it
+    inline, each file fsyncing itself; the pipelined flusher runs it
+    with its :class:`~repro.storage.SyncGroup`.  ``state.commit_all``
+    fires between two operators' writes, the skew
+    :meth:`StateStore.restore_all` must reconcile; a crash at
+    ``state.async_flush_crash`` models the flusher dying before one.
+    """
+    reports = []
+    for i, job in enumerate(jobs):
+        if i:
+            fault_point("state.commit_all", version=job.version,
+                        operator=jobs[i - 1].operator, committed=i,
+                        total=len(jobs))
+        if group is not None:
+            fault_point("state.async_flush_crash", version=job.version,
+                        operator=job.operator)
+        reports.append(job.execute(group))
+    return reports
 
 
 def encode_key(key) -> str:
@@ -490,55 +521,57 @@ class OperatorStateHandle:
         return os.path.join(self._directory, f"{version:010d}.{kind}")
 
     def commit(self, version: int) -> dict:
-        """Checkpoint the working state as ``version``.
-
-        Writes a delta of dirty/removed keys — unless the delta files
-        since the newest base already weigh at least as much as that
-        base (each file counting ``max(bytes, MIN_FILE_WEIGHT)``), in
-        which case this version is a fresh base.  The first commit of
-        an empty chain is a base.  A chain's deltas therefore never
-        outweigh its base by more than one delta: restore reads ≤ 2× the
-        live state, everything ever written is ≤ 2× the delta bytes plus
-        one copy of the live state (a commit costs O(delta) amortised),
-        and the chain's file count is bounded.  The rule reads only what
-        the directory holds, so a crash-replay repeats the same
-        decisions byte for byte.
-
-        Records are sorted by encoded key.  Returns checkpoint metrics
-        (sizes) for monitoring (§7.4).
-        """
-        fault_point("state.commit", version=version,
-                    operator=os.path.basename(self._directory))
-        kind, writer, chunks, written = self._serialize(version)
-        _write_chain_file(self._directory, version, kind, chunks)
-        return self._finish_commit(version, kind, writer.bytes, written)
+        """Checkpoint the working state as ``version``, inline; returns
+        checkpoint metrics (sizes) for monitoring (§7.4)."""
+        return self.prepare_commit(version).execute()
 
     def _wants_base(self) -> bool:
-        """The rebase rule (see :meth:`commit`)."""
+        """The rebase rule (see :meth:`prepare_commit`)."""
         return self._delta_weight >= self._base_weight
 
-    def _serialize(self, version: int):
-        """Version's checkpoint as ``(kind, writer, chunk stream, keys
-        written)``.
+    def prepare_commit(self, version: int, group=None) -> PendingStateWrite:
+        """Version's checkpoint, for :meth:`PendingStateWrite.execute` to
+        write (``group`` is for backends that write as they prepare).
 
-        The chunk stream reads live values lazily: it must be consumed
-        before the next mutation of this handle, after which ``writer``
-        knows the file's size.
+        A delta of dirty/removed keys — unless the delta files since the
+        newest base already weigh at least as much as that base (each
+        file counting ``max(bytes, MIN_FILE_WEIGHT)``), in which case
+        this version is a fresh base.  The first commit of an empty chain
+        is a base.  A chain's deltas therefore never outweigh its base by
+        more than one delta: restore reads ≤ 2× the live state,
+        everything ever written is ≤ 2× the delta bytes plus one copy of
+        the live state (a commit costs O(delta) amortised), and the
+        chain's file count is bounded.  The rule reads only what the
+        directory holds, so a crash-replay repeats the same decisions
+        byte for byte.
+
+        Records are sorted by encoded key.
         """
         base = self._wants_base()
         writer = StateFileWriter("base" if base else "delta", version)
         written = (self._num_keys if base
                    else len(self.dirty) + len(self.removed))
         if self._schema is not None:
-            keys = sorted(self.data if base else self.dirty | self.removed)
             kind = statefile.BASE_BLOCK if base else statefile.DELTA_BLOCK
-            return (kind, writer,
-                    writer.block_chunks(keys, self.data, self._schema),
-                    written)
-        records = self._disk_records(
-            self._sorted_items() if base else self._sorted_changes())
-        kind = statefile.BASE if base else statefile.DELTA
-        return kind, writer, writer.chunks(records), written
+        else:
+            kind = statefile.BASE if base else statefile.DELTA
+        return PendingStateWrite(
+            self._directory, version, kind, self._chunks(writer, base),
+            lambda: self._finish_commit(version, kind, writer.bytes,
+                                        written))
+
+    def _chunks(self, writer, base: bool):
+        """The checkpoint file's chunks: every key for a base, the keys
+        written or removed since the last commit (as tombstones) for a
+        delta, in key order.  Values are read as the chunks are, so only
+        the sorted key list is materialised beside the dict."""
+        data = self.data
+        keys = sorted(data if base else self.dirty | self.removed)
+        if self._schema is not None:
+            yield from writer.block_chunks(keys, data, self._schema)
+        else:
+            yield from writer.chunks(self._disk_records(
+                (encoded, data.get(encoded, TOMBSTONE)) for encoded in keys))
 
     def _finish_commit(self, version: int, kind: str, size: int,
                        written: int) -> dict:
@@ -552,38 +585,6 @@ class OperatorStateHandle:
         self.last_committed_version = version
         return {"version": version, "keys_written": written,
                 "num_keys": self._num_keys, "kind": kind, "bytes": size}
-
-    def _sorted_items(self):
-        """``(key, value)`` pairs in key order, values read lazily (only
-        the sorted key list is materialised beside the dict)."""
-        data = self.data
-        for encoded in sorted(data):
-            yield encoded, data[encoded]
-
-    def _sorted_changes(self):
-        """Changes since the last commit in key order: written keys with
-        their value, removed keys as tombstones."""
-        data = self.data
-        for encoded in sorted(self.dirty | self.removed):
-            yield encoded, data.get(encoded, TOMBSTONE)
-
-    def prepare_commit(self, version: int, group) -> PendingStateWrite:
-        """Capture version's checkpoint now; the write happens later.
-
-        Serializes the same bytes :meth:`commit` would write (records
-        hold references to live values, so serialization cannot be
-        deferred past the next epoch's mutations), applies the rebase
-        rule to those same bytes, and advances the dirty/removed
-        journals exactly as a synchronous commit does.  The returned job
-        writes the file under ``group`` on the pipelined engine's
-        flusher thread.
-        """
-        kind, writer, chunks, written = self._serialize(version)
-        chunks = list(chunks)
-        report = self._finish_commit(version, kind, writer.bytes, written)
-        return PendingStateWrite(
-            report, directory=self._directory, kind=kind, chunks=chunks,
-            operator=os.path.basename(self._directory), version=version)
 
     def _available_versions(self) -> dict:
         """Map version -> kinds for all checkpoint files on disk."""
@@ -770,32 +771,29 @@ class StateStore:
             handle.close()
 
     def commit_all(self, version: int) -> list:
-        """Checkpoint every operator at ``version``; returns metrics.
+        """Checkpoint every operator at ``version``, inline; returns
+        metrics."""
+        return write_checkpoint(self.prepare_commit_all(version))
 
-        The fault point between operators models a crash that leaves
-        some operators checkpointed at ``version`` and the rest behind —
-        the skew :meth:`restore_all` must reconcile.
-        """
-        reports = []
-        for i, (operator_id, handle) in enumerate(self._handles.items()):
-            reports.append(handle.commit(version))
-            fault_point("state.commit_all", version=version,
-                        operator=operator_id, committed=i + 1,
-                        total=len(self._handles))
-        return reports
+    def prepare_commit_all(self, version: int, group=None) -> list:
+        """Every operator's checkpoint of ``version``, in operator order,
+        for :func:`write_checkpoint`.
 
-    def prepare_commit_all(self, version: int, group) -> list:
-        """Pipelined ``commit_all``: capture every operator's checkpoint
-        on the calling (epoch) thread, returning the deferred write jobs
-        in operator order for the async flusher.  The in-memory effects
-        (journals cleared, ``last_committed_version`` advanced) happen
-        here, so the engine's view is identical to a synchronous commit;
-        only durability lags, which recovery already tolerates via
-        ``state_checkpoint_interval`` replay."""
-        return [
-            handle.prepare_commit(version, group)
-            for handle in self._handles.values()
-        ]
+        Without a ``group`` each file streams from live state as it is
+        written, so the jobs must be written before state changes.  The
+        pipelined engine passes its flusher's group: each file is then
+        serialized here, on the epoch thread, since the flusher writes
+        it while the next epoch runs, and what a backend writes as it
+        prepares defers its fsyncs into the group.  Either way the
+        in-memory effects (journals cleared, ``last_committed_version``
+        advanced) are the same; only durability lags, which recovery
+        already tolerates via ``state_checkpoint_interval`` replay."""
+        jobs = [handle.prepare_commit(version, group)
+                for handle in self._handles.values()]
+        if group is not None:
+            for job in jobs:
+                job.capture()
+        return jobs
 
     def restore_all(self, version):
         """Restore every operator to one *consistent* version <= ``version``.

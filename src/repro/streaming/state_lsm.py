@@ -61,7 +61,6 @@ import numpy as np
 
 from repro.observability import metrics
 from repro.storage import (
-    atomic_write_json,
     atomic_write_stream,
     atomic_write_text,
     deferred_fsync,
@@ -623,19 +622,23 @@ class TieredOperatorStateHandle(OperatorStateHandle):
     # ------------------------------------------------------------------
     # Versioned persistence
     # ------------------------------------------------------------------
-    def commit(self, version: int) -> dict:
-        """Delta checkpoint: seal the memtable, then write a manifest.
+    def prepare_commit(self, version: int, group=None) -> PendingStateWrite:
+        """Delta checkpoint: seal the memtable now (the run's fsyncs
+        deferred into ``group`` if one is given), then a manifest for
+        :meth:`PendingStateWrite.execute` to write.
 
         The manifest lists every live run (sequence, entry count,
         SHA-256) oldest-first plus ``next_seq`` and the live-key count;
         it is self-contained, so restore never replays a delta chain.
         Cost is O(keys written since the last commit), not O(total
-        state) — unchanged runs are referenced, not rewritten.
+        state) — unchanged runs are referenced, not rewritten.  Sealing
+        and compaction mutate the run list, which must stay on the
+        epoch thread for byte-identical crash replay; a run no durable
+        manifest lists is dropped when the handle is next constructed.
         """
-        fault_point("state.commit", version=version,
-                    operator=os.path.basename(self._directory))
         written = len(self.dirty) + len(self.removed)
-        self._flush()
+        with deferred_fsync(group):
+            self._flush()
         manifest = {
             "kind": "manifest",
             "live_keys": self._num_keys,
@@ -646,29 +649,18 @@ class TieredOperatorStateHandle(OperatorStateHandle):
                 for run in reversed(self._runs)
             ],
         }
-        atomic_write_json(self._path(version, MANIFEST), manifest)
+        text = json.dumps(manifest, indent=2, sort_keys=True)
+        return PendingStateWrite(
+            self._directory, version, MANIFEST, (text,),
+            lambda: self._finish_manifest(version, written))
+
+    def _finish_manifest(self, version: int, written: int) -> dict:
         self.dirty.clear()
         self.removed.clear()
         self.last_committed_version = version
         return {"version": version, "keys_written": written,
                 "num_keys": self._num_keys, "backend": "tiered",
                 "runs": len(self._runs)}
-
-    def prepare_commit(self, version: int, group):
-        """Pipelined commit: persist now, defer only the fsyncs.
-
-        Run files and the manifest are written on the epoch thread
-        (sealing and compaction mutate the run list, which must stay
-        single-threaded for byte-identical crash replay), but their
-        fsyncs register with ``group`` — the blocking part of the commit
-        moves off the critical path onto the flusher's group sync.  The
-        returned job carries only the report; executing it is a no-op.
-        """
-        with deferred_fsync(group):
-            report = self.commit(version)
-        return PendingStateWrite(
-            report, operator=os.path.basename(self._directory),
-            version=version)
 
     def restore(self, version):
         """Reset to the newest manifest <= ``version``.

@@ -52,8 +52,8 @@ REGISTRY = {
     "wal.group_commit_crash": "pipelined: WAL entry in flight, fsync deferred",
     # streaming/state.py -- versioned state checkpoints
     "state.commit": "about to write one operator's delta/snapshot",
-    "state.commit_all": "between two operators' commits in commit_all",
-    # streaming/microbatch.py -- pipelined mode's background flusher
+    "state.commit_all": "between two operators' writes of one version",
+    # ... and pipelined mode's flusher, in the same write loop
     "state.async_flush_crash": "flusher about to execute a queued state write",
     # streaming/state_lsm.py -- tiered backend flush/compaction windows
     "state.flush_crash": "tiered: memtable sealed, before the run file write",

@@ -37,6 +37,17 @@ def checkpoint(tmp_path) -> str:
     return str(tmp_path / "checkpoint")
 
 
+@pytest.fixture(scope="session")
+def matrix(tmp_path_factory):
+    """The fault sweep's (config -> measured golden run, point -> cells),
+    once per session: ``tests/test_fault_sweep.py`` runs the cells and
+    ``tests/test_mode_equivalence.py`` compares the golden runs."""
+    from tests import sweep  # tests.sweep imports this module
+
+    measured = sweep.measure(str(tmp_path_factory.mktemp("golden")))
+    return measured, sweep.plan_cells(measured)
+
+
 def make_stream(fields) -> MemoryStream:
     """A MemoryStream with a tuple-spec schema."""
     return MemoryStream(StructType(tuple(fields)))

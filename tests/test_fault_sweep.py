@@ -22,13 +22,6 @@ from tests import checkpoint_scenarios as corpus
 from tests import sweep
 
 
-@pytest.fixture(scope="session")
-def matrix(tmp_path_factory):
-    """(config -> measured golden run, point -> cells), once per session."""
-    measured = sweep.measure(str(tmp_path_factory.mktemp("golden")))
-    return measured, sweep.plan_cells(measured)
-
-
 @pytest.mark.parametrize("point,mode", list(sweep.OLD_CELLS))
 def test_sweep_cell(point, mode, matrix, tmp_path):
     """A cell of the hand-kept matrix the generator replaced, run as the
