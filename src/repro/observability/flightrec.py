@@ -3,12 +3,13 @@
 The live metrics/tracing layer (PR 5) answers "how is the query doing
 *now*" but keeps no history a crash can't destroy — exactly when an
 operator needs it most (§2.3's monitoring challenge; the event-log /
-postmortem design of Spark's own event logging).  Every engine carries a
-:class:`FlightRecorder`: an always-on, always-cheap ring buffer of the
-last N epochs' progress snapshots (including watermark positions, stage
-timings, and bottleneck attribution), per-epoch metric deltas when the
-registry is live, and noteworthy one-off events (recovery, prior
-crashes).
+postmortem design of Spark's own event logging).  Every engine's epoch
+reporter (:class:`repro.streaming.progress.EpochReporter`) carries a
+:class:`FlightRecorder`, which reads the reporter's one bounded ring of
+recent epochs — each entry the epoch's ``events.jsonl`` line (watermark
+positions, stage timings, bottleneck attribution) plus its metric
+deltas while a registry is live — and keeps noteworthy one-off events
+itself (engine start with its configuration, prior crashes).
 
 When a query dies — ``StreamingQuery.exception`` fires, a fault-sweep
 cell crashes the engine, or the user calls ``query.dump_postmortem()``
@@ -24,12 +25,12 @@ injected storage crash must not re-enter the crashing code, and a
 failed dump must never mask the original exception — ``dump`` swallows
 its own errors and returns ``None``.
 
-Cost model: recording one epoch is a ``to_json()`` (already produced
-for ``events.jsonl``) plus a deque append; metric deltas are collected
-only while a registry is installed; span summaries are computed only at
-dump time.  Nothing here touches checkpoint bytes — ``postmortem.json``
-lives outside the ``offsets``/``commits``/``state`` directories that
-recovery and the checkpoint fingerprint read.
+Cost model: the recorder adds nothing per epoch — the ring entry is
+the dict the reporter already serialized for ``events.jsonl``; span
+summaries are computed only at dump time.  Nothing here touches
+checkpoint bytes — ``postmortem.json`` lives outside the
+``offsets``/``commits``/``state`` directories that recovery and the
+checkpoint fingerprint read.
 """
 
 from __future__ import annotations
@@ -41,12 +42,9 @@ import time
 from collections import deque
 
 from repro.observability import metrics, tracing
-from repro.observability.metrics import Counter, Gauge
 
 #: Postmortem document schema version (bump on breaking layout changes).
 SCHEMA_VERSION = 1
-#: Epochs retained in the ring.
-DEFAULT_CAPACITY = 64
 #: One-off events retained (recovery notes, prior dumps, ...).
 EVENT_CAPACITY = 128
 #: Rotated prior dumps kept next to ``postmortem.json``.
@@ -71,16 +69,16 @@ def load_postmortem(path: str):
 
 
 class FlightRecorder:
-    """Per-engine crash recorder with atomic, rotated dumps."""
+    """Per-engine crash recorder with atomic, rotated dumps; ``epochs()``
+    returns the epoch reporter's ring entries, oldest first."""
 
-    def __init__(self, checkpoint_dir: str, engine: str = "microbatch",
-                 capacity: int = DEFAULT_CAPACITY, clock=time.time):
+    def __init__(self, checkpoint_dir: str, engine: str, epochs,
+                 clock=time.time):
         self.checkpoint_dir = checkpoint_dir
         self.engine = engine
         self.clock = clock
-        self._epochs = deque(maxlen=capacity)
+        self._epochs = epochs
         self._events = deque(maxlen=EVENT_CAPACITY)
-        self._prev_counters = {}
         self._lock = threading.Lock()
         #: Error object of the last crash dump (identity-deduplicated so
         #: an exception surfaced at several boundaries dumps once).
@@ -90,17 +88,8 @@ class FlightRecorder:
         self.prior_postmortems = []
 
     # ------------------------------------------------------------------
-    # Recording (hot-ish path: once per epoch / per incident)
+    # Recording (once per incident)
     # ------------------------------------------------------------------
-    def record_epoch(self, progress) -> None:
-        """Append one completed epoch's snapshot to the ring."""
-        entry = progress.to_json()
-        delta = self._metrics_delta()
-        if delta:
-            entry["metricsDelta"] = delta
-        with self._lock:
-            self._epochs.append(entry)
-
     def note(self, kind: str, **info) -> None:
         """Record a one-off lifecycle event."""
         event = {"ts": self.clock(), "kind": kind}
@@ -127,35 +116,13 @@ class FlightRecorder:
         self.prior_postmortems = found
         return found
 
-    def _metrics_delta(self):
-        """Counter deltas since the previous epoch + current gauges
-        (None while no registry is installed)."""
-        registry = metrics.active()
-        if registry is None:
-            self._prev_counters = {}
-            return None
-        delta = {}
-        current = {}
-        for name, metric in list(registry._metrics.items()):
-            if isinstance(metric, Counter):
-                value = metric.value
-                current[name] = value
-                step = value - self._prev_counters.get(name, 0)
-                if step:
-                    delta[name] = step
-            elif isinstance(metric, Gauge):
-                if isinstance(metric.value, (int, float)):
-                    delta[name] = metric.value
-        self._prev_counters = current
-        return delta
-
     # ------------------------------------------------------------------
     # Dumping
     # ------------------------------------------------------------------
     def to_json(self, reason: str, error=None, epoch=None) -> dict:
         """The self-contained postmortem document."""
+        epochs = self._epochs()
         with self._lock:
-            epochs = list(self._epochs)
             events = list(self._events)
         crash = None
         if error is not None or epoch is not None:

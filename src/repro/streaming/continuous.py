@@ -26,12 +26,11 @@ import numpy as np
 
 from repro import observability
 from repro.observability import metrics, tracing
-from repro.observability.flightrec import FlightRecorder
 from repro.observability.metrics import Histogram
 from repro.streaming import operators as ops
 from repro.streaming.incrementalizer import incrementalize
 from repro.streaming.operators import EpochContext
-from repro.streaming.progress import EpochProgress, ProgressReporter
+from repro.streaming.progress import EpochProgress, EpochReporter, backlog_rows
 from repro.streaming.state import StateStore
 from repro.streaming.wal import WriteAheadLog
 from repro.streaming.watermark import WatermarkTracker
@@ -133,21 +132,7 @@ class ContinuousEngine:
         self.source_name, descriptor = self.plan.sources[0]
         self.source = descriptor.create()
         self.sources = {self.source_name: self.source}
-
-        #: Flight recorder (§7.4): created before the WAL attaches so a
-        #: crash during metadata write or recovery still leaves a
-        #: postmortem in the checkpoint directory.
-        self.flightrec = FlightRecorder(checkpoint_dir, engine="continuous")
-        self.flightrec.adopt_prior_dumps()
-        try:
-            self.wal = WriteAheadLog(checkpoint_dir)
-            self.wal.write_metadata(
-                {"output_mode": output_mode, "mode": "continuous"})
-        except Exception as exc:
-            self._dump_crash("init-crash", exc)
-            raise
         self.watermarks = WatermarkTracker(self.plan.watermark_delays)
-        self.progress = ProgressReporter()
 
         #: Per-record event-time -> sink latency (§9.3's headline metric).
         #: Recorded vectorized per chunk against ``latency_column`` (a
@@ -170,6 +155,13 @@ class ContinuousEngine:
             self._latency_col = next(
                 (c for c in ("publish_time", "send_time") if c in names), None)
 
+        #: The epoch reporter (§7.4), as the microbatch engine's: created
+        #: before the WAL attaches so a crash during metadata write or
+        #: recovery still leaves a postmortem naming the configuration.
+        self.progress = EpochReporter(checkpoint_dir, "continuous", config={
+            "output_mode": output_mode, "epoch_interval": epoch_interval,
+            "latency_column": self._latency_col})
+
         self._stop_event = threading.Event()
         self._workers = []
         self._master = None
@@ -184,12 +176,16 @@ class ContinuousEngine:
         self._chunk_fn = self._build_chunk_pipeline(self.plan.root)
         self._start_offsets = self.source.initial_offsets()
         try:
+            self.wal = WriteAheadLog(checkpoint_dir)
+            self.wal.write_metadata(
+                {"output_mode": output_mode, "mode": "continuous"})
+            self.progress.open_log()
             self._recover()
         except Exception as exc:
-            self._dump_crash("init-crash", exc)
+            self.progress.flightrec.dump("init-crash", error=exc,
+                                         epoch=self.next_epoch)
+            self.progress.close()
             raise
-        self.flightrec.note("engine-start", mode="continuous",
-                            next_epoch=self.next_epoch)
 
     # ------------------------------------------------------------------
     def _recover(self) -> None:
@@ -309,6 +305,7 @@ class ContinuousEngine:
         if all(positions[p] == self._start_offsets.get(p, 0) for p in positions):
             return  # nothing processed since the last epoch
         epoch = self.next_epoch
+        trigger_time = time.time()
         started = time.perf_counter()
         with tracing.trace_span("epoch-marker", epoch=epoch):
             fault_point("continuous.commit_epoch", epoch=epoch)
@@ -319,7 +316,7 @@ class ContinuousEngine:
                     }
                 },
                 "watermarks": self.watermarks.to_json(),
-                "trigger_time": time.time(),
+                "trigger_time": trigger_time,
             })
             fault_point("continuous.after_offsets", epoch=epoch)
             self.wal.write_commit(epoch)
@@ -331,25 +328,17 @@ class ContinuousEngine:
         total_written = sum(w.rows_written for w in self._workers)
         output_rows = total_written - self._rows_reported
         self._rows_reported = total_written
-        metrics.count("continuous.epoch_markers")
-        metrics.count("engine.rows_in", input_rows)
-        progress = EpochProgress(
+        self.progress.report(EpochProgress(
             epoch_id=epoch,
-            trigger_time=time.time(),
+            trigger_time=trigger_time,
             duration_seconds=time.perf_counter() - started,
             input_rows=input_rows,
             output_rows=output_rows,
-            backlog_rows=self._backlog(positions),
+            backlog_rows=backlog_rows(self.source, positions),
             state_keys=0,
             late_rows_dropped=0,
             latency_percentiles=self.latency_histogram.percentiles_json(),
-        )
-        self.progress.record(progress)
-        self.flightrec.record_epoch(progress)
-
-    def _backlog(self, positions: dict) -> int:
-        latest = self.source.latest_offsets()
-        return sum(max(latest[p] - positions.get(p, 0), 0) for p in latest)
+        ))
 
     def run_epoch(self):
         """Interval-trigger entry point (no-op: workers run continuously)."""
@@ -358,24 +347,20 @@ class ContinuousEngine:
 
     def run_available(self):
         """Block until the source is drained (workers keep running)."""
-        while self._backlog({w.partition: w.position for w in self._workers}):
+        while backlog_rows(self.source, {w.partition: w.position
+                                         for w in self._workers}):
             self._raise_worker_error()
             time.sleep(0.001)
         self._raise_worker_error()
         return []
 
-    def _dump_crash(self, reason: str, error) -> None:
-        """Leave a postmortem behind for a failure; never raises."""
-        rec = getattr(self, "flightrec", None)
-        if rec is not None:
-            rec.dump(reason, error=error,
-                     epoch=getattr(self, "next_epoch", None))
-
     def _raise_worker_error(self) -> None:
         if self._worker_error is not None:
             # Identity-deduped inside the recorder, so the repeated
             # re-raises (run_epoch, run_available, stop) dump once.
-            self._dump_crash("worker-crash", self._worker_error)
+            self.progress.flightrec.dump("worker-crash",
+                                         error=self._worker_error,
+                                         epoch=self.next_epoch)
             raise self._worker_error
 
     def stop(self) -> None:
@@ -385,4 +370,5 @@ class ContinuousEngine:
             worker.join()
         if self._master is not None:
             self._master.join(timeout=10)
+        self.progress.close()
         self._raise_worker_error()

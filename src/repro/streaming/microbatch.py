@@ -22,8 +22,6 @@ backlogged query automatically runs larger epochs until it catches up.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 import weakref
@@ -33,14 +31,13 @@ from dataclasses import asdict
 from repro import observability
 from repro.observability import bottleneck as bottleneck_model
 from repro.observability import metrics, tracing
-from repro.observability.flightrec import FlightRecorder
 from repro.sql.batch import RecordBatch
 from repro.sql.types import WEIGHT_COLUMN
 from repro.storage import SyncGroup, deferred_fsync
 from repro.streaming.config import EngineConfig
 from repro.streaming.incrementalizer import incrementalize
 from repro.streaming.operators import EpochContext
-from repro.streaming.progress import EpochProgress, ProgressReporter
+from repro.streaming.progress import EpochProgress, EpochReporter, backlog_rows
 from repro.streaming.state import StateStore, write_checkpoint
 from repro.streaming.wal import WriteAheadLog
 from repro.streaming.watermark import WatermarkTracker
@@ -230,20 +227,19 @@ class MicrobatchEngine:
         #: Both modes run one epoch body; ``tests/test_mode_equivalence.py``
         #: checks that they write the same checkpoints and sink output.
         self.pipelined = config.pipeline
-        self._event_log = None
         self.state_store = None
 
-        #: Always-on flight recorder (§7.4): ring buffer of recent epoch
-        #: progress and engine events, dumped as ``postmortem.json`` on
-        #: any crash.  Created first so even an init/recovery failure
-        #: leaves a postmortem behind — one that names the configuration.
-        self.flightrec = FlightRecorder(checkpoint_dir, engine="microbatch")
-        self.flightrec.adopt_prior_dumps()
-        self.flightrec.note("engine-start", config=asdict(config))
+        #: The epoch reporter (§7.4).  Created first so even an
+        #: init/recovery failure leaves a postmortem behind — one that
+        #: names the configuration.
+        self.progress = EpochReporter(checkpoint_dir, "microbatch",
+                                      config=asdict(config))
         try:
             self._init_engine(plan, sink, output_mode, checkpoint_dir)
         except Exception as exc:
-            self._dump_crash("init-crash", exc)
+            self.progress.flightrec.dump(
+                "init-crash", error=exc,
+                epoch=getattr(self, "next_epoch", None))
             self._release()
             raise
 
@@ -275,8 +271,7 @@ class MicrobatchEngine:
             )
         self.wal.write_metadata({"output_mode": output_mode})
         self.watermarks = WatermarkTracker(self.plan.watermark_delays)
-        self.progress = ProgressReporter()
-        self._attach_event_log(checkpoint_dir)
+        self.progress.open_log()
 
         #: Live sources, created from descriptors ("re-attach" on restart).
         self.sources = {name: desc.create() for name, desc in self.plan.sources}
@@ -299,30 +294,11 @@ class MicrobatchEngine:
             self._wal_group = SyncGroup()
             self._flusher = _AsyncStateFlusher(self)
 
-    def _attach_event_log(self, checkpoint_dir: str) -> None:
-        """Append each epoch's progress as a JSON line to the structured
-        event log (§7.4): ``<checkpoint>/events.jsonl``.
-
-        One append handle is held for the engine's lifetime (flushed per
-        epoch so readers see completed lines) instead of reopening the
-        file every epoch; :meth:`stop` closes it."""
-        path = os.path.join(checkpoint_dir, "events.jsonl")
-        self._event_log = open(path, "a", encoding="utf-8")
-
-        def log_event(progress):
-            if self._event_log.closed:
-                return
-            self._event_log.write(json.dumps(progress.to_json()) + "\n")
-            self._event_log.flush()
-
-        self.progress.listeners.append(log_event)
-
     def _release(self) -> None:
         """Close what the engine itself opened: the event-log handle and
         the state handles' run files (idempotent; also the init-failure
         path)."""
-        if self._event_log is not None and not self._event_log.closed:
-            self._event_log.close()
+        self.progress.close()
         if self.state_store is not None:
             self.state_store.close()
 
@@ -346,7 +322,8 @@ class MicrobatchEngine:
         self._release()
         if async_error is not None and not self._async_error_raised:
             self._async_error_raised = True
-            self._dump_crash("async-crash", async_error)
+            self.progress.flightrec.dump("async-crash", error=async_error,
+                                         epoch=self.next_epoch)
             raise async_error
 
     # ------------------------------------------------------------------
@@ -507,11 +484,6 @@ class MicrobatchEngine:
             self._async_error_raised = True
             raise self._flusher.error
 
-    def _dump_crash(self, reason: str, error) -> None:
-        """Leave a postmortem behind for a failure; never raises."""
-        self.flightrec.dump(reason, error=error,
-                            epoch=getattr(self, "next_epoch", None))
-
     def run_epoch(self):
         """Run one epoch if there is work; returns EpochProgress or None.
 
@@ -521,13 +493,11 @@ class MicrobatchEngine:
         flight recorder as ``postmortem.json`` before propagating.
         """
         try:
-            progress = self._run_epoch()
+            return self._run_epoch()
         except Exception as exc:
-            self._dump_crash("epoch-crash", exc)
+            self.progress.flightrec.dump("epoch-crash", error=exc,
+                                         epoch=self.next_epoch)
             raise
-        if progress is not None:
-            self.flightrec.record_epoch(progress)
-        return progress
 
     def _run_epoch(self):
         # A background failure surfaces here, at the epoch boundary —
@@ -550,7 +520,7 @@ class MicrobatchEngine:
         epoch = self.next_epoch
         with tracing.trace_span("epoch", epoch=epoch):
             progress = self._execute_epoch(epoch, ends)
-        self.progress.record(progress)
+        self.progress.report(progress)
         return progress
 
     def _execute_epoch(self, epoch: int, ends: dict) -> EpochProgress:
@@ -622,39 +592,32 @@ class MicrobatchEngine:
             source.commit(ends[name])
             self._start_offsets[name] = ends[name]
         self.next_epoch = epoch + 1
-        return self._report_epoch(ctx, result, ranges, timings, ingest_floor,
-                                  time.perf_counter() - started)
+        return self._epoch_progress(ctx, result, ranges, timings, ingest_floor,
+                                    time.perf_counter() - started)
 
-    def _report_epoch(self, ctx, result, ranges, timings, ingest_floor,
-                      duration) -> EpochProgress:
-        """Describe a finished epoch: its EpochProgress and the engine's
-        gauges/counters (§7.4).  Nothing here is part of the protocol."""
-        trigger_time = ctx.processing_time
-        input_rows = sum(batch.num_rows for batch in ctx.inputs.values())
-        backlog = 0
-        for name, source in self.sources.items():
-            latest = source.latest_offsets()
-            end = ranges[name]["end"]
-            backlog += sum(max(latest[p] - end.get(p, 0), 0) for p in latest)
-        state_keys = self.state_store.total_keys()
-        state_rows = self.state_store.total_rows()
+    def _epoch_progress(self, ctx, result, ranges, timings, ingest_floor,
+                        duration) -> EpochProgress:
+        """Describe a finished epoch (§7.4); the reporter derives the
+        engine's metrics from it.  Nothing here is part of the protocol."""
         event_lag = None
         if timings is not None and ingest_floor is not None:
             event_lag = max(0.0, self.clock() - ingest_floor)
         output_net = None
         if WEIGHT_COLUMN in result.columns:
             output_net = int(result.columns[WEIGHT_COLUMN].sum())
-        late_rows = ctx.metrics["late_rows_dropped"]
-        progress = EpochProgress(
+        return EpochProgress(
             epoch_id=ctx.epoch_id,
-            trigger_time=trigger_time,
+            trigger_time=ctx.processing_time,
             duration_seconds=duration,
-            input_rows=input_rows,
+            input_rows=sum(batch.num_rows for batch in ctx.inputs.values()),
             output_rows=result.num_rows,
-            backlog_rows=backlog,
-            state_keys=state_keys,
-            state_rows=state_rows,
-            late_rows_dropped=late_rows,
+            # Past this epoch's end offsets, now the next one's start.
+            backlog_rows=sum(
+                backlog_rows(source, self._start_offsets[name])
+                for name, source in self.sources.items()),
+            state_keys=self.state_store.total_keys(),
+            state_rows=self.state_store.total_rows(),
+            late_rows_dropped=ctx.metrics["late_rows_dropped"],
             watermarks={
                 c: self.watermarks.current(c)
                 for c in self.watermarks.columns
@@ -667,24 +630,6 @@ class MicrobatchEngine:
             bottleneck=(bottleneck_model.summary(timings, ctx.op_metrics)
                         if timings else {}),
         )
-        metrics.count("engine.epochs")
-        metrics.count("engine.rows_in", input_rows)
-        metrics.count("engine.rows_out", result.num_rows)
-        metrics.count("engine.late_rows_dropped", late_rows)
-        metrics.set_gauge("engine.backlog_rows", backlog)
-        metrics.set_gauge("engine.state_keys", state_keys)
-        metrics.set_gauge("state.rows", state_rows)
-        metrics.observe("engine.epoch_seconds", duration)
-        if event_lag is not None:
-            metrics.set_gauge("engine.event_time_lag", event_lag)
-            metrics.observe("engine.event_time_lag_seconds", event_lag)
-        if timings is not None:
-            for column in self.watermarks.columns:
-                wm = self.watermarks.current(column)
-                if wm is not None:
-                    metrics.set_gauge(f"engine.watermark_lag.{column}",
-                                      max(0.0, trigger_time - wm))
-        return progress
 
     def _enforce_retention(self, epoch: int) -> None:
         """GC state checkpoints and WAL entries beyond the rollback

@@ -7,13 +7,29 @@ is enabled, per-stage timings, per-operator row counts and
 continuous-mode latency percentiles.  ``to_json`` keeps it
 loggable as a structured event; empty sections are omitted so
 ``events.jsonl`` lines stay compact.
+
+Both engines report each epoch through one :class:`EpochReporter`
+call, which serializes it once for ``events.jsonl``, the ring behind
+``recent_progress`` and the postmortem, the ``engine.*`` metrics
+(:func:`apply_metrics`, which the monitor's replay also runs) and the
+listeners.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.observability import metrics
+from repro.observability.flightrec import FlightRecorder
+from repro.observability.metrics import Counter, Gauge
+
+#: Epochs retained for ``recent_progress`` and the postmortem's
+#: ``epochs``: the one ring both read.
+RING_CAPACITY = 100
 
 
 @dataclass
@@ -103,40 +119,145 @@ class EpochProgress:
         return payload
 
 
-class ProgressReporter:
-    """Keeps a bounded history of epoch progress for a query.
+def apply_metrics(registry, event: dict) -> None:
+    """Set the ``engine.*`` metrics (and ``state.rows``) of one epoch
+    from its ``events.jsonl`` line: the live engines' reporter and the
+    monitor's replay both call this, so their registries agree.
+    Counters accumulate, gauges take the newest value; fields an older
+    log lacks are skipped."""
+    registry.counter("engine.epochs").inc()
+    registry.counter("engine.rows_in").inc(event.get("numInputRows", 0))
+    registry.counter("engine.rows_out").inc(event.get("numOutputRows", 0))
+    registry.counter("engine.late_rows_dropped").inc(
+        event.get("lateRowsDropped", 0))
+    registry.gauge("engine.backlog_rows").set(event.get("backlogRows"))
+    registry.gauge("engine.state_keys").set(event.get("stateKeys"))
+    if "stateRows" in event:
+        registry.gauge("state.rows").set(event["stateRows"])
+    duration = event.get("durationSeconds")
+    if isinstance(duration, (int, float)):
+        registry.histogram("engine.epoch_seconds").record(duration)
+    lag = event.get("eventTimeLagSeconds")
+    if isinstance(lag, (int, float)):
+        registry.gauge("engine.event_time_lag").set(lag)
+        registry.histogram("engine.event_time_lag_seconds").record(lag)
+    trigger_time = event.get("triggerTime")
+    watermarks = event.get("watermarks") or {}
+    if isinstance(watermarks, dict) and watermarks.get("watermarks"):
+        watermarks = watermarks["watermarks"]
+    for column, value in watermarks.items():
+        if isinstance(value, (int, float)) \
+                and isinstance(trigger_time, (int, float)):
+            registry.gauge(f"engine.watermark_lag.{column}").set(
+                max(0.0, trigger_time - value))
+    share = (event.get("bottleneck") or {}).get("share")
+    if isinstance(share, (int, float)):
+        registry.gauge("engine.bottleneck_share").set(share)
 
-    Listener callbacks are isolated: a raising listener is counted
+
+def backlog_rows(source, end: dict) -> int:
+    """Records ``source`` holds beyond the partition offsets ``end``."""
+    latest = source.latest_offsets()
+    return sum(max(latest[p] - end.get(p, 0), 0) for p in latest)
+
+
+class EpochReporter:
+    """Reports one engine's epochs (§7.4), either engine alike.
+
+    :meth:`report` serializes an epoch once: that dict is the
+    ``events.jsonl`` line, the ring entry (plus its ``metricsDelta``)
+    and the input of :func:`apply_metrics`.  The ring backs
+    ``recent_progress`` and the postmortem: the reporter owns the
+    engine's :class:`FlightRecorder`, which reads its epochs from here.
+
+    A raising listener (or ``events.jsonl`` append) is counted
     (``listener_errors`` here and the ``query.listener_errors`` metric)
-    and skipped, never allowed to kill the driver loop — the same
-    containment ``on_terminated`` failures already had in ``query.py``.
+    and skipped, never allowed to kill the driver loop.
     """
 
-    def __init__(self, capacity: int = 100):
-        self._capacity = capacity
-        self._history = []
+    def __init__(self, checkpoint_dir: str, engine: str = "microbatch",
+                 config: dict = None, capacity: int = RING_CAPACITY):
+        self._ring = deque(maxlen=capacity)
+        self._lock = threading.Lock()
+        self._prev_counters = {}
+        self._log_path = os.path.join(checkpoint_dir, "events.jsonl")
+        self._log = None
         self.listeners = []
         #: Count of listener callbacks that raised (and were swallowed).
         self.listener_errors = 0
+        self.flightrec = FlightRecorder(checkpoint_dir, engine,
+                                        epochs=self.entries)
+        self.flightrec.adopt_prior_dumps()
+        self.flightrec.note("engine-start", config=config)
 
-    def record(self, progress: EpochProgress) -> None:
-        """Append progress; notify listeners (their failures contained)."""
-        self._history.append(progress)
-        if len(self._history) > self._capacity:
-            del self._history[: len(self._history) - self._capacity]
+    def open_log(self) -> None:
+        """Open ``events.jsonl`` (once the checkpoint directory exists):
+        one handle, flushed per epoch, for the engine's lifetime."""
+        self._log = open(self._log_path, "a", encoding="utf-8")
+
+    def close(self) -> None:
+        """Close the ``events.jsonl`` handle (idempotent)."""
+        if self._log is not None:
+            self._log.close()
+
+    def report(self, progress: EpochProgress) -> None:
+        """Log, retain, meter and announce one completed epoch."""
+        entry = progress.to_json()
+        line = json.dumps(entry) + "\n"
+        registry = metrics.active()
+        if registry is None:
+            self._prev_counters = {}
+        else:
+            apply_metrics(registry, entry)
+            delta = self._metrics_delta(registry)
+            if delta:
+                entry["metricsDelta"] = delta
+        with self._lock:
+            self._ring.append((progress, entry))
+        self._contained(self._append, line)
         for listener in list(self.listeners):
-            try:
-                listener(progress)
-            except Exception:
-                self.listener_errors += 1
-                metrics.count("query.listener_errors")
+            self._contained(listener, progress)
+
+    def _append(self, line: str) -> None:
+        if self._log is not None and not self._log.closed:
+            self._log.write(line)
+            self._log.flush()
+
+    def _contained(self, callback, arg) -> None:
+        try:
+            callback(arg)
+        except Exception:
+            self.listener_errors += 1
+            metrics.count("query.listener_errors")
+
+    def _metrics_delta(self, registry) -> dict:
+        """Counter deltas since the previous epoch + current gauges."""
+        delta, current = {}, {}
+        for name, metric in list(registry._metrics.items()):
+            if isinstance(metric, Counter):
+                current[name] = metric.value
+                step = metric.value - self._prev_counters.get(name, 0)
+                if step:
+                    delta[name] = step
+            elif isinstance(metric, Gauge) \
+                    and isinstance(metric.value, (int, float)):
+                delta[name] = metric.value
+        self._prev_counters = current
+        return delta
+
+    def entries(self) -> list:
+        """The ring's serialized epochs, oldest first (the postmortem's
+        ``epochs``)."""
+        with self._lock:
+            return [entry for _progress, entry in self._ring]
 
     @property
     def last(self):
         """Most recent epoch progress, or None."""
-        return self._history[-1] if self._history else None
+        return self._ring[-1][0] if self._ring else None
 
     @property
     def recent(self) -> list:
         """Retained progress history, oldest first."""
-        return list(self._history)
+        with self._lock:
+            return [progress for progress, _entry in self._ring]

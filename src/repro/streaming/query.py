@@ -193,14 +193,11 @@ class StreamingQuery:
         """Force a flight-recorder dump (§7.4): write the ring buffer of
         recent epochs, events and metric deltas as ``postmortem.json``
         in the checkpoint directory.  Returns the path written, or None
-        when this engine has no recorder or the dump failed.
+        when the dump failed.
         """
-        rec = getattr(self.engine, "flightrec", None)
-        if rec is None:
-            return None
-        return rec.dump(reason, error=self._exception,
-                        epoch=getattr(self.engine, "next_epoch", None),
-                        force=True)
+        return self.engine.progress.flightrec.dump(
+            reason, error=self._exception, epoch=self.engine.next_epoch,
+            force=True)
 
     def bottleneck(self, window: int = 20) -> dict:
         """Where is the time going?  Attribute recent epochs' wall time

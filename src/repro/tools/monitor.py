@@ -1,7 +1,8 @@
 """Text dashboard over a query's structured event log (§7.4).
 
-Every epoch appends one JSON line to ``<checkpoint>/events.jsonl``
-(see :mod:`repro.streaming.progress`); this tool turns that log into
+Every epoch of either engine appends one JSON line to
+``<checkpoint>/events.jsonl`` (see :mod:`repro.streaming.progress`);
+this tool turns that log into
 the monitoring view the paper says operators need (§2.3): processing
 rate, backlog, state size, watermarks and their lag, plus — when the
 observability layer was enabled — the engine's per-phase time
@@ -20,7 +21,9 @@ dashboard (and the bottleneck panel) then replays the flight recorder's
 last epochs instead of the live log.
 
 or programmatically: ``render(load_events(path))`` returns the
-dashboard as a string.
+dashboard as a string.  ``--serve`` replays the log into the ``engine.*``
+metrics through the same function the live engines use
+(:func:`repro.streaming.progress.apply_metrics`).
 """
 
 from __future__ import annotations
@@ -245,54 +248,25 @@ def render(events: list, window: int = 20) -> str:
 # ----------------------------------------------------------------------
 # OpenMetrics replay/export
 # ----------------------------------------------------------------------
-def registry_from_events(events: list, window: int = 20):
-    """Synthesize a :class:`MetricsRegistry` from logged epochs.
-
-    Lets ``--serve`` expose a Prometheus endpoint for a query that ran
-    without a live registry (or crashed): counters accumulate over all
-    events, gauges take the newest value, and per-epoch durations and
-    event-time lags fill the standard histograms — same metric names as
-    the live engine's, so dashboards work unchanged.
-    """
+def registry_from_events(events: list):
+    """Synthesize a :class:`MetricsRegistry` from logged epochs, for
+    ``--serve`` over a query that ran without a live registry (or
+    crashed).  The ``engine.*`` metrics come from the live engines' own
+    :func:`~repro.streaming.progress.apply_metrics`; ``op.<Op>.rows_out``
+    (counted live by the operators) from each ``operatorMetrics``."""
     from repro.observability.metrics import MetricsRegistry
+    from repro.streaming.progress import apply_metrics
 
     registry = MetricsRegistry()
     for event in events:
-        registry.counter("engine.epochs").inc()
-        registry.counter("engine.rows_in").inc(event.get("numInputRows", 0))
-        registry.counter("engine.rows_out").inc(event.get("numOutputRows", 0))
-        registry.counter("engine.late_rows_dropped").inc(
-            event.get("lateRowsDropped", 0))
-        duration = event.get("durationSeconds")
-        if isinstance(duration, (int, float)):
-            registry.histogram("engine.epoch_seconds").record(duration)
-        lag = event.get("eventTimeLagSeconds")
-        if isinstance(lag, (int, float)):
-            registry.histogram("engine.event_time_lag_seconds").record(lag)
-            registry.gauge("engine.event_time_lag").set(lag)
-        registry.gauge("engine.backlog_rows").set(event.get("backlogRows"))
-        registry.gauge("engine.state_keys").set(event.get("stateKeys"))
-        if "stateRows" in event:
-            registry.gauge("state.rows").set(event["stateRows"])
-        trigger_time = event.get("triggerTime")
-        watermarks = event.get("watermarks") or {}
-        if isinstance(watermarks, dict) and watermarks.get("watermarks"):
-            watermarks = watermarks["watermarks"]
-        for column, value in watermarks.items():
-            if isinstance(value, (int, float)) \
-                    and isinstance(trigger_time, (int, float)):
-                registry.gauge(f"engine.watermark_lag.{column}").set(
-                    max(0.0, trigger_time - value))
+        apply_metrics(registry, event)
         for op, stats in (event.get("operatorMetrics") or {}).items():
             registry.counter(f"op.{op}.rows_out").inc(
                 stats.get("rows_out", 0))
-    attribution = bottleneck_model.attribute_events(events[-window:])
-    if attribution:
-        registry.gauge("engine.bottleneck_share").set(attribution["share"])
     return registry
 
 
-def serve_events(path: str, port: int = 0, window: int = 20):
+def serve_events(path: str, port: int = 0):
     """Serve ``path`` (events.jsonl / checkpoint dir / postmortem.json)
     as an OpenMetrics endpoint; re-reads the file on every scrape.
     Returns the running :class:`MetricsServer`."""
@@ -300,7 +274,7 @@ def serve_events(path: str, port: int = 0, window: int = 20):
 
     def render_exposition():
         events = load_events(path)
-        return registry_from_events(events, window=window).to_openmetrics()
+        return registry_from_events(events).to_openmetrics()
 
     return MetricsServer(port=port, render=render_exposition)
 
@@ -329,7 +303,7 @@ def main(argv=None) -> str:
     args = parser.parse_args(argv)
 
     if args.serve:
-        server = serve_events(args.path, port=args.port, window=args.window)
+        server = serve_events(args.path, port=args.port)
         url = server.url
         print(f"serving OpenMetrics at {url}")
         try:

@@ -159,12 +159,9 @@ class Stages:
                 # engine's own dump path; the upstream recorder owns the
                 # epochs just committed into the stream table, so it
                 # writes the postmortem for this window.
-                rec = getattr(upstream.engine, "flightrec", None)
-                if rec is not None:
-                    rec.dump("cascade-crash", error=exc,
-                             epoch=getattr(upstream.engine,
-                                           "next_epoch", None),
-                             force=True)
+                upstream.engine.progress.flightrec.dump(
+                    "cascade-crash", error=exc,
+                    epoch=upstream.engine.next_epoch, force=True)
                 raise
             query.process_all_available()
             upstream = query

@@ -23,7 +23,6 @@ from repro.observability import bottleneck, metrics, tracing
 from repro.observability.flightrec import (
     MAX_ROTATED,
     SCHEMA_VERSION,
-    FlightRecorder,
     load_postmortem,
     postmortem_path,
 )
@@ -32,7 +31,7 @@ from repro.sinks.memory import MemorySink
 from repro.sql import functions as F
 from repro.sql.session import Session
 from repro.streaming import microbatch
-from repro.streaming.progress import EpochProgress
+from repro.streaming.progress import EpochProgress, EpochReporter
 from repro.testing.faults import CrashPoint, Fault, FaultInjector, injected
 
 from tests.conftest import make_stream, start_memory_query
@@ -60,11 +59,13 @@ def _progress(epoch, **overrides):
 # Flight recorder unit behaviour
 # ----------------------------------------------------------------------
 class TestFlightRecorder:
+    """The recorder reads its epochs from the epoch reporter's ring."""
+
     def test_ring_keeps_newest_epochs(self, tmp_path):
-        rec = FlightRecorder(str(tmp_path), capacity=4)
+        reporter = EpochReporter(str(tmp_path), capacity=4)
         for epoch in range(10):
-            rec.record_epoch(_progress(epoch))
-        path = rec.dump("manual", force=True)
+            reporter.report(_progress(epoch))
+        path = reporter.flightrec.dump("manual", force=True)
         doc = load_postmortem(path)
         assert [e["epoch"] for e in doc["epochs"]] == [6, 7, 8, 9]
         assert doc["version"] == SCHEMA_VERSION
@@ -73,8 +74,9 @@ class TestFlightRecorder:
         assert doc["crash"] is None
 
     def test_dump_records_crash_and_dedupes_on_error_identity(self, tmp_path):
-        rec = FlightRecorder(str(tmp_path))
-        rec.record_epoch(_progress(0))
+        reporter = EpochReporter(str(tmp_path))
+        reporter.report(_progress(0))
+        rec = reporter.flightrec
         boom = RuntimeError("worker died")
         first = rec.dump("epoch-crash", error=boom, epoch=1)
         doc = load_postmortem(str(tmp_path))
@@ -86,10 +88,10 @@ class TestFlightRecorder:
         assert os.path.getmtime(first) == mtime
 
     def test_rotation_preserves_prior_dumps(self, tmp_path):
-        rec = FlightRecorder(str(tmp_path))
+        reporter = EpochReporter(str(tmp_path))
         for n in range(MAX_ROTATED + 2):
-            rec.record_epoch(_progress(n))
-            rec.dump("manual", force=True)
+            reporter.report(_progress(n))
+            reporter.flightrec.dump("manual", force=True)
         # Newest at the canonical path, predecessors shifted down.
         assert load_postmortem(str(tmp_path))["epochs"][-1]["epoch"] == 4
         for k in range(1, MAX_ROTATED + 1):
@@ -97,34 +99,33 @@ class TestFlightRecorder:
             assert doc["epochs"][-1]["epoch"] == 4 - k
 
     def test_adopt_prior_dumps_noted_by_successor(self, tmp_path):
-        rec = FlightRecorder(str(tmp_path))
-        rec.dump("epoch-crash", error=ValueError("x"), epoch=7, force=True)
-        successor = FlightRecorder(str(tmp_path))
-        found = successor.adopt_prior_dumps()
-        assert found == [postmortem_path(str(tmp_path))]
+        EpochReporter(str(tmp_path)).flightrec.dump(
+            "epoch-crash", error=ValueError("x"), epoch=7, force=True)
+        successor = EpochReporter(str(tmp_path)).flightrec
+        assert successor.prior_postmortems == [postmortem_path(str(tmp_path))]
         doc = json.loads(json.dumps(successor.to_json("manual")))
         prior = [e for e in doc["events"] if e["kind"] == "prior-postmortem"]
         assert prior and prior[0]["crash"]["epoch"] == 7
         assert doc["prior_postmortems"] == ["postmortem.json"]
 
     def test_metrics_delta_between_epochs(self, tmp_path):
+        # The reporter applies each epoch's engine.* metrics, then takes
+        # the delta, so an epoch's delta carries its own counts.
         with metrics.enabled():
-            rec = FlightRecorder(str(tmp_path))
-            metrics.count("engine.rows_in", 10)
-            rec.record_epoch(_progress(0))
-            metrics.count("engine.rows_in", 7)
-            metrics.set_gauge("engine.backlog_rows", 3)
-            rec.record_epoch(_progress(1))
-            doc = rec.to_json("manual")
+            reporter = EpochReporter(str(tmp_path))
+            reporter.report(_progress(0, input_rows=10))
+            reporter.report(_progress(1, input_rows=7, backlog_rows=3))
+            doc = reporter.flightrec.to_json("manual")
         deltas = [e.get("metricsDelta", {}) for e in doc["epochs"]]
         assert deltas[0]["engine.rows_in"] == 10
         assert deltas[1]["engine.rows_in"] == 7
         assert deltas[1]["engine.backlog_rows"] == 3
+        assert deltas[1]["engine.epochs"] == 1
 
     def test_dump_never_raises(self, tmp_path):
         target = tmp_path / "not-a-dir"
         target.write_text("file in the way")
-        rec = FlightRecorder(str(target))
+        rec = EpochReporter(str(target)).flightrec
         assert rec.dump("manual", force=True) is None
 
 
@@ -175,7 +176,7 @@ class TestCrashPostmortem:
         df = (session.read_stream.memory(stream)
               .group_by("k").agg(F.sum("v").alias("total")))
         restarted = start_memory_query(df, "update", "pm-2", cp)
-        assert restarted.engine.flightrec.prior_postmortems
+        assert restarted.engine.progress.flightrec.prior_postmortems
         restarted.process_all_available()
         path = restarted.dump_postmortem()
         doc = load_postmortem(path)
@@ -223,6 +224,11 @@ class TestCrashPostmortem:
         assert doc["engine"] == "continuous"
         assert doc["reason"] == "worker-crash"
         assert doc["crash"]["type"] == "CrashPoint"
+        # ...and names the configuration that ran.
+        starts = [e for e in doc["events"] if e["kind"] == "engine-start"]
+        assert [e["config"] for e in starts] == [{
+            "output_mode": "append", "epoch_interval": 0.01,
+            "latency_column": None}]
 
 
 # ----------------------------------------------------------------------

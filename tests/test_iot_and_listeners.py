@@ -1,10 +1,10 @@
 """Tests for the IoT workload (watermark stress), query listeners,
-extended explain, and the progress reporter."""
+extended explain, and the epoch reporter."""
 
 import pytest
 
 from repro.sql import functions as F
-from repro.streaming.progress import EpochProgress, ProgressReporter
+from repro.streaming.progress import EpochProgress, EpochReporter
 from repro.workloads.iot import IOT_SCHEMA, IotWorkload
 
 from tests.conftest import make_stream, start_memory_query
@@ -144,16 +144,18 @@ class TestExtendedExplain:
 
 
 class TestProgressReporter:
+    """The epoch reporter's progress history (``recent_progress``)."""
+
     def _progress(self, epoch):
         return EpochProgress(
             epoch_id=epoch, trigger_time=0.0, duration_seconds=1.0,
             input_rows=10, output_rows=5, backlog_rows=0, state_keys=0,
             late_rows_dropped=0)
 
-    def test_bounded_history(self):
-        reporter = ProgressReporter(capacity=3)
+    def test_bounded_history(self, tmp_path):
+        reporter = EpochReporter(str(tmp_path), capacity=3)
         for epoch in range(5):
-            reporter.record(self._progress(epoch))
+            reporter.report(self._progress(epoch))
         assert [p.epoch_id for p in reporter.recent] == [2, 3, 4]
         assert reporter.last.epoch_id == 4
 
@@ -162,7 +164,7 @@ class TestProgressReporter:
         zero = EpochProgress(0, 0.0, 0.0, 10, 5, 0, 0, 0)
         assert zero.input_rows_per_second == 0.0
 
-    def test_empty_reporter(self):
-        reporter = ProgressReporter()
+    def test_empty_reporter(self, tmp_path):
+        reporter = EpochReporter(str(tmp_path))
         assert reporter.last is None
         assert reporter.recent == []

@@ -156,13 +156,13 @@ class TestEventLog:
         stream = make_stream((("v", "long"),))
         query = start_memory_query(
             session.read_stream.memory(stream), "append", "ev3", checkpoint)
-        handle = query.engine._event_log
+        handle = query.engine.progress._log
         stream.add_data([{"v": 1}])
         query.process_all_available()
         stream.add_data([{"v": 2}])
         query.process_all_available()
         # Same handle across epochs (no reopen per epoch), closed on stop.
-        assert query.engine._event_log is handle and not handle.closed
+        assert query.engine.progress._log is handle and not handle.closed
         query.stop()
         assert handle.closed
         query.stop()  # idempotent
