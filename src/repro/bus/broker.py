@@ -22,7 +22,9 @@ therefore architectural, not an artifact of the bus.
 
 Thread safety: appends and reads take a per-partition lock so the
 continuous-mode workers, the microbatch master and producers can share a
-broker.
+broker.  Every append notifies a condition on that lock, so a consumer
+that has read everything blocks in ``wait_past`` until a producer adds
+more, instead of polling.
 """
 
 from __future__ import annotations
@@ -86,6 +88,8 @@ class TopicPartition:
         self._base_offset = 0  # oldest retained offset
         self._next_offset = 0
         self._lock = threading.Lock()
+        #: Notified by every append and by :meth:`wake`.
+        self._appended = threading.Condition(self._lock)
 
     @property
     def end_offset(self) -> int:
@@ -108,6 +112,7 @@ class TopicPartition:
             offset = self._next_offset
             self._chunks.append(_Chunk(offset, rows=[record]))
             self._next_offset = offset + 1
+            self._appended.notify_all()
             return offset
 
     def append_many(self, records) -> int:
@@ -118,6 +123,7 @@ class TopicPartition:
         with self._lock:
             self._chunks.append(_Chunk(self._next_offset, rows=records))
             self._next_offset += len(records)
+            self._appended.notify_all()
             return self._next_offset
 
     def append_batch(self, batch) -> int:
@@ -127,11 +133,28 @@ class TopicPartition:
         with self._lock:
             self._chunks.append(_Chunk(self._next_offset, batch=batch))
             self._next_offset += batch.num_rows
+            self._appended.notify_all()
             return self._next_offset
 
     # ------------------------------------------------------------------
     # Consume
     # ------------------------------------------------------------------
+    def wait_past(self, offset: int, timeout: float) -> bool:
+        """Block until the log holds a record at ``offset`` or later, at
+        most ``timeout`` seconds; True if it does.  Any append or
+        :meth:`wake` ends the wait, so a caller re-checks what it waits
+        for."""
+        with self._lock:
+            if self._next_offset <= offset:
+                self._appended.wait(timeout)
+            return self._next_offset > offset
+
+    def wake(self) -> None:
+        """End every :meth:`wait_past` now, data or not (a consumer is
+        stopping)."""
+        with self._lock:
+            self._appended.notify_all()
+
     def _chunk_ranges(self, start: int, end: int):
         """Yield (chunk, lo, hi) covering offsets [start, end); the first
         chunk is bisected to, so a read costs its own chunks however

@@ -15,7 +15,12 @@ unordered across partitions).  The engine's contract with sources is:
 * ``get_batch(start, end, schema=None)`` — an epoch's read, in the base
   class only: the partitions' reads as one chunked batch;
 * ``commit(end)`` — all data before ``end`` has been durably committed to
-  the sink; the source may release it (e.g. retention trimming).
+  the sink; the source may release it (e.g. retention trimming);
+* ``wait_for_data(partition, offset, timeout)`` / ``wake(partition)`` —
+  how a long-lived reader idles: a source whose producer can notify
+  (the bus, the retained log) blocks until data arrives or ``wake``;
+  the default sleeps :data:`POLL_INTERVAL` and lets the reader look
+  again.
 
 Offsets are ``{partition_name: int}`` dicts so they serialize directly
 into the human-readable JSON write-ahead log (§1, §6.1).
@@ -24,6 +29,7 @@ into the human-readable JSON write-ahead log (§1, §6.1).
 from __future__ import annotations
 
 import threading
+import time
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
@@ -33,6 +39,9 @@ from repro.sql.types import StructType
 
 PARTITION = "0"
 _UPTO = itemgetter(0)
+#: Seconds :meth:`Source.wait_for_data` sleeps for a source with no
+#: notifier (files, the rate source).
+POLL_INTERVAL = 0.0002
 
 
 def ingest_floor_from_segments(segments, start: int, end: int):
@@ -95,6 +104,16 @@ class Source:
 
     def commit(self, end: dict) -> None:
         """Notify that data before ``end`` is durably processed (optional)."""
+
+    def wait_for_data(self, partition: str, offset: int, timeout: float) -> None:
+        """Return once ``partition`` may hold a record at ``offset`` or
+        later, within ``timeout`` seconds.  This default has nothing to
+        wait on and sleeps :data:`POLL_INTERVAL`."""
+        time.sleep(min(timeout, POLL_INTERVAL))
+
+    def wake(self, partition: str) -> None:
+        """End every :meth:`wait_for_data` on ``partition`` now (the
+        default's sleep ends on its own)."""
 
     def offsets_delta(self, start: dict, end: dict) -> int:
         """Number of records in ``[start, end)`` across partitions."""
@@ -166,3 +185,9 @@ class RetainedLogSource(Source, SourceDescriptor):
     def get_partition_batch(self, partition: str, start: int, end: int,
                             schema: StructType = None) -> RecordBatch:
         return self._log.read_columnar(start, end, schema or self.schema)
+
+    def wait_for_data(self, partition: str, offset: int, timeout: float) -> None:
+        self._log.wait_past(offset, timeout)
+
+    def wake(self, partition: str) -> None:
+        self._log.wake()

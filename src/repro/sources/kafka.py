@@ -50,6 +50,12 @@ class KafkaSource(Source):
     def commit(self, end: dict) -> None:
         """No-op: retention is managed by the broker, as with real Kafka."""
 
+    def wait_for_data(self, partition: str, offset: int, timeout: float) -> None:
+        self._topic.partitions[int(partition)].wait_past(offset, timeout)
+
+    def wake(self, partition: str) -> None:
+        self._topic.partitions[int(partition)].wake()
+
 
 class KafkaSourceDescriptor(SourceDescriptor):
     """Recipe for attaching to a bus topic."""

@@ -14,7 +14,6 @@ introduce nulls into numeric columns (outer joins) promote them to double.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 
 import numpy as np
@@ -310,11 +309,23 @@ def stable_hash_value(value) -> int:
         return _mix64_scalar(bits)
     if value is None:
         return _mix64_scalar(_NONE_SENTINEL)
-    if isinstance(value, str):
-        digest = hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest()
-        return _mix64_scalar(int.from_bytes(digest, "little"))
-    digest = hashlib.blake2b(repr(value).encode("utf-8"), digest_size=8).digest()
+    text = value if isinstance(value, str) else repr(value)
+    digest = (_blake2b or lazy_blake2b())(
+        text.encode("utf-8"), digest_size=8).digest()
     return _mix64_scalar(int.from_bytes(digest, "little"))
+
+
+_blake2b = None
+
+
+def lazy_blake2b():
+    """``hashlib.blake2b``, imported at the first call and bound once per
+    process: importing hashlib loads the OpenSSL library, which a process
+    that hashes no string never needs."""
+    global _blake2b
+    if _blake2b is None:
+        from hashlib import blake2b as _blake2b
+    return _blake2b
 
 
 def _hash_column(arr: np.ndarray, n: int) -> np.ndarray:

@@ -15,8 +15,9 @@ other aggregation buffer.
 
 from __future__ import annotations
 
-import hashlib
 import math
+
+from repro.sql.batch import lazy_blake2b
 
 
 class HyperLogLog:
@@ -45,7 +46,7 @@ class HyperLogLog:
 
     # ------------------------------------------------------------------
     def _hash(self, value) -> int:
-        digest = hashlib.blake2b(
+        digest = lazy_blake2b()(
             repr(value).encode("utf-8"), digest_size=8
         ).digest()
         return int.from_bytes(digest, "big")

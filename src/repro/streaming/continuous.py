@@ -1,10 +1,13 @@
 """Continuous processing mode (§6.3).
 
 Instead of scheduling an epoch job per trigger, the engine launches one
-*long-lived* worker per input partition.  Each worker polls its
-partition, pushes new records through the compiled stateless pipeline
-and writes them to the sink immediately — latency is polling interval +
-per-chunk compute, not task-scheduling overhead.  A master thread
+*long-lived* worker per input partition.  Each worker blocks on its
+partition until a producer appends (``Source.wait_for_data``; sources
+with no notifier are polled), polling only around the moment a steady
+producer's next append is due, pushes the new records through the
+compiled stateless pipeline and writes them to the sink immediately —
+latency is a thread wake-up + per-chunk compute, not task-scheduling
+overhead, and an idle query costs next to no CPU.  A master thread
 periodically snapshots the workers' positions into the write-ahead log
 as epochs (§6.3: "the master is not on the critical path"), so rollback
 and restart still work; replay after a crash is at-least-once within
@@ -27,6 +30,7 @@ import numpy as np
 from repro import observability
 from repro.observability import metrics, tracing
 from repro.observability.metrics import Histogram
+from repro.sources.base import POLL_INTERVAL
 from repro.streaming import operators as ops
 from repro.streaming.incrementalizer import incrementalize
 from repro.streaming.operators import EpochContext
@@ -38,8 +42,13 @@ from repro.testing.faults import fault_point
 
 #: Records a worker reads from its partition per chunk, at most.
 MAX_CHUNK = 1024
-#: Seconds a worker sleeps when its partition has no new records.
-POLL_INTERVAL = 0.0002
+#: Seconds either side of a partition's next expected append (the last
+#: one plus the gap before it) in which a caught-up worker waits in
+#: short ``POLL_INTERVAL`` slices; outside it, it blocks until an append
+#: or ``stop()``.  A thread woken from a long block delivered ~0.15 ms
+#: later than one polling (continuous_openloop, 2-vCPU VM), so a steady
+#: producer's next append finds the worker awake.
+POLL_LEAD = 0.001
 
 
 class UnsupportedContinuousQueryError(Exception):
@@ -63,18 +72,35 @@ class _PartitionWorker:
         self._thread.start()
 
     def join(self) -> None:
-        self._thread.join(timeout=10)
+        """Wake the worker until it exits, for at most 10 s: a wake that
+        lands between its stop check and its wait is lost."""
+        deadline = time.monotonic() + 10
+        while self._thread.is_alive() and time.monotonic() < deadline:
+            self.engine.source.wake(self.partition)
+            self._thread.join(0.005)
 
     def _run(self) -> None:
         engine = self.engine
         source = engine.source
         schema = engine.plan.read_schemas.get(engine.source_name)
+        last = expected = 0.0
         try:
             while not engine._stop_event.is_set():
                 end = source.latest_offsets().get(self.partition, self.position)
                 if end <= self.position:
-                    time.sleep(POLL_INTERVAL)
+                    ahead = expected - time.monotonic()
+                    if ahead > POLL_LEAD:
+                        timeout = ahead - POLL_LEAD
+                    elif ahead > -POLL_LEAD:
+                        timeout = POLL_INTERVAL
+                    else:
+                        timeout = engine.epoch_interval
+                    # An append or stop() (via join) ends the wait early.
+                    source.wait_for_data(self.partition, self.position, timeout)
                     continue
+                now = time.monotonic()
+                expected = now + (now - last) if last else now
+                last = now
                 hi = min(end, self.position + MAX_CHUNK)
                 with tracing.trace_span(self._span_name):
                     batch = source.get_partition_batch(

@@ -48,7 +48,6 @@ Crash-consistency invariants:
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import json
 import os
@@ -60,6 +59,7 @@ from operator import itemgetter
 import numpy as np
 
 from repro.observability import metrics
+from repro.sql.batch import lazy_blake2b
 from repro.storage import (
     atomic_write_stream,
     atomic_write_text,
@@ -111,7 +111,7 @@ def _bloom_hash(encoded: str) -> tuple:
     blake2b (not ``hash()``) because bloom bits are persisted: Python's
     string hash is salted per process and would desync across restarts.
     """
-    digest = hashlib.blake2b(encoded.encode("utf-8"), digest_size=16).digest()
+    digest = lazy_blake2b()(encoded.encode("utf-8"), digest_size=16).digest()
     return (int.from_bytes(digest[:8], "little"),
             int.from_bytes(digest[8:], "little") | 1)
 

@@ -59,7 +59,6 @@ Checkpoints written before this format — pretty-printed
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 import os
 import struct
@@ -105,6 +104,16 @@ _READ_BYTES = 1 << 20
 #: (``indent=`` would switch the stdlib to its pure-Python encoder).
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 encode = _ENCODER.encode
+
+
+def _sha256():
+    """A fresh sha256 for one file's trailer.  hashlib is imported here,
+    at a process's first state file, not with this module: importing it
+    loads the OpenSSL library, which a query that keeps no state never
+    needs."""
+    from hashlib import sha256
+
+    return sha256()
 
 
 def _file_encoder():
@@ -177,7 +186,7 @@ class StateFileWriter:
         each record line starts at (the tiered backend builds its sparse
         index and bloom filter from it).
         """
-        digest = hashlib.sha256()
+        digest = _sha256()
         encode = _file_encoder()
         header = encode({"format": FORMAT, "kind": self.kind,
                          "version": self.version}) + "\n"
@@ -217,7 +226,7 @@ class StateFileWriter:
         :data:`FRAME_KEYS` keys, the trailer.  ``data`` maps a key to
         its value, packed rows of ``schema``, read as the frames are; a
         key it lacks was removed (a tombstone)."""
-        digest = hashlib.sha256()
+        digest = _sha256()
         header = (encode({"format": FORMAT, "kind": self.kind,
                           "schema": schema.header(),
                           "version": self.version}) + "\n").encode("ascii")
@@ -318,7 +327,7 @@ def read_batches(chunks, framed: bool = True):
     ``framed=False`` reads the bare sorted-JSONL runs the tiered backend
     wrote before this format (their digest lives in the run's sidecar).
     """
-    digest = hashlib.sha256()
+    digest = _sha256()
     count = 0
     leftover = b""
     seen_header = not framed
@@ -405,7 +414,7 @@ def _frames(path: str):
     is cut, mid-frame or before its trailer, or a byte of it changed.
     Holds one frame at a time."""
     trailer, end = _tail(path)
-    digest = hashlib.sha256()
+    digest = _sha256()
     count = 0
     with open(path, "rb") as f:
         line = f.readline()
@@ -499,7 +508,7 @@ def verify(path: str) -> None:
         read_json(path)
         return
     trailer, remaining = _tail(path)
-    digest = hashlib.sha256()
+    digest = _sha256()
     lines = 0
     for chunk in file_chunks(path):
         chunk = chunk[:remaining]

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -146,6 +148,34 @@ class TestColumnarSegments:
         topic = broker.create_topic("t")
         out = topic.partitions[0].read_columnar(0, 0, SCHEMA)
         assert out.num_rows == 0
+
+
+class TestWaitPast:
+    """``wait_past`` checks the log under the lock it waits on, so an
+    append that lands before the wait starts is never missed."""
+
+    def test_data_already_there_returns_at_once(self, broker):
+        tp = broker.create_topic("t").partitions[0]
+        tp.append({"v": 1})
+        started = time.monotonic()
+        assert tp.wait_past(0, 5.0) is True
+        assert time.monotonic() - started < 1.0
+
+    def test_times_out_without_data(self, broker):
+        tp = broker.create_topic("t").partitions[0]
+        assert tp.wait_past(0, 0.01) is False
+
+    def test_append_and_wake_end_the_wait(self, broker):
+        tp = broker.create_topic("t").partitions[0]
+        for act, expect in ((lambda: tp.append_many([{"v": 1}]), True),
+                            (tp.wake, False)):
+            timer = threading.Timer(0.05, act)
+            timer.start()
+            started = time.monotonic()
+            assert tp.wait_past(tp.end_offset, 5.0) is expect
+            assert time.monotonic() - started < 1.0
+            timer.join(timeout=5)
+            assert not timer.is_alive()
 
 
 class TestRetention:
